@@ -7,6 +7,7 @@ quantity that enters sensitivity and step-size formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,18 @@ def _as_vector(v, name: str) -> np.ndarray:
     return v
 
 
+def _shrink_overflowed(v: np.ndarray, bound: float) -> np.ndarray:
+    """v * min(1, bound / ||v||) for a finite v whose sum of squares
+    overflows. The norm is taken on v / max|v| instead, so the result keeps
+    v's direction rather than collapsing to zero."""
+    peak = float(np.max(np.abs(v)))
+    unit = v / peak
+    unit_norm = float(np.linalg.norm(unit))
+    if peak * unit_norm <= bound:
+        return v.copy()
+    return unit * (bound / unit_norm)
+
+
 def project_ball(v: np.ndarray, ball: ConstraintBall) -> np.ndarray:
     """Euclidean projection of v onto the ball (identity if already inside)."""
     v = _as_vector(v, "v")
@@ -52,6 +65,8 @@ def project_ball(v: np.ndarray, ball: ConstraintBall) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     if norm <= ball.radius:
         return v.copy()
+    if math.isinf(norm):
+        return _shrink_overflowed(v, ball.radius)
     return v * (ball.radius / norm)
 
 
@@ -66,6 +81,8 @@ def clip(v: np.ndarray, c_clip: float) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     if norm <= c_clip or norm == 0.0:
         return v.copy()
+    if math.isinf(norm):
+        return _shrink_overflowed(v, c_clip)
     return v * (c_clip / norm)
 
 

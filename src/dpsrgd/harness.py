@@ -17,6 +17,7 @@ import io
 import math
 import os
 import struct
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import accounting, counting, optim
 from .geometry import ConstraintBall
-from .objectives import LogisticTask, SyntheticQuadratic, fixed_batches
+from .objectives import LogisticTask, SyntheticQuadratic
 
 __all__ = [
     "ExperimentSpec",
@@ -379,6 +380,29 @@ def _strategy_cache_get(cache: dict, kind: str, k: int, b: int, c: float):
     return cache[key]
 
 
+def _pass_stream(rng, n: int, B: int, T: int):
+    """T index batches of size B, sampled without replacement within each
+    pass: one permutation of the n examples per n // B steps, handed out in
+    disjoint slices."""
+    per_pass = n // B
+    for t in range(T):
+        j = t % per_pass
+        if j == 0:
+            order = rng.permutation(n)
+        yield order[j * B:(j + 1) * B]
+
+
+def _max_participation(spec: ExperimentSpec, n: int) -> int:
+    """Most steps any one training example can appear in: `epochs` for the
+    multi-epoch methods, 1 for synthetic single-pass runs (fresh examples
+    every step), and the number of passes of the batch stream otherwise."""
+    if spec.algorithm in ("dp_memf", "dp_srg_memf"):
+        return spec.epochs
+    if spec.task == "synthetic":
+        return 1
+    return -(-spec.steps // (n // max(1, min(n, spec.batch_size))))
+
+
 def _single_run(spec, problem, rho, lr, clip, c, seed, cache):
     if spec.algorithm in ("dp_memf", "dp_srg_memf"):
         n = spec.train_size if spec.task == "synthetic" else problem.n_train
@@ -412,8 +436,10 @@ def _single_run(spec, problem, rho, lr, clip, c, seed, cache):
         n = problem.n_train
     B = max(1, min(n, spec.batch_size))
     T = spec.steps
-    stream = (problem.draw_batch(rng, B) if spec.task == "synthetic"
-              else rng.permutation(n)[:B] for _ in range(T))
+    if spec.task == "synthetic":
+        stream = (problem.draw_batch(rng, B) for _ in range(T))
+    else:
+        stream = _pass_stream(rng, n, B, T)
 
     if spec.algorithm == "dp_sgd":
         sigma = 0.0 if math.isinf(rho) else math.sqrt(1.0 / (2 * rho)) * clip / B
@@ -468,13 +494,20 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
         event_log.append(("budget", dict(budget)))
     problem = _build_problem(spec, event_log, dataset)
     rho = budget["rho"]
+    n = problem.n_train if spec.task != "synthetic" else spec.train_size
+    participation = _max_participation(spec, n)
+    if (participation > 1 and math.isfinite(rho)
+            and spec.algorithm not in ("dp_memf", "dp_srg_memf")):
+        warnings.warn(
+            f"{spec.steps} steps of batch size {spec.batch_size} over {n} examples "
+            f"use some examples in up to {participation} steps; the noise of "
+            f"{spec.algorithm} is calibrated for at most one", stacklevel=2)
 
     grid = [(lr, clip, c) for lr in spec.lr_grid for clip in spec.clip_grid
             for c in spec.c_grid]
     cache: dict = {}
     for lr, clip, c in grid:  # warm the strategy cache serially
         if spec.algorithm in ("dp_memf", "dp_srg_memf", "dp_ftrl"):
-            n = problem.n_train if spec.task != "synthetic" else spec.train_size
             b = (n // spec.batch_size) if spec.algorithm != "dp_ftrl" else spec.steps
             k = spec.epochs if spec.algorithm != "dp_ftrl" else 1
             _strategy_cache_get(cache, spec.workload, k, b, c)
@@ -507,7 +540,8 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
 
     table = MetricTable(header={**{k: _format_value(v) for k, v in budget.items()},
                                 "task": spec.task, "algorithm": spec.algorithm,
-                                "workload": spec.workload})
+                                "workload": spec.workload,
+                                "max_participation": str(participation)})
     if spec.task == "synthetic" and spec.algorithm in (
             "accelerated_dp_srgd", "independent_variant") and math.isfinite(spec.epsilon):
         report, B, T = accounting.build_regime_report(

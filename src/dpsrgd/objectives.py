@@ -8,6 +8,12 @@ regression over fixed feature/label arrays with a held-out split.
 A "batch" is whatever the problem's per-example methods accept:
 an (m, dim) array of example vectors for the synthetic task, an integer
 index array for dataset-backed tasks.
+
+The optimizers reach the data only through two gradient hooks,
+`clipped_mean_grad` and `srg_mean`. Each returns `(mean, train_loss)`: the
+clipped batch-mean gradient (or recursive increment) and the batch-mean
+loss at the current point, computed in the same pass over the batch, so a
+run's train-loss trajectory costs no extra forward pass.
 """
 
 from __future__ import annotations
@@ -23,19 +29,20 @@ __all__ = [
     "SyntheticQuadratic",
     "LogisticTask",
     "GradientNoiseWrapper",
-    "grad",
-    "batch_grad",
-    "srg_increment",
-    "population_excess",
-    "iid_stream",
-    "fixed_batches",
-    "repeated_batch_stream",
 ]
 
 
 class LossProblem:
     """Base class. Subclasses set dim, lipschitz, smoothness and implement
-    the per-example methods."""
+    the per-example methods.
+
+    The gradient hooks `clipped_mean_grad` and `srg_mean` return
+    `(mean, train_loss)`, where train_loss is
+    `float(per_example_values(x, batch).mean())` at x (x_t for srg_mean),
+    computed in the same pass as the gradient. The defaults here build both
+    from per_example_grads and per_example_values; a subclass may override
+    them with a fused pass that returns the same numbers.
+    """
 
     dim: int
     lipschitz: float
@@ -68,21 +75,26 @@ class LossProblem:
 
     # Hooks the optimizers call. Defaults materialize per-example gradients;
     # subclasses may override with cheaper equivalents.
-    def clipped_mean_grad(self, x: np.ndarray, batch, c_clip: float) -> np.ndarray:
+    def clipped_mean_grad(self, x: np.ndarray, batch,
+                          c_clip: float) -> tuple[np.ndarray, float]:
+        """(Mean over the batch of clip(g(x,d)), batch-mean loss at x)."""
         grads = self.per_example_grads(x, batch)
-        return clip_rows(grads, c_clip).mean(axis=0)
+        loss = float(self.per_example_values(x, batch).mean())
+        return clip_rows(grads, c_clip).mean(axis=0), loss
 
     def srg_mean(self, x_t, x_prev, w_t: float, w_prev: float, batch,
-                 c_clip: float = np.inf) -> np.ndarray:
-        """Mean over the batch of clip(w_t*g(x_t,d) - w_prev*g(x_prev,d)).
+                 c_clip: float = np.inf) -> tuple[np.ndarray, float]:
+        """(Mean over the batch of clip(w_t*g(x_t,d) - w_prev*g(x_prev,d)),
+        batch-mean loss at x_t).
 
         Both evaluation points are always visited, so every example in the
         batch costs exactly two gradient evaluations regardless of w_prev.
         """
         g_t = self.per_example_grads(x_t, batch)
         g_p = self.per_example_grads(x_prev, batch)
+        loss = float(self.per_example_values(x_t, batch).mean())
         diffs = w_t * g_t - w_prev * g_p
-        return clip_rows(diffs, c_clip).mean(axis=0)
+        return clip_rows(diffs, c_clip).mean(axis=0), loss
 
 
 @dataclass
@@ -139,12 +151,6 @@ class SyntheticQuadratic(LossProblem):
         return self.curvature * (x - self.target)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 @dataclass
 class LogisticTask(LossProblem):
     """Multiclass softmax regression. Parameters are a (num_classes, p)
@@ -152,7 +158,10 @@ class LogisticTask(LossProblem):
 
     Per-example gradients are rank one, outer(softmax_err, phi), which the
     clipped-mean hooks exploit: the clip scale only needs ||softmax_err|| *
-    ||phi|| per example, and the clipped mean is a single weighted matmul.
+    ||phi|| per example (the ||phi|| are computed once, at construction),
+    and the clipped mean is a single weighted matmul. Each hook call gathers
+    the batch's feature rows once and runs one logits matmul per evaluation
+    point, which yields both the softmax error and the train loss.
     """
 
     features: np.ndarray
@@ -170,7 +179,9 @@ class LogisticTask(LossProblem):
             raise ValueError("labels out of range")
         self.n_features = self.features.shape[1]
         self.dim = self.num_classes * self.n_features
-        max_row = float(np.max(np.linalg.norm(self.features, axis=1)))
+        # per-row feature norms, kept for the clip scale of the gradient hooks
+        self.feature_norms = np.linalg.norm(self.features, axis=1)
+        max_row = float(np.max(self.feature_norms))
         if self.eval_features is not None:
             self.eval_features = np.asarray(self.eval_features, dtype=np.float64)
             self.eval_labels = np.asarray(self.eval_labels, dtype=np.int64)
@@ -187,46 +198,51 @@ class LogisticTask(LossProblem):
     def _weights(self, x) -> np.ndarray:
         return np.asarray(x).reshape(self.num_classes, self.n_features)
 
-    def _err(self, x, idx) -> np.ndarray:
-        """softmax(Wphi) - onehot(y) for the indexed examples, shape (m, K)."""
-        phi = self.features[idx]
-        probs = _softmax(phi @ self._weights(x).T)
-        probs[np.arange(len(idx)), self.labels[idx]] -= 1.0
-        return probs
+    def _forward(self, x, phi, labels) -> tuple[np.ndarray, np.ndarray]:
+        """softmax(W phi) - onehot(y), shape (m, K), and the per-example
+        cross-entropy, shape (m,), from one logits matmul."""
+        logits = phi @ self._weights(x).T
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        total = e.sum(axis=1, keepdims=True)
+        rows = np.arange(len(labels))
+        loss = -(shifted - np.log(total))[rows, labels]
+        err = e / total
+        err[rows, labels] -= 1.0
+        return err, loss
 
     def per_example_values(self, x, batch) -> np.ndarray:
         idx = np.asarray(batch)
-        phi = self.features[idx]
-        logits = phi @ self._weights(x).T
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return -log_probs[np.arange(len(idx)), self.labels[idx]]
+        return self._forward(x, self.features[idx], self.labels[idx])[1]
 
     def per_example_grads(self, x, batch) -> np.ndarray:
         idx = np.asarray(batch)
-        err = self._err(x, idx)
         phi = self.features[idx]
+        err = self._forward(x, phi, self.labels[idx])[0]
         return np.einsum("mk,mp->mkp", err, phi).reshape(len(idx), self.dim)
 
-    def clipped_mean_grad(self, x, batch, c_clip) -> np.ndarray:
+    def clipped_mean_grad(self, x, batch, c_clip) -> tuple[np.ndarray, float]:
         idx = np.asarray(batch)
-        err = self._err(x, idx)
         phi = self.features[idx]
-        scale = self._clip_scale(err, phi, c_clip) / len(idx)
-        return ((err * scale[:, None]).T @ phi).reshape(self.dim)
+        err, loss = self._forward(x, phi, self.labels[idx])
+        scale = self._clip_scale(err, self.feature_norms[idx], c_clip) / len(idx)
+        return ((err * scale[:, None]).T @ phi).reshape(self.dim), float(loss.mean())
 
-    def srg_mean(self, x_t, x_prev, w_t, w_prev, batch, c_clip=np.inf) -> np.ndarray:
+    def srg_mean(self, x_t, x_prev, w_t, w_prev, batch,
+                 c_clip=np.inf) -> tuple[np.ndarray, float]:
         idx = np.asarray(batch)
-        err = w_t * self._err(x_t, idx) - w_prev * self._err(x_prev, idx)
         phi = self.features[idx]
-        scale = self._clip_scale(err, phi, c_clip) / len(idx)
-        return ((err * scale[:, None]).T @ phi).reshape(self.dim)
+        labels = self.labels[idx]
+        err_t, loss = self._forward(x_t, phi, labels)
+        err = w_t * err_t - w_prev * self._forward(x_prev, phi, labels)[0]
+        scale = self._clip_scale(err, self.feature_norms[idx], c_clip) / len(idx)
+        return ((err * scale[:, None]).T @ phi).reshape(self.dim), float(loss.mean())
 
     @staticmethod
-    def _clip_scale(err, phi, c_clip) -> np.ndarray:
+    def _clip_scale(err, phi_norms, c_clip) -> np.ndarray:
         if not np.isfinite(c_clip):
             return np.ones(err.shape[0])
-        norms = np.linalg.norm(err, axis=1) * np.linalg.norm(phi, axis=1)
+        norms = np.linalg.norm(err, axis=1) * phi_norms
         scale = np.ones_like(norms)
         over = norms > c_clip
         scale[over] = c_clip / norms[over]
@@ -240,10 +256,7 @@ class LogisticTask(LossProblem):
         feats, labels = self.eval_features, self.eval_labels
         if feats is None:
             feats, labels = self.features, self.labels
-        logits = feats @ self._weights(x).T
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return float(-log_probs[np.arange(len(labels)), labels].mean())
+        return float(self._forward(x, feats, labels)[1].mean())
 
     def accuracy(self, x, half: str | None = None) -> float:
         """Held-out classification accuracy in percent. half="even"/"odd"
@@ -297,66 +310,3 @@ class GradientNoiseWrapper(LossProblem):
 
     def population_grad(self, x):
         return self.base.population_grad(x)
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-
-
-def grad(problem: LossProblem, x: np.ndarray, example) -> np.ndarray:
-    """Gradient of a single example's loss at x."""
-    batch = _singleton_batch(problem, example)
-    return problem.per_example_grads(x, batch)[0]
-
-
-def batch_grad(problem: LossProblem, x: np.ndarray, batch) -> np.ndarray:
-    """Unweighted mean gradient over the batch."""
-    return problem.per_example_grads(x, batch).mean(axis=0)
-
-
-def srg_increment(problem: LossProblem, x_t, x_prev, w_t: float, w_prev: float,
-                  batch, c_clip: float = np.inf) -> np.ndarray:
-    """Recursive-gradient increment: batch mean of
-    clip(w_t * g(x_t, d) - w_prev * g(x_prev, d), c_clip).
-
-    Per-example clipping happens before averaging. Pass x_prev = x_t with
-    w_prev = 0 for the first step.
-    """
-    return problem.srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip)
-
-
-def population_excess(problem: LossProblem, x: np.ndarray) -> float:
-    return problem.population_excess(x)
-
-
-def _singleton_batch(problem, example):
-    if isinstance(problem, LogisticTask):
-        return np.asarray([example])
-    arr = np.asarray(example, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :]
-    return arr
-
-
-# ---------------------------------------------------------------------------
-# batch streams
-
-
-def iid_stream(problem: LossProblem, rng: np.random.Generator, steps: int, size: int):
-    """Fresh i.i.d. batch per step (single pass over a sampled population)."""
-    for _ in range(steps):
-        yield problem.draw_batch(rng, size)
-
-
-def fixed_batches(n: int, size: int):
-    """Disjoint contiguous index batches covering [0, n) in order."""
-    if n % size != 0:
-        raise ValueError(f"batch size {size} does not divide n={n}")
-    idx = np.arange(n)
-    return [idx[i * size:(i + 1) * size] for i in range(n // size)]
-
-
-def repeated_batch_stream(batch, steps: int):
-    """The same batch every step (full-batch deterministic runs)."""
-    for _ in range(steps):
-        yield batch

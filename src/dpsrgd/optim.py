@@ -239,12 +239,11 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
         if iterates is not None:
             iterates[t] = x
         w_prev = eta[t - 1] if t > 0 else 0.0
-        delta = problem.srg_mean(x, prev_x, eta[t], w_prev, batch, c_clip)
+        delta, train_loss[t] = problem.srg_mean(x, prev_x, eta[t], w_prev, batch, c_clip)
         tree_ingest(tree, t + 1, delta)
         estimate, xi = tree_prefix(tree, t + 1)
         grad_est = estimate / eta[t]
 
-        train_loss[t] = float(problem.per_example_values(x, batch).mean())
         noise_norm[t] = float(np.linalg.norm(xi)) / cfg.beta
         grad_norm[t] = float(np.linalg.norm(grad_est))
         if x_star is not None:
@@ -302,12 +301,12 @@ def run_independent_variant(problem: LossProblem, stream, cfg: SrgdConfig,
             t -= 1
             break
         if cfg.clip is not None:
-            grad_est = problem.clipped_mean_grad(x, batch, cfg.clip)
+            grad_est, train_loss[t] = problem.clipped_mean_grad(x, batch, cfg.clip)
         else:
             grad_est = problem.per_example_grads(x, batch).mean(axis=0)
+            train_loss[t] = float(problem.per_example_values(x, batch).mean())
         b_t = rng.standard_normal(dim) * cfg.sigma
 
-        train_loss[t] = float(problem.per_example_values(x, batch).mean())
         noise_norm[t] = float(np.linalg.norm(b_t))
         grad_norm[t] = float(np.linalg.norm(grad_est))
         if pot is not None:
@@ -365,11 +364,10 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
             t -= 1
             break
         c_prev = c_values[t - 1] if t > 0 else 0.0
-        delta = problem.srg_mean(x, prev_x, c_values[t], c_prev, batch)
+        delta, train_loss[t] = problem.srg_mean(x, prev_x, c_values[t], c_prev, batch)
         acc = acc + delta
         grad_est = acc / c_values[t]
 
-        train_loss[t] = float(problem.per_example_values(x, batch).mean())
         grad_norm[t] = float(np.linalg.norm(grad_est))
         if (t + 1) in checkpoints:
             cp_grads[t + 1] = grad_est.copy()
@@ -433,10 +431,9 @@ def run_dp_sgd(problem: LossProblem, stream, eta_lr: float, c_clip: float,
         if t >= T:
             t -= 1
             break
-        grad_est = problem.clipped_mean_grad(x, batch, c_clip)
+        grad_est, train_loss[t] = problem.clipped_mean_grad(x, batch, c_clip)
         b_t = rng.standard_normal(dim) * sigma
 
-        train_loss[t] = float(problem.per_example_values(x, batch).mean())
         noise_norm[t] = float(np.linalg.norm(b_t))
         grad_norm[t] = float(np.linalg.norm(grad_est))
 
@@ -473,10 +470,9 @@ def run_dp_ftrl(problem: LossProblem, stream, eta_lr: float, c_clip: float,
         if t >= T:
             t -= 1
             break
-        grad_est = problem.clipped_mean_grad(x, batch, c_clip)
+        grad_est, train_loss[t] = problem.clipped_mean_grad(x, batch, c_clip)
         b_t = next(noise_iter)
 
-        train_loss[t] = float(problem.per_example_values(x, batch).mean())
         noise_norm[t] = float(np.linalg.norm(b_t))
         grad_norm[t] = float(np.linalg.norm(grad_est))
 
@@ -530,11 +526,10 @@ def run_dp_memf(problem: LossProblem, batches, cfg: MemfConfig,
         batch = batches[s % cfg.batches_per_epoch]
         if problem.batch_size(batch) != cfg.batch_size:
             raise ValueError(f"batch {s % cfg.batches_per_epoch} size mismatch")
-        grad_est = problem.clipped_mean_grad(x, batch, cfg.c_clip)
+        grad_est, train_loss[s] = problem.clipped_mean_grad(x, batch, cfg.c_clip)
         w_t = next(noise_iter) * scale
         noisy = grad_est + w_t
 
-        train_loss[s] = float(problem.per_example_values(x, batch).mean())
         noise_norm[s] = float(np.linalg.norm(w_t))
         grad_norm[s] = float(np.linalg.norm(grad_est))
 
@@ -582,12 +577,11 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig,
         if problem.batch_size(batch) != cfg.batch_size:
             raise ValueError(f"batch {s % cfg.batches_per_epoch} size mismatch")
         c_s = cfg.decay if s > 0 else 0.0
-        delta = problem.srg_mean(x, prev_x, 1.0, c_s, batch, cfg.c_clip)
+        delta, train_loss[s] = problem.srg_mean(x, prev_x, 1.0, c_s, batch, cfg.c_clip)
         w_t = next(noise_iter) * scale
         grad_rec = c_s * grad_rec + (delta + w_t)
         grad_used = grad_rec + w_t if cfg.double_noise else grad_rec
 
-        train_loss[s] = float(problem.per_example_values(x, batch).mean())
         noise_norm[s] = float(np.linalg.norm(w_t))
         grad_norm[s] = float(np.linalg.norm(grad_rec))
 

@@ -210,8 +210,8 @@ def criterion_3() -> CriterionResult:
                 w_t = float(cfg.eta_values[t])
                 w_prev = float(cfg.eta_values[t - 1]) if t > 0 else 0.0
                 other = zeroed if t == t_j else batches[t]
-                d1 = problem.srg_mean(x_t, x_prev, w_t, w_prev, batches[t])
-                d2 = problem.srg_mean(x_t, x_prev, w_t, w_prev, other)
+                d1 = problem.srg_mean(x_t, x_prev, w_t, w_prev, batches[t])[0]
+                d2 = problem.srg_mean(x_t, x_prev, w_t, w_prev, other)[0]
                 measured = max(measured,
                                float(np.linalg.norm(d1 - d2)) * B)
             worst = max(worst, measured / bound)

@@ -76,6 +76,19 @@ def test_clip_behavior():
         clip(v, -1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_project_and_clip_survive_norm_overflow():
+    # the sum of squares overflows; the answer must not collapse to zero
+    v = np.array([3e200, 4e200])
+    np.testing.assert_allclose(project_ball(v, ConstraintBall(2, 1.0)),
+                               [0.6, 0.8], rtol=1e-15)
+    np.testing.assert_allclose(clip(v, 1.0), [0.6, 0.8], rtol=1e-15)
+    np.testing.assert_allclose(clip(v, 2.0), [1.2, 1.6], rtol=1e-15)
+    # a huge vector inside a huge ball, or under an infinite clip, is kept
+    np.testing.assert_array_equal(project_ball(v, ConstraintBall(2, 1e201)), v)
+    np.testing.assert_array_equal(clip(v, np.inf), v)
+
+
 def test_clip_rows_matches_per_row_clip():
     rng = np.random.default_rng(1)
     mat = rng.standard_normal((8, 5)) * 2.0

@@ -21,6 +21,7 @@ from dpsrgd.harness import (
     run_experiment,
     save_csv,
 )
+from dpsrgd.objectives import LogisticTask
 from dpsrgd.optim import RunAborted, RunRecord
 
 IDX_NAMES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
@@ -321,6 +322,66 @@ def test_default_selection_uses_full_held_out_metric(tmp_path):
     table, recs = run_experiment(spec, dataset=dataset)
     rec = next(iter(recs.values()))
     assert table.rows[0].acc_mean == pytest.approx(dataset.accuracy(rec.final_x))
+
+
+class _IndexSpy(LogisticTask):
+    """Records every index batch the gradient hooks receive."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.delivered = []
+
+    def clipped_mean_grad(self, x, batch, c_clip):
+        self.delivered.append(np.array(batch))
+        return super().clipped_mean_grad(x, batch, c_clip)
+
+    def srg_mean(self, x_t, x_prev, w_t, w_prev, batch, c_clip=np.inf):
+        self.delivered.append(np.array(batch))
+        return super().srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip)
+
+
+def _participation(tmp_path, **kw):
+    """(max_participation from the summary CSV, most steps any one example
+    was delivered in) for one csv-dataset run of 16-example batches."""
+    base = _toy_logistic_dataset(tmp_path)
+    spy = _IndexSpy(features=base.features, labels=base.labels,
+                    num_classes=base.num_classes,
+                    eval_features=base.eval_features,
+                    eval_labels=base.eval_labels)
+    spec = _tiny_spec(task="csv-dataset", repeats=1, batch_size=16, **kw)
+    table, records = run_experiment(spec, dataset=spy)
+    assert all(isinstance(r, RunRecord) for r in records.values())
+    path = tmp_path / "summary.csv"
+    emit_csv(table, records, str(path))
+    header = parse_summary_csv(str(path)).header
+    counts = np.bincount(np.concatenate(spy.delivered), minlength=spy.n_train)
+    return int(header["max_participation"]), int(counts.max())
+
+
+@pytest.mark.parametrize("algorithm, steps, epochs, expected", [
+    ("accelerated_dp_srgd", 4, 1, 1),
+    ("dp_sgd", 4, 1, 1),
+    ("dp_memf", 4, 2, 2),
+])
+def test_header_max_participation_matches_delivered_indices(
+        tmp_path, algorithm, steps, epochs, expected):
+    # 64 rows in batches of 16: a single pass is T*B <= n
+    assert _participation(tmp_path, algorithm=algorithm, steps=steps,
+                          epochs=epochs) == (expected, expected)
+
+
+def test_stream_longer_than_one_pass_is_flagged_not_rejected(tmp_path):
+    # 12 steps of 16 over 64 rows: three passes, each a fresh permutation
+    with pytest.warns(UserWarning, match="up to 3 steps"):
+        assert _participation(tmp_path, algorithm="dp_sgd") == (3, 3)
+
+
+def test_synthetic_max_participation():
+    table, _ = run_experiment(_tiny_spec(repeats=1))
+    assert table.header["max_participation"] == "1"
+    table, _ = run_experiment(_tiny_spec(algorithm="dp_memf", epochs=3,
+                                         batch_size=64, repeats=1))
+    assert table.header["max_participation"] == "3"
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_clipped_mean_matches_row_loop(make, c_clip):
     x = rng.standard_normal(problem.dim) * 0.4
     rows = problem.per_example_grads(x, batch)
     expected = clip_rows(rows, c_clip).mean(axis=0)
-    np.testing.assert_allclose(problem.clipped_mean_grad(x, batch, c_clip),
+    np.testing.assert_allclose(problem.clipped_mean_grad(x, batch, c_clip)[0],
                                expected, rtol=1e-12, atol=1e-14)
 
 
@@ -115,8 +115,23 @@ def test_srg_mean_matches_row_loop(make, c_clip, w_prev):
     rows = (w_t * problem.per_example_grads(x_t, batch)
             - w_prev * problem.per_example_grads(x_prev, batch))
     expected = clip_rows(rows, c_clip).mean(axis=0)
-    got = problem.srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip)
+    got = problem.srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip)[0]
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("make", [_quadratic, _logistic])
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+def test_hooks_return_train_loss_at_current_point(make, c_clip):
+    problem = make()
+    rng = np.random.default_rng(16)
+    batch = problem.draw_batch(rng, 10)
+    x_t = rng.standard_normal(problem.dim) * 0.4
+    x_prev = rng.standard_normal(problem.dim) * 0.4
+    want = float(problem.per_example_values(x_t, batch).mean())
+    _, loss = problem.clipped_mean_grad(x_t, batch, c_clip)
+    assert loss == want
+    _, loss = problem.srg_mean(x_t, x_prev, 3.0, 2.0, batch, c_clip)
+    assert loss == want
 
 
 class _CountingQuadratic(SyntheticQuadratic):

@@ -16,7 +16,7 @@ from dpsrgd.counting import (
     tree_prefix,
 )
 from dpsrgd.geometry import ConstraintBall, interpolate, project_ball
-from dpsrgd.objectives import GradientNoiseWrapper, SyntheticQuadratic
+from dpsrgd.objectives import GradientNoiseWrapper, LogisticTask, SyntheticQuadratic
 from dpsrgd.optim import (
     MemfConfig,
     RunAborted,
@@ -103,7 +103,7 @@ def _reference_accelerated(problem, batches, cfg):
     y, z, prev = x, x, x
     for t, batch in enumerate(batches):
         w_prev = eta[t - 1] if t > 0 else 0.0
-        delta = problem.srg_mean(x, prev, eta[t], w_prev, batch)
+        delta = problem.srg_mean(x, prev, eta[t], w_prev, batch)[0]
         tree_ingest(tree, t + 1, delta)
         estimate, _ = tree_prefix(tree, t + 1)
         grad_est = estimate / eta[t]
@@ -145,7 +145,7 @@ def test_tree_noise_equals_iterate_noise_substitution():
     clean_sum = np.zeros(problem.dim)
     for t, batch in enumerate(batches):
         w_prev = eta[t - 1] if t > 0 else 0.0
-        clean_sum = clean_sum + problem.srg_mean(x, prev, eta[t], w_prev, batch)
+        clean_sum = clean_sum + problem.srg_mean(x, prev, eta[t], w_prev, batch)[0]
         _, xi = tree_prefix(mirror, t + 1)
         b_t = -xi / cfg.beta
         grad_clean = clean_sum / eta[t]
@@ -154,6 +154,24 @@ def test_tree_noise_equals_iterate_noise_substitution():
         prev = x
         x = interpolate(y, z, tau[t + 1])
     np.testing.assert_allclose(rec.final_x, y, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("clip", [0.5, None])
+def test_accelerated_train_loss_is_loss_at_each_iterate(clip):
+    rng = np.random.default_rng(30)
+    problem = LogisticTask(features=rng.standard_normal((60, 4)),
+                           labels=rng.integers(0, 3, size=60), num_classes=3)
+    T, B = 6, 10
+    order = rng.permutation(60)
+    batches = [order[t * B:(t + 1) * B] for t in range(T)]
+    cfg = SrgdConfig(T=T, B=B, n=60, beta=2.0 * problem.smoothness * T,
+                     ball=ConstraintBall(problem.dim, 1.0), sigma=0.5,
+                     clip=clip, seed=31)
+    rec = run_accelerated_dp_srgd(problem, iter(batches), cfg,
+                                  record_iterates=True)
+    for t, batch in enumerate(batches):
+        assert rec.train_loss[t] == problem.per_example_values(
+            rec.iterates[t], batch).mean()
 
 
 def test_independent_variant_matches_reference_loop():
