@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "TreeState",
@@ -58,6 +59,17 @@ def covering_nodes(i: int, depth: int) -> list[tuple[int, int]]:
         j = -(-i // (1 << k))  # ceil(i / 2^k)
         if j % 2 == 1:
             nodes.append((j, k))
+    return nodes
+
+
+def _tree_nodes(n: int) -> list[tuple[int, int]]:
+    """Every materialized (odd-j) node of the tree over steps 1..n, ordered
+    by level k and then index j: the row order of the node sums, the node
+    noise and C_node."""
+    nodes = []
+    for k in range(ceil_log2(n) + 1):
+        j_max = (n - 1) // (1 << k) + 1
+        nodes.extend((j, k) for j in range(1, j_max + 1, 2))
     return nodes
 
 
@@ -101,13 +113,8 @@ class TreeState:
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         self.depth = ceil_log2(self.horizon)
-        nodes = []
-        for k in range(self.depth + 1):
-            j_max = (self.horizon - 1) // (1 << k) + 1
-            nodes.extend((j, k) for j in range(1, j_max + 1, 2))
-        nodes.sort(key=lambda jk: (jk[1], jk[0]))
+        self.nodes = nodes = _tree_nodes(self.horizon)
         self._node_index = {jk: r for r, jk in enumerate(nodes)}
-        self.nodes = nodes
         self._sums = np.zeros((len(nodes), self.dim))
         if self.sigma > 0:
             rng = np.random.default_rng(self.seed)
@@ -215,19 +222,29 @@ def build_workload(kind: str, k: int, b: int, momentum: float = 0.0,
 
 
 def column_group_sens(c_mat: np.ndarray, k: int, b: int) -> float:
-    """max over batch positions j of || sum_{epoch i} C[:, i*b + j] ||_2."""
+    """Multi-epoch sensitivity of C: max over batch positions j of
+    sqrt(sum_{i, i'} |<C[:, i*b + j], C[:, i'*b + j]>|).
+
+    An example sits at position j of every epoch i and may contribute a
+    different vector g_i (||g_i|| <= 1) each time; ||sum_i C[:, i*b+j] g_i^T||_F
+    is bounded by the square root above. It equals ||sum_i C[:, i*b + j]||
+    when every inner product within a group is >= 0, and always when k = 1.
+    """
     n = k * b
     if c_mat.shape != (n, n):
         raise ValueError(f"C shape {c_mat.shape} != ({n}, {n})")
-    group_sums = c_mat.reshape(n, k, b).sum(axis=1)
-    return float(np.max(np.linalg.norm(group_sums, axis=0)))
+    groups = c_mat.reshape(n, k, b)
+    gram = np.einsum("rib,rjb->bij", groups, groups)
+    return float(np.sqrt(np.max(np.abs(gram).sum(axis=(1, 2)))))
 
 
 @dataclass
 class StrategyMatrix:
     """Lower-triangular noise-shaping matrix with its workload and
     factorization metadata. sens is the multi-epoch column-group
-    sensitivity; the privacy calibration of the Z stream assumes sens <= 1.
+    sensitivity of `column_group_sens`, max_j sqrt(sum_{i,i'} |<C[:, i*b+j],
+    C[:, i'*b+j]>|), which holds whatever vector an example contributes in
+    each epoch; the privacy calibration of the Z stream assumes sens <= 1.
     """
 
     C: np.ndarray
@@ -252,27 +269,41 @@ class StrategyMatrix:
             raise ValueError("strategy diagonal must be strictly positive")
 
 
+def _tril_inv(c_mat: np.ndarray) -> np.ndarray:
+    """C^{-1} for lower-triangular C by LAPACK trtrs, called the way
+    `solve_triangular` calls it for a C-ordered C (on C^T: upper,
+    transposed), so the bits match, but without its per-call validation
+    and wrapper cost. Non-finite input raises ValueError as it does there.
+    """
+    if not np.isfinite(c_mat).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c_inv, info = dtrtrs(c_mat.T, np.eye(c_mat.shape[0]), lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed: trtrs info {info}")
+    return c_inv
+
+
 def _objective(workload: np.ndarray, c_mat: np.ndarray) -> float:
-    n = c_mat.shape[0]
-    c_inv = solve_triangular(c_mat, np.eye(n), lower=True)
-    return float(np.linalg.norm(workload @ c_inv))
+    return float(np.linalg.norm(workload @ _tril_inv(c_mat)))
 
 
 def _project_feasible(c_mat: np.ndarray, k: int, b: int) -> np.ndarray:
     """Rescale column groups violating the sensitivity constraint, then
     scale the whole matrix up so the binding group sits exactly at 1.
 
+    The constraint is ||sum_{epoch i} C[:, i*b + j]|| <= 1, which equals
+    `column_group_sens` while the inner products within each group stay
+    nonnegative; `factorize` rescales its result if they do not.
+
     Uniform upscaling strictly reduces ||W C^{-1}||_F, so the projection
     never moves away from the optimum along the scale direction.
     """
     n = k * b
-    out = c_mat.copy()
-    norms = np.linalg.norm(out.reshape(n, k, b).sum(axis=1), axis=0)
-    for j in range(b):
-        if norms[j] > 1.0:
-            out[:, j::b] /= norms[j]
-            norms[j] = 1.0
-    peak = float(np.max(norms))
+    norms = np.linalg.norm(c_mat.reshape(n, k, b).sum(axis=1), axis=0)
+    over = norms > 1.0
+    # dividing by 1.0 leaves an entry's bits unchanged
+    out = (c_mat.reshape(n, k, b) / np.where(over, norms, 1.0)).reshape(n, n)
+    peak = float(np.max(np.where(over, 1.0, norms)))
     if 0.0 < peak < 1.0:
         out /= peak
     return out
@@ -286,11 +317,7 @@ def tree_matrix_factorization(n: int) -> tuple[np.ndarray, np.ndarray]:
     decomposition. B_dec @ C_node equals the lower-triangular all-ones A.
     """
     depth = ceil_log2(n)
-    nodes = []
-    for k in range(depth + 1):
-        j_max = (n - 1) // (1 << k) + 1
-        nodes.extend((j, k) for j in range(1, j_max + 1, 2))
-    nodes.sort(key=lambda jk: (jk[1], jk[0]))
+    nodes = _tree_nodes(n)
     index = {jk: r for r, jk in enumerate(nodes)}
     c_node = np.zeros((len(nodes), n))
     for i in range(1, n + 1):
@@ -354,16 +381,15 @@ def factorize(workload: np.ndarray, k: int, b: int, iterations: int = 2000,
         raise ValueError("workload must be lower-triangular")
 
     c_mat = _project_feasible(tree_strategy_matrix(n), k, b)
-    obj = _objective(workload, c_mat)
+    c_inv = _tril_inv(c_mat)
+    obj = float(np.linalg.norm(workload @ c_inv))
     best_c, best_obj = c_mat.copy(), obj
     wtw = workload.T @ workload
     step = 1.0
     stalled = 0
     converged = False
-    eye = np.eye(n)
 
     for _ in range(iterations):
-        c_inv = solve_triangular(c_mat, eye, lower=True)
         grad = -2.0 * c_inv.T @ wtw @ c_inv @ c_inv.T
         grad = np.tril(grad)
         gnorm = float(np.linalg.norm(grad))
@@ -375,7 +401,8 @@ def factorize(workload: np.ndarray, k: int, b: int, iterations: int = 2000,
         for _ in range(40):
             cand = _project_feasible(c_mat - trial_step * grad, k, b)
             if np.all(np.diag(cand) > 1e-12):
-                cand_obj = _objective(workload, cand)
+                cand_inv = _tril_inv(cand)
+                cand_obj = float(np.linalg.norm(workload @ cand_inv))
                 if cand_obj < obj:
                     improved = True
                     break
@@ -384,7 +411,7 @@ def factorize(workload: np.ndarray, k: int, b: int, iterations: int = 2000,
             converged = True
             break
         rel_gain = (obj - cand_obj) / obj
-        c_mat, obj = cand, cand_obj
+        c_mat, c_inv, obj = cand, cand_inv, cand_obj
         step = trial_step * 1.3
         if obj < best_obj:
             best_c, best_obj = c_mat.copy(), obj
@@ -393,12 +420,19 @@ def factorize(workload: np.ndarray, k: int, b: int, iterations: int = 2000,
             converged = True
             break
 
+    # The projection bounds the norm of each group's column sum; scale down
+    # if negative inner products within a group push the sound sensitivity
+    # above it.
+    sens = column_group_sens(best_c, k, b)
+    if sens > 1.0 + 1e-9:
+        best_c = best_c / sens
+        best_obj = _objective(workload, best_c)
+        sens = column_group_sens(best_c, k, b)
     if kind is None:
         kind = "ones" if np.array_equal(workload, np.tril(np.ones((n, n)))) else "custom"
     return StrategyMatrix(
         C=best_c, workload=workload, kind=kind, k=k, b=b,
-        momentum=momentum, decay=decay,
-        sens=column_group_sens(best_c, k, b),
+        momentum=momentum, decay=decay, sens=sens,
         objective=best_obj, converged=converged,
     )
 
@@ -496,6 +530,8 @@ def save_strategy(strategy: StrategyMatrix, path) -> None:
 
 
 def load_strategy(path) -> StrategyMatrix:
+    """Read a `save_strategy` file; raises ValueError if its C breaks the
+    sensitivity bound or has a non-positive diagonal."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         magic, n, k, b, kind_id, momentum, decay = _HEADER.unpack(raw)
@@ -517,4 +553,6 @@ def load_strategy(path) -> StrategyMatrix:
         workload = build_workload(kind, k, b, momentum, decay)
     else:
         workload = np.tril(np.ones((n, n)))
-    return strategy_from_matrix(c_mat, workload, k, b, kind, momentum, decay)
+    strategy = strategy_from_matrix(c_mat, workload, k, b, kind, momentum, decay)
+    strategy.check()
+    return strategy

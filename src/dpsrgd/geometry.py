@@ -87,7 +87,8 @@ def clip(v: np.ndarray, c_clip: float) -> np.ndarray:
 
 
 def clip_rows(mat: np.ndarray, c_clip: float) -> np.ndarray:
-    """Row-wise norm clipping for a (k, dim) batch of vectors."""
+    """Row-wise norm clipping for a (k, dim) batch of vectors. Rows whose
+    sum of squares overflows are clipped like `clip` does, not zeroed."""
     mat = np.asarray(mat, dtype=np.float64)
     if not np.isfinite(c_clip):
         return mat.copy()
@@ -95,7 +96,10 @@ def clip_rows(mat: np.ndarray, c_clip: float) -> np.ndarray:
     scale = np.ones_like(norms)
     over = norms > c_clip
     scale[over] = c_clip / norms[over]
-    return mat * scale[:, None]
+    out = mat * scale[:, None]
+    for r in np.flatnonzero(np.isinf(norms)):  # the sum of squares overflowed
+        out[r] = _shrink_overflowed(mat[r], c_clip)
+    return out
 
 
 def interpolate(y: np.ndarray, z: np.ndarray, tau: float) -> np.ndarray:

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from dpsrgd.counting import (
     StrategyMatrix,
     TreeState,
+    _project_feasible,
     build_workload,
     calibrate_tree_sigma,
     ceil_log2,
@@ -226,11 +228,35 @@ def test_column_group_sens_matches_loop():
     c_mat = np.tril(rng.standard_normal((12, 12)))
     expected = 0.0
     for j in range(b):
-        col = sum(c_mat[:, e * b + j] for e in range(k))
-        expected = max(expected, np.linalg.norm(col))
+        cols = [c_mat[:, e * b + j] for e in range(k)]
+        total = sum(abs(float(u @ v)) for u in cols for v in cols)
+        expected = max(expected, math.sqrt(total))
     assert column_group_sens(c_mat, k, b) == pytest.approx(expected, rel=1e-12)
+    # with no negative inner products it is the norm of each group's sum
+    nonneg = np.abs(c_mat)
+    expected = 0.0
+    for j in range(b):
+        col = sum(nonneg[:, e * b + j] for e in range(k))
+        expected = max(expected, np.linalg.norm(col))
+    assert column_group_sens(nonneg, k, b) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
         column_group_sens(c_mat, 2, 4)
+
+
+def test_column_group_sens_bounds_any_per_epoch_contribution(tmp_path):
+    # one example, b = 1, two epochs: the columns are anti-correlated, so
+    # the norm of their sum (1.005) understates what g_0 = -g_1 can move
+    c_mat = np.array([[1.0, 0.0], [-0.9, 1.0]])
+    sound = math.sqrt(1.81 + 1.0 + 2 * 0.9)
+    assert column_group_sens(c_mat, 2, 1) == pytest.approx(sound, rel=1e-12)
+    assert np.linalg.norm(c_mat @ [1.0, -1.0]) == pytest.approx(sound, rel=1e-12)
+    strat = strategy_from_matrix(c_mat, np.tril(np.ones((2, 2))), 2, 1)
+    with pytest.raises(ValueError, match="sensitivity"):
+        strat.check()
+    path = tmp_path / "unsound.bin"
+    save_strategy(strat, path)
+    with pytest.raises(ValueError, match="sensitivity"):
+        load_strategy(path)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +339,110 @@ def test_factorize_beats_tree_baseline_on_momentum_workload():
     strat = factorize(wl, 2, 6, momentum=0.9)
     assert strat.objective <= tree_baseline_objective(wl, 2, 6)
     assert strat.sens <= 1.0 + 1e-9
+
+
+def test_factorize_rescales_to_the_sound_sensitivity():
+    # after 100 iterations the projection's group-sum norms are at 1 but
+    # negative inner products put the sound sensitivity near 1.02
+    k, b = 2, 40
+    wl = build_workload("momentum_decay", k, b, 0.9, math.exp(-2.5))
+    strat = factorize(wl, k, b, iterations=100)
+    assert strat.sens == column_group_sens(strat.C, k, b)
+    assert strat.sens <= 1.0 + 1e-9
+    assert strat.objective == pytest.approx(_objective_oracle(wl, strat.C),
+                                            rel=1e-9)
+    sum_norms = np.linalg.norm(strat.C.reshape(k * b, k, b).sum(axis=1), axis=0)
+    assert sum_norms.max() < 0.99
+    strat.check()
+
+
+def _project_feasible_loop(c_mat, k, b):
+    out = c_mat.copy()
+    norms = np.linalg.norm(out.reshape(k * b, k, b).sum(axis=1), axis=0)
+    for j in range(b):
+        if norms[j] > 1.0:
+            out[:, j::b] /= norms[j]
+            norms[j] = 1.0
+    peak = float(np.max(norms))
+    if 0.0 < peak < 1.0:
+        out /= peak
+    return out
+
+
+def _factorize_loop(workload, k, b, iterations):
+    """Projected gradient descent with backtracking, one solve_triangular
+    per inverse: (best C, its objective, converged)."""
+    n = k * b
+    objective = lambda c: float(np.linalg.norm(
+        workload @ solve_triangular(c, np.eye(n), lower=True)))
+    c_mat = _project_feasible_loop(tree_strategy_matrix(n), k, b)
+    obj = objective(c_mat)
+    best_c, best_obj = c_mat.copy(), obj
+    wtw = workload.T @ workload
+    step, stalled = 1.0, 0
+    for _ in range(iterations):
+        c_inv = solve_triangular(c_mat, np.eye(n), lower=True)
+        grad = np.tril(-2.0 * c_inv.T @ wtw @ c_inv @ c_inv.T)
+        if float(np.linalg.norm(grad)) == 0.0:
+            return best_c, best_obj, True
+        trial_step = step
+        for _ in range(40):
+            cand = _project_feasible_loop(c_mat - trial_step * grad, k, b)
+            if np.all(np.diag(cand) > 1e-12):
+                cand_obj = objective(cand)
+                if cand_obj < obj:
+                    break
+            trial_step *= 0.5
+        else:
+            return best_c, best_obj, True
+        rel_gain = (obj - cand_obj) / obj
+        c_mat, obj = cand, cand_obj
+        step = trial_step * 1.3
+        if obj < best_obj:
+            best_c, best_obj = c_mat.copy(), obj
+        stalled = stalled + 1 if rel_gain < 1e-8 else 0
+        if stalled >= 5:
+            return best_c, best_obj, True
+    return best_c, best_obj, False
+
+
+@pytest.mark.parametrize("kind,k,b,momentum,iterations", [
+    ("momentum", 2, 6, 0.9, 40),
+    ("momentum", 2, 6, 0.9, 60),
+    ("ones", 1, 8, 0.0, 40),
+    ("ones", 1, 8, 0.0, 5),
+])
+def test_factorize_matches_reference_loop_bit_for_bit(kind, k, b, momentum,
+                                                      iterations):
+    wl = build_workload(kind, k, b, momentum=momentum)
+    strat = factorize(wl, k, b, iterations=iterations)
+    best_c, best_obj, converged = _factorize_loop(wl, k, b, iterations)
+    sens = column_group_sens(best_c, k, b)
+    if sens > 1.0 + 1e-9:  # the final rescale to the sound sensitivity
+        best_c = best_c / sens
+        best_obj = float(np.linalg.norm(
+            wl @ solve_triangular(best_c, np.eye(k * b), lower=True)))
+    np.testing.assert_array_equal(strat.C, best_c)
+    assert strat.objective == best_obj
+    assert strat.converged == converged
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_project_feasible_matches_group_loop(seed):
+    rng = np.random.default_rng(seed)
+    k, b = 3, 5
+    c_mat = np.tril(rng.standard_normal((k * b, k * b)))
+    norms = np.linalg.norm(c_mat.reshape(k * b, k, b).sum(axis=1), axis=0)
+    # groups 0 and 3 above 1, the rest below; then every group below 1
+    target = np.array([2.5, 0.4, 0.7, 1.5, 0.9])
+    mixed = c_mat * np.tile(target / norms, k)
+    below = mixed * 0.3
+    for mat in (mixed, below):
+        np.testing.assert_array_equal(_project_feasible(mat, k, b),
+                                      _project_feasible_loop(mat, k, b))
+    projected = _project_feasible(mixed, k, b)
+    sums = np.linalg.norm(projected.reshape(k * b, k, b).sum(axis=1), axis=0)
+    assert sums.max() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_factorize_input_validation():

@@ -87,6 +87,11 @@ def test_project_and_clip_survive_norm_overflow():
     # a huge vector inside a huge ball, or under an infinite clip, is kept
     np.testing.assert_array_equal(project_ball(v, ConstraintBall(2, 1e201)), v)
     np.testing.assert_array_equal(clip(v, np.inf), v)
+    # row-wise: the overflowing row is clipped, the ordinary row beside it too
+    mat = np.array([v, [3.0, 4.0]])
+    np.testing.assert_allclose(clip_rows(mat, 1.0), [[0.6, 0.8], [0.6, 0.8]],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(clip_rows(mat, 1e201), mat)
 
 
 def test_clip_rows_matches_per_row_clip():
