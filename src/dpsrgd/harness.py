@@ -365,8 +365,9 @@ def _build_problem(spec: ExperimentSpec, event_log, dataset):
     return load_dataset(path, fmt)
 
 
-def _strategy_cache_get(cache: dict, kind: str, k: int, b: int, c: float):
-    momentum = 0.9 if kind in ("momentum", "momentum_decay") else 0.0
+def _strategy_cache_get(cache: dict, spec: ExperimentSpec, k: int, b: int, c: float):
+    kind = spec.workload
+    momentum = spec.momentum if kind in ("momentum", "momentum_decay") else 0.0
     decay = c if kind == "momentum_decay" else 1.0
     key = (kind, k, b, momentum, decay)
     if key not in cache:
@@ -419,7 +420,7 @@ def _single_run(spec, problem, rho, lr, clip, c, seed, cache):
         else:
             batches = [np.arange(j * spec.batch_size, (j + 1) * spec.batch_size)
                        for j in range(b)]
-        strategy = _strategy_cache_get(cache, spec.workload, spec.epochs, b, c)
+        strategy = _strategy_cache_get(cache, spec, spec.epochs, b, c)
         cfg = optim.MemfConfig(epochs=spec.epochs, batches_per_epoch=b,
                                batch_size=spec.batch_size, strategy=strategy,
                                rho=rho, c_clip=clip, lr=lr, decay=c,
@@ -445,7 +446,7 @@ def _single_run(spec, problem, rho, lr, clip, c, seed, cache):
         sigma = 0.0 if math.isinf(rho) else math.sqrt(1.0 / (2 * rho)) * clip / B
         return optim.run_dp_sgd(problem, stream, lr, clip, sigma, ball, T, seed=seed)
     if spec.algorithm == "dp_ftrl":
-        strategy = _strategy_cache_get(cache, spec.workload, 1, T, c)
+        strategy = _strategy_cache_get(cache, spec, 1, T, c)
         return optim.run_dp_ftrl(problem, stream, lr, clip, strategy, rho, ball,
                                  seed=seed)
     if spec.algorithm in ("accelerated_dp_srgd", "independent_variant"):
@@ -510,7 +511,7 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
         if spec.algorithm in ("dp_memf", "dp_srg_memf", "dp_ftrl"):
             b = (n // spec.batch_size) if spec.algorithm != "dp_ftrl" else spec.steps
             k = spec.epochs if spec.algorithm != "dp_ftrl" else 1
-            _strategy_cache_get(cache, spec.workload, k, b, c)
+            _strategy_cache_get(cache, spec, k, b, c)
 
     jobs = []
     for lr, clip, c in grid:

@@ -187,16 +187,122 @@ def potential(problem: LossProblem, y: np.ndarray, z: np.ndarray,
     return eta_cum_prev * gap + 2.0 * beta * float(dz @ dz)
 
 
-def _check_finite(step: int, *vectors):
+def _check_finite(step: int, reason: str, *vectors):
     for v in vectors:
-        if not np.all(np.isfinite(v)):
-            raise RunAborted(step, "non-finite iterate")
+        if v is not None and not np.isfinite(v).all():
+            raise RunAborted(step, reason)
 
 
-def _final_metrics(problem, x):
-    excess = problem.population_excess(x)
-    accuracy = problem.accuracy(x) if hasattr(problem, "accuracy") else None
-    return excess, accuracy
+def _norm(v: np.ndarray | None) -> float:
+    return float(np.linalg.norm(v)) if v is not None else 0.0
+
+
+def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
+           algorithm: str, seed: int, flags: dict | None = None,
+           finish=dict) -> RunRecord:
+    """The step loop of every runner. It takes exactly T batches. Per step
+    t, estimate(t, x, prev_x, batch) -> (g, train loss) evaluates the batch
+    at the query point x and its predecessor, noise(batch) draws the noise
+    row w (None when noise is None), and update(t, x, g, w) returns
+    (noise norm, gradient norm, iterates): the next query point first, the
+    reported point last. A non-finite estimate, row or iterate aborts the
+    run. finish() returns the runner's own RunRecord fields."""
+    train_loss, noise_norm, grad_norm = np.empty(T), np.empty(T), np.empty(T)
+    t, iterates = -1, (np.zeros(problem.dim),)
+    x = prev_x = iterates[0]
+    for t, batch in zip(range(T), batches):
+        g, train_loss[t] = estimate(t, x, prev_x, batch)
+        w = noise(batch) if noise is not None else None
+        _check_finite(t, "non-finite gradient estimate or noise", g, w)
+        noise_norm[t], grad_norm[t], iterates = update(t, x, g, w)
+        _check_finite(t, "non-finite iterate", *iterates)
+        prev_x, x = x, iterates[0]
+    if t + 1 < T:
+        raise RunAborted(t + 1, f"stream exhausted after {t + 1} of {T} batches")
+    out = iterates[-1]
+    excess = problem.population_excess(out)
+    accuracy = problem.accuracy(out) if hasattr(problem, "accuracy") else None
+    return RunRecord(
+        algorithm=algorithm, seed=seed, final_x=out, train_loss=train_loss,
+        noise_norm=noise_norm, grad_norm=grad_norm, excess=excess,
+        accuracy=accuracy, flags=dict(flags or {}), **finish())
+
+
+def _iid_noise(dim: int, sigma: float, seed: int):
+    """Noise rows: fresh Gaussian coordinates of std sigma each step."""
+    rng = np.random.default_rng(seed)
+    return lambda batch: rng.standard_normal(dim) * sigma
+
+
+def _correlated_noise(problem: LossProblem, strategy: StrategyMatrix,
+                      rho: float, c_clip: float, seed: int):
+    """Noise rows: the rows of C^{-1} Z, which are calibrated for a
+    unit-sensitivity stream. The released stream is a batch mean of
+    vectors clipped to c_clip, whose per-example sensitivity is c_clip / B,
+    so each row is scaled by that. An infinite budget releases zero rows
+    whatever the clip, never inf * 0."""
+    rows = mf_noise_stream(strategy, rho, problem.dim, seed)
+    if math.isinf(rho):
+        return lambda batch: next(rows) * 0.0
+    return lambda batch: next(rows) * (c_clip / problem.batch_size(batch))
+
+
+def _clipped(problem: LossProblem, c_clip: float):
+    """Estimate: the clipped batch-mean gradient at the query point."""
+    return lambda t, x, prev_x, batch: problem.clipped_mean_grad(x, batch, c_clip)
+
+
+def _projected(eta_lr: float, ball: ConstraintBall | None):
+    """Update: x - eta_lr * (estimate + noise row), projected onto the ball
+    when there is one."""
+    def update(t, x, g, w):
+        step = x - eta_lr * (g + w if w is not None else g)
+        return _norm(w), _norm(g), (project_ball(step, ball) if ball is not None else step,)
+    return update
+
+
+def _momentum(dim: int, cfg: MemfConfig):
+    """Update: SGD with momentum on the estimate plus the noise row."""
+    velocity = np.zeros(dim)
+
+    def update(t, x, g, w):
+        nonlocal velocity
+        velocity = cfg.momentum * velocity + (g + w if w is not None else g)
+        return _norm(w), _norm(g), (x - cfg.lr * velocity,)
+    return update
+
+
+def _accelerated(problem: LossProblem, cfg: SrgdConfig):
+    """Update: the aggressive (z) and conservative (y) projected steps on
+    the estimate, then interpolation to the next query point x; a noise
+    row b moves z by b and y by b / eta_t. Returns (update, finish); the
+    potential is recorded before every step and after the last when the
+    problem knows its optimum."""
+    if cfg.ball.dim != problem.dim:
+        raise ValueError(f"ball dim {cfg.ball.dim} != problem dim {problem.dim}")
+    y = z = np.zeros(problem.dim)
+    x_star = problem.exact_optimum()
+    pot = np.empty(cfg.T + 1) if x_star is not None else None
+
+    def record_potential(t):
+        if pot is not None:
+            pot[t] = potential(problem, y, z, x_star, cfg.beta,
+                               cfg.eta_cumsum[t - 1] if t > 0 else 0.0)
+
+    def update(t, x, g, b):
+        nonlocal y, z
+        eta_t = cfg.eta_values[t]
+        record_potential(t)
+        z_step, y_step = z - (eta_t / cfg.beta) * g, x - g / cfg.beta
+        if b is not None:
+            z_step, y_step = z_step + b, y_step + b / eta_t
+        z, y = project_ball(z_step, cfg.ball), project_ball(y_step, cfg.ball)
+        return _norm(b), _norm(g), (interpolate(y, z, cfg.tau[t + 1]), z, y)
+
+    def finish():
+        record_potential(cfg.T)
+        return dict(potential=pot)
+    return update, finish
 
 
 def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
@@ -210,68 +316,34 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
     to get the next query point x. The tree noise lands in the updates as
     a perturbation of size ||tree noise|| / beta per step.
     """
-    dim = problem.dim
-    if cfg.ball.dim != dim:
-        raise ValueError(f"ball dim {cfg.ball.dim} != problem dim {dim}")
-    T = cfg.T
-    eta, eta_cum, tau = cfg.eta_values, cfg.eta_cumsum, cfg.tau
+    eta = cfg.eta_values
     c_clip = cfg.clip if cfg.clip is not None else np.inf
+    accelerate, finish = _accelerated(problem, cfg)
+    tree = TreeState(horizon=cfg.T, dim=problem.dim, sigma=cfg.sigma, seed=cfg.seed)
+    q_norm = np.empty(cfg.T) if problem.exact_optimum() is not None else None
+    iterates = np.empty((cfg.T, problem.dim)) if record_iterates else None
 
-    x = np.zeros(dim)
-    y = np.zeros(dim)
-    z = np.zeros(dim)
-    prev_x = x
-    tree = TreeState(horizon=T, dim=dim, sigma=cfg.sigma, seed=cfg.seed)
-
-    x_star = problem.exact_optimum()
-    train_loss = np.empty(T)
-    noise_norm = np.empty(T)
-    grad_norm = np.empty(T)
-    pot = np.empty(T + 1) if x_star is not None else None
-    q_norm = np.empty(T) if x_star is not None else None
-    iterates = np.empty((T, dim)) if record_iterates else None
-
-    t = -1
-    for t, batch in enumerate(stream):
-        if t >= T:
-            t -= 1
-            break
+    def estimate(t, x, prev_x, batch):
         if iterates is not None:
             iterates[t] = x
         w_prev = eta[t - 1] if t > 0 else 0.0
-        delta, train_loss[t] = problem.srg_mean(x, prev_x, eta[t], w_prev, batch, c_clip)
+        return problem.srg_mean(x, prev_x, eta[t], w_prev, batch, c_clip)
+
+    def update(t, x, delta, _):
+        nonlocal q_norm
         tree_ingest(tree, t + 1, delta)
-        estimate, xi = tree_prefix(tree, t + 1)
-        grad_est = estimate / eta[t]
+        prefix, xi = tree_prefix(tree, t + 1)
+        pop_grad = problem.population_grad(x) if q_norm is not None else None
+        if pop_grad is None:
+            q_norm = None
+        else:
+            q_norm[t] = _norm((prefix - xi) / eta[t] - pop_grad)
+        _, grad_norm, next_iterates = accelerate(t, x, prefix / eta[t], None)
+        return _norm(xi) / cfg.beta, grad_norm, next_iterates
 
-        noise_norm[t] = float(np.linalg.norm(xi)) / cfg.beta
-        grad_norm[t] = float(np.linalg.norm(grad_est))
-        if x_star is not None:
-            pot[t] = potential(problem, y, z, x_star, cfg.beta,
-                               eta_cum[t - 1] if t > 0 else 0.0)
-            pop_grad = problem.population_grad(x)
-            if pop_grad is None:
-                q_norm = None
-            if q_norm is not None:
-                q_norm[t] = float(np.linalg.norm((estimate - xi) / eta[t] - pop_grad))
-
-        z = project_ball(z - (eta[t] / cfg.beta) * grad_est, cfg.ball)
-        y = project_ball(x - grad_est / cfg.beta, cfg.ball)
-        prev_x = x
-        x = interpolate(y, z, tau[t + 1])
-        _check_finite(t, x, y, z)
-    if t + 1 < T:
-        raise RunAborted(t + 1, f"stream exhausted after {t + 1} of {T} batches")
-    if pot is not None:
-        pot[T] = potential(problem, y, z, x_star, cfg.beta, eta_cum[T - 1])
-
-    excess, accuracy = _final_metrics(problem, y)
-    return RunRecord(
-        algorithm="accelerated_dp_srgd", seed=cfg.seed, final_x=y,
-        train_loss=train_loss, noise_norm=noise_norm, grad_norm=grad_norm,
-        potential=pot, q_norm=q_norm, excess=excess, accuracy=accuracy,
-        flags=dict(flags or {}), iterates=iterates,
-    )
+    return _drive(problem, stream, cfg.T, estimate, None, update,
+                  "accelerated_dp_srgd", cfg.seed, flags,
+                  lambda: dict(finish(), q_norm=q_norm, iterates=iterates))
 
 
 def run_independent_variant(problem: LossProblem, stream, cfg: SrgdConfig,
@@ -279,55 +351,11 @@ def run_independent_variant(problem: LossProblem, stream, cfg: SrgdConfig,
     """Same accelerated updates but with a fresh minibatch gradient each
     step (one evaluation per example) and independent per-step Gaussian
     noise of std cfg.sigma per coordinate in place of the tree."""
-    dim = problem.dim
-    if cfg.ball.dim != dim:
-        raise ValueError(f"ball dim {cfg.ball.dim} != problem dim {dim}")
-    T = cfg.T
-    eta, eta_cum, tau = cfg.eta_values, cfg.eta_cumsum, cfg.tau
-    rng = np.random.default_rng(cfg.seed)
-
-    x = np.zeros(dim)
-    y = np.zeros(dim)
-    z = np.zeros(dim)
-    x_star = problem.exact_optimum()
-    train_loss = np.empty(T)
-    noise_norm = np.empty(T)
-    grad_norm = np.empty(T)
-    pot = np.empty(T + 1) if x_star is not None else None
-
-    t = -1
-    for t, batch in enumerate(stream):
-        if t >= T:
-            t -= 1
-            break
-        if cfg.clip is not None:
-            grad_est, train_loss[t] = problem.clipped_mean_grad(x, batch, cfg.clip)
-        else:
-            grad_est = problem.per_example_grads(x, batch).mean(axis=0)
-            train_loss[t] = float(problem.per_example_values(x, batch).mean())
-        b_t = rng.standard_normal(dim) * cfg.sigma
-
-        noise_norm[t] = float(np.linalg.norm(b_t))
-        grad_norm[t] = float(np.linalg.norm(grad_est))
-        if pot is not None:
-            pot[t] = potential(problem, y, z, x_star, cfg.beta,
-                               eta_cum[t - 1] if t > 0 else 0.0)
-
-        z = project_ball(z - (eta[t] / cfg.beta) * grad_est + b_t, cfg.ball)
-        y = project_ball(x - grad_est / cfg.beta + b_t / eta[t], cfg.ball)
-        x = interpolate(y, z, tau[t + 1])
-        _check_finite(t, x, y, z)
-    if t + 1 < T:
-        raise RunAborted(t + 1, f"stream exhausted after {t + 1} of {T} batches")
-    if pot is not None:
-        pot[T] = potential(problem, y, z, x_star, cfg.beta, eta_cum[T - 1])
-
-    excess, accuracy = _final_metrics(problem, y)
-    return RunRecord(
-        algorithm="independent_variant", seed=cfg.seed, final_x=y,
-        train_loss=train_loss, noise_norm=noise_norm, grad_norm=grad_norm,
-        potential=pot, excess=excess, accuracy=accuracy, flags=dict(flags or {}),
-    )
+    update, finish = _accelerated(problem, cfg)
+    return _drive(problem, stream, cfg.T,
+                  _clipped(problem, cfg.clip if cfg.clip is not None else np.inf),
+                  _iid_noise(problem.dim, cfg.sigma, cfg.seed), update,
+                  "independent_variant", cfg.seed, flags, finish)
 
 
 def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
@@ -340,7 +368,6 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
     (default T/4, T/2, 3T/4, T) so repeated seeded runs can estimate
     Var(grad_t) externally.
     """
-    dim = problem.dim
     if callable(c_sched):
         c_values = np.array([float(c_sched(t)) for t in range(T)])
     else:
@@ -350,44 +377,25 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
     if checkpoints is None:
         checkpoints = sorted({max(1, (T * m) // 4) for m in (1, 2, 3, 4)})
     checkpoints = list(checkpoints)
+    acc, cp_grads = np.zeros(problem.dim), {}
 
-    x = np.zeros(dim)
-    prev_x = x
-    acc = np.zeros(dim)
-    train_loss = np.empty(T)
-    grad_norm = np.empty(T)
-    cp_grads = {}
-
-    t = -1
-    for t, batch in enumerate(stream):
-        if t >= T:
-            t -= 1
-            break
+    def estimate(t, x, prev_x, batch):
+        nonlocal acc
         c_prev = c_values[t - 1] if t > 0 else 0.0
-        delta, train_loss[t] = problem.srg_mean(x, prev_x, c_values[t], c_prev, batch)
+        delta, loss = problem.srg_mean(x, prev_x, c_values[t], c_prev, batch)
         acc = acc + delta
         grad_est = acc / c_values[t]
-
-        grad_norm[t] = float(np.linalg.norm(grad_est))
         if (t + 1) in checkpoints:
-            cp_grads[t + 1] = grad_est.copy()
+            cp_grads[t + 1] = grad_est
+        return grad_est, loss
 
-        prev_x = x
-        step = x - eta_lr * grad_est
-        x = project_ball(step, ball) if ball is not None else step
-        _check_finite(t, x)
-    if t + 1 < T:
-        raise RunAborted(t + 1, f"stream exhausted after {t + 1} of {T} batches")
+    def finish():
+        steps = np.array(sorted(cp_grads))
+        grads = np.stack([cp_grads[s] for s in steps]) if len(steps) else None
+        return dict(checkpoint_steps=steps, checkpoint_grads=grads)
 
-    excess, accuracy = _final_metrics(problem, x)
-    steps = np.array(sorted(cp_grads))
-    return RunRecord(
-        algorithm="unaccelerated_srgd", seed=seed, final_x=x,
-        train_loss=train_loss, noise_norm=np.zeros(T), grad_norm=grad_norm,
-        excess=excess, accuracy=accuracy,
-        checkpoint_steps=steps,
-        checkpoint_grads=np.stack([cp_grads[s] for s in steps]) if len(steps) else None,
-    )
+    return _drive(problem, stream, T, estimate, None, _projected(eta_lr, ball),
+                  "unaccelerated_srgd", seed, finish=finish)
 
 
 def variance_probe(run_factory, seeds, checkpoints=None):
@@ -419,36 +427,9 @@ def run_dp_sgd(problem: LossProblem, stream, eta_lr: float, c_clip: float,
                seed: int = 0, flags: dict | None = None) -> RunRecord:
     """Projected SGD over clipped mean gradients with i.i.d. spherical
     Gaussian noise of per-coordinate std sigma."""
-    dim = problem.dim
-    rng = np.random.default_rng(seed)
-    x = np.zeros(dim)
-    train_loss = np.empty(T)
-    noise_norm = np.empty(T)
-    grad_norm = np.empty(T)
-
-    t = -1
-    for t, batch in enumerate(stream):
-        if t >= T:
-            t -= 1
-            break
-        grad_est, train_loss[t] = problem.clipped_mean_grad(x, batch, c_clip)
-        b_t = rng.standard_normal(dim) * sigma
-
-        noise_norm[t] = float(np.linalg.norm(b_t))
-        grad_norm[t] = float(np.linalg.norm(grad_est))
-
-        step = x - eta_lr * (grad_est + b_t)
-        x = project_ball(step, ball) if ball is not None else step
-        _check_finite(t, x)
-    if t + 1 < T:
-        raise RunAborted(t + 1, f"stream exhausted after {t + 1} of {T} batches")
-
-    excess, accuracy = _final_metrics(problem, x)
-    return RunRecord(
-        algorithm="dp_sgd", seed=seed, final_x=x, train_loss=train_loss,
-        noise_norm=noise_norm, grad_norm=grad_norm, excess=excess,
-        accuracy=accuracy, flags=dict(flags or {}),
-    )
+    return _drive(problem, stream, T, _clipped(problem, c_clip),
+                  _iid_noise(problem.dim, sigma, seed), _projected(eta_lr, ball),
+                  "dp_sgd", seed, flags)
 
 
 def run_dp_ftrl(problem: LossProblem, stream, eta_lr: float, c_clip: float,
@@ -456,47 +437,22 @@ def run_dp_ftrl(problem: LossProblem, stream, eta_lr: float, c_clip: float,
                 ball: ConstraintBall | None, seed: int = 0,
                 flags: dict | None = None) -> RunRecord:
     """Same update as run_dp_sgd, but the per-step noise vectors are the
-    rows of C^{-1} Z: correlated across steps by the strategy matrix."""
-    dim = problem.dim
-    T = strategy.steps
-    noise_iter = mf_noise_stream(strategy, rho, dim, seed)
-    x = np.zeros(dim)
-    train_loss = np.empty(T)
-    noise_norm = np.empty(T)
-    grad_norm = np.empty(T)
-
-    t = -1
-    for t, batch in enumerate(stream):
-        if t >= T:
-            t -= 1
-            break
-        grad_est, train_loss[t] = problem.clipped_mean_grad(x, batch, c_clip)
-        b_t = next(noise_iter)
-
-        noise_norm[t] = float(np.linalg.norm(b_t))
-        grad_norm[t] = float(np.linalg.norm(grad_est))
-
-        step = x - eta_lr * (grad_est + b_t)
-        x = project_ball(step, ball) if ball is not None else step
-        _check_finite(t, x)
-    if t + 1 < T:
-        raise RunAborted(t + 1, f"stream exhausted after {t + 1} of {T} batches")
-
-    excess, accuracy = _final_metrics(problem, x)
-    return RunRecord(
-        algorithm="dp_ftrl", seed=seed, final_x=x, train_loss=train_loss,
-        noise_norm=noise_norm, grad_norm=grad_norm, excess=excess,
-        accuracy=accuracy, flags=dict(flags or {}),
-    )
+    rows of C^{-1} Z: correlated across steps by the strategy matrix, and
+    scaled by the clipped mean's per-example sensitivity c_clip / B."""
+    return _drive(problem, stream, strategy.steps, _clipped(problem, c_clip),
+                  _correlated_noise(problem, strategy, rho, c_clip, seed),
+                  _projected(eta_lr, ball), "dp_ftrl", seed, flags)
 
 
-def _memf_noise_scale(cfg: MemfConfig) -> float:
-    """Correlated noise rows are calibrated for a unit-sensitivity stream;
-    the released stream here is a mean of per-example vectors clipped to
-    c_clip, so its per-example sensitivity is c_clip / B."""
-    if math.isinf(cfg.rho):
-        return 0.0
-    return cfg.c_clip / cfg.batch_size
+def _epochs(problem: LossProblem, batches, cfg: MemfConfig) -> list:
+    """The batches of every epoch, revisited in the same fixed order."""
+    if len(batches) != cfg.batches_per_epoch:
+        raise ValueError(
+            f"expected {cfg.batches_per_epoch} batches, got {len(batches)}")
+    for j, batch in enumerate(batches):
+        if problem.batch_size(batch) != cfg.batch_size:
+            raise ValueError(f"batch {j} size mismatch")
+    return list(batches) * cfg.epochs
 
 
 def run_dp_memf(problem: LossProblem, batches, cfg: MemfConfig,
@@ -508,41 +464,10 @@ def run_dp_memf(problem: LossProblem, batches, cfg: MemfConfig,
     strategy matrix's column-group constraint accounts for an example's
     repeated participation.
     """
-    if len(batches) != cfg.batches_per_epoch:
-        raise ValueError(
-            f"expected {cfg.batches_per_epoch} batches, got {len(batches)}")
-    dim = problem.dim
-    total = cfg.epochs * cfg.batches_per_epoch
-    noise_iter = mf_noise_stream(cfg.strategy, cfg.rho, dim, cfg.seed)
-    scale = _memf_noise_scale(cfg)
-
-    x = np.zeros(dim)
-    velocity = np.zeros(dim)
-    train_loss = np.empty(total)
-    noise_norm = np.empty(total)
-    grad_norm = np.empty(total)
-
-    for s in range(total):
-        batch = batches[s % cfg.batches_per_epoch]
-        if problem.batch_size(batch) != cfg.batch_size:
-            raise ValueError(f"batch {s % cfg.batches_per_epoch} size mismatch")
-        grad_est, train_loss[s] = problem.clipped_mean_grad(x, batch, cfg.c_clip)
-        w_t = next(noise_iter) * scale
-        noisy = grad_est + w_t
-
-        noise_norm[s] = float(np.linalg.norm(w_t))
-        grad_norm[s] = float(np.linalg.norm(grad_est))
-
-        velocity = cfg.momentum * velocity + noisy
-        x = x - cfg.lr * velocity
-        _check_finite(s, x)
-
-    excess, accuracy = _final_metrics(problem, x)
-    return RunRecord(
-        algorithm="dp_memf", seed=cfg.seed, final_x=x, train_loss=train_loss,
-        noise_norm=noise_norm, grad_norm=grad_norm, excess=excess,
-        accuracy=accuracy, flags=dict(flags or {}),
-    )
+    return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,
+                  _clipped(problem, cfg.c_clip),
+                  _correlated_noise(problem, cfg.strategy, cfg.rho, cfg.c_clip, cfg.seed),
+                  _momentum(problem.dim, cfg), "dp_memf", cfg.seed, flags)
 
 
 def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig,
@@ -556,43 +481,21 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig,
     once more to the estimate handed to the optimizer. The first step has
     no predecessor, so its previous-gradient weight is zero.
     """
-    if len(batches) != cfg.batches_per_epoch:
-        raise ValueError(
-            f"expected {cfg.batches_per_epoch} batches, got {len(batches)}")
-    dim = problem.dim
-    total = cfg.epochs * cfg.batches_per_epoch
-    noise_iter = mf_noise_stream(cfg.strategy, cfg.rho, dim, cfg.seed)
-    scale = _memf_noise_scale(cfg)
+    momentum = _momentum(problem.dim, cfg)
+    grad_rec = np.zeros(problem.dim)
 
-    x = np.zeros(dim)
-    prev_x = x
-    velocity = np.zeros(dim)
-    grad_rec = np.zeros(dim)
-    train_loss = np.empty(total)
-    noise_norm = np.empty(total)
-    grad_norm = np.empty(total)
+    def estimate(t, x, prev_x, batch):
+        c_t = cfg.decay if t > 0 else 0.0
+        return problem.srg_mean(x, prev_x, 1.0, c_t, batch, cfg.c_clip)
 
-    for s in range(total):
-        batch = batches[s % cfg.batches_per_epoch]
-        if problem.batch_size(batch) != cfg.batch_size:
-            raise ValueError(f"batch {s % cfg.batches_per_epoch} size mismatch")
-        c_s = cfg.decay if s > 0 else 0.0
-        delta, train_loss[s] = problem.srg_mean(x, prev_x, 1.0, c_s, batch, cfg.c_clip)
-        w_t = next(noise_iter) * scale
-        grad_rec = c_s * grad_rec + (delta + w_t)
+    def update(t, x, delta, w_t):
+        nonlocal grad_rec
+        grad_rec = (cfg.decay if t > 0 else 0.0) * grad_rec + (delta + w_t)
         grad_used = grad_rec + w_t if cfg.double_noise else grad_rec
+        _, _, iterates = momentum(t, x, grad_used, None)
+        return _norm(w_t), _norm(grad_rec), iterates
 
-        noise_norm[s] = float(np.linalg.norm(w_t))
-        grad_norm[s] = float(np.linalg.norm(grad_rec))
-
-        velocity = cfg.momentum * velocity + grad_used
-        prev_x = x
-        x = x - cfg.lr * velocity
-        _check_finite(s, x)
-
-    excess, accuracy = _final_metrics(problem, x)
-    return RunRecord(
-        algorithm="dp_srg_memf", seed=cfg.seed, final_x=x,
-        train_loss=train_loss, noise_norm=noise_norm, grad_norm=grad_norm,
-        excess=excess, accuracy=accuracy, flags=dict(flags or {}),
-    )
+    return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,
+                  estimate,
+                  _correlated_noise(problem, cfg.strategy, cfg.rho, cfg.c_clip, cfg.seed),
+                  update, "dp_srg_memf", cfg.seed, flags)

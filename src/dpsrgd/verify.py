@@ -351,7 +351,7 @@ def criterion_8() -> CriterionResult:
         ball = ConstraintBall(5, 1.0)
 
         rho = 0.5
-        sigma = math.sqrt(1.0 / (2.0 * rho))
+        sigma = math.sqrt(1.0 / (2.0 * rho)) * 1.0 / 4  # clip / B sensitivity
         rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, 1.0, sigma, ball,
                              10, seed=3)
         rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, 1.0,

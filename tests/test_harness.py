@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from dpsrgd import counting
+from dpsrgd import counting, optim
 from dpsrgd.counting import build_workload, factorize
 from dpsrgd.harness import (
     ExperimentSpec,
@@ -405,6 +405,21 @@ def test_header_reports_strategy_convergence_and_sensitivity(tmp_path, monkeypat
     table, _ = run_experiment(_tiny_spec(algorithm="accelerated_dp_srgd", repeats=1))
     assert "strategy_converged" not in table.header
     assert "strategy_sens" not in table.header
+
+
+def test_memf_strategy_is_factorized_for_the_spec_momentum(monkeypatch):
+    seen = []
+    runner = optim.run_dp_srg_memf
+
+    def spy(problem, batches, cfg, flags=None):
+        seen.append((cfg.momentum, cfg.strategy.momentum))
+        return runner(problem, batches, cfg, flags)
+
+    monkeypatch.setattr(optim, "run_dp_srg_memf", spy)
+    run_experiment(_tiny_spec(algorithm="dp_srg_memf", workload="momentum_decay",
+                              momentum=0.5, c_grid=(0.5,), epochs=2,
+                              batch_size=64, repeats=1))
+    assert seen == [(0.5, 0.5)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ from dpsrgd.counting import (
     build_workload,
     factorize,
     identity_strategy,
+    mf_noise_stream,
     tree_ingest,
     tree_prefix,
 )
-from dpsrgd.geometry import ConstraintBall, interpolate, project_ball
+from dpsrgd.geometry import ConstraintBall, clip_rows, interpolate, project_ball
 from dpsrgd.objectives import GradientNoiseWrapper, LogisticTask, SyntheticQuadratic
 from dpsrgd.optim import (
     MemfConfig,
@@ -274,20 +275,53 @@ def test_accelerated_runner_costs_two_evals_per_example():
     assert problem.grad_rows == 2 * T * B
 
 
-def test_runner_aborts_on_short_stream():
+def _memf_runner(srg):
+    def run(problem, batches, T):
+        cfg = _memf_cfg(identity_strategy(T), batches_per_epoch=T // 2)
+        runner = run_dp_srg_memf if srg else run_dp_memf
+        return runner(problem, batches[:T // 2], cfg)
+    return run
+
+
+# Every runner at T steps, batch size 4, no noise. The stream runners take
+# the batches as an iterator; the multi-epoch runners revisit the first
+# T/2 batches for two epochs.
+_RUNNERS = {
+    "accelerated_dp_srgd": lambda p, batches, T: run_accelerated_dp_srgd(
+        p, iter(batches), SrgdConfig(T=T, B=4, n=4 * T, beta=2.0 * T,
+                                     ball=ConstraintBall(p.dim, 1.0))),
+    "independent_variant": lambda p, batches, T: run_independent_variant(
+        p, iter(batches), SrgdConfig(T=T, B=4, n=4 * T, beta=2.0 * T,
+                                     ball=ConstraintBall(p.dim, 1.0))),
+    "unaccelerated_srgd": lambda p, batches, T: run_unaccelerated_srgd(
+        p, iter(batches), 0.1, np.ones(T), T),
+    "dp_sgd": lambda p, batches, T: run_dp_sgd(
+        p, iter(batches), 0.1, 1.0, 0.0, None, T),
+    "dp_ftrl": lambda p, batches, T: run_dp_ftrl(
+        p, iter(batches), 0.1, 1.0, identity_strategy(T), math.inf, None),
+    "dp_memf": _memf_runner(srg=False),
+    "dp_srg_memf": _memf_runner(srg=True),
+}
+_STREAM_RUNNERS = sorted(set(_RUNNERS) - {"dp_memf", "dp_srg_memf"})
+
+
+@pytest.mark.parametrize("name", _STREAM_RUNNERS)
+def test_runner_aborts_on_short_stream(name):
     problem = _quadratic()
-    cfg = SrgdConfig(T=10, B=4, n=40, beta=20.0,
-                     ball=ConstraintBall(problem.dim, 1.0))
     batches = _batches(problem, 6, 4)
     with pytest.raises(RunAborted) as info:
-        run_accelerated_dp_srgd(problem, iter(batches), cfg)
+        _RUNNERS[name](problem, batches, 10)
     assert info.value.step == 6
-    with pytest.raises(RunAborted):
-        run_independent_variant(problem, iter(batches), cfg)
-    with pytest.raises(RunAborted):
-        run_unaccelerated_srgd(problem, iter(batches), 0.1, np.ones(10), 10)
-    with pytest.raises(RunAborted):
-        run_dp_sgd(problem, iter(batches), 0.1, 1.0, 0.0, None, 10)
+
+
+@pytest.mark.parametrize("name", _STREAM_RUNNERS)
+def test_runner_takes_exactly_T_batches(name):
+    problem = _quadratic()
+    batches = _batches(problem, 12, 4)
+    stream = iter(batches)
+    rec = _RUNNERS[name](problem, stream, 10)
+    assert rec.steps == 10
+    assert next(stream) is batches[10]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +354,33 @@ def test_unaccelerated_custom_checkpoints_and_validation():
     with pytest.raises(ValueError):
         run_unaccelerated_srgd(problem, iter(batches), 0.05,
                                np.zeros(8), 8)  # nonpositive weights
+
+
+def test_unaccelerated_matches_reference_loop():
+    problem = _quadratic(seed=35)
+    T, B = 12, 4
+    batches = _batches(problem, T, B, seed=36)
+    ball = ConstraintBall(problem.dim, 0.3)
+    c = np.arange(1.0, T + 1.0)
+    rec = run_unaccelerated_srgd(problem, iter(batches), 0.5, c, T, ball=ball,
+                                 seed=2, checkpoints=[4, 12])
+
+    x = np.zeros(problem.dim)
+    prev, acc = x, x
+    grads, losses = [], []
+    for t, batch in enumerate(batches):
+        c_prev = c[t - 1] if t > 0 else 0.0
+        diffs = (c[t] * problem.per_example_grads(x, batch)
+                 - c_prev * problem.per_example_grads(prev, batch))
+        acc = acc + diffs.mean(axis=0)
+        grads.append(acc / c[t])
+        losses.append(float(problem.per_example_values(x, batch).mean()))
+        prev, x = x, project_ball(x - 0.5 * grads[-1], ball)
+    np.testing.assert_array_equal(rec.final_x, x)
+    np.testing.assert_array_equal(rec.train_loss, losses)
+    np.testing.assert_array_equal(rec.grad_norm, [np.linalg.norm(g) for g in grads])
+    np.testing.assert_array_equal(rec.checkpoint_grads, [grads[3], grads[11]])
+    np.testing.assert_array_equal(rec.noise_norm, np.zeros(T))
 
 
 def test_variance_probe_matches_closed_form_growth():
@@ -380,13 +441,58 @@ def test_identity_strategy_ftrl_equals_dp_sgd():
     batches = _batches(problem, T, B, seed=23)
     ball = ConstraintBall(problem.dim, 1.0)
     rho = 0.5
-    sigma = math.sqrt(1.0 / (2.0 * rho))
+    sigma = math.sqrt(1.0 / (2.0 * rho)) * 1.0 / B  # clip / B sensitivity
     rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, 1.0, sigma, ball, T,
                          seed=3)
     rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, 1.0,
                            identity_strategy(T), rho, ball, seed=3)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
+
+
+@pytest.mark.parametrize("B,clip", [(4, 0.5), (2, 8.0)])
+def test_dp_ftrl_noise_scales_with_clipped_mean_sensitivity(B, clip):
+    # DP-SGD at the harness calibration sqrt(1/(2 rho)) * clip / B and
+    # identity-strategy DP-FTRL release the same noise: both protect a
+    # batch mean of gradients clipped to clip, sensitivity clip / B
+    problem = _quadratic(seed=37)
+    T = 8
+    batches = _batches(problem, T, B, seed=38)
+    ball = ConstraintBall(problem.dim, 1.0)
+    rho = 0.5
+    sigma = math.sqrt(1.0 / (2.0 * rho)) * clip / B
+    rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, clip, sigma, ball, T,
+                         seed=4)
+    rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, clip,
+                           identity_strategy(T), rho, ball, seed=4)
+    np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
+    np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
+    # an infinite budget releases no noise, even without clipping
+    rec_free = run_dp_ftrl(problem, iter(batches), 0.1, math.inf,
+                           identity_strategy(T), math.inf, ball, seed=4)
+    np.testing.assert_array_equal(rec_free.noise_norm, np.zeros(T))
+
+
+def test_dp_ftrl_matches_reference_loop():
+    # single-example batches with clip 1, so the noise factor clip / B is 1
+    problem = _quadratic(target_norm=0.9, seed=39)
+    T, B, clip, rho, lr = 10, 1, 1.0, 0.5, 0.2
+    batches = _batches(problem, T, B, seed=40)
+    strategy = factorize(build_workload("momentum", 1, T, momentum=0.9), 1, T,
+                         kind="momentum", momentum=0.9)
+    ball = ConstraintBall(problem.dim, 0.5)
+    rec = run_dp_ftrl(problem, iter(batches), lr, clip, strategy, rho, ball,
+                      seed=6)
+
+    rows = mf_noise_stream(strategy, rho, problem.dim, 6)
+    x = np.zeros(problem.dim)
+    noise = []
+    for batch in batches:
+        grad = clip_rows(problem.per_example_grads(x, batch), clip).mean(axis=0)
+        noise.append(next(rows) * (clip / B))
+        x = project_ball(x - lr * (grad + noise[-1]), ball)
+    np.testing.assert_array_equal(rec.final_x, x)
+    np.testing.assert_array_equal(rec.noise_norm, [np.linalg.norm(w) for w in noise])
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +593,57 @@ def test_double_noise_toggle_changes_recursive_runs():
     assert float(np.abs(rec_on.final_x - rec_off.final_x).max()) > 0
 
 
+def _reference_memf(problem, batches, cfg, recursive):
+    """Multi-epoch training written out from per-example gradients:
+    clipped mean (or clipped recursive increment), plus the strategy's
+    noise row times clip / B, into SGD with momentum."""
+    rows = mf_noise_stream(cfg.strategy, cfg.rho, problem.dim, cfg.seed)
+    x = np.zeros(problem.dim)
+    prev, velocity, rec = x, x, x
+    noise, grads = [], []
+    for s in range(cfg.epochs * cfg.batches_per_epoch):
+        batch = batches[s % cfg.batches_per_epoch]
+        w = next(rows) * (cfg.c_clip / cfg.batch_size)
+        if recursive:
+            c = cfg.decay if s > 0 else 0.0
+            diffs = (problem.per_example_grads(x, batch)
+                     - c * problem.per_example_grads(prev, batch))
+            rec = c * rec + (clip_rows(diffs, cfg.c_clip).mean(axis=0) + w)
+            grads.append(rec)
+            step = rec + w if cfg.double_noise else rec
+        else:
+            grads.append(clip_rows(problem.per_example_grads(x, batch),
+                                   cfg.c_clip).mean(axis=0))
+            step = grads[-1] + w
+        noise.append(w)
+        velocity = cfg.momentum * velocity + step
+        prev, x = x, x - cfg.lr * velocity
+    return x, [np.linalg.norm(w) for w in noise], [np.linalg.norm(g) for g in grads]
+
+
+def _check_memf_reference(runner, recursive, **kw):
+    wl = build_workload("ones", 2, 5)
+    strat = factorize(wl, 2, 5)
+    problem = _quadratic(target_norm=0.9, seed=41)
+    batches = _batches(problem, 5, 4, seed=42)
+    cfg = _memf_cfg(strat, rho=0.5, c_clip=0.5, **kw)
+    rec = runner(problem, batches, cfg)
+    x, noise_norm, grad_norm = _reference_memf(problem, batches, cfg, recursive)
+    np.testing.assert_array_equal(rec.final_x, x)
+    np.testing.assert_array_equal(rec.noise_norm, noise_norm)
+    np.testing.assert_array_equal(rec.grad_norm, grad_norm)
+
+
+@pytest.mark.parametrize("double_noise", [True, False])
+def test_dp_srg_memf_matches_reference_loop(double_noise):
+    _check_memf_reference(run_dp_srg_memf, True, decay=0.5,
+                          double_noise=double_noise)
+
+
+def test_dp_memf_matches_reference_loop():
+    _check_memf_reference(run_dp_memf, False)
+
+
 class _ExplodingQuadratic(SyntheticQuadratic):
     """Returns a non-finite gradient from step 3 onward."""
 
@@ -502,10 +659,14 @@ class _ExplodingQuadratic(SyntheticQuadratic):
         return out
 
 
-def test_memf_aborts_on_non_finite_iterate():
+@pytest.mark.parametrize("name", sorted(_RUNNERS))
+def test_runner_aborts_on_non_finite_iterate(name):
     problem = _ExplodingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
                                   noise_scale=0.5, radius=1.0)
-    batches = _batches(problem, 5, 4, seed=34)
+    batches = _batches(problem, 10, 4, seed=34)
     with pytest.raises(RunAborted) as info:
-        run_dp_memf(problem, batches, _memf_cfg(identity_strategy(10)))
-    assert info.value.step == 3
+        _RUNNERS[name](problem, batches, 10)
+    # a recursive-gradient step evaluates two points, a clipped-gradient
+    # step one, so the fourth evaluation falls in step 1 or step 3
+    recursive = ("accelerated_dp_srgd", "unaccelerated_srgd", "dp_srg_memf")
+    assert info.value.step == (1 if name in recursive else 3)
