@@ -31,6 +31,7 @@ from .accounting import (
 from .counting import (
     StrategyMatrix,
     TreeState,
+    build_strategy,
     build_workload,
     calibrate_tree_sigma,
     covering_nodes,
@@ -86,9 +87,9 @@ __all__ = [
     "PrivacyBudget", "RegimeReport", "batch_and_beta", "build_regime_report",
     "clip_norm", "dim_check", "gdp_to_dp", "mu_for_dp", "rho_for_dp",
     "sensitivity_bound", "srgd_sigma", "zcdp_to_dp",
-    "StrategyMatrix", "TreeState", "build_workload", "calibrate_tree_sigma",
-    "covering_nodes", "factorize", "identity_strategy", "load_strategy",
-    "mf_noise_stream", "prefix_nodes", "save_strategy",
+    "StrategyMatrix", "TreeState", "build_strategy", "build_workload",
+    "calibrate_tree_sigma", "covering_nodes", "factorize", "identity_strategy",
+    "load_strategy", "mf_noise_stream", "prefix_nodes", "save_strategy",
     "tree_baseline_objective", "tree_error_bound", "tree_ingest",
     "tree_prefix",
     "ConstraintBall", "project_ball",

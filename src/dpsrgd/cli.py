@@ -31,9 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fact = sub.add_parser(
         "factorize", help="build and cache a strategy matrix")
-    p_fact.add_argument("--workload", default="ones",
-                        choices=["ones", "momentum", "momentum_decay",
-                                 "identity"],
+    p_fact.add_argument("--workload", default="ones", choices=counting.WORKLOADS,
                         help="workload the strategy is optimized for")
     p_fact.add_argument("--epochs", type=int, default=1,
                         help="number of passes over the batches")
@@ -65,18 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_factorize(args) -> int:
-    if args.workload == "identity":
-        strategy = counting.identity_strategy(args.epochs * args.batches)
-    else:
-        momentum = args.momentum if args.workload.startswith("momentum") else 0.0
-        decay = args.decay if args.workload == "momentum_decay" else 1.0
-        workload = counting.build_workload(args.workload, args.epochs,
-                                           args.batches, momentum=momentum,
-                                           decay=decay)
-        strategy = counting.factorize(workload, args.epochs, args.batches,
-                                      iterations=args.iterations,
-                                      kind=args.workload, momentum=momentum,
-                                      decay=decay)
+    strategy = counting.build_strategy(args.workload, args.epochs, args.batches,
+                                       args.momentum, args.decay, args.iterations)
     counting.save_strategy(strategy, args.output)
     print(f"{args.workload} strategy for {args.epochs} x {args.batches} steps: "
           f"objective={strategy.objective:.6f} sens={strategy.sens:.6f} "

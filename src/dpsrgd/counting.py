@@ -31,6 +31,7 @@ __all__ = [
     "calibrate_tree_sigma",
     "tree_error_bound",
     "build_workload",
+    "build_strategy",
     "factorize",
     "mf_noise_stream",
     "tree_matrix_factorization",
@@ -188,11 +189,18 @@ def tree_error_bound(c_clip: float, mu: float, horizon: int, d: int, delta: floa
 # workloads and strategy matrices
 
 
+# Workload kinds, in the order strategy files store their index; "custom"
+# marks a strategy factorized for a workload outside this list.
+WORKLOADS = ("ones", "momentum", "momentum_decay", "identity")
+_KINDS = WORKLOADS + ("custom",)
+
+
 def build_workload(kind: str, k: int, b: int, momentum: float = 0.0,
                    decay: float = 1.0) -> np.ndarray:
     """Lower-triangular workload for kb steps.
 
-    ones:            A (prefix sums; plain SGD iterates)
+    ones, identity:  A (prefix sums; plain SGD iterates); custom too, for
+                     a loaded strategy whose workload the file does not store
     momentum:        M @ A, where M is the Toeplitz momentum matrix with
                      entries momentum^(i-j), so (M A)_{i,j} = sum of the
                      first i-j+1 momentum powers
@@ -202,9 +210,11 @@ def build_workload(kind: str, k: int, b: int, momentum: float = 0.0,
     """
     if k < 1 or b < 1:
         raise ValueError(f"k and b must be >= 1, got k={k}, b={b}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown workload kind {kind!r}")
     n = k * b
     prefix = np.tril(np.ones((n, n)))
-    if kind == "ones":
+    if kind not in ("momentum", "momentum_decay"):
         return prefix
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must be in [0,1), got {momentum}")
@@ -213,12 +223,10 @@ def build_workload(kind: str, k: int, b: int, momentum: float = 0.0,
     mom = np.where(powers >= 0, momentum ** np.maximum(powers, 0), 0.0)
     if kind == "momentum":
         return mom @ prefix
-    if kind == "momentum_decay":
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0,1], got {decay}")
-        dec = np.where(powers >= 0, decay ** np.maximum(powers, 0), 0.0)
-        return mom @ prefix @ dec
-    raise ValueError(f"unknown workload kind {kind!r}")
+    if not 0.0 < decay <= 1.0:
+        raise ValueError(f"decay must be in (0,1], got {decay}")
+    dec = np.where(powers >= 0, decay ** np.maximum(powers, 0), 0.0)
+    return mom @ prefix @ dec
 
 
 def column_group_sens(c_mat: np.ndarray, k: int, b: int) -> float:
@@ -369,9 +377,9 @@ def factorize(workload: np.ndarray, k: int, b: int, iterations: int = 2000,
     column-group sensitivity constraint, by projected gradient descent with
     backtracking line search.
 
-    Starts from the square binary-tree embedding, keeps the best feasible
-    iterate seen, and reports convergence once the relative objective
-    improvement stays below tol. Deterministic.
+    Starts from the square binary-tree embedding, accepts only trial
+    steps that lower the objective, and reports convergence once the
+    relative objective improvement stays below tol. Deterministic.
     """
     workload = np.asarray(workload, dtype=np.float64)
     n = k * b
@@ -383,7 +391,6 @@ def factorize(workload: np.ndarray, k: int, b: int, iterations: int = 2000,
     c_mat = _project_feasible(tree_strategy_matrix(n), k, b)
     c_inv = _tril_inv(c_mat)
     obj = float(np.linalg.norm(workload @ c_inv))
-    best_c, best_obj = c_mat.copy(), obj
     wtw = workload.T @ workload
     step = 1.0
     stalled = 0
@@ -413,8 +420,6 @@ def factorize(workload: np.ndarray, k: int, b: int, iterations: int = 2000,
         rel_gain = (obj - cand_obj) / obj
         c_mat, c_inv, obj = cand, cand_inv, cand_obj
         step = trial_step * 1.3
-        if obj < best_obj:
-            best_c, best_obj = c_mat.copy(), obj
         stalled = stalled + 1 if rel_gain < tol else 0
         if stalled >= 5:
             converged = True
@@ -423,29 +428,47 @@ def factorize(workload: np.ndarray, k: int, b: int, iterations: int = 2000,
     # The projection bounds the norm of each group's column sum; scale down
     # if negative inner products within a group push the sound sensitivity
     # above it.
-    sens = column_group_sens(best_c, k, b)
+    sens = column_group_sens(c_mat, k, b)
     if sens > 1.0 + 1e-9:
-        best_c = best_c / sens
-        best_obj = _objective(workload, best_c)
-        sens = column_group_sens(best_c, k, b)
+        c_mat = c_mat / sens
+        obj = _objective(workload, c_mat)
+        sens = column_group_sens(c_mat, k, b)
     if kind is None:
         kind = "ones" if np.array_equal(workload, np.tril(np.ones((n, n)))) else "custom"
     return StrategyMatrix(
-        C=best_c, workload=workload, kind=kind, k=k, b=b,
+        C=c_mat, workload=workload, kind=kind, k=k, b=b,
         momentum=momentum, decay=decay, sens=sens,
-        objective=best_obj, converged=converged,
+        objective=obj, converged=converged,
     )
 
 
-def identity_strategy(n: int) -> StrategyMatrix:
-    """Input-perturbation strategy C = I (white per-step noise)."""
-    eye = np.eye(n)
-    return StrategyMatrix(
-        C=eye, workload=np.tril(np.ones((n, n))), kind="identity",
-        k=1, b=n, momentum=0.0, decay=1.0, sens=1.0,
-        objective=float(np.linalg.norm(np.tril(np.ones((n, n))))),
-        converged=True,
-    )
+def identity_strategy(k: int, b: int) -> StrategyMatrix:
+    """Input-perturbation strategy over k epochs of b steps: C = I / sqrt(k),
+    white per-step noise scaled so that the k steps an example takes part
+    in have column-group sensitivity exactly 1 (C = I at k = 1)."""
+    workload = build_workload("identity", k, b)
+    return strategy_from_matrix(np.eye(k * b) / math.sqrt(k), workload, k, b,
+                                "identity", converged=True)
+
+
+def _workload_args(kind: str, momentum: float, decay: float) -> tuple[float, float]:
+    """The (momentum, decay) that `kind`'s workload reads: momentum for
+    the momentum kinds, decay for momentum_decay alone; 0 and 1 otherwise."""
+    return (momentum if kind in ("momentum", "momentum_decay") else 0.0,
+            decay if kind == "momentum_decay" else 1.0)
+
+
+def build_strategy(kind: str, k: int, b: int, momentum: float = 0.0,
+                   decay: float = 1.0, iterations: int = 2000) -> StrategyMatrix:
+    """The strategy for workload `kind` over k epochs of b steps: the
+    identity strategy, or `factorize` of `build_workload`. Kinds that do
+    not read momentum or decay record 0 and 1 for them."""
+    if kind == "identity":
+        return identity_strategy(k, b)
+    momentum, decay = _workload_args(kind, momentum, decay)
+    return factorize(build_workload(kind, k, b, momentum, decay), k, b,
+                     iterations=iterations, kind=kind, momentum=momentum,
+                     decay=decay)
 
 
 def strategy_from_matrix(c_mat: np.ndarray, workload: np.ndarray, k: int, b: int,
@@ -512,7 +535,6 @@ def mf_noise_stream(strategy: StrategyMatrix, rho: float, d: int, seed: int):
 # serialization
 
 _MAGIC = b"DPMF"
-_KINDS = ["ones", "momentum", "momentum_decay", "identity", "custom"]
 _HEADER = struct.Struct("<4sIIIIdd")
 
 
@@ -549,10 +571,7 @@ def load_strategy(path) -> StrategyMatrix:
         c_mat[i, :i + 1] = body[pos:pos + i + 1]
         pos += i + 1
     kind = _KINDS[kind_id]
-    if kind in ("ones", "momentum", "momentum_decay"):
-        workload = build_workload(kind, k, b, momentum, decay)
-    else:
-        workload = np.tril(np.ones((n, n)))
+    workload = build_workload(kind, k, b, momentum, decay)
     strategy = strategy_from_matrix(c_mat, workload, k, b, kind, momentum, decay)
     strategy.check()
     return strategy

@@ -48,7 +48,8 @@ _ALGORITHMS = (
     "dp_memf",
     "dp_srg_memf",
 )
-_WORKLOADS = ("ones", "momentum", "momentum_decay", "identity")
+# Algorithms whose noise is the clip times a unit-sensitivity draw.
+_CLIPPED_NOISE = ("dp_sgd", "dp_ftrl", "dp_memf", "dp_srg_memf")
 
 DATA_DIR_ENV = "DPSRGD_DATA_DIR"
 
@@ -100,7 +101,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown task {self.task!r}")
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.workload not in _WORKLOADS:
+        if self.workload not in counting.WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
@@ -117,6 +118,11 @@ class ExperimentSpec:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        budget = self.rho if self.rho is not None else self.epsilon
+        if (math.isfinite(budget) and self.algorithm in _CLIPPED_NOISE
+                and not all(math.isfinite(clip) for clip in self.clip_grid)):
+            raise ValueError(f"{self.algorithm} with a finite budget needs a "
+                             "finite clip: its noise scales with the clip")
         return self
 
     def to_text(self) -> str:
@@ -365,19 +371,28 @@ def _build_problem(spec: ExperimentSpec, event_log, dataset):
     return load_dataset(path, fmt)
 
 
-def _strategy_cache_get(cache: dict, spec: ExperimentSpec, k: int, b: int, c: float):
-    kind = spec.workload
-    momentum = spec.momentum if kind in ("momentum", "momentum_decay") else 0.0
-    decay = c if kind == "momentum_decay" else 1.0
-    key = (kind, k, b, momentum, decay)
+def _strategy_shape(spec: ExperimentSpec, n: int) -> tuple[int, int] | None:
+    """(k, b) of the strategy whose noise the algorithm adds: `epochs`
+    passes over the n // batch_size batches for the multi-epoch methods,
+    one pass of `steps` for dp_ftrl, and None for the rest."""
+    if spec.algorithm == "dp_ftrl":
+        return 1, spec.steps
+    if spec.algorithm in ("dp_memf", "dp_srg_memf"):
+        if n < spec.batch_size:
+            raise ValueError("batch_size exceeds dataset size")
+        return spec.epochs, n // spec.batch_size
+    return None
+
+
+def _strategy_cache_get(cache: dict, spec: ExperimentSpec, shape: tuple[int, int],
+                        c: float):
+    """The spec's strategy at this shape and decay c, built once for each
+    (momentum, decay) its workload reads."""
+    key = (spec.workload, *shape,
+           *counting._workload_args(spec.workload, spec.momentum, c))
     if key not in cache:
-        if kind == "identity":
-            cache[key] = counting.identity_strategy(k * b)
-        else:
-            workload = counting.build_workload(kind, k, b, momentum=momentum,
-                                               decay=decay)
-            cache[key] = counting.factorize(workload, k, b, kind=kind,
-                                            momentum=momentum, decay=decay)
+        cache[key] = counting.build_strategy(spec.workload, *shape,
+                                             momentum=spec.momentum, decay=c)
     return cache[key]
 
 
@@ -404,12 +419,10 @@ def _max_participation(spec: ExperimentSpec, n: int) -> int:
     return -(-spec.steps // (n // max(1, min(n, spec.batch_size))))
 
 
-def _single_run(spec, problem, rho, lr, clip, c, seed, cache):
+def _single_run(spec, problem, n, rho, lr, clip, c, seed, cache):
+    shape = _strategy_shape(spec, n)
     if spec.algorithm in ("dp_memf", "dp_srg_memf"):
-        n = spec.train_size if spec.task == "synthetic" else problem.n_train
-        b = n // spec.batch_size
-        if b < 1:
-            raise ValueError("batch_size exceeds dataset size")
+        b = shape[1]
         if spec.task == "synthetic":
             # One fixed dataset per experiment (seeded by seed_base alone),
             # shared by every grid point and repeat.
@@ -420,9 +433,7 @@ def _single_run(spec, problem, rho, lr, clip, c, seed, cache):
         else:
             batches = [np.arange(j * spec.batch_size, (j + 1) * spec.batch_size)
                        for j in range(b)]
-        strategy = _strategy_cache_get(cache, spec, spec.epochs, b, c)
-        cfg = optim.MemfConfig(epochs=spec.epochs, batches_per_epoch=b,
-                               batch_size=spec.batch_size, strategy=strategy,
+        cfg = optim.MemfConfig(strategy=_strategy_cache_get(cache, spec, shape, c),
                                rho=rho, c_clip=clip, lr=lr, decay=c,
                                momentum=spec.momentum, seed=seed,
                                double_noise=spec.double_noise)
@@ -431,10 +442,6 @@ def _single_run(spec, problem, rho, lr, clip, c, seed, cache):
 
     ball = ConstraintBall(problem.dim, spec.radius)
     rng = np.random.default_rng(seed)
-    if spec.task == "synthetic":
-        n = spec.train_size
-    else:
-        n = problem.n_train
     B = max(1, min(n, spec.batch_size))
     T = spec.steps
     if spec.task == "synthetic":
@@ -446,9 +453,9 @@ def _single_run(spec, problem, rho, lr, clip, c, seed, cache):
         sigma = 0.0 if math.isinf(rho) else math.sqrt(1.0 / (2 * rho)) * clip / B
         return optim.run_dp_sgd(problem, stream, lr, clip, sigma, ball, T, seed=seed)
     if spec.algorithm == "dp_ftrl":
-        strategy = _strategy_cache_get(cache, spec, 1, T, c)
-        return optim.run_dp_ftrl(problem, stream, lr, clip, strategy, rho, ball,
-                                 seed=seed)
+        return optim.run_dp_ftrl(problem, stream, lr, clip,
+                                 _strategy_cache_get(cache, spec, shape, c), rho,
+                                 ball, seed=seed)
     if spec.algorithm in ("accelerated_dp_srgd", "independent_variant"):
         L, M = problem.lipschitz, problem.smoothness
         eps, delta = spec.epsilon, spec.delta
@@ -457,9 +464,8 @@ def _single_run(spec, problem, rho, lr, clip, c, seed, cache):
         else:
             beta = 2.0 * M * T
             sigma = accounting.srgd_sigma(L, M, ball.diameter, eps, delta, B, beta, T)
-        cfg = optim.SrgdConfig(T=T, B=B, n=n, beta=beta, ball=ball,
-                               sigma=sigma * beta, clip=clip if math.isfinite(clip) else None,
-                               seed=seed)
+        cfg = optim.SrgdConfig(T=T, beta=beta, ball=ball, sigma=sigma * beta,
+                               clip=clip, seed=seed)
         if spec.algorithm == "accelerated_dp_srgd":
             return optim.run_accelerated_dp_srgd(problem, stream, cfg)
         cfg2 = dataclasses.replace(cfg, sigma=sigma)
@@ -507,11 +513,10 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
     grid = [(lr, clip, c) for lr in spec.lr_grid for clip in spec.clip_grid
             for c in spec.c_grid]
     cache: dict = {}
+    shape = _strategy_shape(spec, n)
     for lr, clip, c in grid:  # warm the strategy cache serially
-        if spec.algorithm in ("dp_memf", "dp_srg_memf", "dp_ftrl"):
-            b = (n // spec.batch_size) if spec.algorithm != "dp_ftrl" else spec.steps
-            k = spec.epochs if spec.algorithm != "dp_ftrl" else 1
-            _strategy_cache_get(cache, spec, k, b, c)
+        if shape is not None:
+            _strategy_cache_get(cache, spec, shape, c)
 
     jobs = []
     for lr, clip, c in grid:
@@ -522,7 +527,7 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
     def work(job):
         lr, clip, c, rep, seed = job
         try:
-            rec = _single_run(spec, problem, rho, lr, clip, c, seed, cache)
+            rec = _single_run(spec, problem, n, rho, lr, clip, c, seed, cache)
         except optim.RunAborted as exc:
             return job, exc
         return job, rec

@@ -58,16 +58,15 @@ class SrgdConfig:
     eta may be None (default schedule eta_t = t+1), a callable t -> eta_t,
     or an array of length >= T+1. The schedule must be nondecreasing with
     eta_t^2 <= 4 * eta_{0:t}; both are asserted at construction. tau is
-    derived as tau_t = eta_t / eta_{0:t}.
+    derived as tau_t = eta_t / eta_{0:t}. clip = inf leaves gradients
+    unclipped.
     """
 
     T: int
-    B: int
-    n: int
     beta: float
     ball: ConstraintBall
     sigma: float = 0.0
-    clip: float | None = None
+    clip: float = math.inf
     eta: object = None
     seed: int = 0
     eta_values: np.ndarray = field(init=False)
@@ -77,8 +76,6 @@ class SrgdConfig:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.B < 1:
-            raise ValueError(f"B must be >= 1, got {self.B}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.sigma < 0:
@@ -110,16 +107,15 @@ class SrgdConfig:
 class MemfConfig:
     """Configuration for multi-epoch matrix-factorization training.
 
-    decay = 0 disables the gradient recursion entirely (each increment is
-    a plain clipped gradient); decay in (0, 1] is the constant recursion
-    weight. double_noise keeps the extra correlated-noise row added to the
+    The strategy's k and b are the run's shape: the runners take b batches
+    of one size and revisit them in order for k epochs. decay = 0 disables
+    the gradient recursion entirely (each increment is a plain clipped
+    gradient); decay in (0, 1] is the constant recursion weight.
+    double_noise keeps the extra correlated-noise row added to the
     recursive gradient right before the optimizer step (on by default);
     set it False to hand the optimizer the recursion output alone.
     """
 
-    epochs: int
-    batches_per_epoch: int
-    batch_size: int
     strategy: StrategyMatrix
     rho: float
     c_clip: float
@@ -130,18 +126,12 @@ class MemfConfig:
     double_noise: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batches_per_epoch < 1:
-            raise ValueError("epochs and batches_per_epoch must be >= 1")
         if not 0.0 <= self.decay <= 1.0:
             raise ValueError(f"decay must be in [0,1], got {self.decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
         if self.rho <= 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.strategy.steps != self.epochs * self.batches_per_epoch:
-            raise ValueError(
-                f"strategy covers {self.strategy.steps} steps but config asks "
-                f"{self.epochs} x {self.batches_per_epoch}")
         self.strategy.check()
         if math.isfinite(self.rho) and not math.isfinite(self.c_clip):
             raise ValueError("finite rho requires a finite clip norm")
@@ -165,7 +155,6 @@ class RunRecord:
     q_norm: np.ndarray | None = None
     excess: float | None = None
     accuracy: float | None = None
-    flags: dict = field(default_factory=dict)
     checkpoint_steps: np.ndarray | None = None
     checkpoint_grads: np.ndarray | None = None
     iterates: np.ndarray | None = None
@@ -198,8 +187,7 @@ def _norm(v: np.ndarray | None) -> float:
 
 
 def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
-           algorithm: str, seed: int, flags: dict | None = None,
-           finish=dict) -> RunRecord:
+           algorithm: str, seed: int, finish=dict) -> RunRecord:
     """The step loop of every runner. It takes exactly T batches. Per step
     t, estimate(t, x, prev_x, batch) -> (g, train loss) evaluates the batch
     at the query point x and its predecessor, noise(batch) draws the noise
@@ -225,7 +213,7 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     return RunRecord(
         algorithm=algorithm, seed=seed, final_x=out, train_loss=train_loss,
         noise_norm=noise_norm, grad_norm=grad_norm, excess=excess,
-        accuracy=accuracy, flags=dict(flags or {}), **finish())
+        accuracy=accuracy, **finish())
 
 
 def _iid_noise(dim: int, sigma: float, seed: int):
@@ -306,7 +294,6 @@ def _accelerated(problem: LossProblem, cfg: SrgdConfig):
 
 
 def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
-                            flags: dict | None = None,
                             record_iterates: bool = False) -> RunRecord:
     """Accelerated SRG with binary-tree noise.
 
@@ -317,7 +304,6 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
     a perturbation of size ||tree noise|| / beta per step.
     """
     eta = cfg.eta_values
-    c_clip = cfg.clip if cfg.clip is not None else np.inf
     accelerate, finish = _accelerated(problem, cfg)
     tree = TreeState(horizon=cfg.T, dim=problem.dim, sigma=cfg.sigma, seed=cfg.seed)
     q_norm = np.empty(cfg.T) if problem.exact_optimum() is not None else None
@@ -327,7 +313,7 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
         if iterates is not None:
             iterates[t] = x
         w_prev = eta[t - 1] if t > 0 else 0.0
-        return problem.srg_mean(x, prev_x, eta[t], w_prev, batch, c_clip)
+        return problem.srg_mean(x, prev_x, eta[t], w_prev, batch, cfg.clip)
 
     def update(t, x, delta, _):
         nonlocal q_norm
@@ -342,20 +328,18 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
         return _norm(xi) / cfg.beta, grad_norm, next_iterates
 
     return _drive(problem, stream, cfg.T, estimate, None, update,
-                  "accelerated_dp_srgd", cfg.seed, flags,
+                  "accelerated_dp_srgd", cfg.seed,
                   lambda: dict(finish(), q_norm=q_norm, iterates=iterates))
 
 
-def run_independent_variant(problem: LossProblem, stream, cfg: SrgdConfig,
-                            flags: dict | None = None) -> RunRecord:
+def run_independent_variant(problem: LossProblem, stream, cfg: SrgdConfig) -> RunRecord:
     """Same accelerated updates but with a fresh minibatch gradient each
     step (one evaluation per example) and independent per-step Gaussian
     noise of std cfg.sigma per coordinate in place of the tree."""
     update, finish = _accelerated(problem, cfg)
-    return _drive(problem, stream, cfg.T,
-                  _clipped(problem, cfg.clip if cfg.clip is not None else np.inf),
+    return _drive(problem, stream, cfg.T, _clipped(problem, cfg.clip),
                   _iid_noise(problem.dim, cfg.sigma, cfg.seed), update,
-                  "independent_variant", cfg.seed, flags, finish)
+                  "independent_variant", cfg.seed, finish)
 
 
 def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
@@ -372,6 +356,8 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
         c_values = np.array([float(c_sched(t)) for t in range(T)])
     else:
         c_values = np.asarray(c_sched, dtype=np.float64)[:T]
+        if c_values.shape[0] < T:
+            raise ValueError("c schedule array must have at least T entries")
     if np.any(c_values <= 0):
         raise ValueError("c schedule must be positive")
     if checkpoints is None:
@@ -424,39 +410,37 @@ def linear_fit(xs, ys) -> tuple[float, float, float]:
 
 def run_dp_sgd(problem: LossProblem, stream, eta_lr: float, c_clip: float,
                sigma: float, ball: ConstraintBall | None, T: int,
-               seed: int = 0, flags: dict | None = None) -> RunRecord:
+               seed: int = 0) -> RunRecord:
     """Projected SGD over clipped mean gradients with i.i.d. spherical
     Gaussian noise of per-coordinate std sigma."""
     return _drive(problem, stream, T, _clipped(problem, c_clip),
                   _iid_noise(problem.dim, sigma, seed), _projected(eta_lr, ball),
-                  "dp_sgd", seed, flags)
+                  "dp_sgd", seed)
 
 
 def run_dp_ftrl(problem: LossProblem, stream, eta_lr: float, c_clip: float,
                 strategy: StrategyMatrix, rho: float,
-                ball: ConstraintBall | None, seed: int = 0,
-                flags: dict | None = None) -> RunRecord:
+                ball: ConstraintBall | None, seed: int = 0) -> RunRecord:
     """Same update as run_dp_sgd, but the per-step noise vectors are the
     rows of C^{-1} Z: correlated across steps by the strategy matrix, and
     scaled by the clipped mean's per-example sensitivity c_clip / B."""
     return _drive(problem, stream, strategy.steps, _clipped(problem, c_clip),
                   _correlated_noise(problem, strategy, rho, c_clip, seed),
-                  _projected(eta_lr, ball), "dp_ftrl", seed, flags)
+                  _projected(eta_lr, ball), "dp_ftrl", seed)
 
 
 def _epochs(problem: LossProblem, batches, cfg: MemfConfig) -> list:
-    """The batches of every epoch, revisited in the same fixed order."""
-    if len(batches) != cfg.batches_per_epoch:
-        raise ValueError(
-            f"expected {cfg.batches_per_epoch} batches, got {len(batches)}")
-    for j, batch in enumerate(batches):
-        if problem.batch_size(batch) != cfg.batch_size:
-            raise ValueError(f"batch {j} size mismatch")
-    return list(batches) * cfg.epochs
+    """The batches of every epoch, revisited in the same fixed order: the
+    strategy's b batches, all of one size, for its k epochs."""
+    if len(batches) != cfg.strategy.b:
+        raise ValueError(f"expected {cfg.strategy.b} batches, got {len(batches)}")
+    sizes = {problem.batch_size(batch) for batch in batches}
+    if len(sizes) != 1:
+        raise ValueError(f"batches differ in size: {sorted(sizes)}")
+    return list(batches) * cfg.strategy.k
 
 
-def run_dp_memf(problem: LossProblem, batches, cfg: MemfConfig,
-                flags: dict | None = None) -> RunRecord:
+def run_dp_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord:
     """Multi-epoch matrix-factorization DP training: per step, the clipped
     mean gradient plus a correlated noise row, fed to SGD with momentum.
 
@@ -467,11 +451,10 @@ def run_dp_memf(problem: LossProblem, batches, cfg: MemfConfig,
     return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,
                   _clipped(problem, cfg.c_clip),
                   _correlated_noise(problem, cfg.strategy, cfg.rho, cfg.c_clip, cfg.seed),
-                  _momentum(problem.dim, cfg), "dp_memf", cfg.seed, flags)
+                  _momentum(problem.dim, cfg), "dp_memf", cfg.seed)
 
 
-def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig,
-                    flags: dict | None = None) -> RunRecord:
+def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord:
     """Multi-epoch matrix-factorization training over recursive gradients.
 
     Per step: the per-example increments g(x_t, d) - c * g(x_{t-1}, d) are
@@ -498,4 +481,4 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig,
     return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,
                   estimate,
                   _correlated_noise(problem, cfg.strategy, cfg.rho, cfg.c_clip, cfg.seed),
-                  update, "dp_srg_memf", cfg.seed, flags)
+                  update, "dp_srg_memf", cfg.seed)

@@ -123,7 +123,7 @@ def _accel_record(T: int):
         B = 8
         batch = problem.draw_batch(np.random.default_rng(11), B)
         stream = (batch for _ in range(T))
-        cfg = SrgdConfig(T=T, B=B, n=B, beta=2.0 * problem.smoothness * T,
+        cfg = SrgdConfig(T=T, beta=2.0 * problem.smoothness * T,
                          ball=ConstraintBall(problem.dim, problem.radius),
                          sigma=0.0, seed=0)
         rec = run_accelerated_dp_srgd(problem, stream, cfg)
@@ -194,7 +194,7 @@ def criterion_3() -> CriterionResult:
             data = problem.draw_batch(rng, n)
             j = int(rng.integers(n))
             batches = [data[t * B:(t + 1) * B] for t in range(T)]
-            cfg = SrgdConfig(T=T, B=B, n=n, beta=beta, ball=ball,
+            cfg = SrgdConfig(T=T, beta=beta, ball=ball,
                              sigma=b_sigma * beta, seed=pair)
             rec = run_accelerated_dp_srgd(problem, iter(batches), cfg,
                                           record_iterates=True)
@@ -355,7 +355,7 @@ def criterion_8() -> CriterionResult:
         rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, 1.0, sigma, ball,
                              10, seed=3)
         rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, 1.0,
-                               identity_strategy(10), rho, ball, seed=3)
+                               identity_strategy(1, 10), rho, ball, seed=3)
         d1 = max(float(np.abs(rec_sgd.final_x - rec_ftrl.final_x).max()),
                  float(np.abs(rec_sgd.train_loss - rec_ftrl.train_loss).max()))
 
@@ -363,8 +363,7 @@ def criterion_8() -> CriterionResult:
         w_ones = build_workload("ones", 2, 8)
         d2 = float(np.abs(w_momentum - w_ones).max())
 
-        cfg = MemfConfig(epochs=2, batches_per_epoch=5, batch_size=4,
-                         strategy=identity_strategy(10), rho=math.inf,
+        cfg = MemfConfig(strategy=identity_strategy(2, 5), rho=math.inf,
                          c_clip=math.inf, lr=0.05, decay=0.0, momentum=0.9,
                          seed=5)
         rec_memf = run_dp_memf(problem, batches[:5], cfg)

@@ -31,6 +31,11 @@ def test_factorize_identity_workload(tmp_path):
                  "--output", str(out)]) == 0
     strat = load_strategy(str(out))
     np.testing.assert_array_equal(strat.C, np.eye(4))
+    assert main(["factorize", "--workload", "identity", "--epochs", "2",
+                 "--batches", "4", "--output", str(out)]) == 0
+    strat = load_strategy(str(out))
+    assert (strat.k, strat.b) == (2, 4)
+    assert strat.sens <= 1.0 + 1e-9
 
 
 def test_run_subcommand_produces_summary(tmp_path, capsys):
@@ -54,6 +59,10 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+    config.write_text("algorithm=dp_sgd\nepsilon=2.0\nclip_grid=inf\n")
+    assert main(["run", str(config), "--output", str(tmp_path / "r.csv")]) == 2
+    assert "finite clip" in capsys.readouterr().err
 
 
 def test_verify_subcommand_runs_selected_criteria(capsys):

@@ -12,6 +12,7 @@ from dpsrgd.counting import (
     StrategyMatrix,
     TreeState,
     _project_feasible,
+    build_strategy,
     build_workload,
     calibrate_tree_sigma,
     ceil_log2,
@@ -459,12 +460,37 @@ def test_strategy_check_rejects_violations():
 
 
 def test_identity_strategy():
-    strat = identity_strategy(5)
+    strat = identity_strategy(1, 5)
     np.testing.assert_array_equal(strat.C, np.eye(5))
     assert strat.sens == 1.0
     assert strat.steps == 5
     assert strat.objective == pytest.approx(
         np.linalg.norm(np.tril(np.ones((5, 5)))))
+    for k in (2, 3):  # I / sqrt(k): the k rows of one example have sensitivity 1
+        strat = identity_strategy(k, 5)
+        assert (strat.k, strat.b) == (k, 5)
+        assert column_group_sens(strat.C, k, 5) == pytest.approx(1.0, abs=1e-12)
+        assert strat.sens == pytest.approx(1.0, abs=1e-12)
+        strat.check()
+
+
+def test_build_strategy_reads_momentum_and_decay_only_where_the_workload_does():
+    k, b = 2, 3
+    ones = build_strategy("ones", k, b, momentum=0.9, decay=0.5, iterations=50)
+    ref = factorize(build_workload("ones", k, b), k, b, iterations=50, kind="ones")
+    np.testing.assert_array_equal(ones.C, ref.C)
+    assert (ones.kind, ones.momentum, ones.decay) == ("ones", 0.0, 1.0)
+    mom = build_strategy("momentum", k, b, momentum=0.9, decay=0.5, iterations=50)
+    assert (mom.momentum, mom.decay) == (0.9, 1.0)
+    md = build_strategy("momentum_decay", k, b, momentum=0.9, decay=0.5,
+                        iterations=50)
+    np.testing.assert_array_equal(md.workload, build_workload(
+        "momentum_decay", k, b, momentum=0.9, decay=0.5))
+    assert (md.momentum, md.decay) == (0.9, 0.5)
+    ident = build_strategy("identity", k, b, momentum=0.9, decay=0.5)
+    np.testing.assert_array_equal(ident.C, identity_strategy(k, b).C)
+    with pytest.raises(ValueError):
+        build_strategy("mystery", k, b)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +526,7 @@ def test_forward_substitution_is_causal():
 
 def test_mf_noise_stream_identity_matches_iid_gaussian():
     rho, d, seed = 0.5, 4, 21
-    rows = np.stack(list(mf_noise_stream(identity_strategy(6), rho, d, seed)))
+    rows = np.stack(list(mf_noise_stream(identity_strategy(1, 6), rho, d, seed)))
     rng = np.random.default_rng(seed)
     expected = np.stack([rng.standard_normal(d) * math.sqrt(1 / (2 * rho))
                          for _ in range(6)])
@@ -519,7 +545,7 @@ def test_mf_noise_stream_reconstructs_z():
 
 
 def test_mf_noise_stream_edge_cases():
-    strat = identity_strategy(4)
+    strat = identity_strategy(1, 4)
     rows = list(mf_noise_stream(strat, math.inf, 3, 0))
     assert all(np.array_equal(r, np.zeros(3)) for r in rows)
     with pytest.raises(ValueError):

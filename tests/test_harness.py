@@ -73,6 +73,23 @@ def test_spec_validation():
         ExperimentSpec(delta=1.0).validate()
 
 
+@pytest.mark.parametrize("algorithm", ["dp_sgd", "dp_ftrl", "dp_memf", "dp_srg_memf"])
+def test_spec_rejects_infinite_clip_with_finite_budget(algorithm):
+    with pytest.raises(ValueError, match="finite clip"):
+        _tiny_spec(algorithm=algorithm, clip_grid=(1.0, math.inf)).validate()
+    with pytest.raises(ValueError, match="finite clip"):
+        _tiny_spec(algorithm=algorithm, epsilon=math.inf, rho=0.5,
+                   clip_grid=(math.inf,)).validate()
+    _tiny_spec(algorithm=algorithm, epsilon=math.inf, clip_grid=(math.inf,)).validate()
+
+
+@pytest.mark.parametrize("algorithm", ["accelerated_dp_srgd", "independent_variant"])
+def test_infinite_clip_runs_where_noise_comes_from_lipschitz_bounds(algorithm):
+    table, _ = run_experiment(_tiny_spec(algorithm=algorithm, clip_grid=(math.inf,),
+                                         repeats=1))
+    assert (table.rows[0].n_runs, table.rows[0].n_aborted) == (1, 0)
+
+
 def test_data_dir_resolution(monkeypatch):
     monkeypatch.delenv("DPSRGD_DATA_DIR", raising=False)
     assert data_dir("/explicit") == "/explicit"
@@ -411,15 +428,45 @@ def test_memf_strategy_is_factorized_for_the_spec_momentum(monkeypatch):
     seen = []
     runner = optim.run_dp_srg_memf
 
-    def spy(problem, batches, cfg, flags=None):
+    def spy(problem, batches, cfg):
         seen.append((cfg.momentum, cfg.strategy.momentum))
-        return runner(problem, batches, cfg, flags)
+        return runner(problem, batches, cfg)
 
     monkeypatch.setattr(optim, "run_dp_srg_memf", spy)
     run_experiment(_tiny_spec(algorithm="dp_srg_memf", workload="momentum_decay",
                               momentum=0.5, c_grid=(0.5,), epochs=2,
                               batch_size=64, repeats=1))
     assert seen == [(0.5, 0.5)]
+
+
+def test_identity_memf_strategy_is_sound_over_epochs(monkeypatch):
+    seen = []
+    runner = optim.run_dp_memf
+
+    def spy(problem, batches, cfg):
+        seen.append(cfg)
+        return runner(problem, batches, cfg)
+
+    monkeypatch.setattr(optim, "run_dp_memf", spy)
+    spec = _tiny_spec(algorithm="dp_memf", workload="identity", epochs=2,
+                      batch_size=32, repeats=1)
+    table, records = run_experiment(spec)
+    (cfg,) = seen
+    b = spec.train_size // spec.batch_size
+    assert math.isfinite(cfg.rho)
+    assert (cfg.strategy.k, cfg.strategy.b) == (2, b)
+    assert counting.column_group_sens(cfg.strategy.C, 2, b) <= 1.0 + 1e-9
+    assert float(table.header["strategy_sens"]) <= 1.0 + 1e-9
+    rows = lambda strategy: np.stack(list(counting.mf_noise_stream(
+        strategy, cfg.rho, spec.dim, cfg.seed)))
+    one_epoch = rows(counting.identity_strategy(1, 2 * b))
+    np.testing.assert_allclose(rows(cfg.strategy), math.sqrt(2.0) * one_epoch,
+                               rtol=1e-12)
+    (rec,) = records.values()
+    np.testing.assert_allclose(
+        rec.noise_norm,
+        math.sqrt(2.0) * np.linalg.norm(one_epoch, axis=1) * cfg.c_clip / spec.batch_size,
+        rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def _batches(problem, T, B, seed=1):
 
 
 def test_default_schedule_and_tau():
-    cfg = SrgdConfig(T=8, B=4, n=32, beta=16.0, ball=ConstraintBall(3, 1.0))
+    cfg = SrgdConfig(T=8, beta=16.0, ball=ConstraintBall(3, 1.0))
     np.testing.assert_array_equal(cfg.eta_values, np.arange(1.0, 10.0))
     np.testing.assert_allclose(cfg.eta_cumsum,
                                np.arange(1.0, 10.0).cumsum(), rtol=0)
@@ -65,9 +65,9 @@ def test_default_schedule_and_tau():
 
 def test_schedule_from_callable_and_array():
     ball = ConstraintBall(2, 1.0)
-    cfg_callable = SrgdConfig(T=5, B=1, n=5, beta=10.0, ball=ball,
+    cfg_callable = SrgdConfig(T=5, beta=10.0, ball=ball,
                               eta=lambda t: float(t + 1))
-    cfg_array = SrgdConfig(T=5, B=1, n=5, beta=10.0, ball=ball,
+    cfg_array = SrgdConfig(T=5, beta=10.0, ball=ball,
                            eta=np.arange(1.0, 8.0))
     np.testing.assert_array_equal(cfg_callable.eta_values, cfg_array.eta_values)
 
@@ -75,22 +75,22 @@ def test_schedule_from_callable_and_array():
 def test_schedule_validation_errors():
     ball = ConstraintBall(2, 1.0)
     with pytest.raises(ValueError):
-        SrgdConfig(T=5, B=1, n=5, beta=10.0, ball=ball, eta=np.ones(3))
+        SrgdConfig(T=5, beta=10.0, ball=ball, eta=np.ones(3))
     with pytest.raises(ValueError):
-        SrgdConfig(T=3, B=1, n=3, beta=10.0, ball=ball,
+        SrgdConfig(T=3, beta=10.0, ball=ball,
                    eta=np.array([2.0, 1.0, 3.0, 4.0]))  # decreasing
     with pytest.raises(ValueError):
-        SrgdConfig(T=3, B=1, n=3, beta=10.0, ball=ball,
+        SrgdConfig(T=3, beta=10.0, ball=ball,
                    eta=np.array([1.0, 10.0, 11.0, 12.0]))  # grows too fast
     with pytest.raises(ValueError):
-        SrgdConfig(T=3, B=1, n=3, beta=10.0, ball=ball,
+        SrgdConfig(T=3, beta=10.0, ball=ball,
                    eta=np.array([0.0, 1.0, 2.0, 3.0]))  # nonpositive
     with pytest.raises(ValueError):
-        SrgdConfig(T=0, B=1, n=1, beta=10.0, ball=ball)
+        SrgdConfig(T=0, beta=10.0, ball=ball)
     with pytest.raises(ValueError):
-        SrgdConfig(T=3, B=1, n=3, beta=0.0, ball=ball)
+        SrgdConfig(T=3, beta=0.0, ball=ball)
     with pytest.raises(ValueError):
-        SrgdConfig(T=3, B=1, n=3, beta=1.0, ball=ball, sigma=-1.0)
+        SrgdConfig(T=3, beta=1.0, ball=ball, sigma=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_accelerated_runner_matches_reference_loop():
     problem = _quadratic()
     T, B = 12, 5
     batches = _batches(problem, T, B)
-    cfg = SrgdConfig(T=T, B=B, n=T * B, beta=2.0 * T,
+    cfg = SrgdConfig(T=T, beta=2.0 * T,
                      ball=ConstraintBall(problem.dim, 1.0), sigma=0.8, seed=9)
     rec = run_accelerated_dp_srgd(problem, iter(batches), cfg)
     ref = _reference_accelerated(problem, batches, cfg)
@@ -133,7 +133,7 @@ def test_tree_noise_equals_iterate_noise_substitution():
     problem = _quadratic()
     T, B = 14, 4
     batches = _batches(problem, T, B, seed=2)
-    cfg = SrgdConfig(T=T, B=B, n=T * B, beta=2.0 * T,
+    cfg = SrgdConfig(T=T, beta=2.0 * T,
                      ball=ConstraintBall(problem.dim, 1.0), sigma=1.1, seed=17)
     rec = run_accelerated_dp_srgd(problem, iter(batches), cfg)
 
@@ -157,7 +157,7 @@ def test_tree_noise_equals_iterate_noise_substitution():
     np.testing.assert_allclose(rec.final_x, y, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("clip", [0.5, None])
+@pytest.mark.parametrize("clip", [0.5, math.inf])
 def test_accelerated_train_loss_is_loss_at_each_iterate(clip):
     rng = np.random.default_rng(30)
     problem = LogisticTask(features=rng.standard_normal((60, 4)),
@@ -165,7 +165,7 @@ def test_accelerated_train_loss_is_loss_at_each_iterate(clip):
     T, B = 6, 10
     order = rng.permutation(60)
     batches = [order[t * B:(t + 1) * B] for t in range(T)]
-    cfg = SrgdConfig(T=T, B=B, n=60, beta=2.0 * problem.smoothness * T,
+    cfg = SrgdConfig(T=T, beta=2.0 * problem.smoothness * T,
                      ball=ConstraintBall(problem.dim, 1.0), sigma=0.5,
                      clip=clip, seed=31)
     rec = run_accelerated_dp_srgd(problem, iter(batches), cfg,
@@ -179,7 +179,7 @@ def test_independent_variant_matches_reference_loop():
     problem = _quadratic(seed=3)
     T, B = 10, 6
     batches = _batches(problem, T, B, seed=4)
-    cfg = SrgdConfig(T=T, B=B, n=T * B, beta=2.0 * T,
+    cfg = SrgdConfig(T=T, beta=2.0 * T,
                      ball=ConstraintBall(problem.dim, 1.0), sigma=0.3, seed=23)
     rec = run_independent_variant(problem, iter(batches), cfg)
 
@@ -202,7 +202,7 @@ def test_noiseless_full_batch_variants_coincide():
     problem = _quadratic(noise_scale=0.0, seed=5)
     T, B = 20, 8
     batch = problem.draw_batch(np.random.default_rng(6), B)
-    cfg = SrgdConfig(T=T, B=B, n=B, beta=2.0 * T,
+    cfg = SrgdConfig(T=T, beta=2.0 * T,
                      ball=ConstraintBall(problem.dim, 1.0), sigma=0.0)
     rec_tree = run_accelerated_dp_srgd(problem, (batch for _ in range(T)), cfg)
     rec_ind = run_independent_variant(problem, (batch for _ in range(T)), cfg)
@@ -216,7 +216,7 @@ def test_recursive_estimate_telescopes_to_population_gradient():
     problem = _quadratic(noise_scale=0.0, seed=7)
     T, B = 16, 4
     batch = problem.draw_batch(np.random.default_rng(8), B)
-    cfg = SrgdConfig(T=T, B=B, n=B, beta=2.0 * T,
+    cfg = SrgdConfig(T=T, beta=2.0 * T,
                      ball=ConstraintBall(problem.dim, 1.0), sigma=0.0)
     rec = run_accelerated_dp_srgd(problem, (batch for _ in range(T)), cfg)
     assert rec.q_norm is not None
@@ -227,7 +227,7 @@ def test_runner_records_iterates_and_potential():
     problem = _quadratic(noise_scale=0.0, target_norm=1.0, seed=9)
     T, B = 16, 4
     batch = problem.draw_batch(np.random.default_rng(10), B)
-    cfg = SrgdConfig(T=T, B=B, n=B, beta=2.0 * T,
+    cfg = SrgdConfig(T=T, beta=2.0 * T,
                      ball=ConstraintBall(problem.dim, 1.0), sigma=0.0)
     rec = run_accelerated_dp_srgd(problem, (batch for _ in range(T)), cfg,
                                   record_iterates=True)
@@ -269,7 +269,7 @@ def test_accelerated_runner_costs_two_evals_per_example():
                                  noise_scale=0.3, radius=1.0)
     T, B = 7, 5
     batches = _batches(problem, T, B, seed=12)
-    cfg = SrgdConfig(T=T, B=B, n=T * B, beta=2.0 * T,
+    cfg = SrgdConfig(T=T, beta=2.0 * T,
                      ball=ConstraintBall(4, 1.0))
     run_accelerated_dp_srgd(problem, iter(batches), cfg)
     assert problem.grad_rows == 2 * T * B
@@ -277,7 +277,7 @@ def test_accelerated_runner_costs_two_evals_per_example():
 
 def _memf_runner(srg):
     def run(problem, batches, T):
-        cfg = _memf_cfg(identity_strategy(T), batches_per_epoch=T // 2)
+        cfg = _memf_cfg(identity_strategy(2, T // 2))
         runner = run_dp_srg_memf if srg else run_dp_memf
         return runner(problem, batches[:T // 2], cfg)
     return run
@@ -288,17 +288,17 @@ def _memf_runner(srg):
 # T/2 batches for two epochs.
 _RUNNERS = {
     "accelerated_dp_srgd": lambda p, batches, T: run_accelerated_dp_srgd(
-        p, iter(batches), SrgdConfig(T=T, B=4, n=4 * T, beta=2.0 * T,
+        p, iter(batches), SrgdConfig(T=T, beta=2.0 * T,
                                      ball=ConstraintBall(p.dim, 1.0))),
     "independent_variant": lambda p, batches, T: run_independent_variant(
-        p, iter(batches), SrgdConfig(T=T, B=4, n=4 * T, beta=2.0 * T,
+        p, iter(batches), SrgdConfig(T=T, beta=2.0 * T,
                                      ball=ConstraintBall(p.dim, 1.0))),
     "unaccelerated_srgd": lambda p, batches, T: run_unaccelerated_srgd(
         p, iter(batches), 0.1, np.ones(T), T),
     "dp_sgd": lambda p, batches, T: run_dp_sgd(
         p, iter(batches), 0.1, 1.0, 0.0, None, T),
     "dp_ftrl": lambda p, batches, T: run_dp_ftrl(
-        p, iter(batches), 0.1, 1.0, identity_strategy(T), math.inf, None),
+        p, iter(batches), 0.1, 1.0, identity_strategy(1, T), math.inf, None),
     "dp_memf": _memf_runner(srg=False),
     "dp_srg_memf": _memf_runner(srg=True),
 }
@@ -354,6 +354,15 @@ def test_unaccelerated_custom_checkpoints_and_validation():
     with pytest.raises(ValueError):
         run_unaccelerated_srgd(problem, iter(batches), 0.05,
                                np.zeros(8), 8)  # nonpositive weights
+
+
+def test_unaccelerated_rejects_short_c_schedule_before_any_step():
+    problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
+                                 noise_scale=0.3, radius=1.0)
+    batches = _batches(problem, 5, 4, seed=17)
+    with pytest.raises(ValueError, match="at least T"):
+        run_unaccelerated_srgd(problem, iter(batches), 0.05, np.ones(3), 5)
+    assert problem.grad_rows == 0
 
 
 def test_unaccelerated_matches_reference_loop():
@@ -445,7 +454,7 @@ def test_identity_strategy_ftrl_equals_dp_sgd():
     rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, 1.0, sigma, ball, T,
                          seed=3)
     rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, 1.0,
-                           identity_strategy(T), rho, ball, seed=3)
+                           identity_strategy(1, T), rho, ball, seed=3)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
 
@@ -464,12 +473,12 @@ def test_dp_ftrl_noise_scales_with_clipped_mean_sensitivity(B, clip):
     rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, clip, sigma, ball, T,
                          seed=4)
     rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, clip,
-                           identity_strategy(T), rho, ball, seed=4)
+                           identity_strategy(1, T), rho, ball, seed=4)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     # an infinite budget releases no noise, even without clipping
     rec_free = run_dp_ftrl(problem, iter(batches), 0.1, math.inf,
-                           identity_strategy(T), math.inf, ball, seed=4)
+                           identity_strategy(1, T), math.inf, ball, seed=4)
     np.testing.assert_array_equal(rec_free.noise_norm, np.zeros(T))
 
 
@@ -500,36 +509,38 @@ def test_dp_ftrl_matches_reference_loop():
 
 
 def _memf_cfg(strategy, **kw):
-    base = dict(epochs=2, batches_per_epoch=5, batch_size=4,
-                strategy=strategy, rho=math.inf, c_clip=math.inf, lr=0.05,
+    base = dict(strategy=strategy, rho=math.inf, c_clip=math.inf, lr=0.05,
                 decay=0.0, momentum=0.9, seed=5)
     base.update(kw)
     return MemfConfig(**base)
 
 
 def test_memf_config_validation():
-    strat = identity_strategy(10)
+    strat = identity_strategy(2, 5)
     with pytest.raises(ValueError):
-        _memf_cfg(strat, epochs=0)
+        _memf_cfg(identity_strategy(0, 10))
     with pytest.raises(ValueError):
         _memf_cfg(strat, decay=1.5)
     with pytest.raises(ValueError):
         _memf_cfg(strat, momentum=1.0)
     with pytest.raises(ValueError):
         _memf_cfg(strat, rho=0.0)
-    with pytest.raises(ValueError):
-        _memf_cfg(identity_strategy(8))  # strategy covers wrong step count
+    problem = _quadratic(seed=24)
+    with pytest.raises(ValueError):  # strategy covers wrong step count
+        run_dp_memf(problem, _batches(problem, 5, 4), _memf_cfg(identity_strategy(2, 4)))
     with pytest.raises(ValueError):
         _memf_cfg(strat, rho=1.0, c_clip=math.inf)  # finite budget, no clip
 
 
 def test_memf_batch_mismatch_errors():
     problem = _quadratic(seed=24)
-    cfg = _memf_cfg(identity_strategy(10))
+    cfg = _memf_cfg(identity_strategy(2, 5))
     with pytest.raises(ValueError):
         run_dp_memf(problem, _batches(problem, 4, 4), cfg)  # wrong count
+    batches = _batches(problem, 5, 4)
+    batches[2] = batches[2][:3]
     with pytest.raises(ValueError):
-        run_dp_memf(problem, _batches(problem, 5, 3), cfg)  # wrong size
+        run_dp_memf(problem, batches, cfg)  # wrong size
 
 
 class _BatchOrderSpy(SyntheticQuadratic):
@@ -546,7 +557,7 @@ def test_memf_revisits_batches_in_fixed_order():
     problem = _BatchOrderSpy(dim=3, target=np.zeros(3), curvature=1.0,
                              noise_scale=0.5, radius=1.0)
     batches = _batches(problem, 5, 4, seed=25)
-    cfg = _memf_cfg(identity_strategy(10))
+    cfg = _memf_cfg(identity_strategy(2, 5))
     run_dp_memf(problem, batches, cfg)
     markers = [float(b[0, 0]) for b in batches]
     assert problem.seen == markers + markers  # two epochs, same order
@@ -555,7 +566,7 @@ def test_memf_revisits_batches_in_fixed_order():
 def test_zero_decay_recursion_equals_plain_memf():
     problem = _quadratic(seed=26)
     batches = _batches(problem, 5, 4, seed=27)
-    cfg = _memf_cfg(identity_strategy(10))
+    cfg = _memf_cfg(identity_strategy(2, 5))
     rec_plain = run_dp_memf(problem, batches, cfg)
     rec_srg = run_dp_srg_memf(problem, batches, cfg)
     np.testing.assert_array_equal(rec_plain.final_x, rec_srg.final_x)
@@ -566,9 +577,9 @@ def test_memf_noise_scales_with_clip_norm():
     problem = _quadratic(seed=28)
     batches = _batches(problem, 5, 4, seed=29)
     rec1 = run_dp_memf(problem, batches,
-                       _memf_cfg(identity_strategy(10), rho=1.0, c_clip=1.0))
+                       _memf_cfg(identity_strategy(2, 5), rho=1.0, c_clip=1.0))
     rec2 = run_dp_memf(problem, batches,
-                       _memf_cfg(identity_strategy(10), rho=1.0, c_clip=2.0))
+                       _memf_cfg(identity_strategy(2, 5), rho=1.0, c_clip=2.0))
     ratio = rec2.noise_norm / rec1.noise_norm
     np.testing.assert_allclose(ratio, 2.0, rtol=1e-12)
 
@@ -576,7 +587,7 @@ def test_memf_noise_scales_with_clip_norm():
 def test_infinite_budget_means_zero_noise():
     problem = _quadratic(seed=30)
     batches = _batches(problem, 5, 4, seed=31)
-    rec = run_dp_memf(problem, batches, _memf_cfg(identity_strategy(10)))
+    rec = run_dp_memf(problem, batches, _memf_cfg(identity_strategy(2, 5)))
     np.testing.assert_array_equal(rec.noise_norm, np.zeros(10))
 
 
@@ -601,9 +612,10 @@ def _reference_memf(problem, batches, cfg, recursive):
     x = np.zeros(problem.dim)
     prev, velocity, rec = x, x, x
     noise, grads = [], []
-    for s in range(cfg.epochs * cfg.batches_per_epoch):
-        batch = batches[s % cfg.batches_per_epoch]
-        w = next(rows) * (cfg.c_clip / cfg.batch_size)
+    k, b, B = cfg.strategy.k, cfg.strategy.b, len(batches[0])
+    for s in range(k * b):
+        batch = batches[s % b]
+        w = next(rows) * (cfg.c_clip / B)
         if recursive:
             c = cfg.decay if s > 0 else 0.0
             diffs = (problem.per_example_grads(x, batch)
