@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fact = sub.add_parser(
         "factorize", help="build and cache a strategy matrix")
     p_fact.add_argument("--workload", default="ones", choices=counting.WORKLOADS,
-                        help="workload the strategy is optimized for")
+                        help="workload the strategy is built for")
     p_fact.add_argument("--epochs", type=int, default=1,
                         help="number of passes over the batches")
     p_fact.add_argument("--batches", type=int, required=True,
@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="momentum weight for momentum workloads")
     p_fact.add_argument("--decay", type=float, default=1.0,
                         help="per-step decay for the momentum_decay workload")
-    p_fact.add_argument("--iterations", type=int, default=2000,
-                        help="optimizer iteration budget")
     p_fact.add_argument("--output", required=True,
                         help="path for the cached strategy file")
 
@@ -64,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_factorize(args) -> int:
     strategy = counting.build_strategy(args.workload, args.epochs, args.batches,
-                                       args.momentum, args.decay, args.iterations)
+                                       args.momentum, args.decay)
     counting.save_strategy(strategy, args.output)
     print(f"{args.workload} strategy for {args.epochs} x {args.batches} steps: "
           f"objective={strategy.objective:.6f} sens={strategy.sens:.6f} "

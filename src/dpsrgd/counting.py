@@ -9,8 +9,7 @@ Two mechanisms for releasing noisy prefix sums of a vector stream:
   white noise Z into C^{-1} Z rows.
 
 The tree is also exposed as an explicit (B, C) matrix factorization so both
-mechanisms can be compared on a single error axis, and as a square
-lower-triangular embedding used to seed the factorization optimizer.
+mechanisms can be compared on a single error axis.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg import solve_triangular, toeplitz
 
 __all__ = [
     "TreeState",
@@ -36,7 +34,6 @@ __all__ = [
     "mf_noise_stream",
     "tree_matrix_factorization",
     "tree_baseline_objective",
-    "tree_strategy_matrix",
     "column_group_sens",
     "save_strategy",
     "load_strategy",
@@ -264,6 +261,7 @@ class StrategyMatrix:
     decay: float
     sens: float
     objective: float
+    # always None: `factorize` is closed-form; perfbench/spans.py reads it
     converged: bool | None = None
 
     @property
@@ -277,44 +275,9 @@ class StrategyMatrix:
             raise ValueError("strategy diagonal must be strictly positive")
 
 
-def _tril_inv(c_mat: np.ndarray) -> np.ndarray:
-    """C^{-1} for lower-triangular C by LAPACK trtrs, called the way
-    `solve_triangular` calls it for a C-ordered C (on C^T: upper,
-    transposed), so the bits match, but without its per-call validation
-    and wrapper cost. Non-finite input raises ValueError as it does there.
-    """
-    if not np.isfinite(c_mat).all():
-        raise ValueError("array must not contain infs or NaNs")
-    c_inv, info = dtrtrs(c_mat.T, np.eye(c_mat.shape[0]), lower=0, trans=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed: trtrs info {info}")
-    return c_inv
-
-
 def _objective(workload: np.ndarray, c_mat: np.ndarray) -> float:
-    return float(np.linalg.norm(workload @ _tril_inv(c_mat)))
-
-
-def _project_feasible(c_mat: np.ndarray, k: int, b: int) -> np.ndarray:
-    """Rescale column groups violating the sensitivity constraint, then
-    scale the whole matrix up so the binding group sits exactly at 1.
-
-    The constraint is ||sum_{epoch i} C[:, i*b + j]|| <= 1, which equals
-    `column_group_sens` while the inner products within each group stay
-    nonnegative; `factorize` rescales its result if they do not.
-
-    Uniform upscaling strictly reduces ||W C^{-1}||_F, so the projection
-    never moves away from the optimum along the scale direction.
-    """
-    n = k * b
-    norms = np.linalg.norm(c_mat.reshape(n, k, b).sum(axis=1), axis=0)
-    over = norms > 1.0
-    # dividing by 1.0 leaves an entry's bits unchanged
-    out = (c_mat.reshape(n, k, b) / np.where(over, norms, 1.0)).reshape(n, n)
-    peak = float(np.max(np.where(over, 1.0, norms)))
-    if 0.0 < peak < 1.0:
-        out /= peak
-    return out
+    c_inv = solve_triangular(c_mat, np.eye(c_mat.shape[0]), lower=True)
+    return float(np.linalg.norm(workload @ c_inv))
 
 
 def tree_matrix_factorization(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,90 +319,47 @@ def tree_baseline_objective(workload: np.ndarray, k: int, b: int) -> float:
     return error_part * sens
 
 
-def tree_strategy_matrix(n: int) -> np.ndarray:
-    """Square lower-triangular embedding of the tree mechanism.
-
-    Choose C so that A C^{-1} Z has exactly the tree's prefix-noise
-    covariance: A C^{-1} = chol(B_dec B_dec^T), i.e. C = chol^{-1} A.
-    The result is not yet normalized to unit sensitivity.
-    """
-    b_dec, _ = tree_matrix_factorization(n)
-    cov = b_dec @ b_dec.T
-    chol = np.linalg.cholesky(cov)
-    prefix = np.tril(np.ones((n, n)))
-    return solve_triangular(chol, prefix, lower=True)
+def _sqrt_coefficients(w: np.ndarray) -> np.ndarray:
+    """Power-series square root r of w (r * r = w as sequences):
+    r_0 = sqrt(w_0), r_i = (w_i - sum_{j=1}^{i-1} r_j r_{i-j}) / (2 r_0)."""
+    r = np.empty_like(w)
+    r[0] = math.sqrt(w[0])
+    for i in range(1, w.shape[0]):
+        r[i] = (w[i] - r[1:i] @ r[i - 1:0:-1]) / (2.0 * r[0])
+    return r
 
 
-def factorize(workload: np.ndarray, k: int, b: int, iterations: int = 2000,
-              tol: float = 1e-8, kind: str | None = None,
+def factorize(workload: np.ndarray, k: int, b: int, kind: str | None = None,
               momentum: float = 0.0, decay: float = 1.0) -> StrategyMatrix:
-    """Minimize ||W C^{-1}||_F over lower-triangular C subject to the
-    column-group sensitivity constraint, by projected gradient descent with
-    backtracking line search.
+    """Banded square-root strategy for a lower-triangular Toeplitz W.
 
-    Starts from the square binary-tree embedding, accepts only trial
-    steps that lower the objective, and reports convergence once the
-    relative objective improvement stays below tol. Deterministic.
+    C is the Toeplitz matrix of the first b coefficients of the power-series
+    square root of W's first column (at k = 1 all of them, a root of W;
+    Fichtenberger et al., "Constant Matters", ICML 2023), divided by its
+    `column_group_sens`. With b bands an example's k columns sit on disjoint
+    rows, so the inner products within a group are 0 and the sound
+    multi-epoch sensitivity of the result is 1 (Kalinin & Lampert, "Banded
+    Square Root Matrix Factorization", NeurIPS 2024). Deterministic.
     """
     workload = np.asarray(workload, dtype=np.float64)
     n = k * b
     if workload.shape != (n, n):
         raise ValueError(f"workload shape {workload.shape} != ({n}, {n})")
-    if np.any(np.abs(np.triu(workload, 1)) > 0):
-        raise ValueError("workload must be lower-triangular")
+    w = workload[:, 0]
+    # entries built by matrix products differ along a diagonal by rounding
+    if not np.allclose(workload, toeplitz(w, np.zeros(n)), rtol=0,
+                       atol=1e-12 * np.abs(w).max()):
+        raise ValueError("workload must be lower-triangular Toeplitz")
+    if not w[0] > 0:
+        raise ValueError(f"workload diagonal must be positive, got {w[0]}")
 
-    c_mat = _project_feasible(tree_strategy_matrix(n), k, b)
-    c_inv = _tril_inv(c_mat)
-    obj = float(np.linalg.norm(workload @ c_inv))
-    wtw = workload.T @ workload
-    step = 1.0
-    stalled = 0
-    converged = False
-
-    for _ in range(iterations):
-        grad = -2.0 * c_inv.T @ wtw @ c_inv @ c_inv.T
-        grad = np.tril(grad)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
-            converged = True
-            break
-        improved = False
-        trial_step = step
-        for _ in range(40):
-            cand = _project_feasible(c_mat - trial_step * grad, k, b)
-            if np.all(np.diag(cand) > 1e-12):
-                cand_inv = _tril_inv(cand)
-                cand_obj = float(np.linalg.norm(workload @ cand_inv))
-                if cand_obj < obj:
-                    improved = True
-                    break
-            trial_step *= 0.5
-        if not improved:
-            converged = True
-            break
-        rel_gain = (obj - cand_obj) / obj
-        c_mat, c_inv, obj = cand, cand_inv, cand_obj
-        step = trial_step * 1.3
-        stalled = stalled + 1 if rel_gain < tol else 0
-        if stalled >= 5:
-            converged = True
-            break
-
-    # The projection bounds the norm of each group's column sum; scale down
-    # if negative inner products within a group push the sound sensitivity
-    # above it.
-    sens = column_group_sens(c_mat, k, b)
-    if sens > 1.0 + 1e-9:
-        c_mat = c_mat / sens
-        obj = _objective(workload, c_mat)
-        sens = column_group_sens(c_mat, k, b)
+    r = _sqrt_coefficients(w)
+    r[b:] = 0.0
+    c_mat = toeplitz(r, np.zeros(n))
+    c_mat /= column_group_sens(c_mat, k, b)
     if kind is None:
         kind = "ones" if np.array_equal(workload, np.tril(np.ones((n, n)))) else "custom"
-    return StrategyMatrix(
-        C=c_mat, workload=workload, kind=kind, k=k, b=b,
-        momentum=momentum, decay=decay, sens=sens,
-        objective=obj, converged=converged,
-    )
+    return strategy_from_matrix(c_mat, workload, k, b, kind, momentum, decay)
 
 
 def identity_strategy(k: int, b: int) -> StrategyMatrix:
@@ -448,7 +368,7 @@ def identity_strategy(k: int, b: int) -> StrategyMatrix:
     in have column-group sensitivity exactly 1 (C = I at k = 1)."""
     workload = build_workload("identity", k, b)
     return strategy_from_matrix(np.eye(k * b) / math.sqrt(k), workload, k, b,
-                                "identity", converged=True)
+                                "identity")
 
 
 def _workload_args(kind: str, momentum: float, decay: float) -> tuple[float, float]:
@@ -459,7 +379,7 @@ def _workload_args(kind: str, momentum: float, decay: float) -> tuple[float, flo
 
 
 def build_strategy(kind: str, k: int, b: int, momentum: float = 0.0,
-                   decay: float = 1.0, iterations: int = 2000) -> StrategyMatrix:
+                   decay: float = 1.0) -> StrategyMatrix:
     """The strategy for workload `kind` over k epochs of b steps: the
     identity strategy, or `factorize` of `build_workload`. Kinds that do
     not read momentum or decay record 0 and 1 for them."""
@@ -467,20 +387,18 @@ def build_strategy(kind: str, k: int, b: int, momentum: float = 0.0,
         return identity_strategy(k, b)
     momentum, decay = _workload_args(kind, momentum, decay)
     return factorize(build_workload(kind, k, b, momentum, decay), k, b,
-                     iterations=iterations, kind=kind, momentum=momentum,
-                     decay=decay)
+                     kind=kind, momentum=momentum, decay=decay)
 
 
 def strategy_from_matrix(c_mat: np.ndarray, workload: np.ndarray, k: int, b: int,
                          kind: str = "custom", momentum: float = 0.0,
-                         decay: float = 1.0,
-                         converged: bool | None = None) -> StrategyMatrix:
+                         decay: float = 1.0) -> StrategyMatrix:
     c_mat = np.asarray(c_mat, dtype=np.float64)
     return StrategyMatrix(
         C=c_mat, workload=np.asarray(workload, dtype=np.float64), kind=kind,
         k=k, b=b, momentum=momentum, decay=decay,
         sens=column_group_sens(c_mat, k, b),
-        objective=_objective(workload, c_mat), converged=converged,
+        objective=_objective(workload, c_mat),
     )
 
 
@@ -570,6 +488,8 @@ def load_strategy(path) -> StrategyMatrix:
     for i in range(n):
         c_mat[i, :i + 1] = body[pos:pos + i + 1]
         pos += i + 1
+    if kind_id >= len(_KINDS):
+        raise ValueError(f"unknown workload kind id {kind_id} in {path}")
     kind = _KINDS[kind_id]
     workload = build_workload(kind, k, b, momentum, decay)
     strategy = strategy_from_matrix(c_mat, workload, k, b, kind, momentum, decay)

@@ -549,10 +549,7 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
                                 "workload": spec.workload,
                                 "max_participation": str(participation)})
     if cache:  # dp_memf, dp_srg_memf, dp_ftrl: the strategies these runs used
-        strategies = cache.values()
-        table.header["strategy_converged"] = _format_value(
-            all(s.converged is not False for s in strategies))
-        table.header["strategy_sens"] = _format_value(max(s.sens for s in strategies))
+        table.header["strategy_sens"] = _format_value(max(s.sens for s in cache.values()))
     if spec.task == "synthetic" and spec.algorithm in (
             "accelerated_dp_srgd", "independent_variant") and math.isfinite(spec.epsilon):
         report, B, T = accounting.build_regime_report(

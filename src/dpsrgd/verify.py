@@ -313,7 +313,7 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    """The optimized strategy for the single-epoch prefix-sum workload
+    """The square-root strategy for the single-epoch prefix-sum workload
     beats the binary-tree factorization's objective at b = 8, 16, 32
     while staying within the unit sensitivity constraint."""
     def body():

@@ -14,7 +14,7 @@ def test_no_arguments_is_invalid(capsys):
 
 
 def test_factorize_writes_strategy(tmp_path, capsys):
-    out = tmp_path / "strat.npz"
+    out = tmp_path / "strat.bin"
     rc = main(["factorize", "--workload", "momentum", "--batches", "8",
                "--momentum", "0.5", "--output", str(out)])
     assert rc == 0
@@ -25,8 +25,18 @@ def test_factorize_writes_strategy(tmp_path, capsys):
     assert "objective=" in text and "sens=" in text
 
 
+def test_factorize_benchmark_momentum_decay_strategy(tmp_path):
+    out = tmp_path / "md.bin"
+    assert main(["factorize", "--workload", "momentum_decay", "--epochs", "2",
+                 "--batches", "40", "--momentum", "0.9", "--decay", "0.0821",
+                 "--output", str(out)]) == 0
+    strat = load_strategy(str(out))
+    assert (strat.kind, strat.k, strat.b) == ("momentum_decay", 2, 40)
+    assert strat.sens <= 1.0 + 1e-9
+
+
 def test_factorize_identity_workload(tmp_path):
-    out = tmp_path / "ident.npz"
+    out = tmp_path / "ident.bin"
     assert main(["factorize", "--workload", "identity", "--batches", "4",
                  "--output", str(out)]) == 0
     strat = load_strategy(str(out))

@@ -1,17 +1,15 @@
 """Binary-tree mechanism and matrix-factorization strategies: dyadic
-bookkeeping against brute-force oracles, noise covariance, optimizer
-quality, streams, and serialization."""
+bookkeeping against brute-force oracles, noise covariance, square-root
+strategy quality, streams, and serialization."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from dpsrgd.counting import (
     StrategyMatrix,
     TreeState,
-    _project_feasible,
     build_strategy,
     build_workload,
     calibrate_tree_sigma,
@@ -31,7 +29,6 @@ from dpsrgd.counting import (
     tree_ingest,
     tree_matrix_factorization,
     tree_prefix,
-    tree_strategy_matrix,
 )
 
 
@@ -274,16 +271,6 @@ def test_tree_factorization_reconstructs_prefix_matrix(n):
         assert b_dec[i - 1].sum() == len(prefix_nodes(i))
 
 
-def test_tree_strategy_matrix_has_tree_noise_covariance():
-    n = 8
-    b_dec, _ = tree_matrix_factorization(n)
-    c_tree = tree_strategy_matrix(n)
-    a = np.tril(np.ones((n, n)))
-    mapped = a @ np.linalg.inv(c_tree)
-    np.testing.assert_allclose(mapped @ mapped.T, b_dec @ b_dec.T,
-                               rtol=0, atol=1e-9)
-
-
 def test_tree_baseline_objective_closed_form():
     # ones workload, full horizon 2^m: error part is sqrt(sum of popcounts)
     # and sensitivity is sqrt(tree depth + 1)
@@ -295,7 +282,7 @@ def test_tree_baseline_objective_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# strategy optimization
+# square-root strategies
 
 
 def _objective_oracle(workload, c_mat):
@@ -322,19 +309,6 @@ def test_factorize_is_deterministic():
     assert s1.objective == s2.objective
 
 
-def test_factorize_two_step_case_near_brute_force_optimum():
-    # n=2 admits a cheap dense search over the feasible triangle entries
-    wl = build_workload("ones", 1, 2)
-    strat = factorize(wl, 1, 2)
-    best = np.inf
-    for theta in np.linspace(1e-3, math.pi / 2 - 1e-3, 400):
-        a, b = math.cos(theta), math.sin(theta)
-        for c in np.linspace(0.05, 1.0, 200):
-            cand = np.array([[a, 0.0], [b, c]])
-            best = min(best, _objective_oracle(wl, cand))
-    assert strat.objective <= best + 1e-3
-
-
 def test_factorize_beats_tree_baseline_on_momentum_workload():
     wl = build_workload("momentum", 2, 6, momentum=0.9)
     strat = factorize(wl, 2, 6, momentum=0.9)
@@ -342,108 +316,31 @@ def test_factorize_beats_tree_baseline_on_momentum_workload():
     assert strat.sens <= 1.0 + 1e-9
 
 
-def test_factorize_rescales_to_the_sound_sensitivity():
-    # after 100 iterations the projection's group-sum norms are at 1 but
-    # negative inner products put the sound sensitivity near 1.02
-    k, b = 2, 40
-    wl = build_workload("momentum_decay", k, b, 0.9, math.exp(-2.5))
-    strat = factorize(wl, k, b, iterations=100)
-    assert strat.sens == column_group_sens(strat.C, k, b)
-    assert strat.sens <= 1.0 + 1e-9
-    assert strat.objective == pytest.approx(_objective_oracle(wl, strat.C),
-                                            rel=1e-9)
-    sum_norms = np.linalg.norm(strat.C.reshape(k * b, k, b).sum(axis=1), axis=0)
-    assert sum_norms.max() < 0.99
-    strat.check()
-
-
-def _project_feasible_loop(c_mat, k, b):
-    out = c_mat.copy()
-    norms = np.linalg.norm(out.reshape(k * b, k, b).sum(axis=1), axis=0)
-    for j in range(b):
-        if norms[j] > 1.0:
-            out[:, j::b] /= norms[j]
-            norms[j] = 1.0
-    peak = float(np.max(norms))
-    if 0.0 < peak < 1.0:
-        out /= peak
-    return out
-
-
-def _factorize_loop(workload, k, b, iterations):
-    """Projected gradient descent with backtracking, one solve_triangular
-    per inverse: (best C, its objective, converged)."""
-    n = k * b
-    objective = lambda c: float(np.linalg.norm(
-        workload @ solve_triangular(c, np.eye(n), lower=True)))
-    c_mat = _project_feasible_loop(tree_strategy_matrix(n), k, b)
-    obj = objective(c_mat)
-    best_c, best_obj = c_mat.copy(), obj
-    wtw = workload.T @ workload
-    step, stalled = 1.0, 0
-    for _ in range(iterations):
-        c_inv = solve_triangular(c_mat, np.eye(n), lower=True)
-        grad = np.tril(-2.0 * c_inv.T @ wtw @ c_inv @ c_inv.T)
-        if float(np.linalg.norm(grad)) == 0.0:
-            return best_c, best_obj, True
-        trial_step = step
-        for _ in range(40):
-            cand = _project_feasible_loop(c_mat - trial_step * grad, k, b)
-            if np.all(np.diag(cand) > 1e-12):
-                cand_obj = objective(cand)
-                if cand_obj < obj:
-                    break
-            trial_step *= 0.5
-        else:
-            return best_c, best_obj, True
-        rel_gain = (obj - cand_obj) / obj
-        c_mat, obj = cand, cand_obj
-        step = trial_step * 1.3
-        if obj < best_obj:
-            best_c, best_obj = c_mat.copy(), obj
-        stalled = stalled + 1 if rel_gain < 1e-8 else 0
-        if stalled >= 5:
-            return best_c, best_obj, True
-    return best_c, best_obj, False
-
-
-@pytest.mark.parametrize("kind,k,b,momentum,iterations", [
-    ("momentum", 2, 6, 0.9, 40),
-    ("momentum", 2, 6, 0.9, 60),
-    ("ones", 1, 8, 0.0, 40),
-    ("ones", 1, 8, 0.0, 5),
+@pytest.mark.parametrize("kind,momentum,decay", [
+    ("ones", 0.0, 1.0),
+    ("momentum", 0.9, 1.0),
+    ("momentum_decay", 0.9, math.exp(-2.5)),
 ])
-def test_factorize_matches_reference_loop_bit_for_bit(kind, k, b, momentum,
-                                                      iterations):
-    wl = build_workload(kind, k, b, momentum=momentum)
-    strat = factorize(wl, k, b, iterations=iterations)
-    best_c, best_obj, converged = _factorize_loop(wl, k, b, iterations)
-    sens = column_group_sens(best_c, k, b)
-    if sens > 1.0 + 1e-9:  # the final rescale to the sound sensitivity
-        best_c = best_c / sens
-        best_obj = float(np.linalg.norm(
-            wl @ solve_triangular(best_c, np.eye(k * b), lower=True)))
-    np.testing.assert_array_equal(strat.C, best_c)
-    assert strat.objective == best_obj
-    assert strat.converged == converged
+def test_factorize_unbanded_root_squares_to_the_workload(kind, momentum, decay):
+    n = 120
+    wl = build_workload(kind, 1, n, momentum=momentum, decay=decay)
+    strat = factorize(wl, 1, n, kind=kind, momentum=momentum, decay=decay)
+    # C is the root R over its sensitivity; R's diagonal is sqrt(w_0)
+    root = strat.C * (math.sqrt(wl[0, 0]) / strat.C[0, 0])
+    assert np.linalg.norm(root @ root - wl) <= 1e-12 * np.linalg.norm(wl)
+    assert strat.sens == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_project_feasible_matches_group_loop(seed):
-    rng = np.random.default_rng(seed)
-    k, b = 3, 5
-    c_mat = np.tril(rng.standard_normal((k * b, k * b)))
-    norms = np.linalg.norm(c_mat.reshape(k * b, k, b).sum(axis=1), axis=0)
-    # groups 0 and 3 above 1, the rest below; then every group below 1
-    target = np.array([2.5, 0.4, 0.7, 1.5, 0.9])
-    mixed = c_mat * np.tile(target / norms, k)
-    below = mixed * 0.3
-    for mat in (mixed, below):
-        np.testing.assert_array_equal(_project_feasible(mat, k, b),
-                                      _project_feasible_loop(mat, k, b))
-    projected = _project_feasible(mixed, k, b)
-    sums = np.linalg.norm(projected.reshape(k * b, k, b).sum(axis=1), axis=0)
-    assert sums.max() == pytest.approx(1.0, rel=1e-12)
+@pytest.mark.parametrize("kind", ["ones", "momentum_decay"])
+def test_factorize_bands_put_an_examples_columns_on_disjoint_rows(kind):
+    k, b = 2, 40
+    wl = build_workload(kind, k, b, momentum=0.9, decay=math.exp(-2.5))
+    strat = factorize(wl, k, b)
+    for j in range(b):
+        assert strat.C[:, j] @ strat.C[:, j + b] == 0.0
+    assert np.count_nonzero(strat.C[:, 0]) == b
+    assert strat.sens == pytest.approx(1.0, abs=1e-12)
+    assert column_group_sens(strat.C, k, b) == strat.sens
 
 
 def test_factorize_input_validation():
@@ -451,6 +348,8 @@ def test_factorize_input_validation():
         factorize(np.ones((3, 3)), 1, 3)  # not lower-triangular
     with pytest.raises(ValueError):
         factorize(np.tril(np.ones((4, 4))), 1, 3)  # shape mismatch
+    with pytest.raises(ValueError):
+        factorize(np.tril(np.arange(1.0, 10.0).reshape(3, 3)), 1, 3)  # not Toeplitz
 
 
 def test_strategy_check_rejects_violations():
@@ -476,14 +375,13 @@ def test_identity_strategy():
 
 def test_build_strategy_reads_momentum_and_decay_only_where_the_workload_does():
     k, b = 2, 3
-    ones = build_strategy("ones", k, b, momentum=0.9, decay=0.5, iterations=50)
-    ref = factorize(build_workload("ones", k, b), k, b, iterations=50, kind="ones")
+    ones = build_strategy("ones", k, b, momentum=0.9, decay=0.5)
+    ref = factorize(build_workload("ones", k, b), k, b, kind="ones")
     np.testing.assert_array_equal(ones.C, ref.C)
     assert (ones.kind, ones.momentum, ones.decay) == ("ones", 0.0, 1.0)
-    mom = build_strategy("momentum", k, b, momentum=0.9, decay=0.5, iterations=50)
+    mom = build_strategy("momentum", k, b, momentum=0.9, decay=0.5)
     assert (mom.momentum, mom.decay) == (0.9, 1.0)
-    md = build_strategy("momentum_decay", k, b, momentum=0.9, decay=0.5,
-                        iterations=50)
+    md = build_strategy("momentum_decay", k, b, momentum=0.9, decay=0.5)
     np.testing.assert_array_equal(md.workload, build_workload(
         "momentum_decay", k, b, momentum=0.9, decay=0.5))
     assert (md.momentum, md.decay) == (0.9, 0.5)
@@ -558,20 +456,6 @@ def test_mf_noise_stream_edge_cases():
         next(mf_noise_stream(singular, 1.0, 3, 0))
 
 
-def test_tree_embedding_noise_variance_matches_tree_mechanism():
-    # prefix noise through the square embedding has the same per-step
-    # variance profile as the streaming tree: node count * sigma^2
-    n, d, seed = 8, 40000, 11
-    c_tree = tree_strategy_matrix(n)
-    strat = strategy_from_matrix(c_tree, build_workload("ones", 1, n), 1, n)
-    rho = 0.5  # z std = 1
-    rows = np.stack(list(mf_noise_stream(strat, rho, d, seed)))
-    prefix_noise = np.cumsum(rows, axis=0)
-    for i in range(1, n + 1):
-        expected = len(prefix_nodes(i))
-        assert prefix_noise[i - 1].var() == pytest.approx(expected, rel=0.05)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -611,3 +495,8 @@ def test_load_strategy_rejects_corruption(tmp_path):
     truncated.write_bytes(bytes(raw[:-8]))
     with pytest.raises(ValueError):
         load_strategy(truncated)
+
+    bad_kind = tmp_path / "bad_kind.bin"  # kind id is the header's 5th field
+    bad_kind.write_bytes(bytes(raw[:16]) + (9).to_bytes(4, "little") + bytes(raw[20:]))
+    with pytest.raises(ValueError, match="kind id 9"):
+        load_strategy(bad_kind)
