@@ -15,12 +15,10 @@ Layer map (each imports only from layers above it):
 """
 
 from .accounting import (
-    PrivacyBudget,
     RegimeReport,
     batch_and_beta,
     build_regime_report,
     clip_norm,
-    dim_check,
     gdp_to_dp,
     mu_for_dp,
     rho_for_dp,
@@ -34,7 +32,6 @@ from .counting import (
     build_strategy,
     build_workload,
     calibrate_tree_sigma,
-    covering_nodes,
     factorize,
     identity_strategy,
     load_strategy,
@@ -84,11 +81,11 @@ from .verify import CriterionResult, run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrivacyBudget", "RegimeReport", "batch_and_beta", "build_regime_report",
-    "clip_norm", "dim_check", "gdp_to_dp", "mu_for_dp", "rho_for_dp",
+    "RegimeReport", "batch_and_beta", "build_regime_report",
+    "clip_norm", "gdp_to_dp", "mu_for_dp", "rho_for_dp",
     "sensitivity_bound", "srgd_sigma", "zcdp_to_dp",
     "StrategyMatrix", "TreeState", "build_strategy", "build_workload",
-    "calibrate_tree_sigma", "covering_nodes", "factorize", "identity_strategy",
+    "calibrate_tree_sigma", "factorize", "identity_strategy",
     "load_strategy", "mf_noise_stream", "prefix_nodes", "save_strategy",
     "tree_baseline_objective", "tree_error_bound", "tree_ingest",
     "tree_prefix",

@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 from .counting import ceil_log2
 
 __all__ = [
-    "PrivacyBudget",
     "RegimeReport",
     "sensitivity_bound",
     "clip_norm",
     "srgd_sigma",
-    "dim_check",
     "batch_and_beta",
     "gdp_to_dp",
     "zcdp_to_dp",
@@ -26,34 +24,6 @@ __all__ = [
     "rho_for_dp",
     "build_regime_report",
 ]
-
-
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """(epsilon, delta) target with optional GDP/zCDP representations.
-
-    Conversions between representations are explicit operations; nothing
-    here converts implicitly.
-    """
-
-    epsilon: float
-    delta: float
-    mu: float | None = None
-    rho: float | None = None
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
-
-    def with_mu(self) -> "PrivacyBudget":
-        return PrivacyBudget(self.epsilon, self.delta,
-                             mu=mu_for_dp(self.epsilon, self.delta), rho=self.rho)
-
-    def with_rho(self) -> "PrivacyBudget":
-        return PrivacyBudget(self.epsilon, self.delta, mu=self.mu,
-                             rho=rho_for_dp(self.epsilon, self.delta))
 
 
 def sensitivity_bound(L: float, M: float, R_diam: float, b_max: float) -> float:
@@ -92,16 +62,6 @@ def dim_max(B: int, beta: float, eps: float, delta: float, M: float, T: int) -> 
     denom = 128.0 * M**2 * math.log(T)**3 * math.log(4.0 * T / delta) \
         * math.log(2.5 / delta)
     return (B * beta * eps)**2 / denom
-
-
-def dim_check(d: int, B: int, beta: float, eps: float, delta: float, M: float,
-              T: int) -> bool:
-    """True iff dimension d is within the regime bound (non-strict).
-
-    A failing check does not stop a run; the run proceeds flagged as
-    having a formally void DP utility claim.
-    """
-    return d <= dim_max(B, beta, eps, delta, M, T)
 
 
 def batch_and_beta(n: int, L: float, M: float, R_diam: float, eps: float,

@@ -3,7 +3,7 @@
 Two mechanisms for releasing noisy prefix sums of a vector stream:
 
 * a dyadic-interval (binary tree) mechanism with per-node Gaussian noise,
-  streamed one step at a time, and
+  streamed one step at a time in O(dim * log T) memory, and
 * matrix-factorization correlated noise, where a lower-triangular strategy
   matrix C (with bounded column-group sensitivity across epochs) shapes
   white noise Z into C^{-1} Z rows.
@@ -46,36 +46,12 @@ def ceil_log2(t: int) -> int:
     return (t - 1).bit_length()
 
 
-def covering_nodes(i: int, depth: int) -> list[tuple[int, int]]:
-    """Materialized tree nodes (j, k) whose dyadic interval contains step i.
-
-    Node (j, k) covers steps ((j-1)*2^k, j*2^k]; only odd j is kept because
-    prefix decompositions never read an even-indexed interval.
-    """
-    nodes = []
-    for k in range(depth + 1):
-        j = -(-i // (1 << k))  # ceil(i / 2^k)
-        if j % 2 == 1:
-            nodes.append((j, k))
-    return nodes
-
-
-def _tree_nodes(n: int) -> list[tuple[int, int]]:
-    """Every materialized (odd-j) node of the tree over steps 1..n, ordered
-    by level k and then index j: the row order of the node sums, the node
-    noise and C_node."""
-    nodes = []
-    for k in range(ceil_log2(n) + 1):
-        j_max = (n - 1) // (1 << k) + 1
-        nodes.extend((j, k) for j in range(1, j_max + 1, 2))
-    return nodes
-
-
 def prefix_nodes(i: int) -> list[tuple[int, int]]:
     """Greedy left-to-right dyadic decomposition of the prefix [1, i].
 
-    The number of intervals equals popcount(i); every interval index j is
-    odd. Example: i=7 decomposes into (1,2), (3,1), (7,0).
+    Node (j, k) covers steps ((j-1)*2^k, j*2^k]. The number of intervals
+    equals popcount(i); every interval index j is odd. Example: i=7
+    decomposes into (1,2), (3,1), (7,0).
     """
     nodes = []
     start, remaining = 0, i
@@ -92,11 +68,13 @@ def prefix_nodes(i: int) -> list[tuple[int, int]]:
 class TreeState:
     """Streaming binary tree over a horizon of `horizon` steps of
     `dim`-dimensional vectors, with i.i.d. N(0, sigma^2) noise per node
-    coordinate.
+    coordinate (Dwork et al., STOC 2010; Chan, Shi, Song, 2011).
 
-    All node noise is materialized up front from the seed in a fixed
-    (level, index) order, so a node's noise is a function of (seed, j, k)
-    alone and does not depend on how far ingestion has progressed.
+    The state is the exact running total and a stack of (k, noise) for the
+    nodes of `prefix_nodes(ingested)`, at most ceil(log2 T) + 1 rows. Step i
+    draws the noise of node (j, k) with j * 2^k = i as the i-th row of the
+    seed's generator, so a node's noise is a function of (seed, j, k) alone
+    and depends on neither the horizon nor the data.
     """
 
     horizon: int
@@ -104,30 +82,22 @@ class TreeState:
     sigma: float = 0.0
     seed: int = 0
     ingested: int = field(init=False, default=0)
+    total: np.ndarray = field(init=False, repr=False)
+    stack: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        self.depth = ceil_log2(self.horizon)
-        self.nodes = nodes = _tree_nodes(self.horizon)
-        self._node_index = {jk: r for r, jk in enumerate(nodes)}
-        self._sums = np.zeros((len(nodes), self.dim))
-        if self.sigma > 0:
-            rng = np.random.default_rng(self.seed)
-            self._noise = self.sigma * rng.standard_normal((len(nodes), self.dim))
-        else:
-            self._noise = np.zeros((len(nodes), self.dim))
-
-    def node_sum(self, j: int, k: int) -> np.ndarray:
-        """Noisy partial sum s_{j,k} (interval sum plus node noise)."""
-        r = self._node_index[(j, k)]
-        return self._sums[r] + self._noise[r]
+        self.total = np.zeros(self.dim)
+        self.stack = []
+        self._rng = np.random.default_rng(self.seed)
 
 
 def tree_ingest(state: TreeState, i: int, delta: np.ndarray) -> TreeState:
-    """Add step i's vector into every node covering step i.
+    """Add step i's vector to the running total and open node (j, k) with
+    j * 2^k = i, which replaces the prefix's nodes below level k.
 
     Steps must arrive in order 1, 2, ..., horizon.
     """
@@ -140,25 +110,30 @@ def tree_ingest(state: TreeState, i: int, delta: np.ndarray) -> TreeState:
         raise ValueError(f"delta shape {delta.shape} != ({state.dim},)")
     if not np.all(np.isfinite(delta)):
         raise ValueError(f"non-finite delta at step {i}")
-    for jk in covering_nodes(i, state.depth):
-        state._sums[state._node_index[jk]] += delta
+    state.total += delta
+    k = (i & -i).bit_length() - 1
+    while state.stack and state.stack[-1][0] < k:
+        state.stack.pop()
+    noise = (state.sigma * state._rng.standard_normal(state.dim) if state.sigma > 0
+             else np.zeros(state.dim))
+    state.stack.append((k, noise))
     state.ingested = i
     return state
 
 
 def tree_prefix(state: TreeState, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy estimate of the prefix sum through step i.
+    """Noisy estimate of the prefix sum through the last ingested step i.
 
     Returns (estimate, noise_only):  estimate = exact prefix + noise_only,
-    where noise_only is the sum of the noises of the (at most popcount(i))
-    nodes in the dyadic decomposition. The estimate is unbiased.
+    where noise_only is the sum of the noises of the popcount(i) nodes in
+    the dyadic decomposition. The estimate is unbiased.
     """
-    if not 1 <= i <= state.ingested:
-        raise ValueError(f"prefix step {i} not ingested yet (have {state.ingested})")
-    rows = [state._node_index[jk] for jk in prefix_nodes(i)]
-    estimate = state._sums[rows].sum(axis=0) + state._noise[rows].sum(axis=0)
-    noise_only = state._noise[rows].sum(axis=0)
-    return estimate, noise_only
+    if i != state.ingested:
+        raise ValueError(f"prefix step {i} is not the last ingested step {state.ingested}")
+    noise_only = np.zeros(state.dim)
+    for _, noise in state.stack:
+        noise_only += noise
+    return state.total + noise_only, noise_only
 
 
 def calibrate_tree_sigma(c_clip: float, mu: float, horizon: int) -> float:
@@ -284,16 +259,16 @@ def tree_matrix_factorization(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The binary tree mechanism as prefix = B_dec @ C_node factorization.
 
     C_node rows are node membership indicators over steps 1..n (one row per
-    materialized odd node); B_dec rows select each prefix's dyadic
-    decomposition. B_dec @ C_node equals the lower-triangular all-ones A.
+    odd node, ordered by level k and then index j); B_dec rows select each
+    prefix's dyadic decomposition. B_dec @ C_node equals the
+    lower-triangular all-ones A.
     """
-    depth = ceil_log2(n)
-    nodes = _tree_nodes(n)
+    nodes = [(j, k) for k in range(ceil_log2(n) + 1)
+             for j in range(1, (n - 1) // (1 << k) + 2, 2)]
     index = {jk: r for r, jk in enumerate(nodes)}
     c_node = np.zeros((len(nodes), n))
-    for i in range(1, n + 1):
-        for jk in covering_nodes(i, depth):
-            c_node[index[jk], i - 1] = 1.0
+    for r, (j, k) in enumerate(nodes):
+        c_node[r, (j - 1) << k:min(j << k, n)] = 1.0
     b_dec = np.zeros((n, len(nodes)))
     for i in range(1, n + 1):
         for jk in prefix_nodes(i):
@@ -458,7 +433,13 @@ _HEADER = struct.Struct("<4sIIIIdd")
 
 def save_strategy(strategy: StrategyMatrix, path) -> None:
     """Flat binary layout: header (magic, kb, k, b, kind, momentum, decay)
-    followed by the row-major float64 lower triangle of C."""
+    followed by the row-major float64 lower triangle of C. The file does not
+    store the workload, so raises ValueError unless `build_workload` rebuilds
+    it from the header's fields."""
+    if not np.array_equal(strategy.workload, build_workload(
+            strategy.kind, strategy.k, strategy.b, strategy.momentum, strategy.decay)):
+        raise ValueError(f"{strategy.kind!r} strategy's workload is not the one "
+                         f"build_workload rebuilds from its header")
     n = strategy.steps
     tri = np.concatenate([strategy.C[i, :i + 1] for i in range(n)])
     header = _HEADER.pack(_MAGIC, n, strategy.k, strategy.b,
@@ -474,6 +455,8 @@ def load_strategy(path) -> StrategyMatrix:
     sensitivity bound or has a non-positive diagonal."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise ValueError(f"truncated header: {len(raw)} of {_HEADER.size} bytes in {path}")
         magic, n, k, b, kind_id, momentum, decay = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise ValueError(f"bad magic {magic!r} in {path}")

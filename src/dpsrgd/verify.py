@@ -263,7 +263,6 @@ def criterion_5() -> CriterionResult:
         worst = 0.0
         for i in range(1, T + 1):
             tree_ingest(state, i, zero)
-        for i in range(1, T + 1):
             _, noise = tree_prefix(state, i)
             means = noise.reshape(trials, d).mean(axis=0)
             se = sigma * math.sqrt(len(prefix_nodes(i))) / math.sqrt(trials)

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from dpsrgd.accounting import (
-    PrivacyBudget,
     batch_and_beta,
     build_regime_report,
     clip_norm,
-    dim_check,
     dim_max,
     gdp_to_dp,
     mu_for_dp,
@@ -129,26 +127,11 @@ def test_domain_errors():
         batch_and_beta(3, 1, 1, 1, 1.0, 1e-6, 1)
 
 
-def test_privacy_budget_representations():
-    budget = PrivacyBudget(1.0, 1e-6)
-    with_mu = budget.with_mu()
-    with_rho = budget.with_rho()
-    assert gdp_to_dp(with_mu.mu, 1e-6) == pytest.approx(1.0, rel=1e-12)
-    assert zcdp_to_dp(with_rho.rho, 1e-6) == pytest.approx(1.0, rel=1e-10)
-    with pytest.raises(ValueError):
-        PrivacyBudget(-1.0, 1e-6)
-    with pytest.raises(ValueError):
-        PrivacyBudget(1.0, 2.0)
-
-
 # ---------------------------------------------------------------------------
 # dimension gate and regime report
 
 
-def test_dim_check_boundary():
-    cap = dim_max(100, 50.0, 1.0, 1e-6, 1.0, 64)
-    assert dim_check(int(cap), 100, 50.0, 1.0, 1e-6, 1.0, 64)
-    assert not dim_check(int(cap) + 1, 100, 50.0, 1.0, 1e-6, 1.0, 64)
+def test_dim_max_is_unbounded_without_smoothness():
     assert math.isinf(dim_max(100, 50.0, 1.0, 1e-6, 0.0, 64))
 
 

@@ -15,7 +15,6 @@ from dpsrgd.counting import (
     calibrate_tree_sigma,
     ceil_log2,
     column_group_sens,
-    covering_nodes,
     factorize,
     forward_substitution_rows,
     identity_strategy,
@@ -57,30 +56,6 @@ def test_prefix_nodes_partition_the_prefix(horizon):
         assert len(prefix_nodes(i)) == bin(i).count("1")
 
 
-@pytest.mark.parametrize("horizon", [6, 16])
-def test_covering_nodes_are_exactly_the_ancestors(horizon):
-    depth = ceil_log2(horizon)
-    # brute force: all odd-j nodes within the horizon whose interval holds i
-    nodes = []
-    for k in range(depth + 1):
-        j_max = (horizon - 1) // (1 << k) + 1
-        nodes.extend((j, k) for j in range(1, j_max + 1, 2))
-    for i in range(1, horizon + 1):
-        expected = sorted(jk for jk in nodes if i in _interval(*jk))
-        assert sorted(covering_nodes(i, depth)) == expected
-
-
-def test_prefix_nodes_are_materialized_odd_nodes():
-    # every node a prefix query touches must be one the stream maintains
-    horizon = 16
-    depth = ceil_log2(horizon)
-    materialized = set()
-    for i in range(1, horizon + 1):
-        materialized.update(covering_nodes(i, depth))
-    for i in range(1, horizon + 1):
-        assert set(prefix_nodes(i)) <= materialized
-
-
 # ---------------------------------------------------------------------------
 # streaming tree state
 
@@ -98,29 +73,53 @@ def test_noiseless_tree_reproduces_exact_prefix_sums():
         np.testing.assert_array_equal(noise, np.zeros(d))
 
 
+def _node_noise_oracle(sigma, seed, horizon, dim):
+    """Node (j, k)'s noise: sigma times row j*2^k - 1 of the seed's draws."""
+    rows = sigma * np.random.default_rng(seed).standard_normal((horizon, dim))
+    return lambda j, k: rows[(j << k) - 1]
+
+
 def test_noisy_tree_error_is_sum_of_node_noises():
     rng = np.random.default_rng(1)
     T, d = 8, 2
     deltas = rng.standard_normal((T, d))
     state = TreeState(T, d, sigma=1.5, seed=42)
+    node_noise = _node_noise_oracle(1.5, 42, T, d)
     for i in range(1, T + 1):
         tree_ingest(state, i, deltas[i - 1])
-    for i in range(1, T + 1):
         estimate, noise = tree_prefix(state, i)
         np.testing.assert_allclose(estimate - noise, deltas[:i].sum(axis=0),
                                    rtol=0, atol=1e-12)
-        expected_noise = sum(state._noise[state._node_index[jk]]
-                             for jk in prefix_nodes(i))
+        expected_noise = sum(node_noise(*jk) for jk in prefix_nodes(i))
         np.testing.assert_allclose(noise, expected_noise, rtol=0, atol=1e-12)
 
 
 def test_node_noise_is_independent_of_ingestion_progress():
-    a = TreeState(8, 2, sigma=1.0, seed=7)
-    b = TreeState(8, 2, sigma=1.0, seed=7)
-    tree_ingest(b, 1, np.ones(2))
-    np.testing.assert_array_equal(a._noise, b._noise)
-    np.testing.assert_allclose(a.node_sum(1, 0), b.node_sum(1, 0) - np.ones(2),
-                               rtol=0, atol=1e-12)
+    # one oracle for every horizon: a node's noise depends on (seed, j, k)
+    # alone, not on the horizon, the data, or how far the stream has run
+    d, sigma, seed = 2, 1.0, 7
+    node_noise = _node_noise_oracle(sigma, seed, 13, d)
+    for horizon in (5, 8, 13):
+        deltas = np.random.default_rng(horizon).standard_normal((horizon, d)) + 1.0
+        state = TreeState(horizon, d, sigma=sigma, seed=seed)
+        for i in range(1, horizon + 1):
+            tree_ingest(state, i, deltas[i - 1])
+            estimate, noise = tree_prefix(state, i)
+            expected_noise = sum(node_noise(*jk) for jk in prefix_nodes(i))
+            np.testing.assert_allclose(noise, expected_noise, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(estimate - noise, deltas[:i].sum(axis=0),
+                                       rtol=0, atol=1e-12)
+
+
+def test_tree_state_holds_only_the_prefix_nodes():
+    T, d = 13, 3
+    state = TreeState(T, d, sigma=1.0, seed=3)
+    for i in range(1, T + 1):
+        tree_ingest(state, i, np.ones(d))
+        assert len(state.stack) == bin(i).count("1") <= ceil_log2(T) + 1
+        assert [k for k, _ in state.stack] == [k for _, k in prefix_nodes(i)]
+        with pytest.raises(ValueError):
+            tree_prefix(state, i - 1)
 
 
 def test_tree_ingest_order_and_shape_errors():
@@ -155,7 +154,6 @@ def test_tree_prefix_noise_variance_matches_node_count():
     zero = np.zeros(trials)
     for i in range(1, T + 1):
         tree_ingest(state, i, zero)
-    for i in range(1, T + 1):
         _, noise = tree_prefix(state, i)
         expected = len(prefix_nodes(i)) * sigma**2
         assert noise.var() == pytest.approx(expected, rel=0.05)
@@ -479,6 +477,17 @@ def test_strategy_round_trip(tmp_path, kind, k, b, momentum, decay):
     assert loaded.objective == pytest.approx(strat.objective, rel=1e-9)
 
 
+def test_save_strategy_rejects_a_workload_the_header_cannot_rebuild(tmp_path):
+    # without a kind, a momentum workload is labelled custom, which loads
+    # back as the all-ones prefix
+    strat = factorize(build_workload("momentum", 1, 8, 0.9), 1, 8)
+    assert strat.kind == "custom"
+    path = tmp_path / "custom.bin"
+    with pytest.raises(ValueError, match="workload"):
+        save_strategy(strat, path)
+    assert not path.exists()
+
+
 def test_load_strategy_rejects_corruption(tmp_path):
     wl = build_workload("ones", 1, 4)
     strat = factorize(wl, 1, 4)
@@ -495,6 +504,11 @@ def test_load_strategy_rejects_corruption(tmp_path):
     truncated.write_bytes(bytes(raw[:-8]))
     with pytest.raises(ValueError):
         load_strategy(truncated)
+
+    short_header = tmp_path / "short_header.bin"
+    short_header.write_bytes(bytes(raw[:20]))
+    with pytest.raises(ValueError, match="header"):
+        load_strategy(short_header)
 
     bad_kind = tmp_path / "bad_kind.bin"  # kind id is the header's 5th field
     bad_kind.write_bytes(bytes(raw[:16]) + (9).to_bytes(4, "little") + bytes(raw[20:]))

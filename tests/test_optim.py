@@ -138,8 +138,6 @@ def test_tree_noise_equals_iterate_noise_substitution():
     rec = run_accelerated_dp_srgd(problem, iter(batches), cfg)
 
     mirror = TreeState(cfg.T, problem.dim, sigma=cfg.sigma, seed=cfg.seed)
-    for i in range(1, T + 1):
-        tree_ingest(mirror, i, np.zeros(problem.dim))
     eta, tau = cfg.eta_values, cfg.tau
     x = np.zeros(problem.dim)
     y, z, prev = x, x, x
@@ -147,6 +145,7 @@ def test_tree_noise_equals_iterate_noise_substitution():
     for t, batch in enumerate(batches):
         w_prev = eta[t - 1] if t > 0 else 0.0
         clean_sum = clean_sum + problem.srg_mean(x, prev, eta[t], w_prev, batch)[0]
+        tree_ingest(mirror, t + 1, np.zeros(problem.dim))
         _, xi = tree_prefix(mirror, t + 1)
         b_t = -xi / cfg.beta
         grad_clean = clean_sum / eta[t]
