@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConstraintBall", "project_ball", "clip", "interpolate"]
+__all__ = ["ConstraintBall", "project_ball", "clip", "check_clip", "interpolate"]
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,20 @@ def project_ball(v: np.ndarray, ball: ConstraintBall) -> np.ndarray:
     return v * (ball.radius / norm)
 
 
+def check_clip(c_clip: float) -> None:
+    """Raise ValueError unless c_clip is a threshold in [0, inf]. A negative
+    one would flip every clipped vector; NaN would silently skip clipping."""
+    if not c_clip >= 0:
+        raise ValueError(f"clip threshold must be nonnegative, got {c_clip}")
+
+
 def clip(v: np.ndarray, c_clip: float) -> np.ndarray:
     """Rescale v to norm at most c_clip: v * min(1, c_clip / ||v||).
 
     The zero vector is returned unchanged. c_clip = inf disables clipping.
     """
     v = _as_vector(v, "v")
-    if c_clip < 0:
-        raise ValueError(f"clip threshold must be nonnegative, got {c_clip}")
+    check_clip(c_clip)
     norm = float(np.linalg.norm(v))
     if norm <= c_clip or norm == 0.0:
         return v.copy()
@@ -90,6 +96,7 @@ def clip_rows(mat: np.ndarray, c_clip: float) -> np.ndarray:
     """Row-wise norm clipping for a (k, dim) batch of vectors. Rows whose
     sum of squares overflows are clipped like `clip` does, not zeroed."""
     mat = np.asarray(mat, dtype=np.float64)
+    check_clip(c_clip)
     if not np.isfinite(c_clip):
         return mat.copy()
     norms = np.linalg.norm(mat, axis=1)

@@ -108,6 +108,12 @@ class ExperimentSpec:
         for name in ("lr_grid", "clip_grid", "c_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
+        if not all(0 < lr < math.inf for lr in self.lr_grid):
+            raise ValueError("lr_grid entries must be positive and finite, "
+                             f"got {self.lr_grid}")
+        if not all(clip >= 0 for clip in self.clip_grid):
+            raise ValueError("clip_grid entries must be nonnegative (inf disables "
+                             f"clipping), got {self.clip_grid}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta < 1:

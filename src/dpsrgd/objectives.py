@@ -3,7 +3,9 @@
 Two concrete tasks are provided. SyntheticQuadratic has a known population
 minimizer, so excess risk and population gradients are exact; it backs the
 convergence and sensitivity checks. LogisticTask is multiclass softmax
-regression over fixed feature/label arrays with a held-out split.
+regression over fixed feature/label arrays with a held-out split; it runs
+one logits matmul per batch, for both evaluation points of `srg_mean`, and
+one over the held-out set for a finished run's loss and accuracy.
 
 A "batch" is whatever the problem's per-example methods accept:
 an (m, dim) array of example vectors for the synthetic task, an integer
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import clip_rows
+from .geometry import check_clip, clip_rows
 
 __all__ = [
     "LossProblem",
@@ -65,6 +67,12 @@ class LossProblem:
         """Excess population risk when the optimum is known, otherwise the
         held-out average loss."""
         raise NotImplementedError
+
+    def excess_and_accuracy(self, x: np.ndarray) -> tuple[float, float | None]:
+        """(population_excess(x), held-out accuracy in percent): the figures
+        a finished run reports. Accuracy is None for a task without one; a
+        task with both may compute them in one pass over the held-out set."""
+        return self.population_excess(x), None
 
     # Diagnostics; None when the quantity is not analytically available.
     def exact_optimum(self):
@@ -160,8 +168,9 @@ class LogisticTask(LossProblem):
     clipped-mean hooks exploit: the clip scale only needs ||softmax_err|| *
     ||phi|| per example (the ||phi|| are computed once, at construction),
     and the clipped mean is a single weighted matmul. Each hook call gathers
-    the batch's feature rows once and runs one logits matmul per evaluation
-    point, which yields both the softmax error and the train loss.
+    the batch's feature rows once and runs one logits matmul per batch:
+    `srg_mean` stacks the weights of its two evaluation points, so a single
+    GEMM yields both softmax errors and the train loss.
     """
 
     features: np.ndarray
@@ -172,24 +181,35 @@ class LogisticTask(LossProblem):
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features/labels shape mismatch")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise ValueError("labels out of range")
+        self.labels = self._checked_labels(self.features, self.labels, "")
         self.n_features = self.features.shape[1]
         self.dim = self.num_classes * self.n_features
         # per-row feature norms, kept for the clip scale of the gradient hooks
         self.feature_norms = np.linalg.norm(self.features, axis=1)
         max_row = float(np.max(self.feature_norms))
+        if (self.eval_features is None) != (self.eval_labels is None):
+            raise ValueError("eval_features and eval_labels must be given together")
         if self.eval_features is not None:
             self.eval_features = np.asarray(self.eval_features, dtype=np.float64)
-            self.eval_labels = np.asarray(self.eval_labels, dtype=np.int64)
+            self.eval_labels = self._checked_labels(self.eval_features,
+                                                    self.eval_labels, "eval ")
+            if self.eval_features.shape[1] != self.n_features:
+                raise ValueError(f"eval features have {self.eval_features.shape[1]} "
+                                 f"columns, train features {self.n_features}")
             max_row = max(max_row, float(np.max(np.linalg.norm(self.eval_features, axis=1))))
         # softmax error vector has norm at most sqrt(2); logit Hessian
         # spectral norm at most 1/2
         self.lipschitz = np.sqrt(2.0) * max_row
         self.smoothness = 0.5 * max_row**2
+
+    def _checked_labels(self, features, labels, split: str) -> np.ndarray:
+        labels = np.asarray(labels, dtype=np.int64)
+        if (features.ndim != 2 or labels.ndim != 1
+                or features.shape[0] != labels.shape[0]):
+            raise ValueError(f"{split}features/labels shape mismatch")
+        if labels.min() < 0 or labels.max() >= self.num_classes:
+            raise ValueError(f"{split}labels out of range")
+        return labels
 
     @property
     def n_train(self) -> int:
@@ -198,48 +218,68 @@ class LogisticTask(LossProblem):
     def _weights(self, x) -> np.ndarray:
         return np.asarray(x).reshape(self.num_classes, self.n_features)
 
-    def _forward(self, x, phi, labels) -> tuple[np.ndarray, np.ndarray]:
-        """softmax(W phi) - onehot(y), shape (m, K), and the per-example
-        cross-entropy, shape (m,), from one logits matmul."""
-        logits = phi @ self._weights(x).T
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        total = e.sum(axis=1, keepdims=True)
-        rows = np.arange(len(labels))
-        loss = -(shifted - np.log(total))[rows, labels]
-        err = e / total
-        err[rows, labels] -= 1.0
-        return err, loss
+    def _heldout(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.eval_features is None:
+            return self.features, self.labels
+        return self.eval_features, self.eval_labels
+
+    @staticmethod
+    def _exp_shifted(z, labels) -> tuple[np.ndarray, np.ndarray]:
+        """In place on logits z, shape (m, P, K): subtract each row's max
+        and exponentiate. Returns the cross-entropy at the labels, shape
+        (m, P), and the row totals of exp, shape (m, P, 1)."""
+        z -= z.max(axis=2, keepdims=True)
+        at_label = z[np.arange(len(labels)), :, labels]
+        np.exp(z, out=z)
+        total = z.sum(axis=2, keepdims=True)
+        return -(at_label - np.log(total[..., 0])), total
+
+    def _forward(self, phi, labels, *xs) -> tuple[np.ndarray, np.ndarray]:
+        """softmax(W phi) - onehot(y), shape (m, P, K), and the per-example
+        cross-entropy, shape (m, P), at each of the P points xs, from one
+        logits matmul against their stacked (P*K, p) weights."""
+        w = np.concatenate([self._weights(x) for x in xs])
+        z = (phi @ w.T).reshape(len(labels), len(xs), self.num_classes)
+        del w
+        loss, total = self._exp_shifted(z, labels)
+        z /= total
+        z[np.arange(len(labels)), :, labels] -= 1.0
+        return z, loss
 
     def per_example_values(self, x, batch) -> np.ndarray:
         idx = np.asarray(batch)
-        return self._forward(x, self.features[idx], self.labels[idx])[1]
+        return self._forward(self.features[idx], self.labels[idx], x)[1][:, 0]
 
     def per_example_grads(self, x, batch) -> np.ndarray:
         idx = np.asarray(batch)
         phi = self.features[idx]
-        err = self._forward(x, phi, self.labels[idx])[0]
+        err = self._forward(phi, self.labels[idx], x)[0][:, 0]
         return np.einsum("mk,mp->mkp", err, phi).reshape(len(idx), self.dim)
 
     def clipped_mean_grad(self, x, batch, c_clip) -> tuple[np.ndarray, float]:
         idx = np.asarray(batch)
         phi = self.features[idx]
-        err, loss = self._forward(x, phi, self.labels[idx])
-        scale = self._clip_scale(err, self.feature_norms[idx], c_clip) / len(idx)
-        return ((err * scale[:, None]).T @ phi).reshape(self.dim), float(loss.mean())
+        z, loss = self._forward(phi, self.labels[idx], x)
+        return self._clipped_mean(z[:, 0], phi, idx, c_clip), float(loss[:, 0].mean())
 
     def srg_mean(self, x_t, x_prev, w_t, w_prev, batch,
                  c_clip=np.inf) -> tuple[np.ndarray, float]:
         idx = np.asarray(batch)
         phi = self.features[idx]
-        labels = self.labels[idx]
-        err_t, loss = self._forward(x_t, phi, labels)
-        err = w_t * err_t - w_prev * self._forward(x_prev, phi, labels)[0]
+        z, loss = self._forward(phi, self.labels[idx], x_t, x_prev)
+        err = w_t * z[:, 0] - w_prev * z[:, 1]
+        del z  # freed before the backward matmul, which holds phi and its output
+        return self._clipped_mean(err, phi, idx, c_clip), float(loss[:, 0].mean())
+
+    def _clipped_mean(self, err, phi, idx, c_clip) -> np.ndarray:
+        """Batch mean of the rank-one gradients outer(err, phi), each
+        clipped to c_clip, as one weighted matmul."""
         scale = self._clip_scale(err, self.feature_norms[idx], c_clip) / len(idx)
-        return ((err * scale[:, None]).T @ phi).reshape(self.dim), float(loss.mean())
+        return ((err * scale[:, None]).T @ phi).reshape(self.dim)
 
     @staticmethod
     def _clip_scale(err, phi_norms, c_clip) -> np.ndarray:
+        check_clip(c_clip)
         if not np.isfinite(c_clip):
             return np.ones(err.shape[0])
         norms = np.linalg.norm(err, axis=1) * phi_norms
@@ -253,18 +293,22 @@ class LogisticTask(LossProblem):
 
     def population_excess(self, x) -> float:
         """Held-out average loss (falls back to the training split)."""
-        feats, labels = self.eval_features, self.eval_labels
-        if feats is None:
-            feats, labels = self.features, self.labels
-        return float(self._forward(x, feats, labels)[1].mean())
+        return self.excess_and_accuracy(x)[0]
+
+    def excess_and_accuracy(self, x) -> tuple[float, float]:
+        """(Held-out average loss, held-out accuracy in percent) from one
+        logits matmul; both fall back to the training split."""
+        feats, labels = self._heldout()
+        z = feats @ self._weights(x).T
+        pred = z.argmax(axis=1)
+        loss = self._exp_shifted(z[:, None, :], labels)[0][:, 0]
+        return float(loss.mean()), 100.0 * float((pred == labels).mean())
 
     def accuracy(self, x, half: str | None = None) -> float:
         """Held-out classification accuracy in percent. half="even"/"odd"
         restricts to alternating indices of the held-out set, giving two
         disjoint subsets for selection versus reporting."""
-        feats, labels = self.eval_features, self.eval_labels
-        if feats is None:
-            feats, labels = self.features, self.labels
+        feats, labels = self._heldout()
         if half == "even":
             feats, labels = feats[0::2], labels[0::2]
         elif half == "odd":

@@ -208,8 +208,7 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     if t + 1 < T:
         raise RunAborted(t + 1, f"stream exhausted after {t + 1} of {T} batches")
     out = iterates[-1]
-    excess = problem.population_excess(out)
-    accuracy = problem.accuracy(out) if hasattr(problem, "accuracy") else None
+    excess, accuracy = problem.excess_and_accuracy(out)
     return RunRecord(
         algorithm=algorithm, seed=seed, final_x=out, train_loss=train_loss,
         noise_norm=noise_norm, grad_norm=grad_norm, excess=excess,

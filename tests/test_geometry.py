@@ -74,6 +74,16 @@ def test_clip_behavior():
     np.testing.assert_array_equal(clip(v, np.inf), v)
     with pytest.raises(ValueError):
         clip(v, -1.0)
+    with pytest.raises(ValueError):
+        clip(v, np.nan)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -np.inf, np.nan])
+def test_clip_rows_rejects_negative_or_nan_threshold(bad):
+    # a negative threshold would scale every row by a negative factor,
+    # flipping each gradient; NaN would silently leave rows unclipped
+    with pytest.raises(ValueError, match="nonnegative"):
+        clip_rows(np.array([[3.0, 4.0], [0.0, 1.0]]), bad)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

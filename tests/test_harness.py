@@ -72,6 +72,25 @@ def test_spec_validation():
         ExperimentSpec(delta=1.0).validate()
 
 
+@pytest.mark.parametrize("clip_grid", [(-1.0,), (1.0, -0.5), (math.nan,), (-math.inf,)])
+def test_spec_rejects_negative_or_nan_clip(clip_grid):
+    # a negative clip flips every clipped gradient: the run ascends
+    with pytest.raises(ValueError, match="clip_grid"):
+        _tiny_spec(clip_grid=clip_grid).validate()
+    with pytest.raises(ValueError, match="clip_grid"):
+        _tiny_spec(algorithm="accelerated_dp_srgd", clip_grid=clip_grid).validate()
+
+
+@pytest.mark.parametrize("lr_grid", [(0.0,), (0.1, -0.1), (math.nan,), (math.inf,)])
+def test_spec_rejects_nonpositive_or_nan_lr(lr_grid):
+    with pytest.raises(ValueError, match="lr_grid"):
+        _tiny_spec(lr_grid=lr_grid).validate()
+
+
+def test_spec_accepts_zero_clip():
+    _tiny_spec(clip_grid=(0.0, 1.0)).validate()
+
+
 @pytest.mark.parametrize("algorithm", ["dp_sgd", "dp_ftrl", "dp_memf", "dp_srg_memf"])
 def test_spec_rejects_infinite_clip_with_finite_budget(algorithm):
     with pytest.raises(ValueError, match="finite clip"):

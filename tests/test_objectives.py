@@ -1,6 +1,8 @@
 """Loss problems: gradient correctness against finite differences and
 explicit per-example loops, clipping hooks, and the noise wrapper."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,149 @@ def test_hooks_return_train_loss_at_current_point(make, c_clip):
     assert loss == want
 
 
+def _softmax_err_and_loss(logits, labels):
+    """One evaluation point's softmax error and cross-entropy, written out
+    element by element as the unfused task computed them."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    rows = np.arange(len(labels))
+    loss = -(shifted - np.log(total))[rows, labels]
+    err = e / total
+    err[rows, labels] -= 1.0
+    return err, loss
+
+
+def _two_point_srg_reference(task, x_t, x_prev, w_t, w_prev, idx, c_clip,
+                             logits_t, logits_prev):
+    """srg_mean from two separate softmax evaluations: the clipped mean of
+    the rank-one rows outer(w_t*err_t - w_prev*err_prev, phi)."""
+    labels = task.labels[idx]
+    err_t, loss = _softmax_err_and_loss(logits_t, labels)
+    err = w_t * err_t - w_prev * _softmax_err_and_loss(logits_prev, labels)[0]
+    scale = np.ones(len(idx))
+    if np.isfinite(c_clip):
+        norms = np.linalg.norm(err, axis=1) * task.feature_norms[idx]
+        over = norms > c_clip
+        scale[over] = c_clip / norms[over]
+    grad = ((err * (scale / len(idx))[:, None]).T @ task.features[idx])
+    return grad.reshape(task.dim), float(loss.mean())
+
+
+@pytest.mark.parametrize("rows", [1, 10])
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+@pytest.mark.parametrize("w_prev", [0.0, 2.0])
+def test_srg_mean_equals_two_point_reference(rows, c_clip, w_prev):
+    # the fused step's softmax, loss, recursion and clip arithmetic is the
+    # per-point arithmetic exactly. The reference takes each point's logits
+    # from the same stacked GEMM: how a BLAS splits a GEMM into kernels can
+    # depend on its width, which is a property of the library, not of the
+    # arithmetic under test (see the next test for the benchmark's shape).
+    problem = _logistic(n=40, p=6, classes=4, seed=17)
+    rng = np.random.default_rng(18)
+    idx = problem.draw_batch(rng, rows)
+    x_t = rng.standard_normal(problem.dim)
+    x_prev = rng.standard_normal(problem.dim)
+    logits = problem.features[idx] @ np.concatenate(
+        [problem._weights(x_t), problem._weights(x_prev)]).T
+    k = problem.num_classes
+    want_g, want_loss = _two_point_srg_reference(
+        problem, x_t, x_prev, 3.0, w_prev, idx, c_clip, logits[:, :k], logits[:, k:])
+    got_g, got_loss = problem.srg_mean(x_t, x_prev, 3.0, w_prev, idx, c_clip)
+    np.testing.assert_array_equal(got_g, want_g)
+    assert got_loss == want_loss
+
+
+def _mnist_shaped(n=1000, p=785, classes=10, seed=0):
+    rng = np.random.default_rng(seed)
+    feats = (rng.random((n, p)) < 0.2) * rng.random((n, p))
+    feats[:, -1] = 1.0
+    return LogisticTask(features=feats, labels=rng.integers(0, classes, size=n),
+                        num_classes=classes)
+
+
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+@pytest.mark.parametrize("w_prev", [0.0, 2.0])
+def test_srg_mean_equals_two_separate_forwards_at_batch_shape(c_clip, w_prev):
+    # at a 500-row batch of 785 features and 10 classes, the MNIST shape,
+    # one GEMM of width 20 returns the bits of two GEMMs of width 10, so
+    # the fused step reproduces the two-forward figures exactly
+    problem = _mnist_shaped()
+    rng = np.random.default_rng(19)
+    idx = problem.draw_batch(rng, 500)
+    x_t = rng.standard_normal(problem.dim) * 0.05
+    x_prev = rng.standard_normal(problem.dim) * 0.05
+    phi = problem.features[idx]
+    want_g, want_loss = _two_point_srg_reference(
+        problem, x_t, x_prev, 3.0, w_prev, idx, c_clip,
+        phi @ problem._weights(x_t).T, phi @ problem._weights(x_prev).T)
+    got_g, got_loss = problem.srg_mean(x_t, x_prev, 3.0, w_prev, idx, c_clip)
+    np.testing.assert_array_equal(got_g, want_g)
+    assert got_loss == want_loss
+
+
+def test_srg_mean_peak_memory_is_the_gathered_batch_plus_slack():
+    # the gathered (500, 785) feature rows dominate a step's memory; the
+    # stacked weights and softmax buffers are freed before the backward
+    # matmul, so the rest stays within a fixed slack
+    problem = _mnist_shaped()
+    rng = np.random.default_rng(20)
+    idx = problem.draw_batch(rng, 500)
+    x_t = rng.standard_normal(problem.dim) * 0.05
+    x_prev = rng.standard_normal(problem.dim) * 0.05
+    problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)  # warm any lazy set-up
+    batch_bytes = 500 * problem.n_features * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= batch_bytes + 300_000
+
+
+def _heldout_reference(problem, x):
+    """(Mean cross-entropy, accuracy in percent) over the held-out split,
+    or the training split when there is none, from the unfused formulas."""
+    feats, labels = problem.eval_features, problem.eval_labels
+    if feats is None:
+        feats, labels = problem.features, problem.labels
+    logits = feats @ problem._weights(x).T
+    loss = float(_softmax_err_and_loss(logits, labels)[1].mean())
+    return loss, 100.0 * float((logits.argmax(axis=1) == labels).mean())
+
+
+@pytest.mark.parametrize("with_eval", [True, False])
+def test_excess_and_accuracy_is_one_heldout_pass(with_eval):
+    problem = _logistic(n=60, with_eval=with_eval, seed=21)
+    x = np.random.default_rng(22).standard_normal(problem.dim)
+    got = problem.excess_and_accuracy(x)
+    assert got == _heldout_reference(problem, x)
+    assert got == (problem.population_excess(x), problem.accuracy(x))
+
+
+def test_excess_and_accuracy_default_has_no_accuracy():
+    problem = _quadratic()
+    x = np.full(problem.dim, 0.2)
+    assert problem.excess_and_accuracy(x) == (problem.population_excess(x), None)
+    wrapper = GradientNoiseWrapper(_logistic(), 0.1, seed=23)
+    x = np.zeros(wrapper.dim)
+    assert wrapper.excess_and_accuracy(x) == (wrapper.population_excess(x), None)
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan])
+def test_logistic_hooks_reject_negative_or_nan_clip(bad):
+    problem = _logistic()
+    batch = problem.draw_batch(np.random.default_rng(24), 5)
+    x = np.zeros(problem.dim)
+    with pytest.raises(ValueError, match="nonnegative"):
+        problem.clipped_mean_grad(x, batch, bad)
+    with pytest.raises(ValueError, match="nonnegative"):
+        problem.srg_mean(x, x, 1.0, 1.0, batch, bad)
+
+
 class _CountingQuadratic(SyntheticQuadratic):
     """Counts per-example gradient evaluations (rows x calls)."""
 
@@ -190,6 +335,20 @@ def test_logistic_validation_errors():
     with pytest.raises(ValueError):
         LogisticTask(features=np.zeros((4, 2)),
                      labels=np.array([0, 1, 2, 0]), num_classes=2)
+    train = dict(features=np.zeros((4, 2)), labels=np.array([0, 1, 1, 0]),
+                 num_classes=2)
+    bad_eval = [
+        (np.zeros((10, 2)), np.zeros(8, dtype=int)),       # rows != labels
+        (np.zeros((3, 5)), np.zeros(3, dtype=int)),        # columns != n_features
+        (np.zeros((3, 2)), np.array([0, -1, 1])),          # label below 0
+        (np.zeros((3, 2)), np.array([0, 2, 1])),           # label >= num_classes
+        (np.zeros((3, 2)), None),                          # features alone
+        (None, np.zeros(3, dtype=int)),                    # labels alone
+    ]
+    for eval_features, eval_labels in bad_eval:
+        with pytest.raises(ValueError):
+            LogisticTask(**train, eval_features=eval_features, eval_labels=eval_labels)
+    LogisticTask(**train, eval_features=np.zeros((3, 2)), eval_labels=np.array([0, 1, 1]))
 
 
 def test_logistic_loss_is_cross_entropy():
