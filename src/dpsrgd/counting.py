@@ -6,7 +6,8 @@ Two mechanisms for releasing noisy prefix sums of a vector stream:
   streamed one step at a time in O(dim * log T) memory, and
 * matrix-factorization correlated noise, where a lower-triangular strategy
   matrix C (with bounded column-group sensitivity across epochs) shapes
-  white noise Z into C^{-1} Z rows.
+  white noise Z into C^{-1} Z rows, streamed in O(dim * bandwidth of C)
+  memory.
 
 The tree is also exposed as an explicit (B, C) matrix factorization so both
 mechanisms can be compared on a single error axis.
@@ -381,28 +382,50 @@ def strategy_from_matrix(c_mat: np.ndarray, workload: np.ndarray, k: int, b: int
 # correlated noise streams
 
 
+def _bandwidth(c_mat: np.ndarray) -> int:
+    """1 + the largest t - s over the nonzero C[t, s] with s <= t: row t of
+    a lower-triangular C reads only columns t - bandwidth + 1 .. t."""
+    rows, cols = np.nonzero(np.tril(c_mat))
+    return int(np.max(rows - cols, initial=0)) + 1
+
+
 def forward_substitution_rows(c_mat: np.ndarray, z_rows):
     """Yield rows of C^{-1} Z one at a time given an iterator of Z rows.
 
     Row t is emitted after consuming Z rows 1..t only, so the stream is
-    causal: later Z rows cannot affect earlier outputs.
+    causal: later Z rows cannot affect earlier outputs. Row t reads only
+    the w - 1 rows before it, w the bandwidth of C's nonzero pattern, so
+    the state is a ring of w - 1 solved rows, O(w * d) memory and work per
+    row (w = 1 for a diagonal C, w = n for a full one). Every yielded row
+    is a fresh array.
     """
     n = c_mat.shape[0]
-    solved = None
+    width = _bandwidth(c_mat) - 1  # rows in the ring; row s sits in slot s % width
+    ring = None
     for t, z in enumerate(z_rows):
         if t >= n:
             break
         z = np.asarray(z, dtype=np.float64)
-        if solved is None:
-            solved = np.empty((n, z.shape[0]))
-        acc = z if t == 0 else z - c_mat[t, :t] @ solved[:t]
-        solved[t] = acc / c_mat[t, t]
-        yield solved[t].copy()
+        if t == 0 or width == 0:
+            acc = z
+        elif t < width:
+            acc = z - c_mat[t, :t] @ ring[:t]
+        else:
+            # slot j holds row t - width + ((j - t) % width)
+            acc = z - np.roll(c_mat[t, t - width:t], t % width) @ ring
+        row = acc / c_mat[t, t]
+        if width:
+            if ring is None:
+                ring = np.empty((width, z.shape[0]))
+            ring[t % width] = row
+        yield row
 
 
 def mf_noise_stream(strategy: StrategyMatrix, rho: float, d: int, seed: int):
     """Stream the kb rows of C^{-1} Z with Z entries i.i.d. N(0, 1/(2 rho))
-    per coordinate. rho = inf yields the all-zero stream.
+    per coordinate. rho = inf yields the all-zero stream. The stream holds
+    (bandwidth - 1) x d solved rows, bandwidth <= b for the banded
+    strategies of `factorize` and 1 for the identity.
 
     The Z scale assumes the protected stream has unit per-example
     sensitivity; callers releasing streams with sensitivity s must multiply

@@ -114,6 +114,8 @@ class ExperimentSpec:
         if not all(clip >= 0 for clip in self.clip_grid):
             raise ValueError("clip_grid entries must be nonnegative (inf disables "
                              f"clipping), got {self.clip_grid}")
+        if not all(0 <= c <= 1 for c in self.c_grid):
+            raise ValueError(f"c_grid entries must lie in [0, 1], got {self.c_grid}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta < 1:

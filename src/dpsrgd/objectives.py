@@ -167,10 +167,12 @@ class LogisticTask(LossProblem):
     Per-example gradients are rank one, outer(softmax_err, phi), which the
     clipped-mean hooks exploit: the clip scale only needs ||softmax_err|| *
     ||phi|| per example (the ||phi|| are computed once, at construction),
-    and the clipped mean is a single weighted matmul. Each hook call gathers
-    the batch's feature rows once and runs one logits matmul per batch:
-    `srg_mean` stacks the weights of its two evaluation points, so a single
-    GEMM yields both softmax errors and the train loss.
+    and the clipped mean is a single weighted matmul. Each hook call reads
+    the batch's feature rows once, in place when the batch is a consecutive
+    index range (the fixed multi-epoch batches) and as a gathered copy
+    otherwise, and runs one logits matmul per batch: `srg_mean` stacks the
+    weights of its two evaluation points, so a single GEMM yields both
+    softmax errors and the train loss.
     """
 
     features: np.ndarray
@@ -246,35 +248,49 @@ class LogisticTask(LossProblem):
         z[np.arange(len(labels)), :, labels] -= 1.0
         return z, loss
 
-    def per_example_values(self, x, batch) -> np.ndarray:
+    def _select(self, batch):
+        """Index of an index batch into the training arrays: a slice for a
+        strictly consecutive run of in-range indices, such as the fixed
+        batches of the multi-epoch runs, so that reads are views; the index
+        array otherwise, whose reads gather and raise IndexError for an
+        index out of range."""
         idx = np.asarray(batch)
-        return self._forward(self.features[idx], self.labels[idx], x)[1][:, 0]
+        if (idx.ndim == 1 and idx.size and idx.dtype.kind == "i"
+                and idx[-1] - idx[0] == idx.size - 1
+                and 0 <= idx[0] and idx[-1] < self.n_train
+                and np.all(np.diff(idx) == 1)):
+            return slice(int(idx[0]), int(idx[-1]) + 1)
+        return idx
+
+    def per_example_values(self, x, batch) -> np.ndarray:
+        sel = self._select(batch)
+        return self._forward(self.features[sel], self.labels[sel], x)[1][:, 0]
 
     def per_example_grads(self, x, batch) -> np.ndarray:
-        idx = np.asarray(batch)
-        phi = self.features[idx]
-        err = self._forward(phi, self.labels[idx], x)[0][:, 0]
-        return np.einsum("mk,mp->mkp", err, phi).reshape(len(idx), self.dim)
+        sel = self._select(batch)
+        phi = self.features[sel]
+        err = self._forward(phi, self.labels[sel], x)[0][:, 0]
+        return np.einsum("mk,mp->mkp", err, phi).reshape(phi.shape[0], self.dim)
 
     def clipped_mean_grad(self, x, batch, c_clip) -> tuple[np.ndarray, float]:
-        idx = np.asarray(batch)
-        phi = self.features[idx]
-        z, loss = self._forward(phi, self.labels[idx], x)
-        return self._clipped_mean(z[:, 0], phi, idx, c_clip), float(loss[:, 0].mean())
+        sel = self._select(batch)
+        phi = self.features[sel]
+        z, loss = self._forward(phi, self.labels[sel], x)
+        return self._clipped_mean(z[:, 0], phi, sel, c_clip), float(loss[:, 0].mean())
 
     def srg_mean(self, x_t, x_prev, w_t, w_prev, batch,
                  c_clip=np.inf) -> tuple[np.ndarray, float]:
-        idx = np.asarray(batch)
-        phi = self.features[idx]
-        z, loss = self._forward(phi, self.labels[idx], x_t, x_prev)
+        sel = self._select(batch)
+        phi = self.features[sel]
+        z, loss = self._forward(phi, self.labels[sel], x_t, x_prev)
         err = w_t * z[:, 0] - w_prev * z[:, 1]
         del z  # freed before the backward matmul, which holds phi and its output
-        return self._clipped_mean(err, phi, idx, c_clip), float(loss[:, 0].mean())
+        return self._clipped_mean(err, phi, sel, c_clip), float(loss[:, 0].mean())
 
-    def _clipped_mean(self, err, phi, idx, c_clip) -> np.ndarray:
+    def _clipped_mean(self, err, phi, sel, c_clip) -> np.ndarray:
         """Batch mean of the rank-one gradients outer(err, phi), each
         clipped to c_clip, as one weighted matmul."""
-        scale = self._clip_scale(err, self.feature_norms[idx], c_clip) / len(idx)
+        scale = self._clip_scale(err, self.feature_norms[sel], c_clip) / phi.shape[0]
         return ((err * scale[:, None]).T @ phi).reshape(self.dim)
 
     @staticmethod

@@ -193,8 +193,10 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     at the query point x and its predecessor, noise(batch) draws the noise
     row w (None when noise is None), and update(t, x, g, w) returns
     (noise norm, gradient norm, iterates): the next query point first, the
-    reported point last. A non-finite estimate, row or iterate aborts the
-    run. finish() returns the runner's own RunRecord fields."""
+    reported point last. A non-finite estimate or row aborts the run, and
+    so does a non-finite step, which the update checks before projecting
+    it (`project_ball` would raise ValueError). finish() returns the
+    runner's own RunRecord fields."""
     train_loss, noise_norm, grad_norm = np.empty(T), np.empty(T), np.empty(T)
     t, iterates = -1, (np.zeros(problem.dim),)
     x = prev_x = iterates[0]
@@ -203,10 +205,12 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
         w = noise(batch) if noise is not None else None
         _check_finite(t, "non-finite gradient estimate or noise", g, w)
         noise_norm[t], grad_norm[t], iterates = update(t, x, g, w)
-        _check_finite(t, "non-finite iterate", *iterates)
         prev_x, x = x, iterates[0]
     if t + 1 < T:
         raise RunAborted(t + 1, f"stream exhausted after {t + 1} of {T} batches")
+    # an MF noise stream keeps a window of solved rows; free it before the
+    # held-out pass
+    noise = w = None
     out = iterates[-1]
     excess, accuracy = problem.excess_and_accuracy(out)
     return RunRecord(
@@ -244,6 +248,7 @@ def _projected(eta_lr: float, ball: ConstraintBall | None):
     when there is one."""
     def update(t, x, g, w):
         step = x - eta_lr * (g + w if w is not None else g)
+        _check_finite(t, "non-finite iterate", step)
         return _norm(w), _norm(g), (project_ball(step, ball) if ball is not None else step,)
     return update
 
@@ -255,7 +260,9 @@ def _momentum(dim: int, cfg: MemfConfig):
     def update(t, x, g, w):
         nonlocal velocity
         velocity = cfg.momentum * velocity + (g + w if w is not None else g)
-        return _norm(w), _norm(g), (x - cfg.lr * velocity,)
+        step = x - cfg.lr * velocity
+        _check_finite(t, "non-finite iterate", step)
+        return _norm(w), _norm(g), (step,)
     return update
 
 
@@ -283,6 +290,7 @@ def _accelerated(problem: LossProblem, cfg: SrgdConfig):
         z_step, y_step = z - (eta_t / cfg.beta) * g, x - g / cfg.beta
         if b is not None:
             z_step, y_step = z_step + b, y_step + b / eta_t
+        _check_finite(t, "non-finite iterate", z_step, y_step)
         z, y = project_ball(z_step, cfg.ball), project_ball(y_step, cfg.ball)
         return _norm(b), _norm(g), (interpolate(y, z, cfg.tau[t + 1]), z, y)
 

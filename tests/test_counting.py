@@ -3,9 +3,11 @@ bookkeeping against brute-force oracles, noise covariance, square-root
 strategy quality, streams, and serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from dpsrgd.counting import (
     StrategyMatrix,
@@ -418,6 +420,81 @@ def test_forward_substitution_is_causal():
     assert consumed == [0]
     next(gen)
     assert consumed == [0, 1]
+
+
+def _full_prefix_rows(c_mat, z):
+    """C^{-1} Z by forward substitution over every solved row: row t is
+    (z_t - C[t, :t] @ rows[:t]) / C[t, t]."""
+    rows = np.empty_like(z)
+    for t in range(z.shape[0]):
+        acc = z[t] if t == 0 else z[t] - c_mat[t, :t] @ rows[:t]
+        rows[t] = acc / c_mat[t, t]
+    return rows
+
+
+def _hand_banded(n=12, width=3, seed=9):
+    """A lower-triangular C with `width` nonzero diagonals of varying
+    entries and a positive diagonal."""
+    c_mat = np.tril(np.random.default_rng(seed).uniform(0.2, 1.0, (n, n)))
+    c_mat[np.tril_indices(n, -width)] = 0.0
+    return c_mat
+
+
+@pytest.mark.parametrize("c_mat", [
+    build_strategy("momentum_decay", 2, 8, momentum=0.9, decay=math.exp(-2.5)).C,
+    build_strategy("ones", 3, 5).C,
+    _hand_banded(),
+], ids=["momentum_decay_2x8", "ones_3x5", "hand_banded"])
+def test_banded_stream_matches_the_triangular_solve(c_mat):
+    z = np.random.default_rng(10).standard_normal((c_mat.shape[0], 6)) * 3.0
+    rows = np.stack(list(forward_substitution_rows(c_mat, iter(z))))
+    np.testing.assert_allclose(rows, solve_triangular(c_mat, z, lower=True),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("strategy", [identity_strategy(2, 6), identity_strategy(1, 9),
+                                      build_strategy("ones", 1, 24)],
+                         ids=["identity_2x6", "identity_1x9", "ones_1x24"])
+def test_full_band_stream_is_the_full_prefix_solve(strategy):
+    # a diagonal C (bandwidth 1) and a k = 1 root (bandwidth n) keep the
+    # full solve's summation order, so they reproduce its bits
+    z = np.random.default_rng(11).standard_normal((strategy.steps, 37))
+    rows = np.stack(list(forward_substitution_rows(strategy.C, iter(z))))
+    np.testing.assert_array_equal(rows, _full_prefix_rows(strategy.C, z))
+
+
+def test_stream_rows_are_fresh_arrays():
+    c_mat = _hand_banded(n=6, width=2)
+    z = np.random.default_rng(12).standard_normal((6, 3))
+    rows = []
+    for row in forward_substitution_rows(c_mat, iter(z)):
+        rows.append(row.copy())
+        row[:] = np.nan  # must not reach the window the next rows read
+    np.testing.assert_allclose(np.stack(rows), solve_triangular(c_mat, z, lower=True),
+                               rtol=0, atol=1e-12)
+
+
+def test_banded_stream_state_is_the_window_not_the_prefix():
+    # after the first row the stream holds (bandwidth - 1) solved rows of
+    # d floats; a buffer of every solved row would be n / (bandwidth - 1)
+    # times that
+    strategy = build_strategy("momentum_decay", 2, 40, momentum=0.9,
+                              decay=math.exp(-2.5))
+    n, d = strategy.steps, 2000
+    z = np.random.default_rng(13).standard_normal((n, d))
+    window_bytes = (40 - 1) * d * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gen = forward_substitution_rows(strategy.C, iter(z))
+        live = 0
+        for _ in range(n):
+            row = next(gen)
+            del row
+            live = max(live, tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    assert live <= window_bytes + 64_000
 
 
 def test_mf_noise_stream_identity_matches_iid_gaussian():

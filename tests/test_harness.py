@@ -23,7 +23,7 @@ from dpsrgd.harness import (
     run_experiment,
     save_csv,
 )
-from dpsrgd.objectives import LogisticTask
+from dpsrgd.objectives import LogisticTask, SyntheticQuadratic
 from dpsrgd.optim import RunAborted, RunRecord
 
 IDX_NAMES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
@@ -539,3 +539,33 @@ def test_metric_table_defaults():
     row = MetricRow(algorithm="dp_sgd", workload="ones", lr=0.1, clip=1.0,
                     c=0.0, acc_mean=None, acc_ci95=None, excess_mean=None)
     assert row.n_runs == 0 and row.selection_metric == -math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_projected_step_is_counted_as_aborted():
+    # finite gradients of 1e307 at lr 100 overflow the dp_sgd step before
+    # its projection; the sweep records the run as aborted
+    class HugeGradients(SyntheticQuadratic):
+        def per_example_grads(self, x, batch):
+            return np.full((len(batch), self.dim), 1e307)
+
+    spec = _tiny_spec(lr_grid=(100.0,), clip_grid=(math.inf,), epsilon=math.inf,
+                      batch_size=4, repeats=1)
+    problem = HugeGradients(dim=spec.dim, target=np.zeros(spec.dim))
+    table, recs = run_experiment(spec, dataset=problem)
+    row = table.rows[0]
+    assert row.n_aborted == 1 and row.n_runs == 0
+    assert all(isinstance(r, RunAborted) for r in recs.values())
+
+
+@pytest.mark.parametrize("c_grid", [(1.5,), (0.5, -0.1), (math.nan,), (math.inf,)])
+def test_spec_rejects_c_outside_unit_interval(c_grid):
+    # the decay must be a weight in [0, 1]; out of range it used to fail
+    # in MemfConfig, after the budget was resolved and the data built
+    for algorithm in ("dp_srg_memf", "dp_memf", "dp_sgd"):
+        with pytest.raises(ValueError, match="c_grid"):
+            _tiny_spec(algorithm=algorithm, c_grid=c_grid).validate()
+
+
+def test_spec_accepts_c_at_the_unit_interval_ends():
+    _tiny_spec(algorithm="dp_srg_memf", c_grid=(0.0, 1.0)).validate()

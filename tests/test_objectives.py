@@ -239,6 +239,60 @@ def test_srg_mean_peak_memory_is_the_gathered_batch_plus_slack():
     assert peak <= batch_bytes + 300_000
 
 
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+def test_consecutive_batch_reads_in_place_with_the_gathered_figures(c_clip):
+    # a consecutive index range is read through slice views; the figures
+    # are those of the gathered copy of the same rows, bit for bit
+    problem = _mnist_shaped()
+    rng = np.random.default_rng(25)
+    idx = np.arange(300, 800)
+    x_t = rng.standard_normal(problem.dim) * 0.05
+    x_prev = rng.standard_normal(problem.dim) * 0.05
+    phi = problem.features[idx]
+    logits_t = phi @ problem._weights(x_t).T
+    want_g, want_loss = _two_point_srg_reference(
+        problem, x_t, x_prev, 3.0, 2.0, idx, c_clip,
+        logits_t, phi @ problem._weights(x_prev).T)
+    got_g, got_loss = problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, c_clip)
+    np.testing.assert_array_equal(got_g, want_g)
+    assert got_loss == want_loss
+    want_g, want_loss = _two_point_srg_reference(
+        problem, x_t, x_t, 1.0, 0.0, idx, c_clip, logits_t, logits_t)
+    got_g, got_loss = problem.clipped_mean_grad(x_t, idx, c_clip)
+    np.testing.assert_array_equal(got_g, want_g)
+    assert got_loss == want_loss
+
+
+def test_consecutive_batch_out_of_range_still_raises():
+    problem = _logistic(n=40)
+    x = np.zeros(problem.dim)
+    for idx in (np.arange(36, 44), np.arange(-45, -37)):
+        with pytest.raises(IndexError):
+            problem.srg_mean(x, x, 1.0, 1.0, idx, 1.0)
+        with pytest.raises(IndexError):
+            problem.clipped_mean_grad(x, idx, 1.0)
+
+
+def test_consecutive_batch_peak_memory_holds_no_batch_copy():
+    # the (500, 785) rows of a consecutive batch are not copied: a step's
+    # peak is the slack of the gathered-batch guard above, with no batch
+    problem = _mnist_shaped()
+    rng = np.random.default_rng(26)
+    idx = np.arange(0, 500)
+    x_t = rng.standard_normal(problem.dim) * 0.05
+    x_prev = rng.standard_normal(problem.dim) * 0.05
+    problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300_000
+
+
 def _heldout_reference(problem, x):
     """(Mean cross-entropy, accuracy in percent) over the held-out split,
     or the training split when there is none, from the unfused formulas."""

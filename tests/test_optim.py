@@ -681,3 +681,40 @@ def test_runner_aborts_on_non_finite_iterate(name):
     # step one, so the fourth evaluation falls in step 1 or step 3
     recursive = ("accelerated_dp_srgd", "unaccelerated_srgd", "dp_srg_memf")
     assert info.value.step == (1 if name in recursive else 3)
+
+
+class _HugeGradientQuadratic(SyntheticQuadratic):
+    """Finite per-example gradients of 1e307 in every coordinate: a batch
+    mean of a few of them is finite, a step much larger than 1 on it is
+    not."""
+
+    def per_example_grads(self, x, batch):
+        return np.full((len(batch), self.dim), 1e307)
+
+
+def _huge_gradient_quadratic():
+    return _HugeGradientQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
+                                  noise_scale=0.5, radius=1.0)
+
+
+_OVERFLOWING_RUNNERS = {
+    "dp_sgd": lambda p, batches, ball: run_dp_sgd(
+        p, iter(batches), 100.0, math.inf, 0.0, ball, len(batches)),
+    "independent_variant": lambda p, batches, ball: run_independent_variant(
+        p, iter(batches), SrgdConfig(T=len(batches), beta=1e-3, ball=ball)),
+    "accelerated_dp_srgd": lambda p, batches, ball: run_accelerated_dp_srgd(
+        p, iter(batches), SrgdConfig(T=len(batches), beta=1e-3, ball=ball)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING_RUNNERS))
+def test_overflowing_projected_step_aborts_the_run(name):
+    # the estimate is finite; the step it drives overflows before the
+    # projection, which must end the run, not raise ValueError from
+    # project_ball
+    problem = _huge_gradient_quadratic()
+    batches = _batches(problem, 5, 4, seed=35)
+    with pytest.raises(RunAborted) as info:
+        _OVERFLOWING_RUNNERS[name](problem, batches, ConstraintBall(problem.dim, 1.0))
+    assert info.value.step == 0
