@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 
+from .geometry import all_finite
+
 __all__ = [
     "TreeState",
     "StrategyMatrix",
@@ -109,7 +111,7 @@ def tree_ingest(state: TreeState, i: int, delta: np.ndarray) -> TreeState:
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != (state.dim,):
         raise ValueError(f"delta shape {delta.shape} != ({state.dim},)")
-    if not np.all(np.isfinite(delta)):
+    if not all_finite(delta):
         raise ValueError(f"non-finite delta at step {i}")
     state.total += delta
     k = (i & -i).bit_length() - 1

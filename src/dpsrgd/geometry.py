@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConstraintBall", "project_ball", "clip", "check_clip", "interpolate"]
+__all__ = ["ConstraintBall", "project_ball", "clip", "check_clip", "clip_rows",
+           "row_norms", "all_finite", "interpolate"]
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,18 @@ class ConstraintBall:
         return float(np.linalg.norm(v)) <= self.radius * (1.0 + slack)
 
 
+def all_finite(v: np.ndarray) -> bool:
+    """True when every entry of v is finite. A finite sum proves it in one
+    reduction; a NaN, infinite or overflowed sum falls back to the
+    entry-wise test."""
+    return math.isfinite(v.sum()) or bool(np.isfinite(v).all())
+
+
 def _as_vector(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all_finite(v):
         raise ValueError(f"{name} has non-finite entries")
     return v
 
@@ -62,7 +70,7 @@ def project_ball(v: np.ndarray, ball: ConstraintBall) -> np.ndarray:
     v = _as_vector(v, "v")
     if v.shape[0] != ball.dim:
         raise ValueError(f"dimension mismatch: vector {v.shape[0]}, ball {ball.dim}")
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))  # np.linalg.norm's own formula for a 1-d vector
     if norm <= ball.radius:
         return v.copy()
     if math.isinf(norm):
@@ -92,20 +100,34 @@ def clip(v: np.ndarray, c_clip: float) -> np.ndarray:
     return v * (c_clip / norm)
 
 
+def row_norms(mat: np.ndarray) -> np.ndarray:
+    """L2 norm of every row of a 2-d array: np.linalg.norm(mat, axis=1)'s
+    own formula, without its wrapper."""
+    return np.sqrt(np.add.reduce(mat * mat, axis=1))
+
+
 def clip_rows(mat: np.ndarray, c_clip: float) -> np.ndarray:
     """Row-wise norm clipping for a (k, dim) batch of vectors. Rows whose
-    sum of squares overflows are clipped like `clip` does, not zeroed."""
+    sum of squares overflows are clipped like `clip` does, not zeroed.
+
+    Always returns a fresh array: a copy of mat when no row is over c_clip
+    (c_clip = inf included), otherwise mat with its over-long rows scaled
+    by c_clip / norm and the rest multiplied by 1.0, which is exact.
+    """
     mat = np.asarray(mat, dtype=np.float64)
     check_clip(c_clip)
     if not np.isfinite(c_clip):
         return mat.copy()
-    norms = np.linalg.norm(mat, axis=1)
-    scale = np.ones_like(norms)
+    norms = row_norms(mat)
     over = norms > c_clip
+    if not over.any():
+        return mat.copy()
+    scale = np.ones_like(norms)
     scale[over] = c_clip / norms[over]
     out = mat * scale[:, None]
-    for r in np.flatnonzero(np.isinf(norms)):  # the sum of squares overflowed
-        out[r] = _shrink_overflowed(mat[r], c_clip)
+    if not math.isfinite(norms.max()):  # a NaN row, or an overflowed sum of squares
+        for r in np.flatnonzero(np.isinf(norms)):
+            out[r] = _shrink_overflowed(mat[r], c_clip)
     return out
 
 

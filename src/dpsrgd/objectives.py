@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import check_clip, clip_rows
+from .geometry import check_clip, clip_rows, row_norms
 
 __all__ = [
     "LossProblem",
@@ -87,8 +87,8 @@ class LossProblem:
                           c_clip: float) -> tuple[np.ndarray, float]:
         """(Mean over the batch of clip(g(x,d)), batch-mean loss at x)."""
         grads = self.per_example_grads(x, batch)
-        loss = float(self.per_example_values(x, batch).mean())
-        return clip_rows(grads, c_clip).mean(axis=0), loss
+        loss = float(_batch_mean(self.per_example_values(x, batch)))
+        return _batch_mean(clip_rows(grads, c_clip)), loss
 
     def srg_mean(self, x_t, x_prev, w_t: float, w_prev: float, batch,
                  c_clip: float = np.inf) -> tuple[np.ndarray, float]:
@@ -100,9 +100,24 @@ class LossProblem:
         """
         g_t = self.per_example_grads(x_t, batch)
         g_p = self.per_example_grads(x_prev, batch)
-        loss = float(self.per_example_values(x_t, batch).mean())
+        loss = float(_batch_mean(self.per_example_values(x_t, batch)))
         diffs = w_t * g_t - w_prev * g_p
-        return clip_rows(diffs, c_clip).mean(axis=0), loss
+        return _batch_mean(clip_rows(diffs, c_clip)), loss
+
+
+def _blocked_row_norms(mat: np.ndarray) -> np.ndarray:
+    """row_norms(mat), 4096 rows at a time, so that the squares are never
+    held for the whole array at once. Each row's figure is the same."""
+    out = np.empty(mat.shape[0])
+    for start in range(0, mat.shape[0], 4096):
+        out[start:start + 4096] = row_norms(mat[start:start + 4096])
+    return out
+
+
+def _batch_mean(a: np.ndarray):
+    """a.mean(axis=0) by np.mean's own two steps, a sum over the batch axis
+    and one division, without its wrapper."""
+    return np.add.reduce(a, axis=0) / a.shape[0]
 
 
 @dataclass
@@ -133,20 +148,29 @@ class SyntheticQuadratic(LossProblem):
 
     def per_example_values(self, x, batch) -> np.ndarray:
         diffs = x[None, :] - np.asarray(batch)
-        return 0.5 * self.curvature * np.sum(diffs * diffs, axis=1)
+        diffs *= diffs
+        return 0.5 * self.curvature * np.add.reduce(diffs, axis=1)
 
     def per_example_grads(self, x, batch) -> np.ndarray:
-        return self.curvature * (x[None, :] - np.asarray(batch))
+        grads = x[None, :] - np.asarray(batch)
+        grads *= self.curvature
+        return grads
 
     def draw_batch(self, rng, size):
-        raw = rng.standard_normal((size, self.dim)) * (
-            self.noise_scale / max(np.sqrt(self.dim), 1.0)
-        )
-        norms = np.linalg.norm(raw, axis=1)
+        """`size` examples target + r, with r Gaussian of per-coordinate std
+        noise_scale / sqrt(dim) and each r clamped to norm noise_scale.
+        The clamp multiplies by a scale that is 1.0, exactly, on the rows
+        within the bound, and the rows are shifted in place."""
+        raw = rng.standard_normal((size, self.dim))
+        raw *= self.noise_scale / max(np.sqrt(self.dim), 1.0)
+        norms = row_norms(raw)
         over = norms > self.noise_scale
-        if np.any(over):
-            raw[over] *= (self.noise_scale / norms[over])[:, None]
-        return self.target[None, :] + raw
+        if over.any():
+            scale = np.ones_like(norms)
+            scale[over] = self.noise_scale / norms[over]
+            raw *= scale[:, None]
+        raw += self.target
+        return raw
 
     def population_excess(self, x) -> float:
         d = x - self.target
@@ -187,7 +211,7 @@ class LogisticTask(LossProblem):
         self.n_features = self.features.shape[1]
         self.dim = self.num_classes * self.n_features
         # per-row feature norms, kept for the clip scale of the gradient hooks
-        self.feature_norms = np.linalg.norm(self.features, axis=1)
+        self.feature_norms = _blocked_row_norms(self.features)
         max_row = float(np.max(self.feature_norms))
         if (self.eval_features is None) != (self.eval_labels is None):
             raise ValueError("eval_features and eval_labels must be given together")
@@ -198,7 +222,7 @@ class LogisticTask(LossProblem):
             if self.eval_features.shape[1] != self.n_features:
                 raise ValueError(f"eval features have {self.eval_features.shape[1]} "
                                  f"columns, train features {self.n_features}")
-            max_row = max(max_row, float(np.max(np.linalg.norm(self.eval_features, axis=1))))
+            max_row = max(max_row, float(np.max(_blocked_row_norms(self.eval_features))))
         # softmax error vector has norm at most sqrt(2); logit Hessian
         # spectral norm at most 1/2
         self.lipschitz = np.sqrt(2.0) * max_row
@@ -252,13 +276,16 @@ class LogisticTask(LossProblem):
         """Index of an index batch into the training arrays: a slice for a
         strictly consecutive run of in-range indices, such as the fixed
         batches of the multi-epoch runs, so that reads are views; the index
-        array otherwise, whose reads gather and raise IndexError for an
-        index out of range."""
+        array otherwise, whose reads gather. An index below 0 raises
+        IndexError here, where numpy would wrap it to a row from the end,
+        and one at or beyond n_train raises it in the gather."""
         idx = np.asarray(batch)
-        if (idx.ndim == 1 and idx.size and idx.dtype.kind == "i"
-                and idx[-1] - idx[0] == idx.size - 1
-                and 0 <= idx[0] and idx[-1] < self.n_train
-                and np.all(np.diff(idx) == 1)):
+        if idx.dtype.kind != "i" or not idx.size:
+            return idx
+        if idx.min() < 0:
+            raise IndexError(f"negative example index {int(idx.min())} in batch")
+        if (idx.ndim == 1 and idx[-1] - idx[0] == idx.size - 1
+                and idx[-1] < self.n_train and np.all(np.diff(idx) == 1)):
             return slice(int(idx[0]), int(idx[-1]) + 1)
         return idx
 
@@ -298,7 +325,7 @@ class LogisticTask(LossProblem):
         check_clip(c_clip)
         if not np.isfinite(c_clip):
             return np.ones(err.shape[0])
-        norms = np.linalg.norm(err, axis=1) * phi_norms
+        norms = row_norms(err) * phi_norms
         scale = np.ones_like(norms)
         over = norms > c_clip
         scale[over] = c_clip / norms[over]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import StrategyMatrix, TreeState, mf_noise_stream, tree_ingest, tree_prefix
-from .geometry import ConstraintBall, interpolate, project_ball
+from .geometry import ConstraintBall, all_finite, interpolate, project_ball
 from .objectives import LossProblem
 
 __all__ = [
@@ -177,13 +177,16 @@ def potential(problem: LossProblem, y: np.ndarray, z: np.ndarray,
 
 
 def _check_finite(step: int, reason: str, *vectors):
+    """Raise RunAborted unless every given vector (None skipped) is
+    entirely finite; see `geometry.all_finite` for the one-reduction test."""
     for v in vectors:
-        if v is not None and not np.isfinite(v).all():
+        if v is not None and not all_finite(v):
             raise RunAborted(step, reason)
 
 
 def _norm(v: np.ndarray | None) -> float:
-    return float(np.linalg.norm(v)) if v is not None else 0.0
+    # np.linalg.norm's own formula for a 1-d vector, without its wrapper
+    return math.sqrt(v.dot(v)) if v is not None else 0.0
 
 
 def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,

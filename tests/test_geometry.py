@@ -104,6 +104,24 @@ def test_project_and_clip_survive_norm_overflow():
     np.testing.assert_array_equal(clip_rows(mat, 1e201), mat)
 
 
+@pytest.mark.parametrize("c_clip", [10.0, np.inf])
+def test_clip_rows_with_no_row_over_returns_a_fresh_equal_array(c_clip):
+    mat = np.random.default_rng(2).standard_normal((6, 4))
+    out = clip_rows(mat, c_clip)
+    assert out is not mat and not np.shares_memory(out, mat)
+    np.testing.assert_array_equal(out, mat)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_clip_rows_shrinks_an_overflowed_row_beside_a_nan_row():
+    # the NaN row makes the largest norm NaN, not inf; the overflowed row
+    # must still be found and clipped along its direction
+    mat = np.array([[3e200, 4e200], [np.nan, 0.0], [3.0, 4.0]])
+    out = clip_rows(mat, 1.0)
+    np.testing.assert_allclose(out[[0, 2]], [[0.6, 0.8], [0.6, 0.8]], rtol=1e-15)
+    assert np.isnan(out[1, 0]) and out[1, 1] == 0.0
+
+
 def test_clip_rows_matches_per_row_clip():
     rng = np.random.default_rng(1)
     mat = rng.standard_normal((8, 5)) * 2.0

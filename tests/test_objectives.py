@@ -87,6 +87,39 @@ def test_quadratic_examples_stay_near_target():
     assert dev.max() <= 0.4 + 1e-12
 
 
+def _draw_batch_reference(problem, rng, size):
+    """draw_batch's boolean-mask clamp, written out."""
+    raw = rng.standard_normal((size, problem.dim)) * (
+        problem.noise_scale / max(np.sqrt(problem.dim), 1.0))
+    norms = np.linalg.norm(raw, axis=1)
+    over = norms > problem.noise_scale
+    if np.any(over):
+        raw[over] *= (problem.noise_scale / norms[over])[:, None]
+    return problem.target[None, :] + raw
+
+
+@pytest.mark.parametrize("dim,size,noise_scale", [
+    (20, 256, 1.0), (5, 37, 0.4), (1, 9, 2.0), (64, 3, 0.7), (3, 50, 0.0)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_draw_batch_equals_the_boolean_mask_clamp(dim, size, noise_scale, seed):
+    problem = _quadratic(dim=dim, noise_scale=noise_scale, seed=seed)
+    got = problem.draw_batch(np.random.default_rng(seed + 40), size)
+    want = _draw_batch_reference(problem, np.random.default_rng(seed + 40), size)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_draw_batch_with_no_row_clamped_equals_the_reference():
+    # in one dimension at this seed no draw exceeds the bound, so the
+    # clamp's scale is never built
+    problem = _quadratic(dim=1, noise_scale=0.4, seed=4)
+    rng_seed = 29
+    raw = np.random.default_rng(rng_seed).standard_normal((8, 1)) * 0.4
+    assert np.all(np.abs(raw) <= 0.4)
+    got = problem.draw_batch(np.random.default_rng(rng_seed), 8)
+    want = _draw_batch_reference(problem, np.random.default_rng(rng_seed), 8)
+    np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # clipping hooks against explicit loops
 
@@ -271,6 +304,35 @@ def test_consecutive_batch_out_of_range_still_raises():
             problem.srg_mean(x, x, 1.0, 1.0, idx, 1.0)
         with pytest.raises(IndexError):
             problem.clipped_mean_grad(x, idx, 1.0)
+
+
+@pytest.mark.parametrize("idx", [np.arange(-3, 2), np.array([5, 0, -1]),
+                                 np.array([-40])])
+def test_index_batch_below_zero_raises(idx):
+    # numpy would wrap these to rows from the end of the training arrays
+    problem = _logistic(n=40)
+    x = np.zeros(problem.dim)
+    with pytest.raises(IndexError, match="negative"):
+        problem.srg_mean(x, x, 1.0, 0.0, idx, 1.0)
+    with pytest.raises(IndexError, match="negative"):
+        problem.clipped_mean_grad(x, idx, 1.0)
+    with pytest.raises(IndexError, match="negative"):
+        problem.per_example_values(x, idx)
+
+
+def test_feature_norms_are_the_row_norms_across_blocks():
+    # 9000 rows span three blocks of the blocked norm
+    rng = np.random.default_rng(41)
+    feats = rng.standard_normal((9000, 7))
+    eval_feats = rng.standard_normal((5000, 7)) * 3.0
+    task = LogisticTask(features=feats, labels=rng.integers(0, 3, size=9000),
+                        num_classes=3, eval_features=eval_feats,
+                        eval_labels=rng.integers(0, 3, size=5000))
+    np.testing.assert_array_equal(task.feature_norms, np.linalg.norm(feats, axis=1))
+    max_row = float(np.max(np.linalg.norm(eval_feats, axis=1)))
+    assert max_row > float(task.feature_norms.max())
+    assert task.lipschitz == np.sqrt(2.0) * max_row
+    assert task.smoothness == 0.5 * max_row**2
 
 
 def test_consecutive_batch_peak_memory_holds_no_batch_copy():

@@ -22,6 +22,7 @@ from dpsrgd.optim import (
     MemfConfig,
     RunAborted,
     SrgdConfig,
+    _check_finite,
     linear_fit,
     potential,
     run_accelerated_dp_srgd,
@@ -124,6 +125,62 @@ def test_accelerated_runner_matches_reference_loop():
     rec = run_accelerated_dp_srgd(problem, iter(batches), cfg)
     ref = _reference_accelerated(problem, batches, cfg)
     np.testing.assert_allclose(rec.final_x, ref, rtol=0, atol=1e-12)
+
+
+def _reference_accelerated_trajectory(problem, batches, cfg):
+    """_reference_accelerated written out with the numpy reductions the
+    runner used before its per-step shortcuts: np.linalg.norm for every
+    norm, ndarray.mean for the batch means, and a boolean-mask row clip.
+    Returns the per-step train_loss, noise_norm, grad_norm and potential."""
+    eta, tau = cfg.eta_values, cfg.tau
+    tree = TreeState(cfg.T, problem.dim, sigma=cfg.sigma, seed=cfg.seed)
+    x_star = problem.exact_optimum()
+    x = np.zeros(problem.dim)
+    y, z, prev = x, x, x
+    out = {k: [] for k in ("train_loss", "noise_norm", "grad_norm", "potential")}
+
+    def record_potential(t):
+        dz = z - x_star
+        out["potential"].append(
+            (cfg.eta_cumsum[t - 1] if t > 0 else 0.0) * problem.population_excess(y)
+            + 2.0 * cfg.beta * float(dz @ dz))
+
+    for t, batch in enumerate(batches):
+        w_prev = eta[t - 1] if t > 0 else 0.0
+        diffs = (eta[t] * problem.per_example_grads(x, batch)
+                 - w_prev * problem.per_example_grads(prev, batch))
+        norms = np.linalg.norm(diffs, axis=1)
+        over = norms > cfg.clip
+        if np.any(over):
+            diffs[over] *= (cfg.clip / norms[over])[:, None]
+        out["train_loss"].append(float(problem.per_example_values(x, batch).mean()))
+        tree_ingest(tree, t + 1, diffs.mean(axis=0))
+        estimate, xi = tree_prefix(tree, t + 1)
+        grad_est = estimate / eta[t]
+        out["noise_norm"].append(float(np.linalg.norm(xi)) / cfg.beta)
+        out["grad_norm"].append(float(np.linalg.norm(grad_est)))
+        record_potential(t)
+        z = project_ball(z - (eta[t] / cfg.beta) * grad_est, cfg.ball)
+        y = project_ball(x - grad_est / cfg.beta, cfg.ball)
+        prev = x
+        x = interpolate(y, z, tau[t + 1])
+    record_potential(cfg.T)
+    return {k: np.array(v) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("clip,seed", [(0.5, 1), (2.0, 2), (math.inf, 3)])
+def test_accelerated_diagnostics_equal_the_linalg_norm_reference(clip, seed):
+    # the sweep's shape, shrunk: dim 20, clip 0.5 or 2, tree noise; every
+    # recorded figure is bit-identical to the written-out reference
+    problem = _quadratic(dim=20, noise_scale=1.0, seed=seed)
+    T, B = 16, 32
+    batches = _batches(problem, T, B, seed=seed + 10)
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0),
+                     sigma=0.7, clip=clip, seed=seed + 20)
+    rec = run_accelerated_dp_srgd(problem, iter(batches), cfg)
+    ref = _reference_accelerated_trajectory(problem, batches, cfg)
+    for key, want in ref.items():
+        np.testing.assert_array_equal(getattr(rec, key), want, err_msg=key)
 
 
 def test_tree_noise_equals_iterate_noise_substitution():
@@ -302,6 +359,34 @@ _RUNNERS = {
     "dp_srg_memf": _memf_runner(srg=True),
 }
 _STREAM_RUNNERS = sorted(set(_RUNNERS) - {"dp_memf", "dp_srg_memf"})
+
+
+# The finite checks on the step path test a vector's sum first and fall
+# back to the entry-wise test when the sum is not finite.
+_NON_FINITE = [np.array([0.5, np.nan, 1.0]), np.array([0.5, np.inf, 1.0]),
+               np.array([0.5, -np.inf, 1.0]), np.array([np.inf, -np.inf, 1.0])]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "+inf", "-inf", "inf-inf"])
+def test_step_path_checks_reject_non_finite_vectors(bad):
+    with pytest.raises(RunAborted):
+        _check_finite(4, "probe", np.zeros(3), bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        project_ball(bad, ConstraintBall(3, 1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        tree_ingest(TreeState(2, 3), 1, bad)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_step_path_checks_accept_finite_vectors_whose_sum_overflows():
+    big = np.array([1e308, 1e308, -1e308])
+    assert not math.isfinite(big.sum())
+    _check_finite(0, "probe", big, None)
+    np.testing.assert_allclose(project_ball(big, ConstraintBall(3, 1.0)),
+                               big / np.sqrt(3.0) / 1e308, rtol=1e-15)
+    state = tree_ingest(TreeState(2, 3), 1, big)
+    np.testing.assert_array_equal(state.total, big)
 
 
 @pytest.mark.parametrize("name", _STREAM_RUNNERS)
