@@ -73,11 +73,15 @@ class TreeState:
     `dim`-dimensional vectors, with i.i.d. N(0, sigma^2) noise per node
     coordinate (Dwork et al., STOC 2010; Chan, Shi, Song, 2011).
 
-    The state is the exact running total and a stack of (k, noise) for the
-    nodes of `prefix_nodes(ingested)`, at most ceil(log2 T) + 1 rows. Step i
-    draws the noise of node (j, k) with j * 2^k = i as the i-th row of the
-    seed's generator, so a node's noise is a function of (seed, j, k) alone
-    and depends on neither the horizon nor the data.
+    The state is the exact running total and a stack with one entry per
+    node of `prefix_nodes(ingested)`, at most ceil(log2 T) + 1 rows. The
+    entry (k, running) of a level-k node holds the running noise sum
+    through that node: the noises of the stack's nodes up to it, added left
+    to right onto zero, so the top entry is the prefix noise, read in O(1).
+    Each entry is built once, when its node opens, and is read-only.
+    Step i draws the noise of node (j, k) with j * 2^k = i as the i-th row
+    of the seed's generator, so a node's noise is a function of
+    (seed, j, k) alone and depends on neither the horizon nor the data.
     """
 
     horizon: int
@@ -100,7 +104,8 @@ class TreeState:
 
 def tree_ingest(state: TreeState, i: int, delta: np.ndarray) -> TreeState:
     """Add step i's vector to the running total and open node (j, k) with
-    j * 2^k = i, which replaces the prefix's nodes below level k.
+    j * 2^k = i, which replaces the prefix's nodes below level k: its entry
+    is its noise added onto the running sum of the node left of it.
 
     Steps must arrive in order 1, 2, ..., horizon.
     """
@@ -117,9 +122,15 @@ def tree_ingest(state: TreeState, i: int, delta: np.ndarray) -> TreeState:
     k = (i & -i).bit_length() - 1
     while state.stack and state.stack[-1][0] < k:
         state.stack.pop()
-    noise = (state.sigma * state._rng.standard_normal(state.dim) if state.sigma > 0
-             else np.zeros(state.dim))
-    state.stack.append((k, noise))
+    if state.sigma > 0:
+        running = state._rng.standard_normal(state.dim)
+        running *= state.sigma
+    else:
+        running = np.zeros(state.dim)
+    # a first node still adds onto zero, as the sum from zero did: -0.0 -> 0.0
+    running += state.stack[-1][1] if state.stack else 0.0
+    running.setflags(write=False)
+    state.stack.append((k, running))
     state.ingested = i
     return state
 
@@ -129,13 +140,12 @@ def tree_prefix(state: TreeState, i: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (estimate, noise_only):  estimate = exact prefix + noise_only,
     where noise_only is the sum of the noises of the popcount(i) nodes in
-    the dyadic decomposition. The estimate is unbiased.
+    the dyadic decomposition. The estimate is unbiased. noise_only is the
+    stack's read-only running sum, so the call allocates only the estimate.
     """
     if i != state.ingested:
         raise ValueError(f"prefix step {i} is not the last ingested step {state.ingested}")
-    noise_only = np.zeros(state.dim)
-    for _, noise in state.stack:
-        noise_only += noise
+    noise_only = state.stack[-1][1] if state.stack else np.zeros(state.dim)
     return state.total + noise_only, noise_only
 
 

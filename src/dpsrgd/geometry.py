@@ -38,10 +38,10 @@ class ConstraintBall:
 
 
 def all_finite(v: np.ndarray) -> bool:
-    """True when every entry of v is finite. A finite sum proves it in one
-    reduction; a NaN, infinite or overflowed sum falls back to the
+    """True when every entry of v is finite. A finite sum of squares proves
+    it in one BLAS dot; a NaN, infinite or overflowed one falls back to the
     entry-wise test."""
-    return math.isfinite(v.sum()) or bool(np.isfinite(v).all())
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -110,25 +110,44 @@ def clip_rows(mat: np.ndarray, c_clip: float) -> np.ndarray:
     """Row-wise norm clipping for a (k, dim) batch of vectors. Rows whose
     sum of squares overflows are clipped like `clip` does, not zeroed.
 
-    Always returns a fresh array: a copy of mat when no row is over c_clip
-    (c_clip = inf included), otherwise mat with its over-long rows scaled
-    by c_clip / norm and the rest multiplied by 1.0, which is exact.
+    Always returns a fresh array: a float64 copy of mat, clipped in place
+    by `_clip_rows_in_place`.
     """
-    mat = np.asarray(mat, dtype=np.float64)
+    return _clip_rows_in_place(np.array(mat, dtype=np.float64), c_clip)
+
+
+def _clip_rows_in_place(mat: np.ndarray, c_clip: float) -> np.ndarray:
+    """`clip_rows` on a float64 (k, dim) array that the caller owns,
+    overwriting it and returning it. Nothing changes when no row is over
+    c_clip (c_clip = inf included); otherwise every row is multiplied by
+    its `_clip_factors` entry."""
     check_clip(c_clip)
     if not np.isfinite(c_clip):
-        return mat.copy()
+        return mat
     norms = row_norms(mat)
-    over = norms > c_clip
-    if not over.any():
-        return mat.copy()
-    scale = np.ones_like(norms)
-    scale[over] = c_clip / norms[over]
-    out = mat * scale[:, None]
-    if not math.isfinite(norms.max()):  # a NaN row, or an overflowed sum of squares
+    peak = norms.max()
+    if peak <= c_clip:
+        return mat
+    scale = _clip_factors(norms, c_clip)
+    if not math.isfinite(peak):  # a NaN row, or an overflowed sum of squares
         for r in np.flatnonzero(np.isinf(norms)):
-            out[r] = _shrink_overflowed(mat[r], c_clip)
-    return out
+            mat[r] = _shrink_overflowed(mat[r], c_clip)
+            scale[r] = 1.0
+    mat *= scale[:, None]
+    return mat
+
+
+def _clip_factors(norms: np.ndarray, bound: float) -> np.ndarray:
+    """min(1, bound / norm) for each entry of norms, for a finite bound >= 0:
+    exactly 1.0 at or below the bound and for a NaN norm, so multiplying by
+    it leaves those rows as they were. Taken as bound / max(norm, bound),
+    which divides by zero only at a zero bound, where no division is
+    needed."""
+    if bound == 0:
+        return np.where(norms > 0, 0.0, 1.0)
+    scale = np.fmax(norms, bound)
+    np.divide(bound, scale, out=scale)
+    return scale
 
 
 def interpolate(y: np.ndarray, z: np.ndarray, tau: float) -> np.ndarray:

@@ -50,6 +50,8 @@ _ALGORITHMS = (
 )
 # Algorithms whose noise is the clip times a unit-sensitivity draw.
 _CLIPPED_NOISE = ("dp_sgd", "dp_ftrl", "dp_memf", "dp_srg_memf")
+# Algorithms whose step size comes from the smoothness, not from lr_grid.
+_LR_FREE = ("accelerated_dp_srgd", "independent_variant")
 
 DATA_DIR_ENV = "DPSRGD_DATA_DIR"
 
@@ -126,6 +128,20 @@ class ExperimentSpec:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if min(self.dim, self.steps, self.train_size) < 1:
+            raise ValueError("dim, steps and train_size must be >= 1, got "
+                             f"{self.dim}, {self.steps}, {self.train_size}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not 0 < self.curvature < math.inf:
+            raise ValueError(f"curvature must be positive and finite, got {self.curvature}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be nonnegative and finite, "
+                             f"got {self.noise_scale}")
+        if self.algorithm in _LR_FREE and len(self.lr_grid) > 1:
+            raise ValueError(f"{self.algorithm} takes no learning rate, so an lr_grid "
+                             f"of {len(self.lr_grid)} entries would rerun one "
+                             "configuration under different seeds")
         budget = self.rho if self.rho is not None else self.epsilon
         if (math.isfinite(budget) and self.algorithm in _CLIPPED_NOISE
                 and not all(math.isfinite(clip) for clip in self.clip_grid)):

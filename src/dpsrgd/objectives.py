@@ -20,11 +20,12 @@ run's train-loss trajectory costs no extra forward pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import check_clip, clip_rows, row_norms
+from .geometry import _clip_factors, _clip_rows_in_place, check_clip, row_norms
 
 __all__ = [
     "LossProblem",
@@ -44,6 +45,10 @@ class LossProblem:
     computed in the same pass as the gradient. The defaults here build both
     from per_example_grads and per_example_values; a subclass may override
     them with a fused pass that returns the same numbers.
+
+    per_example_grads must return a fresh array that the caller owns: the
+    default hooks scale, subtract and clip the arrays it returns in place,
+    so that one step allocates no (m, dim) temporaries beyond them.
     """
 
     dim: int
@@ -54,7 +59,8 @@ class LossProblem:
         raise NotImplementedError
 
     def per_example_grads(self, x: np.ndarray, batch) -> np.ndarray:
-        """Gradient of every example in the batch at x, shape (m, dim)."""
+        """Gradient of every example in the batch at x, shape (m, dim), as a
+        fresh float64 array that the default hooks overwrite."""
         raise NotImplementedError
 
     def batch_size(self, batch) -> int:
@@ -88,7 +94,7 @@ class LossProblem:
         """(Mean over the batch of clip(g(x,d)), batch-mean loss at x)."""
         grads = self.per_example_grads(x, batch)
         loss = float(_batch_mean(self.per_example_values(x, batch)))
-        return _batch_mean(clip_rows(grads, c_clip)), loss
+        return _batch_mean(_clip_rows_in_place(grads, c_clip)), loss
 
     def srg_mean(self, x_t, x_prev, w_t: float, w_prev: float, batch,
                  c_clip: float = np.inf) -> tuple[np.ndarray, float]:
@@ -101,8 +107,10 @@ class LossProblem:
         g_t = self.per_example_grads(x_t, batch)
         g_p = self.per_example_grads(x_prev, batch)
         loss = float(_batch_mean(self.per_example_values(x_t, batch)))
-        diffs = w_t * g_t - w_prev * g_p
-        return _batch_mean(clip_rows(diffs, c_clip)), loss
+        g_t *= w_t  # w_t * g_t - w_prev * g_p, in the two fresh arrays
+        g_p *= w_prev
+        g_t -= g_p
+        return _batch_mean(_clip_rows_in_place(g_t, c_clip)), loss
 
 
 def _blocked_row_norms(mat: np.ndarray) -> np.ndarray:
@@ -141,6 +149,11 @@ class SyntheticQuadratic(LossProblem):
         self.target = np.asarray(self.target, dtype=np.float64)
         if self.target.shape != (self.dim,):
             raise ValueError("target shape must match dim")
+        if not 0 < self.curvature < math.inf:
+            raise ValueError(f"curvature must be positive and finite, got {self.curvature}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be nonnegative and finite, "
+                             f"got {self.noise_scale}")
         self.smoothness = self.curvature
         self.lipschitz = self.curvature * (
             self.radius + float(np.linalg.norm(self.target)) + self.noise_scale
@@ -159,16 +172,13 @@ class SyntheticQuadratic(LossProblem):
     def draw_batch(self, rng, size):
         """`size` examples target + r, with r Gaussian of per-coordinate std
         noise_scale / sqrt(dim) and each r clamped to norm noise_scale.
-        The clamp multiplies by a scale that is 1.0, exactly, on the rows
-        within the bound, and the rows are shifted in place."""
+        The clamp multiplies every row by min(noise_scale / norm, 1), which
+        is 1.0, exactly, on the rows within the bound; a zero noise_scale
+        has nothing to clamp. The rows are scaled and shifted in place."""
         raw = rng.standard_normal((size, self.dim))
-        raw *= self.noise_scale / max(np.sqrt(self.dim), 1.0)
-        norms = row_norms(raw)
-        over = norms > self.noise_scale
-        if over.any():
-            scale = np.ones_like(norms)
-            scale[over] = self.noise_scale / norms[over]
-            raw *= scale[:, None]
+        raw *= self.noise_scale / max(math.sqrt(self.dim), 1.0)
+        if self.noise_scale > 0:
+            raw *= _clip_factors(row_norms(raw), self.noise_scale)[:, None]
         raw += self.target
         return raw
 
@@ -325,11 +335,7 @@ class LogisticTask(LossProblem):
         check_clip(c_clip)
         if not np.isfinite(c_clip):
             return np.ones(err.shape[0])
-        norms = row_norms(err) * phi_norms
-        scale = np.ones_like(norms)
-        over = norms > c_clip
-        scale[over] = c_clip / norms[over]
-        return scale
+        return _clip_factors(row_norms(err) * phi_norms, c_clip)
 
     def draw_batch(self, rng, size):
         return rng.integers(0, self.n_train, size=size)

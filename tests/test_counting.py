@@ -113,6 +113,46 @@ def test_node_noise_is_independent_of_ingestion_progress():
                                        rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1.5])
+def test_prefix_is_the_left_to_right_node_sum_bit_for_bit(sigma):
+    # the stack keeps running sums; each prefix must carry exactly the bits
+    # of adding its nodes' noises onto zero from left to right
+    d, seed = 3, 9
+    for horizon in range(1, 71):
+        deltas = np.random.default_rng(horizon).standard_normal((horizon, d))
+        node_noise = _node_noise_oracle(sigma, seed, horizon, d)
+        state = TreeState(horizon, d, sigma=sigma, seed=seed)
+        total = np.zeros(d)
+        for i in range(1, horizon + 1):
+            tree_ingest(state, i, deltas[i - 1])
+            total += deltas[i - 1]
+            want = np.zeros(d)
+            for jk in prefix_nodes(i):
+                want += node_noise(*jk)
+            estimate, noise = tree_prefix(state, i)
+            np.testing.assert_array_equal(noise, want)
+            np.testing.assert_array_equal(estimate, total + want)
+
+
+def test_mutating_a_prefix_cannot_alter_later_prefixes():
+    T, d = 21, 4
+    deltas = np.random.default_rng(5).standard_normal((T, d))
+    state = TreeState(T, d, sigma=1.0, seed=12)
+    twin = TreeState(T, d, sigma=1.0, seed=12)
+    for i in range(1, T + 1):
+        tree_ingest(state, i, deltas[i - 1])
+        tree_ingest(twin, i, deltas[i - 1])
+        estimate, noise = tree_prefix(state, i)
+        want_estimate, want_noise = tree_prefix(twin, i)
+        np.testing.assert_array_equal(estimate, want_estimate)
+        np.testing.assert_array_equal(noise, want_noise)
+        estimate += 1e6  # the estimate is the caller's own array
+        with pytest.raises(ValueError):
+            noise += 1.0  # the noise is the tree's running sum, read-only
+        with pytest.raises(ValueError):
+            noise[0] = 0.0
+
+
 def test_tree_state_holds_only_the_prefix_nodes():
     T, d = 13, 3
     state = TreeState(T, d, sigma=1.0, seed=3)

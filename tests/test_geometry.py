@@ -122,6 +122,38 @@ def test_clip_rows_shrinks_an_overflowed_row_beside_a_nan_row():
     assert np.isnan(out[1, 0]) and out[1, 1] == 0.0
 
 
+def _clip_rows_reference(mat, c_clip):
+    """clip_rows as a boolean-mask gather and scatter on a copy, with the
+    overflowed rows shrunk by `clip`, written out."""
+    out = np.array(mat, dtype=np.float64)
+    if np.isinf(c_clip):
+        return out
+    norms = np.linalg.norm(mat, axis=1)
+    over = norms > c_clip
+    out[over] *= (c_clip / norms[over])[:, None]
+    for r in np.flatnonzero(np.isinf(norms)):
+        out[r] = clip(mat[r], c_clip)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("c_clip", [0.0, 0.7, 1.0, 3.0, 1e300, np.inf])
+def test_clip_rows_equals_the_boolean_mask_reference(c_clip):
+    # ordinary rows on both sides of the clip, rows of norm exactly 1, zero
+    # rows of either sign, a NaN row and an overflowed row
+    mat = np.concatenate([
+        np.random.default_rng(8).standard_normal((12, 4)),
+        [[0.6, 0.8, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0], [-0.0, -0.0, -0.0, -0.0],
+         [np.nan, 1.0, -2.0, 0.0], [3e200, -4e200, 1.0, 0.0]]])
+    before = mat.copy()
+    got = clip_rows(mat, c_clip)
+    want = _clip_rows_reference(mat, c_clip)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    np.testing.assert_array_equal(mat, before)
+
+
 def test_clip_rows_matches_per_row_clip():
     rng = np.random.default_rng(1)
     mat = rng.standard_normal((8, 5)) * 2.0

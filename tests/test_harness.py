@@ -87,6 +87,34 @@ def test_spec_rejects_nonpositive_or_nan_lr(lr_grid):
         _tiny_spec(lr_grid=lr_grid).validate()
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("curvature", 0.0), ("curvature", -1.0), ("curvature", math.nan),
+    ("curvature", math.inf), ("noise_scale", -0.5), ("noise_scale", math.nan),
+    ("noise_scale", math.inf),
+    ("radius", 0.0), ("radius", -1.0), ("radius", math.inf), ("radius", math.nan),
+    ("dim", 0), ("steps", 0), ("train_size", 0)])
+def test_spec_rejects_a_bad_task_shape_before_the_budget(field, bad):
+    # a negative noise_scale ran to completion with a sign-flipped clamp,
+    # NaN or inf aborted every run, and the rest failed only mid-run
+    spec = _tiny_spec(algorithm="accelerated_dp_srgd", **{field: bad})
+    with pytest.raises(ValueError, match=field):
+        spec.validate()
+    log = []
+    with pytest.raises(ValueError, match=field):
+        run_experiment(spec, event_log=log)
+    assert log == []
+
+
+@pytest.mark.parametrize("algorithm", ["accelerated_dp_srgd", "independent_variant"])
+def test_spec_rejects_an_lr_grid_where_lr_is_unused(algorithm):
+    # the accelerated runners never read lr: each entry would rerun one
+    # configuration under another seed and report it as another point
+    with pytest.raises(ValueError, match="lr_grid"):
+        _tiny_spec(algorithm=algorithm, lr_grid=(0.1, 0.2)).validate()
+    _tiny_spec(algorithm=algorithm, lr_grid=(0.2,)).validate()
+    _tiny_spec(algorithm="dp_sgd", lr_grid=(0.1, 0.2)).validate()
+
+
 def test_spec_accepts_zero_clip():
     _tiny_spec(clip_grid=(0.0, 1.0)).validate()
 

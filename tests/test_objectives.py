@@ -80,6 +80,19 @@ def test_quadratic_population_metrics():
     assert problem.population_excess(problem.target) == 0.0
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("curvature", 0.0), ("curvature", -1.0), ("curvature", np.nan), ("curvature", np.inf),
+    ("noise_scale", -0.5), ("noise_scale", np.nan), ("noise_scale", np.inf)])
+def test_quadratic_rejects_nonpositive_curvature_or_negative_noise(field, bad):
+    # a negative noise_scale would flip every clamped draw through the
+    # target; a zero curvature has no minimizer; an infinite one of either
+    # makes every draw or gradient non-finite
+    kwargs = dict(dim=3, target=np.zeros(3), curvature=1.0, noise_scale=0.5)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=field):
+        SyntheticQuadratic(**kwargs)
+
+
 def test_quadratic_examples_stay_near_target():
     problem = _quadratic(noise_scale=0.4)
     batch = problem.draw_batch(np.random.default_rng(5), 200)
@@ -152,6 +165,52 @@ def test_srg_mean_matches_row_loop(make, c_clip, w_prev):
     expected = clip_rows(rows, c_clip).mean(axis=0)
     got = problem.srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip)[0]
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+
+def _noisy_quadratic():
+    return GradientNoiseWrapper(_quadratic(), 0.3, seed=21)
+
+
+@pytest.mark.parametrize("make", [_quadratic, _noisy_quadratic, _logistic])
+@pytest.mark.parametrize("c_clip", [0.0, 0.5, np.inf])
+@pytest.mark.parametrize("hook", ["clipped_mean_grad", "srg_mean"])
+def test_hooks_leave_the_batch_and_both_points_unchanged(make, c_clip, hook):
+    # the default hooks overwrite the arrays per_example_grads returns, so
+    # those must never be the caller's batch or points
+    problem = make()
+    rng = np.random.default_rng(17)
+    batch = problem.draw_batch(rng, 9)
+    x_t = rng.standard_normal(problem.dim) * 0.4
+    x_prev = rng.standard_normal(problem.dim) * 0.4
+    saved = [a.copy() for a in (batch, x_t, x_prev)]
+    if hook == "srg_mean":
+        problem.srg_mean(x_t, x_prev, 3.0, 2.0, batch, c_clip)
+    else:
+        problem.clipped_mean_grad(x_t, batch, c_clip)
+    for got, want in zip((batch, x_t, x_prev), saved):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("make", [_quadratic, _noisy_quadratic])
+@pytest.mark.parametrize("c_clip", [0.0, 0.5, 3.0, np.inf])
+@pytest.mark.parametrize("w_prev", [0.0, 2.0])
+def test_default_hooks_equal_the_temporaries_reference_bit_for_bit(make, c_clip, w_prev):
+    # the increment is formed and clipped in place; every bit must be what
+    # w_t * g_t - w_prev * g_p, clipped on a copy and averaged, gives
+    problem, twin = make(), make()
+    rng = np.random.default_rng(18)
+    batch = problem.draw_batch(rng, 12)
+    x_t = rng.standard_normal(problem.dim) * 0.4
+    x_prev = rng.standard_normal(problem.dim) * 0.4
+    w_t = 3.0
+    rows = (w_t * twin.per_example_grads(x_t, batch)
+            - w_prev * twin.per_example_grads(x_prev, batch))
+    want = clip_rows(rows, c_clip).mean(axis=0)
+    got, loss = problem.srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip)
+    np.testing.assert_array_equal(got, want)
+    assert loss == float(twin.per_example_values(x_t, batch).mean())
+    want = clip_rows(twin.per_example_grads(x_t, batch), c_clip).mean(axis=0)
+    np.testing.assert_array_equal(problem.clipped_mean_grad(x_t, batch, c_clip)[0], want)
 
 
 @pytest.mark.parametrize("make", [_quadratic, _logistic])
