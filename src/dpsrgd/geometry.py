@@ -107,8 +107,9 @@ def row_norms(mat: np.ndarray) -> np.ndarray:
 
 
 def clip_rows(mat: np.ndarray, c_clip: float) -> np.ndarray:
-    """Row-wise norm clipping for a (k, dim) batch of vectors. Rows whose
-    sum of squares overflows are clipped like `clip` does, not zeroed.
+    """Row-wise norm clipping for a (k, dim) batch of vectors. A finite row
+    whose sum of squares overflows is clipped like `clip` does, not zeroed;
+    a row with a NaN or infinite entry is left as it is.
 
     Always returns a fresh array: a float64 copy of mat, clipped in place
     by `_clip_rows_in_place`.
@@ -129,9 +130,10 @@ def _clip_rows_in_place(mat: np.ndarray, c_clip: float) -> np.ndarray:
     if peak <= c_clip:
         return mat
     scale = _clip_factors(norms, c_clip)
-    if not math.isfinite(peak):  # a NaN row, or an overflowed sum of squares
+    if not math.isfinite(peak):  # a NaN row, or an infinite sum of squares
         for r in np.flatnonzero(np.isinf(norms)):
-            mat[r] = _shrink_overflowed(mat[r], c_clip)
+            if np.isfinite(mat[r]).all():  # else left for the step's finite check
+                mat[r] = _shrink_overflowed(mat[r], c_clip)
             scale[r] = 1.0
     mat *= scale[:, None]
     return mat

@@ -89,7 +89,6 @@ class ExperimentSpec:
     output: str = "results.csv"
     data_path: str = ""
     honest_selection: bool = False
-    double_noise: bool = True
     workers: int = 1
     dim: int = 20
     steps: int = 64
@@ -459,8 +458,7 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, cache):
                        for j in range(b)]
         cfg = optim.MemfConfig(strategy=_strategy_cache_get(cache, spec, shape, c),
                                rho=rho, c_clip=clip, lr=lr, decay=c,
-                               momentum=spec.momentum, seed=seed,
-                               double_noise=spec.double_noise)
+                               momentum=spec.momentum, seed=seed)
         runner = optim.run_dp_memf if spec.algorithm == "dp_memf" else optim.run_dp_srg_memf
         return runner(problem, batches, cfg)
 

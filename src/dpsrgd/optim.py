@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import StrategyMatrix, TreeState, mf_noise_stream, tree_ingest, tree_prefix
-from .geometry import ConstraintBall, all_finite, interpolate, project_ball
+from .geometry import ConstraintBall, all_finite, check_clip, interpolate, project_ball
 from .objectives import LossProblem
 
 __all__ = [
@@ -76,10 +76,11 @@ class SrgdConfig:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        check_clip(self.clip)
         if self.eta is None:
             values = np.arange(1, self.T + 2, dtype=np.float64)
         elif callable(self.eta):
@@ -111,9 +112,6 @@ class MemfConfig:
     of one size and revisit them in order for k epochs. decay = 0 disables
     the gradient recursion entirely (each increment is a plain clipped
     gradient); decay in (0, 1] is the constant recursion weight.
-    double_noise keeps the extra correlated-noise row added to the
-    recursive gradient right before the optimizer step (on by default);
-    set it False to hand the optimizer the recursion output alone.
     """
 
     strategy: StrategyMatrix
@@ -123,15 +121,17 @@ class MemfConfig:
     decay: float = 0.0
     momentum: float = 0.9
     seed: int = 0
-    double_noise: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.decay <= 1.0:
             raise ValueError(f"decay must be in [0,1], got {self.decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.rho <= 0:
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
+        check_clip(self.c_clip)
         self.strategy.check()
         if math.isfinite(self.rho) and not math.isfinite(self.c_clip):
             raise ValueError("finite rho requires a finite clip norm")
@@ -469,9 +469,9 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord
 
     Per step: the per-example increments g(x_t, d) - c * g(x_{t-1}, d) are
     clipped and averaged, a correlated noise row is added, and the decayed
-    recursion grad_t = c * grad_{t-1} + noisy_increment produces the
-    gradient estimate. With double_noise on, the same noise row is added
-    once more to the estimate handed to the optimizer. The first step has
+    recursion grad_t = c * grad_{t-1} + noisy_increment is the estimate
+    handed to the optimizer: each noise row enters once, as in run_dp_memf,
+    so at decay = 0 the two runners take the same steps. The first step has
     no predecessor, so its previous-gradient weight is zero.
     """
     momentum = _momentum(problem.dim, cfg)
@@ -484,8 +484,7 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord
     def update(t, x, delta, w_t):
         nonlocal grad_rec
         grad_rec = (cfg.decay if t > 0 else 0.0) * grad_rec + (delta + w_t)
-        grad_used = grad_rec + w_t if cfg.double_noise else grad_rec
-        _, _, iterates = momentum(t, x, grad_used, None)
+        _, _, iterates = momentum(t, x, grad_rec, None)
         return _norm(w_t), _norm(grad_rec), iterates
 
     return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,

@@ -122,6 +122,15 @@ def test_clip_rows_shrinks_an_overflowed_row_beside_a_nan_row():
     assert np.isnan(out[1, 0]) and out[1, 1] == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_clip_rows_leaves_an_infinite_row_as_it_is():
+    # the infinite row is not shrunk to NaN, so the step path's finite
+    # check still sees it; the finite row beside it is clipped
+    out = clip_rows(np.array([[np.inf, 1.0], [3.0, 4.0], [-np.inf, np.inf]]), 1.0)
+    np.testing.assert_array_equal(out[[0, 2]], [[np.inf, 1.0], [-np.inf, np.inf]])
+    np.testing.assert_allclose(out[1], [0.6, 0.8], rtol=1e-15)
+
+
 def _clip_rows_reference(mat, c_clip):
     """clip_rows as a boolean-mask gather and scatter on a copy, with the
     overflowed rows shrunk by `clip`, written out."""

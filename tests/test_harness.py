@@ -39,8 +39,7 @@ def test_spec_text_round_trip():
                           epsilon=math.inf, delta=1e-7, rho=None,
                           workload="momentum", lr_grid=(0.1, 0.25),
                           clip_grid=(math.inf,), c_grid=(0.0, 0.5),
-                          repeats=3, honest_selection=True,
-                          double_noise=False, output="out.csv",
+                          repeats=3, honest_selection=True, output="out.csv",
                           noise_scale=0.125)
     text = spec.to_text()
     assert ExperimentSpec.from_text(text) == spec
@@ -57,6 +56,11 @@ def test_spec_rejects_unknown_keys_and_malformed_lines():
         ExperimentSpec.from_text("no_such_field=1\n")
     with pytest.raises(ValueError):
         ExperimentSpec.from_text("just a bare line\n")
+
+
+def test_spec_rejects_the_removed_double_noise_key():
+    with pytest.raises(ValueError, match="unknown config keys: \\['double_noise'\\]"):
+        ExperimentSpec.from_text("algorithm=dp_srg_memf\ndouble_noise=true\n")
 
 
 def test_spec_validation():
