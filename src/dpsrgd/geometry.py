@@ -70,12 +70,20 @@ def project_ball(v: np.ndarray, ball: ConstraintBall) -> np.ndarray:
     v = _as_vector(v, "v")
     if v.shape[0] != ball.dim:
         raise ValueError(f"dimension mismatch: vector {v.shape[0]}, ball {ball.dim}")
+    out = _project(v, ball.radius)
+    return v.copy() if out is v else out
+
+
+def _project(v: np.ndarray, radius: float) -> np.ndarray:
+    """`project_ball`'s core, for a finite 1-d float64 v that the caller
+    has already checked: v itself when it lies inside the ball of
+    `radius`, a fresh array otherwise."""
     norm = math.sqrt(v.dot(v))  # np.linalg.norm's own formula for a 1-d vector
-    if norm <= ball.radius:
-        return v.copy()
+    if norm <= radius:
+        return v
     if math.isinf(norm):
-        return _shrink_overflowed(v, ball.radius)
-    return v * (ball.radius / norm)
+        return _shrink_overflowed(v, radius)
+    return v * (radius / norm)
 
 
 def check_clip(c_clip: float) -> None:
@@ -160,4 +168,10 @@ def interpolate(y: np.ndarray, z: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError(f"shape mismatch: {y.shape} vs {z.shape}")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    return _interpolate(y, z, tau)
+
+
+def _interpolate(y: np.ndarray, z: np.ndarray, tau: float) -> np.ndarray:
+    """`interpolate`'s core, for finite vectors of one shape and a tau in
+    [0, 1] that the caller has already checked."""
     return (1.0 - tau) * y + tau * z

@@ -645,14 +645,13 @@ def emit_csv(table: MetricTable, records, path: str):
         if not isinstance(rec, optim.RunRecord):
             continue
         traj = f"{stem}_traj_{i}.csv"
+        # the rows csv.writer would write: numeric cells need no quoting
         with open(traj, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# run={key}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["step", "loss", "phi", "noise_norm", "grad_norm"])
+            fh.write(f"# run={key}\nstep,loss,phi,noise_norm,grad_norm\r\n")
+            phis = rec.potential if rec.potential is not None else [None] * rec.steps
             for t in range(rec.steps):
-                phi = rec.potential[t] if rec.potential is not None else None
-                writer.writerow([t, _cell(rec.train_loss[t]), _cell(phi),
-                                 _cell(rec.noise_norm[t]), _cell(rec.grad_norm[t])])
+                fh.write(f"{t},{_cell(rec.train_loss[t])},{_cell(phis[t])},"
+                         f"{_cell(rec.noise_norm[t])},{_cell(rec.grad_norm[t])}\r\n")
         written.append(traj)
     return written
 

@@ -44,7 +44,12 @@ class LossProblem:
     `float(per_example_values(x, batch).mean())` at x (x_t for srg_mean),
     computed in the same pass as the gradient. The defaults here build both
     from per_example_grads and per_example_values; a subclass may override
-    them with a fused pass that returns the same numbers.
+    them with a fused pass that returns the same numbers, as
+    SyntheticQuadratic and LogisticTask do. Such a pass never calls the
+    per-example methods, so a subclass of either that intercepts those
+    methods (to count or alter evaluations) must take the generic hooks
+    back: `srg_mean = LossProblem.srg_mean` and
+    `clipped_mean_grad = LossProblem.clipped_mean_grad` in its class body.
 
     per_example_grads must return a fresh array that the caller owns: the
     default hooks scale, subtract and clip the arrays it returns in place,
@@ -135,6 +140,14 @@ class SyntheticQuadratic(LossProblem):
 
     The declared Lipschitz constant is the induced bound over a ball of
     radius `radius`: curvature * (radius + ||target|| + noise_scale).
+
+    The gradient hooks are fused: each evaluation point's residual x - d
+    is formed once, and both the gradient curvature * (x - d) and the
+    train loss are read off it, with the per-example methods' own steps,
+    so every figure is bit-identical to the generic hooks'. The curvature
+    multiply is skipped at curvature 1.0, where it changes no bit. A
+    subclass that intercepts per-example methods must take the generic
+    hooks back (see LossProblem).
     """
 
     dim: int
@@ -160,14 +173,44 @@ class SyntheticQuadratic(LossProblem):
         )
 
     def per_example_values(self, x, batch) -> np.ndarray:
-        diffs = x[None, :] - np.asarray(batch)
-        diffs *= diffs
-        return 0.5 * self.curvature * np.add.reduce(diffs, axis=1)
+        return self._values(x[None, :] - np.asarray(batch))
+
+    def _values(self, resid: np.ndarray) -> np.ndarray:
+        """Per-example losses from the residuals x - d, left unchanged."""
+        return 0.5 * self.curvature * np.add.reduce(resid * resid, axis=1)
 
     def per_example_grads(self, x, batch) -> np.ndarray:
         grads = x[None, :] - np.asarray(batch)
         grads *= self.curvature
         return grads
+
+    def _scaled(self, resid: np.ndarray) -> np.ndarray:
+        """curvature * resid, in place: the gradients from the residuals
+        x - d. At curvature 1.0 the multiply would change no bit."""
+        if self.curvature != 1.0:
+            resid *= self.curvature
+        return resid
+
+    def _grads_and_loss(self, x, batch) -> tuple[np.ndarray, float]:
+        """(per_example_grads(x, batch), batch-mean loss at x), both from
+        one residual x - batch."""
+        resid = x[None, :] - np.asarray(batch)
+        loss = float(_batch_mean(self._values(resid)))
+        return self._scaled(resid), loss
+
+    def clipped_mean_grad(self, x, batch, c_clip) -> tuple[np.ndarray, float]:
+        grads, loss = self._grads_and_loss(x, batch)
+        return _batch_mean(_clip_rows_in_place(grads, c_clip)), loss
+
+    def srg_mean(self, x_t, x_prev, w_t, w_prev, batch,
+                 c_clip=np.inf) -> tuple[np.ndarray, float]:
+        g_t, loss = self._grads_and_loss(x_t, batch)
+        g_p = self._scaled(x_prev[None, :] - np.asarray(batch))  # even at w_prev = 0
+        g_t *= w_t  # w_t * g_t - w_prev * g_p, as the generic hook forms it
+        g_p *= w_prev
+        g_t -= g_p
+        del g_p  # freed before the clip squares g_t
+        return _batch_mean(_clip_rows_in_place(g_t, c_clip)), loss
 
     def draw_batch(self, rng, size):
         """`size` examples target + r, with r Gaussian of per-coordinate std

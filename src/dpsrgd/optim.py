@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import StrategyMatrix, TreeState, mf_noise_stream, tree_ingest, tree_prefix
-from .geometry import ConstraintBall, all_finite, check_clip, interpolate, project_ball
+from .geometry import ConstraintBall, _interpolate, _project, all_finite, check_clip
 from .objectives import LossProblem
 
 __all__ = [
@@ -89,6 +89,8 @@ class SrgdConfig:
             values = np.asarray(self.eta, dtype=np.float64)[:self.T + 1]
             if values.shape[0] < self.T + 1:
                 raise ValueError("eta array must have at least T+1 entries")
+        if not np.isfinite(values).all():
+            raise ValueError("eta values must be finite")
         if np.any(values <= 0):
             raise ValueError("eta values must be positive")
         if np.any(np.diff(values) < 0):
@@ -198,7 +200,8 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     (noise norm, gradient norm, iterates): the next query point first, the
     reported point last. A non-finite estimate or row aborts the run, and
     so does a non-finite step, which the update checks before projecting
-    it (`project_ball` would raise ValueError). finish() returns the
+    it: the updates project and interpolate through geometry's cores,
+    which take the checked vectors as they are. finish() returns the
     runner's own RunRecord fields."""
     train_loss, noise_norm, grad_norm = np.empty(T), np.empty(T), np.empty(T)
     t, iterates = -1, (np.zeros(problem.dim),)
@@ -246,13 +249,16 @@ def _clipped(problem: LossProblem, c_clip: float):
     return lambda t, x, prev_x, batch: problem.clipped_mean_grad(x, batch, c_clip)
 
 
-def _projected(eta_lr: float, ball: ConstraintBall | None):
+def _projected(dim: int, eta_lr: float, ball: ConstraintBall | None):
     """Update: x - eta_lr * (estimate + noise row), projected onto the ball
     when there is one."""
+    if ball is not None and ball.dim != dim:
+        raise ValueError(f"ball dim {ball.dim} != problem dim {dim}")
+
     def update(t, x, g, w):
         step = x - eta_lr * (g + w if w is not None else g)
         _check_finite(t, "non-finite iterate", step)
-        return _norm(w), _norm(g), (project_ball(step, ball) if ball is not None else step,)
+        return _norm(w), _norm(g), (_project(step, ball.radius) if ball is not None else step,)
     return update
 
 
@@ -294,8 +300,8 @@ def _accelerated(problem: LossProblem, cfg: SrgdConfig):
         if b is not None:
             z_step, y_step = z_step + b, y_step + b / eta_t
         _check_finite(t, "non-finite iterate", z_step, y_step)
-        z, y = project_ball(z_step, cfg.ball), project_ball(y_step, cfg.ball)
-        return _norm(b), _norm(g), (interpolate(y, z, cfg.tau[t + 1]), z, y)
+        z, y = _project(z_step, cfg.ball.radius), _project(y_step, cfg.ball.radius)
+        return _norm(b), _norm(g), (_interpolate(y, z, cfg.tau[t + 1]), z, y)
 
     def finish():
         record_potential(cfg.T)
@@ -368,6 +374,8 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
         c_values = np.asarray(c_sched, dtype=np.float64)[:T]
         if c_values.shape[0] < T:
             raise ValueError("c schedule array must have at least T entries")
+    if not np.isfinite(c_values).all():
+        raise ValueError("c schedule must be finite")
     if np.any(c_values <= 0):
         raise ValueError("c schedule must be positive")
     if checkpoints is None:
@@ -390,8 +398,9 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
         grads = np.stack([cp_grads[s] for s in steps]) if len(steps) else None
         return dict(checkpoint_steps=steps, checkpoint_grads=grads)
 
-    return _drive(problem, stream, T, estimate, None, _projected(eta_lr, ball),
-                  "unaccelerated_srgd", seed, finish=finish)
+    return _drive(problem, stream, T, estimate, None,
+                  _projected(problem.dim, eta_lr, ball), "unaccelerated_srgd", seed,
+                  finish=finish)
 
 
 def variance_probe(run_factory, seeds, checkpoints=None):
@@ -424,8 +433,8 @@ def run_dp_sgd(problem: LossProblem, stream, eta_lr: float, c_clip: float,
     """Projected SGD over clipped mean gradients with i.i.d. spherical
     Gaussian noise of per-coordinate std sigma."""
     return _drive(problem, stream, T, _clipped(problem, c_clip),
-                  _iid_noise(problem.dim, sigma, seed), _projected(eta_lr, ball),
-                  "dp_sgd", seed)
+                  _iid_noise(problem.dim, sigma, seed),
+                  _projected(problem.dim, eta_lr, ball), "dp_sgd", seed)
 
 
 def run_dp_ftrl(problem: LossProblem, stream, eta_lr: float, c_clip: float,
@@ -436,7 +445,7 @@ def run_dp_ftrl(problem: LossProblem, stream, eta_lr: float, c_clip: float,
     scaled by the clipped mean's per-example sensitivity c_clip / B."""
     return _drive(problem, stream, strategy.steps, _clipped(problem, c_clip),
                   _correlated_noise(problem, strategy, rho, c_clip, seed),
-                  _projected(eta_lr, ball), "dp_ftrl", seed)
+                  _projected(problem.dim, eta_lr, ball), "dp_ftrl", seed)
 
 
 def _epochs(problem: LossProblem, batches, cfg: MemfConfig) -> list:
@@ -472,13 +481,17 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord
     recursion grad_t = c * grad_{t-1} + noisy_increment is the estimate
     handed to the optimizer: each noise row enters once, as in run_dp_memf,
     so at decay = 0 the two runners take the same steps. The first step has
-    no predecessor, so its previous-gradient weight is zero.
+    no predecessor, so its previous-gradient weight is zero. A step whose
+    weight is zero evaluates the batch at x_t alone, through
+    clipped_mean_grad: its increment is the clipped gradient there.
     """
     momentum = _momentum(problem.dim, cfg)
     grad_rec = np.zeros(problem.dim)
 
     def estimate(t, x, prev_x, batch):
         c_t = cfg.decay if t > 0 else 0.0
+        if c_t == 0.0:
+            return problem.clipped_mean_grad(x, batch, cfg.c_clip)
         return problem.srg_mean(x, prev_x, 1.0, c_t, batch, cfg.c_clip)
 
     def update(t, x, delta, w_t):

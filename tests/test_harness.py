@@ -1,7 +1,9 @@
 """Experiment harness: config round-trips, dataset IO, event ordering,
 determinism, sweep isolation, and CSV emission."""
 
+import csv
 import gzip
+import io
 import math
 import os
 import struct
@@ -23,7 +25,7 @@ from dpsrgd.harness import (
     run_experiment,
     save_csv,
 )
-from dpsrgd.objectives import LogisticTask, SyntheticQuadratic
+from dpsrgd.objectives import LogisticTask, LossProblem, SyntheticQuadratic
 from dpsrgd.optim import RunAborted, RunRecord
 
 IDX_NAMES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
@@ -558,6 +560,44 @@ def test_parse_summary_rejects_wrong_header(tmp_path):
         parse_summary_csv(str(path))
 
 
+def _csv_writer_trajectory(key, rec) -> bytes:
+    """A trajectory file as csv.writer writes it: the reference for the
+    rows emit_csv formats itself."""
+    cell = lambda v: "" if v is None else f"{v:.17g}"
+    buf = io.StringIO(newline="")
+    buf.write(f"# run={key}\n")
+    writer = csv.writer(buf)
+    writer.writerow(["step", "loss", "phi", "noise_norm", "grad_norm"])
+    for t in range(rec.steps):
+        phi = rec.potential[t] if rec.potential is not None else None
+        writer.writerow([t, cell(rec.train_loss[t]), cell(phi),
+                         cell(rec.noise_norm[t]), cell(rec.grad_norm[t])])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_trajectory_csvs_are_the_csv_writer_bytes(tmp_path):
+    odd = np.array([0.1, -0.0, 1e-300, 5e-324, -2.5e17, 1.0 / 3.0, math.inf,
+                    -math.inf, math.nan, 7.0])
+    rng = np.random.default_rng(5)
+
+    def record(potential):
+        steps = odd.size
+        return RunRecord(algorithm="accelerated_dp_srgd", seed=1, final_x=np.zeros(2),
+                         train_loss=odd, noise_norm=rng.standard_normal(steps) ** 2,
+                         grad_norm=odd[::-1].copy(), potential=potential)
+
+    records = {("a", 0.5, 1): record(np.append(rng.standard_normal(odd.size), 2.0)),
+               ("b", 0.5, 1): RunAborted(3, "non-finite iterate"),
+               ("c", 2.0, 1): record(None)}
+    paths = emit_csv(MetricTable(header={"epsilon": 2.0}), records,
+                     str(tmp_path / "summary.csv"))
+    assert [os.path.basename(p) for p in paths[1:]] == ["summary_traj_0.csv",
+                                                       "summary_traj_2.csv"]
+    for path, key in zip(paths[1:], (("a", 0.5, 1), ("c", 2.0, 1))):
+        with open(path, "rb") as fh:
+            assert fh.read() == _csv_writer_trajectory(key, records[key])
+
+
 def test_ci95_values():
     assert _ci95(np.array([3.0])) == 0.0
     vals = np.array([1.0, 2.0, 3.0])
@@ -578,6 +618,9 @@ def test_overflowing_projected_step_is_counted_as_aborted():
     # finite gradients of 1e307 at lr 100 overflow the dp_sgd step before
     # its projection; the sweep records the run as aborted
     class HugeGradients(SyntheticQuadratic):
+        srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_grads
+        clipped_mean_grad = LossProblem.clipped_mean_grad
+
         def per_example_grads(self, x, batch):
             return np.full((len(batch), self.dim), 1e307)
 

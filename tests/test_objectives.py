@@ -15,12 +15,17 @@ from dpsrgd.objectives import (
 )
 
 
-def _quadratic(dim=5, noise_scale=0.4, seed=0):
+def _quadratic(dim=5, noise_scale=0.4, seed=0, curvature=1.3):
     rng = np.random.default_rng(seed)
     target = rng.standard_normal(dim)
     target *= 0.6 / np.linalg.norm(target)
-    return SyntheticQuadratic(dim=dim, target=target, curvature=1.3,
+    return SyntheticQuadratic(dim=dim, target=target, curvature=curvature,
                               noise_scale=noise_scale, radius=1.0)
+
+
+def _unit_quadratic():
+    # curvature 1.0, where the fused hooks skip the curvature multiply
+    return _quadratic(curvature=1.0)
 
 
 def _logistic(n=40, p=4, classes=3, seed=0, with_eval=True):
@@ -191,7 +196,7 @@ def test_hooks_leave_the_batch_and_both_points_unchanged(make, c_clip, hook):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("make", [_quadratic, _noisy_quadratic])
+@pytest.mark.parametrize("make", [_quadratic, _unit_quadratic, _noisy_quadratic])
 @pytest.mark.parametrize("c_clip", [0.0, 0.5, 3.0, np.inf])
 @pytest.mark.parametrize("w_prev", [0.0, 2.0])
 def test_default_hooks_equal_the_temporaries_reference_bit_for_bit(make, c_clip, w_prev):
@@ -211,6 +216,45 @@ def test_default_hooks_equal_the_temporaries_reference_bit_for_bit(make, c_clip,
     assert loss == float(twin.per_example_values(x_t, batch).mean())
     want = clip_rows(twin.per_example_grads(x_t, batch), c_clip).mean(axis=0)
     np.testing.assert_array_equal(problem.clipped_mean_grad(x_t, batch, c_clip)[0], want)
+
+
+@pytest.mark.parametrize("make", [_quadratic, _unit_quadratic])
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+def test_srg_mean_evaluates_a_nan_previous_point_at_zero_weight(make, c_clip):
+    # 0 * NaN is NaN: the fused hook still evaluates x_prev at w_prev = 0,
+    # so a NaN there poisons the increment exactly as in the generic hook
+    problem = make()
+    rng = np.random.default_rng(19)
+    batch = problem.draw_batch(rng, 8)
+    x_t = rng.standard_normal(problem.dim) * 0.4
+    x_prev = np.full(problem.dim, np.nan)
+    got, loss = problem.srg_mean(x_t, x_prev, 1.0, 0.0, batch, c_clip)
+    generic, generic_loss = LossProblem.srg_mean(problem, x_t, x_prev, 1.0, 0.0,
+                                                 batch, c_clip)
+    assert np.isnan(got).all() and np.isnan(generic).all()
+    assert loss == generic_loss == float(problem.per_example_values(x_t, batch).mean())
+
+
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+def test_quadratic_srg_mean_holds_two_residual_arrays(c_clip):
+    # one residual per evaluation point, and the previous point's is freed
+    # before the clip: the generic hook's three live (B, d) arrays exceed
+    # this bound at the synthetic benchmark's shape
+    problem = SyntheticQuadratic(dim=20, target=np.full(20, 0.1), noise_scale=0.5)
+    rng = np.random.default_rng(20)
+    batch = problem.draw_batch(rng, 256)
+    x_t = rng.standard_normal(problem.dim) * 0.3
+    x_prev = rng.standard_normal(problem.dim) * 0.3
+    problem.srg_mean(x_t, x_prev, 3.0, 2.0, batch, c_clip)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        problem.srg_mean(x_t, x_prev, 3.0, 2.0, batch, c_clip)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * batch.nbytes
 
 
 @pytest.mark.parametrize("make", [_quadratic, _logistic])
@@ -456,6 +500,9 @@ def test_logistic_hooks_reject_negative_or_nan_clip(bad):
 
 class _CountingQuadratic(SyntheticQuadratic):
     """Counts per-example gradient evaluations (rows x calls)."""
+
+    srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_grads
+    clipped_mean_grad = LossProblem.clipped_mean_grad
 
     def __post_init__(self):
         super().__post_init__()

@@ -17,7 +17,12 @@ from dpsrgd.counting import (
     tree_prefix,
 )
 from dpsrgd.geometry import ConstraintBall, clip_rows, interpolate, project_ball
-from dpsrgd.objectives import GradientNoiseWrapper, LogisticTask, SyntheticQuadratic
+from dpsrgd.objectives import (
+    GradientNoiseWrapper,
+    LogisticTask,
+    LossProblem,
+    SyntheticQuadratic,
+)
 from dpsrgd.optim import (
     MemfConfig,
     RunAborted,
@@ -100,6 +105,16 @@ def test_schedule_validation_errors():
 def test_srgd_config_rejects_bad_scalars(field, value):
     with pytest.raises(ValueError, match=field):
         SrgdConfig(**{"T": 3, "beta": 1.0, "ball": ConstraintBall(2, 1.0), field: value})
+
+
+@pytest.mark.parametrize("eta", [
+    [1.0, math.nan, 3.0, 4.0], [1.0, 2.0, math.inf, math.inf],
+    lambda t: math.inf if t == 3 else t + 1.0])
+def test_srgd_config_rejects_non_finite_eta(eta):
+    # a NaN entry used to pass as a NaN tau, and a trailing inf as an
+    # unbounded schedule, with only numpy warnings
+    with pytest.raises(ValueError, match="eta values must be finite"):
+        SrgdConfig(T=3, beta=1.0, ball=ConstraintBall(2, 1.0), eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +334,9 @@ def test_potential_function_value():
 
 
 class _CountingQuadratic(SyntheticQuadratic):
+    srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_grads
+    clipped_mean_grad = LossProblem.clipped_mean_grad
+
     def __post_init__(self):
         super().__post_init__()
         self.grad_rows = 0
@@ -454,6 +472,20 @@ def test_unaccelerated_rejects_short_c_schedule_before_any_step():
     batches = _batches(problem, 5, 4, seed=17)
     with pytest.raises(ValueError, match="at least T"):
         run_unaccelerated_srgd(problem, iter(batches), 0.05, np.ones(3), 5)
+    assert problem.grad_rows == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("as_callable", [False, True])
+def test_unaccelerated_rejects_non_finite_c_schedule_before_any_step(bad, as_callable):
+    # such an entry used to run and then abort the run at step 1
+    problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
+                                 noise_scale=0.3, radius=1.0)
+    batches = _batches(problem, 5, 4, seed=17)
+    c = np.array([1.0, bad, 3.0, 4.0, 5.0])
+    c_sched = (lambda t: c[t]) if as_callable else c
+    with pytest.raises(ValueError, match="c schedule must be finite"):
+        run_unaccelerated_srgd(problem, iter(batches), 0.05, c_sched, 5)
     assert problem.grad_rows == 0
 
 
@@ -644,6 +676,9 @@ def test_memf_batch_mismatch_errors():
 
 
 class _BatchOrderSpy(SyntheticQuadratic):
+    srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_values
+    clipped_mean_grad = LossProblem.clipped_mean_grad
+
     def __post_init__(self):
         super().__post_init__()
         self.seen = []
@@ -686,6 +721,17 @@ def test_zero_decay_recursion_equals_plain_memf_under_noise():
     np.testing.assert_array_equal(rec_plain.final_x, rec_srg.final_x)
     np.testing.assert_array_equal(rec_plain.train_loss, rec_srg.train_loss)
     np.testing.assert_array_equal(rec_plain.noise_norm, rec_srg.noise_norm)
+
+
+@pytest.mark.parametrize("decay, steps_evaluated", [(0.0, 10), (0.5, 1 + 2 * 9)])
+def test_dp_srg_memf_evaluates_one_point_at_zero_weight(decay, steps_evaluated):
+    # a step whose recursion weight is 0 (every step at decay 0, the first
+    # step otherwise) evaluates the batch at x_t alone
+    problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
+                                 noise_scale=0.5, radius=1.0)
+    batches = _batches(problem, 5, 4, seed=27)
+    run_dp_srg_memf(problem, batches, _memf_cfg(identity_strategy(2, 5), decay=decay))
+    assert problem.grad_rows == 4 * steps_evaluated
 
 
 def test_memf_noise_scales_with_clip_norm():
@@ -759,6 +805,9 @@ def test_dp_memf_matches_reference_loop():
 class _ExplodingQuadratic(SyntheticQuadratic):
     """Returns a non-finite gradient from step 3 onward."""
 
+    srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_grads
+    clipped_mean_grad = LossProblem.clipped_mean_grad
+
     def __post_init__(self):
         super().__post_init__()
         self.calls = 0
@@ -771,14 +820,7 @@ class _ExplodingQuadratic(SyntheticQuadratic):
         return out
 
 
-# dp_srg_memf weights the infinite gradient at the previous point by zero,
-# which numpy reports as an invalid inf * 0 before the run aborts
-_INF_TIMES_ZERO = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=_INF_TIMES_ZERO) if name == "dp_srg_memf" else name
-    for name in sorted(_RUNNERS)])
+@pytest.mark.parametrize("name", sorted(_RUNNERS))
 def test_runner_aborts_on_non_finite_iterate(name):
     problem = _ExplodingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
                                   noise_scale=0.5, radius=1.0)
@@ -786,8 +828,9 @@ def test_runner_aborts_on_non_finite_iterate(name):
     with pytest.raises(RunAborted) as info:
         _RUNNERS[name](problem, batches, 10)
     # a recursive-gradient step evaluates two points, a clipped-gradient
-    # step one, so the fourth evaluation falls in step 1 or step 3
-    recursive = ("accelerated_dp_srgd", "unaccelerated_srgd", "dp_srg_memf")
+    # step one (dp_srg_memf at decay 0 included), so the fourth evaluation
+    # falls in step 1 or step 3
+    recursive = ("accelerated_dp_srgd", "unaccelerated_srgd")
     assert info.value.step == (1 if name in recursive else 3)
 
 
@@ -795,6 +838,9 @@ class _HugeGradientQuadratic(SyntheticQuadratic):
     """Finite per-example gradients of 1e307 in every coordinate: a batch
     mean of a few of them is finite, a step much larger than 1 on it is
     not."""
+
+    srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_grads
+    clipped_mean_grad = LossProblem.clipped_mean_grad
 
     def per_example_grads(self, x, batch):
         return np.full((len(batch), self.dim), 1e307)
@@ -813,6 +859,24 @@ _OVERFLOWING_RUNNERS = {
     "accelerated_dp_srgd": lambda p, batches, ball: run_accelerated_dp_srgd(
         p, iter(batches), SrgdConfig(T=len(batches), beta=1e-3, ball=ball)),
 }
+
+
+_PROJECTED_RUNNERS = dict(
+    _OVERFLOWING_RUNNERS,
+    unaccelerated_srgd=lambda p, batches, ball: run_unaccelerated_srgd(
+        p, iter(batches), 0.1, np.ones(len(batches)), len(batches), ball=ball))
+
+
+@pytest.mark.parametrize("name", sorted(_PROJECTED_RUNNERS))
+def test_projected_runners_reject_a_ball_of_another_dimension(name):
+    # the steps are projected without per-call checks, so the ball's
+    # dimension is checked once, before the first step
+    problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
+                                 noise_scale=0.5, radius=1.0)
+    batches = _batches(problem, 4, 4, seed=36)
+    with pytest.raises(ValueError, match="ball dim"):
+        _PROJECTED_RUNNERS[name](problem, batches, ConstraintBall(problem.dim + 1, 1.0))
+    assert problem.grad_rows == 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
