@@ -5,7 +5,9 @@ minimizer, so excess risk and population gradients are exact; it backs the
 convergence and sensitivity checks. LogisticTask is multiclass softmax
 regression over fixed feature/label arrays with a held-out split; it runs
 one logits matmul per batch, for both evaluation points of `srg_mean`, and
-one over the held-out set for a finished run's loss and accuracy.
+one over the held-out set for a finished run's loss and accuracy. Every
+logits product but `srg_mean`'s stacked one puts the K class rows on the
+left (see LogisticTask).
 
 A "batch" is whatever the problem's per-example methods accept:
 an (m, dim) array of example vectors for the synthetic task, an integer
@@ -250,6 +252,17 @@ class LogisticTask(LossProblem):
     otherwise, and runs one logits matmul per batch: `srg_mean` stacks the
     weights of its two evaluation points, so a single GEMM yields both
     softmax errors and the train loss.
+
+    Every other logits product (the single-point hooks and per-example
+    methods, the held-out loss and accuracy) is `_logits`: the (K, p)
+    weights as the left operand, laid out once as C-ordered (m, K). On
+    OpenBLAS that runs about twice as fast as feats @ W.T at K = 10 and
+    gives the same bits, at every row count and layout the tests pin. The
+    stacked (2K, p) product of `srg_mean` stays feats @ W.T: transposed,
+    it changes the last bit of some logits at width 20 for a gain under 4%.
+
+    Features must be finite; labels must be integer-valued and in range;
+    neither split may be empty. A batch must be an integer index array.
     """
 
     features: np.ndarray
@@ -265,7 +278,7 @@ class LogisticTask(LossProblem):
         self.dim = self.num_classes * self.n_features
         # per-row feature norms, kept for the clip scale of the gradient hooks
         self.feature_norms = _blocked_row_norms(self.features)
-        max_row = float(np.max(self.feature_norms))
+        max_row = self._checked_max_norm(self.features, self.feature_norms, "")
         if (self.eval_features is None) != (self.eval_labels is None):
             raise ValueError("eval_features and eval_labels must be given together")
         if self.eval_features is not None:
@@ -275,20 +288,37 @@ class LogisticTask(LossProblem):
             if self.eval_features.shape[1] != self.n_features:
                 raise ValueError(f"eval features have {self.eval_features.shape[1]} "
                                  f"columns, train features {self.n_features}")
-            max_row = max(max_row, float(np.max(_blocked_row_norms(self.eval_features))))
+            max_row = max(max_row, self._checked_max_norm(
+                self.eval_features, _blocked_row_norms(self.eval_features), "eval "))
         # softmax error vector has norm at most sqrt(2); logit Hessian
         # spectral norm at most 1/2
         self.lipschitz = np.sqrt(2.0) * max_row
         self.smoothness = 0.5 * max_row**2
 
     def _checked_labels(self, features, labels, split: str) -> np.ndarray:
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
         if (features.ndim != 2 or labels.ndim != 1
                 or features.shape[0] != labels.shape[0]):
             raise ValueError(f"{split}features/labels shape mismatch")
+        if not labels.size:
+            raise ValueError(f"{split or 'training '}split is empty")
+        # a NaN fails the floor test; an infinity fails the range test
+        if labels.dtype.kind not in "biu" and not (
+                labels.dtype.kind == "f" and np.all(np.floor(labels) == labels)):
+            raise ValueError(f"{split}labels must be integers")
         if labels.min() < 0 or labels.max() >= self.num_classes:
             raise ValueError(f"{split}labels out of range")
-        return labels
+        return labels.astype(np.int64)
+
+    @staticmethod
+    def _checked_max_norm(features, norms, split: str) -> float:
+        """max(norms), the largest row norm of features. Only when it is
+        not finite are the entries tested: a finite row's sum of squares
+        may overflow."""
+        max_row = float(np.max(norms))
+        if not math.isfinite(max_row) and not np.isfinite(features).all():
+            raise ValueError(f"{split}features have non-finite entries")
+        return max_row
 
     @property
     def n_train(self) -> int:
@@ -313,13 +343,22 @@ class LogisticTask(LossProblem):
         total = z.sum(axis=2, keepdims=True)
         return -(at_label - np.log(total[..., 0])), total
 
+    def _logits(self, feats, x) -> np.ndarray:
+        """feats @ W.T, shape (m, K), C-ordered, computed as W @ feats.T
+        with the class rows on the left (see the class docstring)."""
+        return np.ascontiguousarray((self._weights(x) @ feats.T).T)
+
     def _forward(self, phi, labels, *xs) -> tuple[np.ndarray, np.ndarray]:
         """softmax(W phi) - onehot(y), shape (m, P, K), and the per-example
         cross-entropy, shape (m, P), at each of the P points xs, from one
         logits matmul against their stacked (P*K, p) weights."""
-        w = np.concatenate([self._weights(x) for x in xs])
-        z = (phi @ w.T).reshape(len(labels), len(xs), self.num_classes)
-        del w
+        if len(xs) == 1:
+            z = self._logits(phi, xs[0])
+        else:
+            w = np.concatenate([self._weights(x) for x in xs])
+            z = phi @ w.T
+            del w
+        z = z.reshape(len(labels), len(xs), self.num_classes)
         loss, total = self._exp_shifted(z, labels)
         z /= total
         z[np.arange(len(labels)), :, labels] -= 1.0
@@ -331,8 +370,12 @@ class LogisticTask(LossProblem):
         batches of the multi-epoch runs, so that reads are views; the index
         array otherwise, whose reads gather. An index below 0 raises
         IndexError here, where numpy would wrap it to a row from the end,
-        and one at or beyond n_train raises it in the gather."""
+        and one at or beyond n_train raises it in the gather. Any
+        non-integer batch raises ValueError: a boolean mask's length, which
+        the noise scale divides by, is not the number of rows it reads."""
         idx = np.asarray(batch)
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"batch must be an integer index array, got dtype {idx.dtype}")
         if idx.dtype.kind != "i" or not idx.size:
             return idx
         if idx.min() < 0:
@@ -391,7 +434,7 @@ class LogisticTask(LossProblem):
         """(Held-out average loss, held-out accuracy in percent) from one
         logits matmul; both fall back to the training split."""
         feats, labels = self._heldout()
-        z = feats @ self._weights(x).T
+        z = self._logits(feats, x)
         pred = z.argmax(axis=1)
         loss = self._exp_shifted(z[:, None, :], labels)[0][:, 0]
         return float(loss.mean()), 100.0 * float((pred == labels).mean())
@@ -407,7 +450,7 @@ class LogisticTask(LossProblem):
             feats, labels = feats[1::2], labels[1::2]
         elif half is not None:
             raise ValueError(f"half must be 'even', 'odd', or None, got {half!r}")
-        pred = (feats @ self._weights(x).T).argmax(axis=1)
+        pred = self._logits(feats, x).argmax(axis=1)
         return 100.0 * float((pred == labels).mean())
 
 

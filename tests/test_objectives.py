@@ -399,6 +399,25 @@ def test_consecutive_batch_reads_in_place_with_the_gathered_figures(c_clip):
     assert got_loss == want_loss
 
 
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+def test_clipped_mean_grad_on_a_gathered_batch_equals_the_reference(c_clip):
+    # the single-point hooks take their logits with the class rows on the
+    # left; on 500 gathered, non-consecutive rows of the MNIST shape they
+    # give the bits of feats @ W.T
+    problem = _mnist_shaped()
+    rng = np.random.default_rng(27)
+    idx = rng.permutation(problem.n_train)[:500]
+    x = rng.standard_normal(problem.dim) * 0.05
+    logits = problem.features[idx] @ problem._weights(x).T
+    want_g, want_loss = _two_point_srg_reference(
+        problem, x, x, 1.0, 0.0, idx, c_clip, logits, logits)
+    got_g, got_loss = problem.clipped_mean_grad(x, idx, c_clip)
+    np.testing.assert_array_equal(got_g, want_g)
+    assert got_loss == want_loss
+    np.testing.assert_array_equal(problem.per_example_values(x, idx),
+                                  _softmax_err_and_loss(logits, problem.labels[idx])[1])
+
+
 def test_consecutive_batch_out_of_range_still_raises():
     problem = _logistic(n=40)
     x = np.zeros(problem.dim)
@@ -476,6 +495,33 @@ def test_excess_and_accuracy_is_one_heldout_pass(with_eval):
     got = problem.excess_and_accuracy(x)
     assert got == _heldout_reference(problem, x)
     assert got == (problem.population_excess(x), problem.accuracy(x))
+
+
+def _mnist_shaped_with_heldout(n_eval=10000):
+    rng = np.random.default_rng(28)
+    task = _mnist_shaped(n=500, seed=29)
+    eval_feats = (rng.random((n_eval, task.n_features)) < 0.2) * rng.random(
+        (n_eval, task.n_features))
+    eval_feats[:, -1] = 1.0
+    return LogisticTask(features=task.features, labels=task.labels,
+                        num_classes=task.num_classes, eval_features=eval_feats,
+                        eval_labels=rng.integers(0, task.num_classes, size=n_eval))
+
+
+@pytest.mark.parametrize("make", [lambda: _logistic(n=60, p=6, classes=4, seed=30),
+                                  _mnist_shaped_with_heldout],
+                         ids=["small", "mnist_10000"])
+def test_heldout_figures_equal_the_feats_at_weights_reference(make):
+    # the held-out pass takes its logits with the class rows on the left;
+    # loss and accuracy keep the bits of feats @ W.T, halves included
+    problem = make()
+    x = np.random.default_rng(31).standard_normal(problem.dim) * 0.05
+    assert problem.excess_and_accuracy(x) == _heldout_reference(problem, x)
+    feats, labels = problem.eval_features, problem.eval_labels
+    for half, rows in ((None, slice(None)), ("even", slice(0, None, 2)),
+                       ("odd", slice(1, None, 2))):
+        pred = (feats[rows] @ problem._weights(x).T).argmax(axis=1)
+        assert problem.accuracy(x, half=half) == 100.0 * float((pred == labels[rows]).mean())
 
 
 def test_excess_and_accuracy_default_has_no_accuracy():
@@ -571,6 +617,65 @@ def test_logistic_validation_errors():
         with pytest.raises(ValueError):
             LogisticTask(**train, eval_features=eval_features, eval_labels=eval_labels)
     LogisticTask(**train, eval_features=np.zeros((3, 2)), eval_labels=np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("batch", [np.arange(20) % 4 == 0, np.arange(5.0)],
+                         ids=["bool_mask", "float"])
+def test_batch_that_is_not_an_integer_index_array_raises(batch):
+    # a 20-entry mask that reads 5 rows has length 20, the batch size the
+    # correlated noise of the MF runners is scaled by
+    problem = _logistic(n=40)
+    x = np.zeros(problem.dim)
+    with pytest.raises(ValueError, match="integer index array"):
+        problem.clipped_mean_grad(x, batch, 1.0)
+    with pytest.raises(ValueError, match="integer index array"):
+        problem.srg_mean(x, x, 1.0, 1.0, batch, 1.0)
+    with pytest.raises(ValueError, match="integer index array"):
+        problem.per_example_values(x, batch)
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_logistic_rejects_non_finite_features(split, bad):
+    feats, eval_feats = np.ones((4, 3)), np.ones((3, 3))
+    (feats if split == "train" else eval_feats)[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        LogisticTask(features=feats, labels=np.array([0, 1, 1, 0]), num_classes=2,
+                     eval_features=eval_feats, eval_labels=np.array([0, 1, 1]))
+
+
+def test_logistic_accepts_finite_features_whose_row_norm_overflows():
+    feats = np.ones((4, 3))
+    feats[2] = 1e200
+    with np.errstate(over="ignore"):
+        task = LogisticTask(features=feats, labels=np.array([0, 1, 1, 0]), num_classes=2)
+    assert task.lipschitz == np.inf
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_logistic_rejects_non_integer_labels(split):
+    good = np.array([0.0, 1.0, 1.0, 0.0])
+    for bad in (good + 0.5, np.array([0.0, np.nan, 1.0, 0.0]), np.array(list("0110"))):
+        labels, eval_labels = (bad, good) if split == "train" else (good, bad)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            LogisticTask(features=np.ones((4, 2)), labels=labels, num_classes=2,
+                         eval_features=np.ones((4, 2)), eval_labels=eval_labels)
+    with pytest.raises(ValueError, match="out of range"):
+        LogisticTask(features=np.ones((4, 2)), labels=np.array([0.0, np.inf, 1.0, 0.0]),
+                     num_classes=2)
+    task = LogisticTask(features=np.ones((4, 2)), labels=good, num_classes=2,
+                        eval_features=np.ones((4, 2)), eval_labels=good)
+    np.testing.assert_array_equal(task.labels, [0, 1, 1, 0])
+    assert task.labels.dtype == np.int64 and task.eval_labels.dtype == np.int64
+
+
+def test_logistic_rejects_an_empty_split():
+    with pytest.raises(ValueError, match="training split is empty"):
+        LogisticTask(features=np.ones((0, 2)), labels=np.zeros(0, dtype=int), num_classes=2)
+    with pytest.raises(ValueError, match="eval split is empty"):
+        LogisticTask(features=np.ones((4, 2)), labels=np.array([0, 1, 1, 0]),
+                     num_classes=2, eval_features=np.ones((0, 2)),
+                     eval_labels=np.zeros(0, dtype=int))
 
 
 def test_logistic_loss_is_cross_entropy():
