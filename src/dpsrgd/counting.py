@@ -409,7 +409,8 @@ def forward_substitution_rows(c_mat: np.ndarray, z_rows):
     the w - 1 rows before it, w the bandwidth of C's nonzero pattern, so
     the state is a ring of w - 1 solved rows, O(w * d) memory and work per
     row (w = 1 for a diagonal C, w = n for a full one). Every yielded row
-    is a fresh array.
+    is a fresh array that the stream never reads again, so a caller may
+    scale it in place; no z row is ever written to.
     """
     n = c_mat.shape[0]
     width = _bandwidth(c_mat) - 1  # rows in the ring; row s sits in slot s % width
@@ -419,13 +420,15 @@ def forward_substitution_rows(c_mat: np.ndarray, z_rows):
             break
         z = np.asarray(z, dtype=np.float64)
         if t == 0 or width == 0:
-            acc = z
-        elif t < width:
-            acc = z - c_mat[t, :t] @ ring[:t]
+            row = z / c_mat[t, t]
         else:
-            # slot j holds row t - width + ((j - t) % width)
-            acc = z - np.roll(c_mat[t, t - width:t], t % width) @ ring
-        row = acc / c_mat[t, t]
+            if t < width:
+                row = c_mat[t, :t] @ ring[:t]
+            else:
+                # slot j holds row t - width + ((j - t) % width)
+                row = np.roll(c_mat[t, t - width:t], t % width) @ ring
+            np.subtract(z, row, out=row)  # z - (C row) @ ring, into the GEMV's output
+            row /= c_mat[t, t]
         if width:
             if ring is None:
                 ring = np.empty((width, z.shape[0]))
@@ -454,7 +457,9 @@ def mf_noise_stream(strategy: StrategyMatrix, rho: float, d: int, seed: int):
 
     def z_rows():
         for _ in range(n):
-            yield rng.standard_normal(d) * scale
+            z = rng.standard_normal(d)
+            z *= scale
+            yield z
 
     yield from forward_substitution_rows(strategy.C, z_rows())
 

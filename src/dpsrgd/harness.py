@@ -17,7 +17,6 @@ import io
 import math
 import os
 import struct
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -419,15 +418,24 @@ def _strategy_cache_get(cache: dict, spec: ExperimentSpec, shape: tuple[int, int
     return cache[key]
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned integer dtype that holds every index of n
+    examples (uint16 up to 65536 examples)."""
+    return np.min_scalar_type(n - 1)
+
+
 def _pass_stream(rng, n: int, B: int, T: int):
     """T index batches of size B, sampled without replacement within each
     pass: one permutation of the n examples per n // B steps, handed out in
-    disjoint slices."""
+    disjoint slices. The permutation is `rng.permutation(n)`'s, in the same
+    order and leaving rng in the same state, held in `_index_dtype(n)`: an
+    arange shuffled in place, as `permutation` builds its own int64 one."""
     per_pass = n // B
     for t in range(T):
         j = t % per_pass
         if j == 0:
-            order = rng.permutation(n)
+            order = np.arange(n, dtype=_index_dtype(n))
+            rng.shuffle(order)
         yield order[j * B:(j + 1) * B]
 
 
@@ -454,7 +462,8 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, cache):
             batches = [data[j * spec.batch_size:(j + 1) * spec.batch_size]
                        for j in range(b)]
         else:
-            batches = [np.arange(j * spec.batch_size, (j + 1) * spec.batch_size)
+            batches = [np.arange(j * spec.batch_size, (j + 1) * spec.batch_size,
+                                 dtype=_index_dtype(n))
                        for j in range(b)]
         cfg = optim.MemfConfig(strategy=_strategy_cache_get(cache, spec, shape, c),
                                rho=rho, c_clip=clip, lr=lr, decay=c,
@@ -527,10 +536,11 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
     participation = _max_participation(spec, n)
     if (participation > 1 and math.isfinite(rho)
             and spec.algorithm not in ("dp_memf", "dp_srg_memf")):
-        warnings.warn(
+        raise ValueError(
             f"{spec.steps} steps of batch size {spec.batch_size} over {n} examples "
             f"use some examples in up to {participation} steps; the noise of "
-            f"{spec.algorithm} is calibrated for at most one", stacklevel=2)
+            f"{spec.algorithm} is calibrated for at most one, so the reported "
+            "budget would not hold (an infinite epsilon runs any number of passes)")
 
     grid = [(lr, clip, c) for lr in spec.lr_grid for clip in spec.clip_grid
             for c in spec.c_grid]

@@ -122,10 +122,14 @@ class LossProblem:
 
 def _blocked_row_norms(mat: np.ndarray) -> np.ndarray:
     """row_norms(mat), 4096 rows at a time, so that the squares are never
-    held for the whole array at once. Each row's figure is the same."""
+    held for the whole array at once. Each row's figure is the same. A
+    finite row whose squares overflow gets an infinite norm without a
+    warning; `LogisticTask._checked_max_norm` tells it from a non-finite
+    entry."""
     out = np.empty(mat.shape[0])
-    for start in range(0, mat.shape[0], 4096):
-        out[start:start + 4096] = row_norms(mat[start:start + 4096])
+    with np.errstate(over="ignore"):
+        for start in range(0, mat.shape[0], 4096):
+            out[start:start + 4096] = row_norms(mat[start:start + 4096])
     return out
 
 
@@ -368,22 +372,29 @@ class LogisticTask(LossProblem):
         """Index of an index batch into the training arrays: a slice for a
         strictly consecutive run of in-range indices, such as the fixed
         batches of the multi-epoch runs, so that reads are views; the index
-        array otherwise, whose reads gather. An index below 0 raises
-        IndexError here, where numpy would wrap it to a row from the end,
-        and one at or beyond n_train raises it in the gather. Any
-        non-integer batch raises ValueError: a boolean mask's length, which
-        the noise scale divides by, is not the number of rows it reads."""
+        array as intp otherwise, cast once for the three reads that gather
+        with it. Signed and unsigned batches of any width are accepted;
+        the ends are compared as Python ints, so an unsigned batch never
+        wraps. An index below 0 raises IndexError here, where numpy would
+        wrap it to a row from the end, and one at or beyond n_train raises
+        it in the gather. Any non-integer batch raises ValueError: a
+        boolean mask's length, which the noise scale divides by, is not
+        the number of rows it reads."""
         idx = np.asarray(batch)
         if idx.dtype.kind not in "iu":
             raise ValueError(f"batch must be an integer index array, got dtype {idx.dtype}")
-        if idx.dtype.kind != "i" or not idx.size:
+        if not idx.size:
             return idx
-        if idx.min() < 0:
+        if idx.dtype.kind == "i" and idx.min() < 0:
             raise IndexError(f"negative example index {int(idx.min())} in batch")
-        if (idx.ndim == 1 and idx[-1] - idx[0] == idx.size - 1
-                and idx[-1] < self.n_train and np.all(np.diff(idx) == 1)):
-            return slice(int(idx[0]), int(idx[-1]) + 1)
-        return idx
+        if idx.ndim == 1:
+            # a difference of 1 modulo the width at every step, summing to
+            # last - first = size - 1, is a difference of exactly 1
+            first, last = int(idx[0]), int(idx[-1])
+            if (last - first == idx.size - 1 and last < self.n_train
+                    and np.all(np.diff(idx) == 1)):
+                return slice(first, last + 1)
+        return idx.astype(np.intp, copy=False)
 
     def per_example_values(self, x, batch) -> np.ndarray:
         sel = self._select(batch)

@@ -201,22 +201,30 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     reported point last. A non-finite estimate or row aborts the run, and
     so does a non-finite step, which the update checks before projecting
     it: the updates project and interpolate through geometry's cores,
-    which take the checked vectors as they are. finish() returns the
-    runner's own RunRecord fields."""
+    which take the checked vectors as they are. A step's estimate, noise
+    row and batch are released before the next batch is drawn, so that a
+    run holds one of each. finish() returns the runner's own RunRecord
+    fields."""
     train_loss, noise_norm, grad_norm = np.empty(T), np.empty(T), np.empty(T)
-    t, iterates = -1, (np.zeros(problem.dim),)
+    iterates = (np.zeros(problem.dim),)
     x = prev_x = iterates[0]
-    for t, batch in zip(range(T), batches):
+    # next() on a bare iterator: zip would keep the last batch in its
+    # reused result tuple while it draws the next one
+    stream = iter(batches)
+    for t in range(T):
+        try:
+            batch = next(stream)
+        except StopIteration:
+            raise RunAborted(t, f"stream exhausted after {t} of {T} batches") from None
         g, train_loss[t] = estimate(t, x, prev_x, batch)
         w = noise(batch) if noise is not None else None
         _check_finite(t, "non-finite gradient estimate or noise", g, w)
         noise_norm[t], grad_norm[t], iterates = update(t, x, g, w)
         prev_x, x = x, iterates[0]
-    if t + 1 < T:
-        raise RunAborted(t + 1, f"stream exhausted after {t + 1} of {T} batches")
+        del g, w, batch
     # an MF noise stream keeps a window of solved rows; free it before the
     # held-out pass
-    noise = w = None
+    noise = None
     out = iterates[-1]
     excess, accuracy = problem.excess_and_accuracy(out)
     return RunRecord(
@@ -236,12 +244,17 @@ def _correlated_noise(problem: LossProblem, strategy: StrategyMatrix,
     """Noise rows: the rows of C^{-1} Z, which are calibrated for a
     unit-sensitivity stream. The released stream is a batch mean of
     vectors clipped to c_clip, whose per-example sensitivity is c_clip / B,
-    so each row is scaled by that. An infinite budget releases zero rows
-    whatever the clip, never inf * 0."""
+    so each row is scaled by that, in place. An infinite budget releases
+    zero rows whatever the clip, never inf * 0."""
     rows = mf_noise_stream(strategy, rho, problem.dim, seed)
+
+    def scaled(factor: float) -> np.ndarray:
+        row = next(rows)  # a fresh array the stream never reads again
+        row *= factor
+        return row
     if math.isinf(rho):
-        return lambda batch: next(rows) * 0.0
-    return lambda batch: next(rows) * (c_clip / problem.batch_size(batch))
+        return lambda batch: scaled(0.0)
+    return lambda batch: scaled(c_clip / problem.batch_size(batch))
 
 
 def _clipped(problem: LossProblem, c_clip: float):

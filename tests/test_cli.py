@@ -5,7 +5,7 @@ import pytest
 
 from dpsrgd.cli import main
 from dpsrgd.counting import load_strategy
-from dpsrgd.harness import parse_summary_csv
+from dpsrgd.harness import parse_summary_csv, save_csv
 
 
 def test_no_arguments_is_invalid(capsys):
@@ -73,6 +73,25 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     config.write_text("algorithm=dp_sgd\nepsilon=2.0\nclip_grid=inf\n")
     assert main(["run", str(config), "--output", str(tmp_path / "r.csv")]) == 2
     assert "finite clip" in capsys.readouterr().err
+
+
+def test_run_rejects_a_finite_budget_run_over_more_than_one_pass(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    feats = rng.standard_normal((64, 3))
+    save_csv((feats[:, 0] > 0).astype(np.int64), feats, str(tmp_path / "dataset.csv"))
+    config = tmp_path / "exp.cfg"
+    config.write_text("task=csv-dataset\nalgorithm=dp_sgd\nsteps=12\n"
+                      "batch_size=16\nlr_grid=0.1\nepsilon=2.0\n")
+    argv = ["run", str(config), "--data-dir", str(tmp_path),
+            "--output", str(tmp_path / "r.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "12 steps of batch size 16 over 64 examples" in err
+    assert "up to 3 steps" in err
+    assert not (tmp_path / "r.csv").exists()
+    config.write_text(config.read_text().replace("epsilon=2.0", "epsilon=inf"))
+    assert main(argv) == 0
+    assert parse_summary_csv(str(tmp_path / "r.csv")).header["max_participation"] == "3"
 
 
 def test_verify_subcommand_runs_selected_criteria(capsys):

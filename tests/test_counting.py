@@ -514,6 +514,23 @@ def test_stream_rows_are_fresh_arrays():
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("c_mat", [2.0 * np.eye(5), _hand_banded(n=8, width=3),
+                                   build_strategy("ones", 1, 6).C],
+                         ids=["diagonal", "hand_banded", "ones_1x6"])
+def test_stream_reads_read_only_z_rows_and_never_writes_them(c_mat):
+    n = c_mat.shape[0]
+    z = np.random.default_rng(14).standard_normal((n, 4))
+    want = z.copy()
+    z.setflags(write=False)
+    rows = []
+    for row in forward_substitution_rows(c_mat, iter(z)):
+        assert row.flags.writeable and not np.shares_memory(row, z)
+        rows.append(row)
+    np.testing.assert_array_equal(z, want)
+    np.testing.assert_allclose(np.stack(rows), solve_triangular(c_mat, want, lower=True),
+                               rtol=0, atol=1e-12)
+
+
 def test_banded_stream_state_is_the_window_not_the_prefix():
     # after the first row the stream holds (bandwidth - 1) solved rows of
     # d floats; a buffer of every solved row would be n / (bandwidth - 1)

@@ -18,6 +18,7 @@ from dpsrgd.harness import (
     MetricRow,
     MetricTable,
     _ci95,
+    _pass_stream,
     data_dir,
     emit_csv,
     load_dataset,
@@ -443,9 +444,59 @@ def test_header_max_participation_matches_delivered_indices(
 
 
 def test_stream_longer_than_one_pass_is_flagged_not_rejected(tmp_path):
-    # 12 steps of 16 over 64 rows: three passes, each a fresh permutation
-    with pytest.warns(UserWarning, match="up to 3 steps"):
-        assert _participation(tmp_path, algorithm="dp_sgd") == (3, 3)
+    # 12 steps of 16 over 64 rows: three passes, each a fresh permutation;
+    # at an infinite budget there is no noise calibration to void
+    assert _participation(tmp_path, algorithm="dp_sgd", epsilon=math.inf) == (3, 3)
+
+
+@pytest.mark.parametrize("algorithm", ["dp_sgd", "dp_ftrl", "accelerated_dp_srgd",
+                                       "independent_variant"])
+@pytest.mark.parametrize("budget", [dict(epsilon=2.0), dict(rho=0.5)])
+def test_finite_budget_stream_longer_than_one_pass_is_rejected(tmp_path, algorithm,
+                                                               budget):
+    # its noise is calibrated for one participation, so its epsilon is void
+    base = _toy_logistic_dataset(tmp_path)
+    spy = _IndexSpy(features=base.features, labels=base.labels,
+                    num_classes=base.num_classes)
+    spec = _tiny_spec(task="csv-dataset", algorithm=algorithm, repeats=1,
+                      batch_size=16, **budget)
+    with pytest.raises(ValueError, match="12 steps of batch size 16 over 64 "
+                                         "examples use some examples in up to 3 steps"):
+        run_experiment(spec, dataset=spy)
+    assert spy.delivered == []
+
+
+@pytest.mark.parametrize("n, dtype", [(7, np.uint8), (64, np.uint8), (60000, np.uint16),
+                                      (70000, np.uint32)])
+def test_pass_stream_is_the_int64_permutation_in_the_narrowest_dtype(n, dtype):
+    B = max(1, n // 3)
+    per_pass = n // B
+    T = 2 * per_pass + 1  # three passes, the last cut short
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    got = list(_pass_stream(rng, n, B, T))
+    assert len(got) == T
+    for t, batch in enumerate(got):
+        j = t % per_pass
+        if j == 0:
+            order = ref.permutation(n)
+        assert batch.dtype == dtype
+        np.testing.assert_array_equal(batch, order[j * B:(j + 1) * B])
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("algorithm", ["dp_memf", "dp_srg_memf"])
+def test_fixed_batches_are_narrowest_dtype_slices(tmp_path, algorithm):
+    base = _toy_logistic_dataset(tmp_path)
+    spy = _IndexSpy(features=base.features, labels=base.labels,
+                    num_classes=base.num_classes)
+    run_experiment(_tiny_spec(task="csv-dataset", algorithm=algorithm, epochs=2,
+                              batch_size=16, repeats=1), dataset=spy)
+    assert len(spy.delivered) == 8
+    for t, batch in enumerate(spy.delivered):
+        lo = 16 * (t % 4)
+        assert batch.dtype == np.uint8
+        np.testing.assert_array_equal(batch, np.arange(lo, lo + 16))
+        assert spy._select(batch) == slice(lo, lo + 16)
 
 
 def test_synthetic_max_participation():

@@ -2,6 +2,7 @@
 explicit per-example loops, clipping hooks, and the noise wrapper."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +441,72 @@ def test_index_batch_below_zero_raises(idx):
         problem.clipped_mean_grad(x, idx, 1.0)
     with pytest.raises(IndexError, match="negative"):
         problem.per_example_values(x, idx)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_unsigned_consecutive_batch_is_read_as_a_slice(dtype):
+    problem = _logistic(n=40)
+    assert problem._select(np.arange(10, 30, dtype=dtype)) == slice(10, 30)
+    assert problem._select(np.arange(0, 40, dtype=dtype)) == slice(0, 40)
+    # one past the end is left to the gather, which raises
+    with pytest.raises(IndexError):
+        problem.clipped_mean_grad(np.zeros(problem.dim),
+                                  np.arange(36, 44, dtype=dtype), 1.0)
+
+
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.int32])
+def test_gathered_narrow_batch_gives_the_int64_figures(dtype, c_clip):
+    problem = _mnist_shaped()
+    rng = np.random.default_rng(28)
+    idx = rng.permutation(problem.n_train)[:500]
+    narrow = idx.astype(dtype)
+    sel = problem._select(narrow)
+    assert sel.dtype == np.intp
+    np.testing.assert_array_equal(sel, idx)
+    x_t = rng.standard_normal(problem.dim) * 0.05
+    x_prev = rng.standard_normal(problem.dim) * 0.05
+    for want, got in (
+            (problem.clipped_mean_grad(x_t, idx, c_clip),
+             problem.clipped_mean_grad(x_t, narrow, c_clip)),
+            (problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, c_clip),
+             problem.srg_mean(x_t, x_prev, 3.0, 2.0, narrow, c_clip))):
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("batch", [[5, 4], [0, 2, 1, 3], [255, 0], [3, 2, 1, 0]])
+def test_unsigned_batch_ends_never_wrap(batch):
+    # last - first of a uint8 batch taken in uint8 would wrap and warn; a
+    # step of 1 modulo 256 is a step of 1 only when the steps sum to size - 1
+    problem = _logistic(n=300)
+    idx = np.array(batch, dtype=np.uint8)
+    x = np.random.default_rng(29).standard_normal(problem.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sel = problem._select(idx)
+        got = problem.clipped_mean_grad(x, idx, 1.0)
+    np.testing.assert_array_equal(sel, batch)
+    want = problem.clipped_mean_grad(x, np.array(batch), 1.0)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def test_logistic_row_norm_overflow_raises_no_warning():
+    feats = np.ones((4, 3))
+    feats[2] = 1e200
+    eval_feats = np.ones((2, 3))
+    eval_feats[1, 0] = -1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        task = LogisticTask(features=feats, labels=np.array([0, 1, 1, 0]), num_classes=2,
+                            eval_features=eval_feats, eval_labels=np.array([0, 1]))
+        assert task.lipschitz == np.inf
+        assert task.feature_norms[2] == np.inf
+        feats[0, 0] = np.inf
+        # an infinite norm still goes to the entry test
+        with pytest.raises(ValueError, match="non-finite"):
+            LogisticTask(features=feats, labels=np.array([0, 1, 1, 0]), num_classes=2)
 
 
 def test_feature_norms_are_the_row_norms_across_blocks():

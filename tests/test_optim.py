@@ -3,6 +3,7 @@ update loops, noise-substitution identity, reductions between
 algorithms, variance growth, and abort behavior."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dpsrgd.optim import (
     RunAborted,
     SrgdConfig,
     _check_finite,
+    _drive,
     linear_fit,
     potential,
     run_accelerated_dp_srgd,
@@ -422,6 +424,59 @@ def test_runner_aborts_on_short_stream(name):
     with pytest.raises(RunAborted) as info:
         _RUNNERS[name](problem, batches, 10)
     assert info.value.step == 6
+
+
+class _EstimateWatch(SyntheticQuadratic):
+    """Records, at each gradient-hook call, whether the estimate the hook
+    returned on the call before is still alive."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.last, self.alive = None, []
+
+    def _watch(self, out):
+        if self.last is not None:
+            self.alive.append(self.last() is not None)
+        self.last = weakref.ref(out[0])
+        return out
+
+    def clipped_mean_grad(self, x, batch, c_clip):
+        return self._watch(super().clipped_mean_grad(x, batch, c_clip))
+
+    def srg_mean(self, x_t, x_prev, w_t, w_prev, batch, c_clip=np.inf):
+        return self._watch(super().srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip))
+
+
+@pytest.mark.parametrize("name", sorted(_RUNNERS))
+def test_step_estimate_is_freed_before_the_next_is_asked_for(name):
+    base = _quadratic()
+    problem = _EstimateWatch(dim=base.dim, target=base.target,
+                             noise_scale=base.noise_scale, radius=1.0)
+    _RUNNERS[name](problem, _batches(problem, 8, 4), 8)
+    assert problem.alive == [False] * 7
+
+
+def test_drive_frees_a_steps_state_before_it_draws_the_next_batch():
+    # the estimate, noise row and batch of step t are all dead when the
+    # stream is asked for batch t + 1
+    dim, refs, alive = 3, [], []
+
+    def fresh(v):
+        refs.append(weakref.ref(v))
+        return v
+
+    def stream():
+        for t in range(4):
+            alive.append([r() is not None for r in refs])
+            refs.clear()
+            yield fresh(np.full(2, t))
+
+    rec = _drive(SyntheticQuadratic(dim=dim, target=np.zeros(dim)), stream(), 4,
+                 lambda t, x, prev_x, batch: (fresh(np.ones(dim)), 0.0),
+                 lambda batch: fresh(np.full(dim, 0.5)),
+                 lambda t, x, g, w: (0.0, 0.0, (x - g - w,)), "probe", 0)
+    assert rec.steps == 4
+    assert alive == [[]] + [[False, False, False]] * 3
 
 
 @pytest.mark.parametrize("name", _STREAM_RUNNERS)
