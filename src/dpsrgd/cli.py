@@ -13,7 +13,9 @@ configuration or arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
 
 from . import counting, harness, verify
@@ -78,7 +80,15 @@ def _cmd_run(args) -> int:
     if args.output is not None:
         spec.output = args.output
     spec.validate()
-    table, records = harness.run_experiment(spec)
+    out_dir = os.path.dirname(spec.output) or "."
+    if os.path.isdir(spec.output):
+        raise ValueError(f"cannot write output {spec.output!r}: it is a directory")
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
+        raise ValueError(f"cannot write output {spec.output!r}: directory "
+                         f"{out_dir!r} does not exist or is not writable")
+    # each trajectory file is written as its run finishes, the summary last
+    table, records = harness.run_experiment(
+        spec, on_run=functools.partial(harness.write_trajectory, spec.output))
     harness.emit_csv(table, records, spec.output)
     aborted = sum(row.n_aborted for row in table.rows)
     for row in table.rows:

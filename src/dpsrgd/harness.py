@@ -34,6 +34,7 @@ __all__ = [
     "save_csv",
     "run_experiment",
     "emit_csv",
+    "write_trajectory",
     "parse_summary_csv",
     "data_dir",
 ]
@@ -521,10 +522,17 @@ def _selection_metrics(spec, problem, record):
     return record.accuracy, record.accuracy, record.excess
 
 
-def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
+def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=None):
     """Execute the sweep: budget accounting first, then data, then
     `repeats` seeded runs per grid point. Returns (MetricTable, records)
     where records maps (lr, clip, c, repeat) -> RunRecord or RunAborted.
+
+    Each run is summarised as it finishes, in job order. With `on_run`,
+    `on_run(index, key, outcome)` gets each finished run in job order in
+    place of `records`, which then comes back empty, so the sweep holds one
+    run's series plus three floats per finished run. `index` is the run's
+    place among the sorted keys of every job, aborted ones included (the
+    numbering of `emit_csv`'s trajectory files).
     """
     spec.validate()
     budget = _resolve_budget(spec)
@@ -555,6 +563,10 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
         key = _stable_key(spec.algorithm, spec.workload, lr, clip, c)
         for rep in range(spec.repeats):
             jobs.append((lr, clip, c, rep, _run_seed(spec.seed_base, key, rep)))
+    index = {key: i for i, key in enumerate(sorted({job[:4] for job in jobs}))}
+    records = {}
+    if on_run is None:
+        on_run = lambda _i, key, outcome: records.__setitem__(key, outcome)
 
     def work(job):
         lr, clip, c, rep, seed = job
@@ -564,17 +576,22 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
             return job, exc
         return job, rec
 
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-
-    records = {}
+    # Results are taken in job order: with several workers a finished run
+    # waits only for the jobs before it.
+    pool = ThreadPoolExecutor(max_workers=spec.workers) if spec.workers > 1 else None
+    # (selection metric, accuracy, excess) per finished run, None if aborted
     by_point: dict = {}
-    for (lr, clip, c, rep, _seed), outcome in results:
-        records[(lr, clip, c, rep)] = outcome
-        by_point.setdefault((lr, clip, c), []).append(outcome)
+    try:
+        for job, outcome in (pool.map if pool else map)(work, jobs):
+            key = job[:4]
+            by_point.setdefault(key[:3], []).append(
+                _selection_metrics(spec, problem, outcome)
+                if isinstance(outcome, optim.RunRecord) else None)
+            on_run(index[key], key, outcome)
+            outcome = None  # free this run's series before the next one runs
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     table = MetricTable(header={**{k: _format_value(v) for k, v in budget.items()},
                                 "task": spec.task, "algorithm": spec.algorithm,
@@ -593,13 +610,12 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None):
 
     for (lr, clip, c) in grid:
         outcomes = by_point[(lr, clip, c)]
-        oks = [r for r in outcomes if isinstance(r, optim.RunRecord)]
+        triples = [t for t in outcomes if t is not None]
         row = MetricRow(algorithm=spec.algorithm, workload=spec.workload,
                         lr=lr, clip=clip, c=c, acc_mean=None, acc_ci95=None,
-                        excess_mean=None, n_runs=len(oks),
-                        n_aborted=len(outcomes) - len(oks))
-        if oks:
-            triples = [_selection_metrics(spec, problem, r) for r in oks]
+                        excess_mean=None, n_runs=len(triples),
+                        n_aborted=len(outcomes) - len(triples))
+        if triples:
             sel = np.array([t[0] for t in triples], dtype=np.float64)
             accs = [t[1] for t in triples]
             excs = [t[2] for t in triples]
@@ -634,10 +650,29 @@ def _cell(v) -> str:
     return f"{v:.17g}"
 
 
+def write_trajectory(summary_path: str, index: int, key, outcome) -> str | None:
+    """Write the trajectory CSV of run `key` next to the summary CSV at
+    `summary_path`, as `<stem>_traj_<index>.csv`; return its path, or None
+    for an aborted run, which has no trajectory file."""
+    if not isinstance(outcome, optim.RunRecord):
+        return None
+    stem, _ = os.path.splitext(summary_path)
+    path = f"{stem}_traj_{index}.csv"
+    # the rows csv.writer would write: numeric cells need no quoting
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# run={key}\nstep,loss,phi,noise_norm,grad_norm\r\n")
+        phis = outcome.potential if outcome.potential is not None else [None] * outcome.steps
+        for t in range(outcome.steps):
+            fh.write(f"{t},{_cell(outcome.train_loss[t])},{_cell(phis[t])},"
+                     f"{_cell(outcome.noise_norm[t])},{_cell(outcome.grad_norm[t])}\r\n")
+    return path
+
+
 def emit_csv(table: MetricTable, records, path: str):
     """Write the summary CSV at `path` (header comments carry the budget
-    and regime report) and one trajectory CSV per completed run next to
-    it. Absent metrics are empty cells, never zeros."""
+    and regime report) and one trajectory CSV per completed run in
+    `records` next to it (`write_trajectory`). Absent metrics are empty
+    cells, never zeros. Returns the paths written, the summary first."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, val in table.header.items():
             fh.write(f"# {key}={val}\n")
@@ -648,21 +683,11 @@ def emit_csv(table: MetricTable, records, path: str):
             writer.writerow([r.algorithm, r.workload, _cell(r.lr), _cell(r.clip),
                              _cell(r.c), _cell(r.acc_mean), _cell(r.acc_ci95),
                              _cell(r.excess_mean)])
-    stem, _ = os.path.splitext(path)
     written = [path]
     for i, key in enumerate(sorted(records)):
-        rec = records[key]
-        if not isinstance(rec, optim.RunRecord):
-            continue
-        traj = f"{stem}_traj_{i}.csv"
-        # the rows csv.writer would write: numeric cells need no quoting
-        with open(traj, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# run={key}\nstep,loss,phi,noise_norm,grad_norm\r\n")
-            phis = rec.potential if rec.potential is not None else [None] * rec.steps
-            for t in range(rec.steps):
-                fh.write(f"{t},{_cell(rec.train_loss[t])},{_cell(phis[t])},"
-                         f"{_cell(rec.noise_norm[t])},{_cell(rec.grad_norm[t])}\r\n")
-        written.append(traj)
+        traj = write_trajectory(path, i, key, records[key])
+        if traj is not None:
+            written.append(traj)
     return written
 
 

@@ -144,7 +144,10 @@ class RunRecord:
     """Per-step trajectory plus final metrics for one optimizer run.
 
     Absent diagnostics (potential and q_norm on empirical tasks, accuracy
-    on synthetic ones) are None, never zero-filled.
+    on synthetic ones) are None, never zero-filled. `iterates` and q_norm,
+    the distance of the accelerated runner's noiseless recursive estimate
+    from the population gradient, are recorded only when that runner is
+    asked to `record_iterates`.
     """
 
     algorithm: str
@@ -335,7 +338,8 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
     eta = cfg.eta_values
     accelerate, finish = _accelerated(problem, cfg)
     tree = TreeState(horizon=cfg.T, dim=problem.dim, sigma=cfg.sigma, seed=cfg.seed)
-    q_norm = np.empty(cfg.T) if problem.exact_optimum() is not None else None
+    q_norm = (np.empty(cfg.T) if record_iterates and problem.exact_optimum() is not None
+              else None)
     iterates = np.empty((cfg.T, problem.dim)) if record_iterates else None
 
     def estimate(t, x, prev_x, batch):

@@ -1,11 +1,24 @@
-"""Command-line interface: subcommand wiring and exit codes."""
+"""Command-line interface: subcommand wiring, exit codes, and the run
+verb's streamed output."""
+
+import gc
+import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dpsrgd import harness, optim
 from dpsrgd.cli import main
 from dpsrgd.counting import load_strategy
-from dpsrgd.harness import parse_summary_csv, save_csv
+from dpsrgd.harness import (
+    ExperimentSpec,
+    emit_csv,
+    parse_summary_csv,
+    run_experiment,
+    save_csv,
+)
 
 
 def test_no_arguments_is_invalid(capsys):
@@ -120,3 +133,148 @@ def test_report_summarizes_best_rows(tmp_path, capsys):
     assert "dp_sgd" in capsys.readouterr().out
 
     assert main(["report", str(tmp_path / "nothing.csv")]) == 2
+
+
+@pytest.mark.parametrize("output", ["no/such/dir/summary.csv", "a_directory"])
+def test_run_rejects_an_unwritable_output_before_any_work(tmp_path, monkeypatch, capsys,
+                                                          output):
+    (tmp_path / "a_directory").mkdir()
+    calls = []
+    for name, fn in vars(optim).items():
+        if name.startswith("run_") and callable(fn):
+            monkeypatch.setattr(optim, name, lambda *a, _n=name, **k: calls.append(_n))
+    monkeypatch.setattr(harness, "_resolve_budget",
+                        lambda spec: calls.append("budget"))
+    config = tmp_path / "exp.cfg"
+    config.write_text("task=synthetic\nalgorithm=dp_sgd\nsteps=4\ndim=3\n")
+    assert main(["run", str(config), "--output", str(tmp_path / output)]) == 2
+    assert str(tmp_path / output) in capsys.readouterr().err
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == ["a_directory", "exp.cfg"]
+    assert os.listdir(tmp_path / "a_directory") == []
+
+
+def _cli_and_library_outputs(tmp_path, spec) -> list[str]:
+    """Run `spec` through `dpsrgd run` and through
+    `emit_csv(*run_experiment(spec))` into two directories; assert that they
+    hold the same files with the same bytes, and return the file names."""
+    config = tmp_path / "exp.cfg"
+    config.write_text(spec.to_text())
+    cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+    cli_dir.mkdir()
+    lib_dir.mkdir()
+    main(["run", str(config), "--output", str(cli_dir / "summary.csv")])
+    emit_csv(*run_experiment(spec), str(lib_dir / "summary.csv"))
+    names = sorted(os.listdir(lib_dir))
+    assert sorted(os.listdir(cli_dir)) == names
+    for name in names:
+        assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes(), name
+    return names
+
+
+def _synthetic_spec(**kw) -> ExperimentSpec:
+    base = dict(task="synthetic", algorithm="dp_sgd", epsilon=2.0, steps=12, dim=5,
+                train_size=256, batch_size=32, seed_base=4)
+    base.update(kw)
+    return ExperimentSpec(**base)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_output_is_the_library_output_for_an_unsorted_grid(tmp_path, workers):
+    names = _cli_and_library_outputs(tmp_path, _synthetic_spec(
+        clip_grid=(2.0, 0.5), repeats=3, workers=workers))
+    assert names == ["summary.csv"] + [f"summary_traj_{i}.csv" for i in range(6)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_run_output_is_the_library_output_with_aborted_runs(tmp_path):
+    # the divergent dp_memf runs of the harness's aborted-run test: an
+    # unclipped lr of 1e150 or more overflows, a clipped one stays finite,
+    # so the aborted runs leave gaps between the trajectory file indices
+    names = _cli_and_library_outputs(tmp_path, _synthetic_spec(
+        algorithm="dp_memf", epsilon=math.inf, lr_grid=(1e151, 1e150),
+        clip_grid=(math.inf, 0.5), batch_size=64, repeats=2))
+    assert names == ["summary.csv"] + [f"summary_traj_{i}.csv" for i in (0, 1, 4, 5)]
+
+
+def test_run_output_is_the_library_output_with_a_potential_column(tmp_path):
+    names = _cli_and_library_outputs(tmp_path, _synthetic_spec(
+        algorithm="accelerated_dp_srgd", clip_grid=(0.5, 2.0), repeats=2))
+    assert len(names) == 5
+    rows = (tmp_path / "cli" / names[1]).read_text().splitlines()[2:]
+    assert all(row.split(",")[2] != "" for row in rows)
+
+
+def _streaming_config(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text("task=synthetic\nalgorithm=accelerated_dp_srgd\nepsilon=2.0\n"
+                      "steps=6\ndim=4\nbatch_size=8\nclip_grid=0.5,2.0\nrepeats=2\n")
+    return ["run", str(config), "--output", str(tmp_path / "res.csv")]
+
+
+def test_run_writes_each_trajectory_before_the_next_run_starts(tmp_path, monkeypatch):
+    runner = optim.run_accelerated_dp_srgd
+    started = []
+
+    def spy(*args, **kwargs):
+        # a sorted grid: job k is trajectory file k
+        k = len(started)
+        for i in range(k):
+            lines = (tmp_path / f"res_traj_{i}.csv").read_text().splitlines()
+            assert len(lines) == 2 + 6, i
+        assert not (tmp_path / f"res_traj_{k}.csv").exists()
+        assert not (tmp_path / "res.csv").exists()
+        started.append(k)
+        return runner(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "run_accelerated_dp_srgd", spy)
+    assert main(_streaming_config(tmp_path)) == 0
+    assert started == [0, 1, 2, 3]
+    assert (tmp_path / "res.csv").exists()
+
+
+def test_a_sweep_that_fails_partway_keeps_finished_trajectories(tmp_path, monkeypatch,
+                                                                capsys):
+    runner = optim.run_accelerated_dp_srgd
+    started = []
+
+    def failing_third_run(*args, **kwargs):
+        started.append(len(started))
+        if len(started) == 3:
+            raise OSError("disk full")
+        return runner(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "run_accelerated_dp_srgd", failing_third_run)
+    assert main(_streaming_config(tmp_path)) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "res_traj_0.csv",
+                                            "res_traj_1.csv"]
+
+
+def _cli_sweep_peak(tmp_path, repeats: int) -> int:
+    """tracemalloc peak of an in-process `dpsrgd run` at the benchmark's
+    CLI-sweep shape: accelerated_dp_srgd on the synthetic quadratic, dim 20,
+    256 steps of 256 examples, two clip values x `repeats`."""
+    config = tmp_path / f"sweep{repeats}.cfg"
+    config.write_text("task=synthetic\nalgorithm=accelerated_dp_srgd\nepsilon=2\n"
+                      "delta=1e-6\ndim=20\nsteps=256\nbatch_size=256\n"
+                      f"clip_grid=0.5,2.0\nrepeats={repeats}\nseed_base=0\n")
+    out = tmp_path / f"out{repeats}"
+    out.mkdir()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rc = main(["run", str(config), "--output", str(out / "summary.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    return peak
+
+
+def test_run_memory_does_not_grow_with_the_number_of_runs(tmp_path, capsys):
+    _cli_sweep_peak(tmp_path, 1)  # warm-up: first-call caches are not the sweep's
+    few, many = _cli_sweep_peak(tmp_path, 4), _cli_sweep_peak(tmp_path, 32)
+    # 56 more runs; each run's five series of 256 floats would be 10 KB
+    assert many - few <= 48 * 1024, (few, many)

@@ -299,9 +299,19 @@ def test_recursive_estimate_telescopes_to_population_gradient():
     batch = problem.draw_batch(np.random.default_rng(8), B)
     cfg = SrgdConfig(T=T, beta=2.0 * T,
                      ball=ConstraintBall(problem.dim, 1.0), sigma=0.0)
-    rec = run_accelerated_dp_srgd(problem, (batch for _ in range(T)), cfg)
+    rec = run_accelerated_dp_srgd(problem, (batch for _ in range(T)), cfg,
+                                  record_iterates=True)
     assert rec.q_norm is not None
     assert float(np.max(rec.q_norm)) < 1e-10
+
+
+def test_q_norm_is_recorded_only_with_the_iterates():
+    problem = _quadratic(noise_scale=0.0, seed=7)
+    batch = problem.draw_batch(np.random.default_rng(8), 4)
+    cfg = SrgdConfig(T=4, beta=8.0, ball=ConstraintBall(problem.dim, 1.0), sigma=0.0)
+    rec = run_accelerated_dp_srgd(problem, (batch for _ in range(4)), cfg)
+    assert rec.q_norm is None and rec.iterates is None
+    assert rec.potential is not None
 
 
 def test_runner_records_iterates_and_potential():
