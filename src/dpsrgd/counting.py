@@ -237,7 +237,7 @@ class StrategyMatrix:
     factorization metadata. sens is the multi-epoch column-group
     sensitivity of `column_group_sens`, max_j sqrt(sum_{i,i'} |<C[:, i*b+j],
     C[:, i'*b+j]>|), which holds whatever vector an example contributes in
-    each epoch; the privacy calibration of the Z stream assumes sens <= 1.
+    each epoch; the noise calibration multiplies by it, and `check` wants <= 1.
     """
 
     C: np.ndarray
@@ -436,29 +436,25 @@ def forward_substitution_rows(c_mat: np.ndarray, z_rows):
         yield row
 
 
-def mf_noise_stream(strategy: StrategyMatrix, rho: float, d: int, seed: int):
-    """Stream the kb rows of C^{-1} Z with Z entries i.i.d. N(0, 1/(2 rho))
-    per coordinate. rho = inf yields the all-zero stream. The stream holds
+def mf_noise_stream(strategy: StrategyMatrix, sigma: float, d: int, seed: int):
+    """Stream the kb rows of C^{-1} Z with Z entries i.i.d. N(0, sigma^2)
+    per coordinate. sigma = 0 yields the all-zero stream. The stream holds
     (bandwidth - 1) x d solved rows, bandwidth <= b for the banded
-    strategies of `factorize` and 1 for the identity.
-
-    The Z scale assumes the protected stream has unit per-example
-    sensitivity; callers releasing streams with sensitivity s must multiply
-    the rows by s.
+    strategies of `factorize` and 1 for the identity. A rho-zCDP release of
+    a stream of per-example sensitivity s takes sigma = s * sens / sqrt(2 rho).
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     diag = np.diag(strategy.C)
     if np.any(diag == 0):
         raise np.linalg.LinAlgError("strategy matrix is singular")
-    scale = 0.0 if math.isinf(rho) else math.sqrt(1.0 / (2.0 * rho))
     rng = np.random.default_rng(seed)
     n = strategy.steps
 
     def z_rows():
         for _ in range(n):
             z = rng.standard_normal(d)
-            z *= scale
+            z *= sigma
             yield z
 
     yield from forward_substitution_rows(strategy.C, z_rows())

@@ -48,8 +48,6 @@ _ALGORITHMS = (
     "dp_memf",
     "dp_srg_memf",
 )
-# Algorithms whose noise is the clip times a unit-sensitivity draw.
-_CLIPPED_NOISE = ("dp_sgd", "dp_ftrl", "dp_memf", "dp_srg_memf")
 # Algorithms whose step size comes from the smoothness, not from lr_grid.
 _LR_FREE = ("accelerated_dp_srgd", "independent_variant")
 
@@ -107,8 +105,11 @@ class ExperimentSpec:
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for name in ("lr_grid", "clip_grid", "c_grid"):
-            if len(getattr(self, name)) == 0:
+            grid = getattr(self, name)
+            if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"{name} repeats an entry: {grid} reruns its seeds")
         if not all(0 < lr < math.inf for lr in self.lr_grid):
             raise ValueError("lr_grid entries must be positive and finite, "
                              f"got {self.lr_grid}")
@@ -142,10 +143,13 @@ class ExperimentSpec:
                              f"of {len(self.lr_grid)} entries would rerun one "
                              "configuration under different seeds")
         budget = self.rho if self.rho is not None else self.epsilon
-        if (math.isfinite(budget) and self.algorithm in _CLIPPED_NOISE
-                and not all(math.isfinite(clip) for clip in self.clip_grid)):
-            raise ValueError(f"{self.algorithm} with a finite budget needs a "
-                             "finite clip: its noise scales with the clip")
+        for clip in self.clip_grid if math.isfinite(budget) else ():
+            if not _lipschitz_bound(self.algorithm, clip) and math.isinf(clip):
+                raise ValueError(f"{self.algorithm} with a finite budget needs a "
+                                 "finite clip: its noise scales with the clip")
+            if _lipschitz_bound(self.algorithm, clip) and math.isinf(self.epsilon):
+                raise ValueError(f"{self.algorithm} at clip {clip} sizes its noise by "
+                                 "srgd_sigma, which needs epsilon, not rho alone")
         return self
 
     def to_text(self) -> str:
@@ -360,13 +364,9 @@ def _run_seed(seed_base: int, key: tuple, repeat: int) -> int:
 
 def _resolve_budget(spec: ExperimentSpec) -> dict:
     """Privacy accounting up front, before any data is touched."""
-    out = {"epsilon": spec.epsilon, "delta": spec.delta}
-    if spec.rho is not None:
-        out["rho"] = spec.rho
-    elif math.isinf(spec.epsilon):
-        out["rho"] = math.inf
-    else:
-        out["rho"] = accounting.rho_for_dp(spec.epsilon, spec.delta)
+    out = {"epsilon": spec.epsilon, "delta": spec.delta,  # rho_for_dp(inf, .) = inf
+           "rho": accounting.rho_for_dp(spec.epsilon, spec.delta)
+           if spec.rho is None else spec.rho}
     if not math.isinf(spec.epsilon):
         out["mu"] = accounting.mu_for_dp(spec.epsilon, spec.delta)
     return out
@@ -451,58 +451,73 @@ def _max_participation(spec: ExperimentSpec, n: int) -> int:
     return -(-spec.steps // (n // max(1, min(n, spec.batch_size))))
 
 
+def _lipschitz_bound(algorithm: str, clip: float) -> bool:
+    """Whether srgd_sigma's worst-case (L, M) bound sizes the noise, not the
+    clip: independent_variant's iterate-scale rows, or an unclipped tree."""
+    return algorithm == "independent_variant" or (
+        algorithm == "accelerated_dp_srgd" and math.isinf(clip))
+
+
+def _noise_sigma(algorithm: str, rho: float, clip: float, B: int, T: int,
+                 strategy) -> float:
+    """Noise std of every clip-calibrated run at rho-zCDP, 0 at rho = inf:
+    (clip / B) * sens / sqrt(2 rho). One example moves the released mean of
+    clipped vectors by at most clip / B per step it is in; sens is 1 for
+    dp_sgd, the strategy's for dp_ftrl and the MF runners, and the
+    sqrt(1 + ceil(log2 T)) nodes of `counting.calibrate_tree_sigma` for the tree."""
+    if math.isinf(rho):
+        return 0.0
+    if algorithm == "accelerated_dp_srgd":
+        return counting.calibrate_tree_sigma(clip / B, math.sqrt(2.0 * rho), T)
+    sens = 1.0 if strategy is None else strategy.sens
+    return clip / B * sens / math.sqrt(2.0 * rho)
+
+
 def _single_run(spec, problem, n, rho, lr, clip, c, seed, cache):
     shape = _strategy_shape(spec, n)
+    strategy = _strategy_cache_get(cache, spec, shape, c) if shape is not None else None
+    B = max(1, min(n, spec.batch_size))
+    T = spec.steps
+    ball = ConstraintBall(problem.dim, spec.radius)
+    beta = 2.0 * problem.smoothness * T
+    if _lipschitz_bound(spec.algorithm, clip):
+        sigma = 0.0 if math.isinf(spec.epsilon) else accounting.srgd_sigma(
+            problem.lipschitz, problem.smoothness, ball.diameter, spec.epsilon,
+            spec.delta, B, beta, T)
+        if spec.algorithm == "accelerated_dp_srgd":
+            sigma *= beta  # the tree ingests raw increments, beta times its scale
+    else:
+        sigma = _noise_sigma(spec.algorithm, rho, clip, B, T, strategy)
+
     if spec.algorithm in ("dp_memf", "dp_srg_memf"):
         b = shape[1]
         if spec.task == "synthetic":
             # One fixed dataset per experiment (seeded by seed_base alone),
             # shared by every grid point and repeat.
-            data = problem.draw_batch(np.random.default_rng(spec.seed_base),
-                                      b * spec.batch_size)
-            batches = [data[j * spec.batch_size:(j + 1) * spec.batch_size]
-                       for j in range(b)]
+            data = problem.draw_batch(np.random.default_rng(spec.seed_base), b * B)
+            batches = [data[j * B:(j + 1) * B] for j in range(b)]
         else:
-            batches = [np.arange(j * spec.batch_size, (j + 1) * spec.batch_size,
-                                 dtype=_index_dtype(n))
+            batches = [np.arange(j * B, (j + 1) * B, dtype=_index_dtype(n))
                        for j in range(b)]
-        cfg = optim.MemfConfig(strategy=_strategy_cache_get(cache, spec, shape, c),
-                               rho=rho, c_clip=clip, lr=lr, decay=c,
-                               momentum=spec.momentum, seed=seed)
+        cfg = optim.MemfConfig(strategy=strategy, sigma=sigma, c_clip=clip, lr=lr,
+                               decay=c, momentum=spec.momentum, seed=seed)
         runner = optim.run_dp_memf if spec.algorithm == "dp_memf" else optim.run_dp_srg_memf
         return runner(problem, batches, cfg)
 
-    ball = ConstraintBall(problem.dim, spec.radius)
     rng = np.random.default_rng(seed)
-    B = max(1, min(n, spec.batch_size))
-    T = spec.steps
     if spec.task == "synthetic":
         stream = (problem.draw_batch(rng, B) for _ in range(T))
     else:
         stream = _pass_stream(rng, n, B, T)
-
     if spec.algorithm == "dp_sgd":
-        sigma = 0.0 if math.isinf(rho) else math.sqrt(1.0 / (2 * rho)) * clip / B
         return optim.run_dp_sgd(problem, stream, lr, clip, sigma, ball, T, seed=seed)
     if spec.algorithm == "dp_ftrl":
-        return optim.run_dp_ftrl(problem, stream, lr, clip,
-                                 _strategy_cache_get(cache, spec, shape, c), rho,
-                                 ball, seed=seed)
-    if spec.algorithm in ("accelerated_dp_srgd", "independent_variant"):
-        L, M = problem.lipschitz, problem.smoothness
-        eps, delta = spec.epsilon, spec.delta
-        if math.isinf(eps):
-            sigma, beta = 0.0, 2.0 * M * T
-        else:
-            beta = 2.0 * M * T
-            sigma = accounting.srgd_sigma(L, M, ball.diameter, eps, delta, B, beta, T)
-        cfg = optim.SrgdConfig(T=T, beta=beta, ball=ball, sigma=sigma * beta,
-                               clip=clip, seed=seed)
-        if spec.algorithm == "accelerated_dp_srgd":
-            return optim.run_accelerated_dp_srgd(problem, stream, cfg)
-        cfg2 = dataclasses.replace(cfg, sigma=sigma)
-        return optim.run_independent_variant(problem, stream, cfg2)
-    raise ValueError(f"unhandled algorithm {spec.algorithm!r}")
+        return optim.run_dp_ftrl(problem, stream, lr, clip, strategy, sigma, ball,
+                                 seed=seed)
+    cfg = optim.SrgdConfig(T=T, beta=beta, ball=ball, sigma=sigma, clip=clip, seed=seed)
+    if spec.algorithm == "accelerated_dp_srgd":
+        return optim.run_accelerated_dp_srgd(problem, stream, cfg)
+    return optim.run_independent_variant(problem, stream, cfg)
 
 
 def _selection_metrics(spec, problem, record):
@@ -597,6 +612,9 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
                                 "task": spec.task, "algorithm": spec.algorithm,
                                 "workload": spec.workload,
                                 "max_participation": str(participation)})
+    table.header["noise_calibration"] = "+".join(sorted({
+        "lipschitz_bound" if _lipschitz_bound(spec.algorithm, clip) else "clip"
+        for clip in spec.clip_grid}))
     if cache:  # dp_memf, dp_srg_memf, dp_ftrl: the strategies these runs used
         table.header["strategy_sens"] = _format_value(max(s.sens for s in cache.values()))
     if spec.task == "synthetic" and spec.algorithm in (

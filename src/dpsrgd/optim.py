@@ -117,7 +117,7 @@ class MemfConfig:
     """
 
     strategy: StrategyMatrix
-    rho: float
+    sigma: float
     c_clip: float
     lr: float
     decay: float = 0.0
@@ -131,12 +131,10 @@ class MemfConfig:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         check_clip(self.c_clip)
         self.strategy.check()
-        if math.isfinite(self.rho) and not math.isfinite(self.c_clip):
-            raise ValueError("finite rho requires a finite clip norm")
 
 
 @dataclass
@@ -242,22 +240,10 @@ def _iid_noise(dim: int, sigma: float, seed: int):
     return lambda batch: rng.standard_normal(dim) * sigma
 
 
-def _correlated_noise(problem: LossProblem, strategy: StrategyMatrix,
-                      rho: float, c_clip: float, seed: int):
-    """Noise rows: the rows of C^{-1} Z, which are calibrated for a
-    unit-sensitivity stream. The released stream is a batch mean of
-    vectors clipped to c_clip, whose per-example sensitivity is c_clip / B,
-    so each row is scaled by that, in place. An infinite budget releases
-    zero rows whatever the clip, never inf * 0."""
-    rows = mf_noise_stream(strategy, rho, problem.dim, seed)
-
-    def scaled(factor: float) -> np.ndarray:
-        row = next(rows)  # a fresh array the stream never reads again
-        row *= factor
-        return row
-    if math.isinf(rho):
-        return lambda batch: scaled(0.0)
-    return lambda batch: scaled(c_clip / problem.batch_size(batch))
+def _correlated_noise(strategy: StrategyMatrix, sigma: float, dim: int, seed: int):
+    """Noise rows: the rows of C^{-1} Z, Z of std sigma (`mf_noise_stream`)."""
+    rows = mf_noise_stream(strategy, sigma, dim, seed)
+    return lambda batch: next(rows)
 
 
 def _clipped(problem: LossProblem, c_clip: float):
@@ -455,13 +441,13 @@ def run_dp_sgd(problem: LossProblem, stream, eta_lr: float, c_clip: float,
 
 
 def run_dp_ftrl(problem: LossProblem, stream, eta_lr: float, c_clip: float,
-                strategy: StrategyMatrix, rho: float,
+                strategy: StrategyMatrix, sigma: float,
                 ball: ConstraintBall | None, seed: int = 0) -> RunRecord:
     """Same update as run_dp_sgd, but the per-step noise vectors are the
-    rows of C^{-1} Z: correlated across steps by the strategy matrix, and
-    scaled by the clipped mean's per-example sensitivity c_clip / B."""
+    rows of C^{-1} Z, Z of per-coordinate std sigma: correlated across
+    steps by the strategy matrix."""
     return _drive(problem, stream, strategy.steps, _clipped(problem, c_clip),
-                  _correlated_noise(problem, strategy, rho, c_clip, seed),
+                  _correlated_noise(strategy, sigma, problem.dim, seed),
                   _projected(problem.dim, eta_lr, ball), "dp_ftrl", seed)
 
 
@@ -486,7 +472,7 @@ def run_dp_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord:
     """
     return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,
                   _clipped(problem, cfg.c_clip),
-                  _correlated_noise(problem, cfg.strategy, cfg.rho, cfg.c_clip, cfg.seed),
+                  _correlated_noise(cfg.strategy, cfg.sigma, problem.dim, cfg.seed),
                   _momentum(problem.dim, cfg), "dp_memf", cfg.seed)
 
 
@@ -519,5 +505,5 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord
 
     return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,
                   estimate,
-                  _correlated_noise(problem, cfg.strategy, cfg.rho, cfg.c_clip, cfg.seed),
+                  _correlated_noise(cfg.strategy, cfg.sigma, problem.dim, cfg.seed),
                   update, "dp_srg_memf", cfg.seed)

@@ -354,7 +354,7 @@ def criterion_8() -> CriterionResult:
         rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, 1.0, sigma, ball,
                              10, seed=3)
         rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, 1.0,
-                               identity_strategy(1, 10), rho, ball, seed=3)
+                               identity_strategy(1, 10), sigma, ball, seed=3)
         d1 = max(float(np.abs(rec_sgd.final_x - rec_ftrl.final_x).max()),
                  float(np.abs(rec_sgd.train_loss - rec_ftrl.train_loss).max()))
 
@@ -362,7 +362,7 @@ def criterion_8() -> CriterionResult:
         w_ones = build_workload("ones", 2, 8)
         d2 = float(np.abs(w_momentum - w_ones).max())
 
-        cfg = MemfConfig(strategy=identity_strategy(2, 5), rho=math.inf,
+        cfg = MemfConfig(strategy=identity_strategy(2, 5), sigma=0.0,
                          c_clip=math.inf, lr=0.05, decay=0.0, momentum=0.9,
                          seed=5)
         rec_memf = run_dp_memf(problem, batches[:5], cfg)

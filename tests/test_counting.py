@@ -556,10 +556,10 @@ def test_banded_stream_state_is_the_window_not_the_prefix():
 
 def test_mf_noise_stream_identity_matches_iid_gaussian():
     rho, d, seed = 0.5, 4, 21
-    rows = np.stack(list(mf_noise_stream(identity_strategy(1, 6), rho, d, seed)))
+    sigma = math.sqrt(1 / (2 * rho))
+    rows = np.stack(list(mf_noise_stream(identity_strategy(1, 6), sigma, d, seed)))
     rng = np.random.default_rng(seed)
-    expected = np.stack([rng.standard_normal(d) * math.sqrt(1 / (2 * rho))
-                         for _ in range(6)])
+    expected = np.stack([rng.standard_normal(d) * sigma for _ in range(6)])
     np.testing.assert_array_equal(rows, expected)
 
 
@@ -567,19 +567,20 @@ def test_mf_noise_stream_reconstructs_z():
     wl = build_workload("ones", 1, 6)
     strat = factorize(wl, 1, 6)
     rho, d, seed = 2.0, 3, 33
-    rows = np.stack(list(mf_noise_stream(strat, rho, d, seed)))
+    sigma = math.sqrt(1 / (2 * rho))
+    rows = np.stack(list(mf_noise_stream(strat, sigma, d, seed)))
     rng = np.random.default_rng(seed)
-    z = np.stack([rng.standard_normal(d) * math.sqrt(1 / (2 * rho))
-                  for _ in range(6)])
+    z = np.stack([rng.standard_normal(d) * sigma for _ in range(6)])
     np.testing.assert_allclose(strat.C @ rows, z, rtol=0, atol=1e-10)
 
 
 def test_mf_noise_stream_edge_cases():
     strat = identity_strategy(1, 4)
-    rows = list(mf_noise_stream(strat, math.inf, 3, 0))
+    rows = list(mf_noise_stream(strat, 0.0, 3, 0))
     assert all(np.array_equal(r, np.zeros(3)) for r in rows)
-    with pytest.raises(ValueError):
-        next(mf_noise_stream(strat, 0.0, 3, 0))
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            next(mf_noise_stream(strat, bad, 3, 0))
     singular = StrategyMatrix(C=np.diag([1.0, 0.0, 1.0, 1.0]),
                               workload=np.tril(np.ones((4, 4))),
                               kind="custom", k=1, b=4, momentum=0.0,

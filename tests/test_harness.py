@@ -2,6 +2,7 @@
 determinism, sweep isolation, and CSV emission."""
 
 import csv
+import dataclasses
 import gzip
 import io
 import math
@@ -11,12 +12,14 @@ import struct
 import numpy as np
 import pytest
 
-from dpsrgd import counting, optim
+from dpsrgd import accounting, counting, optim
 from dpsrgd.counting import build_workload, factorize
 from dpsrgd.harness import (
     ExperimentSpec,
     MetricRow,
     MetricTable,
+    _ALGORITHMS,
+    _build_problem,
     _ci95,
     _pass_stream,
     data_dir,
@@ -141,6 +144,104 @@ def test_infinite_clip_runs_where_noise_comes_from_lipschitz_bounds(algorithm):
     table, _ = run_experiment(_tiny_spec(algorithm=algorithm, clip_grid=(math.inf,),
                                          repeats=1))
     assert (table.rows[0].n_runs, table.rows[0].n_aborted) == (1, 0)
+
+
+@pytest.mark.parametrize("grid", ["lr_grid", "clip_grid", "c_grid"])
+def test_spec_rejects_a_repeated_grid_entry(grid):
+    # a repeat reran its runs under the same seeds and reported a second
+    # identical row with twice the runs
+    spec = _tiny_spec(**{grid: (0.5, 0.25, 0.5)})
+    with pytest.raises(ValueError, match=f"{grid} repeats an entry"):
+        spec.validate()
+    log = []
+    with pytest.raises(ValueError, match=grid):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    _tiny_spec(**{grid: (0.5, 0.25)}).validate()
+
+
+# ---------------------------------------------------------------------------
+# noise calibration
+
+
+@pytest.mark.parametrize("algorithm", _ALGORITHMS)
+def test_a_budget_given_as_rho_runs_with_the_noise_of_its_epsilon(algorithm):
+    # a rho-only budget used to run accelerated_dp_srgd with no noise while
+    # the header recorded rho
+    spec = _tiny_spec(algorithm=algorithm, epsilon=2.0, repeats=1)
+    twin = dataclasses.replace(spec, epsilon=math.inf,
+                               rho=accounting.rho_for_dp(2.0, spec.delta))
+    (rec,) = run_experiment(spec)[1].values()
+    assert rec.noise_norm.min() > 0
+    if algorithm == "independent_variant":
+        with pytest.raises(ValueError, match="srgd_sigma, which needs epsilon"):
+            twin.validate()
+        return
+    (twin_rec,) = run_experiment(twin)[1].values()
+    np.testing.assert_array_equal(twin_rec.noise_norm, rec.noise_norm)
+    np.testing.assert_array_equal(twin_rec.final_x, rec.final_x)
+
+
+@pytest.mark.parametrize("algorithm, clip_grid", [
+    ("independent_variant", (1.0,)), ("accelerated_dp_srgd", (math.inf,)),
+    ("accelerated_dp_srgd", (1.0, math.inf))])
+def test_lipschitz_bound_runs_reject_a_budget_given_only_as_rho(algorithm, clip_grid):
+    spec = _tiny_spec(algorithm=algorithm, epsilon=math.inf, rho=0.5,
+                      clip_grid=clip_grid)
+    with pytest.raises(ValueError, match="needs epsilon"):
+        spec.validate()
+    log = []
+    with pytest.raises(ValueError, match="needs epsilon"):
+        run_experiment(spec, event_log=log)
+    assert log == []  # before the budget is resolved or any data is built
+    dataclasses.replace(spec, rho=math.inf).validate()  # no budget: no noise to size
+
+
+def _tree_sigmas(monkeypatch, spec) -> list:
+    seen = []
+
+    class Spy(counting.TreeState):
+        def __post_init__(self):
+            seen.append(self.sigma)
+            super().__post_init__()
+
+    monkeypatch.setattr(optim, "TreeState", Spy)
+    run_experiment(spec)
+    return seen
+
+
+def test_accelerated_tree_is_calibrated_to_the_clipped_increment(monkeypatch):
+    # one clipped increment per example, sensitivity clip / B, sitting in
+    # 1 + ceil(log2 T) tree nodes
+    spec = _tiny_spec(algorithm="accelerated_dp_srgd", epsilon=1.0, clip_grid=(0.5,),
+                      repeats=1)
+    mu = math.sqrt(2.0 * accounting.rho_for_dp(1.0, spec.delta))
+    want = counting.calibrate_tree_sigma(0.5 / spec.batch_size, mu, spec.steps)
+    assert _tree_sigmas(monkeypatch, spec) == [want]
+    # with no clip the worst-case (L, M) bound stays, beta times its scale
+    spec = dataclasses.replace(spec, clip_grid=(math.inf,))
+    problem = _build_problem(spec, None, None)
+    beta = 2.0 * problem.smoothness * spec.steps
+    want = accounting.srgd_sigma(problem.lipschitz, problem.smoothness, 2.0 * spec.radius,
+                                 1.0, spec.delta, spec.batch_size, beta, spec.steps) * beta
+    (got,) = _tree_sigmas(monkeypatch, spec)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("algorithm, clip_grid, calibration", [
+    ("accelerated_dp_srgd", (0.5,), "clip"),
+    ("dp_sgd", (0.5,), "clip"),
+    ("dp_memf", (0.5, 1.0), "clip"),
+    ("independent_variant", (0.5,), "lipschitz_bound"),
+    ("accelerated_dp_srgd", (math.inf,), "lipschitz_bound"),
+    ("accelerated_dp_srgd", (0.5, math.inf), "clip+lipschitz_bound")])
+def test_header_names_the_noise_calibration(tmp_path, algorithm, clip_grid, calibration):
+    table, records = run_experiment(_tiny_spec(algorithm=algorithm, clip_grid=clip_grid,
+                                               repeats=1))
+    assert table.header["noise_calibration"] == calibration
+    path = str(tmp_path / "summary.csv")
+    emit_csv(table, records, path)
+    assert parse_summary_csv(path).header["noise_calibration"] == calibration
 
 
 def test_data_dir_resolution(monkeypatch):
@@ -549,20 +650,20 @@ def test_identity_memf_strategy_is_sound_over_epochs(monkeypatch):
     table, records = run_experiment(spec)
     (cfg,) = seen
     b = spec.train_size // spec.batch_size
-    assert math.isfinite(cfg.rho)
+    rho = accounting.rho_for_dp(spec.epsilon, spec.delta)
+    assert cfg.sigma == (cfg.c_clip / spec.batch_size * cfg.strategy.sens
+                         / math.sqrt(2.0 * rho)) > 0
     assert (cfg.strategy.k, cfg.strategy.b) == (2, b)
     assert counting.column_group_sens(cfg.strategy.C, 2, b) <= 1.0 + 1e-9
     assert float(table.header["strategy_sens"]) <= 1.0 + 1e-9
     rows = lambda strategy: np.stack(list(counting.mf_noise_stream(
-        strategy, cfg.rho, spec.dim, cfg.seed)))
+        strategy, cfg.sigma, spec.dim, cfg.seed)))
     one_epoch = rows(counting.identity_strategy(1, 2 * b))
     np.testing.assert_allclose(rows(cfg.strategy), math.sqrt(2.0) * one_epoch,
                                rtol=1e-12)
     (rec,) = records.values()
     np.testing.assert_allclose(
-        rec.noise_norm,
-        math.sqrt(2.0) * np.linalg.norm(one_epoch, axis=1) * cfg.c_clip / spec.batch_size,
-        rtol=1e-12)
+        rec.noise_norm, math.sqrt(2.0) * np.linalg.norm(one_epoch, axis=1), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from dpsrgd.counting import (
     TreeState,
     build_workload,
+    calibrate_tree_sigma,
     factorize,
     identity_strategy,
     mf_noise_stream,
@@ -18,6 +19,7 @@ from dpsrgd.counting import (
     tree_prefix,
 )
 from dpsrgd.geometry import ConstraintBall, clip_rows, interpolate, project_ball
+from dpsrgd.harness import _noise_sigma
 from dpsrgd.objectives import (
     GradientNoiseWrapper,
     LogisticTask,
@@ -277,6 +279,39 @@ def test_independent_variant_matches_reference_loop():
     np.testing.assert_array_equal(rec.final_x, y)
 
 
+def test_one_example_moves_only_its_own_clipped_increment_by_at_most_the_clip():
+    # The clip calibration of the tree (sensitivity clip / B) assumes that
+    # removing one example changes the summed increment B * delta_t by at
+    # most the clip at the one step it takes part in, and not at all at any
+    # other. Replayed on the neighbouring dataset along the realized
+    # iterates of noisy clip-calibrated runs, as criterion 3 does for the
+    # unclipped bound.
+    T, B, clip = 25, 8, 0.5
+    problem = _quadratic(dim=10, target_norm=0.5, seed=301)
+    worst = 0.0
+    for pair in range(10):
+        rng = np.random.default_rng(1000 + pair)
+        batches = _batches(problem, T, B, seed=2000 + pair)
+        t_j, r_j = divmod(int(rng.integers(T * B)), B)
+        neighbour = [np.delete(b, r_j, axis=0) if t == t_j else b
+                     for t, b in enumerate(batches)]
+        cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0),
+                         sigma=calibrate_tree_sigma(clip / B, 1.0, T), clip=clip,
+                         seed=pair)
+        rec = run_accelerated_dp_srgd(problem, iter(batches), cfg, record_iterates=True)
+        for t, (batch, other) in enumerate(zip(batches, neighbour)):
+            point = (rec.iterates[t], rec.iterates[max(t - 1, 0)], cfg.eta_values[t],
+                     cfg.eta_values[t - 1] if t > 0 else 0.0)
+            change = (B * problem.srg_mean(*point, batch, clip)[0]
+                      - len(other) * problem.srg_mean(*point, other, clip)[0])
+            if t != t_j:
+                np.testing.assert_array_equal(change, 0.0)
+                continue
+            assert np.linalg.norm(change) <= clip * (1 + 1e-12)
+            worst = max(worst, float(np.linalg.norm(change)) / clip)
+    assert worst > 0.99  # the increments reach the clip: the bound is tight
+
+
 def test_noiseless_full_batch_variants_coincide():
     # with no noise and the full dataset each step, the recursive
     # telescoping reproduces the fresh-gradient variant exactly
@@ -392,7 +427,7 @@ _RUNNERS = {
     "dp_sgd": lambda p, batches, T: run_dp_sgd(
         p, iter(batches), 0.1, 1.0, 0.0, None, T),
     "dp_ftrl": lambda p, batches, T: run_dp_ftrl(
-        p, iter(batches), 0.1, 1.0, identity_strategy(1, T), math.inf, None),
+        p, iter(batches), 0.1, 1.0, identity_strategy(1, T), 0.0, None),
     "dp_memf": _memf_runner(srg=False),
     "dp_srg_memf": _memf_runner(srg=True),
 }
@@ -643,31 +678,37 @@ def test_identity_strategy_ftrl_equals_dp_sgd():
     rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, 1.0, sigma, ball, T,
                          seed=3)
     rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, 1.0,
-                           identity_strategy(1, T), rho, ball, seed=3)
+                           identity_strategy(1, T), sigma, ball, seed=3)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
 
 
 @pytest.mark.parametrize("B,clip", [(4, 0.5), (2, 8.0)])
 def test_dp_ftrl_noise_scales_with_clipped_mean_sensitivity(B, clip):
-    # DP-SGD at the harness calibration sqrt(1/(2 rho)) * clip / B and
-    # identity-strategy DP-FTRL release the same noise: both protect a
-    # batch mean of gradients clipped to clip, sensitivity clip / B
+    # the harness calibrates DP-SGD and identity-strategy DP-FTRL to the
+    # same sigma = clip / B / sqrt(2 rho), and the two release the same
+    # noise: both protect a batch mean of gradients clipped to clip,
+    # sensitivity clip / B
     problem = _quadratic(seed=37)
     T = 8
     batches = _batches(problem, T, B, seed=38)
     ball = ConstraintBall(problem.dim, 1.0)
     rho = 0.5
-    sigma = math.sqrt(1.0 / (2.0 * rho)) * clip / B
+    strategy = identity_strategy(1, T)
+    sigma = _noise_sigma("dp_sgd", rho, clip, B, T, None)
+    assert sigma == pytest.approx(math.sqrt(1.0 / (2.0 * rho)) * clip / B, rel=1e-15)
+    assert _noise_sigma("dp_ftrl", rho, clip, B, T, strategy) == sigma
     rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, clip, sigma, ball, T,
                          seed=4)
-    rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, clip,
-                           identity_strategy(1, T), rho, ball, seed=4)
+    rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, clip, strategy, sigma,
+                           ball, seed=4)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     # an infinite budget releases no noise, even without clipping
-    rec_free = run_dp_ftrl(problem, iter(batches), 0.1, math.inf,
-                           identity_strategy(1, T), math.inf, ball, seed=4)
+    free_sigma = _noise_sigma("dp_ftrl", math.inf, math.inf, B, T, strategy)
+    assert free_sigma == 0.0
+    rec_free = run_dp_ftrl(problem, iter(batches), 0.1, math.inf, strategy,
+                           free_sigma, ball, seed=4)
     np.testing.assert_array_equal(rec_free.noise_norm, np.zeros(T))
 
 
@@ -675,19 +716,20 @@ def test_dp_ftrl_matches_reference_loop():
     # single-example batches with clip 1, so the noise factor clip / B is 1
     problem = _quadratic(target_norm=0.9, seed=39)
     T, B, clip, rho, lr = 10, 1, 1.0, 0.5, 0.2
+    sigma = math.sqrt(1.0 / (2.0 * rho)) * (clip / B)
     batches = _batches(problem, T, B, seed=40)
     strategy = factorize(build_workload("momentum", 1, T, momentum=0.9), 1, T,
                          kind="momentum", momentum=0.9)
     ball = ConstraintBall(problem.dim, 0.5)
-    rec = run_dp_ftrl(problem, iter(batches), lr, clip, strategy, rho, ball,
+    rec = run_dp_ftrl(problem, iter(batches), lr, clip, strategy, sigma, ball,
                       seed=6)
 
-    rows = mf_noise_stream(strategy, rho, problem.dim, 6)
+    rows = mf_noise_stream(strategy, sigma, problem.dim, 6)
     x = np.zeros(problem.dim)
     noise = []
     for batch in batches:
         grad = clip_rows(problem.per_example_grads(x, batch), clip).mean(axis=0)
-        noise.append(next(rows) * (clip / B))
+        noise.append(next(rows))
         x = project_ball(x - lr * (grad + noise[-1]), ball)
     np.testing.assert_array_equal(rec.final_x, x)
     np.testing.assert_array_equal(rec.noise_norm, [np.linalg.norm(w) for w in noise])
@@ -698,7 +740,7 @@ def test_dp_ftrl_matches_reference_loop():
 
 
 def _memf_cfg(strategy, **kw):
-    base = dict(strategy=strategy, rho=math.inf, c_clip=math.inf, lr=0.05,
+    base = dict(strategy=strategy, sigma=0.0, c_clip=math.inf, lr=0.05,
                 decay=0.0, momentum=0.9, seed=5)
     base.update(kw)
     return MemfConfig(**base)
@@ -713,17 +755,18 @@ def test_memf_config_validation():
     with pytest.raises(ValueError):
         _memf_cfg(strat, momentum=1.0)
     with pytest.raises(ValueError):
-        _memf_cfg(strat, rho=0.0)
+        _memf_cfg(strat, sigma=-1.0)
     problem = _quadratic(seed=24)
     with pytest.raises(ValueError):  # strategy covers wrong step count
         run_dp_memf(problem, _batches(problem, 5, 4), _memf_cfg(identity_strategy(2, 4)))
     with pytest.raises(ValueError):
-        _memf_cfg(strat, rho=1.0, c_clip=math.inf)  # finite budget, no clip
+        _memf_cfg(strat, sigma=math.inf)  # the noise of a finite budget, no clip
 
 
 @pytest.mark.parametrize("field,value", [
     ("lr", 0.0), ("lr", -1.0), ("lr", math.inf), ("lr", math.nan),
-    ("rho", math.nan), ("c_clip", math.nan), ("c_clip", -1.0)])
+    ("sigma", math.nan), ("sigma", math.inf), ("sigma", -1.0),
+    ("c_clip", math.nan), ("c_clip", -1.0)])
 def test_memf_config_rejects_bad_scalars(field, value):
     with pytest.raises(ValueError, match=field.replace("c_", "")):
         _memf_cfg(identity_strategy(2, 5), **{field: value})
@@ -779,7 +822,7 @@ def test_zero_decay_recursion_equals_plain_memf_under_noise():
     strat = factorize(build_workload("ones", 2, 5), 2, 5)
     problem = _quadratic(seed=32)
     batches = _batches(problem, 5, 4, seed=33)
-    cfg = _memf_cfg(strat, rho=0.5, c_clip=1.0)
+    cfg = _memf_cfg(strat, sigma=1.0 / 4 / math.sqrt(2.0 * 0.5), c_clip=1.0)
     rec_plain = run_dp_memf(problem, batches, cfg)
     rec_srg = run_dp_srg_memf(problem, batches, cfg)
     assert rec_plain.noise_norm.min() > 0
@@ -800,12 +843,15 @@ def test_dp_srg_memf_evaluates_one_point_at_zero_weight(decay, steps_evaluated):
 
 
 def test_memf_noise_scales_with_clip_norm():
+    # through the harness calibration sigma = (clip / B) * sens / sqrt(2 rho)
     problem = _quadratic(seed=28)
     batches = _batches(problem, 5, 4, seed=29)
+    strat = identity_strategy(2, 5)
+    sigma = lambda clip: _noise_sigma("dp_memf", 1.0, clip, 4, 10, strat)
     rec1 = run_dp_memf(problem, batches,
-                       _memf_cfg(identity_strategy(2, 5), rho=1.0, c_clip=1.0))
+                       _memf_cfg(strat, sigma=sigma(1.0), c_clip=1.0))
     rec2 = run_dp_memf(problem, batches,
-                       _memf_cfg(identity_strategy(2, 5), rho=1.0, c_clip=2.0))
+                       _memf_cfg(strat, sigma=sigma(2.0), c_clip=2.0))
     ratio = rec2.noise_norm / rec1.noise_norm
     np.testing.assert_allclose(ratio, 2.0, rtol=1e-12)
 
@@ -820,15 +866,15 @@ def test_infinite_budget_means_zero_noise():
 def _reference_memf(problem, batches, cfg, recursive):
     """Multi-epoch training written out from per-example gradients:
     clipped mean (or clipped recursive increment), plus the strategy's
-    noise row times clip / B, into SGD with momentum."""
-    rows = mf_noise_stream(cfg.strategy, cfg.rho, problem.dim, cfg.seed)
+    noise row at cfg.sigma, into SGD with momentum."""
+    rows = mf_noise_stream(cfg.strategy, cfg.sigma, problem.dim, cfg.seed)
     x = np.zeros(problem.dim)
     prev, velocity, rec = x, x, x
     noise, grads = [], []
-    k, b, B = cfg.strategy.k, cfg.strategy.b, len(batches[0])
+    k, b = cfg.strategy.k, cfg.strategy.b
     for s in range(k * b):
         batch = batches[s % b]
-        w = next(rows) * (cfg.c_clip / B)
+        w = next(rows)
         if recursive:
             c = cfg.decay if s > 0 else 0.0
             diffs = (problem.per_example_grads(x, batch)
@@ -851,7 +897,7 @@ def _check_memf_reference(runner, recursive, **kw):
     strat = factorize(wl, 2, 5)
     problem = _quadratic(target_norm=0.9, seed=41)
     batches = _batches(problem, 5, 4, seed=42)
-    cfg = _memf_cfg(strat, rho=0.5, c_clip=0.5, **kw)
+    cfg = _memf_cfg(strat, sigma=0.5 / 4 / math.sqrt(2.0 * 0.5), c_clip=0.5, **kw)
     rec = runner(problem, batches, cfg)
     x, noise_norm, grad_norm = _reference_memf(problem, batches, cfg, recursive)
     np.testing.assert_array_equal(rec.final_x, x)
