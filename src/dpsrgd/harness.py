@@ -142,6 +142,17 @@ class ExperimentSpec:
             raise ValueError(f"{self.algorithm} takes no learning rate, so an lr_grid "
                              f"of {len(self.lr_grid)} entries would rerun one "
                              "configuration under different seeds")
+        # c is the decay of the momentum_decay strategy and dp_srg_memf's
+        # recursion weight; nothing else reads it
+        decays = (self.workload == "momentum_decay"
+                  and self.algorithm in ("dp_ftrl", "dp_memf", "dp_srg_memf"))
+        if len(self.c_grid) > 1 and not (decays or self.algorithm == "dp_srg_memf"):
+            raise ValueError(f"{self.algorithm} on the {self.workload} workload takes no "
+                             f"c, so a c_grid of {len(self.c_grid)} entries would rerun "
+                             "one configuration under different seeds")
+        if decays and 0.0 in self.c_grid:
+            raise ValueError("the momentum_decay workload needs a decay in (0, 1], "
+                             f"but c_grid holds 0: {self.c_grid}")
         budget = self.rho if self.rho is not None else self.epsilon
         for clip in self.clip_grid if math.isfinite(budget) else ():
             if not _lipschitz_bound(self.algorithm, clip) and math.isinf(clip):
@@ -243,7 +254,8 @@ def _read_idx(path: str) -> np.ndarray:
 def _finish_task(train_x: np.ndarray, train_y: np.ndarray,
                  test_x: np.ndarray, test_y: np.ndarray) -> LogisticTask:
     """Min-max normalize per column on train statistics (constant columns
-    map to zero), append the bias column, and validate labels."""
+    map to zero) and append the bias column; LogisticTask checks the
+    labels."""
     lo = train_x.min(axis=0)
     hi = train_x.max(axis=0)
     span = hi - lo
@@ -253,13 +265,9 @@ def _finish_task(train_x: np.ndarray, train_y: np.ndarray,
         scaled = (x - lo) / span
         return np.hstack([scaled, np.ones((x.shape[0], 1))])
 
-    classes = int(train_y.max()) + 1
-    if train_y.min() < 0 or test_y.size and (test_y.min() < 0 or test_y.max() >= classes):
-        raise ValueError("label out of range")
-    return LogisticTask(features=norm(train_x), labels=train_y.astype(np.int64),
-                        num_classes=classes,
-                        eval_features=norm(test_x),
-                        eval_labels=test_y.astype(np.int64))
+    return LogisticTask(features=norm(train_x), labels=train_y,
+                        num_classes=int(train_y.max()) + 1,
+                        eval_features=norm(test_x), eval_labels=test_y)
 
 
 def load_dataset(path: str, format: str) -> LogisticTask:
@@ -280,14 +288,9 @@ def load_dataset(path: str, format: str) -> LogisticTask:
         flat = train_x.reshape(train_x.shape[0], -1).astype(np.float64) / 255.0
         flat_t = test_x.reshape(test_x.shape[0], -1).astype(np.float64) / 255.0
         bias = lambda x: np.hstack([x, np.ones((x.shape[0], 1))])
-        if train_y.ndim != 1 or train_x.shape[0] != train_y.shape[0]:
-            raise ValueError("image/label count mismatch")
-        classes = int(train_y.max()) + 1
-        if test_y.max() >= classes:
-            raise ValueError("label out of range")
-        return LogisticTask(features=bias(flat), labels=train_y.astype(np.int64),
-                            num_classes=classes, eval_features=bias(flat_t),
-                            eval_labels=test_y.astype(np.int64))
+        return LogisticTask(features=bias(flat), labels=train_y,
+                            num_classes=int(train_y.max()) + 1, eval_features=bias(flat_t),
+                            eval_labels=test_y)
     if format == "csv":
         train_x, train_y = _read_label_csv(path)
         stem, ext = os.path.splitext(path)
@@ -499,10 +502,11 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, cache):
         else:
             batches = [np.arange(j * B, (j + 1) * B, dtype=_index_dtype(n))
                        for j in range(b)]
+        # dp_memf is the recursion at decay 0; c may still shape its strategy
+        decay = c if spec.algorithm == "dp_srg_memf" else 0.0
         cfg = optim.MemfConfig(strategy=strategy, sigma=sigma, c_clip=clip, lr=lr,
-                               decay=c, momentum=spec.momentum, seed=seed)
-        runner = optim.run_dp_memf if spec.algorithm == "dp_memf" else optim.run_dp_srg_memf
-        return runner(problem, batches, cfg)
+                               decay=decay, momentum=spec.momentum, seed=seed)
+        return optim.run_dp_srg_memf(problem, batches, cfg)
 
     rng = np.random.default_rng(seed)
     if spec.task == "synthetic":

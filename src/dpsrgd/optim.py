@@ -9,8 +9,8 @@ gradient evaluations there.
 
 Also provided: an independent-gradient variant of the same accelerated
 scheme, an unaccelerated SRG loop with a variance probe, DP-SGD and
-DP-FTRL baselines, and multi-epoch matrix-factorization training with
-plain (run_dp_memf) or recursive (run_dp_srg_memf) gradients.
+DP-FTRL baselines, and multi-epoch matrix-factorization training
+(run_dp_srg_memf), over recursive gradients or, at decay 0, plain ones.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "run_unaccelerated_srgd",
     "run_dp_sgd",
     "run_dp_ftrl",
-    "run_dp_memf",
     "run_dp_srg_memf",
     "potential",
     "variance_probe",
@@ -110,10 +109,11 @@ class SrgdConfig:
 class MemfConfig:
     """Configuration for multi-epoch matrix-factorization training.
 
-    The strategy's k and b are the run's shape: the runners take b batches
-    of one size and revisit them in order for k epochs. decay = 0 disables
+    The strategy's k and b are the run's shape: the runner takes b batches
+    of one size and revisits them in order for k epochs. decay = 0 disables
     the gradient recursion entirely (each increment is a plain clipped
-    gradient); decay in (0, 1] is the constant recursion weight.
+    gradient: dp_memf); decay in (0, 1] is the constant recursion weight
+    (dp_srg_memf).
     """
 
     strategy: StrategyMatrix
@@ -261,19 +261,6 @@ def _projected(dim: int, eta_lr: float, ball: ConstraintBall | None):
         step = x - eta_lr * (g + w if w is not None else g)
         _check_finite(t, "non-finite iterate", step)
         return _norm(w), _norm(g), (_project(step, ball.radius) if ball is not None else step,)
-    return update
-
-
-def _momentum(dim: int, cfg: MemfConfig):
-    """Update: SGD with momentum on the estimate plus the noise row."""
-    velocity = np.zeros(dim)
-
-    def update(t, x, g, w):
-        nonlocal velocity
-        velocity = cfg.momentum * velocity + (g + w if w is not None else g)
-        step = x - cfg.lr * velocity
-        _check_finite(t, "non-finite iterate", step)
-        return _norm(w), _norm(g), (step,)
     return update
 
 
@@ -462,34 +449,23 @@ def _epochs(problem: LossProblem, batches, cfg: MemfConfig) -> list:
     return list(batches) * cfg.strategy.k
 
 
-def run_dp_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord:
-    """Multi-epoch matrix-factorization DP training: per step, the clipped
-    mean gradient plus a correlated noise row, fed to SGD with momentum.
+def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord:
+    """Multi-epoch matrix-factorization training with SGD with momentum.
 
     Batches are revisited in the same fixed order every epoch; the
     strategy matrix's column-group constraint accounts for an example's
-    repeated participation.
+    repeated participation. Per step, the per-example increments
+    g(x_t, d) - c * g(x_{t-1}, d) are clipped and averaged and a correlated
+    noise row w_t is added. At decay c > 0 (dp_srg_memf) the estimate is the
+    recursion grad_t = c * grad_{t-1} + (increment + w_t), so each row
+    enters it once. At c = 0 (dp_memf) no recursion is kept: the estimate
+    is the clipped gradient plus w_t, and grad_norm reports the clipped
+    gradient alone. A step whose weight is zero (every step at c = 0, the
+    first at any c) evaluates the batch at x_t alone, through
+    clipped_mean_grad.
     """
-    return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,
-                  _clipped(problem, cfg.c_clip),
-                  _correlated_noise(cfg.strategy, cfg.sigma, problem.dim, cfg.seed),
-                  _momentum(problem.dim, cfg), "dp_memf", cfg.seed)
-
-
-def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord:
-    """Multi-epoch matrix-factorization training over recursive gradients.
-
-    Per step: the per-example increments g(x_t, d) - c * g(x_{t-1}, d) are
-    clipped and averaged, a correlated noise row is added, and the decayed
-    recursion grad_t = c * grad_{t-1} + noisy_increment is the estimate
-    handed to the optimizer: each noise row enters once, as in run_dp_memf,
-    so at decay = 0 the two runners take the same steps. The first step has
-    no predecessor, so its previous-gradient weight is zero. A step whose
-    weight is zero evaluates the batch at x_t alone, through
-    clipped_mean_grad: its increment is the clipped gradient there.
-    """
-    momentum = _momentum(problem.dim, cfg)
-    grad_rec = np.zeros(problem.dim)
+    velocity = np.zeros(problem.dim)
+    grad_rec = np.zeros(problem.dim) if cfg.decay > 0.0 else None
 
     def estimate(t, x, prev_x, batch):
         c_t = cfg.decay if t > 0 else 0.0
@@ -498,12 +474,16 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord
         return problem.srg_mean(x, prev_x, 1.0, c_t, batch, cfg.c_clip)
 
     def update(t, x, delta, w_t):
-        nonlocal grad_rec
-        grad_rec = (cfg.decay if t > 0 else 0.0) * grad_rec + (delta + w_t)
-        _, _, iterates = momentum(t, x, grad_rec, None)
-        return _norm(w_t), _norm(grad_rec), iterates
+        nonlocal velocity, grad_rec
+        g, reported = delta + w_t, delta
+        if grad_rec is not None:
+            g = reported = grad_rec = (cfg.decay if t > 0 else 0.0) * grad_rec + g
+        velocity = cfg.momentum * velocity + g
+        step = x - cfg.lr * velocity
+        _check_finite(t, "non-finite iterate", step)
+        return _norm(w_t), _norm(reported), (step,)
 
     return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,
                   estimate,
                   _correlated_noise(cfg.strategy, cfg.sigma, problem.dim, cfg.seed),
-                  update, "dp_srg_memf", cfg.seed)
+                  update, "dp_srg_memf" if cfg.decay > 0.0 else "dp_memf", cfg.seed)

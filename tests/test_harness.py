@@ -149,15 +149,50 @@ def test_infinite_clip_runs_where_noise_comes_from_lipschitz_bounds(algorithm):
 @pytest.mark.parametrize("grid", ["lr_grid", "clip_grid", "c_grid"])
 def test_spec_rejects_a_repeated_grid_entry(grid):
     # a repeat reran its runs under the same seeds and reported a second
-    # identical row with twice the runs
-    spec = _tiny_spec(**{grid: (0.5, 0.25, 0.5)})
+    # identical row with twice the runs (dp_srg_memf reads every grid)
+    spec = _tiny_spec(algorithm="dp_srg_memf", **{grid: (0.5, 0.25, 0.5)})
     with pytest.raises(ValueError, match=f"{grid} repeats an entry"):
         spec.validate()
     log = []
     with pytest.raises(ValueError, match=grid):
         run_experiment(spec, event_log=log)
     assert log == []
-    _tiny_spec(**{grid: (0.5, 0.25)}).validate()
+    _tiny_spec(algorithm="dp_srg_memf", **{grid: (0.5, 0.25)}).validate()
+
+
+@pytest.mark.parametrize("algorithm, workload", [
+    ("dp_sgd", "ones"), ("dp_sgd", "momentum_decay"), ("accelerated_dp_srgd", "ones"),
+    ("independent_variant", "momentum_decay"), ("dp_ftrl", "ones"),
+    ("dp_ftrl", "momentum"), ("dp_memf", "ones"), ("dp_memf", "identity")])
+def test_spec_rejects_a_c_grid_where_c_is_unused(algorithm, workload):
+    # c reaches no run here: each entry would rerun one configuration
+    # under another seed and report it as another point
+    spec = _tiny_spec(algorithm=algorithm, workload=workload, c_grid=(0.0, 0.5))
+    log = []
+    with pytest.raises(ValueError, match="c_grid"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    _tiny_spec(algorithm=algorithm, workload=workload, c_grid=(0.5,)).validate()
+
+
+@pytest.mark.parametrize("algorithm, workload", [
+    ("dp_srg_memf", "ones"), ("dp_srg_memf", "momentum_decay"),
+    ("dp_memf", "momentum_decay"), ("dp_ftrl", "momentum_decay")])
+def test_spec_accepts_a_c_grid_where_c_is_read(algorithm, workload):
+    _tiny_spec(algorithm=algorithm, workload=workload, c_grid=(0.25, 0.5)).validate()
+
+
+@pytest.mark.parametrize("algorithm", ["dp_ftrl", "dp_memf", "dp_srg_memf"])
+def test_spec_rejects_zero_decay_on_the_momentum_decay_workload(algorithm):
+    # the strategy's workload needs a decay in (0, 1]; c = 0 used to fail
+    # in build_workload, after the budget was resolved and the data built
+    for c_grid in ((0.0,), (0.5, 0.0)):
+        spec = _tiny_spec(algorithm=algorithm, workload="momentum_decay", c_grid=c_grid)
+        log = []
+        with pytest.raises(ValueError, match="momentum_decay"):
+            run_experiment(spec, event_log=log)
+        assert log == []
+    _tiny_spec(algorithm="dp_sgd", workload="momentum_decay", c_grid=(0.0,)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +346,15 @@ def test_idx_gzip_files_are_accepted(tmp_path):
     np.testing.assert_allclose(task.features[:, :-1],
                                train_x.reshape(20, -1) / 255.0, rtol=0)
     np.testing.assert_array_equal(task.labels, train_y)
+
+
+@pytest.mark.parametrize("labels", [IDX_NAMES[1], IDX_NAMES[3]])
+def test_idx_label_file_one_entry_short_is_rejected(tmp_path, labels):
+    _, train_y, _, test_y = _make_idx_dir(str(tmp_path))
+    short = train_y if labels == IDX_NAMES[1] else test_y
+    _write_idx_labels(str(tmp_path / labels), short[:-1])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        load_dataset(str(tmp_path), "idx")
 
 
 def test_idx_corruption_errors(tmp_path):
@@ -638,17 +682,18 @@ def test_memf_strategy_is_factorized_for_the_spec_momentum(monkeypatch):
 
 def test_identity_memf_strategy_is_sound_over_epochs(monkeypatch):
     seen = []
-    runner = optim.run_dp_memf
+    runner = optim.run_dp_srg_memf
 
     def spy(problem, batches, cfg):
         seen.append(cfg)
         return runner(problem, batches, cfg)
 
-    monkeypatch.setattr(optim, "run_dp_memf", spy)
+    monkeypatch.setattr(optim, "run_dp_srg_memf", spy)
     spec = _tiny_spec(algorithm="dp_memf", workload="identity", epochs=2,
                       batch_size=32, repeats=1)
     table, records = run_experiment(spec)
     (cfg,) = seen
+    assert cfg.decay == 0.0  # dp_memf is the recursive runner at decay 0
     b = spec.train_size // spec.batch_size
     rho = accounting.rho_for_dp(spec.epsilon, spec.delta)
     assert cfg.sigma == (cfg.c_clip / spec.batch_size * cfg.strategy.sens

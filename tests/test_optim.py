@@ -36,7 +36,6 @@ from dpsrgd.optim import (
     potential,
     run_accelerated_dp_srgd,
     run_dp_ftrl,
-    run_dp_memf,
     run_dp_sgd,
     run_dp_srg_memf,
     run_independent_variant,
@@ -404,12 +403,10 @@ def test_accelerated_runner_costs_two_evals_per_example():
     assert problem.grad_rows == 2 * T * B
 
 
-def _memf_runner(srg):
-    def run(problem, batches, T):
-        cfg = _memf_cfg(identity_strategy(2, T // 2))
-        runner = run_dp_srg_memf if srg else run_dp_memf
-        return runner(problem, batches[:T // 2], cfg)
-    return run
+def _memf_runner(problem, batches, T):
+    # dp_memf and dp_srg_memf at decay 0: one runner, labelled dp_memf
+    cfg = _memf_cfg(identity_strategy(2, T // 2))
+    return run_dp_srg_memf(problem, batches[:T // 2], cfg)
 
 
 # Every runner at T steps, batch size 4, no noise. The stream runners take
@@ -428,8 +425,8 @@ _RUNNERS = {
         p, iter(batches), 0.1, 1.0, 0.0, None, T),
     "dp_ftrl": lambda p, batches, T: run_dp_ftrl(
         p, iter(batches), 0.1, 1.0, identity_strategy(1, T), 0.0, None),
-    "dp_memf": _memf_runner(srg=False),
-    "dp_srg_memf": _memf_runner(srg=True),
+    "dp_memf": _memf_runner,
+    "dp_srg_memf": _memf_runner,
 }
 _STREAM_RUNNERS = sorted(set(_RUNNERS) - {"dp_memf", "dp_srg_memf"})
 
@@ -758,7 +755,7 @@ def test_memf_config_validation():
         _memf_cfg(strat, sigma=-1.0)
     problem = _quadratic(seed=24)
     with pytest.raises(ValueError):  # strategy covers wrong step count
-        run_dp_memf(problem, _batches(problem, 5, 4), _memf_cfg(identity_strategy(2, 4)))
+        run_dp_srg_memf(problem, _batches(problem, 5, 4), _memf_cfg(identity_strategy(2, 4)))
     with pytest.raises(ValueError):
         _memf_cfg(strat, sigma=math.inf)  # the noise of a finite budget, no clip
 
@@ -776,11 +773,11 @@ def test_memf_batch_mismatch_errors():
     problem = _quadratic(seed=24)
     cfg = _memf_cfg(identity_strategy(2, 5))
     with pytest.raises(ValueError):
-        run_dp_memf(problem, _batches(problem, 4, 4), cfg)  # wrong count
+        run_dp_srg_memf(problem, _batches(problem, 4, 4), cfg)  # wrong count
     batches = _batches(problem, 5, 4)
     batches[2] = batches[2][:3]
     with pytest.raises(ValueError):
-        run_dp_memf(problem, batches, cfg)  # wrong size
+        run_dp_srg_memf(problem, batches, cfg)  # wrong size
 
 
 class _BatchOrderSpy(SyntheticQuadratic):
@@ -801,7 +798,7 @@ def test_memf_revisits_batches_in_fixed_order():
                              noise_scale=0.5, radius=1.0)
     batches = _batches(problem, 5, 4, seed=25)
     cfg = _memf_cfg(identity_strategy(2, 5))
-    run_dp_memf(problem, batches, cfg)
+    run_dp_srg_memf(problem, batches, cfg)
     markers = [float(b[0, 0]) for b in batches]
     assert problem.seen == markers + markers  # two epochs, same order
 
@@ -810,25 +807,43 @@ def test_zero_decay_recursion_equals_plain_memf():
     problem = _quadratic(seed=26)
     batches = _batches(problem, 5, 4, seed=27)
     cfg = _memf_cfg(identity_strategy(2, 5))
-    rec_plain = run_dp_memf(problem, batches, cfg)
+    x, _, _, losses = _reference_memf(problem, batches, cfg, recursive=False)
     rec_srg = run_dp_srg_memf(problem, batches, cfg)
-    np.testing.assert_array_equal(rec_plain.final_x, rec_srg.final_x)
-    np.testing.assert_array_equal(rec_plain.train_loss, rec_srg.train_loss)
+    np.testing.assert_array_equal(x, rec_srg.final_x)
+    np.testing.assert_array_equal(losses, rec_srg.train_loss)
 
 
 def test_zero_decay_recursion_equals_plain_memf_under_noise():
-    # each correlated noise row enters the recursive estimate once, so
-    # without the recursion the two runners take the same noisy steps
+    # each correlated noise row enters the estimate once, so without the
+    # recursion the runner takes plain multi-epoch training's noisy steps
     strat = factorize(build_workload("ones", 2, 5), 2, 5)
     problem = _quadratic(seed=32)
     batches = _batches(problem, 5, 4, seed=33)
     cfg = _memf_cfg(strat, sigma=1.0 / 4 / math.sqrt(2.0 * 0.5), c_clip=1.0)
-    rec_plain = run_dp_memf(problem, batches, cfg)
+    x, noise_norm, _, losses = _reference_memf(problem, batches, cfg, recursive=False)
     rec_srg = run_dp_srg_memf(problem, batches, cfg)
-    assert rec_plain.noise_norm.min() > 0
-    np.testing.assert_array_equal(rec_plain.final_x, rec_srg.final_x)
-    np.testing.assert_array_equal(rec_plain.train_loss, rec_srg.train_loss)
-    np.testing.assert_array_equal(rec_plain.noise_norm, rec_srg.noise_norm)
+    assert min(noise_norm) > 0
+    np.testing.assert_array_equal(x, rec_srg.final_x)
+    np.testing.assert_array_equal(losses, rec_srg.train_loss)
+    np.testing.assert_array_equal(noise_norm, rec_srg.noise_norm)
+
+
+def test_zero_decay_run_is_dp_memf_and_reports_the_clipped_gradient():
+    # at c = 0 grad_norm is ||clipped mean||, at most the clip, not the
+    # norm of the noisy estimate; the run carries dp_memf's label
+    strat = factorize(build_workload("ones", 2, 5), 2, 5)
+    problem = _quadratic(target_norm=0.9, seed=43)
+    batches = _batches(problem, 5, 4, seed=44)
+    cfg = _memf_cfg(strat, sigma=5.0, c_clip=0.5)
+    rec = run_dp_srg_memf(problem, batches, cfg)
+    assert rec.algorithm == "dp_memf"
+    assert rec.grad_norm.max() <= 0.5 * (1 + 1e-12) < rec.noise_norm.min()
+    _, _, grad_norm, _ = _reference_memf(problem, batches, cfg, recursive=False)
+    np.testing.assert_array_equal(rec.grad_norm, grad_norm)
+    rec_srg = run_dp_srg_memf(problem, batches,
+                              _memf_cfg(strat, sigma=5.0, c_clip=0.5, decay=0.5))
+    assert rec_srg.algorithm == "dp_srg_memf"
+    assert rec_srg.grad_norm[0] > 0.5  # the recursion holds the noise row
 
 
 @pytest.mark.parametrize("decay, steps_evaluated", [(0.0, 10), (0.5, 1 + 2 * 9)])
@@ -848,9 +863,9 @@ def test_memf_noise_scales_with_clip_norm():
     batches = _batches(problem, 5, 4, seed=29)
     strat = identity_strategy(2, 5)
     sigma = lambda clip: _noise_sigma("dp_memf", 1.0, clip, 4, 10, strat)
-    rec1 = run_dp_memf(problem, batches,
+    rec1 = run_dp_srg_memf(problem, batches,
                        _memf_cfg(strat, sigma=sigma(1.0), c_clip=1.0))
-    rec2 = run_dp_memf(problem, batches,
+    rec2 = run_dp_srg_memf(problem, batches,
                        _memf_cfg(strat, sigma=sigma(2.0), c_clip=2.0))
     ratio = rec2.noise_norm / rec1.noise_norm
     np.testing.assert_allclose(ratio, 2.0, rtol=1e-12)
@@ -859,22 +874,24 @@ def test_memf_noise_scales_with_clip_norm():
 def test_infinite_budget_means_zero_noise():
     problem = _quadratic(seed=30)
     batches = _batches(problem, 5, 4, seed=31)
-    rec = run_dp_memf(problem, batches, _memf_cfg(identity_strategy(2, 5)))
+    rec = run_dp_srg_memf(problem, batches, _memf_cfg(identity_strategy(2, 5)))
     np.testing.assert_array_equal(rec.noise_norm, np.zeros(10))
 
 
 def _reference_memf(problem, batches, cfg, recursive):
     """Multi-epoch training written out from per-example gradients:
     clipped mean (or clipped recursive increment), plus the strategy's
-    noise row at cfg.sigma, into SGD with momentum."""
+    noise row at cfg.sigma, into SGD with momentum. Returns the final
+    point and the per-step noise norms, gradient norms and batch losses."""
     rows = mf_noise_stream(cfg.strategy, cfg.sigma, problem.dim, cfg.seed)
     x = np.zeros(problem.dim)
     prev, velocity, rec = x, x, x
-    noise, grads = [], []
+    noise, grads, losses = [], [], []
     k, b = cfg.strategy.k, cfg.strategy.b
     for s in range(k * b):
         batch = batches[s % b]
         w = next(rows)
+        losses.append(problem.per_example_values(x, batch).mean())
         if recursive:
             c = cfg.decay if s > 0 else 0.0
             diffs = (problem.per_example_grads(x, batch)
@@ -889,7 +906,8 @@ def _reference_memf(problem, batches, cfg, recursive):
         noise.append(w)
         velocity = cfg.momentum * velocity + step
         prev, x = x, x - cfg.lr * velocity
-    return x, [np.linalg.norm(w) for w in noise], [np.linalg.norm(g) for g in grads]
+    return (x, [np.linalg.norm(w) for w in noise], [np.linalg.norm(g) for g in grads],
+            losses)
 
 
 def _check_memf_reference(runner, recursive, **kw):
@@ -899,10 +917,11 @@ def _check_memf_reference(runner, recursive, **kw):
     batches = _batches(problem, 5, 4, seed=42)
     cfg = _memf_cfg(strat, sigma=0.5 / 4 / math.sqrt(2.0 * 0.5), c_clip=0.5, **kw)
     rec = runner(problem, batches, cfg)
-    x, noise_norm, grad_norm = _reference_memf(problem, batches, cfg, recursive)
+    x, noise_norm, grad_norm, losses = _reference_memf(problem, batches, cfg, recursive)
     np.testing.assert_array_equal(rec.final_x, x)
     np.testing.assert_array_equal(rec.noise_norm, noise_norm)
     np.testing.assert_array_equal(rec.grad_norm, grad_norm)
+    np.testing.assert_array_equal(rec.train_loss, losses)
 
 
 def test_dp_srg_memf_matches_reference_loop():
@@ -910,7 +929,7 @@ def test_dp_srg_memf_matches_reference_loop():
 
 
 def test_dp_memf_matches_reference_loop():
-    _check_memf_reference(run_dp_memf, False)
+    _check_memf_reference(run_dp_srg_memf, False)  # dp_memf is decay 0
 
 
 class _ExplodingQuadratic(SyntheticQuadratic):
