@@ -297,6 +297,9 @@ def load_dataset(path: str, format: str) -> LogisticTask:
         test_path = stem + ".test" + ext
         if os.path.exists(test_path):
             test_x, test_y = _read_label_csv(test_path)
+            if test_x.shape[1] != train_x.shape[1]:
+                raise ValueError(f"{test_path}: {test_x.shape[1]} feature columns, "
+                                 f"{path} has {train_x.shape[1]}")
         else:
             test_x, test_y = train_x, train_y
         return _finish_task(train_x, train_y, test_x, test_y)
@@ -304,15 +307,27 @@ def load_dataset(path: str, format: str) -> LogisticTask:
 
 
 def _read_label_csv(path: str):
+    """(features, labels) of a label,feature,... file, shapes (n, p) and
+    (n,). A file with no data rows, a row whose width is not the
+    header's, or a cell that is not a number (an integer in the label
+    column) is rejected here, naming the file (and the line)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "label":
             raise ValueError(f"{path}: first column must be 'label'")
         labels, rows = [], []
         for row in reader:
-            labels.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} "
+                                 f"fields, the header has {len(header)}")
+            try:
+                labels.append(int(row[0]))
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as err:
+                raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 

@@ -178,15 +178,29 @@ class SyntheticQuadratic(LossProblem):
             self.radius + float(np.linalg.norm(self.target)) + self.noise_scale
         )
 
+    @staticmethod
+    def _residuals(x, batch) -> np.ndarray:
+        """x - d for every example d of the batch, shape (m, dim), as a
+        fresh float64 array: bit for bit `x[None, :] - batch`. numpy runs
+        that broadcast through a buffered iterator whose hidden buffer,
+        min(m*dim, 8192) doubles, is as large as the result at the CLI's
+        (256, 20) batch; x copied into the array, with a float64 batch
+        subtracted in place, needs none."""
+        batch = np.asarray(batch)
+        resid = np.empty(batch.shape)
+        np.copyto(resid, x)
+        resid -= batch
+        return resid
+
     def per_example_values(self, x, batch) -> np.ndarray:
-        return self._values(x[None, :] - np.asarray(batch))
+        return self._values(self._residuals(x, batch))
 
     def _values(self, resid: np.ndarray) -> np.ndarray:
         """Per-example losses from the residuals x - d, left unchanged."""
         return 0.5 * self.curvature * np.add.reduce(resid * resid, axis=1)
 
     def per_example_grads(self, x, batch) -> np.ndarray:
-        grads = x[None, :] - np.asarray(batch)
+        grads = self._residuals(x, batch)
         grads *= self.curvature
         return grads
 
@@ -200,7 +214,7 @@ class SyntheticQuadratic(LossProblem):
     def _grads_and_loss(self, x, batch) -> tuple[np.ndarray, float]:
         """(per_example_grads(x, batch), batch-mean loss at x), both from
         one residual x - batch."""
-        resid = x[None, :] - np.asarray(batch)
+        resid = self._residuals(x, batch)
         loss = float(_batch_mean(self._values(resid)))
         return self._scaled(resid), loss
 
@@ -211,7 +225,7 @@ class SyntheticQuadratic(LossProblem):
     def srg_mean(self, x_t, x_prev, w_t, w_prev, batch,
                  c_clip=np.inf) -> tuple[np.ndarray, float]:
         g_t, loss = self._grads_and_loss(x_t, batch)
-        g_p = self._scaled(x_prev[None, :] - np.asarray(batch))  # even at w_prev = 0
+        g_p = self._scaled(self._residuals(x_prev, batch))  # even at w_prev = 0
         g_t *= w_t  # w_t * g_t - w_prev * g_p, as the generic hook forms it
         g_p *= w_prev
         g_t -= g_p

@@ -442,6 +442,47 @@ def test_csv_header_and_label_errors(tmp_path):
         load_dataset(str(train), "parquet")
 
 
+def test_csv_train_file_without_rows_is_rejected_by_name(tmp_path):
+    train = tmp_path / "data.csv"
+    train.write_text("label,f0,f1\n")
+    with pytest.raises(ValueError, match=r"data\.csv: no data rows"):
+        load_dataset(str(train), "csv")
+
+
+def test_csv_test_file_without_rows_is_rejected_by_name(tmp_path):
+    train = tmp_path / "data.csv"
+    save_csv(np.array([0, 1]), np.eye(2), str(train))
+    (tmp_path / "data.test.csv").write_text("label,f0,f1\n")
+    with pytest.raises(ValueError, match=r"data\.test\.csv: no data rows"):
+        load_dataset(str(train), "csv")
+
+
+def test_csv_ragged_row_is_rejected_with_its_line(tmp_path):
+    train = tmp_path / "data.csv"
+    train.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0\n0,4.0,5.0\n")
+    with pytest.raises(ValueError, match=r"data\.csv, line 3: 2 fields, the header has 3"):
+        load_dataset(str(train), "csv")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1.0,2.0,3.0", "invalid literal for int"),
+    ("1,2.0,abc", "could not convert string to float"),
+], ids=["label", "feature"])
+def test_csv_cell_that_is_not_a_number_is_rejected_with_its_line(tmp_path, row, message):
+    train = tmp_path / "data.csv"
+    train.write_text(f"label,f0,f1\n0,1.0,2.0\n{row}\n")
+    with pytest.raises(ValueError, match=rf"data\.csv, line 3: {message}"):
+        load_dataset(str(train), "csv")
+
+
+def test_csv_test_file_of_another_width_is_rejected_by_name(tmp_path):
+    train = tmp_path / "data.csv"
+    save_csv(np.array([0, 1]), np.eye(2), str(train))
+    save_csv(np.array([0]), np.ones((1, 3)), str(tmp_path / "data.test.csv"))
+    with pytest.raises(ValueError, match=r"data\.test\.csv: 3 feature columns"):
+        load_dataset(str(train), "csv")
+
+
 # ---------------------------------------------------------------------------
 # sweep execution
 

@@ -236,26 +236,70 @@ def test_srg_mean_evaluates_a_nan_previous_point_at_zero_weight(make, c_clip):
     assert loss == generic_loss == float(problem.per_example_values(x_t, batch).mean())
 
 
-@pytest.mark.parametrize("c_clip", [0.5, np.inf])
-def test_quadratic_srg_mean_holds_two_residual_arrays(c_clip):
-    # one residual per evaluation point, and the previous point's is freed
-    # before the clip: the generic hook's three live (B, d) arrays exceed
-    # this bound at the synthetic benchmark's shape
+def _cli_shaped_quadratic_step():
+    """A quadratic at the synthetic benchmark's shape, B = 256 and d = 20:
+    (problem, batch, x_t, x_prev)."""
     problem = SyntheticQuadratic(dim=20, target=np.full(20, 0.1), noise_scale=0.5)
     rng = np.random.default_rng(20)
     batch = problem.draw_batch(rng, 256)
     x_t = rng.standard_normal(problem.dim) * 0.3
     x_prev = rng.standard_normal(problem.dim) * 0.3
-    problem.srg_mean(x_t, x_prev, 3.0, 2.0, batch, c_clip)  # warm any lazy set-up
+    return problem, batch, x_t, x_prev
+
+
+def _traced_peak(call) -> int:
+    """Bytes a second call(), after one to warm any lazy set-up, holds at
+    its peak above what was held before it."""
+    call()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        problem.srg_mean(x_t, x_prev, 3.0, 2.0, batch, c_clip)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * batch.nbytes
+
+
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+def test_quadratic_srg_mean_holds_two_residual_arrays(c_clip):
+    # one residual per evaluation point, each formed without numpy's
+    # broadcast buffer, and the previous point's is freed before the clip:
+    # the generic hook's three live (B, d) arrays, or a broadcast
+    # residual's hidden buffer, exceed this bound at this shape
+    problem, batch, x_t, x_prev = _cli_shaped_quadratic_step()
+    peak = _traced_peak(lambda: problem.srg_mean(x_t, x_prev, 3.0, 2.0, batch, c_clip))
+    assert peak < 2.5 * batch.nbytes
+
+
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+def test_quadratic_clipped_mean_grad_holds_two_batch_arrays(c_clip):
+    # the residual and, while the loss is read off it, its squares
+    problem, batch, x_t, _ = _cli_shaped_quadratic_step()
+    peak = _traced_peak(lambda: problem.clipped_mean_grad(x_t, batch, c_clip))
+    assert peak < 2.5 * batch.nbytes
+
+
+def test_quadratic_per_example_grads_holds_one_batch_array():
+    # the returned gradients alone: no broadcast buffer beside them
+    problem, batch, x_t, _ = _cli_shaped_quadratic_step()
+    peak = _traced_peak(lambda: problem.per_example_grads(x_t, batch))
+    assert peak < 1.5 * batch.nbytes
+
+
+@pytest.mark.parametrize("batch", [
+    np.random.default_rng(21).standard_normal((7, 5)),
+    np.random.default_rng(22).standard_normal((7, 5)).astype(np.float32),
+    np.random.default_rng(23).integers(-9, 9, size=(7, 5)),
+    np.random.default_rng(24).standard_normal((1, 5)),
+], ids=["float64", "float32", "int64", "one-row"])
+def test_quadratic_residuals_equal_the_broadcast_difference(batch):
+    x = np.random.default_rng(25).standard_normal(5) * 1e3
+    got = SyntheticQuadratic._residuals(x, batch)
+    want = x[None, :] - batch
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, batch)
 
 
 @pytest.mark.parametrize("make", [_quadratic, _logistic])

@@ -403,9 +403,9 @@ def test_accelerated_runner_costs_two_evals_per_example():
     assert problem.grad_rows == 2 * T * B
 
 
-def _memf_runner(problem, batches, T):
-    # dp_memf and dp_srg_memf at decay 0: one runner, labelled dp_memf
-    cfg = _memf_cfg(identity_strategy(2, T // 2))
+def _memf_runner(problem, batches, T, decay=0.0):
+    # dp_memf is dp_srg_memf at decay 0: one runner, labelled dp_memf
+    cfg = _memf_cfg(identity_strategy(2, T // 2), decay=decay)
     return run_dp_srg_memf(problem, batches[:T // 2], cfg)
 
 
@@ -427,8 +427,9 @@ _RUNNERS = {
         p, iter(batches), 0.1, 1.0, identity_strategy(1, T), 0.0, None),
     "dp_memf": _memf_runner,
     "dp_srg_memf": _memf_runner,
+    "dp_srg_memf_decay_0.5": lambda p, batches, T: _memf_runner(p, batches, T, 0.5),
 }
-_STREAM_RUNNERS = sorted(set(_RUNNERS) - {"dp_memf", "dp_srg_memf"})
+_STREAM_RUNNERS = sorted(name for name in _RUNNERS if "memf" not in name)
 
 
 # The finite checks on the step path test a vector's sum first and fall
@@ -955,13 +956,18 @@ def test_runner_aborts_on_non_finite_iterate(name):
     problem = _ExplodingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
                                   noise_scale=0.5, radius=1.0)
     batches = _batches(problem, 10, 4, seed=34)
-    with pytest.raises(RunAborted) as info:
-        _RUNNERS[name](problem, batches, 10)
     # a recursive-gradient step evaluates two points, a clipped-gradient
     # step one (dp_srg_memf at decay 0 included), so the fourth evaluation
-    # falls in step 1 or step 3
+    # falls in step 1 or step 3; dp_srg_memf at decay > 0 takes a clipped
+    # gradient at step 0 and increments after it, so it falls in step 2,
+    # where both points are infinite and the increment inf - 0.5 * inf is
+    # NaN
     recursive = ("accelerated_dp_srgd", "unaccelerated_srgd")
-    assert info.value.step == (1 if name in recursive else 3)
+    expected = {"dp_srg_memf_decay_0.5": 2}.get(name, 1 if name in recursive else 3)
+    invalid = "ignore" if name == "dp_srg_memf_decay_0.5" else "warn"
+    with np.errstate(invalid=invalid), pytest.raises(RunAborted) as info:
+        _RUNNERS[name](problem, batches, 10)
+    assert info.value.step == expected
 
 
 class _HugeGradientQuadratic(SyntheticQuadratic):
