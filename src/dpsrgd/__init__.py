@@ -69,7 +69,6 @@ from .optim import (
     potential,
     run_accelerated_dp_srgd,
     run_dp_ftrl,
-    run_dp_sgd,
     run_dp_srg_memf,
     run_independent_variant,
     run_unaccelerated_srgd,
@@ -94,7 +93,7 @@ __all__ = [
     "GradientNoiseWrapper", "LogisticTask", "LossProblem",
     "SyntheticQuadratic",
     "MemfConfig", "RunAborted", "RunRecord", "SrgdConfig", "linear_fit",
-    "potential", "run_accelerated_dp_srgd", "run_dp_ftrl", "run_dp_sgd",
+    "potential", "run_accelerated_dp_srgd", "run_dp_ftrl",
     "run_dp_srg_memf", "run_independent_variant", "run_unaccelerated_srgd",
     "variance_probe",
     "CriterionResult", "run_all",

@@ -34,6 +34,7 @@ __all__ = [
     "build_workload",
     "build_strategy",
     "factorize",
+    "gaussian_rows",
     "mf_noise_stream",
     "tree_matrix_factorization",
     "tree_baseline_objective",
@@ -436,28 +437,28 @@ def forward_substitution_rows(c_mat: np.ndarray, z_rows):
         yield row
 
 
+def gaussian_rows(sigma: float, d: int, seed: int, n: int):
+    """Stream n rows of d entries i.i.d. N(0, sigma^2) from
+    `default_rng(seed)`, each scaled in place (the bits of
+    standard_normal(d) * sigma): the identity mechanism, which holds no
+    matrix. sigma is checked at the call, before the first row."""
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
+    rng = np.random.default_rng(seed)
+    rows = (rng.standard_normal(d) for _ in range(n))
+    return (np.multiply(z, sigma, out=z) for z in rows)
+
+
 def mf_noise_stream(strategy: StrategyMatrix, sigma: float, d: int, seed: int):
-    """Stream the kb rows of C^{-1} Z with Z entries i.i.d. N(0, sigma^2)
-    per coordinate. sigma = 0 yields the all-zero stream. The stream holds
-    (bandwidth - 1) x d solved rows, bandwidth <= b for the banded
+    """Stream the kb rows of C^{-1} Z, Z the `gaussian_rows` of std sigma
+    (checked at the call). sigma = 0 yields the all-zero stream. The stream
+    holds (bandwidth - 1) x d solved rows, bandwidth <= b for the banded
     strategies of `factorize` and 1 for the identity. A rho-zCDP release of
     a stream of per-example sensitivity s takes sigma = s * sens / sqrt(2 rho).
     """
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    diag = np.diag(strategy.C)
-    if np.any(diag == 0):
+    if np.any(np.diag(strategy.C) == 0):
         raise np.linalg.LinAlgError("strategy matrix is singular")
-    rng = np.random.default_rng(seed)
-    n = strategy.steps
-
-    def z_rows():
-        for _ in range(n):
-            z = rng.standard_normal(d)
-            z *= sigma
-            yield z
-
-    yield from forward_substitution_rows(strategy.C, z_rows())
+    return forward_substitution_rows(strategy.C, gaussian_rows(sigma, d, seed, strategy.steps))
 
 
 # ---------------------------------------------------------------------------

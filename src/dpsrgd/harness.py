@@ -380,6 +380,12 @@ def _run_seed(seed_base: int, key: tuple, repeat: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
+def _data_rng(seed: int) -> np.random.Generator:
+    """The examples' generator: a child of the seed, which shares no draws
+    with the noise or the target direction, both `default_rng(seed)`."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+
+
 def _resolve_budget(spec: ExperimentSpec) -> dict:
     """Privacy accounting up front, before any data is touched."""
     out = {"epsilon": spec.epsilon, "delta": spec.delta,  # rho_for_dp(inf, .) = inf
@@ -512,7 +518,7 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, cache):
         if spec.task == "synthetic":
             # One fixed dataset per experiment (seeded by seed_base alone),
             # shared by every grid point and repeat.
-            data = problem.draw_batch(np.random.default_rng(spec.seed_base), b * B)
+            data = problem.draw_batch(_data_rng(spec.seed_base), b * B)
             batches = [data[j * B:(j + 1) * B] for j in range(b)]
         else:
             batches = [np.arange(j * B, (j + 1) * B, dtype=_index_dtype(n))
@@ -523,16 +529,14 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, cache):
                                decay=decay, momentum=spec.momentum, seed=seed)
         return optim.run_dp_srg_memf(problem, batches, cfg)
 
-    rng = np.random.default_rng(seed)
+    rng = _data_rng(seed)
     if spec.task == "synthetic":
         stream = (problem.draw_batch(rng, B) for _ in range(T))
     else:
         stream = _pass_stream(rng, n, B, T)
-    if spec.algorithm == "dp_sgd":
-        return optim.run_dp_sgd(problem, stream, lr, clip, sigma, ball, T, seed=seed)
-    if spec.algorithm == "dp_ftrl":
-        return optim.run_dp_ftrl(problem, stream, lr, clip, strategy, sigma, ball,
-                                 seed=seed)
+    if spec.algorithm in ("dp_sgd", "dp_ftrl"):  # dp_sgd: no strategy, the identity
+        return optim.run_dp_ftrl(problem, stream, lr, clip, sigma, ball, T, seed=seed,
+                                 strategy=strategy)
     cfg = optim.SrgdConfig(T=T, beta=beta, ball=ball, sigma=sigma, clip=clip, seed=seed)
     if spec.algorithm == "accelerated_dp_srgd":
         return optim.run_accelerated_dp_srgd(problem, stream, cfg)

@@ -114,9 +114,11 @@ class LossProblem:
         g_t = self.per_example_grads(x_t, batch)
         g_p = self.per_example_grads(x_prev, batch)
         loss = float(_batch_mean(self.per_example_values(x_t, batch)))
-        g_t *= w_t  # w_t * g_t - w_prev * g_p, in the two fresh arrays
-        g_p *= w_prev
-        g_t -= g_p
+        # w_t * g_t - w_prev * g_p in the two fresh arrays; the runner aborts
+        with np.errstate(invalid="ignore"):  # on the NaN of infinite ones
+            g_t *= w_t
+            g_p *= w_prev
+            g_t -= g_p
         return _batch_mean(_clip_rows_in_place(g_t, c_clip)), loss
 
 
@@ -226,9 +228,10 @@ class SyntheticQuadratic(LossProblem):
                  c_clip=np.inf) -> tuple[np.ndarray, float]:
         g_t, loss = self._grads_and_loss(x_t, batch)
         g_p = self._scaled(self._residuals(x_prev, batch))  # even at w_prev = 0
-        g_t *= w_t  # w_t * g_t - w_prev * g_p, as the generic hook forms it
-        g_p *= w_prev
-        g_t -= g_p
+        with np.errstate(invalid="ignore"):  # as the generic hook forms it
+            g_t *= w_t
+            g_p *= w_prev
+            g_t -= g_p
         del g_p  # freed before the clip squares g_t
         return _batch_mean(_clip_rows_in_place(g_t, c_clip)), loss
 
@@ -431,7 +434,8 @@ class LogisticTask(LossProblem):
         sel = self._select(batch)
         phi = self.features[sel]
         z, loss = self._forward(phi, self.labels[sel], x_t, x_prev)
-        err = w_t * z[:, 0] - w_prev * z[:, 1]
+        with np.errstate(invalid="ignore"):  # as the generic hook forms it
+            err = w_t * z[:, 0] - w_prev * z[:, 1]
         del z  # freed before the backward matmul, which holds phi and its output
         return self._clipped_mean(err, phi, sel, c_clip), float(loss[:, 0].mean())
 

@@ -8,9 +8,9 @@ Each example is visited in exactly one batch and contributes exactly two
 gradient evaluations there.
 
 Also provided: an independent-gradient variant of the same accelerated
-scheme, an unaccelerated SRG loop with a variance probe, DP-SGD and
-DP-FTRL baselines, and multi-epoch matrix-factorization training
-(run_dp_srg_memf), over recursive gradients or, at decay 0, plain ones.
+scheme, an unaccelerated SRG loop with a variance probe, DP-FTRL (whose
+identity mechanism is DP-SGD), and multi-epoch matrix-factorization
+training (run_dp_srg_memf), over recursive gradients or, at decay 0, plain ones.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import StrategyMatrix, TreeState, mf_noise_stream, tree_ingest, tree_prefix
+from .counting import (StrategyMatrix, TreeState, gaussian_rows, mf_noise_stream,
+                       tree_ingest, tree_prefix)
 from .geometry import ConstraintBall, _interpolate, _project, all_finite, check_clip
 from .objectives import LossProblem
 
@@ -32,7 +33,6 @@ __all__ = [
     "run_accelerated_dp_srgd",
     "run_independent_variant",
     "run_unaccelerated_srgd",
-    "run_dp_sgd",
     "run_dp_ftrl",
     "run_dp_srg_memf",
     "potential",
@@ -48,6 +48,22 @@ class RunAborted(RuntimeError):
         super().__init__(f"run aborted at step {step}: {reason}")
         self.step = step
         self.reason = reason
+
+
+def _schedule(sched, n: int, name: str, at_least: str) -> np.ndarray:
+    """The first n entries, finite and positive, of a callable t -> value
+    or an array of at least n (`at_least`) entries."""
+    if callable(sched):
+        values = np.array([float(sched(t)) for t in range(n)])
+    else:
+        values = np.asarray(sched, dtype=np.float64)[:n]
+        if values.shape[0] < n:
+            raise ValueError(f"{name} must have at least {at_least} entries")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    if np.any(values <= 0):
+        raise ValueError(f"{name} must be positive")
+    return values
 
 
 @dataclass
@@ -82,16 +98,8 @@ class SrgdConfig:
         check_clip(self.clip)
         if self.eta is None:
             values = np.arange(1, self.T + 2, dtype=np.float64)
-        elif callable(self.eta):
-            values = np.array([float(self.eta(t)) for t in range(self.T + 1)])
         else:
-            values = np.asarray(self.eta, dtype=np.float64)[:self.T + 1]
-            if values.shape[0] < self.T + 1:
-                raise ValueError("eta array must have at least T+1 entries")
-        if not np.isfinite(values).all():
-            raise ValueError("eta values must be finite")
-        if np.any(values <= 0):
-            raise ValueError("eta values must be positive")
+            values = _schedule(self.eta, self.T + 1, "eta values", "T+1")
         if np.any(np.diff(values) < 0):
             raise ValueError("eta schedule must be nondecreasing")
         cumsum = np.cumsum(values)
@@ -196,8 +204,8 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
            algorithm: str, seed: int, finish=dict) -> RunRecord:
     """The step loop of every runner. It takes exactly T batches. Per step
     t, estimate(t, x, prev_x, batch) -> (g, train loss) evaluates the batch
-    at the query point x and its predecessor, noise(batch) draws the noise
-    row w (None when noise is None), and update(t, x, g, w) returns
+    at the query point x and its predecessor, w = next(noise) is the step's
+    noise row (None when noise is None), and update(t, x, g, w) returns
     (noise norm, gradient norm, iterates): the next query point first, the
     reported point last. A non-finite estimate or row aborts the run, and
     so does a non-finite step, which the update checks before projecting
@@ -218,7 +226,7 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
         except StopIteration:
             raise RunAborted(t, f"stream exhausted after {t} of {T} batches") from None
         g, train_loss[t] = estimate(t, x, prev_x, batch)
-        w = noise(batch) if noise is not None else None
+        w = next(noise) if noise is not None else None
         _check_finite(t, "non-finite gradient estimate or noise", g, w)
         noise_norm[t], grad_norm[t], iterates = update(t, x, g, w)
         prev_x, x = x, iterates[0]
@@ -232,18 +240,6 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
         algorithm=algorithm, seed=seed, final_x=out, train_loss=train_loss,
         noise_norm=noise_norm, grad_norm=grad_norm, excess=excess,
         accuracy=accuracy, **finish())
-
-
-def _iid_noise(dim: int, sigma: float, seed: int):
-    """Noise rows: fresh Gaussian coordinates of std sigma each step."""
-    rng = np.random.default_rng(seed)
-    return lambda batch: rng.standard_normal(dim) * sigma
-
-
-def _correlated_noise(strategy: StrategyMatrix, sigma: float, dim: int, seed: int):
-    """Noise rows: the rows of C^{-1} Z, Z of std sigma (`mf_noise_stream`)."""
-    rows = mf_noise_stream(strategy, sigma, dim, seed)
-    return lambda batch: next(rows)
 
 
 def _clipped(problem: LossProblem, c_clip: float):
@@ -344,7 +340,7 @@ def run_independent_variant(problem: LossProblem, stream, cfg: SrgdConfig) -> Ru
     noise of std cfg.sigma per coordinate in place of the tree."""
     update, finish = _accelerated(problem, cfg)
     return _drive(problem, stream, cfg.T, _clipped(problem, cfg.clip),
-                  _iid_noise(problem.dim, cfg.sigma, cfg.seed), update,
+                  gaussian_rows(cfg.sigma, problem.dim, cfg.seed, cfg.T), update,
                   "independent_variant", cfg.seed, finish)
 
 
@@ -358,16 +354,7 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
     (default T/4, T/2, 3T/4, T) so repeated seeded runs can estimate
     Var(grad_t) externally.
     """
-    if callable(c_sched):
-        c_values = np.array([float(c_sched(t)) for t in range(T)])
-    else:
-        c_values = np.asarray(c_sched, dtype=np.float64)[:T]
-        if c_values.shape[0] < T:
-            raise ValueError("c schedule array must have at least T entries")
-    if not np.isfinite(c_values).all():
-        raise ValueError("c schedule must be finite")
-    if np.any(c_values <= 0):
-        raise ValueError("c schedule must be positive")
+    c_values = _schedule(c_sched, T, "c schedule", "T")
     if checkpoints is None:
         checkpoints = sorted({max(1, (T * m) // 4) for m in (1, 2, 3, 4)})
     checkpoints = list(checkpoints)
@@ -393,7 +380,7 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
                   finish=finish)
 
 
-def variance_probe(run_factory, seeds, checkpoints=None):
+def variance_probe(run_factory, seeds):
     """Estimate Var(grad_t) = E||grad_t - mean grad_t||^2 at each
     checkpoint over seeded runs. run_factory(seed) must return a RunRecord
     carrying checkpoint gradients. Returns (steps, variances)."""
@@ -417,25 +404,23 @@ def linear_fit(xs, ys) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r2)
 
 
-def run_dp_sgd(problem: LossProblem, stream, eta_lr: float, c_clip: float,
-               sigma: float, ball: ConstraintBall | None, T: int,
-               seed: int = 0) -> RunRecord:
-    """Projected SGD over clipped mean gradients with i.i.d. spherical
-    Gaussian noise of per-coordinate std sigma."""
-    return _drive(problem, stream, T, _clipped(problem, c_clip),
-                  _iid_noise(problem.dim, sigma, seed),
-                  _projected(problem.dim, eta_lr, ball), "dp_sgd", seed)
-
-
 def run_dp_ftrl(problem: LossProblem, stream, eta_lr: float, c_clip: float,
-                strategy: StrategyMatrix, sigma: float,
-                ball: ConstraintBall | None, seed: int = 0) -> RunRecord:
-    """Same update as run_dp_sgd, but the per-step noise vectors are the
-    rows of C^{-1} Z, Z of per-coordinate std sigma: correlated across
-    steps by the strategy matrix."""
-    return _drive(problem, stream, strategy.steps, _clipped(problem, c_clip),
-                  _correlated_noise(strategy, sigma, problem.dim, seed),
-                  _projected(problem.dim, eta_lr, ball), "dp_ftrl", seed)
+                sigma: float, ball: ConstraintBall | None, T: int, seed: int = 0,
+                strategy: StrategyMatrix | None = None) -> RunRecord:
+    """Projected SGD over clipped mean gradients plus a noise row per step.
+
+    With no strategy, the identity mechanism: the rows are i.i.d. Gaussian
+    of per-coordinate std sigma, no matrix is held, and the run is dp_sgd.
+    With a strategy of T steps, the rows are those of C^{-1} Z, Z of
+    per-coordinate std sigma, correlated across steps by C: dp_ftrl.
+    """
+    if strategy is not None and T != strategy.steps:
+        raise ValueError(f"T = {T} != the strategy's {strategy.steps} steps")
+    noise = (gaussian_rows(sigma, problem.dim, seed, T) if strategy is None
+             else mf_noise_stream(strategy, sigma, problem.dim, seed))
+    return _drive(problem, stream, T, _clipped(problem, c_clip), noise,
+                  _projected(problem.dim, eta_lr, ball),
+                  "dp_sgd" if strategy is None else "dp_ftrl", seed)
 
 
 def _epochs(problem: LossProblem, batches, cfg: MemfConfig) -> list:
@@ -485,5 +470,5 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord
 
     return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,
                   estimate,
-                  _correlated_noise(cfg.strategy, cfg.sigma, problem.dim, cfg.seed),
+                  mf_noise_stream(cfg.strategy, cfg.sigma, problem.dim, cfg.seed),
                   update, "dp_srg_memf" if cfg.decay > 0.0 else "dp_memf", cfg.seed)

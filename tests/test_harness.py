@@ -496,6 +496,52 @@ def _tiny_spec(**kw):
     return ExperimentSpec(**base)
 
 
+def _max_abs_cosine(a, b) -> float:
+    return float(np.max(np.abs(np.sum(a * b, axis=1))
+                        / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))))
+
+
+@pytest.mark.parametrize("algorithm", ["accelerated_dp_srgd", "independent_variant"])
+def test_noise_rows_are_not_parallel_to_the_examples(monkeypatch, algorithm):
+    # The noise of a run is drawn from default_rng(seed), its batches from a
+    # child of the seed. When both came from default_rng(seed), noise row i
+    # was raw Gaussian row i of the first batch: parallel to x_i - target.
+    seen = []
+    name = f"run_{algorithm}"
+    runner = getattr(optim, name)
+
+    def spy(problem, stream, cfg):
+        batches = list(stream)
+        seen.append((problem, batches[0], cfg.seed))
+        return runner(problem, iter(batches), cfg)
+
+    monkeypatch.setattr(optim, name, spy)
+    spec = _tiny_spec(algorithm=algorithm, dim=20, batch_size=16, clip_grid=(0.5,))
+    run_experiment(spec)
+    assert len(seen) == spec.repeats
+    for problem, first, seed in seen:
+        rng = np.random.default_rng(seed)
+        noise = np.stack([rng.standard_normal(spec.dim) for _ in range(spec.steps)])
+        assert _max_abs_cosine(noise, first[:spec.steps] - problem.target) < 0.9
+
+
+def test_synthetic_memf_examples_are_not_parallel_to_the_target(monkeypatch):
+    # the fixed multi-epoch dataset is drawn apart from the target's
+    # direction, which default_rng(seed_base) draws first
+    seen = []
+    runner = optim.run_dp_srg_memf
+
+    def spy(problem, batches, cfg):
+        seen.append((problem, batches[0]))
+        return runner(problem, batches, cfg)
+
+    monkeypatch.setattr(optim, "run_dp_srg_memf", spy)
+    run_experiment(_tiny_spec(algorithm="dp_memf", dim=20, repeats=1))
+    ((problem, first),) = seen
+    assert _max_abs_cosine(first - problem.target,
+                           np.broadcast_to(problem.target, first.shape)) < 0.9
+
+
 def test_budget_resolved_before_data_loads():
     log = []
     run_experiment(_tiny_spec(), event_log=log)

@@ -261,6 +261,18 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("hook", [LossProblem.srg_mean, SyntheticQuadratic.srg_mean],
+                         ids=["generic", "quadratic"])
+def test_srg_mean_leaves_the_nan_of_infinite_gradients_to_the_runner(hook):
+    # both points infinite: inf - 0.5 * inf is NaN, returned without a
+    # RuntimeWarning (an error under the suite's filter) for the runner's
+    # finite check to abort on
+    problem = SyntheticQuadratic(dim=3, target=np.zeros(3))
+    x = np.full(3, np.inf)
+    g, _ = hook(problem, x, x, 1.0, 0.5, np.zeros((4, 3)))
+    assert np.isnan(g).all()
+
+
 @pytest.mark.parametrize("c_clip", [0.5, np.inf])
 def test_quadratic_srg_mean_holds_two_residual_arrays(c_clip):
     # one residual per evaluation point, each formed without numpy's

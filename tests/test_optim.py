@@ -3,6 +3,7 @@ update loops, noise-substitution identity, reductions between
 algorithms, variance growth, and abort behavior."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -36,7 +37,6 @@ from dpsrgd.optim import (
     potential,
     run_accelerated_dp_srgd,
     run_dp_ftrl,
-    run_dp_sgd,
     run_dp_srg_memf,
     run_independent_variant,
     run_unaccelerated_srgd,
@@ -421,10 +421,10 @@ _RUNNERS = {
                                      ball=ConstraintBall(p.dim, 1.0))),
     "unaccelerated_srgd": lambda p, batches, T: run_unaccelerated_srgd(
         p, iter(batches), 0.1, np.ones(T), T),
-    "dp_sgd": lambda p, batches, T: run_dp_sgd(
+    "dp_sgd": lambda p, batches, T: run_dp_ftrl(
         p, iter(batches), 0.1, 1.0, 0.0, None, T),
     "dp_ftrl": lambda p, batches, T: run_dp_ftrl(
-        p, iter(batches), 0.1, 1.0, identity_strategy(1, T), 0.0, None),
+        p, iter(batches), 0.1, 1.0, 0.0, None, T, strategy=identity_strategy(1, T)),
     "dp_memf": _memf_runner,
     "dp_srg_memf": _memf_runner,
     "dp_srg_memf_decay_0.5": lambda p, batches, T: _memf_runner(p, batches, T, 0.5),
@@ -516,7 +516,7 @@ def test_drive_frees_a_steps_state_before_it_draws_the_next_batch():
 
     rec = _drive(SyntheticQuadratic(dim=dim, target=np.zeros(dim)), stream(), 4,
                  lambda t, x, prev_x, batch: (fresh(np.ones(dim)), 0.0),
-                 lambda batch: fresh(np.full(dim, 0.5)),
+                 (fresh(np.full(dim, 0.5)) for _ in range(4)),
                  lambda t, x, g, w: (0.0, 0.0, (x - g - w,)), "probe", 0)
     assert rec.steps == 4
     assert alive == [[]] + [[False, False, False]] * 3
@@ -650,7 +650,7 @@ def test_dp_sgd_noiseless_matches_hand_loop():
     T, B = 9, 4
     batches = _batches(problem, T, B, seed=19)
     ball = ConstraintBall(problem.dim, 1.0)
-    rec = run_dp_sgd(problem, iter(batches), 0.2, np.inf, 0.0, ball, T)
+    rec = run_dp_ftrl(problem, iter(batches), 0.2, np.inf, 0.0, ball, T)
     x = np.zeros(problem.dim)
     for batch in batches:
         grad = problem.per_example_grads(x, batch).mean(axis=0)
@@ -661,24 +661,38 @@ def test_dp_sgd_noiseless_matches_hand_loop():
 def test_dp_sgd_respects_clip():
     problem = _quadratic(target_norm=0.9, seed=20)
     batches = _batches(problem, 6, 4, seed=21)
-    rec = run_dp_sgd(problem, iter(batches), 0.1, 0.05, 0.0,
-                     ConstraintBall(problem.dim, 1.0), 6)
+    rec = run_dp_ftrl(problem, iter(batches), 0.1, 0.05, 0.0,
+                      ConstraintBall(problem.dim, 1.0), 6)
     assert float(rec.grad_norm.max()) <= 0.05 + 1e-12
 
 
 def test_identity_strategy_ftrl_equals_dp_sgd():
+    # the identity mechanism (no strategy) and the identity strategy's
+    # C^{-1} Z release the same rows, those of a hand-written projected
+    # clipped-SGD loop drawing default_rng(seed).standard_normal(d) * sigma
     problem = _quadratic(seed=22)
     T, B = 10, 4
     batches = _batches(problem, T, B, seed=23)
     ball = ConstraintBall(problem.dim, 1.0)
     rho = 0.5
     sigma = math.sqrt(1.0 / (2.0 * rho)) * 1.0 / B  # clip / B sensitivity
-    rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, 1.0, sigma, ball, T,
-                         seed=3)
-    rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, 1.0,
-                           identity_strategy(1, T), sigma, ball, seed=3)
+    rec_sgd = run_dp_ftrl(problem, iter(batches), 0.1, 1.0, sigma, ball, T, seed=3)
+    rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, 1.0, sigma, ball, T, seed=3,
+                           strategy=identity_strategy(1, T))
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
+
+    rng = np.random.default_rng(3)
+    x, noise, losses = np.zeros(problem.dim), [], []
+    for batch in batches:
+        losses.append(problem.per_example_values(x, batch).mean())
+        grad = clip_rows(problem.per_example_grads(x, batch), 1.0).mean(axis=0)
+        noise.append(rng.standard_normal(problem.dim) * sigma)
+        x = project_ball(x - 0.1 * (grad + noise[-1]), ball)
+    for rec in (rec_sgd, rec_ftrl):
+        np.testing.assert_array_equal(rec.final_x, x)
+        np.testing.assert_array_equal(rec.train_loss, losses)
+        np.testing.assert_array_equal(rec.noise_norm, [np.linalg.norm(w) for w in noise])
 
 
 @pytest.mark.parametrize("B,clip", [(4, 0.5), (2, 8.0)])
@@ -696,17 +710,16 @@ def test_dp_ftrl_noise_scales_with_clipped_mean_sensitivity(B, clip):
     sigma = _noise_sigma("dp_sgd", rho, clip, B, T, None)
     assert sigma == pytest.approx(math.sqrt(1.0 / (2.0 * rho)) * clip / B, rel=1e-15)
     assert _noise_sigma("dp_ftrl", rho, clip, B, T, strategy) == sigma
-    rec_sgd = run_dp_sgd(problem, iter(batches), 0.1, clip, sigma, ball, T,
-                         seed=4)
-    rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, clip, strategy, sigma,
-                           ball, seed=4)
+    rec_sgd = run_dp_ftrl(problem, iter(batches), 0.1, clip, sigma, ball, T, seed=4)
+    rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, clip, sigma, ball, T, seed=4,
+                           strategy=strategy)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     # an infinite budget releases no noise, even without clipping
     free_sigma = _noise_sigma("dp_ftrl", math.inf, math.inf, B, T, strategy)
     assert free_sigma == 0.0
-    rec_free = run_dp_ftrl(problem, iter(batches), 0.1, math.inf, strategy,
-                           free_sigma, ball, seed=4)
+    rec_free = run_dp_ftrl(problem, iter(batches), 0.1, math.inf, free_sigma, ball,
+                           T, seed=4, strategy=strategy)
     np.testing.assert_array_equal(rec_free.noise_norm, np.zeros(T))
 
 
@@ -719,8 +732,8 @@ def test_dp_ftrl_matches_reference_loop():
     strategy = factorize(build_workload("momentum", 1, T, momentum=0.9), 1, T,
                          kind="momentum", momentum=0.9)
     ball = ConstraintBall(problem.dim, 0.5)
-    rec = run_dp_ftrl(problem, iter(batches), lr, clip, strategy, sigma, ball,
-                      seed=6)
+    rec = run_dp_ftrl(problem, iter(batches), lr, clip, sigma, ball, T, seed=6,
+                      strategy=strategy)
 
     rows = mf_noise_stream(strategy, sigma, problem.dim, 6)
     x = np.zeros(problem.dim)
@@ -731,6 +744,59 @@ def test_dp_ftrl_matches_reference_loop():
         x = project_ball(x - lr * (grad + noise[-1]), ball)
     np.testing.assert_array_equal(rec.final_x, x)
     np.testing.assert_array_equal(rec.noise_norm, [np.linalg.norm(w) for w in noise])
+
+
+def _counting_quadratic():
+    return _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
+                              noise_scale=0.3, radius=1.0)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize("name", ["dp_sgd", "dp_ftrl"])
+def test_dp_ftrl_rejects_bad_sigma_before_any_step(name, sigma):
+    # both noise sources check sigma when the runner builds them, before
+    # the first gradient, not when their first row is drawn after it
+    problem = _counting_quadratic()
+    T = 5
+    strategy = identity_strategy(1, T) if name == "dp_ftrl" else None
+    with pytest.raises(ValueError, match="sigma"):
+        run_dp_ftrl(problem, iter(_batches(problem, T, 4, seed=43)), 0.1, 1.0, sigma,
+                    None, T, strategy=strategy)
+    assert problem.grad_rows == 0
+
+
+def test_dp_ftrl_rejects_a_horizon_other_than_the_strategys():
+    problem = _counting_quadratic()
+    batches = _batches(problem, 6, 4, seed=44)
+    stream = iter(batches)
+    with pytest.raises(ValueError, match="strategy's 5 steps"):
+        run_dp_ftrl(problem, stream, 0.1, 1.0, 0.5, None, 6,
+                    strategy=identity_strategy(1, 5))
+    assert problem.grad_rows == 0
+    assert next(stream) is batches[0]
+
+
+@pytest.mark.parametrize("name", ["dp_sgd", "dp_ftrl"])
+def test_dp_ftrl_labels_each_noise_source(name):
+    # no strategy is the identity mechanism, dp_sgd; a strategy is dp_ftrl
+    problem = _quadratic()
+    assert _RUNNERS[name](problem, _batches(problem, 4, 4), 4).algorithm == name
+
+
+def test_dp_sgd_holds_no_horizon_squared_array():
+    # the identity mechanism streams i.i.d. rows: a T = 1024 run holds its
+    # T-entry series, not the 8 MB T x T matrix identity_strategy(1, T) is
+    problem = _quadratic(dim=3)
+    T = 1024
+    batches = _batches(problem, T, 1, seed=45)
+    tracemalloc.start()
+    try:
+        rec = run_dp_ftrl(problem, iter(batches), 0.1, 1.0, 0.1, None, T, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.algorithm == "dp_sgd" and rec.steps == T
+    assert peak < T * T * 8 / 32
 
 
 # ---------------------------------------------------------------------------
@@ -961,11 +1027,10 @@ def test_runner_aborts_on_non_finite_iterate(name):
     # falls in step 1 or step 3; dp_srg_memf at decay > 0 takes a clipped
     # gradient at step 0 and increments after it, so it falls in step 2,
     # where both points are infinite and the increment inf - 0.5 * inf is
-    # NaN
+    # NaN: the run aborts on it, under the suite's error::RuntimeWarning
     recursive = ("accelerated_dp_srgd", "unaccelerated_srgd")
     expected = {"dp_srg_memf_decay_0.5": 2}.get(name, 1 if name in recursive else 3)
-    invalid = "ignore" if name == "dp_srg_memf_decay_0.5" else "warn"
-    with np.errstate(invalid=invalid), pytest.raises(RunAborted) as info:
+    with pytest.raises(RunAborted) as info:
         _RUNNERS[name](problem, batches, 10)
     assert info.value.step == expected
 
@@ -988,8 +1053,11 @@ def _huge_gradient_quadratic():
 
 
 _OVERFLOWING_RUNNERS = {
-    "dp_sgd": lambda p, batches, ball: run_dp_sgd(
+    "dp_sgd": lambda p, batches, ball: run_dp_ftrl(
         p, iter(batches), 100.0, math.inf, 0.0, ball, len(batches)),
+    "dp_ftrl": lambda p, batches, ball: run_dp_ftrl(
+        p, iter(batches), 100.0, math.inf, 0.0, ball, len(batches),
+        strategy=identity_strategy(1, len(batches))),
     "independent_variant": lambda p, batches, ball: run_independent_variant(
         p, iter(batches), SrgdConfig(T=len(batches), beta=1e-3, ball=ball)),
     "accelerated_dp_srgd": lambda p, batches, ball: run_accelerated_dp_srgd(
