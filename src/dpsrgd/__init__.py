@@ -34,10 +34,8 @@ from .counting import (
     calibrate_tree_sigma,
     factorize,
     identity_strategy,
-    load_strategy,
     mf_noise_stream,
     prefix_nodes,
-    save_strategy,
     tree_baseline_objective,
     tree_error_bound,
     tree_ingest,
@@ -84,9 +82,8 @@ __all__ = [
     "sensitivity_bound", "srgd_sigma", "zcdp_to_dp",
     "StrategyMatrix", "TreeState", "build_strategy", "build_workload",
     "calibrate_tree_sigma", "factorize", "identity_strategy",
-    "load_strategy", "mf_noise_stream", "prefix_nodes", "save_strategy",
-    "tree_baseline_objective", "tree_error_bound", "tree_ingest",
-    "tree_prefix",
+    "mf_noise_stream", "prefix_nodes", "tree_baseline_objective",
+    "tree_error_bound", "tree_ingest", "tree_prefix",
     "ConstraintBall", "project_ball",
     "ExperimentSpec", "MetricRow", "MetricTable", "emit_csv", "load_dataset",
     "parse_summary_csv", "run_experiment", "save_csv",

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Verbs:
-  factorize  build a noise-shaping strategy matrix and cache it to disk
+  factorize  build a noise-shaping strategy and print its error objective
+             and multi-epoch sensitivity
   run        execute an experiment described by a key=value config file
   verify     run the acceptance criteria suite
   report     aggregate one or more summary CSVs and print the best rows
@@ -32,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_fact = sub.add_parser(
-        "factorize", help="build and cache a strategy matrix")
+        "factorize", help="build a strategy and print its objective and sensitivity")
     p_fact.add_argument("--workload", default="ones", choices=counting.WORKLOADS,
                         help="workload the strategy is built for")
     p_fact.add_argument("--epochs", type=int, default=1,
@@ -43,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="momentum weight for momentum workloads")
     p_fact.add_argument("--decay", type=float, default=1.0,
                         help="per-step decay for the momentum_decay workload")
-    p_fact.add_argument("--output", required=True,
-                        help="path for the cached strategy file")
 
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="key=value experiment config file")
@@ -65,10 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_factorize(args) -> int:
     strategy = counting.build_strategy(args.workload, args.epochs, args.batches,
                                        args.momentum, args.decay)
-    counting.save_strategy(strategy, args.output)
     print(f"{args.workload} strategy for {args.epochs} x {args.batches} steps: "
-          f"objective={strategy.objective:.6f} sens={strategy.sens:.6f} "
-          f"-> {args.output}")
+          f"objective={strategy.objective:.6f} sens={strategy.sens:.6f}")
     return EXIT_OK
 
 

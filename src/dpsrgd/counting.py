@@ -4,10 +4,12 @@ Two mechanisms for releasing noisy prefix sums of a vector stream:
 
 * a dyadic-interval (binary tree) mechanism with per-node Gaussian noise,
   streamed one step at a time in O(dim * log T) memory, and
-* matrix-factorization correlated noise, where a lower-triangular strategy
-  matrix C (with bounded column-group sensitivity across epochs) shapes
-  white noise Z into C^{-1} Z rows, streamed in O(dim * bandwidth of C)
-  memory.
+* matrix-factorization correlated noise, where a lower-triangular Toeplitz
+  strategy matrix C (with bounded column-group sensitivity across epochs)
+  shapes white noise Z into C^{-1} Z rows, streamed in O(dim * bandwidth
+  of C) memory. A strategy is held as the first columns of C and of its
+  workload W; its sensitivity and error objective are computed from them
+  in O(kb) memory, and no kb x kb matrix is built.
 
 The tree is also exposed as an explicit (B, C) matrix factorization so both
 mechanisms can be compared on a single error axis.
@@ -16,11 +18,10 @@ mechanisms can be compared on a single error axis.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import toeplitz
 
 from .geometry import all_finite
 
@@ -39,8 +40,6 @@ __all__ = [
     "tree_matrix_factorization",
     "tree_baseline_objective",
     "column_group_sens",
-    "save_strategy",
-    "load_strategy",
 ]
 
 
@@ -96,8 +95,8 @@ class TreeState:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         self.total = np.zeros(self.dim)
         self.stack = []
         self._rng = np.random.default_rng(self.seed)
@@ -172,21 +171,50 @@ def tree_error_bound(c_clip: float, mu: float, horizon: int, d: int, delta: floa
 
 
 # ---------------------------------------------------------------------------
-# workloads and strategy matrices
+# workloads and strategies
+#
+# Every workload W and strategy C here is lower-triangular Toeplitz, so each
+# is its first column: W[t, s] = w[t - s] and C[t, s] = r[t - s], zero where
+# t - s is past the column's end.
 
-
-# Workload kinds, in the order strategy files store their index; "custom"
-# marks a strategy factorized for a workload outside this list.
 WORKLOADS = ("ones", "momentum", "momentum_decay", "identity")
-_KINDS = WORKLOADS + ("custom",)
+
+
+def _workload_column(kind: str, k: int, b: int, momentum: float = 0.0,
+                     decay: float = 1.0) -> np.ndarray:
+    """First column w of `build_workload`'s W: the truncated convolution of
+    the first columns of M, A and L, in O(kb) memory."""
+    if k < 1 or b < 1:
+        raise ValueError(f"k and b must be >= 1, got k={k}, b={b}")
+    if kind not in WORKLOADS:
+        raise ValueError(f"unknown workload kind {kind!r}")
+    n = k * b
+    if kind not in ("momentum", "momentum_decay"):
+        return np.ones(n)
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must be in [0,1), got {momentum}")
+    w = np.cumsum(momentum ** np.arange(n))  # M's first column times A
+    if kind == "momentum":
+        return w
+    if not 0.0 < decay <= 1.0:
+        raise ValueError(f"decay must be in (0,1], got {decay}")
+    return np.convolve(w, decay ** np.arange(n))[:n]
+
+
+def _lower_toeplitz(col: np.ndarray, n: int) -> np.ndarray:
+    """The dense n x n lower-triangular Toeplitz matrix with first column
+    `col`, zero past its end."""
+    first = np.zeros(n)
+    first[:col.shape[0]] = col
+    return toeplitz(first, np.zeros(n))
 
 
 def build_workload(kind: str, k: int, b: int, momentum: float = 0.0,
                    decay: float = 1.0) -> np.ndarray:
-    """Lower-triangular workload for kb steps.
+    """Dense lower-triangular workload for kb steps (a reference; strategies
+    read only its first column).
 
-    ones, identity:  A (prefix sums; plain SGD iterates); custom too, for
-                     a loaded strategy whose workload the file does not store
+    ones, identity:  A (prefix sums; plain SGD iterates)
     momentum:        M @ A, where M is the Toeplitz momentum matrix with
                      entries momentum^(i-j), so (M A)_{i,j} = sum of the
                      first i-j+1 momentum powers
@@ -194,25 +222,7 @@ def build_workload(kind: str, k: int, b: int, momentum: float = 0.0,
                      A @ L reconstruct the decayed recursion
                      grad_t = decay * grad_{t-1} + delta_t
     """
-    if k < 1 or b < 1:
-        raise ValueError(f"k and b must be >= 1, got k={k}, b={b}")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown workload kind {kind!r}")
-    n = k * b
-    prefix = np.tril(np.ones((n, n)))
-    if kind not in ("momentum", "momentum_decay"):
-        return prefix
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must be in [0,1), got {momentum}")
-    idx = np.arange(n)
-    powers = idx[:, None] - idx[None, :]
-    mom = np.where(powers >= 0, momentum ** np.maximum(powers, 0), 0.0)
-    if kind == "momentum":
-        return mom @ prefix
-    if not 0.0 < decay <= 1.0:
-        raise ValueError(f"decay must be in (0,1], got {decay}")
-    dec = np.where(powers >= 0, decay ** np.maximum(powers, 0), 0.0)
-    return mom @ prefix @ dec
+    return _lower_toeplitz(_workload_column(kind, k, b, momentum, decay), k * b)
 
 
 def column_group_sens(c_mat: np.ndarray, k: int, b: int) -> float:
@@ -232,41 +242,97 @@ def column_group_sens(c_mat: np.ndarray, k: int, b: int) -> float:
     return float(np.sqrt(np.max(np.abs(gram).sum(axis=(1, 2)))))
 
 
+def _toeplitz_sens(r: np.ndarray, k: int, b: int) -> float:
+    """`column_group_sens` of the C with first column r, in O(kb) memory.
+
+    For columns s <= s', <C[:, s], C[:, s']> = sum_{m < n - s'} r_m r_{m+s'-s},
+    a prefix sum of r's lag-(s' - s) products. An example's columns sit
+    a*b apart, so only the lags a*b < len(r) are nonzero: a = 0 alone, the
+    squared column norms, when len(r) <= b (a banded root's disjoint rows).
+    """
+    n, width = k * b, r.shape[0]
+    total = np.zeros(b)
+    for a in range(min(k, (width - 1) // b + 1)):
+        lag = a * b
+        sums = np.zeros(width - lag + 1)
+        np.cumsum(r[:width - lag] * r[lag:], out=sums[1:])
+        # pairs (i, i + a) at position j: s' = (i + a) b + j for i < k - a
+        inner = np.abs(sums[np.minimum(n - np.arange(lag, n), width - lag)])
+        total += (1.0 if a == 0 else 2.0) * inner.reshape(k - a, b).sum(axis=0)
+    return math.sqrt(total.max())
+
+
+def _toeplitz_objective(w: np.ndarray, r: np.ndarray) -> float:
+    """||W C^{-1}||_F from first columns: W C^{-1} is Toeplitz with first
+    column q, the power series w / r cut to n terms (r * q = w, solved by
+    forward substitution), so its squared norm is sum_m (n - m) q_m^2.
+    A singular C (r_0 = 0) scores inf."""
+    if r[0] == 0:
+        return math.inf
+    n, width = w.shape[0], r.shape[0]
+    q = np.empty(n)
+    for i in range(n):
+        lo = max(0, i - width + 1)
+        q[i] = (w[i] - r[i - lo:0:-1] @ q[lo:i]) / r[0]
+    return math.sqrt(np.arange(n, 0, -1) @ (q * q))
+
+
 @dataclass
 class StrategyMatrix:
-    """Lower-triangular noise-shaping matrix with its workload and
-    factorization metadata. sens is the multi-epoch column-group
-    sensitivity of `column_group_sens`, max_j sqrt(sum_{i,i'} |<C[:, i*b+j],
-    C[:, i'*b+j]>|), which holds whatever vector an example contributes in
-    each epoch; the noise calibration multiplies by it, and `check` wants <= 1.
+    """Lower-triangular Toeplitz noise-shaping matrix C for the workload W
+    of `kind` over k epochs of b steps, held as first columns: w is W's, of
+    length kb, and r is C's through its last nonzero band. sens and
+    objective are computed from them at construction, in O(kb) memory.
+    sens is the multi-epoch column-group sensitivity of `column_group_sens`,
+    max_j sqrt(sum_{i,i'} |<C[:, i*b+j], C[:, i'*b+j]>|), which holds
+    whatever vector an example contributes in each epoch; the noise
+    calibration multiplies by it, and `check` wants <= 1. objective is
+    ||W C^{-1}||_F. `C` and `workload` build the dense matrices on demand.
     """
 
-    C: np.ndarray
-    workload: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
     kind: str
     k: int
     b: int
-    momentum: float
-    decay: float
-    sens: float
-    objective: float
+    momentum: float = 0.0
+    decay: float = 1.0
     # always None: `factorize` is closed-form; perfbench/spans.py reads it
     converged: bool | None = None
+    sens: float = field(init=False)
+    objective: float = field(init=False)
+
+    def __post_init__(self):
+        if self.k < 1 or self.b < 1:
+            raise ValueError(f"k and b must be >= 1, got k={self.k}, b={self.b}")
+        self.w = np.asarray(self.w, dtype=np.float64)
+        self.r = np.trim_zeros(np.asarray(self.r, dtype=np.float64), "b")
+        n = self.steps
+        if self.w.shape != (n,):
+            raise ValueError(f"w shape {self.w.shape} != ({n},)")
+        if self.r.ndim != 1 or not 1 <= self.r.shape[0] <= n:
+            raise ValueError(f"r must hold 1 to {n} entries with a nonzero last one, "
+                             f"got shape {self.r.shape}")
+        self.sens = _toeplitz_sens(self.r, self.k, self.b)
+        self.objective = _toeplitz_objective(self.w, self.r)
 
     @property
     def steps(self) -> int:
         return self.k * self.b
 
+    @property
+    def C(self) -> np.ndarray:
+        return _lower_toeplitz(self.r, self.steps)
+
+    @property
+    def workload(self) -> np.ndarray:
+        return _lower_toeplitz(self.w, self.steps)
+
     def check(self, tol: float = 1e-9):
         if self.sens > 1.0 + tol:
             raise ValueError(f"strategy sensitivity {self.sens} exceeds 1")
-        if np.any(np.diag(self.C) <= 0):
+        if not self.r[0] > 0:
             raise ValueError("strategy diagonal must be strictly positive")
-
-
-def _objective(workload: np.ndarray, c_mat: np.ndarray) -> float:
-    c_inv = solve_triangular(c_mat, np.eye(c_mat.shape[0]), lower=True)
-    return float(np.linalg.norm(workload @ c_inv))
 
 
 def tree_matrix_factorization(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,46 +384,38 @@ def _sqrt_coefficients(w: np.ndarray) -> np.ndarray:
     return r
 
 
-def factorize(workload: np.ndarray, k: int, b: int, kind: str | None = None,
+def factorize(w: np.ndarray, k: int, b: int, kind: str = "custom",
               momentum: float = 0.0, decay: float = 1.0) -> StrategyMatrix:
-    """Banded square-root strategy for a lower-triangular Toeplitz W.
+    """Banded square-root strategy for the lower-triangular Toeplitz W with
+    first column w (all of W).
 
-    C is the Toeplitz matrix of the first b coefficients of the power-series
-    square root of W's first column (at k = 1 all of them, a root of W;
-    Fichtenberger et al., "Constant Matters", ICML 2023), divided by its
-    `column_group_sens`. With b bands an example's k columns sit on disjoint
-    rows, so the inner products within a group are 0 and the sound
-    multi-epoch sensitivity of the result is 1 (Kalinin & Lampert, "Banded
-    Square Root Matrix Factorization", NeurIPS 2024). Deterministic.
+    r is the first b coefficients of the power-series square root of w (at
+    k = 1 all of them, a root of W; Fichtenberger et al., "Constant
+    Matters", ICML 2023), divided by the sensitivity of their C. With b
+    bands an example's k columns sit on disjoint rows, so the inner
+    products within a group are 0 and the sound multi-epoch sensitivity of
+    the result is 1 (Kalinin & Lampert, "Banded Square Root Matrix
+    Factorization", NeurIPS 2024). Deterministic. kind labels the workload;
+    "custom" marks one outside `WORKLOADS`.
     """
-    workload = np.asarray(workload, dtype=np.float64)
-    n = k * b
-    if workload.shape != (n, n):
-        raise ValueError(f"workload shape {workload.shape} != ({n}, {n})")
-    w = workload[:, 0]
-    # entries built by matrix products differ along a diagonal by rounding
-    if not np.allclose(workload, toeplitz(w, np.zeros(n)), rtol=0,
-                       atol=1e-12 * np.abs(w).max()):
-        raise ValueError("workload must be lower-triangular Toeplitz")
+    if k < 1 or b < 1:
+        raise ValueError(f"k and b must be >= 1, got k={k}, b={b}")
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (k * b,):
+        raise ValueError(f"workload column shape {w.shape} != ({k * b},)")
     if not w[0] > 0:
         raise ValueError(f"workload diagonal must be positive, got {w[0]}")
-
-    r = _sqrt_coefficients(w)
-    r[b:] = 0.0
-    c_mat = toeplitz(r, np.zeros(n))
-    c_mat /= column_group_sens(c_mat, k, b)
-    if kind is None:
-        kind = "ones" if np.array_equal(workload, np.tril(np.ones((n, n)))) else "custom"
-    return strategy_from_matrix(c_mat, workload, k, b, kind, momentum, decay)
+    r = _sqrt_coefficients(w[:b])  # r_i reads w_0 .. w_i alone
+    r /= _toeplitz_sens(r, k, b)
+    return StrategyMatrix(w, r, kind, k, b, momentum, decay)
 
 
 def identity_strategy(k: int, b: int) -> StrategyMatrix:
     """Input-perturbation strategy over k epochs of b steps: C = I / sqrt(k),
     white per-step noise scaled so that the k steps an example takes part
     in have column-group sensitivity exactly 1 (C = I at k = 1)."""
-    workload = build_workload("identity", k, b)
-    return strategy_from_matrix(np.eye(k * b) / math.sqrt(k), workload, k, b,
-                                "identity")
+    return StrategyMatrix(_workload_column("identity", k, b), [1.0 / math.sqrt(k)],
+                          "identity", k, b)
 
 
 def _workload_args(kind: str, momentum: float, decay: float) -> tuple[float, float]:
@@ -370,66 +428,48 @@ def _workload_args(kind: str, momentum: float, decay: float) -> tuple[float, flo
 def build_strategy(kind: str, k: int, b: int, momentum: float = 0.0,
                    decay: float = 1.0) -> StrategyMatrix:
     """The strategy for workload `kind` over k epochs of b steps: the
-    identity strategy, or `factorize` of `build_workload`. Kinds that do
-    not read momentum or decay record 0 and 1 for them."""
+    identity strategy, or `factorize` of the workload's first column. Kinds
+    that do not read momentum or decay record 0 and 1 for them."""
     if kind == "identity":
         return identity_strategy(k, b)
     momentum, decay = _workload_args(kind, momentum, decay)
-    return factorize(build_workload(kind, k, b, momentum, decay), k, b,
+    return factorize(_workload_column(kind, k, b, momentum, decay), k, b,
                      kind=kind, momentum=momentum, decay=decay)
-
-
-def strategy_from_matrix(c_mat: np.ndarray, workload: np.ndarray, k: int, b: int,
-                         kind: str = "custom", momentum: float = 0.0,
-                         decay: float = 1.0) -> StrategyMatrix:
-    c_mat = np.asarray(c_mat, dtype=np.float64)
-    return StrategyMatrix(
-        C=c_mat, workload=np.asarray(workload, dtype=np.float64), kind=kind,
-        k=k, b=b, momentum=momentum, decay=decay,
-        sens=column_group_sens(c_mat, k, b),
-        objective=_objective(workload, c_mat),
-    )
 
 
 # ---------------------------------------------------------------------------
 # correlated noise streams
 
 
-def _bandwidth(c_mat: np.ndarray) -> int:
-    """1 + the largest t - s over the nonzero C[t, s] with s <= t: row t of
-    a lower-triangular C reads only columns t - bandwidth + 1 .. t."""
-    rows, cols = np.nonzero(np.tril(c_mat))
-    return int(np.max(rows - cols, initial=0)) + 1
-
-
-def forward_substitution_rows(c_mat: np.ndarray, z_rows):
-    """Yield rows of C^{-1} Z one at a time given an iterator of Z rows.
+def forward_substitution_rows(r: np.ndarray, z_rows):
+    """Yield rows of C^{-1} Z one at a time given an iterator of Z rows, C
+    the lower-triangular Toeplitz matrix with first column r (zero past its
+    end), one row per z row.
 
     Row t is emitted after consuming Z rows 1..t only, so the stream is
     causal: later Z rows cannot affect earlier outputs. Row t reads only
-    the w - 1 rows before it, w the bandwidth of C's nonzero pattern, so
-    the state is a ring of w - 1 solved rows, O(w * d) memory and work per
-    row (w = 1 for a diagonal C, w = n for a full one). Every yielded row
-    is a fresh array that the stream never reads again, so a caller may
-    scale it in place; no z row is ever written to.
+    the w - 1 rows before it, w = len(r) the bandwidth of C, so the state
+    is a ring of w - 1 solved rows, O(w * d) memory and work per row (w = 1
+    for a diagonal C). Every yielded row is a fresh array that the stream
+    never reads again, so a caller may scale it in place; no z row is ever
+    written to.
     """
-    n = c_mat.shape[0]
-    width = _bandwidth(c_mat) - 1  # rows in the ring; row s sits in slot s % width
+    r = np.asarray(r, dtype=np.float64)
+    width = r.shape[0] - 1  # rows in the ring; row s sits in slot s % width
+    back = r[:0:-1].copy()  # C[t, t - width:t] = r_width, ..., r_1
     ring = None
     for t, z in enumerate(z_rows):
-        if t >= n:
-            break
         z = np.asarray(z, dtype=np.float64)
         if t == 0 or width == 0:
-            row = z / c_mat[t, t]
+            row = z / r[0]
         else:
             if t < width:
-                row = c_mat[t, :t] @ ring[:t]
+                row = back[width - t:] @ ring[:t]
             else:
                 # slot j holds row t - width + ((j - t) % width)
-                row = np.roll(c_mat[t, t - width:t], t % width) @ ring
+                row = np.roll(back, t % width) @ ring
             np.subtract(z, row, out=row)  # z - (C row) @ ring, into the GEMV's output
-            row /= c_mat[t, t]
+            row /= r[0]
         if width:
             if ring is None:
                 ring = np.empty((width, z.shape[0]))
@@ -452,66 +492,10 @@ def gaussian_rows(sigma: float, d: int, seed: int, n: int):
 def mf_noise_stream(strategy: StrategyMatrix, sigma: float, d: int, seed: int):
     """Stream the kb rows of C^{-1} Z, Z the `gaussian_rows` of std sigma
     (checked at the call). sigma = 0 yields the all-zero stream. The stream
-    holds (bandwidth - 1) x d solved rows, bandwidth <= b for the banded
+    holds (len(r) - 1) x d solved rows, len(r) <= b for the banded
     strategies of `factorize` and 1 for the identity. A rho-zCDP release of
     a stream of per-example sensitivity s takes sigma = s * sens / sqrt(2 rho).
     """
-    if np.any(np.diag(strategy.C) == 0):
+    if strategy.r[0] == 0:
         raise np.linalg.LinAlgError("strategy matrix is singular")
-    return forward_substitution_rows(strategy.C, gaussian_rows(sigma, d, seed, strategy.steps))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_MAGIC = b"DPMF"
-_HEADER = struct.Struct("<4sIIIIdd")
-
-
-def save_strategy(strategy: StrategyMatrix, path) -> None:
-    """Flat binary layout: header (magic, kb, k, b, kind, momentum, decay)
-    followed by the row-major float64 lower triangle of C. The file does not
-    store the workload, so raises ValueError unless `build_workload` rebuilds
-    it from the header's fields."""
-    if not np.array_equal(strategy.workload, build_workload(
-            strategy.kind, strategy.k, strategy.b, strategy.momentum, strategy.decay)):
-        raise ValueError(f"{strategy.kind!r} strategy's workload is not the one "
-                         f"build_workload rebuilds from its header")
-    n = strategy.steps
-    tri = np.concatenate([strategy.C[i, :i + 1] for i in range(n)])
-    header = _HEADER.pack(_MAGIC, n, strategy.k, strategy.b,
-                          _KINDS.index(strategy.kind),
-                          strategy.momentum, strategy.decay)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(tri.astype("<f8").tobytes())
-
-
-def load_strategy(path) -> StrategyMatrix:
-    """Read a `save_strategy` file; raises ValueError if its C breaks the
-    sensitivity bound or has a non-positive diagonal."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            raise ValueError(f"truncated header: {len(raw)} of {_HEADER.size} bytes in {path}")
-        magic, n, k, b, kind_id, momentum, decay = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        if n != k * b:
-            raise ValueError(f"inconsistent header: kb={n} but k={k}, b={b}")
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    expected = n * (n + 1) // 2
-    if body.shape[0] != expected:
-        raise ValueError(f"expected {expected} triangle entries, got {body.shape[0]}")
-    c_mat = np.zeros((n, n))
-    pos = 0
-    for i in range(n):
-        c_mat[i, :i + 1] = body[pos:pos + i + 1]
-        pos += i + 1
-    if kind_id >= len(_KINDS):
-        raise ValueError(f"unknown workload kind id {kind_id} in {path}")
-    kind = _KINDS[kind_id]
-    workload = build_workload(kind, k, b, momentum, decay)
-    strategy = strategy_from_matrix(c_mat, workload, k, b, kind, momentum, decay)
-    strategy.check()
-    return strategy
+    return forward_substitution_rows(strategy.r, gaussian_rows(sigma, d, seed, strategy.steps))

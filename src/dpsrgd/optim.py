@@ -351,13 +351,15 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
     """Plain projected SGD over recursive gradients: increments
     delta_t = mean of c_t*g(x_t,d) - c_{t-1}*g(x_{t-1},d), accumulated and
     divided by c_t. The gradient estimate is recorded at checkpoint steps
-    (default T/4, T/2, 3T/4, T) so repeated seeded runs can estimate
-    Var(grad_t) externally.
+    (default T/4, T/2, 3T/4, T; others must lie in 1..T) so repeated seeded
+    runs can estimate Var(grad_t) externally.
     """
     c_values = _schedule(c_sched, T, "c schedule", "T")
     if checkpoints is None:
         checkpoints = sorted({max(1, (T * m) // 4) for m in (1, 2, 3, 4)})
     checkpoints = list(checkpoints)
+    if not checkpoints or not all(1 <= s <= T for s in checkpoints):
+        raise ValueError(f"checkpoints must be steps in 1..{T}, got {checkpoints}")
     acc, cp_grads = np.zeros(problem.dim), {}
 
     def estimate(t, x, prev_x, batch):

@@ -318,7 +318,7 @@ def criterion_7() -> CriterionResult:
         ok = True
         for b in (8, 16, 32):
             workload = build_workload("ones", 1, b)
-            strat = factorize(workload, 1, b)
+            strat = factorize(workload[:, 0], 1, b)
             baseline = tree_baseline_objective(workload, 1, b)
             ok = ok and strat.objective <= baseline and strat.sens <= 1.0 + 1e-9
             parts.append(f"b={b}: {strat.objective:.4f} vs tree "

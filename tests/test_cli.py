@@ -11,7 +11,7 @@ import pytest
 
 from dpsrgd import harness, optim
 from dpsrgd.cli import main
-from dpsrgd.counting import load_strategy
+from dpsrgd.counting import build_strategy
 from dpsrgd.harness import (
     ExperimentSpec,
     emit_csv,
@@ -26,39 +26,46 @@ def test_no_arguments_is_invalid(capsys):
     assert main(["not-a-verb"]) == 2
 
 
-def test_factorize_writes_strategy(tmp_path, capsys):
-    out = tmp_path / "strat.bin"
+def _printed_strategy(text):
+    """(objective, sens) from the factorize verb's printed line."""
+    fields = dict(part.split("=") for part in text.split(": ")[1].split())
+    return float(fields["objective"]), float(fields["sens"])
+
+
+def test_factorize_writes_strategy(capsys):
     rc = main(["factorize", "--workload", "momentum", "--batches", "8",
-               "--momentum", "0.5", "--output", str(out)])
+               "--momentum", "0.5"])
     assert rc == 0
-    strat = load_strategy(str(out))
-    assert strat.C.shape == (8, 8)
-    assert strat.sens <= 1.0 + 1e-9
     text = capsys.readouterr().out
-    assert "objective=" in text and "sens=" in text
+    assert text.startswith("momentum strategy for 1 x 8 steps: ")
+    objective, sens = _printed_strategy(text)
+    want = build_strategy("momentum", 1, 8, momentum=0.5)
+    assert objective == pytest.approx(want.objective, abs=1e-6)
+    assert sens == pytest.approx(want.sens, abs=1e-6)
+    assert sens <= 1.0 + 1e-9
 
 
-def test_factorize_benchmark_momentum_decay_strategy(tmp_path):
-    out = tmp_path / "md.bin"
+def test_factorize_benchmark_momentum_decay_strategy(capsys):
     assert main(["factorize", "--workload", "momentum_decay", "--epochs", "2",
-                 "--batches", "40", "--momentum", "0.9", "--decay", "0.0821",
-                 "--output", str(out)]) == 0
-    strat = load_strategy(str(out))
-    assert (strat.kind, strat.k, strat.b) == ("momentum_decay", 2, 40)
-    assert strat.sens <= 1.0 + 1e-9
+                 "--batches", "40", "--momentum", "0.9", "--decay", "0.0821"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("momentum_decay strategy for 2 x 40 steps: ")
+    objective, sens = _printed_strategy(text)
+    want = build_strategy("momentum_decay", 2, 40, momentum=0.9, decay=0.0821)
+    assert objective == pytest.approx(want.objective, abs=1e-6)
+    assert sens <= 1.0 + 1e-9
 
 
-def test_factorize_identity_workload(tmp_path):
-    out = tmp_path / "ident.bin"
-    assert main(["factorize", "--workload", "identity", "--batches", "4",
-                 "--output", str(out)]) == 0
-    strat = load_strategy(str(out))
-    np.testing.assert_array_equal(strat.C, np.eye(4))
+def test_factorize_identity_workload(capsys):
+    # C = I: the objective is ||A||_F = sqrt(4 * 5 / 2) and sens is 1
+    assert main(["factorize", "--workload", "identity", "--batches", "4"]) == 0
+    assert _printed_strategy(capsys.readouterr().out) == (
+        pytest.approx(math.sqrt(10.0), abs=1e-6), 1.0)
     assert main(["factorize", "--workload", "identity", "--epochs", "2",
-                 "--batches", "4", "--output", str(out)]) == 0
-    strat = load_strategy(str(out))
-    assert (strat.k, strat.b) == (2, 4)
-    assert strat.sens <= 1.0 + 1e-9
+                 "--batches", "4"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("identity strategy for 2 x 4 steps: ")
+    assert _printed_strategy(text)[1] <= 1.0 + 1e-9
 
 
 def test_run_subcommand_produces_summary(tmp_path, capsys):

@@ -1,13 +1,13 @@
 """Binary-tree mechanism and matrix-factorization strategies: dyadic
 bookkeeping against brute-force oracles, noise covariance, square-root
-strategy quality, streams, and serialization."""
+strategy quality and the coefficient formulas, and streams."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular, toeplitz
 
 from dpsrgd.counting import (
     StrategyMatrix,
@@ -20,11 +20,8 @@ from dpsrgd.counting import (
     factorize,
     forward_substitution_rows,
     identity_strategy,
-    load_strategy,
     mf_noise_stream,
     prefix_nodes,
-    save_strategy,
-    strategy_from_matrix,
     tree_baseline_objective,
     tree_error_bound,
     tree_ingest,
@@ -188,6 +185,13 @@ def test_tree_ingest_order_and_shape_errors():
         TreeState(4, 2, sigma=-1.0)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_tree_rejects_a_non_finite_sigma(sigma):
+    # sigma = NaN used to release the exact prefix (noise 0), and inf +-inf
+    with pytest.raises(ValueError, match="sigma"):
+        TreeState(4, 2, sigma=sigma)
+
+
 def test_tree_prefix_noise_variance_matches_node_count():
     # trials live in the coordinate axis: per-coordinate prefix noise
     # variance is (number of dyadic nodes) * sigma^2
@@ -281,20 +285,18 @@ def test_column_group_sens_matches_loop():
         column_group_sens(c_mat, 2, 4)
 
 
-def test_column_group_sens_bounds_any_per_epoch_contribution(tmp_path):
+def test_column_group_sens_bounds_any_per_epoch_contribution():
     # one example, b = 1, two epochs: the columns are anti-correlated, so
     # the norm of their sum (1.005) understates what g_0 = -g_1 can move
     c_mat = np.array([[1.0, 0.0], [-0.9, 1.0]])
     sound = math.sqrt(1.81 + 1.0 + 2 * 0.9)
     assert column_group_sens(c_mat, 2, 1) == pytest.approx(sound, rel=1e-12)
     assert np.linalg.norm(c_mat @ [1.0, -1.0]) == pytest.approx(sound, rel=1e-12)
-    strat = strategy_from_matrix(c_mat, np.tril(np.ones((2, 2))), 2, 1)
+    strat = StrategyMatrix(np.ones(2), [1.0, -0.9], "custom", 2, 1)
+    np.testing.assert_array_equal(strat.C, c_mat)
+    assert strat.sens == pytest.approx(sound, rel=1e-12)
     with pytest.raises(ValueError, match="sensitivity"):
         strat.check()
-    path = tmp_path / "unsound.bin"
-    save_strategy(strat, path)
-    with pytest.raises(ValueError, match="sensitivity"):
-        load_strategy(path)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +333,7 @@ def _objective_oracle(workload, c_mat):
 
 def test_factorize_reports_its_own_objective_and_sens():
     wl = build_workload("ones", 1, 8)
-    strat = factorize(wl, 1, 8)
+    strat = factorize(wl[:, 0], 1, 8)
     assert strat.objective == pytest.approx(_objective_oracle(wl, strat.C),
                                             rel=1e-9)
     assert strat.sens == pytest.approx(column_group_sens(strat.C, 1, 8),
@@ -343,15 +345,15 @@ def test_factorize_reports_its_own_objective_and_sens():
 
 def test_factorize_is_deterministic():
     wl = build_workload("momentum", 2, 4, momentum=0.6)
-    s1 = factorize(wl, 2, 4, momentum=0.6)
-    s2 = factorize(wl, 2, 4, momentum=0.6)
+    s1 = factorize(wl[:, 0], 2, 4, momentum=0.6)
+    s2 = factorize(wl[:, 0], 2, 4, momentum=0.6)
     np.testing.assert_array_equal(s1.C, s2.C)
     assert s1.objective == s2.objective
 
 
 def test_factorize_beats_tree_baseline_on_momentum_workload():
     wl = build_workload("momentum", 2, 6, momentum=0.9)
-    strat = factorize(wl, 2, 6, momentum=0.9)
+    strat = factorize(wl[:, 0], 2, 6, momentum=0.9)
     assert strat.objective <= tree_baseline_objective(wl, 2, 6)
     assert strat.sens <= 1.0 + 1e-9
 
@@ -364,7 +366,7 @@ def test_factorize_beats_tree_baseline_on_momentum_workload():
 def test_factorize_unbanded_root_squares_to_the_workload(kind, momentum, decay):
     n = 120
     wl = build_workload(kind, 1, n, momentum=momentum, decay=decay)
-    strat = factorize(wl, 1, n, kind=kind, momentum=momentum, decay=decay)
+    strat = factorize(wl[:, 0], 1, n, kind=kind, momentum=momentum, decay=decay)
     # C is the root R over its sensitivity; R's diagonal is sqrt(w_0)
     root = strat.C * (math.sqrt(wl[0, 0]) / strat.C[0, 0])
     assert np.linalg.norm(root @ root - wl) <= 1e-12 * np.linalg.norm(wl)
@@ -375,7 +377,7 @@ def test_factorize_unbanded_root_squares_to_the_workload(kind, momentum, decay):
 def test_factorize_bands_put_an_examples_columns_on_disjoint_rows(kind):
     k, b = 2, 40
     wl = build_workload(kind, k, b, momentum=0.9, decay=math.exp(-2.5))
-    strat = factorize(wl, k, b)
+    strat = factorize(wl[:, 0], k, b)
     for j in range(b):
         assert strat.C[:, j] @ strat.C[:, j + b] == 0.0
     assert np.count_nonzero(strat.C[:, 0]) == b
@@ -385,17 +387,76 @@ def test_factorize_bands_put_an_examples_columns_on_disjoint_rows(kind):
 
 def test_factorize_input_validation():
     with pytest.raises(ValueError):
-        factorize(np.ones((3, 3)), 1, 3)  # not lower-triangular
+        factorize(np.ones((3, 3)), 1, 3)  # the matrix, not its first column
     with pytest.raises(ValueError):
-        factorize(np.tril(np.ones((4, 4))), 1, 3)  # shape mismatch
+        factorize(np.ones(4), 1, 3)  # shape mismatch
+    with pytest.raises(ValueError, match="diagonal"):
+        factorize(np.array([0.0, 1.0, 1.0]), 1, 3)
     with pytest.raises(ValueError):
-        factorize(np.tril(np.arange(1.0, 10.0).reshape(3, 3)), 1, 3)  # not Toeplitz
+        factorize(np.ones(0), 0, 3)
 
 
 def test_strategy_check_rejects_violations():
-    bad = strategy_from_matrix(2.0 * np.eye(3), np.tril(np.ones((3, 3))), 1, 3)
-    with pytest.raises(ValueError):
+    bad = StrategyMatrix(np.ones(3), [2.0], "custom", 1, 3)  # C = 2 I
+    with pytest.raises(ValueError, match="sensitivity"):
         bad.check()
+    flipped = StrategyMatrix(np.ones(3), [-0.5, 0.1], "custom", 1, 3)
+    assert flipped.sens <= 1.0
+    with pytest.raises(ValueError, match="diagonal"):
+        flipped.check()
+    with pytest.raises(ValueError):
+        StrategyMatrix(np.ones(3), [1.0, 0.5], "custom", 1, 2)  # w too long
+    with pytest.raises(ValueError):
+        StrategyMatrix(np.ones(2), [1.0, 0.5, 0.1], "custom", 1, 2)  # r too long
+
+
+def _dense_objective(strategy):
+    c_inv = solve_triangular(strategy.C, np.eye(strategy.steps), lower=True)
+    return float(np.linalg.norm(strategy.workload @ c_inv))
+
+
+@pytest.mark.parametrize("k,b", [(1, 24), (2, 40), (3, 17)])
+@pytest.mark.parametrize("kind", ["ones", "momentum", "momentum_decay"])
+def test_coefficient_sens_and_objective_match_the_dense_formulas(kind, k, b):
+    strat = build_strategy(kind, k, b, momentum=0.9, decay=math.exp(-2.5))
+    assert strat.sens == pytest.approx(column_group_sens(strat.C, k, b), rel=1e-12)
+    assert strat.objective == pytest.approx(_dense_objective(strat), rel=1e-12)
+
+
+def _random_root(width, seed):
+    r = np.random.default_rng(seed).standard_normal(width)
+    r[0] = abs(r[0]) + 0.5
+    return r
+
+
+@pytest.mark.parametrize("k,b,r", [
+    (2, 1, [1.0, -0.9]),
+    (3, 4, _random_root(7, 1)),
+    (2, 5, _random_root(10, 2)),
+    (4, 3, _random_root(2, 3)),
+], ids=["anti_correlated_2x1", "random_3x4", "random_2x5", "random_4x3"])
+def test_coefficient_formulas_hold_for_roots_longer_than_b(k, b, r):
+    # len(r) > b at k > 1 (but for 4x3): the columns of one example share rows
+    strat = StrategyMatrix(build_workload("momentum", k, b, momentum=0.5)[:, 0],
+                           r, "custom", k, b)
+    assert strat.sens == pytest.approx(column_group_sens(strat.C, k, b), rel=1e-12)
+    assert strat.objective == pytest.approx(_dense_objective(strat), rel=1e-12)
+
+
+def test_a_large_strategy_holds_and_builds_only_coefficient_vectors():
+    # the dense C and W of n = 2000 steps would be 32 MB each
+    n = 10 * 200
+    tracemalloc.start()
+    try:
+        strat = build_strategy("momentum_decay", 10, 200, momentum=0.9,
+                               decay=math.exp(-2.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+    arrays = [v for v in vars(strat).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 2 * n * 8
+    assert strat.sens == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identity_strategy():
@@ -416,7 +477,7 @@ def test_identity_strategy():
 def test_build_strategy_reads_momentum_and_decay_only_where_the_workload_does():
     k, b = 2, 3
     ones = build_strategy("ones", k, b, momentum=0.9, decay=0.5)
-    ref = factorize(build_workload("ones", k, b), k, b, kind="ones")
+    ref = factorize(build_workload("ones", k, b)[:, 0], k, b, kind="ones")
     np.testing.assert_array_equal(ones.C, ref.C)
     assert (ones.kind, ones.momentum, ones.decay) == ("ones", 0.0, 1.0)
     mom = build_strategy("momentum", k, b, momentum=0.9, decay=0.5)
@@ -435,14 +496,19 @@ def test_build_strategy_reads_momentum_and_decay_only_where_the_workload_does():
 # correlated noise streams
 
 
+def _dense(r, n):
+    """The n x n lower-triangular Toeplitz C with first column r."""
+    return toeplitz(np.concatenate([r, np.zeros(n - len(r))]), np.zeros(n))
+
+
 def test_forward_substitution_matches_solve():
     rng = np.random.default_rng(5)
     n, d = 7, 3
-    c_mat = np.tril(rng.standard_normal((n, n)))
-    np.fill_diagonal(c_mat, np.abs(np.diag(c_mat)) + 0.5)
+    r = rng.standard_normal(n)
+    r[0] = abs(r[0]) + 0.5
     z = rng.standard_normal((n, d))
-    rows = np.stack(list(forward_substitution_rows(c_mat, iter(z))))
-    np.testing.assert_allclose(c_mat @ rows, z, rtol=0, atol=1e-10)
+    rows = np.stack(list(forward_substitution_rows(r, iter(z))))
+    np.testing.assert_allclose(_dense(r, n) @ rows, z, rtol=0, atol=1e-10)
 
 
 def test_forward_substitution_is_causal():
@@ -455,7 +521,7 @@ def test_forward_substitution_is_causal():
             consumed.append(t)
             yield np.ones(2)
 
-    gen = forward_substitution_rows(np.eye(n), z_rows())
+    gen = forward_substitution_rows(np.ones(1), z_rows())
     next(gen)
     assert consumed == [0]
     next(gen)
@@ -472,23 +538,21 @@ def _full_prefix_rows(c_mat, z):
     return rows
 
 
-def _hand_banded(n=12, width=3, seed=9):
-    """A lower-triangular C with `width` nonzero diagonals of varying
-    entries and a positive diagonal."""
-    c_mat = np.tril(np.random.default_rng(seed).uniform(0.2, 1.0, (n, n)))
-    c_mat[np.tril_indices(n, -width)] = 0.0
-    return c_mat
+def _hand_banded(width=3, seed=9):
+    """The first column r of a C with `width` nonzero diagonals of random
+    entries in [0.2, 1)."""
+    return np.random.default_rng(seed).uniform(0.2, 1.0, width)
 
 
-@pytest.mark.parametrize("c_mat", [
-    build_strategy("momentum_decay", 2, 8, momentum=0.9, decay=math.exp(-2.5)).C,
-    build_strategy("ones", 3, 5).C,
-    _hand_banded(),
+@pytest.mark.parametrize("r,n", [
+    (build_strategy("momentum_decay", 2, 8, momentum=0.9, decay=math.exp(-2.5)).r, 16),
+    (build_strategy("ones", 3, 5).r, 15),
+    (_hand_banded(), 12),
 ], ids=["momentum_decay_2x8", "ones_3x5", "hand_banded"])
-def test_banded_stream_matches_the_triangular_solve(c_mat):
-    z = np.random.default_rng(10).standard_normal((c_mat.shape[0], 6)) * 3.0
-    rows = np.stack(list(forward_substitution_rows(c_mat, iter(z))))
-    np.testing.assert_allclose(rows, solve_triangular(c_mat, z, lower=True),
+def test_banded_stream_matches_the_triangular_solve(r, n):
+    z = np.random.default_rng(10).standard_normal((n, 6)) * 3.0
+    rows = np.stack(list(forward_substitution_rows(r, iter(z))))
+    np.testing.assert_allclose(rows, solve_triangular(_dense(r, n), z, lower=True),
                                rtol=0, atol=1e-12)
 
 
@@ -499,35 +563,34 @@ def test_full_band_stream_is_the_full_prefix_solve(strategy):
     # a diagonal C (bandwidth 1) and a k = 1 root (bandwidth n) keep the
     # full solve's summation order, so they reproduce its bits
     z = np.random.default_rng(11).standard_normal((strategy.steps, 37))
-    rows = np.stack(list(forward_substitution_rows(strategy.C, iter(z))))
+    rows = np.stack(list(forward_substitution_rows(strategy.r, iter(z))))
     np.testing.assert_array_equal(rows, _full_prefix_rows(strategy.C, z))
 
 
 def test_stream_rows_are_fresh_arrays():
-    c_mat = _hand_banded(n=6, width=2)
+    r = _hand_banded(width=2)
     z = np.random.default_rng(12).standard_normal((6, 3))
     rows = []
-    for row in forward_substitution_rows(c_mat, iter(z)):
+    for row in forward_substitution_rows(r, iter(z)):
         rows.append(row.copy())
         row[:] = np.nan  # must not reach the window the next rows read
-    np.testing.assert_allclose(np.stack(rows), solve_triangular(c_mat, z, lower=True),
+    np.testing.assert_allclose(np.stack(rows), solve_triangular(_dense(r, 6), z, lower=True),
                                rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("c_mat", [2.0 * np.eye(5), _hand_banded(n=8, width=3),
-                                   build_strategy("ones", 1, 6).C],
+@pytest.mark.parametrize("r,n", [(np.array([2.0]), 5), (_hand_banded(width=3), 8),
+                                 (build_strategy("ones", 1, 6).r, 6)],
                          ids=["diagonal", "hand_banded", "ones_1x6"])
-def test_stream_reads_read_only_z_rows_and_never_writes_them(c_mat):
-    n = c_mat.shape[0]
+def test_stream_reads_read_only_z_rows_and_never_writes_them(r, n):
     z = np.random.default_rng(14).standard_normal((n, 4))
     want = z.copy()
     z.setflags(write=False)
     rows = []
-    for row in forward_substitution_rows(c_mat, iter(z)):
+    for row in forward_substitution_rows(r, iter(z)):
         assert row.flags.writeable and not np.shares_memory(row, z)
         rows.append(row)
     np.testing.assert_array_equal(z, want)
-    np.testing.assert_allclose(np.stack(rows), solve_triangular(c_mat, want, lower=True),
+    np.testing.assert_allclose(np.stack(rows), solve_triangular(_dense(r, n), want, lower=True),
                                rtol=0, atol=1e-12)
 
 
@@ -543,7 +606,7 @@ def test_banded_stream_state_is_the_window_not_the_prefix():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        gen = forward_substitution_rows(strategy.C, iter(z))
+        gen = forward_substitution_rows(strategy.r, iter(z))
         live = 0
         for _ in range(n):
             row = next(gen)
@@ -564,8 +627,7 @@ def test_mf_noise_stream_identity_matches_iid_gaussian():
 
 
 def test_mf_noise_stream_reconstructs_z():
-    wl = build_workload("ones", 1, 6)
-    strat = factorize(wl, 1, 6)
+    strat = factorize(np.ones(6), 1, 6)
     rho, d, seed = 2.0, 3, 33
     sigma = math.sqrt(1 / (2 * rho))
     rows = np.stack(list(mf_noise_stream(strat, sigma, d, seed)))
@@ -581,71 +643,7 @@ def test_mf_noise_stream_edge_cases():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="sigma"):
             next(mf_noise_stream(strat, bad, 3, 0))
-    singular = StrategyMatrix(C=np.diag([1.0, 0.0, 1.0, 1.0]),
-                              workload=np.tril(np.ones((4, 4))),
-                              kind="custom", k=1, b=4, momentum=0.0,
-                              decay=1.0, sens=1.0, objective=np.nan)
+    singular = StrategyMatrix(np.ones(4), [0.0, 1.0], "custom", 1, 4)
+    assert singular.objective == math.inf
     with pytest.raises(np.linalg.LinAlgError):
         next(mf_noise_stream(singular, 1.0, 3, 0))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-@pytest.mark.parametrize("kind,k,b,momentum,decay", [
-    ("ones", 1, 6, 0.0, 1.0),
-    ("momentum", 2, 3, 0.9, 1.0),
-    ("momentum_decay", 2, 3, 0.9, 0.2),
-])
-def test_strategy_round_trip(tmp_path, kind, k, b, momentum, decay):
-    wl = build_workload(kind, k, b, momentum=momentum, decay=decay)
-    strat = factorize(wl, k, b, kind=kind, momentum=momentum, decay=decay)
-    path = tmp_path / "strategy.bin"
-    save_strategy(strat, path)
-    loaded = load_strategy(path)
-    np.testing.assert_array_equal(loaded.C, strat.C)
-    np.testing.assert_array_equal(loaded.workload, strat.workload)
-    assert (loaded.kind, loaded.k, loaded.b) == (kind, k, b)
-    assert loaded.momentum == momentum and loaded.decay == decay
-    assert loaded.sens == pytest.approx(strat.sens, rel=1e-12)
-    assert loaded.objective == pytest.approx(strat.objective, rel=1e-9)
-
-
-def test_save_strategy_rejects_a_workload_the_header_cannot_rebuild(tmp_path):
-    # without a kind, a momentum workload is labelled custom, which loads
-    # back as the all-ones prefix
-    strat = factorize(build_workload("momentum", 1, 8, 0.9), 1, 8)
-    assert strat.kind == "custom"
-    path = tmp_path / "custom.bin"
-    with pytest.raises(ValueError, match="workload"):
-        save_strategy(strat, path)
-    assert not path.exists()
-
-
-def test_load_strategy_rejects_corruption(tmp_path):
-    wl = build_workload("ones", 1, 4)
-    strat = factorize(wl, 1, 4)
-    path = tmp_path / "strategy.bin"
-    save_strategy(strat, path)
-    raw = bytearray(path.read_bytes())
-
-    bad_magic = tmp_path / "bad_magic.bin"
-    bad_magic.write_bytes(b"XXXX" + bytes(raw[4:]))
-    with pytest.raises(ValueError):
-        load_strategy(bad_magic)
-
-    truncated = tmp_path / "truncated.bin"
-    truncated.write_bytes(bytes(raw[:-8]))
-    with pytest.raises(ValueError):
-        load_strategy(truncated)
-
-    short_header = tmp_path / "short_header.bin"
-    short_header.write_bytes(bytes(raw[:20]))
-    with pytest.raises(ValueError, match="header"):
-        load_strategy(short_header)
-
-    bad_kind = tmp_path / "bad_kind.bin"  # kind id is the header's 5th field
-    bad_kind.write_bytes(bytes(raw[:16]) + (9).to_bytes(4, "little") + bytes(raw[20:]))
-    with pytest.raises(ValueError, match="kind id 9"):
-        load_strategy(bad_kind)

@@ -746,7 +746,7 @@ def test_header_reports_strategy_convergence_and_sensitivity(tmp_path):
     emit_csv(table, records, str(path))
     header = parse_summary_csv(str(path)).header
     k, b = 2, spec.train_size // spec.batch_size
-    strat = factorize(build_workload("ones", k, b), k, b)
+    strat = factorize(build_workload("ones", k, b)[:, 0], k, b)
     assert float(header["strategy_sens"]) == strat.sens
     table, _ = run_experiment(_tiny_spec(algorithm="accelerated_dp_srgd", repeats=1))
     assert "strategy_sens" not in table.header

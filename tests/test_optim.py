@@ -564,6 +564,19 @@ def test_unaccelerated_custom_checkpoints_and_validation():
                                np.zeros(8), 8)  # nonpositive weights
 
 
+@pytest.mark.parametrize("checkpoints", [[0, 99], [0], [9], [2, 9], []])
+def test_unaccelerated_rejects_checkpoints_outside_the_run_before_any_step(checkpoints):
+    # [0, 99] at T = 8 used to return no checkpoint gradients, on which
+    # variance_probe raised TypeError
+    problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
+                                 noise_scale=0.3, radius=1.0)
+    batches = _batches(problem, 8, 4, seed=16)
+    with pytest.raises(ValueError, match="checkpoints"):
+        run_unaccelerated_srgd(problem, iter(batches), 0.05, np.ones(8), 8,
+                               checkpoints=checkpoints)
+    assert problem.grad_rows == 0
+
+
 def test_unaccelerated_rejects_short_c_schedule_before_any_step():
     problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
                                  noise_scale=0.3, radius=1.0)
@@ -729,7 +742,7 @@ def test_dp_ftrl_matches_reference_loop():
     T, B, clip, rho, lr = 10, 1, 1.0, 0.5, 0.2
     sigma = math.sqrt(1.0 / (2.0 * rho)) * (clip / B)
     batches = _batches(problem, T, B, seed=40)
-    strategy = factorize(build_workload("momentum", 1, T, momentum=0.9), 1, T,
+    strategy = factorize(build_workload("momentum", 1, T, momentum=0.9)[:, 0], 1, T,
                          kind="momentum", momentum=0.9)
     ball = ConstraintBall(problem.dim, 0.5)
     rec = run_dp_ftrl(problem, iter(batches), lr, clip, sigma, ball, T, seed=6,
@@ -883,7 +896,7 @@ def test_zero_decay_recursion_equals_plain_memf():
 def test_zero_decay_recursion_equals_plain_memf_under_noise():
     # each correlated noise row enters the estimate once, so without the
     # recursion the runner takes plain multi-epoch training's noisy steps
-    strat = factorize(build_workload("ones", 2, 5), 2, 5)
+    strat = factorize(build_workload("ones", 2, 5)[:, 0], 2, 5)
     problem = _quadratic(seed=32)
     batches = _batches(problem, 5, 4, seed=33)
     cfg = _memf_cfg(strat, sigma=1.0 / 4 / math.sqrt(2.0 * 0.5), c_clip=1.0)
@@ -898,7 +911,7 @@ def test_zero_decay_recursion_equals_plain_memf_under_noise():
 def test_zero_decay_run_is_dp_memf_and_reports_the_clipped_gradient():
     # at c = 0 grad_norm is ||clipped mean||, at most the clip, not the
     # norm of the noisy estimate; the run carries dp_memf's label
-    strat = factorize(build_workload("ones", 2, 5), 2, 5)
+    strat = factorize(build_workload("ones", 2, 5)[:, 0], 2, 5)
     problem = _quadratic(target_norm=0.9, seed=43)
     batches = _batches(problem, 5, 4, seed=44)
     cfg = _memf_cfg(strat, sigma=5.0, c_clip=0.5)
@@ -979,7 +992,7 @@ def _reference_memf(problem, batches, cfg, recursive):
 
 def _check_memf_reference(runner, recursive, **kw):
     wl = build_workload("ones", 2, 5)
-    strat = factorize(wl, 2, 5)
+    strat = factorize(wl[:, 0], 2, 5)
     problem = _quadratic(target_norm=0.9, seed=41)
     batches = _batches(problem, 5, 4, seed=42)
     cfg = _memf_cfg(strat, sigma=0.5 / 4 / math.sqrt(2.0 * 0.5), c_clip=0.5, **kw)
