@@ -5,7 +5,7 @@ Layer map (each imports only from layers above it):
 
   geometry     projections and the L2 constraint ball
   objectives   convex per-example losses with exact population metrics
-  counting     streaming binary tree + matrix-factorization noise shaping
+  counting     noise-row streams: identity, binary tree, matrix factorization
   accounting   sensitivity/noise calibration and budget conversions
   optim        the optimizer runners (accelerated recursive-gradient,
                baselines, multi-epoch variants) and diagnostics
@@ -31,7 +31,6 @@ from .counting import (
     TreeState,
     build_strategy,
     build_workload,
-    calibrate_tree_sigma,
     factorize,
     identity_strategy,
     mf_noise_stream,
@@ -40,6 +39,8 @@ from .counting import (
     tree_error_bound,
     tree_ingest,
     tree_prefix,
+    tree_rows,
+    tree_sens,
 )
 from .geometry import ConstraintBall, project_ball
 from .harness import (
@@ -81,9 +82,9 @@ __all__ = [
     "clip_norm", "gdp_to_dp", "mu_for_dp", "rho_for_dp",
     "sensitivity_bound", "srgd_sigma", "zcdp_to_dp",
     "StrategyMatrix", "TreeState", "build_strategy", "build_workload",
-    "calibrate_tree_sigma", "factorize", "identity_strategy",
-    "mf_noise_stream", "prefix_nodes", "tree_baseline_objective",
-    "tree_error_bound", "tree_ingest", "tree_prefix",
+    "factorize", "identity_strategy", "mf_noise_stream", "prefix_nodes",
+    "tree_baseline_objective", "tree_error_bound", "tree_ingest", "tree_prefix",
+    "tree_rows", "tree_sens",
     "ConstraintBall", "project_ball",
     "ExperimentSpec", "MetricRow", "MetricTable", "emit_csv", "load_dataset",
     "parse_summary_csv", "run_experiment", "save_csv",

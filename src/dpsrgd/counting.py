@@ -1,18 +1,21 @@
 """Private continual counting.
 
-Two mechanisms for releasing noisy prefix sums of a vector stream:
+Three linear Gaussian mechanisms, each a stream of noise rows that a
+runner adds to its own exact sums (sensitivity in brackets):
 
+* i.i.d. rows, the identity mechanism (`gaussian_rows`; 1),
 * a dyadic-interval (binary tree) mechanism with per-node Gaussian noise,
-  streamed one step at a time in O(dim * log T) memory, and
+  whose prefix-noise rows stream in O(dim * log T) memory (`tree_rows`;
+  `tree_sens(T)`), and
 * matrix-factorization correlated noise, where a lower-triangular Toeplitz
   strategy matrix C (with bounded column-group sensitivity across epochs)
   shapes white noise Z into C^{-1} Z rows, streamed in O(dim * bandwidth
-  of C) memory. A strategy is held as the first columns of C and of its
-  workload W; its sensitivity and error objective are computed from them
-  in O(kb) memory, and no kb x kb matrix is built.
+  of C) memory (`mf_noise_stream`; the strategy's sens). A strategy is
+  held as the first columns of C and of its workload W; its sensitivity
+  and error objective are computed from them in O(kb) memory.
 
 The tree is also exposed as an explicit (B, C) matrix factorization so both
-mechanisms can be compared on a single error axis.
+correlated mechanisms can be compared on a single error axis.
 """
 
 from __future__ import annotations
@@ -23,14 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .geometry import all_finite
-
 __all__ = [
     "TreeState",
     "StrategyMatrix",
     "tree_ingest",
     "tree_prefix",
-    "calibrate_tree_sigma",
+    "tree_rows",
+    "tree_sens",
     "tree_error_bound",
     "build_workload",
     "build_strategy",
@@ -73,11 +75,11 @@ class TreeState:
     `dim`-dimensional vectors, with i.i.d. N(0, sigma^2) noise per node
     coordinate (Dwork et al., STOC 2010; Chan, Shi, Song, 2011).
 
-    The state is the exact running total and a stack with one entry per
-    node of `prefix_nodes(ingested)`, at most ceil(log2 T) + 1 rows. The
-    entry (k, running) of a level-k node holds the running noise sum
-    through that node: the noises of the stack's nodes up to it, added left
-    to right onto zero, so the top entry is the prefix noise, read in O(1).
+    The state, noise only, is a stack with one entry per node of
+    `prefix_nodes(ingested)`, at most ceil(log2 T) + 1 rows. The entry
+    (k, running) of a level-k node holds the running noise sum through
+    that node: the noises of the stack's nodes up to it, added left to
+    right onto zero, so the top entry is the prefix noise, read in O(1).
     Each entry is built once, when its node opens, and is read-only.
     Step i draws the noise of node (j, k) with j * 2^k = i as the i-th row
     of the seed's generator, so a node's noise is a function of
@@ -89,7 +91,6 @@ class TreeState:
     sigma: float = 0.0
     seed: int = 0
     ingested: int = field(init=False, default=0)
-    total: np.ndarray = field(init=False, repr=False)
     stack: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -97,15 +98,14 @@ class TreeState:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
-        self.total = np.zeros(self.dim)
         self.stack = []
         self._rng = np.random.default_rng(self.seed)
 
 
-def tree_ingest(state: TreeState, i: int, delta: np.ndarray) -> TreeState:
-    """Add step i's vector to the running total and open node (j, k) with
-    j * 2^k = i, which replaces the prefix's nodes below level k: its entry
-    is its noise added onto the running sum of the node left of it.
+def tree_ingest(state: TreeState, i: int) -> TreeState:
+    """Open step i's node (j, k) with j * 2^k = i, which replaces the
+    prefix's nodes below level k: its entry is its noise added onto the
+    running sum of the node left of it.
 
     Steps must arrive in order 1, 2, ..., horizon.
     """
@@ -113,12 +113,6 @@ def tree_ingest(state: TreeState, i: int, delta: np.ndarray) -> TreeState:
         raise ValueError(f"steps must arrive in order: expected {state.ingested + 1}, got {i}")
     if i > state.horizon:
         raise ValueError(f"step {i} beyond horizon {state.horizon}")
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != (state.dim,):
-        raise ValueError(f"delta shape {delta.shape} != ({state.dim},)")
-    if not all_finite(delta):
-        raise ValueError(f"non-finite delta at step {i}")
-    state.total += delta
     k = (i & -i).bit_length() - 1
     while state.stack and state.stack[-1][0] < k:
         state.stack.pop()
@@ -135,26 +129,28 @@ def tree_ingest(state: TreeState, i: int, delta: np.ndarray) -> TreeState:
     return state
 
 
-def tree_prefix(state: TreeState, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy estimate of the prefix sum through the last ingested step i.
-
-    Returns (estimate, noise_only):  estimate = exact prefix + noise_only,
-    where noise_only is the sum of the noises of the popcount(i) nodes in
-    the dyadic decomposition. The estimate is unbiased. noise_only is the
-    stack's read-only running sum, so the call allocates only the estimate.
-    """
+def tree_prefix(state: TreeState, i: int) -> np.ndarray:
+    """Noise of the prefix through the last ingested step i, the sum of
+    the noises of its popcount(i) dyadic nodes: the stack's read-only
+    running sum, so the call allocates nothing."""
     if i != state.ingested:
         raise ValueError(f"prefix step {i} is not the last ingested step {state.ingested}")
-    noise_only = state.stack[-1][1] if state.stack else np.zeros(state.dim)
-    return state.total + noise_only, noise_only
+    return state.stack[-1][1] if state.stack else np.zeros(state.dim)
 
 
-def calibrate_tree_sigma(c_clip: float, mu: float, horizon: int) -> float:
-    """Per-node noise std for mu-GDP release of a stream whose elements
-    have L2 sensitivity c_clip: c_clip * sqrt(1 + ceil(log2 T)) / mu."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    return c_clip * math.sqrt(1 + ceil_log2(horizon)) / mu
+def tree_rows(sigma: float, d: int, seed: int, n: int):
+    """Stream the n read-only prefix-noise rows of a `TreeState` of
+    per-node std sigma (checked at the call): row t is the noise of the
+    prefix through step t + 1."""
+    state = TreeState(n, d, sigma=sigma, seed=seed)
+    return (tree_prefix(tree_ingest(state, i), i) for i in range(1, n + 1))
+
+
+def tree_sens(horizon: int) -> float:
+    """Sensitivity of the tree over T steps: a step sits in at most
+    1 + ceil(log2 T) nodes, each of unit weight."""
+    return math.sqrt(1 + ceil_log2(horizon))
+
 
 def tree_error_bound(c_clip: float, mu: float, horizon: int, d: int, delta: float) -> float:
     """High-probability bound on the max prefix L2 noise norm:
@@ -162,6 +158,10 @@ def tree_error_bound(c_clip: float, mu: float, horizon: int, d: int, delta: floa
 
     Holds with probability at least 1 - delta over the tree noise.
     """
+    if not c_clip >= 0:
+        raise ValueError(f"c_clip must be nonnegative, got {c_clip}")
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu}")
     if horizon < 2:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
     if not 0 < delta < 1:

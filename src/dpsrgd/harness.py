@@ -482,18 +482,14 @@ def _lipschitz_bound(algorithm: str, clip: float) -> bool:
         algorithm == "accelerated_dp_srgd" and math.isinf(clip))
 
 
-def _noise_sigma(algorithm: str, rho: float, clip: float, B: int, T: int,
-                 strategy) -> float:
+def _noise_sigma(rho: float, clip: float, B: int, sens: float) -> float:
     """Noise std of every clip-calibrated run at rho-zCDP, 0 at rho = inf:
     (clip / B) * sens / sqrt(2 rho). One example moves the released mean of
-    clipped vectors by at most clip / B per step it is in; sens is 1 for
-    dp_sgd, the strategy's for dp_ftrl and the MF runners, and the
-    sqrt(1 + ceil(log2 T)) nodes of `counting.calibrate_tree_sigma` for the tree."""
+    clipped vectors by at most clip / B per step it is in; sens is the
+    mechanism's: 1 for the identity (dp_sgd), the strategy's for dp_ftrl
+    and the MF runners, and `counting.tree_sens(T)` for the tree."""
     if math.isinf(rho):
         return 0.0
-    if algorithm == "accelerated_dp_srgd":
-        return counting.calibrate_tree_sigma(clip / B, math.sqrt(2.0 * rho), T)
-    sens = 1.0 if strategy is None else strategy.sens
     return clip / B * sens / math.sqrt(2.0 * rho)
 
 
@@ -509,9 +505,11 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, cache):
             problem.lipschitz, problem.smoothness, ball.diameter, spec.epsilon,
             spec.delta, B, beta, T)
         if spec.algorithm == "accelerated_dp_srgd":
-            sigma *= beta  # the tree ingests raw increments, beta times its scale
+            sigma *= beta  # tree rows add to raw increments, beta times its scale
     else:
-        sigma = _noise_sigma(spec.algorithm, rho, clip, B, T, strategy)
+        sens = (counting.tree_sens(T) if spec.algorithm == "accelerated_dp_srgd"
+                else strategy.sens if strategy is not None else 1.0)
+        sigma = _noise_sigma(rho, clip, B, sens)
 
     if spec.algorithm in ("dp_memf", "dp_srg_memf"):
         b = shape[1]
@@ -647,7 +645,8 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
             2.0 * spec.radius, spec.epsilon, spec.delta)
         for line in report.lines():
             k, v = line.split("=", 1)
-            table.header[f"regime_{k}"] = v
+            if k != "sigma":  # the theory regime's own B, T and beta, not this run's
+                table.header[f"regime_{k}"] = v
 
     for (lr, clip, c) in grid:
         outcomes = by_point[(lr, clip, c)]

@@ -2,8 +2,8 @@
 
 The centerpiece is an accelerated projected method driven by stochastic
 recursive gradients (SRG): per-batch increments delta_t = mean of
-eta_t*g(x_t, d) - eta_{t-1}*g(x_{t-1}, d) are streamed into a binary tree,
-and the noisy prefix sum divided by eta_t serves as the gradient estimate.
+eta_t*g(x_t, d) - eta_{t-1}*g(x_{t-1}, d) are summed, and the sum plus
+binary-tree prefix noise, divided by eta_t, serves as the gradient estimate.
 Each example is visited in exactly one batch and contributes exactly two
 gradient evaluations there.
 
@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import (StrategyMatrix, TreeState, gaussian_rows, mf_noise_stream,
-                       tree_ingest, tree_prefix)
+from .counting import StrategyMatrix, gaussian_rows, mf_noise_stream, tree_rows
 from .geometry import ConstraintBall, _interpolate, _project, all_finite, check_clip
 from .objectives import LossProblem
 
@@ -231,8 +230,8 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
         noise_norm[t], grad_norm[t], iterates = update(t, x, g, w)
         prev_x, x = x, iterates[0]
         del g, w, batch
-    # an MF noise stream keeps a window of solved rows; free it before the
-    # held-out pass
+    # a noise stream keeps state (the tree's stack, an MF window of solved
+    # rows); free it before the held-out pass
     noise = None
     out = iterates[-1]
     excess, accuracy = problem.excess_and_accuracy(out)
@@ -298,15 +297,15 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
                             record_iterates: bool = False) -> RunRecord:
     """Accelerated SRG with binary-tree noise.
 
-    Per step t: ingest the batch increment delta_t, read the noisy prefix,
-    form grad_est = (sum of increments + tree noise) / eta_t, take the
+    Per step t: add the batch increment delta_t to the exact sum, form
+    grad_est = (sum of increments + tree prefix noise) / eta_t, take the
     aggressive (z) and conservative (y) projected steps, and interpolate
     to get the next query point x. The tree noise lands in the updates as
     a perturbation of size ||tree noise|| / beta per step.
     """
     eta = cfg.eta_values
     accelerate, finish = _accelerated(problem, cfg)
-    tree = TreeState(horizon=cfg.T, dim=problem.dim, sigma=cfg.sigma, seed=cfg.seed)
+    total = np.zeros(problem.dim)
     q_norm = (np.empty(cfg.T) if record_iterates and problem.exact_optimum() is not None
               else None)
     iterates = np.empty((cfg.T, problem.dim)) if record_iterates else None
@@ -317,19 +316,19 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
         w_prev = eta[t - 1] if t > 0 else 0.0
         return problem.srg_mean(x, prev_x, eta[t], w_prev, batch, cfg.clip)
 
-    def update(t, x, delta, _):
-        nonlocal q_norm
-        tree_ingest(tree, t + 1, delta)
-        prefix, xi = tree_prefix(tree, t + 1)
+    def update(t, x, delta, xi):
+        nonlocal q_norm, total
+        total += delta
         pop_grad = problem.population_grad(x) if q_norm is not None else None
         if pop_grad is None:
             q_norm = None
         else:
-            q_norm[t] = _norm((prefix - xi) / eta[t] - pop_grad)
-        _, grad_norm, next_iterates = accelerate(t, x, prefix / eta[t], None)
+            q_norm[t] = _norm(total / eta[t] - pop_grad)
+        _, grad_norm, next_iterates = accelerate(t, x, (total + xi) / eta[t], None)
         return _norm(xi) / cfg.beta, grad_norm, next_iterates
 
-    return _drive(problem, stream, cfg.T, estimate, None, update,
+    return _drive(problem, stream, cfg.T, estimate,
+                  tree_rows(cfg.sigma, problem.dim, cfg.seed, cfg.T), update,
                   "accelerated_dp_srgd", cfg.seed,
                   lambda: dict(finish(), q_norm=q_norm, iterates=iterates))
 

@@ -27,16 +27,14 @@ from .accounting import (
     zcdp_to_dp,
 )
 from .counting import (
-    TreeState,
     build_workload,
-    calibrate_tree_sigma,
     factorize,
     identity_strategy,
     prefix_nodes,
     tree_baseline_objective,
     tree_error_bound,
-    tree_ingest,
-    tree_prefix,
+    tree_rows,
+    tree_sens,
 )
 from .geometry import ConstraintBall, clip_rows, project_ball
 from .harness import ExperimentSpec, data_dir, load_dataset, run_experiment
@@ -232,14 +230,10 @@ def criterion_4() -> CriterionResult:
     above the stated high-probability bound (d = 4)."""
     def body():
         trials, T, d, delta = 1000, 16, 4, 0.05
-        sigma = calibrate_tree_sigma(1.0, 1.0, T)
+        sigma = tree_sens(T)  # 1-GDP at unit clip: sens / mu
         bound = tree_error_bound(1.0, 1.0, T, d, delta)
-        state = TreeState(T, d * trials, sigma=sigma, seed=20240)
-        zero = np.zeros(d * trials)
         max_err = np.zeros(trials)
-        for i in range(1, T + 1):
-            tree_ingest(state, i, zero)
-            _, noise = tree_prefix(state, i)
+        for noise in tree_rows(sigma, d * trials, 20240, T):
             norms = np.linalg.norm(noise.reshape(trials, d), axis=1)
             np.maximum(max_err, norms, out=max_err)
         frac = float(np.mean(max_err > bound))
@@ -256,12 +250,8 @@ def criterion_5() -> CriterionResult:
     standard errors of zero."""
     def body():
         trials, T, d, sigma = 10**5, 16, 2, 1.0
-        state = TreeState(T, d * trials, sigma=sigma, seed=515)
-        zero = np.zeros(d * trials)
         worst = 0.0
-        for i in range(1, T + 1):
-            tree_ingest(state, i, zero)
-            _, noise = tree_prefix(state, i)
+        for i, noise in enumerate(tree_rows(sigma, d * trials, 515, T), 1):
             means = noise.reshape(trials, d).mean(axis=0)
             se = sigma * math.sqrt(len(prefix_nodes(i))) / math.sqrt(trials)
             worst = max(worst, float(np.abs(means).max()) / (4.0 * se))

@@ -14,7 +14,6 @@ from dpsrgd.counting import (
     TreeState,
     build_strategy,
     build_workload,
-    calibrate_tree_sigma,
     ceil_log2,
     column_group_sens,
     factorize,
@@ -27,7 +26,10 @@ from dpsrgd.counting import (
     tree_ingest,
     tree_matrix_factorization,
     tree_prefix,
+    tree_rows,
+    tree_sens,
 )
+from dpsrgd.harness import _noise_sigma
 
 
 def _interval(j, k):
@@ -60,14 +62,15 @@ def test_prefix_nodes_partition_the_prefix(horizon):
 
 
 def test_noiseless_tree_reproduces_exact_prefix_sums():
+    # the tree holds noise only: a caller's exact sum plus a sigma = 0 row
+    # is the exact prefix
     rng = np.random.default_rng(0)
     T, d = 11, 3
     deltas = rng.standard_normal((T, d))
-    state = TreeState(T, d, sigma=0.0, seed=0)
-    for i in range(1, T + 1):
-        tree_ingest(state, i, deltas[i - 1])
-        estimate, noise = tree_prefix(state, i)
-        np.testing.assert_allclose(estimate, deltas[:i].sum(axis=0),
+    total = np.zeros(d)
+    for i, noise in enumerate(tree_rows(0.0, d, 0, T), 1):
+        total += deltas[i - 1]
+        np.testing.assert_allclose(total + noise, deltas[:i].sum(axis=0),
                                    rtol=0, atol=1e-12)
         np.testing.assert_array_equal(noise, np.zeros(d))
 
@@ -79,35 +82,24 @@ def _node_noise_oracle(sigma, seed, horizon, dim):
 
 
 def test_noisy_tree_error_is_sum_of_node_noises():
-    rng = np.random.default_rng(1)
     T, d = 8, 2
-    deltas = rng.standard_normal((T, d))
     state = TreeState(T, d, sigma=1.5, seed=42)
     node_noise = _node_noise_oracle(1.5, 42, T, d)
     for i in range(1, T + 1):
-        tree_ingest(state, i, deltas[i - 1])
-        estimate, noise = tree_prefix(state, i)
-        np.testing.assert_allclose(estimate - noise, deltas[:i].sum(axis=0),
-                                   rtol=0, atol=1e-12)
+        noise = tree_prefix(tree_ingest(state, i), i)
         expected_noise = sum(node_noise(*jk) for jk in prefix_nodes(i))
         np.testing.assert_allclose(noise, expected_noise, rtol=0, atol=1e-12)
 
 
 def test_node_noise_is_independent_of_ingestion_progress():
     # one oracle for every horizon: a node's noise depends on (seed, j, k)
-    # alone, not on the horizon, the data, or how far the stream has run
+    # alone, not on the horizon or how far the stream has run
     d, sigma, seed = 2, 1.0, 7
     node_noise = _node_noise_oracle(sigma, seed, 13, d)
     for horizon in (5, 8, 13):
-        deltas = np.random.default_rng(horizon).standard_normal((horizon, d)) + 1.0
-        state = TreeState(horizon, d, sigma=sigma, seed=seed)
-        for i in range(1, horizon + 1):
-            tree_ingest(state, i, deltas[i - 1])
-            estimate, noise = tree_prefix(state, i)
+        for i, noise in enumerate(tree_rows(sigma, d, seed, horizon), 1):
             expected_noise = sum(node_noise(*jk) for jk in prefix_nodes(i))
             np.testing.assert_allclose(noise, expected_noise, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(estimate - noise, deltas[:i].sum(axis=0),
-                                       rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.5])
@@ -116,34 +108,20 @@ def test_prefix_is_the_left_to_right_node_sum_bit_for_bit(sigma):
     # of adding its nodes' noises onto zero from left to right
     d, seed = 3, 9
     for horizon in range(1, 71):
-        deltas = np.random.default_rng(horizon).standard_normal((horizon, d))
         node_noise = _node_noise_oracle(sigma, seed, horizon, d)
-        state = TreeState(horizon, d, sigma=sigma, seed=seed)
-        total = np.zeros(d)
-        for i in range(1, horizon + 1):
-            tree_ingest(state, i, deltas[i - 1])
-            total += deltas[i - 1]
+        rows = list(tree_rows(sigma, d, seed, horizon))
+        assert len(rows) == horizon
+        for i, noise in enumerate(rows, 1):
             want = np.zeros(d)
             for jk in prefix_nodes(i):
                 want += node_noise(*jk)
-            estimate, noise = tree_prefix(state, i)
             np.testing.assert_array_equal(noise, want)
-            np.testing.assert_array_equal(estimate, total + want)
 
 
 def test_mutating_a_prefix_cannot_alter_later_prefixes():
     T, d = 21, 4
-    deltas = np.random.default_rng(5).standard_normal((T, d))
-    state = TreeState(T, d, sigma=1.0, seed=12)
-    twin = TreeState(T, d, sigma=1.0, seed=12)
-    for i in range(1, T + 1):
-        tree_ingest(state, i, deltas[i - 1])
-        tree_ingest(twin, i, deltas[i - 1])
-        estimate, noise = tree_prefix(state, i)
-        want_estimate, want_noise = tree_prefix(twin, i)
-        np.testing.assert_array_equal(estimate, want_estimate)
+    for noise, want_noise in zip(tree_rows(1.0, d, 12, T), tree_rows(1.0, d, 12, T)):
         np.testing.assert_array_equal(noise, want_noise)
-        estimate += 1e6  # the estimate is the caller's own array
         with pytest.raises(ValueError):
             noise += 1.0  # the noise is the tree's running sum, read-only
         with pytest.raises(ValueError):
@@ -154,31 +132,27 @@ def test_tree_state_holds_only_the_prefix_nodes():
     T, d = 13, 3
     state = TreeState(T, d, sigma=1.0, seed=3)
     for i in range(1, T + 1):
-        tree_ingest(state, i, np.ones(d))
+        tree_ingest(state, i)
         assert len(state.stack) == bin(i).count("1") <= ceil_log2(T) + 1
         assert [k for k, _ in state.stack] == [k for _, k in prefix_nodes(i)]
         with pytest.raises(ValueError):
             tree_prefix(state, i - 1)
 
 
-def test_tree_ingest_order_and_shape_errors():
+def test_tree_ingest_order_errors():
     state = TreeState(4, 2, sigma=0.0)
     with pytest.raises(ValueError):
-        tree_ingest(state, 2, np.zeros(2))  # out of order
-    tree_ingest(state, 1, np.zeros(2))
+        tree_ingest(state, 2)  # out of order
+    tree_ingest(state, 1)
     with pytest.raises(ValueError):
-        tree_ingest(state, 1, np.zeros(2))  # repeated step
-    with pytest.raises(ValueError):
-        tree_ingest(state, 2, np.zeros(3))  # wrong shape
-    with pytest.raises(ValueError):
-        tree_ingest(state, 2, np.array([1.0, np.nan]))
+        tree_ingest(state, 1)  # repeated step
     with pytest.raises(ValueError):
         tree_prefix(state, 2)  # not ingested yet
-    tree_ingest(state, 2, np.zeros(2))
-    tree_ingest(state, 3, np.zeros(2))
-    tree_ingest(state, 4, np.zeros(2))
+    tree_ingest(state, 2)
+    tree_ingest(state, 3)
+    tree_ingest(state, 4)
     with pytest.raises(ValueError):
-        tree_ingest(state, 5, np.zeros(2))  # beyond horizon
+        tree_ingest(state, 5)  # beyond horizon
     with pytest.raises(ValueError):
         TreeState(0, 2)
     with pytest.raises(ValueError):
@@ -190,32 +164,49 @@ def test_tree_rejects_a_non_finite_sigma(sigma):
     # sigma = NaN used to release the exact prefix (noise 0), and inf +-inf
     with pytest.raises(ValueError, match="sigma"):
         TreeState(4, 2, sigma=sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        tree_rows(sigma, 2, 0, 4)  # at the call, before the first row
 
 
 def test_tree_prefix_noise_variance_matches_node_count():
     # trials live in the coordinate axis: per-coordinate prefix noise
     # variance is (number of dyadic nodes) * sigma^2
     trials, T, sigma = 20000, 8, 1.0
-    state = TreeState(T, trials, sigma=sigma, seed=99)
-    zero = np.zeros(trials)
-    for i in range(1, T + 1):
-        tree_ingest(state, i, zero)
-        _, noise = tree_prefix(state, i)
+    for i, noise in enumerate(tree_rows(sigma, trials, 99, T), 1):
         expected = len(prefix_nodes(i)) * sigma**2
         assert noise.var() == pytest.approx(expected, rel=0.05)
 
 
 def test_tree_calibration_values():
-    assert calibrate_tree_sigma(1.0, 1.0, 16) == pytest.approx(math.sqrt(5.0))
-    assert calibrate_tree_sigma(2.0, 0.5, 16) == pytest.approx(4 * math.sqrt(5.0))
+    # per-node sigma = (clip / B) * tree_sens(T) / mu, mu = sqrt(2 rho)
+    assert tree_sens(16) == math.sqrt(5.0)
+    assert _noise_sigma(0.5, 1.0, 1, tree_sens(16)) == pytest.approx(math.sqrt(5.0))
+    assert _noise_sigma(0.125, 2.0, 1, tree_sens(16)) == pytest.approx(4 * math.sqrt(5.0))
     expected = 4.0 * 8.0 * math.sqrt(4.0 * math.log(2 * 16 / 0.05))
     assert tree_error_bound(1.0, 1.0, 16, 4, 0.05) == pytest.approx(expected)
     with pytest.raises(ValueError):
-        calibrate_tree_sigma(1.0, 0.0, 16)
+        tree_error_bound(1.0, 0.0, 16, 4, 0.05)
     with pytest.raises(ValueError):
         tree_error_bound(1.0, 1.0, 1, 4, 0.05)
     with pytest.raises(ValueError):
         tree_error_bound(1.0, 1.0, 16, 4, 1.5)
+
+
+@pytest.mark.parametrize("c_clip, mu", [
+    (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (-1.0, 1.0), (math.nan, 1.0)])
+def test_tree_error_bound_rejects_a_bad_mu_or_clip(c_clip, mu):
+    # mu = -1 or clip = -1 used to give a negative bound (-162.68), mu = NaN
+    # a NaN one, and mu = 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match="mu|c_clip"):
+        tree_error_bound(c_clip, mu, 16, 4, 0.05)
+
+
+@pytest.mark.parametrize("n", range(1, 71))
+def test_tree_sens_is_the_node_matrix_largest_column_norm(n):
+    # the runs' tree sigma is sized by the factorization that criterion 7
+    # and tree_baseline_objective score
+    _, c_node = tree_matrix_factorization(n)
+    assert tree_sens(n) == np.linalg.norm(c_node, axis=0).max()
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def _tree_sigmas(monkeypatch, spec) -> list:
             seen.append(self.sigma)
             super().__post_init__()
 
-    monkeypatch.setattr(optim, "TreeState", Spy)
+    monkeypatch.setattr(counting, "TreeState", Spy)
     run_experiment(spec)
     return seen
 
@@ -251,7 +251,8 @@ def test_accelerated_tree_is_calibrated_to_the_clipped_increment(monkeypatch):
     spec = _tiny_spec(algorithm="accelerated_dp_srgd", epsilon=1.0, clip_grid=(0.5,),
                       repeats=1)
     mu = math.sqrt(2.0 * accounting.rho_for_dp(1.0, spec.delta))
-    want = counting.calibrate_tree_sigma(0.5 / spec.batch_size, mu, spec.steps)
+    # c * sqrt(1 + ceil(log2 T)) / mu with c = clip / B, bit for bit
+    want = 0.5 / spec.batch_size * math.sqrt(1 + math.ceil(math.log2(spec.steps))) / mu
     assert _tree_sigmas(monkeypatch, spec) == [want]
     # with no clip the worst-case (L, M) bound stays, beta times its scale
     spec = dataclasses.replace(spec, clip_grid=(math.inf,))
@@ -595,6 +596,17 @@ def test_finite_budget_synthetic_reports_regime():
                                          epsilon=1.0, repeats=1))
     assert any(key.startswith("regime_") for key in table.header)
     assert "regime_dp_valid" in table.header
+
+
+@pytest.mark.parametrize("algorithm", ["accelerated_dp_srgd", "independent_variant"])
+def test_regime_header_names_no_sigma_the_runs_did_not_use(algorithm):
+    # regime_sigma was srgd_sigma at the theory regime's own B, T and beta
+    # (0.0027 at the CLI spec, where the tree ran at 0.0159); the other
+    # regime keys stay
+    table, _ = run_experiment(_tiny_spec(algorithm=algorithm, epsilon=1.0, repeats=1))
+    assert "regime_sigma" not in table.header
+    for key in ("beta", "clip_bound", "d_max", "b_max_batch", "dp_valid"):
+        assert f"regime_{key}" in table.header, key
 
 
 def _toy_logistic_dataset(tmp_path, n=64, p=3, seed=2):

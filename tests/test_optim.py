@@ -12,14 +12,14 @@ import pytest
 from dpsrgd.counting import (
     TreeState,
     build_workload,
-    calibrate_tree_sigma,
     factorize,
     identity_strategy,
     mf_noise_stream,
     tree_ingest,
     tree_prefix,
+    tree_sens,
 )
-from dpsrgd.geometry import ConstraintBall, clip_rows, interpolate, project_ball
+from dpsrgd.geometry import ConstraintBall, all_finite, clip_rows, interpolate, project_ball
 from dpsrgd.harness import _noise_sigma
 from dpsrgd.objectives import (
     GradientNoiseWrapper,
@@ -129,11 +129,11 @@ def _reference_accelerated(problem, batches, cfg):
     tree = TreeState(cfg.T, problem.dim, sigma=cfg.sigma, seed=cfg.seed)
     x = np.zeros(problem.dim)
     y, z, prev = x, x, x
+    total = np.zeros(problem.dim)
     for t, batch in enumerate(batches):
         w_prev = eta[t - 1] if t > 0 else 0.0
-        delta = problem.srg_mean(x, prev, eta[t], w_prev, batch)[0]
-        tree_ingest(tree, t + 1, delta)
-        estimate, _ = tree_prefix(tree, t + 1)
+        total += problem.srg_mean(x, prev, eta[t], w_prev, batch)[0]
+        estimate = total + tree_prefix(tree_ingest(tree, t + 1), t + 1)
         grad_est = estimate / eta[t]
         z = project_ball(z - (eta[t] / cfg.beta) * grad_est, cfg.ball)
         y = project_ball(x - grad_est / cfg.beta, cfg.ball)
@@ -163,6 +163,7 @@ def _reference_accelerated_trajectory(problem, batches, cfg):
     x_star = problem.exact_optimum()
     x = np.zeros(problem.dim)
     y, z, prev = x, x, x
+    total = np.zeros(problem.dim)
     out = {k: [] for k in ("train_loss", "noise_norm", "grad_norm", "potential")}
 
     def record_potential(t):
@@ -180,8 +181,9 @@ def _reference_accelerated_trajectory(problem, batches, cfg):
         if np.any(over):
             diffs[over] *= (cfg.clip / norms[over])[:, None]
         out["train_loss"].append(float(problem.per_example_values(x, batch).mean()))
-        tree_ingest(tree, t + 1, diffs.mean(axis=0))
-        estimate, xi = tree_prefix(tree, t + 1)
+        total += diffs.mean(axis=0)
+        xi = tree_prefix(tree_ingest(tree, t + 1), t + 1)
+        estimate = total + xi
         grad_est = estimate / eta[t]
         out["noise_norm"].append(float(np.linalg.norm(xi)) / cfg.beta)
         out["grad_norm"].append(float(np.linalg.norm(grad_est)))
@@ -228,8 +230,7 @@ def test_tree_noise_equals_iterate_noise_substitution():
     for t, batch in enumerate(batches):
         w_prev = eta[t - 1] if t > 0 else 0.0
         clean_sum = clean_sum + problem.srg_mean(x, prev, eta[t], w_prev, batch)[0]
-        tree_ingest(mirror, t + 1, np.zeros(problem.dim))
-        _, xi = tree_prefix(mirror, t + 1)
+        xi = tree_prefix(tree_ingest(mirror, t + 1), t + 1)
         b_t = -xi / cfg.beta
         grad_clean = clean_sum / eta[t]
         z = project_ball(z - (eta[t] / cfg.beta) * grad_clean + b_t, cfg.ball)
@@ -295,7 +296,7 @@ def test_one_example_moves_only_its_own_clipped_increment_by_at_most_the_clip():
         neighbour = [np.delete(b, r_j, axis=0) if t == t_j else b
                      for t, b in enumerate(batches)]
         cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0),
-                         sigma=calibrate_tree_sigma(clip / B, 1.0, T), clip=clip,
+                         sigma=_noise_sigma(0.5, clip, B, tree_sens(T)), clip=clip,
                          seed=pair)
         rec = run_accelerated_dp_srgd(problem, iter(batches), cfg, record_iterates=True)
         for t, (batch, other) in enumerate(zip(batches, neighbour)):
@@ -445,8 +446,7 @@ def test_step_path_checks_reject_non_finite_vectors(bad):
         _check_finite(4, "probe", np.zeros(3), bad)
     with pytest.raises(ValueError, match="non-finite"):
         project_ball(bad, ConstraintBall(3, 1.0))
-    with pytest.raises(ValueError, match="non-finite"):
-        tree_ingest(TreeState(2, 3), 1, bad)
+    assert not all_finite(bad)  # the one-reduction test both checks use
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -456,8 +456,7 @@ def test_step_path_checks_accept_finite_vectors_whose_sum_overflows():
     _check_finite(0, "probe", big, None)
     np.testing.assert_allclose(project_ball(big, ConstraintBall(3, 1.0)),
                                big / np.sqrt(3.0) / 1e308, rtol=1e-15)
-    state = tree_ingest(TreeState(2, 3), 1, big)
-    np.testing.assert_array_equal(state.total, big)
+    assert all_finite(big)
 
 
 @pytest.mark.parametrize("name", _STREAM_RUNNERS)
@@ -720,16 +719,16 @@ def test_dp_ftrl_noise_scales_with_clipped_mean_sensitivity(B, clip):
     ball = ConstraintBall(problem.dim, 1.0)
     rho = 0.5
     strategy = identity_strategy(1, T)
-    sigma = _noise_sigma("dp_sgd", rho, clip, B, T, None)
+    sigma = _noise_sigma(rho, clip, B, 1.0)
     assert sigma == pytest.approx(math.sqrt(1.0 / (2.0 * rho)) * clip / B, rel=1e-15)
-    assert _noise_sigma("dp_ftrl", rho, clip, B, T, strategy) == sigma
+    assert _noise_sigma(rho, clip, B, strategy.sens) == sigma
     rec_sgd = run_dp_ftrl(problem, iter(batches), 0.1, clip, sigma, ball, T, seed=4)
     rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, clip, sigma, ball, T, seed=4,
                            strategy=strategy)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     # an infinite budget releases no noise, even without clipping
-    free_sigma = _noise_sigma("dp_ftrl", math.inf, math.inf, B, T, strategy)
+    free_sigma = _noise_sigma(math.inf, math.inf, B, strategy.sens)
     assert free_sigma == 0.0
     rec_free = run_dp_ftrl(problem, iter(batches), 0.1, math.inf, free_sigma, ball,
                            T, seed=4, strategy=strategy)
@@ -942,7 +941,7 @@ def test_memf_noise_scales_with_clip_norm():
     problem = _quadratic(seed=28)
     batches = _batches(problem, 5, 4, seed=29)
     strat = identity_strategy(2, 5)
-    sigma = lambda clip: _noise_sigma("dp_memf", 1.0, clip, 4, 10, strat)
+    sigma = lambda clip: _noise_sigma(1.0, clip, 4, strat.sens)
     rec1 = run_dp_srg_memf(problem, batches,
                        _memf_cfg(strat, sigma=sigma(1.0), c_clip=1.0))
     rec2 = run_dp_srg_memf(problem, batches,

@@ -1,7 +1,9 @@
 """The names the benchmark's traced run wraps must keep existing and keep
-being called: a traced `accelerated_dp_srgd` run builds a tree and feeds
-it through `tree_ingest`/`tree_prefix`, and never factorizes. The tracer
-is imported read-only from `perfbench/spans.py`."""
+being called: a traced `accelerated_dp_srgd` run draws its noise from
+`counting.tree_rows`, which builds a `TreeState` and opens and reads its
+nodes through `tree_ingest`/`tree_prefix` (looked up in `counting`, where
+the tracer also wraps them), and it never factorizes. The tracer is
+imported read-only from `perfbench/spans.py`."""
 
 import sys
 from pathlib import Path
