@@ -124,6 +124,9 @@ class ExperimentSpec:
             raise ValueError("delta must lie in (0,1)")
         if self.rho is not None and not self.rho > 0:
             raise ValueError("rho must be positive when given")
+        if self.rho is not None and math.isfinite(self.epsilon):
+            raise ValueError(f"the budget is given twice, as epsilon={self.epsilon} and "
+                             f"rho={self.rho}: give one of them")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.workers < 1:
@@ -179,6 +182,8 @@ class ExperimentSpec:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"config key {key!r} is given more than once")
             values[key] = val
         fields = {f.name: f for f in dataclasses.fields(cls)}
         unknown = set(values) - set(fields)
@@ -431,18 +436,6 @@ def _strategy_shape(spec: ExperimentSpec, n: int) -> tuple[int, int] | None:
     return None
 
 
-def _strategy_cache_get(cache: dict, spec: ExperimentSpec, shape: tuple[int, int],
-                        c: float):
-    """The spec's strategy at this shape and decay c, built once for each
-    (momentum, decay) its workload reads."""
-    key = (spec.workload, *shape,
-           *counting._workload_args(spec.workload, spec.momentum, c))
-    if key not in cache:
-        cache[key] = counting.build_strategy(spec.workload, *shape,
-                                             momentum=spec.momentum, decay=c)
-    return cache[key]
-
-
 def _index_dtype(n: int) -> np.dtype:
     """The narrowest unsigned integer dtype that holds every index of n
     examples (uint16 up to 65536 examples)."""
@@ -493,9 +486,7 @@ def _noise_sigma(rho: float, clip: float, B: int, sens: float) -> float:
     return clip / B * sens / math.sqrt(2.0 * rho)
 
 
-def _single_run(spec, problem, n, rho, lr, clip, c, seed, cache):
-    shape = _strategy_shape(spec, n)
-    strategy = _strategy_cache_get(cache, spec, shape, c) if shape is not None else None
+def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
     B = max(1, min(n, spec.batch_size))
     T = spec.steps
     ball = ConstraintBall(problem.dim, spec.radius)
@@ -512,7 +503,7 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, cache):
         sigma = _noise_sigma(rho, clip, B, sens)
 
     if spec.algorithm in ("dp_memf", "dp_srg_memf"):
-        b = shape[1]
+        b = strategy.b
         if spec.task == "synthetic":
             # One fixed dataset per experiment (seeded by seed_base alone),
             # shared by every grid point and repeat.
@@ -559,7 +550,8 @@ def _selection_metrics(spec, problem, record):
 
 
 def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=None):
-    """Execute the sweep: budget accounting first, then data, then
+    """Execute the sweep: budget accounting first, then data, then one
+    strategy per c for the algorithms that add a strategy's noise, then
     `repeats` seeded runs per grid point. Returns (MetricTable, records)
     where records maps (lr, clip, c, repeat) -> RunRecord or RunAborted.
 
@@ -588,11 +580,10 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
 
     grid = [(lr, clip, c) for lr in spec.lr_grid for clip in spec.clip_grid
             for c in spec.c_grid]
-    cache: dict = {}
     shape = _strategy_shape(spec, n)
-    for lr, clip, c in grid:  # warm the strategy cache serially
-        if shape is not None:
-            _strategy_cache_get(cache, spec, shape, c)
+    strategies = ({c: counting.build_strategy(spec.workload, *shape,
+                                              momentum=spec.momentum, decay=c)
+                   for c in spec.c_grid} if shape is not None else {})
 
     jobs = []
     for lr, clip, c in grid:
@@ -607,7 +598,7 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     def work(job):
         lr, clip, c, rep, seed = job
         try:
-            rec = _single_run(spec, problem, n, rho, lr, clip, c, seed, cache)
+            rec = _single_run(spec, problem, n, rho, lr, clip, c, seed, strategies.get(c))
         except optim.RunAborted as exc:
             return job, exc
         return job, rec
@@ -636,8 +627,9 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     table.header["noise_calibration"] = "+".join(sorted({
         "lipschitz_bound" if _lipschitz_bound(spec.algorithm, clip) else "clip"
         for clip in spec.clip_grid}))
-    if cache:  # dp_memf, dp_srg_memf, dp_ftrl: the strategies these runs used
-        table.header["strategy_sens"] = _format_value(max(s.sens for s in cache.values()))
+    if strategies:  # dp_memf, dp_srg_memf, dp_ftrl: the strategies these runs used
+        table.header["strategy_sens"] = _format_value(
+            max(s.sens for s in strategies.values()))
     if spec.task == "synthetic" and spec.algorithm in (
             "accelerated_dp_srgd", "independent_variant") and math.isfinite(spec.epsilon):
         report, B, T = accounting.build_regime_report(
@@ -735,8 +727,8 @@ def parse_summary_csv(path: str) -> MetricTable:
     """Inverse of the summary half of emit_csv."""
     table = MetricTable()
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = []
-        for raw in fh:
+        rows, line_nums = [], []
+        for line_num, raw in enumerate(fh, 1):
             if raw.startswith("#"):
                 body = raw[1:].strip()
                 if "=" in body:
@@ -744,13 +736,19 @@ def parse_summary_csv(path: str) -> MetricTable:
                     table.header[k] = v
                 continue
             rows.append(raw)
+            line_nums.append(line_num)
     reader = csv.reader(io.StringIO("".join(rows)))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: no table header row")
     expected = ["algorithm", "workload", "lr", "clip", "c", "acc_mean",
                 "acc_ci95", "excess_mean"]
     if header != expected:
         raise ValueError(f"unexpected summary header {header}")
     for row in reader:
+        if len(row) < len(expected):
+            raise ValueError(f"{path}, line {line_nums[reader.line_num - 1]}: "
+                             f"{len(row)} fields, the header has {len(expected)}")
         opt = lambda s: None if s == "" else float(s)
         table.rows.append(MetricRow(
             algorithm=row[0], workload=row[1], lr=float(row[2]),

@@ -49,31 +49,13 @@ class RunAborted(RuntimeError):
         self.reason = reason
 
 
-def _schedule(sched, n: int, name: str, at_least: str) -> np.ndarray:
-    """The first n entries, finite and positive, of a callable t -> value
-    or an array of at least n (`at_least`) entries."""
-    if callable(sched):
-        values = np.array([float(sched(t)) for t in range(n)])
-    else:
-        values = np.asarray(sched, dtype=np.float64)[:n]
-        if values.shape[0] < n:
-            raise ValueError(f"{name} must have at least {at_least} entries")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-    if np.any(values <= 0):
-        raise ValueError(f"{name} must be positive")
-    return values
-
-
 @dataclass
 class SrgdConfig:
     """Configuration for the accelerated SRG runs.
 
-    eta may be None (default schedule eta_t = t+1), a callable t -> eta_t,
-    or an array of length >= T+1. The schedule must be nondecreasing with
-    eta_t^2 <= 4 * eta_{0:t}; both are asserted at construction. tau is
-    derived as tau_t = eta_t / eta_{0:t}. clip = inf leaves gradients
-    unclipped.
+    The schedule is eta_t = t + 1, the one that
+    `accounting.sensitivity_bound` and `srgd_sigma` assume, and
+    tau_t = eta_t / eta_{0:t}. clip = inf leaves gradients unclipped.
     """
 
     T: int
@@ -81,7 +63,6 @@ class SrgdConfig:
     ball: ConstraintBall
     sigma: float = 0.0
     clip: float = math.inf
-    eta: object = None
     seed: int = 0
     eta_values: np.ndarray = field(init=False)
     eta_cumsum: np.ndarray = field(init=False)
@@ -95,21 +76,9 @@ class SrgdConfig:
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         check_clip(self.clip)
-        if self.eta is None:
-            values = np.arange(1, self.T + 2, dtype=np.float64)
-        else:
-            values = _schedule(self.eta, self.T + 1, "eta values", "T+1")
-        if np.any(np.diff(values) < 0):
-            raise ValueError("eta schedule must be nondecreasing")
-        cumsum = np.cumsum(values)
-        if np.any(values**2 > 4.0 * cumsum * (1 + 1e-12)):
-            raise ValueError("eta schedule violates eta_t^2 <= 4 * eta_{0:t}")
-        tau = values / cumsum
-        if np.any((tau < 0) | (tau > 1)):
-            raise ValueError("tau values must lie in [0, 1]")
-        self.eta_values = values
-        self.eta_cumsum = cumsum
-        self.tau = tau
+        self.eta_values = np.arange(1, self.T + 2, dtype=np.float64)
+        self.eta_cumsum = np.cumsum(self.eta_values)
+        self.tau = self.eta_values / self.eta_cumsum
 
 
 @dataclass
@@ -349,11 +318,18 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
                            checkpoints=None) -> RunRecord:
     """Plain projected SGD over recursive gradients: increments
     delta_t = mean of c_t*g(x_t,d) - c_{t-1}*g(x_{t-1},d), accumulated and
-    divided by c_t. The gradient estimate is recorded at checkpoint steps
+    divided by c_t, for c_sched an array of at least T finite, positive c_t.
+    The gradient estimate is recorded at checkpoint steps
     (default T/4, T/2, 3T/4, T; others must lie in 1..T) so repeated seeded
     runs can estimate Var(grad_t) externally.
     """
-    c_values = _schedule(c_sched, T, "c schedule", "T")
+    c_values = np.asarray(c_sched, dtype=np.float64)[:T]
+    if c_values.shape[0] < T:
+        raise ValueError("c schedule must have at least T entries")
+    if not np.isfinite(c_values).all():
+        raise ValueError("c schedule must be finite")
+    if np.any(c_values <= 0):
+        raise ValueError("c schedule must be positive")
     if checkpoints is None:
         checkpoints = sorted({max(1, (T * m) // 4) for m in (1, 2, 3, 4)})
     checkpoints = list(checkpoints)

@@ -142,6 +142,20 @@ def test_report_summarizes_best_rows(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nothing.csv")]) == 2
 
 
+@pytest.mark.parametrize("text, where", [
+    ("# algorithm=dp_sgd\n# comments only\n", ": no table header row"),
+    ("# rho=inf\nalgorithm,workload,lr,clip,c,acc_mean,acc_ci95,excess_mean\n"
+     "dp_sgd,ones,0.1,1,0,,,0.5\ndp_sgd,ones,0.2\n", ", line 4: 3 fields")],
+    ids=["no_table", "short_row"])
+def test_report_on_a_malformed_summary_exits_2(tmp_path, capsys, text, where):
+    # these escaped parse_summary_csv as StopIteration and IndexError: exit 1
+    # with a traceback
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}{where}")
+
+
 @pytest.mark.parametrize("output", ["no/such/dir/summary.csv", "a_directory"])
 def test_run_rejects_an_unwritable_output_before_any_work(tmp_path, monkeypatch, capsys,
                                                           output):

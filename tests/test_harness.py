@@ -64,6 +64,12 @@ def test_spec_rejects_unknown_keys_and_malformed_lines():
         ExperimentSpec.from_text("just a bare line\n")
 
 
+def test_spec_rejects_a_repeated_key():
+    # the last of the two used to win silently: this ran at epsilon = 50
+    with pytest.raises(ValueError, match="'epsilon' is given more than once"):
+        ExperimentSpec.from_text("epsilon=1\nalgorithm=dp_sgd\nepsilon=50\n")
+
+
 def test_spec_rejects_the_removed_double_noise_key():
     with pytest.raises(ValueError, match="unknown config keys: \\['double_noise'\\]"):
         ExperimentSpec.from_text("algorithm=dp_srg_memf\ndouble_noise=true\n")
@@ -215,6 +221,17 @@ def test_a_budget_given_as_rho_runs_with_the_noise_of_its_epsilon(algorithm):
     (twin_rec,) = run_experiment(twin)[1].values()
     np.testing.assert_array_equal(twin_rec.noise_norm, rec.noise_norm)
     np.testing.assert_array_equal(twin_rec.final_x, rec.final_x)
+
+
+@pytest.mark.parametrize("rho", [0.5, math.inf])
+def test_a_budget_given_as_both_epsilon_and_rho_is_rejected(rho):
+    # the clip-calibrated runs used rho while the header stated epsilon and
+    # its mu: at rho = inf, noiseless runs under an epsilon = 1 header
+    spec = _tiny_spec(epsilon=1.0, rho=rho)
+    log = []
+    with pytest.raises(ValueError, match="epsilon=1.0 and rho="):
+        run_experiment(spec, event_log=log)
+    assert log == []  # before the budget is resolved or any data is built
 
 
 @pytest.mark.parametrize("algorithm, clip_grid", [
@@ -695,7 +712,7 @@ def test_stream_longer_than_one_pass_is_flagged_not_rejected(tmp_path):
 
 @pytest.mark.parametrize("algorithm", ["dp_sgd", "dp_ftrl", "accelerated_dp_srgd",
                                        "independent_variant"])
-@pytest.mark.parametrize("budget", [dict(epsilon=2.0), dict(rho=0.5)])
+@pytest.mark.parametrize("budget", [dict(epsilon=2.0), dict(epsilon=math.inf, rho=0.5)])
 def test_finite_budget_stream_longer_than_one_pass_is_rejected(tmp_path, algorithm,
                                                                budget):
     # its noise is calibrated for one participation, so its epsilon is void
@@ -704,8 +721,10 @@ def test_finite_budget_stream_longer_than_one_pass_is_rejected(tmp_path, algorit
                     num_classes=base.num_classes)
     spec = _tiny_spec(task="csv-dataset", algorithm=algorithm, repeats=1,
                       batch_size=16, **budget)
-    with pytest.raises(ValueError, match="12 steps of batch size 16 over 64 "
-                                         "examples use some examples in up to 3 steps"):
+    match = "12 steps of batch size 16 over 64 examples use some examples in up to 3 steps"
+    if algorithm == "independent_variant" and "rho" in budget:
+        match = "needs epsilon, not rho alone"  # srgd_sigma sizes its noise
+    with pytest.raises(ValueError, match=match):
         run_experiment(spec, dataset=spy)
     assert spy.delivered == []
 
@@ -777,6 +796,26 @@ def test_memf_strategy_is_factorized_for_the_spec_momentum(monkeypatch):
                               momentum=0.5, c_grid=(0.5,), epochs=2,
                               batch_size=64, repeats=1))
     assert seen == [(0.5, 0.5)]
+
+
+def test_a_sweep_builds_one_strategy_per_c_before_its_runs(monkeypatch):
+    built, seen = [], []
+    build, runner = counting.build_strategy, optim.run_dp_srg_memf
+
+    def build_spy(kind, k, b, **kw):
+        built.append(kw["decay"])
+        return build(kind, k, b, **kw)
+
+    def run_spy(problem, batches, cfg):
+        seen.append((cfg.decay, cfg.strategy.decay))
+        return runner(problem, batches, cfg)
+
+    monkeypatch.setattr(counting, "build_strategy", build_spy)
+    monkeypatch.setattr(optim, "run_dp_srg_memf", run_spy)
+    run_experiment(_tiny_spec(algorithm="dp_srg_memf", workload="momentum_decay",
+                              c_grid=(0.3, 0.6), epochs=2, batch_size=64, repeats=2))
+    assert built == [0.3, 0.6]
+    assert sorted(seen) == [(0.3, 0.3)] * 2 + [(0.6, 0.6)] * 2
 
 
 def test_identity_memf_strategy_is_sound_over_epochs(monkeypatch):
