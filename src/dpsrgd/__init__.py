@@ -67,7 +67,6 @@ from .optim import (
     linear_fit,
     potential,
     run_accelerated_dp_srgd,
-    run_dp_ftrl,
     run_dp_srg_memf,
     run_independent_variant,
     run_unaccelerated_srgd,
@@ -91,9 +90,8 @@ __all__ = [
     "GradientNoiseWrapper", "LogisticTask", "LossProblem",
     "SyntheticQuadratic",
     "MemfConfig", "RunAborted", "RunRecord", "SrgdConfig", "linear_fit",
-    "potential", "run_accelerated_dp_srgd", "run_dp_ftrl",
-    "run_dp_srg_memf", "run_independent_variant", "run_unaccelerated_srgd",
-    "variance_probe",
+    "potential", "run_accelerated_dp_srgd", "run_dp_srg_memf",
+    "run_independent_variant", "run_unaccelerated_srgd", "variance_probe",
     "CriterionResult", "run_all",
     "__version__",
 ]

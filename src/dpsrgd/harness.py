@@ -248,6 +248,9 @@ def _read_idx(path: str) -> np.ndarray:
     zero, dtype, ndim = data[0] << 8 | data[1], data[2], data[3]
     if zero != 0 or dtype != 0x08 or ndim not in (1, 3):
         raise ValueError(f"{path}: bad idx magic {data[:4].hex()}")
+    if len(data) < 4 + 4 * ndim:
+        raise ValueError(f"{path}: truncated idx header, {ndim} dimensions need "
+                         f"{4 + 4 * ndim} bytes, the file has {len(data)}")
     dims = struct.unpack_from(f">{ndim}i", data, 4)
     payload = np.frombuffer(data, dtype=np.uint8, offset=4 + 4 * ndim)
     expected = int(np.prod(dims))
@@ -314,8 +317,8 @@ def load_dataset(path: str, format: str) -> LogisticTask:
 def _read_label_csv(path: str):
     """(features, labels) of a label,feature,... file, shapes (n, p) and
     (n,). A file with no data rows, a row whose width is not the
-    header's, or a cell that is not a number (an integer in the label
-    column) is rejected here, naming the file (and the line)."""
+    header's, or a cell that is not a finite number (an integer in the
+    label column) is rejected here, naming the file (and the line)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -331,6 +334,9 @@ def _read_label_csv(path: str):
                 rows.append([float(v) for v in row[1:]])
             except ValueError as err:
                 raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}, line {reader.line_num}: a feature cell is "
+                                 f"not finite: {row[1:]}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
@@ -423,16 +429,17 @@ def _build_problem(spec: ExperimentSpec, event_log, dataset):
     return load_dataset(path, fmt)
 
 
-def _strategy_shape(spec: ExperimentSpec, n: int) -> tuple[int, int] | None:
-    """(k, b) of the strategy whose noise the algorithm adds: `epochs`
-    passes over the n // batch_size batches for the multi-epoch methods,
-    one pass of `steps` for dp_ftrl, and None for the rest."""
-    if spec.algorithm == "dp_ftrl":
-        return 1, spec.steps
+def _strategy_args(spec: ExperimentSpec, n: int) -> tuple[str, int, int] | None:
+    """(workload, k, b) of the strategy whose noise the algorithm adds:
+    the spec's workload over `epochs` passes of the n // batch_size batches
+    for the multi-epoch methods, over one pass of `steps` for dp_ftrl, the
+    identity over one pass for dp_sgd, and None for the rest."""
+    if spec.algorithm in ("dp_sgd", "dp_ftrl"):
+        return "identity" if spec.algorithm == "dp_sgd" else spec.workload, 1, spec.steps
     if spec.algorithm in ("dp_memf", "dp_srg_memf"):
         if n < spec.batch_size:
             raise ValueError("batch_size exceeds dataset size")
-        return spec.epochs, n // spec.batch_size
+        return spec.workload, spec.epochs, n // spec.batch_size
     return None
 
 
@@ -479,8 +486,8 @@ def _noise_sigma(rho: float, clip: float, B: int, sens: float) -> float:
     """Noise std of every clip-calibrated run at rho-zCDP, 0 at rho = inf:
     (clip / B) * sens / sqrt(2 rho). One example moves the released mean of
     clipped vectors by at most clip / B per step it is in; sens is the
-    mechanism's: 1 for the identity (dp_sgd), the strategy's for dp_ftrl
-    and the MF runners, and `counting.tree_sens(T)` for the tree."""
+    mechanism's: the strategy's for the matrix-factorization runs (exactly
+    1 for dp_sgd's identity) and `counting.tree_sens(T)` for the tree."""
     if math.isinf(rho):
         return 0.0
     return clip / B * sens / math.sqrt(2.0 * rho)
@@ -498,11 +505,11 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
         if spec.algorithm == "accelerated_dp_srgd":
             sigma *= beta  # tree rows add to raw increments, beta times its scale
     else:
-        sens = (counting.tree_sens(T) if spec.algorithm == "accelerated_dp_srgd"
-                else strategy.sens if strategy is not None else 1.0)
+        sens = strategy.sens if strategy is not None else counting.tree_sens(T)
         sigma = _noise_sigma(rho, clip, B, sens)
 
-    if spec.algorithm in ("dp_memf", "dp_srg_memf"):
+    multi_epoch = spec.algorithm in ("dp_memf", "dp_srg_memf")
+    if multi_epoch:
         b = strategy.b
         if spec.task == "synthetic":
             # One fixed dataset per experiment (seeded by seed_base alone),
@@ -512,24 +519,25 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
         else:
             batches = [np.arange(j * B, (j + 1) * B, dtype=_index_dtype(n))
                        for j in range(b)]
-        # dp_memf is the recursion at decay 0; c may still shape its strategy
-        decay = c if spec.algorithm == "dp_srg_memf" else 0.0
-        cfg = optim.MemfConfig(strategy=strategy, sigma=sigma, c_clip=clip, lr=lr,
-                               decay=decay, momentum=spec.momentum, seed=seed)
-        return optim.run_dp_srg_memf(problem, batches, cfg)
-
-    rng = _data_rng(seed)
-    if spec.task == "synthetic":
-        stream = (problem.draw_batch(rng, B) for _ in range(T))
+        batches *= strategy.k  # the same b batches in the same order every epoch
+    elif spec.task == "synthetic":
+        rng = _data_rng(seed)
+        batches = (problem.draw_batch(rng, B) for _ in range(T))
     else:
-        stream = _pass_stream(rng, n, B, T)
-    if spec.algorithm in ("dp_sgd", "dp_ftrl"):  # dp_sgd: no strategy, the identity
-        return optim.run_dp_ftrl(problem, stream, lr, clip, sigma, ball, T, seed=seed,
-                                 strategy=strategy)
+        batches = _pass_stream(_data_rng(seed), n, B, T)
+
+    if strategy is not None:
+        # dp_memf is the recursion at decay 0, c may still shape its
+        # strategy; dp_sgd and dp_ftrl take projected steps, no momentum
+        cfg = optim.MemfConfig(strategy=strategy, sigma=sigma, c_clip=clip, lr=lr,
+                               decay=c if spec.algorithm == "dp_srg_memf" else 0.0,
+                               momentum=spec.momentum if multi_epoch else 0.0,
+                               seed=seed, ball=None if multi_epoch else ball)
+        return optim.run_dp_srg_memf(problem, batches, cfg)
     cfg = optim.SrgdConfig(T=T, beta=beta, ball=ball, sigma=sigma, clip=clip, seed=seed)
     if spec.algorithm == "accelerated_dp_srgd":
-        return optim.run_accelerated_dp_srgd(problem, stream, cfg)
-    return optim.run_independent_variant(problem, stream, cfg)
+        return optim.run_accelerated_dp_srgd(problem, batches, cfg)
+    return optim.run_independent_variant(problem, batches, cfg)
 
 
 def _selection_metrics(spec, problem, record):
@@ -580,10 +588,9 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
 
     grid = [(lr, clip, c) for lr in spec.lr_grid for clip in spec.clip_grid
             for c in spec.c_grid]
-    shape = _strategy_shape(spec, n)
-    strategies = ({c: counting.build_strategy(spec.workload, *shape,
-                                              momentum=spec.momentum, decay=c)
-                   for c in spec.c_grid} if shape is not None else {})
+    args = _strategy_args(spec, n)
+    strategies = ({c: counting.build_strategy(*args, momentum=spec.momentum, decay=c)
+                   for c in spec.c_grid} if args is not None else {})
 
     jobs = []
     for lr, clip, c in grid:
@@ -627,7 +634,7 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     table.header["noise_calibration"] = "+".join(sorted({
         "lipschitz_bound" if _lipschitz_bound(spec.algorithm, clip) else "clip"
         for clip in spec.clip_grid}))
-    if strategies:  # dp_memf, dp_srg_memf, dp_ftrl: the strategies these runs used
+    if strategies:  # the matrix-factorization runs: the strategies they used
         table.header["strategy_sens"] = _format_value(
             max(s.sens for s in strategies.values()))
     if spec.task == "synthetic" and spec.algorithm in (
@@ -744,14 +751,18 @@ def parse_summary_csv(path: str) -> MetricTable:
     expected = ["algorithm", "workload", "lr", "clip", "c", "acc_mean",
                 "acc_ci95", "excess_mean"]
     if header != expected:
-        raise ValueError(f"unexpected summary header {header}")
+        raise ValueError(f"{path}, line {line_nums[0]}: unexpected summary header "
+                         f"{header}")
+    opt = lambda s: None if s == "" else float(s)
     for row in reader:
+        where = f"{path}, line {line_nums[reader.line_num - 1]}"
         if len(row) < len(expected):
-            raise ValueError(f"{path}, line {line_nums[reader.line_num - 1]}: "
-                             f"{len(row)} fields, the header has {len(expected)}")
-        opt = lambda s: None if s == "" else float(s)
-        table.rows.append(MetricRow(
-            algorithm=row[0], workload=row[1], lr=float(row[2]),
-            clip=float(row[3]), c=float(row[4]), acc_mean=opt(row[5]),
-            acc_ci95=opt(row[6]), excess_mean=opt(row[7])))
+            raise ValueError(f"{where}: {len(row)} fields, the header has {len(expected)}")
+        try:
+            table.rows.append(MetricRow(
+                algorithm=row[0], workload=row[1], lr=float(row[2]),
+                clip=float(row[3]), c=float(row[4]), acc_mean=opt(row[5]),
+                acc_ci95=opt(row[6]), excess_mean=opt(row[7])))
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
     return table

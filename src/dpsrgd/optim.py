@@ -8,9 +8,10 @@ Each example is visited in exactly one batch and contributes exactly two
 gradient evaluations there.
 
 Also provided: an independent-gradient variant of the same accelerated
-scheme, an unaccelerated SRG loop with a variance probe, DP-FTRL (whose
-identity mechanism is DP-SGD), and multi-epoch matrix-factorization
-training (run_dp_srg_memf), over recursive gradients or, at decay 0, plain ones.
+scheme, an unaccelerated SRG loop with a variance probe, and
+matrix-factorization training (run_dp_srg_memf): projected DP-SGD (the
+identity strategy) and DP-FTRL, and multi-epoch training over recursive
+gradients or, at decay 0, plain ones.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "run_accelerated_dp_srgd",
     "run_independent_variant",
     "run_unaccelerated_srgd",
-    "run_dp_ftrl",
     "run_dp_srg_memf",
     "potential",
     "variance_probe",
@@ -83,13 +83,13 @@ class SrgdConfig:
 
 @dataclass
 class MemfConfig:
-    """Configuration for multi-epoch matrix-factorization training.
+    """Configuration for matrix-factorization training.
 
-    The strategy's k and b are the run's shape: the runner takes b batches
-    of one size and revisits them in order for k epochs. decay = 0 disables
-    the gradient recursion entirely (each increment is a plain clipped
-    gradient: dp_memf); decay in (0, 1] is the constant recursion weight
-    (dp_srg_memf).
+    The strategy's k * b steps are the run's length: the runner takes that
+    many batches of one size. decay = 0 disables the gradient recursion
+    entirely (each increment is a plain clipped gradient: dp_memf); decay
+    in (0, 1] is the constant recursion weight (dp_srg_memf). A ball
+    projects every step onto it (dp_sgd, dp_ftrl).
     """
 
     strategy: StrategyMatrix
@@ -99,6 +99,7 @@ class MemfConfig:
     decay: float = 0.0
     momentum: float = 0.9
     seed: int = 0
+    ball: ConstraintBall | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.decay <= 1.0:
@@ -381,55 +382,39 @@ def linear_fit(xs, ys) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r2)
 
 
-def run_dp_ftrl(problem: LossProblem, stream, eta_lr: float, c_clip: float,
-                sigma: float, ball: ConstraintBall | None, T: int, seed: int = 0,
-                strategy: StrategyMatrix | None = None) -> RunRecord:
-    """Projected SGD over clipped mean gradients plus a noise row per step.
-
-    With no strategy, the identity mechanism: the rows are i.i.d. Gaussian
-    of per-coordinate std sigma, no matrix is held, and the run is dp_sgd.
-    With a strategy of T steps, the rows are those of C^{-1} Z, Z of
-    per-coordinate std sigma, correlated across steps by C: dp_ftrl.
-    """
-    if strategy is not None and T != strategy.steps:
-        raise ValueError(f"T = {T} != the strategy's {strategy.steps} steps")
-    noise = (gaussian_rows(sigma, problem.dim, seed, T) if strategy is None
-             else mf_noise_stream(strategy, sigma, problem.dim, seed))
-    return _drive(problem, stream, T, _clipped(problem, c_clip), noise,
-                  _projected(problem.dim, eta_lr, ball),
-                  "dp_sgd" if strategy is None else "dp_ftrl", seed)
-
-
-def _epochs(problem: LossProblem, batches, cfg: MemfConfig) -> list:
-    """The batches of every epoch, revisited in the same fixed order: the
-    strategy's b batches, all of one size, for its k epochs."""
-    if len(batches) != cfg.strategy.b:
-        raise ValueError(f"expected {cfg.strategy.b} batches, got {len(batches)}")
-    sizes = {problem.batch_size(batch) for batch in batches}
-    if len(sizes) != 1:
-        raise ValueError(f"batches differ in size: {sorted(sizes)}")
-    return list(batches) * cfg.strategy.k
-
-
 def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord:
-    """Multi-epoch matrix-factorization training with SGD with momentum.
+    """Matrix-factorization training with SGD with momentum.
 
-    Batches are revisited in the same fixed order every epoch; the
-    strategy matrix's column-group constraint accounts for an example's
-    repeated participation. Per step, the per-example increments
+    The run takes the strategy's k * b batches, all of one size, in the
+    order given, as a list or a stream: the caller picks them and their
+    order (the harness repeats b fixed batches each epoch), and the
+    strategy's column-group constraint accounts for an example's repeated
+    participation. Per step, the per-example increments
     g(x_t, d) - c * g(x_{t-1}, d) are clipped and averaged and a correlated
-    noise row w_t is added. At decay c > 0 (dp_srg_memf) the estimate is the
-    recursion grad_t = c * grad_{t-1} + (increment + w_t), so each row
-    enters it once. At c = 0 (dp_memf) no recursion is kept: the estimate
-    is the clipped gradient plus w_t, and grad_norm reports the clipped
-    gradient alone. A step whose weight is zero (every step at c = 0, the
-    first at any c) evaluates the batch at x_t alone, through
-    clipped_mean_grad.
+    noise row w_t is added. At decay c > 0 (dp_srg_memf) the estimate is
+    the recursion grad_t = c * grad_{t-1} + (increment + w_t), so each row
+    enters it once. At c = 0 no recursion is kept: the
+    estimate is the clipped gradient plus w_t, and grad_norm reports the
+    clipped gradient alone. A step whose weight is zero (every step at
+    c = 0, the first at any c) evaluates the batch at x_t alone, through
+    clipped_mean_grad. With a ball every checked step is projected onto
+    it: at c = 0 that is dp_sgd for the identity strategy and dp_ftrl for
+    any other, and without one dp_memf.
     """
+    steps, ball = cfg.strategy.steps, cfg.ball
+    if hasattr(batches, "__len__") and len(batches) != steps:
+        raise ValueError(f"{len(batches)} batches != the strategy's {steps} steps")
+    if ball is not None and ball.dim != problem.dim:
+        raise ValueError(f"ball dim {ball.dim} != problem dim {problem.dim}")
     velocity = np.zeros(problem.dim)
     grad_rec = np.zeros(problem.dim) if cfg.decay > 0.0 else None
+    size = None
 
     def estimate(t, x, prev_x, batch):
+        nonlocal size
+        m = problem.batch_size(batch)
+        if m != (size := size or m):
+            raise ValueError(f"batches differ in size: {m} at step {t}, {size} before")
         c_t = cfg.decay if t > 0 else 0.0
         if c_t == 0.0:
             return problem.clipped_mean_grad(x, batch, cfg.c_clip)
@@ -443,9 +428,11 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord
         velocity = cfg.momentum * velocity + g
         step = x - cfg.lr * velocity
         _check_finite(t, "non-finite iterate", step)
-        return _norm(w_t), _norm(reported), (step,)
+        return _norm(w_t), _norm(reported), (
+            _project(step, ball.radius) if ball is not None else step,)
 
-    return _drive(problem, _epochs(problem, batches, cfg), cfg.strategy.steps,
-                  estimate,
+    algorithm = ("dp_srg_memf" if cfg.decay > 0.0 else "dp_memf" if ball is None
+                 else "dp_sgd" if cfg.strategy.kind == "identity" else "dp_ftrl")
+    return _drive(problem, batches, steps, estimate,
                   mf_noise_stream(cfg.strategy, cfg.sigma, problem.dim, cfg.seed),
-                  update, "dp_srg_memf" if cfg.decay > 0.0 else "dp_memf", cfg.seed)
+                  update, algorithm, cfg.seed)

@@ -145,8 +145,13 @@ def test_report_summarizes_best_rows(tmp_path, capsys):
 @pytest.mark.parametrize("text, where", [
     ("# algorithm=dp_sgd\n# comments only\n", ": no table header row"),
     ("# rho=inf\nalgorithm,workload,lr,clip,c,acc_mean,acc_ci95,excess_mean\n"
-     "dp_sgd,ones,0.1,1,0,,,0.5\ndp_sgd,ones,0.2\n", ", line 4: 3 fields")],
-    ids=["no_table", "short_row"])
+     "dp_sgd,ones,0.1,1,0,,,0.5\ndp_sgd,ones,0.2\n", ", line 4: 3 fields"),
+    ("# rho=inf\nalgorithm,workload\ndp_sgd,ones\n",
+     ", line 2: unexpected summary header ['algorithm', 'workload']"),
+    ("# rho=inf\nalgorithm,workload,lr,clip,c,acc_mean,acc_ci95,excess_mean\n"
+     "dp_sgd,ones,0.1,1,0,,,0.5\ndp_sgd,ones,abc,1,0,,,0.5\n",
+     ", line 4: could not convert string to float: 'abc'")],
+    ids=["no_table", "short_row", "wrong_header", "non_numeric"])
 def test_report_on_a_malformed_summary_exits_2(tmp_path, capsys, text, where):
     # these escaped parse_summary_csv as StopIteration and IndexError: exit 1
     # with a traceback
@@ -154,6 +159,16 @@ def test_report_on_a_malformed_summary_exits_2(tmp_path, capsys, text, where):
     path.write_text(text)
     assert main(["report", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}{where}")
+
+
+def test_run_on_an_idx_file_cut_inside_its_header_exits_2(tmp_path, capsys):
+    # struct.error escaped _read_idx: exit 1 with a traceback
+    images = tmp_path / "train-images-idx3-ubyte"
+    images.write_bytes(b"\x00\x00\x08\x03\x00\x00")
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"task=mnist\nalgorithm=dp_sgd\ndata_path={tmp_path}\n")
+    assert main(["run", str(config), "--output", str(tmp_path / "res.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {images}: truncated idx header")
 
 
 @pytest.mark.parametrize("output", ["no/such/dir/summary.csv", "a_directory"])

@@ -21,6 +21,7 @@ from dpsrgd.harness import (
     _ALGORITHMS,
     _build_problem,
     _ci95,
+    _data_rng,
     _pass_stream,
     data_dir,
     emit_csv,
@@ -400,6 +401,10 @@ def test_idx_corruption_errors(tmp_path):
     with pytest.raises(ValueError):
         load_dataset(str(tmp_path), "idx")
 
+    images.write_bytes(raw[:6])  # a 3-d magic, then 2 of its 12 dimension bytes
+    with pytest.raises(ValueError, match=rf"{IDX_NAMES[0]}: truncated idx header"):
+        load_dataset(str(tmp_path), "idx")
+
     images.unlink()
     with pytest.raises(FileNotFoundError):
         load_dataset(str(tmp_path), "idx")
@@ -490,6 +495,16 @@ def test_csv_cell_that_is_not_a_number_is_rejected_with_its_line(tmp_path, row, 
     train = tmp_path / "data.csv"
     train.write_text(f"label,f0,f1\n0,1.0,2.0\n{row}\n")
     with pytest.raises(ValueError, match=rf"data\.csv, line 3: {message}"):
+        load_dataset(str(train), "csv")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_non_finite_feature_is_rejected_with_its_line(tmp_path, cell):
+    # LogisticTask rejected nan with no file or line, and an inf cell made
+    # the min-max normalization divide inf by inf
+    train = tmp_path / "data.csv"
+    train.write_text(f"label,f0,f1\n0,1.0,2.0\n1,{cell},3.0\n0,4.0,5.0\n")
+    with pytest.raises(ValueError, match=r"data\.csv, line 3: a feature cell is not finite"):
         load_dataset(str(train), "csv")
 
 
@@ -762,6 +777,32 @@ def test_fixed_batches_are_narrowest_dtype_slices(tmp_path, algorithm):
         assert spy._select(batch) == slice(lo, lo + 16)
 
 
+class _BatchOrderSpy(SyntheticQuadratic):
+    """Records the first entry of every batch the gradient hooks receive."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.seen = []
+
+    def clipped_mean_grad(self, x, batch, c_clip):
+        self.seen.append(float(batch[0, 0]))
+        return super().clipped_mean_grad(x, batch, c_clip)
+
+
+def test_memf_revisits_batches_in_fixed_order():
+    # a dp_memf sweep hands the runner its b fixed batches once per epoch,
+    # in the same order every epoch
+    problem = _BatchOrderSpy(dim=5, target=np.zeros(5), curvature=1.0,
+                             noise_scale=0.5, radius=1.0)
+    spec = _tiny_spec(algorithm="dp_memf", epochs=3, batch_size=64, repeats=1)
+    run_experiment(spec, dataset=problem)
+    B, b = spec.batch_size, spec.train_size // spec.batch_size
+    data = problem.draw_batch(_data_rng(spec.seed_base), b * B)
+    markers = [float(data[j * B, 0]) for j in range(b)]
+    assert len(set(markers)) == b
+    assert problem.seen == markers * 3  # three epochs, same order
+
+
 def test_synthetic_max_participation():
     table, _ = run_experiment(_tiny_spec(repeats=1))
     assert table.header["max_participation"] == "1"
@@ -781,6 +822,16 @@ def test_header_reports_strategy_convergence_and_sensitivity(tmp_path):
     assert float(header["strategy_sens"]) == strat.sens
     table, _ = run_experiment(_tiny_spec(algorithm="accelerated_dp_srgd", repeats=1))
     assert "strategy_sens" not in table.header
+
+
+def test_dp_sgd_header_states_the_identity_strategys_sens(tmp_path):
+    # dp_sgd adds the identity strategy's noise, whose sensitivity is 1
+    table, records = run_experiment(_tiny_spec(repeats=1))
+    path = tmp_path / "summary.csv"
+    emit_csv(table, records, str(path))
+    assert "# strategy_sens=1\n" in path.read_text()
+    (rec,) = records.values()
+    assert rec.algorithm == "dp_sgd"
 
 
 def test_memf_strategy_is_factorized_for_the_spec_momentum(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 
 from dpsrgd.counting import (
     TreeState,
+    build_strategy,
     build_workload,
     factorize,
     identity_strategy,
@@ -36,7 +37,6 @@ from dpsrgd.optim import (
     linear_fit,
     potential,
     run_accelerated_dp_srgd,
-    run_dp_ftrl,
     run_dp_srg_memf,
     run_independent_variant,
     run_unaccelerated_srgd,
@@ -377,7 +377,15 @@ def test_accelerated_runner_costs_two_evals_per_example():
 def _memf_runner(problem, batches, T, decay=0.0):
     # dp_memf is dp_srg_memf at decay 0: one runner, labelled dp_memf
     cfg = _memf_cfg(identity_strategy(2, T // 2), decay=decay)
-    return run_dp_srg_memf(problem, batches[:T // 2], cfg)
+    return run_dp_srg_memf(problem, batches[:T // 2] * 2, cfg)
+
+
+def _sgd_cfg(strategy, ball, **kw):
+    # dp_sgd and dp_ftrl: the MF runner's projected steps without momentum
+    base = dict(strategy=strategy, sigma=0.0, c_clip=1.0, lr=0.1, momentum=0.0,
+                ball=ball)
+    base.update(kw)
+    return MemfConfig(**base)
 
 
 # Every runner at T steps, batch size 4, no noise. The stream runners take
@@ -392,10 +400,10 @@ _RUNNERS = {
                                      ball=ConstraintBall(p.dim, 1.0))),
     "unaccelerated_srgd": lambda p, batches, T: run_unaccelerated_srgd(
         p, iter(batches), 0.1, np.ones(T), T),
-    "dp_sgd": lambda p, batches, T: run_dp_ftrl(
-        p, iter(batches), 0.1, 1.0, 0.0, None, T),
-    "dp_ftrl": lambda p, batches, T: run_dp_ftrl(
-        p, iter(batches), 0.1, 1.0, 0.0, None, T, strategy=identity_strategy(1, T)),
+    "dp_sgd": lambda p, batches, T: run_dp_srg_memf(
+        p, iter(batches), _sgd_cfg(identity_strategy(1, T), ConstraintBall(p.dim, 1.0))),
+    "dp_ftrl": lambda p, batches, T: run_dp_srg_memf(
+        p, iter(batches), _sgd_cfg(build_strategy("ones", 1, T), ConstraintBall(p.dim, 1.0))),
     "dp_memf": _memf_runner,
     "dp_srg_memf": _memf_runner,
     "dp_srg_memf_decay_0.5": lambda p, batches, T: _memf_runner(p, batches, T, 0.5),
@@ -641,7 +649,8 @@ def test_dp_sgd_noiseless_matches_hand_loop():
     T, B = 9, 4
     batches = _batches(problem, T, B, seed=19)
     ball = ConstraintBall(problem.dim, 1.0)
-    rec = run_dp_ftrl(problem, iter(batches), 0.2, np.inf, 0.0, ball, T)
+    rec = run_dp_srg_memf(problem, iter(batches), _sgd_cfg(
+        identity_strategy(1, T), ball, c_clip=np.inf, lr=0.2))
     x = np.zeros(problem.dim)
     for batch in batches:
         grad = problem.per_example_grads(x, batch).mean(axis=0)
@@ -652,24 +661,24 @@ def test_dp_sgd_noiseless_matches_hand_loop():
 def test_dp_sgd_respects_clip():
     problem = _quadratic(target_norm=0.9, seed=20)
     batches = _batches(problem, 6, 4, seed=21)
-    rec = run_dp_ftrl(problem, iter(batches), 0.1, 0.05, 0.0,
-                      ConstraintBall(problem.dim, 1.0), 6)
+    rec = run_dp_srg_memf(problem, iter(batches), _sgd_cfg(
+        identity_strategy(1, 6), ConstraintBall(problem.dim, 1.0), c_clip=0.05))
     assert float(rec.grad_norm.max()) <= 0.05 + 1e-12
 
 
 def test_identity_strategy_ftrl_equals_dp_sgd():
-    # the identity mechanism (no strategy) and the identity strategy's
-    # C^{-1} Z release the same rows, those of a hand-written projected
-    # clipped-SGD loop drawing default_rng(seed).standard_normal(d) * sigma
+    # the identity strategy's C^{-1} Z rows, over a stream or a list of
+    # the batches, are those of a hand-written projected clipped-SGD loop
+    # drawing default_rng(seed).standard_normal(d) * sigma
     problem = _quadratic(seed=22)
     T, B = 10, 4
     batches = _batches(problem, T, B, seed=23)
     ball = ConstraintBall(problem.dim, 1.0)
     rho = 0.5
     sigma = math.sqrt(1.0 / (2.0 * rho)) * 1.0 / B  # clip / B sensitivity
-    rec_sgd = run_dp_ftrl(problem, iter(batches), 0.1, 1.0, sigma, ball, T, seed=3)
-    rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, 1.0, sigma, ball, T, seed=3,
-                           strategy=identity_strategy(1, T))
+    cfg = _sgd_cfg(identity_strategy(1, T), ball, sigma=sigma, seed=3)
+    rec_sgd = run_dp_srg_memf(problem, iter(batches), cfg)
+    rec_ftrl = run_dp_srg_memf(problem, batches, cfg)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
 
@@ -701,16 +710,16 @@ def test_dp_ftrl_noise_scales_with_clipped_mean_sensitivity(B, clip):
     sigma = _noise_sigma(rho, clip, B, 1.0)
     assert sigma == pytest.approx(math.sqrt(1.0 / (2.0 * rho)) * clip / B, rel=1e-15)
     assert _noise_sigma(rho, clip, B, strategy.sens) == sigma
-    rec_sgd = run_dp_ftrl(problem, iter(batches), 0.1, clip, sigma, ball, T, seed=4)
-    rec_ftrl = run_dp_ftrl(problem, iter(batches), 0.1, clip, sigma, ball, T, seed=4,
-                           strategy=strategy)
+    run = lambda sigma, clip: run_dp_srg_memf(problem, iter(batches), _sgd_cfg(
+        strategy, ball, sigma=sigma, c_clip=clip, seed=4))
+    rec_sgd = run(sigma, clip)
+    rec_ftrl = run(_noise_sigma(rho, clip, B, strategy.sens), clip)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     # an infinite budget releases no noise, even without clipping
     free_sigma = _noise_sigma(math.inf, math.inf, B, strategy.sens)
     assert free_sigma == 0.0
-    rec_free = run_dp_ftrl(problem, iter(batches), 0.1, math.inf, free_sigma, ball,
-                           T, seed=4, strategy=strategy)
+    rec_free = run(free_sigma, math.inf)
     np.testing.assert_array_equal(rec_free.noise_norm, np.zeros(T))
 
 
@@ -723,8 +732,8 @@ def test_dp_ftrl_matches_reference_loop():
     strategy = factorize(build_workload("momentum", 1, T, momentum=0.9)[:, 0], 1, T,
                          kind="momentum", momentum=0.9)
     ball = ConstraintBall(problem.dim, 0.5)
-    rec = run_dp_ftrl(problem, iter(batches), lr, clip, sigma, ball, T, seed=6,
-                      strategy=strategy)
+    rec = run_dp_srg_memf(problem, iter(batches), _sgd_cfg(
+        strategy, ball, sigma=sigma, c_clip=clip, lr=lr, seed=6))
 
     rows = mf_noise_stream(strategy, sigma, problem.dim, 6)
     x = np.zeros(problem.dim)
@@ -745,44 +754,54 @@ def _counting_quadratic():
 @pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
 @pytest.mark.parametrize("name", ["dp_sgd", "dp_ftrl"])
 def test_dp_ftrl_rejects_bad_sigma_before_any_step(name, sigma):
-    # both noise sources check sigma when the runner builds them, before
-    # the first gradient, not when their first row is drawn after it
+    # the config checks sigma, before the first gradient, not the noise
+    # stream when its first row is drawn after it
     problem = _counting_quadratic()
     T = 5
-    strategy = identity_strategy(1, T) if name == "dp_ftrl" else None
+    strategy = identity_strategy(1, T) if name == "dp_sgd" else build_strategy("ones", 1, T)
     with pytest.raises(ValueError, match="sigma"):
-        run_dp_ftrl(problem, iter(_batches(problem, T, 4, seed=43)), 0.1, 1.0, sigma,
-                    None, T, strategy=strategy)
+        run_dp_srg_memf(problem, iter(_batches(problem, T, 4, seed=43)), _sgd_cfg(
+            strategy, ConstraintBall(problem.dim, 1.0), sigma=sigma))
     assert problem.grad_rows == 0
+
+
+class _DrawSpy(list):
+    """A list of batches that records every iteration over it."""
+
+    drawn = 0
+
+    def __iter__(self):
+        self.drawn += 1
+        return super().__iter__()
 
 
 def test_dp_ftrl_rejects_a_horizon_other_than_the_strategys():
     problem = _counting_quadratic()
-    batches = _batches(problem, 6, 4, seed=44)
-    stream = iter(batches)
+    batches = _DrawSpy(_batches(problem, 6, 4, seed=44))
     with pytest.raises(ValueError, match="strategy's 5 steps"):
-        run_dp_ftrl(problem, stream, 0.1, 1.0, 0.5, None, 6,
-                    strategy=identity_strategy(1, 5))
+        run_dp_srg_memf(problem, batches, _sgd_cfg(identity_strategy(1, 5), None,
+                                                   sigma=0.5))
     assert problem.grad_rows == 0
-    assert next(stream) is batches[0]
+    assert batches.drawn == 0
 
 
 @pytest.mark.parametrize("name", ["dp_sgd", "dp_ftrl"])
 def test_dp_ftrl_labels_each_noise_source(name):
-    # no strategy is the identity mechanism, dp_sgd; a strategy is dp_ftrl
+    # with a ball, the identity strategy is dp_sgd and any other is dp_ftrl
     problem = _quadratic()
     assert _RUNNERS[name](problem, _batches(problem, 4, 4), 4).algorithm == name
 
 
 def test_dp_sgd_holds_no_horizon_squared_array():
-    # the identity mechanism streams i.i.d. rows: a T = 1024 run holds its
-    # T-entry series, not the 8 MB T x T matrix identity_strategy(1, T) is
+    # the identity strategy is r = [1] and a T-entry w, and its rows are
+    # i.i.d.: a T = 1024 run holds T-entry series, not an 8 MB T x T matrix
     problem = _quadratic(dim=3)
     T = 1024
     batches = _batches(problem, T, 1, seed=45)
     tracemalloc.start()
     try:
-        rec = run_dp_ftrl(problem, iter(batches), 0.1, 1.0, 0.1, None, T, seed=7)
+        rec = run_dp_srg_memf(problem, iter(batches), _sgd_cfg(
+            identity_strategy(1, T), ConstraintBall(problem.dim, 1.0), sigma=0.1, seed=7))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -813,7 +832,8 @@ def test_memf_config_validation():
         _memf_cfg(strat, sigma=-1.0)
     problem = _quadratic(seed=24)
     with pytest.raises(ValueError):  # strategy covers wrong step count
-        run_dp_srg_memf(problem, _batches(problem, 5, 4), _memf_cfg(identity_strategy(2, 4)))
+        run_dp_srg_memf(problem, _batches(problem, 5, 4) * 2,
+                        _memf_cfg(identity_strategy(2, 4)))
     with pytest.raises(ValueError):
         _memf_cfg(strat, sigma=math.inf)  # the noise of a finite budget, no clip
 
@@ -830,35 +850,21 @@ def test_memf_config_rejects_bad_scalars(field, value):
 def test_memf_batch_mismatch_errors():
     problem = _quadratic(seed=24)
     cfg = _memf_cfg(identity_strategy(2, 5))
-    with pytest.raises(ValueError):
-        run_dp_srg_memf(problem, _batches(problem, 4, 4), cfg)  # wrong count
+    with pytest.raises(ValueError, match="strategy's 10 steps"):
+        run_dp_srg_memf(problem, _batches(problem, 4, 4) * 2, cfg)  # wrong count
     batches = _batches(problem, 5, 4)
     batches[2] = batches[2][:3]
-    with pytest.raises(ValueError):
-        run_dp_srg_memf(problem, batches, cfg)  # wrong size
+    with pytest.raises(ValueError, match="batches differ in size"):
+        run_dp_srg_memf(problem, batches * 2, cfg)  # wrong size
 
 
-class _BatchOrderSpy(SyntheticQuadratic):
-    srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_values
-    clipped_mean_grad = LossProblem.clipped_mean_grad
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.seen = []
-
-    def per_example_values(self, x, batch):
-        self.seen.append(float(batch[0, 0]))
-        return super().per_example_values(x, batch)
-
-
-def test_memf_revisits_batches_in_fixed_order():
-    problem = _BatchOrderSpy(dim=3, target=np.zeros(3), curvature=1.0,
-                             noise_scale=0.5, radius=1.0)
-    batches = _batches(problem, 5, 4, seed=25)
-    cfg = _memf_cfg(identity_strategy(2, 5))
-    run_dp_srg_memf(problem, batches, cfg)
-    markers = [float(b[0, 0]) for b in batches]
-    assert problem.seen == markers + markers  # two epochs, same order
+def test_a_stream_whose_batches_change_size_is_rejected():
+    problem = _counting_quadratic()
+    batches = _batches(problem, 5, 4, seed=46)
+    batches[3] = batches[3][:2]
+    with pytest.raises(ValueError, match="batches differ in size: 2 at step 3, 4 before"):
+        _RUNNERS["dp_sgd"](problem, batches, 5)
+    assert problem.grad_rows == 3 * 4  # steps 0-2 ran, step 3's batch was refused
 
 
 def test_zero_decay_recursion_equals_plain_memf():
@@ -866,7 +872,7 @@ def test_zero_decay_recursion_equals_plain_memf():
     batches = _batches(problem, 5, 4, seed=27)
     cfg = _memf_cfg(identity_strategy(2, 5))
     x, _, _, losses = _reference_memf(problem, batches, cfg, recursive=False)
-    rec_srg = run_dp_srg_memf(problem, batches, cfg)
+    rec_srg = run_dp_srg_memf(problem, batches * 2, cfg)
     np.testing.assert_array_equal(x, rec_srg.final_x)
     np.testing.assert_array_equal(losses, rec_srg.train_loss)
 
@@ -879,7 +885,7 @@ def test_zero_decay_recursion_equals_plain_memf_under_noise():
     batches = _batches(problem, 5, 4, seed=33)
     cfg = _memf_cfg(strat, sigma=1.0 / 4 / math.sqrt(2.0 * 0.5), c_clip=1.0)
     x, noise_norm, _, losses = _reference_memf(problem, batches, cfg, recursive=False)
-    rec_srg = run_dp_srg_memf(problem, batches, cfg)
+    rec_srg = run_dp_srg_memf(problem, batches * 2, cfg)
     assert min(noise_norm) > 0
     np.testing.assert_array_equal(x, rec_srg.final_x)
     np.testing.assert_array_equal(losses, rec_srg.train_loss)
@@ -893,12 +899,12 @@ def test_zero_decay_run_is_dp_memf_and_reports_the_clipped_gradient():
     problem = _quadratic(target_norm=0.9, seed=43)
     batches = _batches(problem, 5, 4, seed=44)
     cfg = _memf_cfg(strat, sigma=5.0, c_clip=0.5)
-    rec = run_dp_srg_memf(problem, batches, cfg)
+    rec = run_dp_srg_memf(problem, batches * 2, cfg)
     assert rec.algorithm == "dp_memf"
     assert rec.grad_norm.max() <= 0.5 * (1 + 1e-12) < rec.noise_norm.min()
     _, _, grad_norm, _ = _reference_memf(problem, batches, cfg, recursive=False)
     np.testing.assert_array_equal(rec.grad_norm, grad_norm)
-    rec_srg = run_dp_srg_memf(problem, batches,
+    rec_srg = run_dp_srg_memf(problem, batches * 2,
                               _memf_cfg(strat, sigma=5.0, c_clip=0.5, decay=0.5))
     assert rec_srg.algorithm == "dp_srg_memf"
     assert rec_srg.grad_norm[0] > 0.5  # the recursion holds the noise row
@@ -911,7 +917,7 @@ def test_dp_srg_memf_evaluates_one_point_at_zero_weight(decay, steps_evaluated):
     problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
                                  noise_scale=0.5, radius=1.0)
     batches = _batches(problem, 5, 4, seed=27)
-    run_dp_srg_memf(problem, batches, _memf_cfg(identity_strategy(2, 5), decay=decay))
+    run_dp_srg_memf(problem, batches * 2, _memf_cfg(identity_strategy(2, 5), decay=decay))
     assert problem.grad_rows == 4 * steps_evaluated
 
 
@@ -921,10 +927,10 @@ def test_memf_noise_scales_with_clip_norm():
     batches = _batches(problem, 5, 4, seed=29)
     strat = identity_strategy(2, 5)
     sigma = lambda clip: _noise_sigma(1.0, clip, 4, strat.sens)
-    rec1 = run_dp_srg_memf(problem, batches,
-                       _memf_cfg(strat, sigma=sigma(1.0), c_clip=1.0))
-    rec2 = run_dp_srg_memf(problem, batches,
-                       _memf_cfg(strat, sigma=sigma(2.0), c_clip=2.0))
+    rec1 = run_dp_srg_memf(problem, batches * 2,
+                           _memf_cfg(strat, sigma=sigma(1.0), c_clip=1.0))
+    rec2 = run_dp_srg_memf(problem, batches * 2,
+                           _memf_cfg(strat, sigma=sigma(2.0), c_clip=2.0))
     ratio = rec2.noise_norm / rec1.noise_norm
     np.testing.assert_allclose(ratio, 2.0, rtol=1e-12)
 
@@ -932,7 +938,7 @@ def test_memf_noise_scales_with_clip_norm():
 def test_infinite_budget_means_zero_noise():
     problem = _quadratic(seed=30)
     batches = _batches(problem, 5, 4, seed=31)
-    rec = run_dp_srg_memf(problem, batches, _memf_cfg(identity_strategy(2, 5)))
+    rec = run_dp_srg_memf(problem, batches * 2, _memf_cfg(identity_strategy(2, 5)))
     np.testing.assert_array_equal(rec.noise_norm, np.zeros(10))
 
 
@@ -974,7 +980,7 @@ def _check_memf_reference(runner, recursive, **kw):
     problem = _quadratic(target_norm=0.9, seed=41)
     batches = _batches(problem, 5, 4, seed=42)
     cfg = _memf_cfg(strat, sigma=0.5 / 4 / math.sqrt(2.0 * 0.5), c_clip=0.5, **kw)
-    rec = runner(problem, batches, cfg)
+    rec = runner(problem, batches * strat.k, cfg)
     x, noise_norm, grad_norm, losses = _reference_memf(problem, batches, cfg, recursive)
     np.testing.assert_array_equal(rec.final_x, x)
     np.testing.assert_array_equal(rec.noise_norm, noise_norm)
@@ -1044,11 +1050,10 @@ def _huge_gradient_quadratic():
 
 
 _OVERFLOWING_RUNNERS = {
-    "dp_sgd": lambda p, batches, ball: run_dp_ftrl(
-        p, iter(batches), 100.0, math.inf, 0.0, ball, len(batches)),
-    "dp_ftrl": lambda p, batches, ball: run_dp_ftrl(
-        p, iter(batches), 100.0, math.inf, 0.0, ball, len(batches),
-        strategy=identity_strategy(1, len(batches))),
+    "dp_sgd": lambda p, batches, ball: run_dp_srg_memf(p, iter(batches), _sgd_cfg(
+        identity_strategy(1, len(batches)), ball, c_clip=math.inf, lr=100.0)),
+    "dp_ftrl": lambda p, batches, ball: run_dp_srg_memf(p, iter(batches), _sgd_cfg(
+        build_strategy("ones", 1, len(batches)), ball, c_clip=math.inf, lr=100.0)),
     "independent_variant": lambda p, batches, ball: run_independent_variant(
         p, iter(batches), SrgdConfig(T=len(batches), beta=1e-3, ball=ball)),
     "accelerated_dp_srgd": lambda p, batches, ball: run_accelerated_dp_srgd(
