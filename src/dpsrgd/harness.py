@@ -4,7 +4,8 @@ The harness resolves the privacy budget before it touches any data, derives
 per-grid-point RNG streams by keyed splitting on the grid-point values (so
 adding a grid point never perturbs existing ones), runs seeded repeats,
 aggregates accuracy/excess-risk with normal-approximation confidence
-intervals, and writes summary plus per-run trajectory CSVs.
+intervals, and writes summary plus per-run trajectory CSVs. It hands
+each runner its batches and its noise stream, of its mechanism, σ and seed.
 """
 
 from __future__ import annotations
@@ -156,14 +157,18 @@ class ExperimentSpec:
         if decays and 0.0 in self.c_grid:
             raise ValueError("the momentum_decay workload needs a decay in (0, 1], "
                              f"but c_grid holds 0: {self.c_grid}")
+        if self.algorithm == "dp_ftrl" and self.workload == "identity":
+            raise ValueError("dp_ftrl on the identity workload is DP-SGD: use algorithm=dp_sgd")
         budget = self.rho if self.rho is not None else self.epsilon
         for clip in self.clip_grid if math.isfinite(budget) else ():
             if not _lipschitz_bound(self.algorithm, clip) and math.isinf(clip):
                 raise ValueError(f"{self.algorithm} with a finite budget needs a "
                                  "finite clip: its noise scales with the clip")
-            if _lipschitz_bound(self.algorithm, clip) and math.isinf(self.epsilon):
+            if _lipschitz_bound(self.algorithm, clip) and (
+                    math.isinf(self.epsilon) or self.steps < 2):
                 raise ValueError(f"{self.algorithm} at clip {clip} sizes its noise by "
-                                 "srgd_sigma, which needs epsilon, not rho alone")
+                                 "srgd_sigma, which needs epsilon, not rho alone, and "
+                                 f"steps >= 2: got epsilon={self.epsilon}, steps={self.steps}")
         return self
 
     def to_text(self) -> str:
@@ -529,15 +534,18 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
     if strategy is not None:
         # dp_memf is the recursion at decay 0, c may still shape its
         # strategy; dp_sgd and dp_ftrl take projected steps, no momentum
-        cfg = optim.MemfConfig(strategy=strategy, sigma=sigma, c_clip=clip, lr=lr,
+        cfg = optim.MemfConfig(strategy=strategy, c_clip=clip, lr=lr,
                                decay=c if spec.algorithm == "dp_srg_memf" else 0.0,
                                momentum=spec.momentum if multi_epoch else 0.0,
-                               seed=seed, ball=None if multi_epoch else ball)
-        return optim.run_dp_srg_memf(problem, batches, cfg)
-    cfg = optim.SrgdConfig(T=T, beta=beta, ball=ball, sigma=sigma, clip=clip, seed=seed)
+                               ball=None if multi_epoch else ball)
+        return optim.run_dp_srg_memf(problem, batches, counting.mf_noise_stream(
+            strategy, sigma, problem.dim, seed), cfg)
+    cfg = optim.SrgdConfig(T=T, beta=beta, ball=ball, clip=clip)
     if spec.algorithm == "accelerated_dp_srgd":
-        return optim.run_accelerated_dp_srgd(problem, batches, cfg)
-    return optim.run_independent_variant(problem, batches, cfg)
+        return optim.run_accelerated_dp_srgd(problem, batches, counting.tree_rows(
+            sigma, problem.dim, seed, T), cfg)
+    return optim.run_independent_variant(problem, batches, counting.gaussian_rows(
+        sigma, problem.dim, seed, T), cfg)
 
 
 def _selection_metrics(spec, problem, record):

@@ -11,7 +11,9 @@ Also provided: an independent-gradient variant of the same accelerated
 scheme, an unaccelerated SRG loop with a variance probe, and
 matrix-factorization training (run_dp_srg_memf): projected DP-SGD (the
 identity strategy) and DP-FTRL, and multi-epoch training over recursive
-gradients or, at decay 0, plain ones.
+gradients or, at decay 0, plain ones. Every private runner takes its
+noise rows from the caller, as it takes its batches: the configs hold
+optimizer settings, not the mechanism, its calibration or its seed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import StrategyMatrix, gaussian_rows, mf_noise_stream, tree_rows
+from .counting import StrategyMatrix
 from .geometry import ConstraintBall, _interpolate, _project, all_finite, check_clip
 from .objectives import LossProblem
 
@@ -61,9 +63,7 @@ class SrgdConfig:
     T: int
     beta: float
     ball: ConstraintBall
-    sigma: float = 0.0
     clip: float = math.inf
-    seed: int = 0
     eta_values: np.ndarray = field(init=False)
     eta_cumsum: np.ndarray = field(init=False)
     tau: np.ndarray = field(init=False)
@@ -73,8 +73,6 @@ class SrgdConfig:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         check_clip(self.clip)
         self.eta_values = np.arange(1, self.T + 2, dtype=np.float64)
         self.eta_cumsum = np.cumsum(self.eta_values)
@@ -93,12 +91,10 @@ class MemfConfig:
     """
 
     strategy: StrategyMatrix
-    sigma: float
     c_clip: float
     lr: float
     decay: float = 0.0
     momentum: float = 0.9
-    seed: int = 0
     ball: ConstraintBall | None = None
 
     def __post_init__(self):
@@ -108,8 +104,6 @@ class MemfConfig:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         check_clip(self.c_clip)
         self.strategy.check()
 
@@ -126,7 +120,6 @@ class RunRecord:
     """
 
     algorithm: str
-    seed: int
     final_x: np.ndarray
     train_loss: np.ndarray
     noise_norm: np.ndarray
@@ -170,63 +163,52 @@ def _norm(v: np.ndarray | None) -> float:
 
 
 def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
-           algorithm: str, seed: int, finish=dict) -> RunRecord:
-    """The step loop of every runner. It takes exactly T batches. Per step
+           algorithm: str, finish=dict) -> RunRecord:
+    """The step loop of every runner. It takes exactly T batches and,
+    unless noise is None, exactly T noise rows of shape (dim,). Per step
     t, estimate(t, x, prev_x, batch) -> (g, train loss) evaluates the batch
     at the query point x and its predecessor, w = next(noise) is the step's
     noise row (None when noise is None), and update(t, x, g, w) returns
     (noise norm, gradient norm, iterates): the next query point first, the
-    reported point last. A non-finite estimate or row aborts the run, and
-    so does a non-finite step, which the update checks before projecting
-    it: the updates project and interpolate through geometry's cores,
-    which take the checked vectors as they are. A step's estimate, noise
-    row and batch are released before the next batch is drawn, so that a
-    run holds one of each. finish() returns the runner's own RunRecord
-    fields."""
+    reported point last. A batch or noise stream that ends early aborts
+    the run, and a row of another shape is refused. A non-finite estimate
+    or row aborts the run, and so does a non-finite step, which the update
+    checks before projecting it: the updates project and interpolate
+    through geometry's cores, which take the checked vectors as they are.
+    A step's estimate, noise row and batch are released before the next
+    batch is drawn, so that a run holds one of each. finish() returns the
+    runner's own RunRecord fields."""
     train_loss, noise_norm, grad_norm = np.empty(T), np.empty(T), np.empty(T)
     iterates = (np.zeros(problem.dim),)
     x = prev_x = iterates[0]
     # next() on a bare iterator: zip would keep the last batch in its
     # reused result tuple while it draws the next one
     stream = iter(batches)
+    rows = iter(noise) if noise is not None else None
     for t in range(T):
-        try:
-            batch = next(stream)
-        except StopIteration:
-            raise RunAborted(t, f"stream exhausted after {t} of {T} batches") from None
+        if (batch := next(stream, None)) is None:
+            raise RunAborted(t, f"stream exhausted after {t} of {T} batches")
         g, train_loss[t] = estimate(t, x, prev_x, batch)
-        w = next(noise) if noise is not None else None
+        if rows is None:
+            w = None
+        elif (w := next(rows, None)) is None:
+            raise RunAborted(t, f"noise stream exhausted after {t} of {T} rows")
+        elif w.shape != x.shape:
+            raise ValueError(f"noise row at step {t} has shape {w.shape}, want {x.shape}")
         _check_finite(t, "non-finite gradient estimate or noise", g, w)
         noise_norm[t], grad_norm[t], iterates = update(t, x, g, w)
         prev_x, x = x, iterates[0]
         del g, w, batch
-    # a noise stream keeps state (the tree's stack, an MF window of solved
-    # rows); free it before the held-out pass
-    noise = None
+    # free the stream's state (the tree's stack, an MF ring) before the
+    # held-out pass, though the caller still references the stream
+    if hasattr(rows, "close"):
+        rows.close()
     out = iterates[-1]
     excess, accuracy = problem.excess_and_accuracy(out)
     return RunRecord(
-        algorithm=algorithm, seed=seed, final_x=out, train_loss=train_loss,
+        algorithm=algorithm, final_x=out, train_loss=train_loss,
         noise_norm=noise_norm, grad_norm=grad_norm, excess=excess,
         accuracy=accuracy, **finish())
-
-
-def _clipped(problem: LossProblem, c_clip: float):
-    """Estimate: the clipped batch-mean gradient at the query point."""
-    return lambda t, x, prev_x, batch: problem.clipped_mean_grad(x, batch, c_clip)
-
-
-def _projected(dim: int, eta_lr: float, ball: ConstraintBall | None):
-    """Update: x - eta_lr * (estimate + noise row), projected onto the ball
-    when there is one."""
-    if ball is not None and ball.dim != dim:
-        raise ValueError(f"ball dim {ball.dim} != problem dim {dim}")
-
-    def update(t, x, g, w):
-        step = x - eta_lr * (g + w if w is not None else g)
-        _check_finite(t, "non-finite iterate", step)
-        return _norm(w), _norm(g), (_project(step, ball.radius) if ball is not None else step,)
-    return update
 
 
 def _accelerated(problem: LossProblem, cfg: SrgdConfig):
@@ -263,12 +245,13 @@ def _accelerated(problem: LossProblem, cfg: SrgdConfig):
     return update, finish
 
 
-def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
+def run_accelerated_dp_srgd(problem: LossProblem, stream, noise, cfg: SrgdConfig,
                             record_iterates: bool = False) -> RunRecord:
-    """Accelerated SRG with binary-tree noise.
+    """Accelerated SRG with binary-tree noise: `noise` yields the T prefix
+    rows, `counting.tree_rows` for a private run.
 
     Per step t: add the batch increment delta_t to the exact sum, form
-    grad_est = (sum of increments + tree prefix noise) / eta_t, take the
+    grad_est = (sum of increments + prefix noise row) / eta_t, take the
     aggressive (z) and conservative (y) projected steps, and interpolate
     to get the next query point x. The tree noise lands in the updates as
     a perturbation of size ||tree noise|| / beta per step.
@@ -297,25 +280,25 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, cfg: SrgdConfig,
         _, grad_norm, next_iterates = accelerate(t, x, (total + xi) / eta[t], None)
         return _norm(xi) / cfg.beta, grad_norm, next_iterates
 
-    return _drive(problem, stream, cfg.T, estimate,
-                  tree_rows(cfg.sigma, problem.dim, cfg.seed, cfg.T), update,
-                  "accelerated_dp_srgd", cfg.seed,
+    return _drive(problem, stream, cfg.T, estimate, noise, update,
+                  "accelerated_dp_srgd",
                   lambda: dict(finish(), q_norm=q_norm, iterates=iterates))
 
 
-def run_independent_variant(problem: LossProblem, stream, cfg: SrgdConfig) -> RunRecord:
+def run_independent_variant(problem: LossProblem, stream, noise,
+                            cfg: SrgdConfig) -> RunRecord:
     """Same accelerated updates but with a fresh minibatch gradient each
-    step (one evaluation per example) and independent per-step Gaussian
-    noise of std cfg.sigma per coordinate in place of the tree."""
+    step (one evaluation per example) and, in place of the tree's prefix
+    rows, independent per-step rows from `noise` (`counting.gaussian_rows`
+    for a private run)."""
     update, finish = _accelerated(problem, cfg)
-    return _drive(problem, stream, cfg.T, _clipped(problem, cfg.clip),
-                  gaussian_rows(cfg.sigma, problem.dim, cfg.seed, cfg.T), update,
-                  "independent_variant", cfg.seed, finish)
+    return _drive(problem, stream, cfg.T,
+                  lambda t, x, prev_x, batch: problem.clipped_mean_grad(x, batch, cfg.clip),
+                  noise, update, "independent_variant", finish)
 
 
 def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
                            c_sched, T: int, ball: ConstraintBall | None = None,
-                           seed: int = 0,
                            checkpoints=None) -> RunRecord:
     """Plain projected SGD over recursive gradients: increments
     delta_t = mean of c_t*g(x_t,d) - c_{t-1}*g(x_{t-1},d), accumulated and
@@ -336,6 +319,8 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
     checkpoints = list(checkpoints)
     if not checkpoints or not all(1 <= s <= T for s in checkpoints):
         raise ValueError(f"checkpoints must be steps in 1..{T}, got {checkpoints}")
+    if ball is not None and ball.dim != problem.dim:
+        raise ValueError(f"ball dim {ball.dim} != problem dim {problem.dim}")
     acc, cp_grads = np.zeros(problem.dim), {}
 
     def estimate(t, x, prev_x, batch):
@@ -348,13 +333,17 @@ def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
             cp_grads[t + 1] = grad_est
         return grad_est, loss
 
+    def update(t, x, g, _):  # no noise row: a plain projected step
+        step = x - eta_lr * g
+        _check_finite(t, "non-finite iterate", step)
+        return 0.0, _norm(g), (_project(step, ball.radius) if ball is not None else step,)
+
     def finish():
         steps = np.array(sorted(cp_grads))
         grads = np.stack([cp_grads[s] for s in steps]) if len(steps) else None
         return dict(checkpoint_steps=steps, checkpoint_grads=grads)
 
-    return _drive(problem, stream, T, estimate, None,
-                  _projected(problem.dim, eta_lr, ball), "unaccelerated_srgd", seed,
+    return _drive(problem, stream, T, estimate, None, update, "unaccelerated_srgd",
                   finish=finish)
 
 
@@ -382,18 +371,20 @@ def linear_fit(xs, ys) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r2)
 
 
-def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord:
+def run_dp_srg_memf(problem: LossProblem, batches, noise,
+                    cfg: MemfConfig) -> RunRecord:
     """Matrix-factorization training with SGD with momentum.
 
     The run takes the strategy's k * b batches, all of one size, in the
     order given, as a list or a stream: the caller picks them and their
     order (the harness repeats b fixed batches each epoch), and the
     strategy's column-group constraint accounts for an example's repeated
-    participation. Per step, the per-example increments
-    g(x_t, d) - c * g(x_{t-1}, d) are clipped and averaged and a correlated
-    noise row w_t is added. At decay c > 0 (dp_srg_memf) the estimate is
-    the recursion grad_t = c * grad_{t-1} + (increment + w_t), so each row
-    enters it once. At c = 0 no recursion is kept: the
+    participation. `noise` yields as many rows, the strategy's
+    `counting.mf_noise_stream` for a private run. Per step, the per-example
+    increments g(x_t, d) - c * g(x_{t-1}, d) are clipped and averaged and
+    the noise row w_t is added. At decay c > 0 (dp_srg_memf) the estimate
+    is the recursion grad_t = c * grad_{t-1} + (increment + w_t), so each
+    row enters it once. At c = 0 no recursion is kept: the
     estimate is the clipped gradient plus w_t, and grad_norm reports the
     clipped gradient alone. A step whose weight is zero (every step at
     c = 0, the first at any c) evaluates the batch at x_t alone, through
@@ -433,6 +424,4 @@ def run_dp_srg_memf(problem: LossProblem, batches, cfg: MemfConfig) -> RunRecord
 
     algorithm = ("dp_srg_memf" if cfg.decay > 0.0 else "dp_memf" if ball is None
                  else "dp_sgd" if cfg.strategy.kind == "identity" else "dp_ftrl")
-    return _drive(problem, batches, steps, estimate,
-                  mf_noise_stream(cfg.strategy, cfg.sigma, problem.dim, cfg.seed),
-                  update, algorithm, cfg.seed)
+    return _drive(problem, batches, steps, estimate, noise, update, algorithm)

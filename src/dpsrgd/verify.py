@@ -30,6 +30,7 @@ from .counting import (
     build_workload,
     factorize,
     identity_strategy,
+    mf_noise_stream,
     prefix_nodes,
     tree_baseline_objective,
     tree_error_bound,
@@ -119,9 +120,8 @@ def _accel_record(T: int):
         batch = problem.draw_batch(np.random.default_rng(11), B)
         stream = (batch for _ in range(T))
         cfg = SrgdConfig(T=T, beta=2.0 * problem.smoothness * T,
-                         ball=ConstraintBall(problem.dim, problem.radius),
-                         sigma=0.0, seed=0)
-        rec = run_accelerated_dp_srgd(problem, stream, cfg)
+                         ball=ConstraintBall(problem.dim, problem.radius))
+        rec = run_accelerated_dp_srgd(problem, stream, tree_rows(0.0, 20, 0, T), cfg)
         _ACCEL_CACHE[T] = rec
     return rec
 
@@ -189,9 +189,9 @@ def criterion_3() -> CriterionResult:
             data = problem.draw_batch(rng, n)
             j = int(rng.integers(n))
             batches = [data[t * B:(t + 1) * B] for t in range(T)]
-            cfg = SrgdConfig(T=T, beta=beta, ball=ball,
-                             sigma=b_sigma * beta, seed=pair)
-            rec = run_accelerated_dp_srgd(problem, iter(batches), cfg,
+            cfg = SrgdConfig(T=T, beta=beta, ball=ball)
+            rec = run_accelerated_dp_srgd(problem, iter(batches),
+                                          tree_rows(b_sigma * beta, dim, pair, T), cfg,
                                           record_iterates=True)
             b_max = float(rec.noise_norm.max())
             bound = sensitivity_bound(L, M, 2.0 * R, b_max)
@@ -281,7 +281,7 @@ def criterion_6() -> CriterionResult:
             data = base.draw_batch(np.random.default_rng(10**6 + seed), T * B)
             stream = (data[t * B:(t + 1) * B] for t in range(T))
             return run_unaccelerated_srgd(noisy, stream, eta_lr=0.0,
-                                          c_sched=ones, T=T, seed=seed)
+                                          c_sched=ones, T=T)
 
         steps, variances = variance_probe(factory, range(100))
         slope, _, r2 = linear_fit(steps, variances)
@@ -340,9 +340,10 @@ def criterion_8() -> CriterionResult:
 
         rho = 0.5
         sigma = math.sqrt(1.0 / (2.0 * rho)) * 1.0 / 4  # clip / B sensitivity
-        rec_sgd = run_dp_srg_memf(problem, batches, MemfConfig(
-            strategy=identity_strategy(1, 10), sigma=sigma, c_clip=1.0, lr=0.1,
-            momentum=0.0, seed=3, ball=ball))
+        cfg = MemfConfig(strategy=identity_strategy(1, 10), c_clip=1.0, lr=0.1,
+                         momentum=0.0, ball=ball)
+        rec_sgd = run_dp_srg_memf(problem, batches, mf_noise_stream(cfg.strategy, sigma, 5, 3),
+                                  cfg)
         noise_rng = np.random.default_rng(3)
         x, losses = np.zeros(5), []
         for batch in batches:
@@ -356,10 +357,10 @@ def criterion_8() -> CriterionResult:
         w_ones = build_workload("ones", 2, 8)
         d2 = float(np.abs(w_momentum - w_ones).max())
 
-        cfg = MemfConfig(strategy=identity_strategy(2, 5), sigma=0.0,
-                         c_clip=math.inf, lr=0.05, decay=0.0, momentum=0.9,
-                         seed=5)
-        rec_srg = run_dp_srg_memf(problem, batches[:5] * 2, cfg)
+        cfg = MemfConfig(strategy=identity_strategy(2, 5), c_clip=math.inf, lr=0.05,
+                         decay=0.0, momentum=0.9)
+        rec_srg = run_dp_srg_memf(problem, batches[:5] * 2,
+                                  mf_noise_stream(cfg.strategy, 0.0, 5, 5), cfg)
         # two epochs of SGD with momentum 0.9 on unclipped batch means
         x, velocity, losses = np.zeros(5), np.zeros(5), []
         for t in range(10):

@@ -8,6 +8,7 @@ import io
 import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +249,30 @@ def test_lipschitz_bound_runs_reject_a_budget_given_only_as_rho(algorithm, clip_
         run_experiment(spec, event_log=log)
     assert log == []  # before the budget is resolved or any data is built
     dataclasses.replace(spec, rho=math.inf).validate()  # no budget: no noise to size
+
+
+@pytest.mark.parametrize("algorithm, clip_grid", [
+    ("independent_variant", (1.0,)), ("accelerated_dp_srgd", (math.inf,)),
+    ("accelerated_dp_srgd", (1.0, math.inf))])
+def test_lipschitz_bound_runs_reject_a_single_step(algorithm, clip_grid):
+    # srgd_sigma needs T >= 2: steps=1 used to pass validation and fail in
+    # the first run, after the budget and data events, naming no config key
+    spec = _tiny_spec(algorithm=algorithm, steps=1, clip_grid=clip_grid)
+    log = []
+    with pytest.raises(ValueError, match="steps"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    dataclasses.replace(spec, epsilon=math.inf).validate()  # no budget: no noise to size
+
+
+def test_dp_ftrl_on_the_identity_workload_is_rejected():
+    # its runs are DP-SGD and were recorded as dp_sgd under a dp_ftrl header
+    spec = _tiny_spec(algorithm="dp_ftrl", workload="identity")
+    log = []
+    with pytest.raises(ValueError, match="algorithm=dp_sgd"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    dataclasses.replace(spec, algorithm="dp_sgd").validate()
 
 
 def _tree_sigmas(monkeypatch, spec) -> list:
@@ -539,20 +564,28 @@ def test_noise_rows_are_not_parallel_to_the_examples(monkeypatch, algorithm):
     # The noise of a run is drawn from default_rng(seed), its batches from a
     # child of the seed. When both came from default_rng(seed), noise row i
     # was raw Gaussian row i of the first batch: parallel to x_i - target.
-    seen = []
+    seen, seeds = [], []
     name = f"run_{algorithm}"
     runner = getattr(optim, name)
+    # the harness seeds the run's noise stream: the tree's or the i.i.d. rows
+    stream_name = "tree_rows" if algorithm == "accelerated_dp_srgd" else "gaussian_rows"
+    rows = getattr(counting, stream_name)
 
-    def spy(problem, stream, cfg):
+    def rows_spy(sigma, d, seed, n):
+        seeds.append(seed)
+        return rows(sigma, d, seed, n)
+
+    def spy(problem, stream, noise, cfg):
         batches = list(stream)
-        seen.append((problem, batches[0], cfg.seed))
-        return runner(problem, iter(batches), cfg)
+        seen.append((problem, batches[0]))
+        return runner(problem, iter(batches), noise, cfg)
 
+    monkeypatch.setattr(counting, stream_name, rows_spy)
     monkeypatch.setattr(optim, name, spy)
     spec = _tiny_spec(algorithm=algorithm, dim=20, batch_size=16, clip_grid=(0.5,))
     run_experiment(spec)
-    assert len(seen) == spec.repeats
-    for problem, first, seed in seen:
+    assert len(seen) == len(seeds) == spec.repeats
+    for (problem, first), seed in zip(seen, seeds):
         rng = np.random.default_rng(seed)
         noise = np.stack([rng.standard_normal(spec.dim) for _ in range(spec.steps)])
         assert _max_abs_cosine(noise, first[:spec.steps] - problem.target) < 0.9
@@ -564,9 +597,9 @@ def test_synthetic_memf_examples_are_not_parallel_to_the_target(monkeypatch):
     seen = []
     runner = optim.run_dp_srg_memf
 
-    def spy(problem, batches, cfg):
+    def spy(problem, batches, noise, cfg):
         seen.append((problem, batches[0]))
-        return runner(problem, batches, cfg)
+        return runner(problem, batches, noise, cfg)
 
     monkeypatch.setattr(optim, "run_dp_srg_memf", spy)
     run_experiment(_tiny_spec(algorithm="dp_memf", dim=20, repeats=1))
@@ -838,9 +871,9 @@ def test_memf_strategy_is_factorized_for_the_spec_momentum(monkeypatch):
     seen = []
     runner = optim.run_dp_srg_memf
 
-    def spy(problem, batches, cfg):
+    def spy(problem, batches, noise, cfg):
         seen.append((cfg.momentum, cfg.strategy.momentum))
-        return runner(problem, batches, cfg)
+        return runner(problem, batches, noise, cfg)
 
     monkeypatch.setattr(optim, "run_dp_srg_memf", spy)
     run_experiment(_tiny_spec(algorithm="dp_srg_memf", workload="momentum_decay",
@@ -857,9 +890,9 @@ def test_a_sweep_builds_one_strategy_per_c_before_its_runs(monkeypatch):
         built.append(kw["decay"])
         return build(kind, k, b, **kw)
 
-    def run_spy(problem, batches, cfg):
+    def run_spy(problem, batches, noise, cfg):
         seen.append((cfg.decay, cfg.strategy.decay))
-        return runner(problem, batches, cfg)
+        return runner(problem, batches, noise, cfg)
 
     monkeypatch.setattr(counting, "build_strategy", build_spy)
     monkeypatch.setattr(optim, "run_dp_srg_memf", run_spy)
@@ -870,28 +903,33 @@ def test_a_sweep_builds_one_strategy_per_c_before_its_runs(monkeypatch):
 
 
 def test_identity_memf_strategy_is_sound_over_epochs(monkeypatch):
-    seen = []
-    runner = optim.run_dp_srg_memf
+    seen, streams = [], []
+    runner, mf_noise_stream = optim.run_dp_srg_memf, counting.mf_noise_stream
 
-    def spy(problem, batches, cfg):
+    def spy(problem, batches, noise, cfg):
         seen.append(cfg)
-        return runner(problem, batches, cfg)
+        return runner(problem, batches, noise, cfg)
+
+    def stream_spy(strategy, sigma, d, seed):
+        streams.append((sigma, seed))
+        return mf_noise_stream(strategy, sigma, d, seed)
 
     monkeypatch.setattr(optim, "run_dp_srg_memf", spy)
+    monkeypatch.setattr(counting, "mf_noise_stream", stream_spy)
     spec = _tiny_spec(algorithm="dp_memf", workload="identity", epochs=2,
                       batch_size=32, repeats=1)
     table, records = run_experiment(spec)
-    (cfg,) = seen
+    (cfg,), ((sigma, seed),) = seen, streams
     assert cfg.decay == 0.0  # dp_memf is the recursive runner at decay 0
     b = spec.train_size // spec.batch_size
     rho = accounting.rho_for_dp(spec.epsilon, spec.delta)
-    assert cfg.sigma == (cfg.c_clip / spec.batch_size * cfg.strategy.sens
-                         / math.sqrt(2.0 * rho)) > 0
+    assert sigma == (cfg.c_clip / spec.batch_size * cfg.strategy.sens
+                     / math.sqrt(2.0 * rho)) > 0
     assert (cfg.strategy.k, cfg.strategy.b) == (2, b)
     assert counting.column_group_sens(cfg.strategy.C, 2, b) <= 1.0 + 1e-9
     assert float(table.header["strategy_sens"]) <= 1.0 + 1e-9
-    rows = lambda strategy: np.stack(list(counting.mf_noise_stream(
-        strategy, cfg.sigma, spec.dim, cfg.seed)))
+    rows = lambda strategy: np.stack(list(mf_noise_stream(
+        strategy, sigma, spec.dim, seed)))
     one_epoch = rows(counting.identity_strategy(1, 2 * b))
     np.testing.assert_allclose(rows(cfg.strategy), math.sqrt(2.0) * one_epoch,
                                rtol=1e-12)
@@ -931,7 +969,7 @@ def test_trajectory_files_have_expected_columns(tmp_path):
     written = emit_csv(table, records, str(path))
     traj = [p for p in written if "_traj_" in p]
     assert len(traj) == 1
-    lines = open(traj[0]).read().splitlines()
+    lines = Path(traj[0]).read_text().splitlines()
     assert lines[0].startswith("# run=")
     assert lines[1] == "step,loss,phi,noise_norm,grad_norm"
     assert len(lines) == 2 + spec.steps
@@ -968,7 +1006,7 @@ def test_trajectory_csvs_are_the_csv_writer_bytes(tmp_path):
 
     def record(potential):
         steps = odd.size
-        return RunRecord(algorithm="accelerated_dp_srgd", seed=1, final_x=np.zeros(2),
+        return RunRecord(algorithm="accelerated_dp_srgd", final_x=np.zeros(2),
                          train_loss=odd, noise_norm=rng.standard_normal(steps) ** 2,
                          grad_norm=odd[::-1].copy(), potential=potential)
 

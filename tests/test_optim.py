@@ -14,10 +14,12 @@ from dpsrgd.counting import (
     build_strategy,
     build_workload,
     factorize,
+    gaussian_rows,
     identity_strategy,
     mf_noise_stream,
     tree_ingest,
     tree_prefix,
+    tree_rows,
     tree_sens,
 )
 from dpsrgd.geometry import ConstraintBall, all_finite, clip_rows, interpolate, project_ball
@@ -78,14 +80,20 @@ def test_schedule_validation_errors():
         SrgdConfig(T=0, beta=10.0, ball=ball)
     with pytest.raises(ValueError):
         SrgdConfig(T=3, beta=0.0, ball=ball)
-    with pytest.raises(ValueError):
-        SrgdConfig(T=3, beta=1.0, ball=ball, sigma=-1.0)
+    with pytest.raises(ValueError):  # sigma is the noise stream's, checked at the call
+        tree_rows(-1.0, 2, 0, 3)
 
 
 @pytest.mark.parametrize("field,value", [
     ("beta", math.nan), ("beta", math.inf), ("sigma", math.nan),
     ("sigma", math.inf), ("clip", math.nan), ("clip", -1.0)])
 def test_srgd_config_rejects_bad_scalars(field, value):
+    if field == "sigma":
+        # the SRG runners' noise streams check it when they are built
+        for rows in (tree_rows, gaussian_rows):
+            with pytest.raises(ValueError, match=field):
+                rows(value, 2, 0, 3)
+        return
     with pytest.raises(ValueError, match=field):
         SrgdConfig(**{"T": 3, "beta": 1.0, "ball": ConstraintBall(2, 1.0), field: value})
 
@@ -94,42 +102,71 @@ def test_srgd_config_rejects_bad_scalars(field, value):
 # accelerated runner against a reference update loop
 
 
-def _reference_accelerated(problem, batches, cfg):
+def _tree_prefixes(T, dim, sigma, seed):
+    """The prefix noise rows of a TreeState, ingested step by step."""
+    tree = TreeState(T, dim, sigma=sigma, seed=seed)
+    return (tree_prefix(tree_ingest(tree, i), i) for i in range(1, T + 1))
+
+
+def _reference_accelerated(problem, batches, cfg, rows):
+    """The accelerated loop on the given noise rows; returns the final
+    point and the query point of every step."""
     eta, tau = cfg.eta_values, cfg.tau
-    tree = TreeState(cfg.T, problem.dim, sigma=cfg.sigma, seed=cfg.seed)
     x = np.zeros(problem.dim)
     y, z, prev = x, x, x
     total = np.zeros(problem.dim)
-    for t, batch in enumerate(batches):
+    xs = []
+    for t, (batch, row) in enumerate(zip(batches, rows)):
+        xs.append(x)
         w_prev = eta[t - 1] if t > 0 else 0.0
         total += problem.srg_mean(x, prev, eta[t], w_prev, batch)[0]
-        estimate = total + tree_prefix(tree_ingest(tree, t + 1), t + 1)
+        estimate = total + row
         grad_est = estimate / eta[t]
         z = project_ball(z - (eta[t] / cfg.beta) * grad_est, cfg.ball)
         y = project_ball(x - grad_est / cfg.beta, cfg.ball)
         prev = x
         x = interpolate(y, z, tau[t + 1])
-    return y
+    return y, xs
 
 
 def test_accelerated_runner_matches_reference_loop():
     problem = _quadratic()
     T, B = 12, 5
     batches = _batches(problem, T, B)
-    cfg = SrgdConfig(T=T, beta=2.0 * T,
-                     ball=ConstraintBall(problem.dim, 1.0), sigma=0.8, seed=9)
-    rec = run_accelerated_dp_srgd(problem, iter(batches), cfg)
-    ref = _reference_accelerated(problem, batches, cfg)
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
+    rec = run_accelerated_dp_srgd(problem, iter(batches), tree_rows(0.8, problem.dim, 9, T),
+                                  cfg)
+    ref, _ = _reference_accelerated(problem, batches, cfg,
+                                    _tree_prefixes(T, problem.dim, 0.8, 9))
     np.testing.assert_allclose(rec.final_x, ref, rtol=0, atol=1e-12)
 
 
-def _reference_accelerated_trajectory(problem, batches, cfg):
+def _hand_rows(T, dim):
+    """T noise rows written out by hand, no generator behind them."""
+    return [0.05 * np.cos(np.arange(dim) * (t + 1)) * (-1) ** t for t in range(T)]
+
+
+def test_accelerated_runner_adds_the_rows_it_is_handed():
+    problem = _quadratic()
+    T, B = 10, 5
+    batches = _batches(problem, T, B, seed=47)
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
+    rows = _hand_rows(T, problem.dim)
+    rec = run_accelerated_dp_srgd(problem, iter(batches), rows, cfg, record_iterates=True)
+    y, xs = _reference_accelerated(problem, batches, cfg, rows)
+    np.testing.assert_allclose(rec.final_x, y, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rec.iterates, xs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rec.noise_norm,
+                               [np.linalg.norm(r) / cfg.beta for r in rows], rtol=1e-12)
+
+
+def _reference_accelerated_trajectory(problem, batches, cfg, sigma, seed):
     """_reference_accelerated written out with the numpy reductions the
     runner used before its per-step shortcuts: np.linalg.norm for every
     norm, ndarray.mean for the batch means, and a boolean-mask row clip.
     Returns the per-step train_loss, noise_norm, grad_norm and potential."""
     eta, tau = cfg.eta_values, cfg.tau
-    tree = TreeState(cfg.T, problem.dim, sigma=cfg.sigma, seed=cfg.seed)
+    tree = TreeState(cfg.T, problem.dim, sigma=sigma, seed=seed)
     x_star = problem.exact_optimum()
     x = np.zeros(problem.dim)
     y, z, prev = x, x, x
@@ -173,10 +210,10 @@ def test_accelerated_diagnostics_equal_the_linalg_norm_reference(clip, seed):
     problem = _quadratic(dim=20, noise_scale=1.0, seed=seed)
     T, B = 16, 32
     batches = _batches(problem, T, B, seed=seed + 10)
-    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0),
-                     sigma=0.7, clip=clip, seed=seed + 20)
-    rec = run_accelerated_dp_srgd(problem, iter(batches), cfg)
-    ref = _reference_accelerated_trajectory(problem, batches, cfg)
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0), clip=clip)
+    rec = run_accelerated_dp_srgd(problem, iter(batches),
+                                  tree_rows(0.7, problem.dim, seed + 20, T), cfg)
+    ref = _reference_accelerated_trajectory(problem, batches, cfg, 0.7, seed + 20)
     for key, want in ref.items():
         np.testing.assert_array_equal(getattr(rec, key), want, err_msg=key)
 
@@ -188,11 +225,11 @@ def test_tree_noise_equals_iterate_noise_substitution():
     problem = _quadratic()
     T, B = 14, 4
     batches = _batches(problem, T, B, seed=2)
-    cfg = SrgdConfig(T=T, beta=2.0 * T,
-                     ball=ConstraintBall(problem.dim, 1.0), sigma=1.1, seed=17)
-    rec = run_accelerated_dp_srgd(problem, iter(batches), cfg)
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
+    rec = run_accelerated_dp_srgd(problem, iter(batches), tree_rows(1.1, problem.dim, 17, T),
+                                  cfg)
 
-    mirror = TreeState(cfg.T, problem.dim, sigma=cfg.sigma, seed=cfg.seed)
+    mirror = TreeState(cfg.T, problem.dim, sigma=1.1, seed=17)
     eta, tau = cfg.eta_values, cfg.tau
     x = np.zeros(problem.dim)
     y, z, prev = x, x, x
@@ -219,34 +256,55 @@ def test_accelerated_train_loss_is_loss_at_each_iterate(clip):
     order = rng.permutation(60)
     batches = [order[t * B:(t + 1) * B] for t in range(T)]
     cfg = SrgdConfig(T=T, beta=2.0 * problem.smoothness * T,
-                     ball=ConstraintBall(problem.dim, 1.0), sigma=0.5,
-                     clip=clip, seed=31)
-    rec = run_accelerated_dp_srgd(problem, iter(batches), cfg,
-                                  record_iterates=True)
+                     ball=ConstraintBall(problem.dim, 1.0), clip=clip)
+    rec = run_accelerated_dp_srgd(problem, iter(batches), tree_rows(0.5, problem.dim, 31, T),
+                                  cfg, record_iterates=True)
     for t, batch in enumerate(batches):
         assert rec.train_loss[t] == problem.per_example_values(
             rec.iterates[t], batch).mean()
+
+
+def _reference_independent(problem, batches, cfg, rows):
+    """The independent variant's loop on the given noise rows; returns the
+    final point and the query point of every step."""
+    eta, tau = cfg.eta_values, cfg.tau
+    x = np.zeros(problem.dim)
+    y, z = x, x
+    xs = []
+    for t, (batch, b_t) in enumerate(zip(batches, rows)):
+        xs.append(x)
+        grad_est = problem.per_example_grads(x, batch).mean(axis=0)
+        z = project_ball(z - (eta[t] / cfg.beta) * grad_est + b_t, cfg.ball)
+        y = project_ball(x - grad_est / cfg.beta + b_t / eta[t], cfg.ball)
+        x = interpolate(y, z, tau[t + 1])
+    return y, xs
 
 
 def test_independent_variant_matches_reference_loop():
     problem = _quadratic(seed=3)
     T, B = 10, 6
     batches = _batches(problem, T, B, seed=4)
-    cfg = SrgdConfig(T=T, beta=2.0 * T,
-                     ball=ConstraintBall(problem.dim, 1.0), sigma=0.3, seed=23)
-    rec = run_independent_variant(problem, iter(batches), cfg)
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
+    sigma, seed = 0.3, 23
+    rec = run_independent_variant(problem, iter(batches),
+                                  gaussian_rows(sigma, problem.dim, seed, T), cfg)
 
-    rng = np.random.default_rng(cfg.seed)
-    eta, tau = cfg.eta_values, cfg.tau
-    x = np.zeros(problem.dim)
-    y, z = x, x
-    for t, batch in enumerate(batches):
-        grad_est = problem.per_example_grads(x, batch).mean(axis=0)
-        b_t = rng.standard_normal(problem.dim) * cfg.sigma
-        z = project_ball(z - (eta[t] / cfg.beta) * grad_est + b_t, cfg.ball)
-        y = project_ball(x - grad_est / cfg.beta + b_t / eta[t], cfg.ball)
-        x = interpolate(y, z, tau[t + 1])
+    rng = np.random.default_rng(seed)
+    y, _ = _reference_independent(problem, batches, cfg,
+                                  (rng.standard_normal(problem.dim) * sigma for _ in batches))
     np.testing.assert_array_equal(rec.final_x, y)
+
+
+def test_independent_variant_adds_the_rows_it_is_handed():
+    problem = _quadratic(seed=3)
+    T, B = 10, 6
+    batches = _batches(problem, T, B, seed=48)
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
+    rows = _hand_rows(T, problem.dim)
+    rec = run_independent_variant(problem, iter(batches), rows, cfg)
+    y, _ = _reference_independent(problem, batches, cfg, rows)
+    np.testing.assert_array_equal(rec.final_x, y)
+    np.testing.assert_array_equal(rec.noise_norm, [np.linalg.norm(r) for r in rows])
 
 
 def test_one_example_moves_only_its_own_clipped_increment_by_at_most_the_clip():
@@ -266,9 +324,10 @@ def test_one_example_moves_only_its_own_clipped_increment_by_at_most_the_clip():
         neighbour = [np.delete(b, r_j, axis=0) if t == t_j else b
                      for t, b in enumerate(batches)]
         cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0),
-                         sigma=_noise_sigma(0.5, clip, B, tree_sens(T)), clip=clip,
-                         seed=pair)
-        rec = run_accelerated_dp_srgd(problem, iter(batches), cfg, record_iterates=True)
+                         clip=clip)
+        noise = tree_rows(_noise_sigma(0.5, clip, B, tree_sens(T)), problem.dim, pair, T)
+        rec = run_accelerated_dp_srgd(problem, iter(batches), noise, cfg,
+                                      record_iterates=True)
         for t, (batch, other) in enumerate(zip(batches, neighbour)):
             point = (rec.iterates[t], rec.iterates[max(t - 1, 0)], cfg.eta_values[t],
                      cfg.eta_values[t - 1] if t > 0 else 0.0)
@@ -288,10 +347,11 @@ def test_noiseless_full_batch_variants_coincide():
     problem = _quadratic(noise_scale=0.0, seed=5)
     T, B = 20, 8
     batch = problem.draw_batch(np.random.default_rng(6), B)
-    cfg = SrgdConfig(T=T, beta=2.0 * T,
-                     ball=ConstraintBall(problem.dim, 1.0), sigma=0.0)
-    rec_tree = run_accelerated_dp_srgd(problem, (batch for _ in range(T)), cfg)
-    rec_ind = run_independent_variant(problem, (batch for _ in range(T)), cfg)
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
+    rec_tree = run_accelerated_dp_srgd(problem, (batch for _ in range(T)),
+                                       tree_rows(0.0, problem.dim, 0, T), cfg)
+    rec_ind = run_independent_variant(problem, (batch for _ in range(T)),
+                                      gaussian_rows(0.0, problem.dim, 0, T), cfg)
     np.testing.assert_allclose(rec_tree.final_x, rec_ind.final_x,
                                rtol=0, atol=1e-12)
 
@@ -302,9 +362,9 @@ def test_recursive_estimate_telescopes_to_population_gradient():
     problem = _quadratic(noise_scale=0.0, seed=7)
     T, B = 16, 4
     batch = problem.draw_batch(np.random.default_rng(8), B)
-    cfg = SrgdConfig(T=T, beta=2.0 * T,
-                     ball=ConstraintBall(problem.dim, 1.0), sigma=0.0)
-    rec = run_accelerated_dp_srgd(problem, (batch for _ in range(T)), cfg,
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
+    rec = run_accelerated_dp_srgd(problem, (batch for _ in range(T)),
+                                  tree_rows(0.0, problem.dim, 0, T), cfg,
                                   record_iterates=True)
     assert rec.q_norm is not None
     assert float(np.max(rec.q_norm)) < 1e-10
@@ -313,8 +373,9 @@ def test_recursive_estimate_telescopes_to_population_gradient():
 def test_q_norm_is_recorded_only_with_the_iterates():
     problem = _quadratic(noise_scale=0.0, seed=7)
     batch = problem.draw_batch(np.random.default_rng(8), 4)
-    cfg = SrgdConfig(T=4, beta=8.0, ball=ConstraintBall(problem.dim, 1.0), sigma=0.0)
-    rec = run_accelerated_dp_srgd(problem, (batch for _ in range(4)), cfg)
+    cfg = SrgdConfig(T=4, beta=8.0, ball=ConstraintBall(problem.dim, 1.0))
+    rec = run_accelerated_dp_srgd(problem, (batch for _ in range(4)),
+                                  tree_rows(0.0, problem.dim, 0, 4), cfg)
     assert rec.q_norm is None and rec.iterates is None
     assert rec.potential is not None
 
@@ -323,9 +384,9 @@ def test_runner_records_iterates_and_potential():
     problem = _quadratic(noise_scale=0.0, target_norm=1.0, seed=9)
     T, B = 16, 4
     batch = problem.draw_batch(np.random.default_rng(10), B)
-    cfg = SrgdConfig(T=T, beta=2.0 * T,
-                     ball=ConstraintBall(problem.dim, 1.0), sigma=0.0)
-    rec = run_accelerated_dp_srgd(problem, (batch for _ in range(T)), cfg,
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
+    rec = run_accelerated_dp_srgd(problem, (batch for _ in range(T)),
+                                  tree_rows(0.0, problem.dim, 0, T), cfg,
                                   record_iterates=True)
     assert rec.iterates.shape == (T, problem.dim)
     np.testing.assert_array_equal(rec.iterates[0], np.zeros(problem.dim))
@@ -370,20 +431,26 @@ def test_accelerated_runner_costs_two_evals_per_example():
     batches = _batches(problem, T, B, seed=12)
     cfg = SrgdConfig(T=T, beta=2.0 * T,
                      ball=ConstraintBall(4, 1.0))
-    run_accelerated_dp_srgd(problem, iter(batches), cfg)
+    run_accelerated_dp_srgd(problem, iter(batches), tree_rows(0.0, 4, 0, T), cfg)
     assert problem.grad_rows == 2 * T * B
+
+
+def _run_mf(problem, batches, cfg, sigma=0.0, seed=0):
+    """run_dp_srg_memf on its strategy's noise rows of std sigma from
+    seed, the stream the harness hands it."""
+    return run_dp_srg_memf(problem, batches,
+                           mf_noise_stream(cfg.strategy, sigma, problem.dim, seed), cfg)
 
 
 def _memf_runner(problem, batches, T, decay=0.0):
     # dp_memf is dp_srg_memf at decay 0: one runner, labelled dp_memf
     cfg = _memf_cfg(identity_strategy(2, T // 2), decay=decay)
-    return run_dp_srg_memf(problem, batches[:T // 2] * 2, cfg)
+    return _run_mf(problem, batches[:T // 2] * 2, cfg, seed=5)
 
 
 def _sgd_cfg(strategy, ball, **kw):
     # dp_sgd and dp_ftrl: the MF runner's projected steps without momentum
-    base = dict(strategy=strategy, sigma=0.0, c_clip=1.0, lr=0.1, momentum=0.0,
-                ball=ball)
+    base = dict(strategy=strategy, c_clip=1.0, lr=0.1, momentum=0.0, ball=ball)
     base.update(kw)
     return MemfConfig(**base)
 
@@ -393,16 +460,16 @@ def _sgd_cfg(strategy, ball, **kw):
 # T/2 batches for two epochs.
 _RUNNERS = {
     "accelerated_dp_srgd": lambda p, batches, T: run_accelerated_dp_srgd(
-        p, iter(batches), SrgdConfig(T=T, beta=2.0 * T,
-                                     ball=ConstraintBall(p.dim, 1.0))),
+        p, iter(batches), tree_rows(0.0, p.dim, 0, T),
+        SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(p.dim, 1.0))),
     "independent_variant": lambda p, batches, T: run_independent_variant(
-        p, iter(batches), SrgdConfig(T=T, beta=2.0 * T,
-                                     ball=ConstraintBall(p.dim, 1.0))),
+        p, iter(batches), gaussian_rows(0.0, p.dim, 0, T),
+        SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(p.dim, 1.0))),
     "unaccelerated_srgd": lambda p, batches, T: run_unaccelerated_srgd(
         p, iter(batches), 0.1, np.ones(T), T),
-    "dp_sgd": lambda p, batches, T: run_dp_srg_memf(
+    "dp_sgd": lambda p, batches, T: _run_mf(
         p, iter(batches), _sgd_cfg(identity_strategy(1, T), ConstraintBall(p.dim, 1.0))),
-    "dp_ftrl": lambda p, batches, T: run_dp_srg_memf(
+    "dp_ftrl": lambda p, batches, T: _run_mf(
         p, iter(batches), _sgd_cfg(build_strategy("ones", 1, T), ConstraintBall(p.dim, 1.0))),
     "dp_memf": _memf_runner,
     "dp_srg_memf": _memf_runner,
@@ -494,7 +561,7 @@ def test_drive_frees_a_steps_state_before_it_draws_the_next_batch():
     rec = _drive(SyntheticQuadratic(dim=dim, target=np.zeros(dim)), stream(), 4,
                  lambda t, x, prev_x, batch: (fresh(np.ones(dim)), 0.0),
                  (fresh(np.full(dim, 0.5)) for _ in range(4)),
-                 lambda t, x, g, w: (0.0, 0.0, (x - g - w,)), "probe", 0)
+                 lambda t, x, g, w: (0.0, 0.0, (x - g - w,)), "probe")
     assert rec.steps == 4
     assert alive == [[]] + [[False, False, False]] * 3
 
@@ -507,6 +574,64 @@ def test_runner_takes_exactly_T_batches(name):
     rec = _RUNNERS[name](problem, stream, 10)
     assert rec.steps == 10
     assert next(stream) is batches[10]
+
+
+# The runners that add noise, on the rows they are handed.
+_NOISY_RUNNERS = {
+    "accelerated_dp_srgd": lambda p, batches, noise, T: run_accelerated_dp_srgd(
+        p, iter(batches), noise,
+        SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(p.dim, 1.0))),
+    "independent_variant": lambda p, batches, noise, T: run_independent_variant(
+        p, iter(batches), noise,
+        SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(p.dim, 1.0))),
+    "dp_srg_memf": lambda p, batches, noise, T: run_dp_srg_memf(
+        p, batches, noise, _memf_cfg(identity_strategy(1, T), decay=0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOISY_RUNNERS))
+def test_runner_aborts_on_short_noise_stream(name):
+    # a bare StopIteration used to leak out of the runner
+    problem = _quadratic()
+    batches = _batches(problem, 5, 4)
+    with pytest.raises(RunAborted, match="noise stream exhausted after 3 of 5 rows") as info:
+        _NOISY_RUNNERS[name](problem, batches, _hand_rows(3, problem.dim), 5)
+    assert info.value.step == 3
+
+
+@pytest.mark.parametrize("name", sorted(_NOISY_RUNNERS))
+def test_runner_rejects_a_noise_row_of_another_shape(name):
+    # a (1,) row used to broadcast silently into the iterate
+    problem = _quadratic()
+    rows = _hand_rows(5, problem.dim)
+    rows[2] = np.ones(1)
+    with pytest.raises(ValueError, match="noise row at step 2 has shape"):
+        _NOISY_RUNNERS[name](problem, _batches(problem, 5, 4), rows, 5)
+
+
+def test_drive_closes_the_noise_stream_before_the_held_out_pass():
+    # the caller still holds the stream, so only closing it frees its state
+    # (the tree's stack, an MF ring) before excess_and_accuracy runs
+    events = []
+
+    class Watch(SyntheticQuadratic):
+        def excess_and_accuracy(self, x):
+            events.append("held-out")
+            return super().excess_and_accuracy(x)
+
+    def rows():
+        try:
+            for _ in range(4):
+                yield np.zeros(3)
+        finally:
+            events.append("closed")
+
+    problem = Watch(dim=3, target=np.zeros(3))
+    noise = rows()
+    rec = run_accelerated_dp_srgd(problem, iter(_batches(problem, 4, 2)), noise,
+                                  SrgdConfig(T=4, beta=8.0, ball=ConstraintBall(3, 1.0)))
+    assert rec.steps == 4
+    assert events == ["closed", "held-out"]
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +718,7 @@ def test_unaccelerated_matches_reference_loop():
     ball = ConstraintBall(problem.dim, 0.3)
     c = np.arange(1.0, T + 1.0)
     rec = run_unaccelerated_srgd(problem, iter(batches), 0.5, c, T, ball=ball,
-                                 seed=2, checkpoints=[4, 12])
+                                 checkpoints=[4, 12])
 
     x = np.zeros(problem.dim)
     prev, acc = x, x
@@ -623,7 +748,7 @@ def test_variance_probe_matches_closed_form_growth():
     def factory(seed):
         noisy = GradientNoiseWrapper(base, s, seed)
         stream = iter(_batches(base, T, B, seed=10**6 + seed))
-        return run_unaccelerated_srgd(noisy, stream, 0.0, ones, T, seed=seed)
+        return run_unaccelerated_srgd(noisy, stream, 0.0, ones, T)
 
     steps, variances = variance_probe(factory, range(150))
     assert steps.shape == variances.shape == (4,)
@@ -649,7 +774,7 @@ def test_dp_sgd_noiseless_matches_hand_loop():
     T, B = 9, 4
     batches = _batches(problem, T, B, seed=19)
     ball = ConstraintBall(problem.dim, 1.0)
-    rec = run_dp_srg_memf(problem, iter(batches), _sgd_cfg(
+    rec = _run_mf(problem, iter(batches), _sgd_cfg(
         identity_strategy(1, T), ball, c_clip=np.inf, lr=0.2))
     x = np.zeros(problem.dim)
     for batch in batches:
@@ -661,7 +786,7 @@ def test_dp_sgd_noiseless_matches_hand_loop():
 def test_dp_sgd_respects_clip():
     problem = _quadratic(target_norm=0.9, seed=20)
     batches = _batches(problem, 6, 4, seed=21)
-    rec = run_dp_srg_memf(problem, iter(batches), _sgd_cfg(
+    rec = _run_mf(problem, iter(batches), _sgd_cfg(
         identity_strategy(1, 6), ConstraintBall(problem.dim, 1.0), c_clip=0.05))
     assert float(rec.grad_norm.max()) <= 0.05 + 1e-12
 
@@ -676,9 +801,9 @@ def test_identity_strategy_ftrl_equals_dp_sgd():
     ball = ConstraintBall(problem.dim, 1.0)
     rho = 0.5
     sigma = math.sqrt(1.0 / (2.0 * rho)) * 1.0 / B  # clip / B sensitivity
-    cfg = _sgd_cfg(identity_strategy(1, T), ball, sigma=sigma, seed=3)
-    rec_sgd = run_dp_srg_memf(problem, iter(batches), cfg)
-    rec_ftrl = run_dp_srg_memf(problem, batches, cfg)
+    cfg = _sgd_cfg(identity_strategy(1, T), ball)
+    rec_sgd = _run_mf(problem, iter(batches), cfg, sigma, 3)
+    rec_ftrl = _run_mf(problem, batches, cfg, sigma, 3)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
 
@@ -710,8 +835,8 @@ def test_dp_ftrl_noise_scales_with_clipped_mean_sensitivity(B, clip):
     sigma = _noise_sigma(rho, clip, B, 1.0)
     assert sigma == pytest.approx(math.sqrt(1.0 / (2.0 * rho)) * clip / B, rel=1e-15)
     assert _noise_sigma(rho, clip, B, strategy.sens) == sigma
-    run = lambda sigma, clip: run_dp_srg_memf(problem, iter(batches), _sgd_cfg(
-        strategy, ball, sigma=sigma, c_clip=clip, seed=4))
+    run = lambda sigma, clip: _run_mf(problem, iter(batches), _sgd_cfg(
+        strategy, ball, c_clip=clip), sigma, 4)
     rec_sgd = run(sigma, clip)
     rec_ftrl = run(_noise_sigma(rho, clip, B, strategy.sens), clip)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
@@ -732,8 +857,8 @@ def test_dp_ftrl_matches_reference_loop():
     strategy = factorize(build_workload("momentum", 1, T, momentum=0.9)[:, 0], 1, T,
                          kind="momentum", momentum=0.9)
     ball = ConstraintBall(problem.dim, 0.5)
-    rec = run_dp_srg_memf(problem, iter(batches), _sgd_cfg(
-        strategy, ball, sigma=sigma, c_clip=clip, lr=lr, seed=6))
+    rec = _run_mf(problem, iter(batches), _sgd_cfg(
+        strategy, ball, c_clip=clip, lr=lr), sigma, 6)
 
     rows = mf_noise_stream(strategy, sigma, problem.dim, 6)
     x = np.zeros(problem.dim)
@@ -754,14 +879,14 @@ def _counting_quadratic():
 @pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
 @pytest.mark.parametrize("name", ["dp_sgd", "dp_ftrl"])
 def test_dp_ftrl_rejects_bad_sigma_before_any_step(name, sigma):
-    # the config checks sigma, before the first gradient, not the noise
-    # stream when its first row is drawn after it
+    # the noise stream checks sigma when it is built, before the runner
+    # takes its first gradient, not when its first row is drawn
     problem = _counting_quadratic()
     T = 5
     strategy = identity_strategy(1, T) if name == "dp_sgd" else build_strategy("ones", 1, T)
     with pytest.raises(ValueError, match="sigma"):
-        run_dp_srg_memf(problem, iter(_batches(problem, T, 4, seed=43)), _sgd_cfg(
-            strategy, ConstraintBall(problem.dim, 1.0), sigma=sigma))
+        _run_mf(problem, iter(_batches(problem, T, 4, seed=43)),
+                _sgd_cfg(strategy, ConstraintBall(problem.dim, 1.0)), sigma)
     assert problem.grad_rows == 0
 
 
@@ -779,8 +904,7 @@ def test_dp_ftrl_rejects_a_horizon_other_than_the_strategys():
     problem = _counting_quadratic()
     batches = _DrawSpy(_batches(problem, 6, 4, seed=44))
     with pytest.raises(ValueError, match="strategy's 5 steps"):
-        run_dp_srg_memf(problem, batches, _sgd_cfg(identity_strategy(1, 5), None,
-                                                   sigma=0.5))
+        _run_mf(problem, batches, _sgd_cfg(identity_strategy(1, 5), None), 0.5)
     assert problem.grad_rows == 0
     assert batches.drawn == 0
 
@@ -800,8 +924,8 @@ def test_dp_sgd_holds_no_horizon_squared_array():
     batches = _batches(problem, T, 1, seed=45)
     tracemalloc.start()
     try:
-        rec = run_dp_srg_memf(problem, iter(batches), _sgd_cfg(
-            identity_strategy(1, T), ConstraintBall(problem.dim, 1.0), sigma=0.1, seed=7))
+        rec = _run_mf(problem, iter(batches), _sgd_cfg(
+            identity_strategy(1, T), ConstraintBall(problem.dim, 1.0)), 0.1, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -814,10 +938,13 @@ def test_dp_sgd_holds_no_horizon_squared_array():
 
 
 def _memf_cfg(strategy, **kw):
-    base = dict(strategy=strategy, sigma=0.0, c_clip=math.inf, lr=0.05,
-                decay=0.0, momentum=0.9, seed=5)
+    base = dict(strategy=strategy, c_clip=math.inf, lr=0.05, decay=0.0, momentum=0.9)
     base.update(kw)
     return MemfConfig(**base)
+
+
+def _memf_rows(problem, cfg, sigma=0.0, seed=5):
+    return mf_noise_stream(cfg.strategy, sigma, problem.dim, seed)
 
 
 def test_memf_config_validation():
@@ -828,14 +955,14 @@ def test_memf_config_validation():
         _memf_cfg(strat, decay=1.5)
     with pytest.raises(ValueError):
         _memf_cfg(strat, momentum=1.0)
-    with pytest.raises(ValueError):
-        _memf_cfg(strat, sigma=-1.0)
+    with pytest.raises(ValueError):  # sigma is the noise stream's, checked at the call
+        mf_noise_stream(strat, -1.0, 3, 5)
     problem = _quadratic(seed=24)
     with pytest.raises(ValueError):  # strategy covers wrong step count
-        run_dp_srg_memf(problem, _batches(problem, 5, 4) * 2,
-                        _memf_cfg(identity_strategy(2, 4)))
+        _run_mf(problem, _batches(problem, 5, 4) * 2, _memf_cfg(identity_strategy(2, 4)),
+                seed=5)
     with pytest.raises(ValueError):
-        _memf_cfg(strat, sigma=math.inf)  # the noise of a finite budget, no clip
+        mf_noise_stream(strat, math.inf, 3, 5)  # the noise of a finite budget, no clip
 
 
 @pytest.mark.parametrize("field,value", [
@@ -843,6 +970,10 @@ def test_memf_config_validation():
     ("sigma", math.nan), ("sigma", math.inf), ("sigma", -1.0),
     ("c_clip", math.nan), ("c_clip", -1.0)])
 def test_memf_config_rejects_bad_scalars(field, value):
+    if field == "sigma":  # the noise stream's, checked when it is built
+        with pytest.raises(ValueError, match=field):
+            mf_noise_stream(identity_strategy(2, 5), value, 3, 5)
+        return
     with pytest.raises(ValueError, match=field.replace("c_", "")):
         _memf_cfg(identity_strategy(2, 5), **{field: value})
 
@@ -851,11 +982,11 @@ def test_memf_batch_mismatch_errors():
     problem = _quadratic(seed=24)
     cfg = _memf_cfg(identity_strategy(2, 5))
     with pytest.raises(ValueError, match="strategy's 10 steps"):
-        run_dp_srg_memf(problem, _batches(problem, 4, 4) * 2, cfg)  # wrong count
+        _run_mf(problem, _batches(problem, 4, 4) * 2, cfg, seed=5)  # wrong count
     batches = _batches(problem, 5, 4)
     batches[2] = batches[2][:3]
     with pytest.raises(ValueError, match="batches differ in size"):
-        run_dp_srg_memf(problem, batches * 2, cfg)  # wrong size
+        _run_mf(problem, batches * 2, cfg, seed=5)  # wrong size
 
 
 def test_a_stream_whose_batches_change_size_is_rejected():
@@ -871,8 +1002,9 @@ def test_zero_decay_recursion_equals_plain_memf():
     problem = _quadratic(seed=26)
     batches = _batches(problem, 5, 4, seed=27)
     cfg = _memf_cfg(identity_strategy(2, 5))
-    x, _, _, losses = _reference_memf(problem, batches, cfg, recursive=False)
-    rec_srg = run_dp_srg_memf(problem, batches * 2, cfg)
+    x, _, _, losses = _reference_memf(problem, batches, cfg, False,
+                                      _memf_rows(problem, cfg))
+    rec_srg = _run_mf(problem, batches * 2, cfg, seed=5)
     np.testing.assert_array_equal(x, rec_srg.final_x)
     np.testing.assert_array_equal(losses, rec_srg.train_loss)
 
@@ -883,9 +1015,10 @@ def test_zero_decay_recursion_equals_plain_memf_under_noise():
     strat = factorize(build_workload("ones", 2, 5)[:, 0], 2, 5)
     problem = _quadratic(seed=32)
     batches = _batches(problem, 5, 4, seed=33)
-    cfg = _memf_cfg(strat, sigma=1.0 / 4 / math.sqrt(2.0 * 0.5), c_clip=1.0)
-    x, noise_norm, _, losses = _reference_memf(problem, batches, cfg, recursive=False)
-    rec_srg = run_dp_srg_memf(problem, batches * 2, cfg)
+    cfg, sigma = _memf_cfg(strat, c_clip=1.0), 1.0 / 4 / math.sqrt(2.0 * 0.5)
+    x, noise_norm, _, losses = _reference_memf(problem, batches, cfg, False,
+                                               _memf_rows(problem, cfg, sigma))
+    rec_srg = _run_mf(problem, batches * 2, cfg, sigma, 5)
     assert min(noise_norm) > 0
     np.testing.assert_array_equal(x, rec_srg.final_x)
     np.testing.assert_array_equal(losses, rec_srg.train_loss)
@@ -898,14 +1031,14 @@ def test_zero_decay_run_is_dp_memf_and_reports_the_clipped_gradient():
     strat = factorize(build_workload("ones", 2, 5)[:, 0], 2, 5)
     problem = _quadratic(target_norm=0.9, seed=43)
     batches = _batches(problem, 5, 4, seed=44)
-    cfg = _memf_cfg(strat, sigma=5.0, c_clip=0.5)
-    rec = run_dp_srg_memf(problem, batches * 2, cfg)
+    cfg = _memf_cfg(strat, c_clip=0.5)
+    rec = _run_mf(problem, batches * 2, cfg, 5.0, 5)
     assert rec.algorithm == "dp_memf"
     assert rec.grad_norm.max() <= 0.5 * (1 + 1e-12) < rec.noise_norm.min()
-    _, _, grad_norm, _ = _reference_memf(problem, batches, cfg, recursive=False)
+    _, _, grad_norm, _ = _reference_memf(problem, batches, cfg, False,
+                                         _memf_rows(problem, cfg, 5.0))
     np.testing.assert_array_equal(rec.grad_norm, grad_norm)
-    rec_srg = run_dp_srg_memf(problem, batches * 2,
-                              _memf_cfg(strat, sigma=5.0, c_clip=0.5, decay=0.5))
+    rec_srg = _run_mf(problem, batches * 2, _memf_cfg(strat, c_clip=0.5, decay=0.5), 5.0, 5)
     assert rec_srg.algorithm == "dp_srg_memf"
     assert rec_srg.grad_norm[0] > 0.5  # the recursion holds the noise row
 
@@ -917,7 +1050,7 @@ def test_dp_srg_memf_evaluates_one_point_at_zero_weight(decay, steps_evaluated):
     problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
                                  noise_scale=0.5, radius=1.0)
     batches = _batches(problem, 5, 4, seed=27)
-    run_dp_srg_memf(problem, batches * 2, _memf_cfg(identity_strategy(2, 5), decay=decay))
+    _run_mf(problem, batches * 2, _memf_cfg(identity_strategy(2, 5), decay=decay), seed=5)
     assert problem.grad_rows == 4 * steps_evaluated
 
 
@@ -927,10 +1060,8 @@ def test_memf_noise_scales_with_clip_norm():
     batches = _batches(problem, 5, 4, seed=29)
     strat = identity_strategy(2, 5)
     sigma = lambda clip: _noise_sigma(1.0, clip, 4, strat.sens)
-    rec1 = run_dp_srg_memf(problem, batches * 2,
-                           _memf_cfg(strat, sigma=sigma(1.0), c_clip=1.0))
-    rec2 = run_dp_srg_memf(problem, batches * 2,
-                           _memf_cfg(strat, sigma=sigma(2.0), c_clip=2.0))
+    rec1 = _run_mf(problem, batches * 2, _memf_cfg(strat, c_clip=1.0), sigma(1.0), 5)
+    rec2 = _run_mf(problem, batches * 2, _memf_cfg(strat, c_clip=2.0), sigma(2.0), 5)
     ratio = rec2.noise_norm / rec1.noise_norm
     np.testing.assert_allclose(ratio, 2.0, rtol=1e-12)
 
@@ -938,16 +1069,16 @@ def test_memf_noise_scales_with_clip_norm():
 def test_infinite_budget_means_zero_noise():
     problem = _quadratic(seed=30)
     batches = _batches(problem, 5, 4, seed=31)
-    rec = run_dp_srg_memf(problem, batches * 2, _memf_cfg(identity_strategy(2, 5)))
+    rec = _run_mf(problem, batches * 2, _memf_cfg(identity_strategy(2, 5)), seed=5)
     np.testing.assert_array_equal(rec.noise_norm, np.zeros(10))
 
 
-def _reference_memf(problem, batches, cfg, recursive):
+def _reference_memf(problem, batches, cfg, recursive, rows):
     """Multi-epoch training written out from per-example gradients:
-    clipped mean (or clipped recursive increment), plus the strategy's
-    noise row at cfg.sigma, into SGD with momentum. Returns the final
-    point and the per-step noise norms, gradient norms and batch losses."""
-    rows = mf_noise_stream(cfg.strategy, cfg.sigma, problem.dim, cfg.seed)
+    clipped mean (or clipped recursive increment), plus the given noise
+    row, into SGD with momentum. Returns the final point and the per-step
+    noise norms, gradient norms and batch losses."""
+    rows = iter(rows)
     x = np.zeros(problem.dim)
     prev, velocity, rec = x, x, x
     noise, grads, losses = [], [], []
@@ -979,9 +1110,10 @@ def _check_memf_reference(runner, recursive, **kw):
     strat = factorize(wl[:, 0], 2, 5)
     problem = _quadratic(target_norm=0.9, seed=41)
     batches = _batches(problem, 5, 4, seed=42)
-    cfg = _memf_cfg(strat, sigma=0.5 / 4 / math.sqrt(2.0 * 0.5), c_clip=0.5, **kw)
-    rec = runner(problem, batches * strat.k, cfg)
-    x, noise_norm, grad_norm, losses = _reference_memf(problem, batches, cfg, recursive)
+    cfg, sigma = _memf_cfg(strat, c_clip=0.5, **kw), 0.5 / 4 / math.sqrt(2.0 * 0.5)
+    rec = runner(problem, batches * strat.k, _memf_rows(problem, cfg, sigma), cfg)
+    x, noise_norm, grad_norm, losses = _reference_memf(problem, batches, cfg, recursive,
+                                                       _memf_rows(problem, cfg, sigma))
     np.testing.assert_array_equal(rec.final_x, x)
     np.testing.assert_array_equal(rec.noise_norm, noise_norm)
     np.testing.assert_array_equal(rec.grad_norm, grad_norm)
@@ -994,6 +1126,20 @@ def test_dp_srg_memf_matches_reference_loop():
 
 def test_dp_memf_matches_reference_loop():
     _check_memf_reference(run_dp_srg_memf, False)  # dp_memf is decay 0
+
+
+def test_dp_srg_memf_adds_the_rows_it_is_handed():
+    strat = factorize(build_workload("ones", 2, 5)[:, 0], 2, 5)
+    problem = _quadratic(target_norm=0.9, seed=41)
+    batches = _batches(problem, 5, 4, seed=49)
+    cfg = _memf_cfg(strat, c_clip=0.5, decay=0.5)
+    rows = _hand_rows(strat.steps, problem.dim)
+    rec = run_dp_srg_memf(problem, batches * strat.k, rows, cfg)
+    x, noise_norm, grad_norm, losses = _reference_memf(problem, batches, cfg, True, rows)
+    np.testing.assert_array_equal(rec.final_x, x)
+    np.testing.assert_array_equal(rec.noise_norm, noise_norm)
+    np.testing.assert_array_equal(rec.grad_norm, grad_norm)
+    np.testing.assert_array_equal(rec.train_loss, losses)
 
 
 class _ExplodingQuadratic(SyntheticQuadratic):
@@ -1050,14 +1196,16 @@ def _huge_gradient_quadratic():
 
 
 _OVERFLOWING_RUNNERS = {
-    "dp_sgd": lambda p, batches, ball: run_dp_srg_memf(p, iter(batches), _sgd_cfg(
+    "dp_sgd": lambda p, batches, ball: _run_mf(p, iter(batches), _sgd_cfg(
         identity_strategy(1, len(batches)), ball, c_clip=math.inf, lr=100.0)),
-    "dp_ftrl": lambda p, batches, ball: run_dp_srg_memf(p, iter(batches), _sgd_cfg(
+    "dp_ftrl": lambda p, batches, ball: _run_mf(p, iter(batches), _sgd_cfg(
         build_strategy("ones", 1, len(batches)), ball, c_clip=math.inf, lr=100.0)),
     "independent_variant": lambda p, batches, ball: run_independent_variant(
-        p, iter(batches), SrgdConfig(T=len(batches), beta=1e-3, ball=ball)),
+        p, iter(batches), gaussian_rows(0.0, p.dim, 0, len(batches)),
+        SrgdConfig(T=len(batches), beta=1e-3, ball=ball)),
     "accelerated_dp_srgd": lambda p, batches, ball: run_accelerated_dp_srgd(
-        p, iter(batches), SrgdConfig(T=len(batches), beta=1e-3, ball=ball)),
+        p, iter(batches), tree_rows(0.0, p.dim, 0, len(batches)),
+        SrgdConfig(T=len(batches), beta=1e-3, ball=ball)),
 }
 
 
