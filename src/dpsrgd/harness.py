@@ -51,6 +51,9 @@ _ALGORITHMS = (
 )
 # Algorithms whose step size comes from the smoothness, not from lr_grid.
 _LR_FREE = ("accelerated_dp_srgd", "independent_variant")
+# Algorithms whose noise no workload shapes: the binary tree, i.i.d. rows,
+# and DP-SGD's identity strategy.
+_WORKLOAD_FREE = _LR_FREE + ("dp_sgd",)
 
 DATA_DIR_ENV = "DPSRGD_DATA_DIR"
 
@@ -103,6 +106,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.workload not in counting.WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
+        if self.algorithm in _WORKLOAD_FREE and self.workload != "ones":
+            raise ValueError(f"{self.algorithm} reads no workload, so the summary would "
+                             f"state workload={self.workload} for runs that never used it")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for name in ("lr_grid", "clip_grid", "c_grid"):
@@ -148,8 +154,7 @@ class ExperimentSpec:
                              "configuration under different seeds")
         # c is the decay of the momentum_decay strategy and dp_srg_memf's
         # recursion weight; nothing else reads it
-        decays = (self.workload == "momentum_decay"
-                  and self.algorithm in ("dp_ftrl", "dp_memf", "dp_srg_memf"))
+        decays = self.workload == "momentum_decay"
         if len(self.c_grid) > 1 and not (decays or self.algorithm == "dp_srg_memf"):
             raise ValueError(f"{self.algorithm} on the {self.workload} workload takes no "
                              f"c, so a c_grid of {len(self.c_grid)} entries would rerun "
@@ -158,7 +163,8 @@ class ExperimentSpec:
             raise ValueError("the momentum_decay workload needs a decay in (0, 1], "
                              f"but c_grid holds 0: {self.c_grid}")
         if self.algorithm == "dp_ftrl" and self.workload == "identity":
-            raise ValueError("dp_ftrl on the identity workload is DP-SGD: use algorithm=dp_sgd")
+            raise ValueError("dp_ftrl on the identity workload is DP-SGD: use "
+                             "algorithm=dp_sgd, with no workload")
         budget = self.rho if self.rho is not None else self.epsilon
         for clip in self.clip_grid if math.isfinite(budget) else ():
             if not _lipschitz_bound(self.algorithm, clip) and math.isinf(clip):

@@ -4,10 +4,10 @@ Two concrete tasks are provided. SyntheticQuadratic has a known population
 minimizer, so excess risk and population gradients are exact; it backs the
 convergence and sensitivity checks. LogisticTask is multiclass softmax
 regression over fixed feature/label arrays with a held-out split; it runs
-one logits matmul per batch, for both evaluation points of `srg_mean`, and
-one over the held-out set for a finished run's loss and accuracy. Every
-logits product but `srg_mean`'s stacked one puts the K class rows on the
-left (see LogisticTask).
+one logits matmul per block of a batch's rows, for both evaluation points
+of `srg_mean`, and one per block of held-out rows for a finished run's loss
+and accuracy. Every logits product but `srg_mean`'s stacked one puts the K
+class rows on the left (see LogisticTask).
 
 A "batch" is whatever the problem's per-example methods accept:
 an (m, dim) array of example vectors for the synthetic task, an integer
@@ -28,6 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _clip_factors, _clip_rows_in_place, check_clip, row_norms
+
+# The most feature-row bytes a gathered batch's step holds at once: a
+# LogisticTask gradient hook reads a gathered batch in near-equal blocks of
+# at most this many bytes of rows (125 rows at 785 features), sized to a
+# core's L2 cache, so that its memory does not grow with the batch.
+_GATHER_BYTES = 768 * 1024
+# The most held-out rows a block of the held-out pass reads, so that a
+# finished run's loss and accuracy never hold the (n_eval, K) logits.
+_HELDOUT_ROWS = 2048
 
 __all__ = [
     "LossProblem",
@@ -133,6 +142,15 @@ def _blocked_row_norms(mat: np.ndarray) -> np.ndarray:
         for start in range(0, mat.shape[0], 4096):
             out[start:start + 4096] = row_norms(mat[start:start + 4096])
     return out
+
+
+def _near_equal_blocks(n: int, most: int) -> list[tuple[int, int]]:
+    """(lo, hi) of the fewest consecutive blocks of n rows that hold at
+    most `most` rows each, their sizes differing by at most one, so that no
+    block is a sliver: BLAS may round a GEMM of few rows differently. One
+    empty block when n is 0."""
+    count = max(1, -(-n // most))
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
 def _batch_mean(a: np.ndarray):
@@ -267,12 +285,18 @@ class LogisticTask(LossProblem):
     Per-example gradients are rank one, outer(softmax_err, phi), which the
     clipped-mean hooks exploit: the clip scale only needs ||softmax_err|| *
     ||phi|| per example (the ||phi|| are computed once, at construction),
-    and the clipped mean is a single weighted matmul. Each hook call reads
-    the batch's feature rows once, in place when the batch is a consecutive
-    index range (the fixed multi-epoch batches) and as a gathered copy
-    otherwise, and runs one logits matmul per batch: `srg_mean` stacks the
-    weights of its two evaluation points, so a single GEMM yields both
-    softmax errors and the train loss.
+    and the clipped mean is a weighted matmul. Each hook call reads the
+    batch's feature rows once. A consecutive index range (the fixed
+    multi-epoch batches) is read in place, as one block. Any other batch is
+    gathered in near-equal blocks of at most `_GATHER_BYTES` of rows, and
+    each block runs its logits matmul, softmax and clip scale, and adds its
+    weighted matmul to the first block's, so a step holds one block of
+    rows, never a copy of the whole batch. The clip scale divides by the
+    full batch size, and the per-example losses of every block fill one
+    array, whose mean is the train loss. `srg_mean` stacks the weights of
+    its two evaluation points, so a single GEMM per block yields both
+    softmax errors and the train loss. The held-out pass reads near-equal
+    blocks of at most `_HELDOUT_ROWS` rows.
 
     Every other logits product (the single-point hooks and per-example
     methods, the held-out loss and accuracy) is `_logits`: the (K, p)
@@ -424,26 +448,46 @@ class LogisticTask(LossProblem):
         return np.einsum("mk,mp->mkp", err, phi).reshape(phi.shape[0], self.dim)
 
     def clipped_mean_grad(self, x, batch, c_clip) -> tuple[np.ndarray, float]:
-        sel = self._select(batch)
-        phi = self.features[sel]
-        z, loss = self._forward(phi, self.labels[sel], x)
-        return self._clipped_mean(z[:, 0], phi, sel, c_clip), float(loss[:, 0].mean())
+        return self._blocked_mean(batch, c_clip, lambda z: z[:, 0], x)
 
     def srg_mean(self, x_t, x_prev, w_t, w_prev, batch,
                  c_clip=np.inf) -> tuple[np.ndarray, float]:
-        sel = self._select(batch)
-        phi = self.features[sel]
-        z, loss = self._forward(phi, self.labels[sel], x_t, x_prev)
-        with np.errstate(invalid="ignore"):  # as the generic hook forms it
-            err = w_t * z[:, 0] - w_prev * z[:, 1]
-        del z  # freed before the backward matmul, which holds phi and its output
-        return self._clipped_mean(err, phi, sel, c_clip), float(loss[:, 0].mean())
+        def recursion(z):
+            with np.errstate(invalid="ignore"):  # as the generic hook forms it
+                return w_t * z[:, 0] - w_prev * z[:, 1]
+        return self._blocked_mean(batch, c_clip, recursion, x_t, x_prev)
 
-    def _clipped_mean(self, err, phi, sel, c_clip) -> np.ndarray:
-        """Batch mean of the rank-one gradients outer(err, phi), each
-        clipped to c_clip, as one weighted matmul."""
-        scale = self._clip_scale(err, self.feature_norms[sel], c_clip) / phi.shape[0]
-        return ((err * scale[:, None]).T @ phi).reshape(self.dim)
+    def _blocked_mean(self, batch, c_clip, err_of, *xs) -> tuple[np.ndarray, float]:
+        """(Batch mean of the rank-one gradients outer(err, phi), each
+        clipped to c_clip, batch-mean loss at xs[0]), where err_of maps the
+        softmax errors at the points xs, shape (m, P, K), to err. A gathered
+        batch runs in blocks (see the class docstring); the first block's
+        matmul is the accumulator."""
+        sel = self._select(batch)
+        if isinstance(sel, slice):  # a view costs no copy: one block
+            grad, loss = self._block_sum(sel, sel.stop - sel.start, c_clip, err_of, xs)
+            return grad.reshape(self.dim), float(loss.mean())
+        m = len(sel)
+        losses = np.empty(m)
+        blocks = _near_equal_blocks(m, max(1, _GATHER_BYTES // (8 * self.n_features)))
+        for i, (lo, hi) in enumerate(blocks):
+            part, losses[lo:hi] = self._block_sum(sel[lo:hi], m, c_clip, err_of, xs)
+            if i == 0:
+                grad = part
+            else:
+                grad += part
+            del part  # freed before the next block is gathered
+        return grad.reshape(self.dim), float(losses.mean())
+
+    def _block_sum(self, rows, m, c_clip, err_of, xs) -> tuple[np.ndarray, np.ndarray]:
+        """(Sum over the rows of outer(err, phi), each clipped to c_clip and
+        divided by m, as one (K, p) matmul; the rows' losses at xs[0])."""
+        phi = self.features[rows]
+        z, loss = self._forward(phi, self.labels[rows], *xs)
+        err = err_of(z)
+        del z  # freed before the backward matmul, which holds phi and its output
+        scale = self._clip_scale(err, self.feature_norms[rows], c_clip) / m
+        return (err * scale[:, None]).T @ phi, loss[:, 0]
 
     @staticmethod
     def _clip_scale(err, phi_norms, c_clip) -> np.ndarray:
@@ -461,12 +505,8 @@ class LogisticTask(LossProblem):
 
     def excess_and_accuracy(self, x) -> tuple[float, float]:
         """(Held-out average loss, held-out accuracy in percent) from one
-        logits matmul; both fall back to the training split."""
-        feats, labels = self._heldout()
-        z = self._logits(feats, x)
-        pred = z.argmax(axis=1)
-        loss = self._exp_shifted(z[:, None, :], labels)[0][:, 0]
-        return float(loss.mean()), 100.0 * float((pred == labels).mean())
+        pass over the held-out rows; both fall back to the training split."""
+        return self._heldout_pass(x, *self._heldout(), with_loss=True)
 
     def accuracy(self, x, half: str | None = None) -> float:
         """Held-out classification accuracy in percent. half="even"/"odd"
@@ -479,8 +519,24 @@ class LogisticTask(LossProblem):
             feats, labels = feats[1::2], labels[1::2]
         elif half is not None:
             raise ValueError(f"half must be 'even', 'odd', or None, got {half!r}")
-        pred = self._logits(feats, x).argmax(axis=1)
-        return 100.0 * float((pred == labels).mean())
+        return self._heldout_pass(x, feats, labels, with_loss=False)[1]
+
+    def _heldout_pass(self, x, feats, labels, with_loss: bool) -> tuple[float | None, float]:
+        """(Mean cross-entropy, or None without with_loss; accuracy in
+        percent) over the rows feats, one logits matmul per near-equal
+        block of at most `_HELDOUT_ROWS` of them. The per-example losses
+        fill one array, so the mean has the bits of a single pass."""
+        n = len(labels)
+        losses = np.empty(n) if with_loss else None
+        correct = 0
+        for lo, hi in _near_equal_blocks(n, _HELDOUT_ROWS):
+            z = self._logits(feats[lo:hi], x)
+            correct += int(np.count_nonzero(z.argmax(axis=1) == labels[lo:hi]))
+            if with_loss:  # after the argmax: this shifts and exponentiates z
+                losses[lo:hi] = self._exp_shifted(z[:, None, :], labels[lo:hi])[0][:, 0]
+            del z  # freed before the next block's logits
+        loss = float(losses.mean()) if with_loss else None
+        return loss, 100.0 * (correct / n)
 
 
 class GradientNoiseWrapper(LossProblem):

@@ -169,8 +169,8 @@ def test_spec_rejects_a_repeated_grid_entry(grid):
 
 
 @pytest.mark.parametrize("algorithm, workload", [
-    ("dp_sgd", "ones"), ("dp_sgd", "momentum_decay"), ("accelerated_dp_srgd", "ones"),
-    ("independent_variant", "momentum_decay"), ("dp_ftrl", "ones"),
+    ("dp_sgd", "ones"), ("dp_memf", "momentum"), ("accelerated_dp_srgd", "ones"),
+    ("independent_variant", "ones"), ("dp_ftrl", "ones"),
     ("dp_ftrl", "momentum"), ("dp_memf", "ones"), ("dp_memf", "identity")])
 def test_spec_rejects_a_c_grid_where_c_is_unused(algorithm, workload):
     # c reaches no run here: each entry would rerun one configuration
@@ -200,7 +200,20 @@ def test_spec_rejects_zero_decay_on_the_momentum_decay_workload(algorithm):
         with pytest.raises(ValueError, match="momentum_decay"):
             run_experiment(spec, event_log=log)
         assert log == []
-    _tiny_spec(algorithm="dp_sgd", workload="momentum_decay", c_grid=(0.0,)).validate()
+    _tiny_spec(algorithm="dp_sgd", c_grid=(0.0,)).validate()
+
+
+@pytest.mark.parametrize("algorithm", ["dp_sgd", "accelerated_dp_srgd",
+                                       "independent_variant"])
+@pytest.mark.parametrize("workload", ["momentum", "momentum_decay", "identity"])
+def test_spec_rejects_a_workload_the_algorithm_never_reads(algorithm, workload):
+    # the summary header would state a workload that shaped no run's noise
+    spec = _tiny_spec(algorithm=algorithm, workload=workload, c_grid=(0.5,))
+    log = []
+    with pytest.raises(ValueError, match=f"{algorithm} reads no workload"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    dataclasses.replace(spec, workload="ones").validate()
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +285,7 @@ def test_dp_ftrl_on_the_identity_workload_is_rejected():
     with pytest.raises(ValueError, match="algorithm=dp_sgd"):
         run_experiment(spec, event_log=log)
     assert log == []
-    dataclasses.replace(spec, algorithm="dp_sgd").validate()
+    dataclasses.replace(spec, algorithm="dp_sgd", workload="ones").validate()
 
 
 def _tree_sigmas(monkeypatch, spec) -> list:

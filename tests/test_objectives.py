@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dpsrgd import objectives
 from dpsrgd.geometry import clip_rows
 from dpsrgd.objectives import (
     GradientNoiseWrapper,
@@ -343,9 +344,11 @@ def _softmax_err_and_loss(logits, labels):
 
 
 def _two_point_srg_reference(task, x_t, x_prev, w_t, w_prev, idx, c_clip,
-                             logits_t, logits_prev):
+                             logits_t, logits_prev, blocks=1):
     """srg_mean from two separate softmax evaluations: the clipped mean of
-    the rank-one rows outer(w_t*err_t - w_prev*err_prev, phi)."""
+    the rank-one rows outer(w_t*err_t - w_prev*err_prev, phi), as the sum,
+    in order, of one matmul per block of `blocks` near-equal consecutive
+    row blocks."""
     labels = task.labels[idx]
     err_t, loss = _softmax_err_and_loss(logits_t, labels)
     err = w_t * err_t - w_prev * _softmax_err_and_loss(logits_prev, labels)[0]
@@ -354,8 +357,29 @@ def _two_point_srg_reference(task, x_t, x_prev, w_t, w_prev, idx, c_clip,
         norms = np.linalg.norm(err, axis=1) * task.feature_norms[idx]
         over = norms > c_clip
         scale[over] = c_clip / norms[over]
-    grad = ((err * (scale / len(idx))[:, None]).T @ task.features[idx])
+    weighted = err * (scale / len(idx))[:, None]
+    m = len(idx)
+    grad = 0.0
+    for i in range(blocks):
+        lo, hi = i * m // blocks, (i + 1) * m // blocks
+        part = weighted[lo:hi].T @ task.features[idx[lo:hi]]
+        grad = part if i == 0 else grad + part
     return grad.reshape(task.dim), float(loss.mean())
+
+
+def _gathered_blocks(task, m: int) -> int:
+    """How many near-equal blocks an m-row gathered batch is read in: the
+    fewest whose rows each fit _GATHER_BYTES."""
+    rows = objectives._GATHER_BYTES // (8 * task.n_features)
+    return max(1, -(-m // rows))
+
+
+def _assert_close_to_one_gemm(got, want):
+    """got equals want to 1e-12 relative to want's largest entry: a blocked
+    sum rounds differently from one matmul, and an entry that cancels to
+    far below the largest keeps only that absolute error."""
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("rows", [1, 10])
@@ -394,33 +418,45 @@ def _mnist_shaped(n=1000, p=785, classes=10, seed=0):
 @pytest.mark.parametrize("w_prev", [0.0, 2.0])
 def test_srg_mean_equals_two_separate_forwards_at_batch_shape(c_clip, w_prev):
     # at a 500-row batch of 785 features and 10 classes, the MNIST shape,
-    # one GEMM of width 20 returns the bits of two GEMMs of width 10, so
-    # the fused step reproduces the two-forward figures exactly
+    # one GEMM of width 20 per block returns the bits of two GEMMs of width
+    # 10 over the whole batch, so the fused step reproduces the two-forward
+    # figures exactly, its backward sum taken block by block
     problem = _mnist_shaped()
     rng = np.random.default_rng(19)
     idx = problem.draw_batch(rng, 500)
     x_t = rng.standard_normal(problem.dim) * 0.05
     x_prev = rng.standard_normal(problem.dim) * 0.05
     phi = problem.features[idx]
+    logits = (phi @ problem._weights(x_t).T, phi @ problem._weights(x_prev).T)
     want_g, want_loss = _two_point_srg_reference(
-        problem, x_t, x_prev, 3.0, w_prev, idx, c_clip,
-        phi @ problem._weights(x_t).T, phi @ problem._weights(x_prev).T)
+        problem, x_t, x_prev, 3.0, w_prev, idx, c_clip, *logits,
+        blocks=_gathered_blocks(problem, 500))
     got_g, got_loss = problem.srg_mean(x_t, x_prev, 3.0, w_prev, idx, c_clip)
     np.testing.assert_array_equal(got_g, want_g)
     assert got_loss == want_loss
+    _assert_close_to_one_gemm(got_g, _two_point_srg_reference(
+        problem, x_t, x_prev, 3.0, w_prev, idx, c_clip, *logits)[0])
+
+
+def test_gathered_block_is_sized_to_a_core_cache():
+    # 100 to 125 rows of the MNIST shape's 785 features: 0.6 to 0.8 MB
+    problem = _mnist_shaped(n=10)
+    assert 100 <= objectives._GATHER_BYTES // (8 * problem.n_features) <= 125
+    assert _gathered_blocks(problem, 500) == 4
 
 
 def test_srg_mean_peak_memory_is_the_gathered_batch_plus_slack():
-    # the gathered (500, 785) feature rows dominate a step's memory; the
-    # stacked weights and softmax buffers are freed before the backward
-    # matmul, so the rest stays within a fixed slack
+    # a gathered batch is read one block of (125, 785) feature rows at a
+    # time, and the blocks dominate a step's memory; the stacked weights
+    # and softmax buffers are freed before each backward matmul, so the
+    # rest stays within a fixed slack
     problem = _mnist_shaped()
     rng = np.random.default_rng(20)
     idx = problem.draw_batch(rng, 500)
     x_t = rng.standard_normal(problem.dim) * 0.05
     x_prev = rng.standard_normal(problem.dim) * 0.05
     problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)  # warm any lazy set-up
-    batch_bytes = 500 * problem.n_features * 8
+    batch_bytes = -(-500 // _gathered_blocks(problem, 500)) * problem.n_features * 8
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -430,6 +466,49 @@ def test_srg_mean_peak_memory_is_the_gathered_batch_plus_slack():
     finally:
         tracemalloc.stop()
     assert peak <= batch_bytes + 300_000
+
+
+def test_gathered_step_peak_memory_does_not_grow_with_the_batch():
+    # four times the rows add only the (m,) loss and index arrays
+    problem = _mnist_shaped()
+    rng = np.random.default_rng(32)
+    x_t = rng.standard_normal(problem.dim) * 0.05
+    x_prev = rng.standard_normal(problem.dim) * 0.05
+    peaks = []
+    for size in (500, 2000):
+        idx = problem.draw_batch(rng, size)
+        peaks.append(_traced_peak(lambda: problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)))
+        peaks.append(_traced_peak(lambda: problem.clipped_mean_grad(x_t, idx, 1.0)))
+    assert peaks[2] <= peaks[0] + 50_000
+    assert peaks[3] <= peaks[1] + 50_000
+
+
+@pytest.mark.parametrize("c_clip", [0.5, np.inf])
+@pytest.mark.parametrize("rows", ["one", "block", "uneven"])
+def test_blocked_hooks_equal_the_one_gemm_reference(rows, c_clip):
+    # one row; exactly one block's rows; and 501 rows, which split into
+    # blocks of unequal size
+    problem = _mnist_shaped()
+    size = {"one": 1, "block": objectives._GATHER_BYTES // (8 * problem.n_features),
+            "uneven": 501}[rows]
+    assert _gathered_blocks(problem, size) == {"one": 1, "block": 1, "uneven": 5}[rows]
+    rng = np.random.default_rng(33)
+    idx = problem.draw_batch(rng, size)
+    x_t = rng.standard_normal(problem.dim) * 0.05
+    x_prev = rng.standard_normal(problem.dim) * 0.05
+    phi = problem.features[idx]
+    logits_t = phi @ problem._weights(x_t).T
+    want_g, want_loss = _two_point_srg_reference(
+        problem, x_t, x_prev, 3.0, 2.0, idx, c_clip,
+        logits_t, phi @ problem._weights(x_prev).T)
+    got_g, got_loss = problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, c_clip)
+    _assert_close_to_one_gemm(got_g, want_g)
+    assert got_loss == want_loss
+    want_g, want_loss = _two_point_srg_reference(
+        problem, x_t, x_t, 1.0, 0.0, idx, c_clip, logits_t, logits_t)
+    got_g, got_loss = problem.clipped_mean_grad(x_t, idx, c_clip)
+    _assert_close_to_one_gemm(got_g, want_g)
+    assert got_loss == want_loss
 
 
 @pytest.mark.parametrize("c_clip", [0.5, np.inf])
@@ -459,18 +538,26 @@ def test_consecutive_batch_reads_in_place_with_the_gathered_figures(c_clip):
 @pytest.mark.parametrize("c_clip", [0.5, np.inf])
 def test_clipped_mean_grad_on_a_gathered_batch_equals_the_reference(c_clip):
     # the single-point hooks take their logits with the class rows on the
-    # left; on 500 gathered, non-consecutive rows of the MNIST shape they
-    # give the bits of feats @ W.T
+    # left; on each block of 500 gathered, non-consecutive rows of the MNIST
+    # shape, and for the per-example losses on all 500, they give the bits
+    # of feats @ W.T
     problem = _mnist_shaped()
     rng = np.random.default_rng(27)
     idx = rng.permutation(problem.n_train)[:500]
     x = rng.standard_normal(problem.dim) * 0.05
     logits = problem.features[idx] @ problem._weights(x).T
+    # a GEMM of a block's rows may round otherwise than one of all 500
+    blocks = _gathered_blocks(problem, 500)
+    block_logits = np.concatenate([
+        problem.features[idx[i * 500 // blocks:(i + 1) * 500 // blocks]]
+        @ problem._weights(x).T for i in range(blocks)])
     want_g, want_loss = _two_point_srg_reference(
-        problem, x, x, 1.0, 0.0, idx, c_clip, logits, logits)
+        problem, x, x, 1.0, 0.0, idx, c_clip, block_logits, block_logits, blocks=blocks)
     got_g, got_loss = problem.clipped_mean_grad(x, idx, c_clip)
     np.testing.assert_array_equal(got_g, want_g)
     assert got_loss == want_loss
+    _assert_close_to_one_gemm(got_g, _two_point_srg_reference(
+        problem, x, x, 1.0, 0.0, idx, c_clip, logits, logits)[0])
     np.testing.assert_array_equal(problem.per_example_values(x, idx),
                                   _softmax_err_and_loss(logits, problem.labels[idx])[1])
 
@@ -631,12 +718,15 @@ def _mnist_shaped_with_heldout(n_eval=10000):
                         eval_labels=rng.integers(0, task.num_classes, size=n_eval))
 
 
-@pytest.mark.parametrize("make", [lambda: _logistic(n=60, p=6, classes=4, seed=30),
-                                  _mnist_shaped_with_heldout],
-                         ids=["small", "mnist_10000"])
+@pytest.mark.parametrize("make", [
+    lambda: _logistic(n=60, p=6, classes=4, seed=30), _mnist_shaped_with_heldout,
+    lambda: _mnist_shaped_with_heldout(n_eval=2 * objectives._HELDOUT_ROWS + 1)],
+    ids=["small", "mnist_10000", "mnist_4097"])
 def test_heldout_figures_equal_the_feats_at_weights_reference(make):
-    # the held-out pass takes its logits with the class rows on the left;
-    # loss and accuracy keep the bits of feats @ W.T, halves included
+    # the held-out pass takes its logits with the class rows on the left,
+    # in near-equal blocks (4097 rows make three, and their halves two and
+    # one); loss and accuracy keep the bits of one feats @ W.T over the
+    # whole split, halves included
     problem = make()
     x = np.random.default_rng(31).standard_normal(problem.dim) * 0.05
     assert problem.excess_and_accuracy(x) == _heldout_reference(problem, x)
@@ -645,6 +735,14 @@ def test_heldout_figures_equal_the_feats_at_weights_reference(make):
                        ("odd", slice(1, None, 2))):
         pred = (feats[rows] @ problem._weights(x).T).argmax(axis=1)
         assert problem.accuracy(x, half=half) == 100.0 * float((pred == labels[rows]).mean())
+
+
+def test_heldout_pass_holds_no_logits_of_the_whole_set():
+    # one (10000, 10) logits array alone would take 800 KB
+    problem = _mnist_shaped_with_heldout()
+    x = np.random.default_rng(35).standard_normal(problem.dim) * 0.05
+    assert _traced_peak(lambda: problem.excess_and_accuracy(x)) < 10000 * 10 * 8
+    assert _traced_peak(lambda: problem.accuracy(x, half="even")) < 5000 * 10 * 8
 
 
 def test_excess_and_accuracy_default_has_no_accuracy():
