@@ -64,12 +64,12 @@ from .optim import (
     RunAborted,
     RunRecord,
     SrgdConfig,
+    frozen_srg_estimates,
     linear_fit,
     potential,
     run_accelerated_dp_srgd,
     run_dp_srg_memf,
     run_independent_variant,
-    run_unaccelerated_srgd,
     variance_probe,
 )
 from .verify import CriterionResult, run_all
@@ -91,7 +91,7 @@ __all__ = [
     "SyntheticQuadratic",
     "MemfConfig", "RunAborted", "RunRecord", "SrgdConfig", "linear_fit",
     "potential", "run_accelerated_dp_srgd", "run_dp_srg_memf",
-    "run_independent_variant", "run_unaccelerated_srgd", "variance_probe",
+    "run_independent_variant", "frozen_srg_estimates", "variance_probe",
     "CriterionResult", "run_all",
     "__version__",
 ]

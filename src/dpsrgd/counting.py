@@ -29,6 +29,7 @@ from scipy.linalg import toeplitz
 __all__ = [
     "TreeState",
     "StrategyMatrix",
+    "prefix_nodes",
     "tree_ingest",
     "tree_prefix",
     "tree_rows",
@@ -38,6 +39,7 @@ __all__ = [
     "build_strategy",
     "factorize",
     "gaussian_rows",
+    "identity_strategy",
     "mf_noise_stream",
     "tree_matrix_factorization",
     "tree_baseline_objective",

@@ -109,6 +109,8 @@ class ExperimentSpec:
         if self.algorithm in _WORKLOAD_FREE and self.workload != "ones":
             raise ValueError(f"{self.algorithm} reads no workload, so the summary would "
                              f"state workload={self.workload} for runs that never used it")
+        if self.honest_selection and self.task == "synthetic":
+            raise ValueError("the synthetic task has no held-out set for honest_selection")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for name in ("lr_grid", "clip_grid", "c_grid"):
@@ -202,7 +204,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
         for name, val in values.items():
-            kwargs[name] = _parse_value(val, fields[name].type)
+            try:
+                kwargs[name] = _parse_value(val, fields[name].type)
+            except ValueError as err:
+                raise ValueError(f"config key {name!r}: {err}") from None
         return cls(**kwargs)
 
 
@@ -220,6 +225,8 @@ def _format_value(v) -> str:
 
 def _parse_value(text: str, type_name: str):
     if text == "none":
+        if not type_name.endswith("| None"):
+            raise ValueError(f"none is not a value of type {type_name}")
         return None
     if type_name == "tuple":
         return tuple(float(x) for x in text.split(","))

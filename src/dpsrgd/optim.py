@@ -8,12 +8,13 @@ Each example is visited in exactly one batch and contributes exactly two
 gradient evaluations there.
 
 Also provided: an independent-gradient variant of the same accelerated
-scheme, an unaccelerated SRG loop with a variance probe, and
-matrix-factorization training (run_dp_srg_memf): projected DP-SGD (the
-identity strategy) and DP-FTRL, and multi-epoch training over recursive
-gradients or, at decay 0, plain ones. Every private runner takes its
-noise rows from the caller, as it takes its batches: the configs hold
-optimizer settings, not the mechanism, its calibration or its seed.
+scheme, matrix-factorization training (run_dp_srg_memf): projected DP-SGD
+(the identity strategy) and DP-FTRL, and multi-epoch training over
+recursive gradients or, at decay 0, plain ones; and a frozen-point probe
+of the plain recursive estimate, whose variance grows with t. Every
+runner is private: it takes its noise rows from the caller, as it takes
+its batches, and the configs hold optimizer settings, not the mechanism,
+its calibration or its seed.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ __all__ = [
     "RunAborted",
     "run_accelerated_dp_srgd",
     "run_independent_variant",
-    "run_unaccelerated_srgd",
     "run_dp_srg_memf",
     "potential",
+    "frozen_srg_estimates",
     "variance_probe",
     "linear_fit",
 ]
@@ -128,8 +129,6 @@ class RunRecord:
     q_norm: np.ndarray | None = None
     excess: float | None = None
     accuracy: float | None = None
-    checkpoint_steps: np.ndarray | None = None
-    checkpoint_grads: np.ndarray | None = None
     iterates: np.ndarray | None = None
 
     @property
@@ -164,14 +163,14 @@ def _norm(v: np.ndarray | None) -> float:
 
 def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
            algorithm: str, finish=dict) -> RunRecord:
-    """The step loop of every runner. It takes exactly T batches and,
-    unless noise is None, exactly T noise rows of shape (dim,). Per step
-    t, estimate(t, x, prev_x, batch) -> (g, train loss) evaluates the batch
+    """The step loop of every runner. It takes exactly T batches and
+    exactly T noise rows of shape (dim,). Per step t,
+    estimate(t, x, prev_x, batch) -> (g, train loss) evaluates the batch
     at the query point x and its predecessor, w = next(noise) is the step's
-    noise row (None when noise is None), and update(t, x, g, w) returns
-    (noise norm, gradient norm, iterates): the next query point first, the
-    reported point last. A batch or noise stream that ends early aborts
-    the run, and a row of another shape is refused. A non-finite estimate
+    noise row, and update(t, x, g, w) returns (noise norm, gradient norm,
+    iterates): the next query point first, the reported point last. A
+    batch or noise stream that ends early aborts the run, and a row of
+    another shape is refused. A non-finite estimate
     or row aborts the run, and so does a non-finite step, which the update
     checks before projecting it: the updates project and interpolate
     through geometry's cores, which take the checked vectors as they are.
@@ -184,14 +183,12 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     # next() on a bare iterator: zip would keep the last batch in its
     # reused result tuple while it draws the next one
     stream = iter(batches)
-    rows = iter(noise) if noise is not None else None
+    rows = iter(noise)
     for t in range(T):
         if (batch := next(stream, None)) is None:
             raise RunAborted(t, f"stream exhausted after {t} of {T} batches")
         g, train_loss[t] = estimate(t, x, prev_x, batch)
-        if rows is None:
-            w = None
-        elif (w := next(rows, None)) is None:
+        if (w := next(rows, None)) is None:
             raise RunAborted(t, f"noise stream exhausted after {t} of {T} rows")
         elif w.shape != x.shape:
             raise ValueError(f"noise row at step {t} has shape {w.shape}, want {x.shape}")
@@ -297,67 +294,29 @@ def run_independent_variant(problem: LossProblem, stream, noise,
                   noise, update, "independent_variant", finish)
 
 
-def run_unaccelerated_srgd(problem: LossProblem, stream, eta_lr: float,
-                           c_sched, T: int, ball: ConstraintBall | None = None,
-                           checkpoints=None) -> RunRecord:
-    """Plain projected SGD over recursive gradients: increments
-    delta_t = mean of c_t*g(x_t,d) - c_{t-1}*g(x_{t-1},d), accumulated and
-    divided by c_t, for c_sched an array of at least T finite, positive c_t.
-    The gradient estimate is recorded at checkpoint steps
-    (default T/4, T/2, 3T/4, T; others must lie in 1..T) so repeated seeded
-    runs can estimate Var(grad_t) externally.
-    """
-    c_values = np.asarray(c_sched, dtype=np.float64)[:T]
-    if c_values.shape[0] < T:
-        raise ValueError("c schedule must have at least T entries")
-    if not np.isfinite(c_values).all():
-        raise ValueError("c schedule must be finite")
-    if np.any(c_values <= 0):
-        raise ValueError("c schedule must be positive")
-    if checkpoints is None:
-        checkpoints = sorted({max(1, (T * m) // 4) for m in (1, 2, 3, 4)})
-    checkpoints = list(checkpoints)
-    if not checkpoints or not all(1 <= s <= T for s in checkpoints):
-        raise ValueError(f"checkpoints must be steps in 1..{T}, got {checkpoints}")
-    if ball is not None and ball.dim != problem.dim:
-        raise ValueError(f"ball dim {ball.dim} != problem dim {problem.dim}")
-    acc, cp_grads = np.zeros(problem.dim), {}
-
-    def estimate(t, x, prev_x, batch):
-        nonlocal acc
-        c_prev = c_values[t - 1] if t > 0 else 0.0
-        delta, loss = problem.srg_mean(x, prev_x, c_values[t], c_prev, batch)
-        acc = acc + delta
-        grad_est = acc / c_values[t]
-        if (t + 1) in checkpoints:
-            cp_grads[t + 1] = grad_est
-        return grad_est, loss
-
-    def update(t, x, g, _):  # no noise row: a plain projected step
-        step = x - eta_lr * g
-        _check_finite(t, "non-finite iterate", step)
-        return 0.0, _norm(g), (_project(step, ball.radius) if ball is not None else step,)
-
-    def finish():
-        steps = np.array(sorted(cp_grads))
-        grads = np.stack([cp_grads[s] for s in steps]) if len(steps) else None
-        return dict(checkpoint_steps=steps, checkpoint_grads=grads)
-
-    return _drive(problem, stream, T, estimate, None, update, "unaccelerated_srgd",
-                  finish=finish)
+def frozen_srg_estimates(problem: LossProblem, batches, steps) -> np.ndarray:
+    """The recursive estimate at the frozen point 0 with unit weights, the
+    running sum of srg_mean(0, 0, 1, w_prev, batch) with w_prev = 0 at the
+    first batch and 1 after, at each of `steps` (in 1..len(batches)):
+    shape (len(steps), dim). A batch costs a runner's step's two
+    evaluations per example, in its order."""
+    steps = list(steps)
+    if not steps or not all(1 <= s <= len(batches) for s in steps):
+        raise ValueError(f"steps must lie in 1..{len(batches)}, got {steps}")
+    x0 = np.zeros(problem.dim)
+    increments = [problem.srg_mean(x0, x0, 1.0, 0.0 if t == 0 else 1.0, batch)[0]
+                  for t, batch in enumerate(batches[:max(steps)])]
+    return np.cumsum(increments, axis=0)[np.subtract(steps, 1)]
 
 
-def variance_probe(run_factory, seeds):
-    """Estimate Var(grad_t) = E||grad_t - mean grad_t||^2 at each
-    checkpoint over seeded runs. run_factory(seed) must return a RunRecord
-    carrying checkpoint gradients. Returns (steps, variances)."""
-    records = [run_factory(seed) for seed in seeds]
-    steps = records[0].checkpoint_steps
-    grads = np.stack([r.checkpoint_grads for r in records])  # (S, cp, dim)
+def variance_probe(estimates) -> np.ndarray:
+    """Var(grad_t) = E||grad_t - mean grad_t||^2 at each step over seeds,
+    from one frozen_srg_estimates array per seed."""
+    grads = np.stack(estimates)  # (S, steps, dim)
+    if (S := grads.shape[0]) < 2:
+        raise ValueError(f"a variance needs at least two seeds, got {S}")
     centered = grads - grads.mean(axis=0, keepdims=True)
-    S = grads.shape[0]
-    variances = (centered**2).sum(axis=2).sum(axis=0) / (S - 1)
-    return steps, variances
+    return (centered**2).sum(axis=2).sum(axis=0) / (S - 1)
 
 
 def linear_fit(xs, ys) -> tuple[float, float, float]:

@@ -94,6 +94,11 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert main(["run", str(config), "--output", str(tmp_path / "r.csv")]) == 2
     assert "finite clip" in capsys.readouterr().err
 
+    # none for a key that holds no None used to end in a TypeError, exit 1
+    config.write_text("algorithm=dp_sgd\nsteps=none\n")
+    assert main(["run", str(config), "--output", str(tmp_path / "r.csv")]) == 2
+    assert "config key 'steps': none is not" in capsys.readouterr().err
+
 
 def test_run_rejects_a_finite_budget_run_over_more_than_one_pass(tmp_path, capsys):
     rng = np.random.default_rng(3)

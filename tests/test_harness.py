@@ -66,6 +66,28 @@ def test_spec_rejects_unknown_keys_and_malformed_lines():
         ExperimentSpec.from_text("just a bare line\n")
 
 
+def test_spec_accepts_none_only_for_an_optional_field():
+    # none used to parse to None for every key: dim=none failed later with
+    # a TypeError, seed_base=none seeded from OS entropy, and
+    # honest_selection=none passed
+    for key in ("dim", "epsilon", "repeats", "workers", "steps", "lr_grid",
+                "output", "seed_base", "honest_selection", "momentum", "data_path"):
+        with pytest.raises(ValueError, match=f"config key '{key}': none is not"):
+            ExperimentSpec.from_text(f"{key}=none\n")
+    spec = ExperimentSpec(rho=None)
+    assert "rho=none" in spec.to_text()
+    assert ExperimentSpec.from_text(spec.to_text()) == spec
+
+
+def test_spec_parse_errors_name_the_key():
+    with pytest.raises(ValueError, match="config key 'epochs': invalid literal"):
+        ExperimentSpec.from_text("epochs=2.0\n")
+    with pytest.raises(ValueError, match="config key 'clip_grid': could not convert"):
+        ExperimentSpec.from_text("clip_grid=1.0,big\n")
+    with pytest.raises(ValueError, match="config key 'honest_selection': expected"):
+        ExperimentSpec.from_text("honest_selection=yes\n")
+
+
 def test_spec_rejects_a_repeated_key():
     # the last of the two used to win silently: this ran at epsilon = 50
     with pytest.raises(ValueError, match="'epsilon' is given more than once"):
@@ -708,6 +730,15 @@ def test_honest_selection_reports_held_out_half(tmp_path):
         dataset.accuracy(rec.final_x, half="odd"))
     assert row.selection_metric == pytest.approx(
         dataset.accuracy(rec.final_x, half="even"))
+
+
+def test_honest_selection_on_the_synthetic_task_is_rejected_before_any_work():
+    # the synthetic task has no held-out accuracy, so the setting used to
+    # leave rows and header as they were without it
+    log = []
+    with pytest.raises(ValueError, match="synthetic task has no held-out set"):
+        run_experiment(_tiny_spec(honest_selection=True), event_log=log)
+    assert log == []
 
 
 def test_default_selection_uses_full_held_out_metric(tmp_path):

@@ -36,12 +36,12 @@ from dpsrgd.optim import (
     SrgdConfig,
     _check_finite,
     _drive,
+    frozen_srg_estimates,
     linear_fit,
     potential,
     run_accelerated_dp_srgd,
     run_dp_srg_memf,
     run_independent_variant,
-    run_unaccelerated_srgd,
     variance_probe,
 )
 
@@ -465,8 +465,6 @@ _RUNNERS = {
     "independent_variant": lambda p, batches, T: run_independent_variant(
         p, iter(batches), gaussian_rows(0.0, p.dim, 0, T),
         SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(p.dim, 1.0))),
-    "unaccelerated_srgd": lambda p, batches, T: run_unaccelerated_srgd(
-        p, iter(batches), 0.1, np.ones(T), T),
     "dp_sgd": lambda p, batches, T: _run_mf(
         p, iter(batches), _sgd_cfg(identity_strategy(1, T), ConstraintBall(p.dim, 1.0))),
     "dp_ftrl": lambda p, batches, T: _run_mf(
@@ -635,7 +633,7 @@ def test_drive_closes_the_noise_stream_before_the_held_out_pass():
 
 
 # ---------------------------------------------------------------------------
-# plain recursive-gradient runner and the variance probe
+# the frozen-point probe and the variance probe
 
 
 def test_unaccelerated_frozen_point_telescopes():
@@ -644,98 +642,56 @@ def test_unaccelerated_frozen_point_telescopes():
     problem = _quadratic(seed=13)
     T, B = 12, 4
     batches = _batches(problem, T, B, seed=14)
-    rec = run_unaccelerated_srgd(problem, iter(batches), eta_lr=0.0,
-                                 c_sched=np.ones(T), T=T)
+    estimates = frozen_srg_estimates(problem, batches, [3, 6, 9, 12])
     first_mean = problem.per_example_grads(np.zeros(problem.dim),
                                            batches[0]).mean(axis=0)
-    np.testing.assert_array_equal(rec.checkpoint_steps, [3, 6, 9, 12])
-    for grad in rec.checkpoint_grads:
+    assert estimates.shape == (4, problem.dim)
+    for grad in estimates:
         np.testing.assert_allclose(grad, first_mean, rtol=0, atol=1e-12)
 
 
 def test_unaccelerated_custom_checkpoints_and_validation():
     problem = _quadratic(seed=15)
     batches = _batches(problem, 8, 4, seed=16)
-    rec = run_unaccelerated_srgd(problem, iter(batches), 0.05, np.ones(8), 8,
-                                 ball=ConstraintBall(problem.dim, 1.0),
-                                 checkpoints=[2, 8])
-    np.testing.assert_array_equal(rec.checkpoint_steps, [2, 8])
-    assert rec.checkpoint_grads.shape == (2, problem.dim)
-    with pytest.raises(ValueError):
-        run_unaccelerated_srgd(problem, iter(batches), 0.05,
-                               np.zeros(8), 8)  # nonpositive weights
+    estimates = frozen_srg_estimates(problem, batches, [8, 2])
+    assert estimates.shape == (2, problem.dim)
+    # rows follow the listed steps: step 2 comes second
+    np.testing.assert_array_equal(
+        estimates[::-1], frozen_srg_estimates(problem, batches, [2, 8]))
+    with pytest.raises(ValueError, match="at least two seeds"):
+        variance_probe([estimates])  # one seed: S - 1 = 0
 
 
 @pytest.mark.parametrize("checkpoints", [[0, 99], [0], [9], [2, 9], []])
 def test_unaccelerated_rejects_checkpoints_outside_the_run_before_any_step(checkpoints):
-    # [0, 99] at T = 8 used to return no checkpoint gradients, on which
-    # variance_probe raised TypeError
+    # steps outside the 8 batches are refused, not skipped: a short array
+    # of estimates once reached variance_probe, which raised TypeError
     problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
                                  noise_scale=0.3, radius=1.0)
     batches = _batches(problem, 8, 4, seed=16)
-    with pytest.raises(ValueError, match="checkpoints"):
-        run_unaccelerated_srgd(problem, iter(batches), 0.05, np.ones(8), 8,
-                               checkpoints=checkpoints)
+    with pytest.raises(ValueError, match=r"steps must lie in 1\.\.8, got"):
+        frozen_srg_estimates(problem, batches, checkpoints)
     assert problem.grad_rows == 0
 
 
-def test_unaccelerated_rejects_short_c_schedule_before_any_step():
-    problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
-                                 noise_scale=0.3, radius=1.0)
-    batches = _batches(problem, 5, 4, seed=17)
-    with pytest.raises(ValueError, match="at least T"):
-        run_unaccelerated_srgd(problem, iter(batches), 0.05, np.ones(3), 5)
-    assert problem.grad_rows == 0
+def test_frozen_point_probe_matches_a_hand_written_noisy_loop():
+    # two noisy evaluations per example and step, at x_t and then x_{t-1},
+    # in the order a runner's step makes them: the probe takes the same
+    # draws from the wrapper's generator
+    base = _quadratic(dim=5, noise_scale=0.3, seed=21)
+    batches = _batches(base, 10, 6, seed=22)
+    steps = [1, 4, 10]
+    got = frozen_srg_estimates(GradientNoiseWrapper(base, 0.7, 23), batches, steps)
 
-
-@pytest.mark.parametrize("bad", [0.0, -1.0])
-def test_unaccelerated_rejects_nonpositive_c_schedule_before_any_step(bad):
-    problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
-                                 noise_scale=0.3, radius=1.0)
-    batches = _batches(problem, 5, 4, seed=17)
-    c = np.array([1.0, 2.0, bad, 4.0, 5.0])
-    with pytest.raises(ValueError, match="c schedule must be positive"):
-        run_unaccelerated_srgd(problem, iter(batches), 0.05, c, 5)
-    assert problem.grad_rows == 0
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_unaccelerated_rejects_non_finite_c_schedule_before_any_step(bad):
-    # such an entry used to run and then abort the run at step 1
-    problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
-                                 noise_scale=0.3, radius=1.0)
-    batches = _batches(problem, 5, 4, seed=17)
-    c = np.array([1.0, bad, 3.0, 4.0, 5.0])
-    with pytest.raises(ValueError, match="c schedule must be finite"):
-        run_unaccelerated_srgd(problem, iter(batches), 0.05, c, 5)
-    assert problem.grad_rows == 0
-
-
-def test_unaccelerated_matches_reference_loop():
-    problem = _quadratic(seed=35)
-    T, B = 12, 4
-    batches = _batches(problem, T, B, seed=36)
-    ball = ConstraintBall(problem.dim, 0.3)
-    c = np.arange(1.0, T + 1.0)
-    rec = run_unaccelerated_srgd(problem, iter(batches), 0.5, c, T, ball=ball,
-                                 checkpoints=[4, 12])
-
-    x = np.zeros(problem.dim)
-    prev, acc = x, x
-    grads, losses = [], []
+    noisy = GradientNoiseWrapper(base, 0.7, 23)
+    x, total, want = np.zeros(base.dim), np.zeros(base.dim), []
     for t, batch in enumerate(batches):
-        c_prev = c[t - 1] if t > 0 else 0.0
-        diffs = (c[t] * problem.per_example_grads(x, batch)
-                 - c_prev * problem.per_example_grads(prev, batch))
-        acc = acc + diffs.mean(axis=0)
-        grads.append(acc / c[t])
-        losses.append(float(problem.per_example_values(x, batch).mean()))
-        prev, x = x, project_ball(x - 0.5 * grads[-1], ball)
-    np.testing.assert_array_equal(rec.final_x, x)
-    np.testing.assert_array_equal(rec.train_loss, losses)
-    np.testing.assert_array_equal(rec.grad_norm, [np.linalg.norm(g) for g in grads])
-    np.testing.assert_array_equal(rec.checkpoint_grads, [grads[3], grads[11]])
-    np.testing.assert_array_equal(rec.noise_norm, np.zeros(T))
+        g_t = noisy.per_example_grads(x, batch)
+        g_prev = noisy.per_example_grads(x, batch)
+        total = total + (g_t - (0.0 if t == 0 else 1.0) * g_prev).mean(axis=0)
+        if t + 1 in steps:
+            want.append(total)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_variance_probe_matches_closed_form_growth():
@@ -743,14 +699,13 @@ def test_variance_probe_matches_closed_form_growth():
     # weights gives Var(grad_t) growing by 2 s^2 d / B per step
     dim, B, T, s = 6, 8, 48, 0.7
     base = _quadratic(dim=dim, noise_scale=0.3, seed=17)
-    ones = np.ones(T)
+    steps = np.array([12, 24, 36, 48])
 
-    def factory(seed):
+    def estimates(seed):
         noisy = GradientNoiseWrapper(base, s, seed)
-        stream = iter(_batches(base, T, B, seed=10**6 + seed))
-        return run_unaccelerated_srgd(noisy, stream, 0.0, ones, T)
+        return frozen_srg_estimates(noisy, _batches(base, T, B, seed=10**6 + seed), steps)
 
-    steps, variances = variance_probe(factory, range(150))
+    variances = variance_probe([estimates(seed) for seed in range(150)])
     assert steps.shape == variances.shape == (4,)
     slope, _, r2 = linear_fit(steps, variances)
     assert slope == pytest.approx(2.0 * s**2 * dim / B, rel=0.15)
@@ -1171,8 +1126,7 @@ def test_runner_aborts_on_non_finite_iterate(name):
     # gradient at step 0 and increments after it, so it falls in step 2,
     # where both points are infinite and the increment inf - 0.5 * inf is
     # NaN: the run aborts on it, under the suite's error::RuntimeWarning
-    recursive = ("accelerated_dp_srgd", "unaccelerated_srgd")
-    expected = {"dp_srg_memf_decay_0.5": 2}.get(name, 1 if name in recursive else 3)
+    expected = {"accelerated_dp_srgd": 1, "dp_srg_memf_decay_0.5": 2}.get(name, 3)
     with pytest.raises(RunAborted) as info:
         _RUNNERS[name](problem, batches, 10)
     assert info.value.step == expected
@@ -1209,13 +1163,7 @@ _OVERFLOWING_RUNNERS = {
 }
 
 
-_PROJECTED_RUNNERS = dict(
-    _OVERFLOWING_RUNNERS,
-    unaccelerated_srgd=lambda p, batches, ball: run_unaccelerated_srgd(
-        p, iter(batches), 0.1, np.ones(len(batches)), len(batches), ball=ball))
-
-
-@pytest.mark.parametrize("name", sorted(_PROJECTED_RUNNERS))
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING_RUNNERS))
 def test_projected_runners_reject_a_ball_of_another_dimension(name):
     # the steps are projected without per-call checks, so the ball's
     # dimension is checked once, before the first step
@@ -1223,7 +1171,7 @@ def test_projected_runners_reject_a_ball_of_another_dimension(name):
                                  noise_scale=0.5, radius=1.0)
     batches = _batches(problem, 4, 4, seed=36)
     with pytest.raises(ValueError, match="ball dim"):
-        _PROJECTED_RUNNERS[name](problem, batches, ConstraintBall(problem.dim + 1, 1.0))
+        _OVERFLOWING_RUNNERS[name](problem, batches, ConstraintBall(problem.dim + 1, 1.0))
     assert problem.grad_rows == 0
 
 
