@@ -131,7 +131,6 @@ class RegimeReport:
 
     beta: float
     clip_bound: float
-    sigma: float
     d_max: float
     b_max_batch: float
     valid: dict[str, bool] = field(default_factory=dict)
@@ -145,7 +144,6 @@ class RegimeReport:
         out = [
             f"beta={self.beta:.17g}",
             f"clip_bound={self.clip_bound:.17g}",
-            f"sigma={self.sigma:.17g}",
             f"d_max={self.d_max:.17g}",
             f"b_max_batch={self.b_max_batch:.17g}",
         ]
@@ -163,7 +161,6 @@ def build_regime_report(n: int, d: int, L: float, M: float, R_diam: float,
     report = RegimeReport(
         beta=beta,
         clip_bound=clip_norm(L, M, R_diam),
-        sigma=srgd_sigma(L, M, R_diam, eps, delta, B, beta, T),
         d_max=d_cap,
         b_max_batch=math.sqrt(n),
         valid={

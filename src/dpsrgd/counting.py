@@ -283,13 +283,14 @@ def _toeplitz_objective(w: np.ndarray, r: np.ndarray) -> float:
 class StrategyMatrix:
     """Lower-triangular Toeplitz noise-shaping matrix C for the workload W
     of `kind` over k epochs of b steps, held as first columns: w is W's, of
-    length kb, and r is C's through its last nonzero band. sens and
-    objective are computed from them at construction, in O(kb) memory.
-    sens is the multi-epoch column-group sensitivity of `column_group_sens`,
-    max_j sqrt(sum_{i,i'} |<C[:, i*b+j], C[:, i'*b+j]>|), which holds
-    whatever vector an example contributes in each epoch; the noise
-    calibration multiplies by it, and `check` wants <= 1. objective is
-    ||W C^{-1}||_F. `C` and `workload` build the dense matrices on demand.
+    length kb (W's momentum and decay are in w alone), and r is C's through
+    its last nonzero band. sens and objective are computed from them at
+    construction, in O(kb) memory. sens is the multi-epoch column-group
+    sensitivity of `column_group_sens`, max_j sqrt(sum_{i,i'} |<C[:, i*b+j],
+    C[:, i'*b+j]>|), which holds whatever vector an example contributes in
+    each epoch; the noise calibration multiplies by it, and `check` wants it
+    <= 1. objective is ||W C^{-1}||_F. `C` and `workload` build the dense
+    matrices on demand.
     """
 
     w: np.ndarray
@@ -297,8 +298,6 @@ class StrategyMatrix:
     kind: str
     k: int
     b: int
-    momentum: float = 0.0
-    decay: float = 1.0
     # always None: `factorize` is closed-form; perfbench/spans.py reads it
     converged: bool | None = None
     sens: float = field(init=False)
@@ -386,8 +385,7 @@ def _sqrt_coefficients(w: np.ndarray) -> np.ndarray:
     return r
 
 
-def factorize(w: np.ndarray, k: int, b: int, kind: str = "custom",
-              momentum: float = 0.0, decay: float = 1.0) -> StrategyMatrix:
+def factorize(w: np.ndarray, k: int, b: int, kind: str = "custom") -> StrategyMatrix:
     """Banded square-root strategy for the lower-triangular Toeplitz W with
     first column w (all of W).
 
@@ -409,7 +407,7 @@ def factorize(w: np.ndarray, k: int, b: int, kind: str = "custom",
         raise ValueError(f"workload diagonal must be positive, got {w[0]}")
     r = _sqrt_coefficients(w[:b])  # r_i reads w_0 .. w_i alone
     r /= _toeplitz_sens(r, k, b)
-    return StrategyMatrix(w, r, kind, k, b, momentum, decay)
+    return StrategyMatrix(w, r, kind, k, b)
 
 
 def identity_strategy(k: int, b: int) -> StrategyMatrix:
@@ -420,23 +418,14 @@ def identity_strategy(k: int, b: int) -> StrategyMatrix:
                           "identity", k, b)
 
 
-def _workload_args(kind: str, momentum: float, decay: float) -> tuple[float, float]:
-    """The (momentum, decay) that `kind`'s workload reads: momentum for
-    the momentum kinds, decay for momentum_decay alone; 0 and 1 otherwise."""
-    return (momentum if kind in ("momentum", "momentum_decay") else 0.0,
-            decay if kind == "momentum_decay" else 1.0)
-
-
 def build_strategy(kind: str, k: int, b: int, momentum: float = 0.0,
                    decay: float = 1.0) -> StrategyMatrix:
     """The strategy for workload `kind` over k epochs of b steps: the
-    identity strategy, or `factorize` of the workload's first column. Kinds
-    that do not read momentum or decay record 0 and 1 for them."""
+    identity strategy, or `factorize` of the workload's first column, whose
+    kind reads momentum, decay, both or neither."""
     if kind == "identity":
         return identity_strategy(k, b)
-    momentum, decay = _workload_args(kind, momentum, decay)
-    return factorize(_workload_column(kind, k, b, momentum, decay), k, b,
-                     kind=kind, momentum=momentum, decay=decay)
+    return factorize(_workload_column(kind, k, b, momentum, decay), k, b, kind=kind)
 
 
 # ---------------------------------------------------------------------------

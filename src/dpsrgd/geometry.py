@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConstraintBall", "project_ball", "clip", "check_clip", "clip_rows",
-           "row_norms", "all_finite", "interpolate"]
+__all__ = ["ConstraintBall", "project_ball", "check_clip", "clip_rows", "row_norms",
+           "all_finite", "interpolate"]
 
 
 @dataclass(frozen=True)
@@ -93,21 +93,6 @@ def check_clip(c_clip: float) -> None:
         raise ValueError(f"clip threshold must be nonnegative, got {c_clip}")
 
 
-def clip(v: np.ndarray, c_clip: float) -> np.ndarray:
-    """Rescale v to norm at most c_clip: v * min(1, c_clip / ||v||).
-
-    The zero vector is returned unchanged. c_clip = inf disables clipping.
-    """
-    v = _as_vector(v, "v")
-    check_clip(c_clip)
-    norm = float(np.linalg.norm(v))
-    if norm <= c_clip or norm == 0.0:
-        return v.copy()
-    if math.isinf(norm):
-        return _shrink_overflowed(v, c_clip)
-    return v * (c_clip / norm)
-
-
 def row_norms(mat: np.ndarray) -> np.ndarray:
     """L2 norm of every row of a 2-d array: np.linalg.norm(mat, axis=1)'s
     own formula, without its wrapper."""
@@ -116,8 +101,8 @@ def row_norms(mat: np.ndarray) -> np.ndarray:
 
 def clip_rows(mat: np.ndarray, c_clip: float) -> np.ndarray:
     """Row-wise norm clipping for a (k, dim) batch of vectors. A finite row
-    whose sum of squares overflows is clipped like `clip` does, not zeroed;
-    a row with a NaN or infinite entry is left as it is.
+    whose sum of squares overflows is scaled by `_shrink_overflowed`, not
+    zeroed; a row with a NaN or infinite entry is left as it is.
 
     Always returns a fresh array: a float64 copy of mat, clipped in place
     by `_clip_rows_in_place`.

@@ -51,6 +51,8 @@ _ALGORITHMS = (
 )
 # Algorithms whose step size comes from the smoothness, not from lr_grid.
 _LR_FREE = ("accelerated_dp_srgd", "independent_variant")
+# Algorithms that train over `epochs` passes; the rest make one pass of `steps`.
+_MULTI_EPOCH = ("dp_memf", "dp_srg_memf")
 # Algorithms whose noise no workload shapes: the binary tree, i.i.d. rows,
 # and DP-SGD's identity strategy.
 _WORKLOAD_FREE = _LR_FREE + ("dp_sgd",)
@@ -138,6 +140,9 @@ class ExperimentSpec:
                              f"rho={self.rho}: give one of them")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs != 1 and self.algorithm not in _MULTI_EPOCH:
+            raise ValueError(f"{self.algorithm} makes one pass of `steps` and reads no "
+                             f"epochs, so epochs={self.epochs} would not be run")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if min(self.dim, self.steps, self.train_size) < 1:
@@ -277,6 +282,16 @@ def _read_idx(path: str) -> np.ndarray:
     return payload.reshape(dims)
 
 
+def _read_idx_pair(root: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """(images, labels) from the idx files `names` under root, equal in count."""
+    paths = [os.path.join(root, name) for name in names]
+    images, labels = map(_read_idx, paths)
+    if images.shape[0] != labels.shape[0]:
+        raise ValueError(f"{paths[0]} holds {images.shape[0]} images but {paths[1]} "
+                         f"holds {labels.shape[0]} labels")
+    return images, labels
+
+
 def _finish_task(train_x: np.ndarray, train_y: np.ndarray,
                  test_x: np.ndarray, test_y: np.ndarray) -> LogisticTask:
     """Min-max normalize per column on train statistics (constant columns
@@ -307,10 +322,8 @@ def load_dataset(path: str, format: str) -> LogisticTask:
     statistics and a constant bias column is appended.
     """
     if format == "idx":
-        train_x = _read_idx(os.path.join(path, _IDX_TRAIN[0]))
-        train_y = _read_idx(os.path.join(path, _IDX_TRAIN[1]))
-        test_x = _read_idx(os.path.join(path, _IDX_TEST[0]))
-        test_y = _read_idx(os.path.join(path, _IDX_TEST[1]))
+        train_x, train_y = _read_idx_pair(path, _IDX_TRAIN)
+        test_x, test_y = _read_idx_pair(path, _IDX_TEST)
         flat = train_x.reshape(train_x.shape[0], -1).astype(np.float64) / 255.0
         flat_t = test_x.reshape(test_x.shape[0], -1).astype(np.float64) / 255.0
         bias = lambda x: np.hstack([x, np.ones((x.shape[0], 1))])
@@ -454,7 +467,7 @@ def _strategy_args(spec: ExperimentSpec, n: int) -> tuple[str, int, int] | None:
     identity over one pass for dp_sgd, and None for the rest."""
     if spec.algorithm in ("dp_sgd", "dp_ftrl"):
         return "identity" if spec.algorithm == "dp_sgd" else spec.workload, 1, spec.steps
-    if spec.algorithm in ("dp_memf", "dp_srg_memf"):
+    if spec.algorithm in _MULTI_EPOCH:
         if n < spec.batch_size:
             raise ValueError("batch_size exceeds dataset size")
         return spec.workload, spec.epochs, n // spec.batch_size
@@ -486,7 +499,7 @@ def _max_participation(spec: ExperimentSpec, n: int) -> int:
     """Most steps any one training example can appear in: `epochs` for the
     multi-epoch methods, 1 for synthetic single-pass runs (fresh examples
     every step), and the number of passes of the batch stream otherwise."""
-    if spec.algorithm in ("dp_memf", "dp_srg_memf"):
+    if spec.algorithm in _MULTI_EPOCH:
         return spec.epochs
     if spec.task == "synthetic":
         return 1
@@ -526,7 +539,7 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
         sens = strategy.sens if strategy is not None else counting.tree_sens(T)
         sigma = _noise_sigma(rho, clip, B, sens)
 
-    multi_epoch = spec.algorithm in ("dp_memf", "dp_srg_memf")
+    multi_epoch = spec.algorithm in _MULTI_EPOCH
     if multi_epoch:
         b = strategy.b
         if spec.task == "synthetic":
@@ -600,7 +613,7 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     n = problem.n_train if spec.task != "synthetic" else spec.train_size
     participation = _max_participation(spec, n)
     if (participation > 1 and math.isfinite(rho)
-            and spec.algorithm not in ("dp_memf", "dp_srg_memf")):
+            and spec.algorithm not in _MULTI_EPOCH):
         raise ValueError(
             f"{spec.steps} steps of batch size {spec.batch_size} over {n} examples "
             f"use some examples in up to {participation} steps; the noise of "
@@ -665,8 +678,7 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
             2.0 * spec.radius, spec.epsilon, spec.delta)
         for line in report.lines():
             k, v = line.split("=", 1)
-            if k != "sigma":  # the theory regime's own B, T and beta, not this run's
-                table.header[f"regime_{k}"] = v
+            table.header[f"regime_{k}"] = v
 
     for (lr, clip, c) in grid:
         outcomes = by_point[(lr, clip, c)]

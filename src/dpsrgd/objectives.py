@@ -96,11 +96,8 @@ class LossProblem:
         task with both may compute them in one pass over the held-out set."""
         return self.population_excess(x), None
 
-    # Diagnostics; None when the quantity is not analytically available.
+    # The potential diagnostic's optimum; None when not analytically available.
     def exact_optimum(self):
-        return None
-
-    def population_grad(self, x: np.ndarray):
         return None
 
     # Hooks the optimizers call. Defaults materialize per-example gradients;
@@ -272,9 +269,6 @@ class SyntheticQuadratic(LossProblem):
 
     def exact_optimum(self):
         return self.target.copy()
-
-    def population_grad(self, x):
-        return self.curvature * (x - self.target)
 
 
 @dataclass
@@ -571,6 +565,3 @@ class GradientNoiseWrapper(LossProblem):
 
     def exact_optimum(self):
         return self.base.exact_optimum()
-
-    def population_grad(self, x):
-        return self.base.population_grad(x)

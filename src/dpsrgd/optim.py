@@ -113,20 +113,16 @@ class MemfConfig:
 class RunRecord:
     """Per-step trajectory plus final metrics for one optimizer run.
 
-    Absent diagnostics (potential and q_norm on empirical tasks, accuracy
-    on synthetic ones) are None, never zero-filled. `iterates` and q_norm,
-    the distance of the accelerated runner's noiseless recursive estimate
-    from the population gradient, are recorded only when that runner is
-    asked to `record_iterates`.
+    Absent diagnostics (potential on empirical tasks, accuracy on synthetic
+    ones) are None, never zero-filled; `iterates` only with the accelerated
+    runner's `record_iterates`. No field names the runner: its caller does.
     """
 
-    algorithm: str
     final_x: np.ndarray
     train_loss: np.ndarray
     noise_norm: np.ndarray
     grad_norm: np.ndarray
     potential: np.ndarray | None = None
-    q_norm: np.ndarray | None = None
     excess: float | None = None
     accuracy: float | None = None
     iterates: np.ndarray | None = None
@@ -162,7 +158,7 @@ def _norm(v: np.ndarray | None) -> float:
 
 
 def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
-           algorithm: str, finish=dict) -> RunRecord:
+           finish=dict) -> RunRecord:
     """The step loop of every runner. It takes exactly T batches and
     exactly T noise rows of shape (dim,). Per step t,
     estimate(t, x, prev_x, batch) -> (g, train loss) evaluates the batch
@@ -176,7 +172,7 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     through geometry's cores, which take the checked vectors as they are.
     A step's estimate, noise row and batch are released before the next
     batch is drawn, so that a run holds one of each. finish() returns the
-    runner's own RunRecord fields."""
+    runner's own RunRecord fields; no field names the runner."""
     train_loss, noise_norm, grad_norm = np.empty(T), np.empty(T), np.empty(T)
     iterates = (np.zeros(problem.dim),)
     x = prev_x = iterates[0]
@@ -203,9 +199,8 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     out = iterates[-1]
     excess, accuracy = problem.excess_and_accuracy(out)
     return RunRecord(
-        algorithm=algorithm, final_x=out, train_loss=train_loss,
-        noise_norm=noise_norm, grad_norm=grad_norm, excess=excess,
-        accuracy=accuracy, **finish())
+        final_x=out, train_loss=train_loss, noise_norm=noise_norm,
+        grad_norm=grad_norm, excess=excess, accuracy=accuracy, **finish())
 
 
 def _accelerated(problem: LossProblem, cfg: SrgdConfig):
@@ -256,8 +251,6 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, noise, cfg: SrgdConfig
     eta = cfg.eta_values
     accelerate, finish = _accelerated(problem, cfg)
     total = np.zeros(problem.dim)
-    q_norm = (np.empty(cfg.T) if record_iterates and problem.exact_optimum() is not None
-              else None)
     iterates = np.empty((cfg.T, problem.dim)) if record_iterates else None
 
     def estimate(t, x, prev_x, batch):
@@ -267,19 +260,13 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, noise, cfg: SrgdConfig
         return problem.srg_mean(x, prev_x, eta[t], w_prev, batch, cfg.clip)
 
     def update(t, x, delta, xi):
-        nonlocal q_norm, total
+        nonlocal total
         total += delta
-        pop_grad = problem.population_grad(x) if q_norm is not None else None
-        if pop_grad is None:
-            q_norm = None
-        else:
-            q_norm[t] = _norm(total / eta[t] - pop_grad)
         _, grad_norm, next_iterates = accelerate(t, x, (total + xi) / eta[t], None)
         return _norm(xi) / cfg.beta, grad_norm, next_iterates
 
     return _drive(problem, stream, cfg.T, estimate, noise, update,
-                  "accelerated_dp_srgd",
-                  lambda: dict(finish(), q_norm=q_norm, iterates=iterates))
+                  lambda: dict(finish(), iterates=iterates))
 
 
 def run_independent_variant(problem: LossProblem, stream, noise,
@@ -291,7 +278,7 @@ def run_independent_variant(problem: LossProblem, stream, noise,
     update, finish = _accelerated(problem, cfg)
     return _drive(problem, stream, cfg.T,
                   lambda t, x, prev_x, batch: problem.clipped_mean_grad(x, batch, cfg.clip),
-                  noise, update, "independent_variant", finish)
+                  noise, update, finish)
 
 
 def frozen_srg_estimates(problem: LossProblem, batches, steps) -> np.ndarray:
@@ -381,6 +368,4 @@ def run_dp_srg_memf(problem: LossProblem, batches, noise,
         return _norm(w_t), _norm(reported), (
             _project(step, ball.radius) if ball is not None else step,)
 
-    algorithm = ("dp_srg_memf" if cfg.decay > 0.0 else "dp_memf" if ball is None
-                 else "dp_sgd" if cfg.strategy.kind == "identity" else "dp_ftrl")
-    return _drive(problem, batches, steps, estimate, noise, update, algorithm)
+    return _drive(problem, batches, steps, estimate, noise, update)

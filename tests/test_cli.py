@@ -4,6 +4,7 @@ verb's streamed output."""
 import gc
 import math
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,20 @@ def test_run_on_an_idx_file_cut_inside_its_header_exits_2(tmp_path, capsys):
     config.write_text(f"task=mnist\nalgorithm=dp_sgd\ndata_path={tmp_path}\n")
     assert main(["run", str(config), "--output", str(tmp_path / "res.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {images}: truncated idx header")
+
+
+def test_run_on_idx_files_whose_counts_differ_exits_2_naming_both(tmp_path, capsys):
+    # a 5-image train file beside a 4-label one used to end in LogisticTask's
+    # bare "features/labels shape mismatch"
+    images = tmp_path / "train-images-idx3-ubyte"
+    labels = tmp_path / "train-labels-idx1-ubyte"
+    images.write_bytes(bytes([0, 0, 8, 3]) + struct.pack(">3i", 5, 2, 2) + bytes(20))
+    labels.write_bytes(bytes([0, 0, 8, 1]) + struct.pack(">i", 4) + bytes(4))
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"task=mnist\nalgorithm=dp_sgd\ndata_path={tmp_path}\n")
+    assert main(["run", str(config), "--output", str(tmp_path / "res.csv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {images} holds 5 images but {labels} holds 4 labels")
 
 
 @pytest.mark.parametrize("output", ["no/such/dir/summary.csv", "a_directory"])

@@ -5,7 +5,7 @@ import pytest
 
 from dpsrgd.geometry import (
     ConstraintBall,
-    clip,
+    _shrink_overflowed,
     clip_rows,
     interpolate,
     project_ball,
@@ -66,18 +66,6 @@ def test_project_rejects_bad_input():
         project_ball(np.zeros(4), ball)
 
 
-def test_clip_behavior():
-    v = np.array([3.0, 4.0])
-    np.testing.assert_allclose(clip(v, 5.0), v)
-    np.testing.assert_allclose(clip(v, 2.5), v * 0.5)
-    np.testing.assert_array_equal(clip(np.zeros(2), 1.0), np.zeros(2))
-    np.testing.assert_array_equal(clip(v, np.inf), v)
-    with pytest.raises(ValueError):
-        clip(v, -1.0)
-    with pytest.raises(ValueError):
-        clip(v, np.nan)
-
-
 @pytest.mark.parametrize("bad", [-1.0, -np.inf, np.nan])
 def test_clip_rows_rejects_negative_or_nan_threshold(bad):
     # a negative threshold would scale every row by a negative factor,
@@ -92,11 +80,8 @@ def test_project_and_clip_survive_norm_overflow():
     v = np.array([3e200, 4e200])
     np.testing.assert_allclose(project_ball(v, ConstraintBall(2, 1.0)),
                                [0.6, 0.8], rtol=1e-15)
-    np.testing.assert_allclose(clip(v, 1.0), [0.6, 0.8], rtol=1e-15)
-    np.testing.assert_allclose(clip(v, 2.0), [1.2, 1.6], rtol=1e-15)
     # a huge vector inside a huge ball, or under an infinite clip, is kept
     np.testing.assert_array_equal(project_ball(v, ConstraintBall(2, 1e201)), v)
-    np.testing.assert_array_equal(clip(v, np.inf), v)
     # row-wise: the overflowing row is clipped, the ordinary row beside it too
     mat = np.array([v, [3.0, 4.0]])
     np.testing.assert_allclose(clip_rows(mat, 1.0), [[0.6, 0.8], [0.6, 0.8]],
@@ -133,7 +118,7 @@ def test_clip_rows_leaves_an_infinite_row_as_it_is():
 
 def _clip_rows_reference(mat, c_clip):
     """clip_rows as a boolean-mask gather and scatter on a copy, with the
-    overflowed rows shrunk by `clip`, written out."""
+    overflowed rows shrunk by `_shrink_overflowed`, written out."""
     out = np.array(mat, dtype=np.float64)
     if np.isinf(c_clip):
         return out
@@ -141,7 +126,7 @@ def _clip_rows_reference(mat, c_clip):
     over = norms > c_clip
     out[over] *= (c_clip / norms[over])[:, None]
     for r in np.flatnonzero(np.isinf(norms)):
-        out[r] = clip(mat[r], c_clip)
+        out[r] = _shrink_overflowed(mat[r], c_clip)
     return out
 
 
@@ -168,7 +153,8 @@ def test_clip_rows_matches_per_row_clip():
     mat = rng.standard_normal((8, 5)) * 2.0
     out = clip_rows(mat, 1.5)
     for row, ref in zip(out, mat):
-        np.testing.assert_allclose(row, clip(ref, 1.5), rtol=1e-15)
+        np.testing.assert_allclose(row, ref * min(1.0, 1.5 / np.linalg.norm(ref)),
+                                   rtol=1e-15)
     np.testing.assert_array_equal(clip_rows(mat, np.inf), mat)
 
 

@@ -238,6 +238,20 @@ def test_spec_rejects_a_workload_the_algorithm_never_reads(algorithm, workload):
     dataclasses.replace(spec, workload="ones").validate()
 
 
+@pytest.mark.parametrize("algorithm", ["accelerated_dp_srgd", "independent_variant",
+                                       "dp_sgd", "dp_ftrl"])
+def test_spec_rejects_epochs_for_a_single_pass_algorithm(algorithm):
+    # epochs=3 used to run one pass of `steps` under a header that said
+    # nothing of it
+    spec = _tiny_spec(algorithm=algorithm, epochs=3)
+    log = []
+    with pytest.raises(ValueError, match=f"{algorithm} makes one pass.*epochs=3"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    dataclasses.replace(spec, epochs=1).validate()
+    dataclasses.replace(spec, algorithm="dp_memf").validate()
+
+
 # ---------------------------------------------------------------------------
 # noise calibration
 
@@ -429,10 +443,14 @@ def test_idx_gzip_files_are_accepted(tmp_path):
 
 @pytest.mark.parametrize("labels", [IDX_NAMES[1], IDX_NAMES[3]])
 def test_idx_label_file_one_entry_short_is_rejected(tmp_path, labels):
+    # the error names both files of the pair and both counts
     _, train_y, _, test_y = _make_idx_dir(str(tmp_path))
     short = train_y if labels == IDX_NAMES[1] else test_y
     _write_idx_labels(str(tmp_path / labels), short[:-1])
-    with pytest.raises(ValueError, match="shape mismatch"):
+    images = IDX_NAMES[0] if labels == IDX_NAMES[1] else IDX_NAMES[2]
+    n = short.shape[0]
+    with pytest.raises(ValueError, match=rf"{images} holds {n} images but "
+                                         rf"\S*{labels} holds {n - 1} labels"):
         load_dataset(str(tmp_path), "idx")
 
 
@@ -907,8 +925,7 @@ def test_dp_sgd_header_states_the_identity_strategys_sens(tmp_path):
     path = tmp_path / "summary.csv"
     emit_csv(table, records, str(path))
     assert "# strategy_sens=1\n" in path.read_text()
-    (rec,) = records.values()
-    assert rec.algorithm == "dp_sgd"
+    assert len(records) == 1 and table.header["algorithm"] == "dp_sgd"
 
 
 def test_memf_strategy_is_factorized_for_the_spec_momentum(monkeypatch):
@@ -916,14 +933,16 @@ def test_memf_strategy_is_factorized_for_the_spec_momentum(monkeypatch):
     runner = optim.run_dp_srg_memf
 
     def spy(problem, batches, noise, cfg):
-        seen.append((cfg.momentum, cfg.strategy.momentum))
+        s = cfg.strategy
+        want = counting.build_strategy(s.kind, s.k, s.b, momentum=0.5, decay=0.5)
+        seen.append((cfg.momentum, np.array_equal(s.w, want.w)))
         return runner(problem, batches, noise, cfg)
 
     monkeypatch.setattr(optim, "run_dp_srg_memf", spy)
     run_experiment(_tiny_spec(algorithm="dp_srg_memf", workload="momentum_decay",
                               momentum=0.5, c_grid=(0.5,), epochs=2,
                               batch_size=64, repeats=1))
-    assert seen == [(0.5, 0.5)]
+    assert seen == [(0.5, True)]
 
 
 def test_a_sweep_builds_one_strategy_per_c_before_its_runs(monkeypatch):
@@ -934,14 +953,18 @@ def test_a_sweep_builds_one_strategy_per_c_before_its_runs(monkeypatch):
         built.append(kw["decay"])
         return build(kind, k, b, **kw)
 
+    spec = _tiny_spec(algorithm="dp_srg_memf", workload="momentum_decay",
+                      c_grid=(0.3, 0.6), epochs=2, batch_size=64, repeats=2)
+
     def run_spy(problem, batches, noise, cfg):
-        seen.append((cfg.decay, cfg.strategy.decay))
+        s = cfg.strategy
+        seen.append((cfg.decay, next((c for c in spec.c_grid if np.array_equal(
+            s.w, build(s.kind, s.k, s.b, momentum=spec.momentum, decay=c).w)), None)))
         return runner(problem, batches, noise, cfg)
 
     monkeypatch.setattr(counting, "build_strategy", build_spy)
     monkeypatch.setattr(optim, "run_dp_srg_memf", run_spy)
-    run_experiment(_tiny_spec(algorithm="dp_srg_memf", workload="momentum_decay",
-                              c_grid=(0.3, 0.6), epochs=2, batch_size=64, repeats=2))
+    run_experiment(spec)
     assert built == [0.3, 0.6]
     assert sorted(seen) == [(0.3, 0.3)] * 2 + [(0.6, 0.6)] * 2
 
@@ -1050,8 +1073,8 @@ def test_trajectory_csvs_are_the_csv_writer_bytes(tmp_path):
 
     def record(potential):
         steps = odd.size
-        return RunRecord(algorithm="accelerated_dp_srgd", final_x=np.zeros(2),
-                         train_loss=odd, noise_norm=rng.standard_normal(steps) ** 2,
+        return RunRecord(final_x=np.zeros(2), train_loss=odd,
+                         noise_norm=rng.standard_normal(steps) ** 2,
                          grad_norm=odd[::-1].copy(), potential=potential)
 
     records = {("a", 0.5, 1): record(np.append(rng.standard_normal(odd.size), 2.0)),

@@ -82,8 +82,6 @@ def test_quadratic_population_metrics():
     assert problem.population_excess(x) == pytest.approx(
         0.5 * problem.curvature * 0.04, rel=1e-12)
     np.testing.assert_array_equal(problem.exact_optimum(), problem.target)
-    np.testing.assert_allclose(problem.population_grad(x),
-                               problem.curvature * (x - problem.target))
     assert problem.population_excess(problem.target) == 0.0
 
 
