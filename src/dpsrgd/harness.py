@@ -145,6 +145,10 @@ class ExperimentSpec:
                              f"epochs, so epochs={self.epochs} would not be run")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed_base < 0:
+            raise ValueError(f"seed_base must be >= 0, got {self.seed_base}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if min(self.dim, self.steps, self.train_size) < 1:
             raise ValueError("dim, steps and train_size must be >= 1, got "
                              f"{self.dim}, {self.steps}, {self.train_size}")
@@ -789,7 +793,7 @@ def parse_summary_csv(path: str) -> MetricTable:
     opt = lambda s: None if s == "" else float(s)
     for row in reader:
         where = f"{path}, line {line_nums[reader.line_num - 1]}"
-        if len(row) < len(expected):
+        if len(row) != len(expected):
             raise ValueError(f"{where}: {len(row)} fields, the header has {len(expected)}")
         try:
             table.rows.append(MetricRow(

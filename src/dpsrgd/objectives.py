@@ -53,18 +53,20 @@ class LossProblem:
     The gradient hooks `clipped_mean_grad` and `srg_mean` return
     `(mean, train_loss)`, where train_loss is
     `float(per_example_values(x, batch).mean())` at x (x_t for srg_mean),
-    computed in the same pass as the gradient. The defaults here build both
-    from per_example_grads and per_example_values; a subclass may override
-    them with a fused pass that returns the same numbers, as
-    SyntheticQuadratic and LogisticTask do. Such a pass never calls the
-    per-example methods, so a subclass of either that intercepts those
-    methods (to count or alter evaluations) must take the generic hooks
-    back: `srg_mean = LossProblem.srg_mean` and
-    `clipped_mean_grad = LossProblem.clipped_mean_grad` in its class body.
+    computed in the same pass as the gradient. Both are written once, over
+    `_grads_and_loss(x, batch)`, the pass at x that returns fresh
+    per-example gradients and the train loss; its default builds the pair
+    from per_example_grads and per_example_values. A subclass may override
+    it with a fused pass that returns the same numbers, as
+    SyntheticQuadratic does (LogisticTask overrides both hooks with its
+    blocked pass). A fused pass never calls the per-example methods, so a
+    subclass that intercepts those methods (to count or alter evaluations)
+    must take the default back in its class body:
+    `_grads_and_loss = LossProblem._grads_and_loss`.
 
     per_example_grads must return a fresh array that the caller owns: the
-    default hooks scale, subtract and clip the arrays it returns in place,
-    so that one step allocates no (m, dim) temporaries beyond them.
+    hooks scale, subtract and clip the arrays it returns in place, so that
+    one step allocates no (m, dim) temporaries beyond them.
     """
 
     dim: int
@@ -76,11 +78,8 @@ class LossProblem:
 
     def per_example_grads(self, x: np.ndarray, batch) -> np.ndarray:
         """Gradient of every example in the batch at x, shape (m, dim), as a
-        fresh float64 array that the default hooks overwrite."""
+        fresh float64 array that the hooks overwrite."""
         raise NotImplementedError
-
-    def batch_size(self, batch) -> int:
-        return len(batch)
 
     def draw_batch(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
@@ -100,13 +99,17 @@ class LossProblem:
     def exact_optimum(self):
         return None
 
-    # Hooks the optimizers call. Defaults materialize per-example gradients;
-    # subclasses may override with cheaper equivalents.
+    def _grads_and_loss(self, x: np.ndarray, batch) -> tuple[np.ndarray, float]:
+        """(per_example_grads(x, batch), batch-mean loss at x): the one pass
+        at a point that both gradient hooks take."""
+        return (self.per_example_grads(x, batch),
+                float(_batch_mean(self.per_example_values(x, batch))))
+
+    # Hooks the optimizers call.
     def clipped_mean_grad(self, x: np.ndarray, batch,
                           c_clip: float) -> tuple[np.ndarray, float]:
         """(Mean over the batch of clip(g(x,d)), batch-mean loss at x)."""
-        grads = self.per_example_grads(x, batch)
-        loss = float(_batch_mean(self.per_example_values(x, batch)))
+        grads, loss = self._grads_and_loss(x, batch)
         return _batch_mean(_clip_rows_in_place(grads, c_clip)), loss
 
     def srg_mean(self, x_t, x_prev, w_t: float, w_prev: float, batch,
@@ -117,14 +120,14 @@ class LossProblem:
         Both evaluation points are always visited, so every example in the
         batch costs exactly two gradient evaluations regardless of w_prev.
         """
-        g_t = self.per_example_grads(x_t, batch)
-        g_p = self.per_example_grads(x_prev, batch)
-        loss = float(_batch_mean(self.per_example_values(x_t, batch)))
+        g_t, loss = self._grads_and_loss(x_t, batch)
+        g_p = self.per_example_grads(x_prev, batch)  # even at w_prev = 0
         # w_t * g_t - w_prev * g_p in the two fresh arrays; the runner aborts
         with np.errstate(invalid="ignore"):  # on the NaN of infinite ones
             g_t *= w_t
             g_p *= w_prev
             g_t -= g_p
+        del g_p  # freed before the clip squares g_t
         return _batch_mean(_clip_rows_in_place(g_t, c_clip)), loss
 
 
@@ -164,13 +167,12 @@ class SyntheticQuadratic(LossProblem):
     The declared Lipschitz constant is the induced bound over a ball of
     radius `radius`: curvature * (radius + ||target|| + noise_scale).
 
-    The gradient hooks are fused: each evaluation point's residual x - d
-    is formed once, and both the gradient curvature * (x - d) and the
-    train loss are read off it, with the per-example methods' own steps,
-    so every figure is bit-identical to the generic hooks'. The curvature
-    multiply is skipped at curvature 1.0, where it changes no bit. A
-    subclass that intercepts per-example methods must take the generic
-    hooks back (see LossProblem).
+    `_grads_and_loss` is fused: the residual x - d is formed once, and
+    both the gradient curvature * (x - d) and the train loss are read off
+    it, with the per-example methods' own steps, so every figure is the
+    default pass's. The curvature multiply is skipped at curvature 1.0,
+    where it changes no bit. A subclass that intercepts per-example methods
+    must take the default pass back (see LossProblem).
     """
 
     dim: int
@@ -217,9 +219,7 @@ class SyntheticQuadratic(LossProblem):
         return 0.5 * self.curvature * np.add.reduce(resid * resid, axis=1)
 
     def per_example_grads(self, x, batch) -> np.ndarray:
-        grads = self._residuals(x, batch)
-        grads *= self.curvature
-        return grads
+        return self._scaled(self._residuals(x, batch))
 
     def _scaled(self, resid: np.ndarray) -> np.ndarray:
         """curvature * resid, in place: the gradients from the residuals
@@ -234,21 +234,6 @@ class SyntheticQuadratic(LossProblem):
         resid = self._residuals(x, batch)
         loss = float(_batch_mean(self._values(resid)))
         return self._scaled(resid), loss
-
-    def clipped_mean_grad(self, x, batch, c_clip) -> tuple[np.ndarray, float]:
-        grads, loss = self._grads_and_loss(x, batch)
-        return _batch_mean(_clip_rows_in_place(grads, c_clip)), loss
-
-    def srg_mean(self, x_t, x_prev, w_t, w_prev, batch,
-                 c_clip=np.inf) -> tuple[np.ndarray, float]:
-        g_t, loss = self._grads_and_loss(x_t, batch)
-        g_p = self._scaled(self._residuals(x_prev, batch))  # even at w_prev = 0
-        with np.errstate(invalid="ignore"):  # as the generic hook forms it
-            g_t *= w_t
-            g_p *= w_prev
-            g_t -= g_p
-        del g_p  # freed before the clip squares g_t
-        return _batch_mean(_clip_rows_in_place(g_t, c_clip)), loss
 
     def draw_batch(self, rng, size):
         """`size` examples target + r, with r Gaussian of per-coordinate std
@@ -553,9 +538,6 @@ class GradientNoiseWrapper(LossProblem):
     def per_example_grads(self, x, batch):
         clean = self.base.per_example_grads(x, batch)
         return clean + self.noise_std * self.rng.standard_normal(clean.shape)
-
-    def batch_size(self, batch):
-        return self.base.batch_size(batch)
 
     def draw_batch(self, rng, size):
         return self.base.draw_batch(rng, size)

@@ -349,7 +349,7 @@ def run_dp_srg_memf(problem: LossProblem, batches, noise,
 
     def estimate(t, x, prev_x, batch):
         nonlocal size
-        m = problem.batch_size(batch)
+        m = len(batch)
         if m != (size := size or m):
             raise ValueError(f"batches differ in size: {m} at step {t}, {size} before")
         c_t = cfg.decay if t > 0 else 0.0

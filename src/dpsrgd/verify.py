@@ -453,21 +453,8 @@ def criterion_9() -> CriterionResult:
 # criterion 10: MNIST benchmark reproduction
 
 
-_MNIST_FILES = (
-    "train-images-idx3-ubyte",
-    "train-labels-idx1-ubyte",
-    "t10k-images-idx3-ubyte",
-    "t10k-labels-idx1-ubyte",
-)
-
 _MNIST_TARGET = 83.753  # target mean test accuracy, percent
 _MNIST_TOL = 1.5
-
-
-def _mnist_present(root: str) -> bool:
-    return all(os.path.exists(os.path.join(root, name))
-               or os.path.exists(os.path.join(root, name + ".gz"))
-               for name in _MNIST_FILES)
 
 
 def _mnist_two_stage(dataset, algorithm: str, workload: str, c: float,
@@ -497,11 +484,11 @@ def criterion_10() -> CriterionResult:
     accuracy over 20 runs, and beats plain multi-epoch training with the
     prefix-sum workload. Skipped when the MNIST idx files are absent."""
     def body():
-        root = data_dir()
-        if not _mnist_present(root):
-            return None, (f"skipped: MNIST idx files not found under "
-                          f"{os.path.abspath(root)!r} (set DPSRGD_DATA_DIR)")
-        dataset = load_dataset(root, "idx")
+        try:
+            dataset = load_dataset(data_dir(), "idx")
+        except FileNotFoundError as missing:
+            return None, (f"skipped: MNIST idx file {os.path.abspath(str(missing))!r} "
+                          "(or .gz) not found (set DPSRGD_DATA_DIR)")
         c = math.exp(-2.5)
         srg_acc = _mnist_two_stage(dataset, "dp_srg_memf", "momentum_decay",
                                    c, seed_base=1010)

@@ -128,6 +128,21 @@ def test_verify_subcommand_runs_selected_criteria(capsys):
     assert "criteria: 1 passed, 0 failed, 0 skipped" in text
 
 
+def test_verify_skips_criterion_10_naming_the_missing_idx_file(tmp_path, monkeypatch,
+                                                                capsys):
+    # the train pair alone: the skip names the first file the loader misses
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(
+        bytes([0, 0, 8, 3]) + struct.pack(">3i", 2, 2, 2) + bytes(8))
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(
+        bytes([0, 0, 8, 1]) + struct.pack(">i", 2) + bytes(2))
+    monkeypatch.setenv("DPSRGD_DATA_DIR", str(tmp_path))
+    assert main(["verify", "--criteria", "10"]) == 0
+    text = capsys.readouterr().out
+    missing = repr(str(tmp_path / "t10k-images-idx3-ubyte"))
+    assert "[10] SKIP" in text and f"MNIST idx file {missing} (or .gz) not found" in text
+    assert "criteria: 0 passed, 0 failed, 1 skipped" in text
+
+
 def test_verify_rejects_unknown_criterion(capsys):
     assert main(["verify", "--criteria", "11"]) == 2
     assert main(["verify", "--criteria", "zero"]) == 2
@@ -156,11 +171,14 @@ def test_report_summarizes_best_rows(tmp_path, capsys):
      ", line 2: unexpected summary header ['algorithm', 'workload']"),
     ("# rho=inf\nalgorithm,workload,lr,clip,c,acc_mean,acc_ci95,excess_mean\n"
      "dp_sgd,ones,0.1,1,0,,,0.5\ndp_sgd,ones,abc,1,0,,,0.5\n",
-     ", line 4: could not convert string to float: 'abc'")],
-    ids=["no_table", "short_row", "wrong_header", "non_numeric"])
+     ", line 4: could not convert string to float: 'abc'"),
+    ("# rho=inf\nalgorithm,workload,lr,clip,c,acc_mean,acc_ci95,excess_mean\n"
+     "dp_sgd,ones,0.1,1,0,,,0.5\ndp_sgd,ones,0.2,1,0,,,0.5,9\n",
+     ", line 4: 9 fields, the header has 8")],
+    ids=["no_table", "short_row", "wrong_header", "non_numeric", "long_row"])
 def test_report_on_a_malformed_summary_exits_2(tmp_path, capsys, text, where):
     # these escaped parse_summary_csv as StopIteration and IndexError: exit 1
-    # with a traceback
+    # with a traceback; a long row's extra field was dropped: exit 0
     path = tmp_path / "bad.csv"
     path.write_text(text)
     assert main(["report", str(path)]) == 2

@@ -252,6 +252,30 @@ def test_spec_rejects_epochs_for_a_single_pass_algorithm(algorithm):
     dataclasses.replace(spec, algorithm="dp_memf").validate()
 
 
+def test_spec_rejects_a_negative_seed_base_before_any_work():
+    # numpy refused it only after the budget event was logged
+    log = []
+    with pytest.raises(ValueError, match="seed_base must be >= 0, got -1"):
+        run_experiment(_tiny_spec(seed_base=-1), event_log=log)
+    assert log == []
+    _tiny_spec(seed_base=0).validate()
+
+
+@pytest.mark.parametrize("algorithm, workload", [
+    ("dp_memf", "ones"), ("dp_srg_memf", "ones"), ("dp_ftrl", "momentum")])
+@pytest.mark.parametrize("momentum", [1.5, 1.0, -0.1, math.nan])
+def test_spec_rejects_momentum_outside_the_unit_interval_before_any_work(
+        algorithm, workload, momentum):
+    # the optimizer or the momentum workload refused it only after the
+    # budget and data events were logged
+    spec = _tiny_spec(algorithm=algorithm, workload=workload, momentum=momentum)
+    log = []
+    with pytest.raises(ValueError, match=r"momentum must lie in \[0, 1\)"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    dataclasses.replace(spec, momentum=0.0).validate()
+
+
 # ---------------------------------------------------------------------------
 # noise calibration
 
@@ -1109,8 +1133,7 @@ def test_overflowing_projected_step_is_counted_as_aborted():
     # finite gradients of 1e307 at lr 100 overflow the dp_sgd step before
     # its projection; the sweep records the run as aborted
     class HugeGradients(SyntheticQuadratic):
-        srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_grads
-        clipped_mean_grad = LossProblem.clipped_mean_grad
+        _grads_and_loss = LossProblem._grads_and_loss  # calls per_example_grads
 
         def per_example_grads(self, x, batch):
             return np.full((len(batch), self.dim), 1e307)

@@ -221,18 +221,22 @@ def test_default_hooks_equal_the_temporaries_reference_bit_for_bit(make, c_clip,
 @pytest.mark.parametrize("make", [_quadratic, _unit_quadratic])
 @pytest.mark.parametrize("c_clip", [0.5, np.inf])
 def test_srg_mean_evaluates_a_nan_previous_point_at_zero_weight(make, c_clip):
-    # 0 * NaN is NaN: the fused hook still evaluates x_prev at w_prev = 0,
-    # so a NaN there poisons the increment exactly as in the generic hook
+    # 0 * NaN is NaN: the hook still evaluates x_prev at w_prev = 0, so a
+    # NaN there poisons the increment exactly as the written-out one
     problem = make()
     rng = np.random.default_rng(19)
     batch = problem.draw_batch(rng, 8)
     x_t = rng.standard_normal(problem.dim) * 0.4
     x_prev = np.full(problem.dim, np.nan)
     got, loss = problem.srg_mean(x_t, x_prev, 1.0, 0.0, batch, c_clip)
-    generic, generic_loss = LossProblem.srg_mean(problem, x_t, x_prev, 1.0, 0.0,
-                                                 batch, c_clip)
-    assert np.isnan(got).all() and np.isnan(generic).all()
-    assert loss == generic_loss == float(problem.per_example_values(x_t, batch).mean())
+    rows = (1.0 * problem.curvature * (x_t - batch)
+            - 0.0 * problem.curvature * (x_prev - batch))
+    reference = clip_rows(rows, c_clip).mean(axis=0)
+    reference_loss = float((0.5 * problem.curvature
+                            * ((x_t - batch) ** 2).sum(axis=1)).mean())
+    assert np.isnan(got).all() and np.isnan(reference).all()
+    assert loss == pytest.approx(reference_loss, rel=1e-12)
+    assert loss == float(problem.per_example_values(x_t, batch).mean())
 
 
 def _cli_shaped_quadratic_step():
@@ -260,15 +264,16 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("hook", [LossProblem.srg_mean, SyntheticQuadratic.srg_mean],
-                         ids=["generic", "quadratic"])
-def test_srg_mean_leaves_the_nan_of_infinite_gradients_to_the_runner(hook):
+@pytest.mark.parametrize("wrap", [lambda p: GradientNoiseWrapper(p, 0.3, seed=22),
+                                  lambda p: p], ids=["generic", "quadratic"])
+def test_srg_mean_leaves_the_nan_of_infinite_gradients_to_the_runner(wrap):
     # both points infinite: inf - 0.5 * inf is NaN, returned without a
     # RuntimeWarning (an error under the suite's filter) for the runner's
-    # finite check to abort on
-    problem = SyntheticQuadratic(dim=3, target=np.zeros(3))
+    # finite check to abort on, through the default pass (on the noise
+    # wrapper) and the quadratic's fused one
+    problem = wrap(SyntheticQuadratic(dim=3, target=np.zeros(3)))
     x = np.full(3, np.inf)
-    g, _ = hook(problem, x, x, 1.0, 0.5, np.zeros((4, 3)))
+    g, _ = problem.srg_mean(x, x, 1.0, 0.5, np.zeros((4, 3)))
     assert np.isnan(g).all()
 
 
@@ -766,8 +771,7 @@ def test_logistic_hooks_reject_negative_or_nan_clip(bad):
 class _CountingQuadratic(SyntheticQuadratic):
     """Counts per-example gradient evaluations (rows x calls)."""
 
-    srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_grads
-    clipped_mean_grad = LossProblem.clipped_mean_grad
+    _grads_and_loss = LossProblem._grads_and_loss  # calls per_example_grads
 
     def __post_init__(self):
         super().__post_init__()

@@ -417,8 +417,7 @@ def test_potential_function_value():
 
 
 class _CountingQuadratic(SyntheticQuadratic):
-    srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_grads
-    clipped_mean_grad = LossProblem.clipped_mean_grad
+    _grads_and_loss = LossProblem._grads_and_loss  # calls per_example_grads
 
     def __post_init__(self):
         super().__post_init__()
@@ -1096,8 +1095,7 @@ def test_dp_srg_memf_adds_the_rows_it_is_handed():
 class _ExplodingQuadratic(SyntheticQuadratic):
     """Returns a non-finite gradient from step 3 onward."""
 
-    srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_grads
-    clipped_mean_grad = LossProblem.clipped_mean_grad
+    _grads_and_loss = LossProblem._grads_and_loss  # calls per_example_grads
 
     def __post_init__(self):
         super().__post_init__()
@@ -1133,8 +1131,7 @@ class _HugeGradientQuadratic(SyntheticQuadratic):
     mean of a few of them is finite, a step much larger than 1 on it is
     not."""
 
-    srg_mean = LossProblem.srg_mean  # the generic hooks call per_example_grads
-    clipped_mean_grad = LossProblem.clipped_mean_grad
+    _grads_and_loss = LossProblem._grads_and_loss  # calls per_example_grads
 
     def per_example_grads(self, x, batch):
         return np.full((len(batch), self.dim), 1e307)
