@@ -77,6 +77,8 @@ def _cmd_run(args) -> int:
     if args.output is not None:
         spec.output = args.output
     spec.validate()
+    if not spec.output:
+        raise ValueError("output is empty: give the summary CSV a path")
     out_dir = os.path.dirname(spec.output) or "."
     if os.path.isdir(spec.output):
         raise ValueError(f"cannot write output {spec.output!r}: it is a directory")

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 __all__ = [
     "TreeState",
@@ -208,7 +207,8 @@ def _lower_toeplitz(col: np.ndarray, n: int) -> np.ndarray:
     `col`, zero past its end."""
     first = np.zeros(n)
     first[:col.shape[0]] = col
-    return toeplitz(first, np.zeros(n))
+    # entry (i, j) is first[i - j]; tril zeroes the wrapped lags above the diagonal
+    return np.tril(first[np.subtract.outer(np.arange(n), np.arange(n))])
 
 
 def build_workload(kind: str, k: int, b: int, momentum: float = 0.0,

@@ -41,21 +41,34 @@ __all__ = [
 ]
 
 _TASKS = ("synthetic", "mnist", "cifar-features", "csv-dataset")
-_ALGORITHMS = (
-    "accelerated_dp_srgd",
-    "independent_variant",
-    "dp_sgd",
-    "dp_ftrl",
-    "dp_memf",
-    "dp_srg_memf",
-)
-# Algorithms whose step size comes from the smoothness, not from lr_grid.
-_LR_FREE = ("accelerated_dp_srgd", "independent_variant")
-# Algorithms that train over `epochs` passes; the rest make one pass of `steps`.
-_MULTI_EPOCH = ("dp_memf", "dp_srg_memf")
-# Algorithms whose noise no workload shapes: the binary tree, i.i.d. rows,
-# and DP-SGD's identity strategy.
-_WORKLOAD_FREE = _LR_FREE + ("dp_sgd",)
+
+
+@dataclass(frozen=True)
+class _Algorithm:
+    """What the harness reads of an algorithm: its noise `mechanism` ("tree",
+    "iid" or "strategy"; only a strategy's runner reads lr), the `workload`
+    it fixes (None: the spec's), whether it makes `epochs` passes, and
+    whether it steps on recursive-gradient increments, not fresh gradients."""
+
+    mechanism: str
+    workload: str | None = None
+    multi_epoch: bool = False
+    recursive: bool = False
+
+    def lipschitz_bound(self, clip: float) -> bool:
+        """Whether srgd_sigma's (L, M) bound sizes the noise: iterate-scale
+        i.i.d. rows, or an unclipped tree."""
+        return self.mechanism == "iid" or (self.mechanism == "tree" and math.isinf(clip))
+
+
+_ALGORITHMS = {
+    "accelerated_dp_srgd": _Algorithm("tree", recursive=True),
+    "independent_variant": _Algorithm("iid"),
+    "dp_sgd": _Algorithm("strategy", workload="identity"),
+    "dp_ftrl": _Algorithm("strategy"),
+    "dp_memf": _Algorithm("strategy", multi_epoch=True),
+    "dp_srg_memf": _Algorithm("strategy", multi_epoch=True, recursive=True),
+}
 
 DATA_DIR_ENV = "DPSRGD_DATA_DIR"
 
@@ -106,9 +119,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown task {self.task!r}")
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        algo = _ALGORITHMS[self.algorithm]
         if self.workload not in counting.WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
-        if self.algorithm in _WORKLOAD_FREE and self.workload != "ones":
+        if (algo.mechanism != "strategy" or algo.workload) and self.workload != "ones":
             raise ValueError(f"{self.algorithm} reads no workload, so the summary would "
                              f"state workload={self.workload} for runs that never used it")
         if self.honest_selection and self.task == "synthetic":
@@ -140,7 +154,7 @@ class ExperimentSpec:
                              f"rho={self.rho}: give one of them")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.epochs != 1 and self.algorithm not in _MULTI_EPOCH:
+        if self.epochs != 1 and not algo.multi_epoch:
             raise ValueError(f"{self.algorithm} makes one pass of `steps` and reads no "
                              f"epochs, so epochs={self.epochs} would not be run")
         if self.workers < 1:
@@ -152,6 +166,9 @@ class ExperimentSpec:
         if min(self.dim, self.steps, self.train_size) < 1:
             raise ValueError("dim, steps and train_size must be >= 1, got "
                              f"{self.dim}, {self.steps}, {self.train_size}")
+        if algo.multi_epoch and self.task == "synthetic" and self.batch_size > self.train_size:
+            raise ValueError(f"batch_size={self.batch_size} exceeds train_size="
+                             f"{self.train_size}, the synthetic dataset's size")
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if not 0 < self.curvature < math.inf:
@@ -159,14 +176,15 @@ class ExperimentSpec:
         if not 0 <= self.noise_scale < math.inf:
             raise ValueError("noise_scale must be nonnegative and finite, "
                              f"got {self.noise_scale}")
-        if self.algorithm in _LR_FREE and len(self.lr_grid) > 1:
+        if algo.mechanism != "strategy" and len(self.lr_grid) > 1:
             raise ValueError(f"{self.algorithm} takes no learning rate, so an lr_grid "
                              f"of {len(self.lr_grid)} entries would rerun one "
                              "configuration under different seeds")
-        # c is the decay of the momentum_decay strategy and dp_srg_memf's
-        # recursion weight; nothing else reads it
+        # c is the decay of the momentum_decay strategy and a recursive
+        # strategy's recursion weight; nothing else reads it
         decays = self.workload == "momentum_decay"
-        if len(self.c_grid) > 1 and not (decays or self.algorithm == "dp_srg_memf"):
+        recursion = algo.mechanism == "strategy" and algo.recursive
+        if len(self.c_grid) > 1 and not (decays or recursion):
             raise ValueError(f"{self.algorithm} on the {self.workload} workload takes no "
                              f"c, so a c_grid of {len(self.c_grid)} entries would rerun "
                              "one configuration under different seeds")
@@ -178,10 +196,10 @@ class ExperimentSpec:
                              "algorithm=dp_sgd, with no workload")
         budget = self.rho if self.rho is not None else self.epsilon
         for clip in self.clip_grid if math.isfinite(budget) else ():
-            if not _lipschitz_bound(self.algorithm, clip) and math.isinf(clip):
+            if not algo.lipschitz_bound(clip) and math.isinf(clip):
                 raise ValueError(f"{self.algorithm} with a finite budget needs a "
                                  "finite clip: its noise scales with the clip")
-            if _lipschitz_bound(self.algorithm, clip) and (
+            if algo.lipschitz_bound(clip) and (
                     math.isinf(self.epsilon) or self.steps < 2):
                 raise ValueError(f"{self.algorithm} at clip {clip} sizes its noise by "
                                  "srgd_sigma, which needs epsilon, not rho alone, and "
@@ -464,20 +482,6 @@ def _build_problem(spec: ExperimentSpec, event_log, dataset):
     return load_dataset(path, fmt)
 
 
-def _strategy_args(spec: ExperimentSpec, n: int) -> tuple[str, int, int] | None:
-    """(workload, k, b) of the strategy whose noise the algorithm adds:
-    the spec's workload over `epochs` passes of the n // batch_size batches
-    for the multi-epoch methods, over one pass of `steps` for dp_ftrl, the
-    identity over one pass for dp_sgd, and None for the rest."""
-    if spec.algorithm in ("dp_sgd", "dp_ftrl"):
-        return "identity" if spec.algorithm == "dp_sgd" else spec.workload, 1, spec.steps
-    if spec.algorithm in _MULTI_EPOCH:
-        if n < spec.batch_size:
-            raise ValueError("batch_size exceeds dataset size")
-        return spec.workload, spec.epochs, n // spec.batch_size
-    return None
-
-
 def _index_dtype(n: int) -> np.dtype:
     """The narrowest unsigned integer dtype that holds every index of n
     examples (uint16 up to 65536 examples)."""
@@ -503,18 +507,11 @@ def _max_participation(spec: ExperimentSpec, n: int) -> int:
     """Most steps any one training example can appear in: `epochs` for the
     multi-epoch methods, 1 for synthetic single-pass runs (fresh examples
     every step), and the number of passes of the batch stream otherwise."""
-    if spec.algorithm in _MULTI_EPOCH:
+    if _ALGORITHMS[spec.algorithm].multi_epoch:
         return spec.epochs
     if spec.task == "synthetic":
         return 1
     return -(-spec.steps // (n // max(1, min(n, spec.batch_size))))
-
-
-def _lipschitz_bound(algorithm: str, clip: float) -> bool:
-    """Whether srgd_sigma's worst-case (L, M) bound sizes the noise, not the
-    clip: independent_variant's iterate-scale rows, or an unclipped tree."""
-    return algorithm == "independent_variant" or (
-        algorithm == "accelerated_dp_srgd" and math.isinf(clip))
 
 
 def _noise_sigma(rho: float, clip: float, B: int, sens: float) -> float:
@@ -529,32 +526,29 @@ def _noise_sigma(rho: float, clip: float, B: int, sens: float) -> float:
 
 
 def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
+    algo = _ALGORITHMS[spec.algorithm]
     B = max(1, min(n, spec.batch_size))
     T = spec.steps
     ball = ConstraintBall(problem.dim, spec.radius)
     beta = 2.0 * problem.smoothness * T
-    if _lipschitz_bound(spec.algorithm, clip):
+    if algo.lipschitz_bound(clip):
         sigma = 0.0 if math.isinf(spec.epsilon) else accounting.srgd_sigma(
             problem.lipschitz, problem.smoothness, ball.diameter, spec.epsilon,
             spec.delta, B, beta, T)
-        if spec.algorithm == "accelerated_dp_srgd":
+        if algo.mechanism == "tree":
             sigma *= beta  # tree rows add to raw increments, beta times its scale
     else:
         sens = strategy.sens if strategy is not None else counting.tree_sens(T)
         sigma = _noise_sigma(rho, clip, B, sens)
 
-    multi_epoch = spec.algorithm in _MULTI_EPOCH
-    if multi_epoch:
+    if algo.multi_epoch:
+        # b fixed batches, the same in the same order every epoch; on the
+        # synthetic task one dataset per experiment (seeded by seed_base
+        # alone), shared by every grid point and repeat
         b = strategy.b
-        if spec.task == "synthetic":
-            # One fixed dataset per experiment (seeded by seed_base alone),
-            # shared by every grid point and repeat.
-            data = problem.draw_batch(_data_rng(spec.seed_base), b * B)
-            batches = [data[j * B:(j + 1) * B] for j in range(b)]
-        else:
-            batches = [np.arange(j * B, (j + 1) * B, dtype=_index_dtype(n))
-                       for j in range(b)]
-        batches *= strategy.k  # the same b batches in the same order every epoch
+        data = (problem.draw_batch(_data_rng(spec.seed_base), b * B)
+                if spec.task == "synthetic" else np.arange(b * B, dtype=_index_dtype(n)))
+        batches = [data[j * B:(j + 1) * B] for j in range(b)] * strategy.k
     elif spec.task == "synthetic":
         rng = _data_rng(seed)
         batches = (problem.draw_batch(rng, B) for _ in range(T))
@@ -562,20 +556,18 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
         batches = _pass_stream(_data_rng(seed), n, B, T)
 
     if strategy is not None:
-        # dp_memf is the recursion at decay 0, c may still shape its
-        # strategy; dp_sgd and dp_ftrl take projected steps, no momentum
+        # c may shape a non-recursive strategy, whose recursion is at decay
+        # 0; the single-pass ones take projected steps, no momentum
         cfg = optim.MemfConfig(strategy=strategy, c_clip=clip, lr=lr,
-                               decay=c if spec.algorithm == "dp_srg_memf" else 0.0,
-                               momentum=spec.momentum if multi_epoch else 0.0,
-                               ball=None if multi_epoch else ball)
+                               decay=c if algo.recursive else 0.0,
+                               momentum=spec.momentum if algo.multi_epoch else 0.0,
+                               ball=None if algo.multi_epoch else ball)
         return optim.run_dp_srg_memf(problem, batches, counting.mf_noise_stream(
             strategy, sigma, problem.dim, seed), cfg)
-    cfg = optim.SrgdConfig(T=T, beta=beta, ball=ball, clip=clip)
-    if spec.algorithm == "accelerated_dp_srgd":
-        return optim.run_accelerated_dp_srgd(problem, batches, counting.tree_rows(
-            sigma, problem.dim, seed, T), cfg)
-    return optim.run_independent_variant(problem, batches, counting.gaussian_rows(
-        sigma, problem.dim, seed, T), cfg)
+    run = optim.run_accelerated_dp_srgd if algo.recursive else optim.run_independent_variant
+    rows = counting.tree_rows if algo.mechanism == "tree" else counting.gaussian_rows
+    return run(problem, batches, rows(sigma, problem.dim, seed, T),
+               optim.SrgdConfig(T=T, beta=beta, ball=ball, clip=clip))
 
 
 def _selection_metrics(spec, problem, record):
@@ -609,6 +601,7 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     numbering of `emit_csv`'s trajectory files).
     """
     spec.validate()
+    algo = _ALGORITHMS[spec.algorithm]
     budget = _resolve_budget(spec)
     if event_log is not None:
         event_log.append(("budget", dict(budget)))
@@ -616,8 +609,7 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     rho = budget["rho"]
     n = problem.n_train if spec.task != "synthetic" else spec.train_size
     participation = _max_participation(spec, n)
-    if (participation > 1 and math.isfinite(rho)
-            and spec.algorithm not in _MULTI_EPOCH):
+    if participation > 1 and math.isfinite(rho) and not algo.multi_epoch:
         raise ValueError(
             f"{spec.steps} steps of batch size {spec.batch_size} over {n} examples "
             f"use some examples in up to {participation} steps; the noise of "
@@ -626,9 +618,14 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
 
     grid = [(lr, clip, c) for lr in spec.lr_grid for clip in spec.clip_grid
             for c in spec.c_grid]
-    args = _strategy_args(spec, n)
-    strategies = ({c: counting.build_strategy(*args, momentum=spec.momentum, decay=c)
-                   for c in spec.c_grid} if args is not None else {})
+    strategies = {}
+    if algo.mechanism == "strategy":
+        if algo.multi_epoch and n < spec.batch_size:
+            raise ValueError(f"batch_size={spec.batch_size} exceeds the {n} examples")
+        k, b = (spec.epochs, n // spec.batch_size) if algo.multi_epoch else (1, spec.steps)
+        strategies = {c: counting.build_strategy(algo.workload or spec.workload, k, b,
+                                                 momentum=spec.momentum, decay=c)
+                      for c in spec.c_grid}
 
     jobs = []
     for lr, clip, c in grid:
@@ -643,10 +640,9 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     def work(job):
         lr, clip, c, rep, seed = job
         try:
-            rec = _single_run(spec, problem, n, rho, lr, clip, c, seed, strategies.get(c))
+            return job, _single_run(spec, problem, n, rho, lr, clip, c, seed, strategies.get(c))
         except optim.RunAborted as exc:
             return job, exc
-        return job, rec
 
     # Results are taken in job order: with several workers a finished run
     # waits only for the jobs before it.
@@ -670,13 +666,13 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
                                 "workload": spec.workload,
                                 "max_participation": str(participation)})
     table.header["noise_calibration"] = "+".join(sorted({
-        "lipschitz_bound" if _lipschitz_bound(spec.algorithm, clip) else "clip"
+        "lipschitz_bound" if algo.lipschitz_bound(clip) else "clip"
         for clip in spec.clip_grid}))
     if strategies:  # the matrix-factorization runs: the strategies they used
         table.header["strategy_sens"] = _format_value(
             max(s.sens for s in strategies.values()))
-    if spec.task == "synthetic" and spec.algorithm in (
-            "accelerated_dp_srgd", "independent_variant") and math.isfinite(spec.epsilon):
+    if (spec.task == "synthetic" and algo.mechanism != "strategy"
+            and math.isfinite(spec.epsilon)):
         report, B, T = accounting.build_regime_report(
             spec.train_size, problem.dim, problem.lipschitz, problem.smoothness,
             2.0 * spec.radius, spec.epsilon, spec.delta)

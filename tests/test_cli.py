@@ -228,6 +228,19 @@ def test_run_rejects_an_unwritable_output_before_any_work(tmp_path, monkeypatch,
     assert os.listdir(tmp_path / "a_directory") == []
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_run_rejects_an_empty_output_before_any_work(tmp_path, monkeypatch, capsys, where):
+    # os.path.dirname("") is "", which the directory check read as "."
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "exp.cfg"
+    config.write_text("task=synthetic\nalgorithm=dp_sgd\nsteps=4\ndim=3\nrepeats=2\n"
+                      + ("output=\n" if where == "config" else ""))
+    args = ["run", str(config)] + (["--output", ""] if where == "flag" else [])
+    assert main(args) == 2
+    assert "output is empty" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
 def _cli_and_library_outputs(tmp_path, spec) -> list[str]:
     """Run `spec` through `dpsrgd run` and through
     `emit_csv(*run_experiment(spec))` into two directories; assert that they

@@ -276,6 +276,33 @@ def test_spec_rejects_momentum_outside_the_unit_interval_before_any_work(
     dataclasses.replace(spec, momentum=0.0).validate()
 
 
+@pytest.mark.parametrize("algorithm", ["dp_memf", "dp_srg_memf"])
+def test_spec_rejects_a_multi_epoch_batch_larger_than_the_synthetic_dataset(algorithm):
+    # the synthetic task's n is train_size, so validate knows it; the run
+    # refused it only after the budget and data events were logged
+    spec = _tiny_spec(algorithm=algorithm, train_size=256, batch_size=300)
+    log = []
+    with pytest.raises(ValueError, match="batch_size=300 exceeds train_size=256"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    dataclasses.replace(spec, batch_size=256).validate()
+    # a single pass draws fresh examples each step, so any batch size runs
+    dataclasses.replace(spec, algorithm="dp_sgd").validate()
+
+
+@pytest.mark.parametrize("algorithm", ["dp_memf", "dp_srg_memf"])
+def test_a_multi_epoch_batch_larger_than_the_dataset_is_rejected_once_it_is_loaded(
+        tmp_path, algorithm):
+    dataset = _toy_logistic_dataset(tmp_path, n=64)
+    spec = _tiny_spec(task="csv-dataset", algorithm=algorithm, batch_size=65)
+    log = []
+    with pytest.raises(ValueError, match="batch_size=65 exceeds the 64 examples"):
+        run_experiment(spec, dataset=dataset, event_log=log)
+    assert [event for event, _ in log] == ["budget", "data"]
+    table, _ = run_experiment(dataclasses.replace(spec, batch_size=64), dataset=dataset)
+    assert table.rows[0].n_runs == 2
+
+
 # ---------------------------------------------------------------------------
 # noise calibration
 

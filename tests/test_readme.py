@@ -1,10 +1,15 @@
 """The README's library example and CLI examples run as written."""
 
+import dataclasses
+import inspect
 import math
 import re
 import shlex
 from pathlib import Path
 
+import pytest
+
+from dpsrgd import counting, harness, optim
 from dpsrgd.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -45,3 +50,80 @@ def test_readme_factorize_example_runs(capsys):
                if args[0] == "factorize"]
     assert main(args) == 0
     assert "sens=" in capsys.readouterr().out
+
+
+def _algorithm_table() -> dict[str, dict[str, str]]:
+    """The README's algorithm table: algorithm name -> column -> cell."""
+    text = README.read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if line.startswith("| ")]
+    start = next(i for i, line in enumerate(lines) if line.startswith("| Algorithm |"))
+    cells = lambda line: [c.strip() for c in line.strip("|").split("|")]
+    columns = cells(lines[start])
+    rows = {}
+    for line in lines[start + 2:]:
+        row = dict(zip(columns, cells(line)))
+        if not row["Algorithm"].startswith("`"):
+            break
+        rows[row["Algorithm"].strip("`")] = row
+    return rows
+
+
+def _accepts(spec) -> bool:
+    try:
+        spec.validate()
+    except ValueError:
+        return False
+    return True
+
+
+def _called(monkeypatch, spec) -> list[str]:
+    """The runners and noise streams that the harness itself calls in a
+    sweep of `spec`, by name (mf_noise_stream calls gaussian_rows too)."""
+    calls = []
+
+    def spy(fn, name):
+        def call(*args, **kwargs):
+            if inspect.currentframe().f_back.f_globals["__name__"] == harness.__name__:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    targets = [("optim", optim, n) for n in vars(optim) if n.startswith("run_")] + [
+        ("counting", counting, n) for n in ("tree_rows", "gaussian_rows", "mf_noise_stream")]
+    for prefix, module, name in targets:
+        monkeypatch.setattr(module, name, spy(getattr(module, name), f"{prefix}.{name}"))
+    harness.run_experiment(spec)
+    return sorted(calls)
+
+
+def test_readme_algorithm_table_lists_every_algorithm_in_order():
+    assert list(_algorithm_table()) == list(harness._ALGORITHMS)
+
+
+@pytest.mark.parametrize("algorithm", list(harness._ALGORITHMS))
+def test_readme_algorithm_table_row_matches_the_harness(monkeypatch, algorithm):
+    row = _algorithm_table()[algorithm]
+    record = harness._ALGORITHMS[algorithm]
+    mechanism, workload, stream = re.fullmatch(
+        r"(\w+)(?:, `(\w+)`)? \(`([\w.]+)`\)", row["Mechanism (noise stream)"]).groups()
+    assert (mechanism, workload) == (record.mechanism, record.workload)
+    spec = harness.ExperimentSpec(
+        task="synthetic", algorithm=algorithm, epsilon=2.0, steps=4, dim=3,
+        train_size=64, batch_size=8, epochs=2 if record.multi_epoch else 1,
+        output="unused.csv")
+    assert _called(monkeypatch, spec) == sorted([row["Runner"].strip("`"), stream])
+
+    sigma = row["σ rule"]
+    assert ("`srgd_sigma`" in sigma) == record.lipschitz_bound(math.inf)
+    assert sigma.startswith("`srgd_sigma`") == record.lipschitz_bound(1.0)
+    assert ("`tree_sens(T)`" in sigma) == (record.mechanism == "tree")
+
+    with_ = lambda **kw: _accepts(dataclasses.replace(spec, **kw))
+    yes_no = lambda accepted: "yes" if accepted else "no"
+    assert row["lr"] == yes_no(with_(lr_grid=(0.5, 1.0)))
+    assert row["workload"] == yes_no(with_(workload="momentum"))
+    assert row["epochs"] == yes_no(with_(epochs=3))
+    c_read = with_(c_grid=(0.0, 0.5))
+    c_on_decay = with_(workload="momentum_decay", c_grid=(0.5, 1.0))
+    assert row["c"] == ("yes" if c_read else "on `momentum_decay`" if c_on_decay
+                        else "no")
