@@ -51,7 +51,6 @@ from .harness import (
     load_dataset,
     parse_summary_csv,
     run_experiment,
-    save_csv,
 )
 from .objectives import (
     GradientNoiseWrapper,
@@ -86,7 +85,7 @@ __all__ = [
     "tree_rows", "tree_sens",
     "ConstraintBall", "project_ball",
     "ExperimentSpec", "MetricRow", "MetricTable", "emit_csv", "load_dataset",
-    "parse_summary_csv", "run_experiment", "save_csv",
+    "parse_summary_csv", "run_experiment",
     "GradientNoiseWrapper", "LogisticTask", "LossProblem",
     "SyntheticQuadratic",
     "MemfConfig", "RunAborted", "RunRecord", "SrgdConfig", "linear_fit",

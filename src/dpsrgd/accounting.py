@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .counting import ceil_log2
 
 __all__ = [
     "RegimeReport",

@@ -32,7 +32,6 @@ __all__ = [
     "MetricRow",
     "MetricTable",
     "load_dataset",
-    "save_csv",
     "run_experiment",
     "emit_csv",
     "write_trajectory",
@@ -40,7 +39,7 @@ __all__ = [
     "data_dir",
 ]
 
-_TASKS = ("synthetic", "mnist", "cifar-features", "csv-dataset")
+_TASKS = ("synthetic", "mnist", "csv-dataset")
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ class ExperimentSpec:
         if min(self.dim, self.steps, self.train_size) < 1:
             raise ValueError("dim, steps and train_size must be >= 1, got "
                              f"{self.dim}, {self.steps}, {self.train_size}")
-        if algo.multi_epoch and self.task == "synthetic" and self.batch_size > self.train_size:
+        if self.task == "synthetic" and self.batch_size > self.train_size:
             raise ValueError(f"batch_size={self.batch_size} exceeds train_size="
                              f"{self.train_size}, the synthetic dataset's size")
         if not 0 < self.radius < math.inf:
@@ -395,15 +394,6 @@ def _read_label_csv(path: str):
     return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 
-def save_csv(labels: np.ndarray, features: np.ndarray, path: str):
-    """Write a label,feature,... dataset file readable by load_dataset."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(features.shape[1])])
-        for y, row in zip(labels, features):
-            writer.writerow([int(y)] + [f"{v:.17g}" for v in row])
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -511,7 +501,7 @@ def _max_participation(spec: ExperimentSpec, n: int) -> int:
         return spec.epochs
     if spec.task == "synthetic":
         return 1
-    return -(-spec.steps // (n // max(1, min(n, spec.batch_size))))
+    return -(-spec.steps // (n // spec.batch_size))
 
 
 def _noise_sigma(rho: float, clip: float, B: int, sens: float) -> float:
@@ -527,7 +517,7 @@ def _noise_sigma(rho: float, clip: float, B: int, sens: float) -> float:
 
 def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
     algo = _ALGORITHMS[spec.algorithm]
-    B = max(1, min(n, spec.batch_size))
+    B = spec.batch_size
     T = spec.steps
     ball = ConstraintBall(problem.dim, spec.radius)
     beta = 2.0 * problem.smoothness * T
@@ -608,6 +598,8 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     problem = _build_problem(spec, event_log, dataset)
     rho = budget["rho"]
     n = problem.n_train if spec.task != "synthetic" else spec.train_size
+    if n < spec.batch_size:
+        raise ValueError(f"batch_size={spec.batch_size} exceeds the {n} examples")
     participation = _max_participation(spec, n)
     if participation > 1 and math.isfinite(rho) and not algo.multi_epoch:
         raise ValueError(
@@ -616,16 +608,16 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
             f"{spec.algorithm} is calibrated for at most one, so the reported "
             "budget would not hold (an infinite epsilon runs any number of passes)")
 
-    grid = [(lr, clip, c) for lr in spec.lr_grid for clip in spec.clip_grid
-            for c in spec.c_grid]
+    # v + 0 is v, bit for bit, except -0.0 + 0, which is 0.0: a -0 entry is
+    # the grid point 0, with its seeds, strategy and summary cells
+    lrs, clips, cs = ([v + 0 for v in g] for g in (spec.lr_grid, spec.clip_grid, spec.c_grid))
+    grid = [(lr, clip, c) for lr in lrs for clip in clips for c in cs]
     strategies = {}
     if algo.mechanism == "strategy":
-        if algo.multi_epoch and n < spec.batch_size:
-            raise ValueError(f"batch_size={spec.batch_size} exceeds the {n} examples")
         k, b = (spec.epochs, n // spec.batch_size) if algo.multi_epoch else (1, spec.steps)
         strategies = {c: counting.build_strategy(algo.workload or spec.workload, k, b,
                                                  momentum=spec.momentum, decay=c)
-                      for c in spec.c_grid}
+                      for c in cs}
 
     jobs = []
     for lr, clip, c in grid:

@@ -10,8 +10,9 @@ and accuracy. Every logits product but `srg_mean`'s stacked one puts the K
 class rows on the left (see LogisticTask).
 
 A "batch" is whatever the problem's per-example methods accept:
-an (m, dim) array of example vectors for the synthetic task, an integer
-index array for dataset-backed tasks.
+an (m, dim) array of example vectors for the synthetic task, which draws
+them with `draw_batch`, or an integer index array for dataset-backed
+tasks, whose caller picks the indices.
 
 The optimizers reach the data only through two gradient hooks,
 `clipped_mean_grad` and `srg_mean`. Each returns `(mean, train_loss)`: the
@@ -79,9 +80,6 @@ class LossProblem:
     def per_example_grads(self, x: np.ndarray, batch) -> np.ndarray:
         """Gradient of every example in the batch at x, shape (m, dim), as a
         fresh float64 array that the hooks overwrite."""
-        raise NotImplementedError
-
-    def draw_batch(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
 
     def population_excess(self, x: np.ndarray) -> float:
@@ -475,9 +473,6 @@ class LogisticTask(LossProblem):
             return np.ones(err.shape[0])
         return _clip_factors(row_norms(err) * phi_norms, c_clip)
 
-    def draw_batch(self, rng, size):
-        return rng.integers(0, self.n_train, size=size)
-
     def population_excess(self, x) -> float:
         """Held-out average loss (falls back to the training split)."""
         return self.excess_and_accuracy(x)[0]
@@ -538,9 +533,6 @@ class GradientNoiseWrapper(LossProblem):
     def per_example_grads(self, x, batch):
         clean = self.base.per_example_grads(x, batch)
         return clean + self.noise_std * self.rng.standard_normal(clean.shape)
-
-    def draw_batch(self, rng, size):
-        return self.base.draw_batch(rng, size)
 
     def population_excess(self, x):
         return self.base.population_excess(x)

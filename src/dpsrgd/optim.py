@@ -152,9 +152,9 @@ def _check_finite(step: int, reason: str, *vectors):
             raise RunAborted(step, reason)
 
 
-def _norm(v: np.ndarray | None) -> float:
+def _norm(v: np.ndarray) -> float:
     # np.linalg.norm's own formula for a 1-d vector, without its wrapper
-    return math.sqrt(v.dot(v)) if v is not None else 0.0
+    return math.sqrt(v.dot(v))
 
 
 def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
@@ -163,8 +163,9 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     exactly T noise rows of shape (dim,). Per step t,
     estimate(t, x, prev_x, batch) -> (g, train loss) evaluates the batch
     at the query point x and its predecessor, w = next(noise) is the step's
-    noise row, and update(t, x, g, w) returns (noise norm, gradient norm,
-    iterates): the next query point first, the reported point last. A
+    noise row, whose norm the record's noise_norm holds, and
+    update(t, x, g, w) returns (gradient norm, iterates): the next query
+    point first, the reported point last. A
     batch or noise stream that ends early aborts the run, and a row of
     another shape is refused. A non-finite estimate
     or row aborts the run, and so does a non-finite step, which the update
@@ -189,7 +190,8 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
         elif w.shape != x.shape:
             raise ValueError(f"noise row at step {t} has shape {w.shape}, want {x.shape}")
         _check_finite(t, "non-finite gradient estimate or noise", g, w)
-        noise_norm[t], grad_norm[t], iterates = update(t, x, g, w)
+        noise_norm[t] = _norm(w)
+        grad_norm[t], iterates = update(t, x, g, w)
         prev_x, x = x, iterates[0]
         del g, w, batch
     # free the stream's state (the tree's stack, an MF ring) before the
@@ -229,7 +231,7 @@ def _accelerated(problem: LossProblem, cfg: SrgdConfig):
             z_step, y_step = z_step + b, y_step + b / eta_t
         _check_finite(t, "non-finite iterate", z_step, y_step)
         z, y = _project(z_step, cfg.ball.radius), _project(y_step, cfg.ball.radius)
-        return _norm(b), _norm(g), (_interpolate(y, z, cfg.tau[t + 1]), z, y)
+        return _norm(g), (_interpolate(y, z, cfg.tau[t + 1]), z, y)
 
     def finish():
         record_potential(cfg.T)
@@ -246,7 +248,8 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, noise, cfg: SrgdConfig
     grad_est = (sum of increments + prefix noise row) / eta_t, take the
     aggressive (z) and conservative (y) projected steps, and interpolate
     to get the next query point x. The tree noise lands in the updates as
-    a perturbation of size ||tree noise|| / beta per step.
+    a perturbation of size ||tree noise|| / beta per step, the figure
+    the record's noise_norm holds.
     """
     eta = cfg.eta_values
     accelerate, finish = _accelerated(problem, cfg)
@@ -262,11 +265,12 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, noise, cfg: SrgdConfig
     def update(t, x, delta, xi):
         nonlocal total
         total += delta
-        _, grad_norm, next_iterates = accelerate(t, x, (total + xi) / eta[t], None)
-        return _norm(xi) / cfg.beta, grad_norm, next_iterates
+        return accelerate(t, x, (total + xi) / eta[t], None)
 
-    return _drive(problem, stream, cfg.T, estimate, noise, update,
-                  lambda: dict(finish(), iterates=iterates))
+    rec = _drive(problem, stream, cfg.T, estimate, noise, update,
+                 lambda: dict(finish(), iterates=iterates))
+    rec.noise_norm /= cfg.beta
+    return rec
 
 
 def run_independent_variant(problem: LossProblem, stream, noise,
@@ -365,7 +369,7 @@ def run_dp_srg_memf(problem: LossProblem, batches, noise,
         velocity = cfg.momentum * velocity + g
         step = x - cfg.lr * velocity
         _check_finite(t, "non-finite iterate", step)
-        return _norm(w_t), _norm(reported), (
+        return _norm(reported), (
             _project(step, ball.radius) if ball is not None else step,)
 
     return _drive(problem, batches, steps, estimate, noise, update)

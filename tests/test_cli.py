@@ -18,8 +18,9 @@ from dpsrgd.harness import (
     emit_csv,
     parse_summary_csv,
     run_experiment,
-    save_csv,
 )
+
+from dataset_files import save_csv
 
 
 def test_no_arguments_is_invalid(capsys):

@@ -1,6 +1,8 @@
-"""The package's exports agree with its modules' `__all__` lists, and the
-package runs on its declared runtime dependencies alone."""
+"""The package's exports agree with its modules' `__all__` lists, every
+module-level import is used, and the package runs on its declared runtime
+dependencies alone."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -59,3 +61,31 @@ def test_the_package_imports_and_verifies_without_scipy():
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "[ 9] PASS" in proc.stdout
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names that the module's top-level imports bind but that no
+    expression in it reads and its `__all__` does not list."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, listed = {}, set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            listed = {n.value for n in ast.walk(node.value)  # its string literals
+                      if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items()
+            if name not in read and name not in listed]
+
+
+@pytest.mark.parametrize("path", sorted(Path(dpsrgd.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_module_level_import_is_read_or_exported(path):
+    assert _unused_imports(path) == []

@@ -29,10 +29,11 @@ from dpsrgd.harness import (
     load_dataset,
     parse_summary_csv,
     run_experiment,
-    save_csv,
 )
 from dpsrgd.objectives import LogisticTask, LossProblem, SyntheticQuadratic
 from dpsrgd.optim import RunAborted, RunRecord
+
+from dataset_files import save_csv
 
 IDX_NAMES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
              "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
@@ -286,8 +287,20 @@ def test_spec_rejects_a_multi_epoch_batch_larger_than_the_synthetic_dataset(algo
         run_experiment(spec, event_log=log)
     assert log == []
     dataclasses.replace(spec, batch_size=256).validate()
-    # a single pass draws fresh examples each step, so any batch size runs
-    dataclasses.replace(spec, algorithm="dp_sgd").validate()
+
+
+_SINGLE_PASS = [name for name, algo in _ALGORITHMS.items() if not algo.multi_epoch]
+
+
+@pytest.mark.parametrize("algorithm", _SINGLE_PASS)
+def test_spec_rejects_a_single_pass_batch_larger_than_the_synthetic_dataset(algorithm):
+    # the run trained on train_size rows per step, fewer than batch_size
+    spec = _tiny_spec(algorithm=algorithm, train_size=100, batch_size=300)
+    log = []
+    with pytest.raises(ValueError, match="batch_size=300 exceeds train_size=100"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    dataclasses.replace(spec, batch_size=100).validate()
 
 
 @pytest.mark.parametrize("algorithm", ["dp_memf", "dp_srg_memf"])
@@ -300,6 +313,20 @@ def test_a_multi_epoch_batch_larger_than_the_dataset_is_rejected_once_it_is_load
         run_experiment(spec, dataset=dataset, event_log=log)
     assert [event for event, _ in log] == ["budget", "data"]
     table, _ = run_experiment(dataclasses.replace(spec, batch_size=64), dataset=dataset)
+    assert table.rows[0].n_runs == 2
+
+
+@pytest.mark.parametrize("algorithm", _SINGLE_PASS)
+def test_a_single_pass_batch_larger_than_the_dataset_is_rejected_once_it_is_loaded(
+        tmp_path, algorithm):
+    # the run took steps of all 64 rows, fewer than batch_size
+    dataset = _toy_logistic_dataset(tmp_path, n=64)
+    spec = _tiny_spec(task="csv-dataset", algorithm=algorithm, batch_size=65, steps=2)
+    log = []
+    with pytest.raises(ValueError, match="batch_size=65 exceeds the 64 examples"):
+        run_experiment(spec, dataset=dataset, event_log=log)
+    assert [event for event, _ in log] == ["budget", "data"]
+    table, _ = run_experiment(dataclasses.replace(spec, batch_size=32), dataset=dataset)
     assert table.rows[0].n_runs == 2
 
 
@@ -737,6 +764,21 @@ def test_adding_grid_points_leaves_existing_runs_untouched():
         a = narrow[(0.1, 1.0, 0.0, rep)]
         b = wide[(0.1, 1.0, 0.0, rep)]
         np.testing.assert_array_equal(a.final_x, b.final_x)
+
+
+@pytest.mark.parametrize("grid", ["clip_grid", "c_grid"])
+def test_a_negative_zero_grid_entry_runs_as_the_grid_point_zero(tmp_path, grid):
+    # -0.0 == 0.0, but the seed key formatted it as -0: the entry ran under
+    # other seeds than 0, and the summary wrote its cell as -0
+    spec = _tiny_spec(algorithm="dp_srg_memf", epochs=2, train_size=128, batch_size=16)
+    written = []
+    for name, zero in (("plus", 0.0), ("minus", -0.0)):
+        (tmp_path / name).mkdir()
+        table, records = run_experiment(dataclasses.replace(spec, **{grid: (zero,)}))
+        paths = emit_csv(table, records, str(tmp_path / name / "summary.csv"))
+        written.append([Path(path).read_bytes() for path in paths])
+    assert len(written[0]) == 3
+    assert written[0] == written[1]
 
 
 def test_parallel_workers_match_serial_results():

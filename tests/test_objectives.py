@@ -40,6 +40,17 @@ def _logistic(n=40, p=4, classes=3, seed=0, with_eval=True):
                         eval_features=eval_feats, eval_labels=eval_labels)
 
 
+def _draw(problem, rng, size):
+    """A batch of `size`: the quadratic's drawn examples (the wrapped one's
+    under the noise wrapper), or indices into a logistic task's training
+    rows drawn with replacement."""
+    if isinstance(problem, GradientNoiseWrapper):
+        problem = problem.base
+    if isinstance(problem, LogisticTask):
+        return rng.integers(0, problem.n_train, size)
+    return problem.draw_batch(rng, size)
+
+
 def _fd_grad(problem, x, batch, h=1e-6):
     """Central-difference gradient of the mean batch loss."""
     grad = np.zeros_like(x)
@@ -69,7 +80,7 @@ def test_quadratic_grads_match_finite_differences():
 def test_logistic_grads_match_finite_differences():
     problem = _logistic()
     rng = np.random.default_rng(4)
-    batch = problem.draw_batch(rng, 9)
+    batch = rng.integers(0, problem.n_train, 9)
     x = rng.standard_normal(problem.dim) * 0.3
     analytic = problem.per_example_grads(x, batch).mean(axis=0)
     np.testing.assert_allclose(analytic, _fd_grad(problem, x, batch),
@@ -147,7 +158,7 @@ def test_draw_batch_with_no_row_clamped_equals_the_reference():
 def test_clipped_mean_matches_row_loop(make, c_clip):
     problem = make()
     rng = np.random.default_rng(6)
-    batch = problem.draw_batch(rng, 11)
+    batch = _draw(problem, rng, 11)
     x = rng.standard_normal(problem.dim) * 0.4
     rows = problem.per_example_grads(x, batch)
     expected = clip_rows(rows, c_clip).mean(axis=0)
@@ -161,7 +172,7 @@ def test_clipped_mean_matches_row_loop(make, c_clip):
 def test_srg_mean_matches_row_loop(make, c_clip, w_prev):
     problem = make()
     rng = np.random.default_rng(7)
-    batch = problem.draw_batch(rng, 10)
+    batch = _draw(problem, rng, 10)
     x_t = rng.standard_normal(problem.dim) * 0.4
     x_prev = rng.standard_normal(problem.dim) * 0.4
     w_t = 3.0
@@ -184,7 +195,7 @@ def test_hooks_leave_the_batch_and_both_points_unchanged(make, c_clip, hook):
     # those must never be the caller's batch or points
     problem = make()
     rng = np.random.default_rng(17)
-    batch = problem.draw_batch(rng, 9)
+    batch = _draw(problem, rng, 9)
     x_t = rng.standard_normal(problem.dim) * 0.4
     x_prev = rng.standard_normal(problem.dim) * 0.4
     saved = [a.copy() for a in (batch, x_t, x_prev)]
@@ -204,7 +215,7 @@ def test_default_hooks_equal_the_temporaries_reference_bit_for_bit(make, c_clip,
     # w_t * g_t - w_prev * g_p, clipped on a copy and averaged, gives
     problem, twin = make(), make()
     rng = np.random.default_rng(18)
-    batch = problem.draw_batch(rng, 12)
+    batch = _draw(problem, rng, 12)
     x_t = rng.standard_normal(problem.dim) * 0.4
     x_prev = rng.standard_normal(problem.dim) * 0.4
     w_t = 3.0
@@ -323,7 +334,7 @@ def test_quadratic_residuals_equal_the_broadcast_difference(batch):
 def test_hooks_return_train_loss_at_current_point(make, c_clip):
     problem = make()
     rng = np.random.default_rng(16)
-    batch = problem.draw_batch(rng, 10)
+    batch = _draw(problem, rng, 10)
     x_t = rng.standard_normal(problem.dim) * 0.4
     x_prev = rng.standard_normal(problem.dim) * 0.4
     want = float(problem.per_example_values(x_t, batch).mean())
@@ -396,7 +407,7 @@ def test_srg_mean_equals_two_point_reference(rows, c_clip, w_prev):
     # arithmetic under test (see the next test for the benchmark's shape).
     problem = _logistic(n=40, p=6, classes=4, seed=17)
     rng = np.random.default_rng(18)
-    idx = problem.draw_batch(rng, rows)
+    idx = rng.integers(0, problem.n_train, rows)
     x_t = rng.standard_normal(problem.dim)
     x_prev = rng.standard_normal(problem.dim)
     logits = problem.features[idx] @ np.concatenate(
@@ -426,7 +437,7 @@ def test_srg_mean_equals_two_separate_forwards_at_batch_shape(c_clip, w_prev):
     # figures exactly, its backward sum taken block by block
     problem = _mnist_shaped()
     rng = np.random.default_rng(19)
-    idx = problem.draw_batch(rng, 500)
+    idx = rng.integers(0, problem.n_train, 500)
     x_t = rng.standard_normal(problem.dim) * 0.05
     x_prev = rng.standard_normal(problem.dim) * 0.05
     phi = problem.features[idx]
@@ -455,7 +466,7 @@ def test_srg_mean_peak_memory_is_the_gathered_batch_plus_slack():
     # rest stays within a fixed slack
     problem = _mnist_shaped()
     rng = np.random.default_rng(20)
-    idx = problem.draw_batch(rng, 500)
+    idx = rng.integers(0, problem.n_train, 500)
     x_t = rng.standard_normal(problem.dim) * 0.05
     x_prev = rng.standard_normal(problem.dim) * 0.05
     problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)  # warm any lazy set-up
@@ -479,7 +490,7 @@ def test_gathered_step_peak_memory_does_not_grow_with_the_batch():
     x_prev = rng.standard_normal(problem.dim) * 0.05
     peaks = []
     for size in (500, 2000):
-        idx = problem.draw_batch(rng, size)
+        idx = rng.integers(0, problem.n_train, size)
         peaks.append(_traced_peak(lambda: problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)))
         peaks.append(_traced_peak(lambda: problem.clipped_mean_grad(x_t, idx, 1.0)))
     assert peaks[2] <= peaks[0] + 50_000
@@ -496,7 +507,7 @@ def test_blocked_hooks_equal_the_one_gemm_reference(rows, c_clip):
             "uneven": 501}[rows]
     assert _gathered_blocks(problem, size) == {"one": 1, "block": 1, "uneven": 5}[rows]
     rng = np.random.default_rng(33)
-    idx = problem.draw_batch(rng, size)
+    idx = rng.integers(0, problem.n_train, size)
     x_t = rng.standard_normal(problem.dim) * 0.05
     x_prev = rng.standard_normal(problem.dim) * 0.05
     phi = problem.features[idx]
@@ -760,7 +771,7 @@ def test_excess_and_accuracy_default_has_no_accuracy():
 @pytest.mark.parametrize("bad", [-0.5, np.nan])
 def test_logistic_hooks_reject_negative_or_nan_clip(bad):
     problem = _logistic()
-    batch = problem.draw_batch(np.random.default_rng(24), 5)
+    batch = np.random.default_rng(24).integers(0, problem.n_train, 5)
     x = np.zeros(problem.dim)
     with pytest.raises(ValueError, match="nonnegative"):
         problem.clipped_mean_grad(x, batch, bad)

@@ -563,7 +563,7 @@ def test_drive_frees_a_steps_state_before_it_draws_the_next_batch():
     rec = _drive(SyntheticQuadratic(dim=dim, target=np.zeros(dim)), stream(), 4,
                  lambda t, x, prev_x, batch: (fresh(np.ones(dim)), 0.0),
                  (fresh(np.full(dim, 0.5)) for _ in range(4)),
-                 lambda t, x, g, w: (0.0, 0.0, (x - g - w,)))
+                 lambda t, x, g, w: (0.0, (x - g - w,)))
     assert rec.steps == 4
     assert alive == [[]] + [[False, False, False]] * 3
 
@@ -599,6 +599,20 @@ def test_runner_aborts_on_short_noise_stream(name):
     with pytest.raises(RunAborted, match="noise stream exhausted after 3 of 5 rows") as info:
         _NOISY_RUNNERS[name](problem, batches, _hand_rows(3, problem.dim), 5)
     assert info.value.step == 3
+
+
+@pytest.mark.parametrize("name", sorted(_NOISY_RUNNERS))
+def test_noise_norm_is_the_norm_of_each_handed_row(name):
+    # _drive records the norm of the row it hands over; the tree's rows
+    # land in the accelerated updates divided by beta
+    problem = _quadratic()
+    T = 5
+    rows = _hand_rows(T, problem.dim)
+    rec = _NOISY_RUNNERS[name](problem, _batches(problem, T, 4), iter(rows), T)
+    want = np.array([math.sqrt(w.dot(w)) for w in rows])
+    if name == "accelerated_dp_srgd":
+        want /= 2.0 * T
+    np.testing.assert_array_equal(rec.noise_norm, want)
 
 
 @pytest.mark.parametrize("name", sorted(_NOISY_RUNNERS))
