@@ -5,10 +5,11 @@ Layer map (each imports only from layers above it):
 
   geometry     projections and the L2 constraint ball
   objectives   convex per-example losses with exact population metrics
+  optim        the optimizer runners (accelerated recursive-gradient,
+               baselines, multi-epoch variants) and diagnostics; they take
+               noise rows from the caller and know no mechanism
   counting     noise-row streams: identity, binary tree, matrix factorization
   accounting   sensitivity/noise calibration and budget conversions
-  optim        the optimizer runners (accelerated recursive-gradient,
-               baselines, multi-epoch variants) and diagnostics
   harness      experiment specs, dataset IO, sweeps, CSV emission
   verify       the ten end-to-end acceptance criteria
   cli          the dpsrgd command-line entry point

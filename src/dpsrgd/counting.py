@@ -486,7 +486,9 @@ def mf_noise_stream(strategy: StrategyMatrix, sigma: float, d: int, seed: int):
     holds (len(r) - 1) x d solved rows, len(r) <= b for the banded
     strategies of `factorize` and 1 for the identity. A rho-zCDP release of
     a stream of per-example sensitivity s takes sigma = s * sens / sqrt(2 rho).
+    A singular C raises LinAlgError, then a strategy failing `check` ValueError.
     """
     if strategy.r[0] == 0:
         raise np.linalg.LinAlgError("strategy matrix is singular")
+    strategy.check()
     return forward_substitution_rows(strategy.r, gaussian_rows(sigma, d, seed, strategy.steps))

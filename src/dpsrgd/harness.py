@@ -203,6 +203,12 @@ class ExperimentSpec:
                 raise ValueError(f"{self.algorithm} at clip {clip} sizes its noise by "
                                  "srgd_sigma, which needs epsilon, not rho alone, and "
                                  f"steps >= 2: got epsilon={self.epsilon}, steps={self.steps}")
+        # momentum drives the multi-epoch steps and shapes the momentum
+        # workloads' strategies; nothing else reads it
+        if (self.momentum != ExperimentSpec.momentum and not algo.multi_epoch
+                and self.workload not in ("momentum", "momentum_decay")):
+            raise ValueError(f"{self.algorithm} on the {self.workload} workload reads no "
+                             f"momentum, so momentum={self.momentum} would not be run")
         return self
 
     def to_text(self) -> str:
@@ -304,9 +310,15 @@ def _read_idx(path: str) -> np.ndarray:
 
 
 def _read_idx_pair(root: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """(images, labels) from the idx files `names` under root, equal in count."""
+    """(images, labels) from the idx files `names` under root: a 3-d image
+    stack and 1-d labels, equal in count."""
     paths = [os.path.join(root, name) for name in names]
     images, labels = map(_read_idx, paths)
+    if images.ndim != 3:
+        raise ValueError(f"{paths[0]}: an image file must be 3-d (count, rows, "
+                         f"columns), got shape {images.shape}")
+    if labels.ndim != 1:
+        raise ValueError(f"{paths[1]}: a label file must be 1-d, got shape {labels.shape}")
     if images.shape[0] != labels.shape[0]:
         raise ValueError(f"{paths[0]} holds {images.shape[0]} images but {paths[1]} "
                          f"holds {labels.shape[0]} labels")
@@ -548,7 +560,7 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
     if strategy is not None:
         # c may shape a non-recursive strategy, whose recursion is at decay
         # 0; the single-pass ones take projected steps, no momentum
-        cfg = optim.MemfConfig(strategy=strategy, c_clip=clip, lr=lr,
+        cfg = optim.MemfConfig(steps=strategy.steps, c_clip=clip, lr=lr,
                                decay=c if algo.recursive else 0.0,
                                momentum=spec.momentum if algo.multi_epoch else 0.0,
                                ball=None if algo.multi_epoch else ball)

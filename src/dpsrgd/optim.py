@@ -14,17 +14,16 @@ recursive gradients or, at decay 0, plain ones; and a frozen-point probe
 of the plain recursive estimate, whose variance grows with t. Every
 runner is private: it takes its noise rows from the caller, as it takes
 its batches, and the configs hold optimizer settings, not the mechanism,
-its calibration or its seed.
+its calibration or its seed: MemfConfig takes the run's length alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import StrategyMatrix
 from .geometry import ConstraintBall, _interpolate, _project, all_finite, check_clip
 from .objectives import LossProblem
 
@@ -56,18 +55,15 @@ class RunAborted(RuntimeError):
 class SrgdConfig:
     """Configuration for the accelerated SRG runs.
 
-    The schedule is eta_t = t + 1, the one that
-    `accounting.sensitivity_bound` and `srgd_sigma` assume, and
-    tau_t = eta_t / eta_{0:t}. clip = inf leaves gradients unclipped.
+    The runners form eta_t = t + 1, the schedule that `sensitivity_bound`
+    and `srgd_sigma` assume, and tau_t = eta_t / eta_{0:t} = 2 / (t + 2)
+    where they read them. clip = inf leaves gradients unclipped.
     """
 
     T: int
     beta: float
     ball: ConstraintBall
     clip: float = math.inf
-    eta_values: np.ndarray = field(init=False)
-    eta_cumsum: np.ndarray = field(init=False)
-    tau: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.T < 1:
@@ -75,23 +71,20 @@ class SrgdConfig:
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         check_clip(self.clip)
-        self.eta_values = np.arange(1, self.T + 2, dtype=np.float64)
-        self.eta_cumsum = np.cumsum(self.eta_values)
-        self.tau = self.eta_values / self.eta_cumsum
 
 
 @dataclass
 class MemfConfig:
     """Configuration for matrix-factorization training.
 
-    The strategy's k * b steps are the run's length: the runner takes that
-    many batches of one size. decay = 0 disables the gradient recursion
-    entirely (each increment is a plain clipped gradient: dp_memf); decay
-    in (0, 1] is the constant recursion weight (dp_srg_memf). A ball
-    projects every step onto it (dp_sgd, dp_ftrl).
+    steps, the noise strategy's k * b, is the run's length: the runner
+    takes that many batches of one size. decay = 0 disables the gradient
+    recursion entirely (each increment is a plain clipped gradient:
+    dp_memf); decay in (0, 1] is the constant recursion weight
+    (dp_srg_memf). A ball projects every step onto it (dp_sgd, dp_ftrl).
     """
 
-    strategy: StrategyMatrix
+    steps: int
     c_clip: float
     lr: float
     decay: float = 0.0
@@ -99,6 +92,8 @@ class MemfConfig:
     ball: ConstraintBall | None = None
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 <= self.decay <= 1.0:
             raise ValueError(f"decay must be in [0,1], got {self.decay}")
         if not 0.0 <= self.momentum < 1.0:
@@ -106,7 +101,6 @@ class MemfConfig:
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         check_clip(self.c_clip)
-        self.strategy.check()
 
 
 @dataclass
@@ -114,8 +108,8 @@ class RunRecord:
     """Per-step trajectory plus final metrics for one optimizer run.
 
     Absent diagnostics (potential on empirical tasks, accuracy on synthetic
-    ones) are None, never zero-filled; `iterates` only with the accelerated
-    runner's `record_iterates`. No field names the runner: its caller does.
+    ones) are None, never zero-filled. No field names the runner: its
+    caller does.
     """
 
     final_x: np.ndarray
@@ -125,7 +119,6 @@ class RunRecord:
     potential: np.ndarray | None = None
     excess: float | None = None
     accuracy: float | None = None
-    iterates: np.ndarray | None = None
 
     @property
     def steps(self) -> int:
@@ -219,19 +212,18 @@ def _accelerated(problem: LossProblem, cfg: SrgdConfig):
 
     def record_potential(t):
         if pot is not None:
-            pot[t] = potential(problem, y, z, x_star, cfg.beta,
-                               cfg.eta_cumsum[t - 1] if t > 0 else 0.0)
+            pot[t] = potential(problem, y, z, x_star, cfg.beta, t * (t + 1) / 2)
 
     def update(t, x, g, b):
         nonlocal y, z
-        eta_t = cfg.eta_values[t]
+        eta_t = t + 1.0
         record_potential(t)
         z_step, y_step = z - (eta_t / cfg.beta) * g, x - g / cfg.beta
         if b is not None:
             z_step, y_step = z_step + b, y_step + b / eta_t
         _check_finite(t, "non-finite iterate", z_step, y_step)
         z, y = _project(z_step, cfg.ball.radius), _project(y_step, cfg.ball.radius)
-        return _norm(g), (_interpolate(y, z, cfg.tau[t + 1]), z, y)
+        return _norm(g), (_interpolate(y, z, 2.0 / (t + 3)), z, y)
 
     def finish():
         record_potential(cfg.T)
@@ -239,8 +231,8 @@ def _accelerated(problem: LossProblem, cfg: SrgdConfig):
     return update, finish
 
 
-def run_accelerated_dp_srgd(problem: LossProblem, stream, noise, cfg: SrgdConfig,
-                            record_iterates: bool = False) -> RunRecord:
+def run_accelerated_dp_srgd(problem: LossProblem, stream, noise,
+                            cfg: SrgdConfig) -> RunRecord:
     """Accelerated SRG with binary-tree noise: `noise` yields the T prefix
     rows, `counting.tree_rows` for a private run.
 
@@ -251,24 +243,19 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, noise, cfg: SrgdConfig
     a perturbation of size ||tree noise|| / beta per step, the figure
     the record's noise_norm holds.
     """
-    eta = cfg.eta_values
     accelerate, finish = _accelerated(problem, cfg)
     total = np.zeros(problem.dim)
-    iterates = np.empty((cfg.T, problem.dim)) if record_iterates else None
 
     def estimate(t, x, prev_x, batch):
-        if iterates is not None:
-            iterates[t] = x
-        w_prev = eta[t - 1] if t > 0 else 0.0
-        return problem.srg_mean(x, prev_x, eta[t], w_prev, batch, cfg.clip)
+        # weights eta_t = t + 1 and eta_{t-1} = t (0 at the first step)
+        return problem.srg_mean(x, prev_x, t + 1.0, float(t), batch, cfg.clip)
 
     def update(t, x, delta, xi):
         nonlocal total
         total += delta
-        return accelerate(t, x, (total + xi) / eta[t], None)
+        return accelerate(t, x, (total + xi) / (t + 1.0), None)
 
-    rec = _drive(problem, stream, cfg.T, estimate, noise, update,
-                 lambda: dict(finish(), iterates=iterates))
+    rec = _drive(problem, stream, cfg.T, estimate, noise, update, finish)
     rec.noise_norm /= cfg.beta
     return rec
 
@@ -325,9 +312,9 @@ def run_dp_srg_memf(problem: LossProblem, batches, noise,
                     cfg: MemfConfig) -> RunRecord:
     """Matrix-factorization training with SGD with momentum.
 
-    The run takes the strategy's k * b batches, all of one size, in the
-    order given, as a list or a stream: the caller picks them and their
-    order (the harness repeats b fixed batches each epoch), and the
+    The run takes cfg.steps batches, all of one size, in the order given,
+    as a list or a stream: the caller picks them and their order (the
+    harness repeats b fixed batches each epoch), and the
     strategy's column-group constraint accounts for an example's repeated
     participation. `noise` yields as many rows, the strategy's
     `counting.mf_noise_stream` for a private run. Per step, the per-example
@@ -342,7 +329,7 @@ def run_dp_srg_memf(problem: LossProblem, batches, noise,
     it: at c = 0 that is dp_sgd for the identity strategy and dp_ftrl for
     any other, and without one dp_memf.
     """
-    steps, ball = cfg.strategy.steps, cfg.ball
+    steps, ball = cfg.steps, cfg.ball
     if hasattr(batches, "__len__") and len(batches) != steps:
         raise ValueError(f"{len(batches)} batches != the strategy's {steps} steps")
     if ball is not None and ball.dim != problem.dim:

@@ -127,9 +127,11 @@ def _accel_record(T: int):
 
 
 def criterion_1() -> CriterionResult:
-    """Noiseless accelerated runs: halving the error every time T doubles
-    (up to constants), with the final error inside the step-budget bound
-    beta * diameter^2 / sum(eta)."""
+    """Noiseless accelerated runs: the error falls by a factor in [2.5, 6]
+    every time T doubles (measured 4.2-4.4), so a run whose error only
+    halved, the rate of the O(1/T) step-budget bound
+    beta * diameter^2 / eta_{0:T}, fails. The largest fraction of that
+    bound a final error reaches is reported, not gated."""
     def body():
         errs = {T: _accel_record(T).excess for T in _ACCEL_TS}
         ratios = [errs[T] / errs[2 * T] for T in _ACCEL_TS[:-1]]
@@ -165,6 +167,18 @@ def criterion_2() -> CriterionResult:
 # criterion 3: per-example sensitivity of the recursive-gradient increments
 
 
+class _QueryPoints(SyntheticQuadratic):
+    """A quadratic whose srg_mean keeps the (x_t, x_prev) of every call."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.points = []
+
+    def srg_mean(self, x_t, x_prev, *args, **kwargs):
+        self.points.append((x_t.copy(), x_prev.copy()))
+        return super().srg_mean(x_t, x_prev, *args, **kwargs)
+
+
 def criterion_3() -> CriterionResult:
     """Zeroing one example changes each step's increment by at most the
     declared per-example bound, replayed along the realized trajectory of
@@ -176,8 +190,8 @@ def criterion_3() -> CriterionResult:
         rng0 = np.random.default_rng(301)
         direction = rng0.standard_normal(dim)
         target = 0.5 * direction / np.linalg.norm(direction)
-        problem = SyntheticQuadratic(dim=dim, target=target, curvature=M,
-                                     noise_scale=0.5, radius=R)
+        quadratic = dict(dim=dim, target=target, curvature=M, noise_scale=0.5, radius=R)
+        problem = SyntheticQuadratic(**quadratic)
         L = problem.lipschitz
         b_sigma = srgd_sigma(L, M, 2.0 * R, 2.0, 1e-6, B, beta, T)
         ball = ConstraintBall(dim, R)
@@ -189,21 +203,18 @@ def criterion_3() -> CriterionResult:
             data = problem.draw_batch(rng, n)
             j = int(rng.integers(n))
             batches = [data[t * B:(t + 1) * B] for t in range(T)]
-            cfg = SrgdConfig(T=T, beta=beta, ball=ball)
-            rec = run_accelerated_dp_srgd(problem, iter(batches),
-                                          tree_rows(b_sigma * beta, dim, pair, T), cfg,
-                                          record_iterates=True)
+            run_problem = _QueryPoints(**quadratic)
+            rec = run_accelerated_dp_srgd(run_problem, iter(batches),
+                                          tree_rows(b_sigma * beta, dim, pair, T),
+                                          SrgdConfig(T=T, beta=beta, ball=ball))
             b_max = float(rec.noise_norm.max())
             bound = sensitivity_bound(L, M, 2.0 * R, b_max)
             t_j, r_j = divmod(j, B)
             zeroed = batches[t_j].copy()
             zeroed[r_j] = 0.0
             measured = 0.0
-            for t in range(T):
-                x_t = rec.iterates[t]
-                x_prev = rec.iterates[t - 1] if t > 0 else rec.iterates[0]
-                w_t = float(cfg.eta_values[t])
-                w_prev = float(cfg.eta_values[t - 1]) if t > 0 else 0.0
+            for t, (x_t, x_prev) in enumerate(run_problem.points):
+                w_t, w_prev = t + 1.0, float(t)  # eta_t and eta_{t-1}, 0 at t = 0
                 other = zeroed if t == t_j else batches[t]
                 d1 = problem.srg_mean(x_t, x_prev, w_t, w_prev, batches[t])[0]
                 d2 = problem.srg_mean(x_t, x_prev, w_t, w_prev, other)[0]
@@ -337,10 +348,9 @@ def criterion_8() -> CriterionResult:
 
         rho = 0.5
         sigma = math.sqrt(1.0 / (2.0 * rho)) * 1.0 / 4  # clip / B sensitivity
-        cfg = MemfConfig(strategy=identity_strategy(1, 10), c_clip=1.0, lr=0.1,
-                         momentum=0.0, ball=ball)
-        rec_sgd = run_dp_srg_memf(problem, batches, mf_noise_stream(cfg.strategy, sigma, 5, 3),
-                                  cfg)
+        cfg = MemfConfig(steps=10, c_clip=1.0, lr=0.1, momentum=0.0, ball=ball)
+        rec_sgd = run_dp_srg_memf(problem, batches,
+                                  mf_noise_stream(identity_strategy(1, 10), sigma, 5, 3), cfg)
         noise_rng = np.random.default_rng(3)
         x, losses = np.zeros(5), []
         for batch in batches:
@@ -354,10 +364,9 @@ def criterion_8() -> CriterionResult:
         w_ones = build_workload("ones", 2, 8)
         d2 = float(np.abs(w_momentum - w_ones).max())
 
-        cfg = MemfConfig(strategy=identity_strategy(2, 5), c_clip=math.inf, lr=0.05,
-                         decay=0.0, momentum=0.9)
+        cfg = MemfConfig(steps=10, c_clip=math.inf, lr=0.05, decay=0.0, momentum=0.9)
         rec_srg = run_dp_srg_memf(problem, batches[:5] * 2,
-                                  mf_noise_stream(cfg.strategy, 0.0, 5, 5), cfg)
+                                  mf_noise_stream(identity_strategy(2, 5), 0.0, 5, 5), cfg)
         # two epochs of SGD with momentum 0.9 on unclipped batch means
         x, velocity, losses = np.zeros(5), np.zeros(5), []
         for t in range(10):

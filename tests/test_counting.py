@@ -641,3 +641,17 @@ def test_mf_noise_stream_edge_cases():
     assert singular.objective == math.inf
     with pytest.raises(np.linalg.LinAlgError):
         next(mf_noise_stream(singular, 1.0, 3, 0))
+
+
+def test_mf_noise_stream_refuses_a_strategy_that_fails_its_check():
+    # the stream is where a strategy shapes noise, so it is refused there,
+    # when the stream is built, before any row is drawn
+    loud = StrategyMatrix(np.ones(3), [2.0], "custom", 1, 3)  # C = 2 I, sens 2
+    with pytest.raises(ValueError, match="sensitivity 2.0 exceeds 1"):
+        mf_noise_stream(loud, 1.0, 3, 0)
+    flipped = StrategyMatrix(np.ones(3), [-0.5, 0.1], "custom", 1, 3)
+    assert flipped.sens <= 1.0
+    with pytest.raises(ValueError, match="diagonal"):
+        mf_noise_stream(flipped, 1.0, 3, 0)
+    rows = list(mf_noise_stream(StrategyMatrix(np.ones(3), [1.0], "custom", 1, 3), 1.0, 3, 0))
+    assert len(rows) == 3

@@ -1,6 +1,7 @@
 """The package's exports agree with its modules' `__all__` lists, every
-module-level import is used, and the package runs on its declared runtime
-dependencies alone."""
+module-level import is used, every module imports only from the layers the
+package docstring lists above it, and the package runs on its declared
+runtime dependencies alone."""
 
 import ast
 import importlib
@@ -89,3 +90,43 @@ def _unused_imports(path: Path) -> list[str]:
                          ids=lambda path: path.name)
 def test_every_module_level_import_is_read_or_exported(path):
     assert _unused_imports(path) == []
+
+
+def _layer_map() -> list[str]:
+    """The module names of the package docstring's "Layer map", top first:
+    the first word of each line indented by two spaces under its heading."""
+    lines = dpsrgd.__doc__.split("Layer map", 1)[1].splitlines()[1:]
+    return [line.split()[0] for line in lines
+            if line.startswith("  ") and not line.startswith("   ")]
+
+
+def _package_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) for every package module the file imports, at any
+    depth: `from .m import`, `from . import m` and `dpsrgd.m`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:  # absolute: only dpsrgd's own modules count
+                if module.split(".")[0] != "dpsrgd":
+                    continue
+                module = module.partition(".")[2]
+            names = [module.split(".")[0]] if module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names
+                     if a.name.startswith("dpsrgd.")]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names]
+    return found
+
+
+def test_every_module_imports_only_from_layers_above_it():
+    layers = _layer_map()
+    files = sorted(Path(dpsrgd.__file__).parent.glob("*.py"))
+    assert sorted(layers) == sorted(p.stem for p in files if p.stem != "__init__")
+    below = [f"{path.name}:{line} imports {name}"
+             for path in files if path.stem != "__init__"
+             for line, name in _package_imports(path)
+             if layers.index(name) >= layers.index(path.stem)]
+    assert below == []

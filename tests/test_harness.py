@@ -277,6 +277,21 @@ def test_spec_rejects_momentum_outside_the_unit_interval_before_any_work(
     dataclasses.replace(spec, momentum=0.0).validate()
 
 
+@pytest.mark.parametrize("algorithm", [
+    "accelerated_dp_srgd", "independent_variant", "dp_sgd", "dp_ftrl"])
+@pytest.mark.parametrize("momentum", [0.0, 0.5])
+def test_spec_rejects_momentum_an_algorithm_does_not_read_before_any_work(
+        algorithm, momentum):
+    # these runs ignored it: their summaries were the same at 0.9 and at 0
+    spec = _tiny_spec(algorithm=algorithm, momentum=momentum)
+    log = []
+    with pytest.raises(ValueError, match=f"{algorithm} on the ones workload reads no "
+                                         f"momentum, so momentum={momentum} would not"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    dataclasses.replace(spec, momentum=0.9).validate()
+
+
 @pytest.mark.parametrize("algorithm", ["dp_memf", "dp_srg_memf"])
 def test_spec_rejects_a_multi_epoch_batch_larger_than_the_synthetic_dataset(algorithm):
     # the synthetic task's n is train_size, so validate knows it; the run
@@ -530,6 +545,28 @@ def test_idx_label_file_one_entry_short_is_rejected(tmp_path, labels):
     with pytest.raises(ValueError, match=rf"{images} holds {n} images but "
                                          rf"\S*{labels} holds {n - 1} labels"):
         load_dataset(str(tmp_path), "idx")
+
+
+def test_idx_file_of_the_wrong_rank_is_rejected_naming_it(tmp_path):
+    # label files under the image names loaded as a one-pixel task, and an
+    # image stack under a label name failed naming no file
+    _make_idx_dir(str(tmp_path))
+    original = {name: (tmp_path / name).read_bytes() for name in IDX_NAMES}
+    write = lambda name, source: (tmp_path / name).write_bytes(original[source])
+    for images, labels in ((0, 1), (2, 3)):
+        write(IDX_NAMES[images], IDX_NAMES[labels])
+    for images in (0, 2):  # the train pair is read first
+        with pytest.raises(ValueError, match=rf"{IDX_NAMES[images]}: an image file must be "
+                                             r"3-d \(count, rows, columns\), got shape \(\d+,\)"):
+            load_dataset(str(tmp_path), "idx")
+        write(IDX_NAMES[images], IDX_NAMES[images])
+    for images, labels in ((0, 1), (2, 3)):
+        write(IDX_NAMES[labels], IDX_NAMES[images])
+        with pytest.raises(ValueError, match=rf"{IDX_NAMES[labels]}: a label file must be "
+                                             r"1-d, got shape \(\d+, 4, 4\)"):
+            load_dataset(str(tmp_path), "idx")
+        write(IDX_NAMES[labels], IDX_NAMES[labels])
+    assert load_dataset(str(tmp_path), "idx").features.shape == (20, 17)
 
 
 def test_idx_corruption_errors(tmp_path):
@@ -1022,15 +1059,21 @@ def test_dp_sgd_header_states_the_identity_strategys_sens(tmp_path):
 
 
 def test_memf_strategy_is_factorized_for_the_spec_momentum(monkeypatch):
-    seen = []
-    runner = optim.run_dp_srg_memf
+    # the strategy reaches the run through its noise stream, which the
+    # harness builds before it calls the runner
+    seen, matches = [], []
+    runner, mf_noise_stream = optim.run_dp_srg_memf, counting.mf_noise_stream
+
+    def stream_spy(s, sigma, d, seed):
+        want = counting.build_strategy(s.kind, s.k, s.b, momentum=0.5, decay=0.5)
+        matches.append(np.array_equal(s.w, want.w))
+        return mf_noise_stream(s, sigma, d, seed)
 
     def spy(problem, batches, noise, cfg):
-        s = cfg.strategy
-        want = counting.build_strategy(s.kind, s.k, s.b, momentum=0.5, decay=0.5)
-        seen.append((cfg.momentum, np.array_equal(s.w, want.w)))
+        seen.append((cfg.momentum, matches.pop()))
         return runner(problem, batches, noise, cfg)
 
+    monkeypatch.setattr(counting, "mf_noise_stream", stream_spy)
     monkeypatch.setattr(optim, "run_dp_srg_memf", spy)
     run_experiment(_tiny_spec(algorithm="dp_srg_memf", workload="momentum_decay",
                               momentum=0.5, c_grid=(0.5,), epochs=2,
@@ -1039,8 +1082,9 @@ def test_memf_strategy_is_factorized_for_the_spec_momentum(monkeypatch):
 
 
 def test_a_sweep_builds_one_strategy_per_c_before_its_runs(monkeypatch):
-    built, seen = [], []
+    built, seen, decays = [], [], []
     build, runner = counting.build_strategy, optim.run_dp_srg_memf
+    mf_noise_stream = counting.mf_noise_stream
 
     def build_spy(kind, k, b, **kw):
         built.append(kw["decay"])
@@ -1049,13 +1093,17 @@ def test_a_sweep_builds_one_strategy_per_c_before_its_runs(monkeypatch):
     spec = _tiny_spec(algorithm="dp_srg_memf", workload="momentum_decay",
                       c_grid=(0.3, 0.6), epochs=2, batch_size=64, repeats=2)
 
+    def stream_spy(s, sigma, d, seed):
+        decays.append(next((c for c in spec.c_grid if np.array_equal(
+            s.w, build(s.kind, s.k, s.b, momentum=spec.momentum, decay=c).w)), None))
+        return mf_noise_stream(s, sigma, d, seed)
+
     def run_spy(problem, batches, noise, cfg):
-        s = cfg.strategy
-        seen.append((cfg.decay, next((c for c in spec.c_grid if np.array_equal(
-            s.w, build(s.kind, s.k, s.b, momentum=spec.momentum, decay=c).w)), None)))
+        seen.append((cfg.decay, decays.pop()))
         return runner(problem, batches, noise, cfg)
 
     monkeypatch.setattr(counting, "build_strategy", build_spy)
+    monkeypatch.setattr(counting, "mf_noise_stream", stream_spy)
     monkeypatch.setattr(optim, "run_dp_srg_memf", run_spy)
     run_experiment(spec)
     assert built == [0.3, 0.6]
@@ -1071,7 +1119,7 @@ def test_identity_memf_strategy_is_sound_over_epochs(monkeypatch):
         return runner(problem, batches, noise, cfg)
 
     def stream_spy(strategy, sigma, d, seed):
-        streams.append((sigma, seed))
+        streams.append((strategy, sigma, seed))
         return mf_noise_stream(strategy, sigma, d, seed)
 
     monkeypatch.setattr(optim, "run_dp_srg_memf", spy)
@@ -1079,19 +1127,19 @@ def test_identity_memf_strategy_is_sound_over_epochs(monkeypatch):
     spec = _tiny_spec(algorithm="dp_memf", workload="identity", epochs=2,
                       batch_size=32, repeats=1)
     table, records = run_experiment(spec)
-    (cfg,), ((sigma, seed),) = seen, streams
+    (cfg,), ((strategy, sigma, seed),) = seen, streams
     assert cfg.decay == 0.0  # dp_memf is the recursive runner at decay 0
     b = spec.train_size // spec.batch_size
     rho = accounting.rho_for_dp(spec.epsilon, spec.delta)
-    assert sigma == (cfg.c_clip / spec.batch_size * cfg.strategy.sens
+    assert sigma == (cfg.c_clip / spec.batch_size * strategy.sens
                      / math.sqrt(2.0 * rho)) > 0
-    assert (cfg.strategy.k, cfg.strategy.b) == (2, b)
-    assert counting.column_group_sens(cfg.strategy.C, 2, b) <= 1.0 + 1e-9
+    assert (strategy.k, strategy.b) == (2, b) and cfg.steps == 2 * b
+    assert counting.column_group_sens(strategy.C, 2, b) <= 1.0 + 1e-9
     assert float(table.header["strategy_sens"]) <= 1.0 + 1e-9
     rows = lambda strategy: np.stack(list(mf_noise_stream(
         strategy, sigma, spec.dim, seed)))
     one_epoch = rows(counting.identity_strategy(1, 2 * b))
-    np.testing.assert_allclose(rows(cfg.strategy), math.sqrt(2.0) * one_epoch,
+    np.testing.assert_allclose(rows(strategy), math.sqrt(2.0) * one_epoch,
                                rtol=1e-12)
     (rec,) = records.values()
     np.testing.assert_allclose(

@@ -2,6 +2,7 @@
 update loops, noise-substitution identity, reductions between
 algorithms, variance growth, and abort behavior."""
 
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -46,12 +47,11 @@ from dpsrgd.optim import (
 )
 
 
-def _quadratic(dim=6, noise_scale=0.4, target_norm=0.6, seed=0):
+def _quadratic(dim=6, noise_scale=0.4, target_norm=0.6, seed=0, cls=SyntheticQuadratic):
     rng = np.random.default_rng(seed)
     target = rng.standard_normal(dim)
     target *= target_norm / np.linalg.norm(target)
-    return SyntheticQuadratic(dim=dim, target=target, curvature=1.0,
-                              noise_scale=noise_scale, radius=1.0)
+    return cls(dim=dim, target=target, curvature=1.0, noise_scale=noise_scale, radius=1.0)
 
 
 def _batches(problem, T, B, seed=1):
@@ -59,19 +59,37 @@ def _batches(problem, T, B, seed=1):
     return [data[t * B:(t + 1) * B] for t in range(T)]
 
 
+class _QueryPoints:
+    """Task mixin: srg_mean keeps a copy of the (x_t, x_prev) of every call
+    in `points`, the query points of an accelerated run on the task."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.points = []
+
+    def srg_mean(self, x_t, x_prev, *args, **kwargs):
+        self.points.append((x_t.copy(), x_prev.copy()))
+        return super().srg_mean(x_t, x_prev, *args, **kwargs)
+
+
+class _RecordingQuadratic(_QueryPoints, SyntheticQuadratic):
+    pass
+
+
+class _RecordingLogistic(_QueryPoints, LogisticTask):
+    pass
+
+
+def _schedule(T):
+    """The accelerated runners' schedule, written out: eta_t = t + 1 for
+    t = 0..T, their prefix sums eta_{0:t}, and tau_t = eta_t / eta_{0:t}."""
+    eta = np.arange(1.0, T + 2.0)
+    cumsum = np.cumsum(eta)
+    return eta, cumsum, eta / cumsum
+
+
 # ---------------------------------------------------------------------------
 # schedule configuration
-
-
-def test_default_schedule_and_tau():
-    cfg = SrgdConfig(T=8, beta=16.0, ball=ConstraintBall(3, 1.0))
-    np.testing.assert_array_equal(cfg.eta_values, np.arange(1.0, 10.0))
-    np.testing.assert_allclose(cfg.eta_cumsum,
-                               np.arange(1.0, 10.0).cumsum(), rtol=0)
-    # tau_t = 2 / (t + 2) for the linear schedule
-    np.testing.assert_allclose(cfg.tau,
-                               2.0 / (np.arange(9) + 2.0), rtol=1e-12)
-    assert cfg.tau[0] == 1.0
 
 
 def test_schedule_validation_errors():
@@ -111,7 +129,7 @@ def _tree_prefixes(T, dim, sigma, seed):
 def _reference_accelerated(problem, batches, cfg, rows):
     """The accelerated loop on the given noise rows; returns the final
     point and the query point of every step."""
-    eta, tau = cfg.eta_values, cfg.tau
+    eta, _, tau = _schedule(cfg.T)
     x = np.zeros(problem.dim)
     y, z, prev = x, x, x
     total = np.zeros(problem.dim)
@@ -147,15 +165,15 @@ def _hand_rows(T, dim):
 
 
 def test_accelerated_runner_adds_the_rows_it_is_handed():
-    problem = _quadratic()
+    problem, recorder = _quadratic(), _quadratic(cls=_RecordingQuadratic)
     T, B = 10, 5
     batches = _batches(problem, T, B, seed=47)
     cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
     rows = _hand_rows(T, problem.dim)
-    rec = run_accelerated_dp_srgd(problem, iter(batches), rows, cfg, record_iterates=True)
+    rec = run_accelerated_dp_srgd(recorder, iter(batches), rows, cfg)
     y, xs = _reference_accelerated(problem, batches, cfg, rows)
     np.testing.assert_allclose(rec.final_x, y, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(rec.iterates, xs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose([x for x, _ in recorder.points], xs, rtol=0, atol=1e-12)
     np.testing.assert_allclose(rec.noise_norm,
                                [np.linalg.norm(r) / cfg.beta for r in rows], rtol=1e-12)
 
@@ -165,7 +183,7 @@ def _reference_accelerated_trajectory(problem, batches, cfg, sigma, seed):
     runner used before its per-step shortcuts: np.linalg.norm for every
     norm, ndarray.mean for the batch means, and a boolean-mask row clip.
     Returns the per-step train_loss, noise_norm, grad_norm and potential."""
-    eta, tau = cfg.eta_values, cfg.tau
+    eta, eta_cumsum, tau = _schedule(cfg.T)
     tree = TreeState(cfg.T, problem.dim, sigma=sigma, seed=seed)
     x_star = problem.exact_optimum()
     x = np.zeros(problem.dim)
@@ -176,7 +194,7 @@ def _reference_accelerated_trajectory(problem, batches, cfg, sigma, seed):
     def record_potential(t):
         dz = z - x_star
         out["potential"].append(
-            (cfg.eta_cumsum[t - 1] if t > 0 else 0.0) * problem.population_excess(y)
+            (eta_cumsum[t - 1] if t > 0 else 0.0) * problem.population_excess(y)
             + 2.0 * cfg.beta * float(dz @ dz))
 
     for t, batch in enumerate(batches):
@@ -230,7 +248,7 @@ def test_tree_noise_equals_iterate_noise_substitution():
                                   cfg)
 
     mirror = TreeState(cfg.T, problem.dim, sigma=1.1, seed=17)
-    eta, tau = cfg.eta_values, cfg.tau
+    eta, _, tau = _schedule(cfg.T)
     x = np.zeros(problem.dim)
     y, z, prev = x, x, x
     clean_sum = np.zeros(problem.dim)
@@ -250,24 +268,24 @@ def test_tree_noise_equals_iterate_noise_substitution():
 @pytest.mark.parametrize("clip", [0.5, math.inf])
 def test_accelerated_train_loss_is_loss_at_each_iterate(clip):
     rng = np.random.default_rng(30)
-    problem = LogisticTask(features=rng.standard_normal((60, 4)),
-                           labels=rng.integers(0, 3, size=60), num_classes=3)
+    problem = _RecordingLogistic(features=rng.standard_normal((60, 4)),
+                                 labels=rng.integers(0, 3, size=60), num_classes=3)
     T, B = 6, 10
     order = rng.permutation(60)
     batches = [order[t * B:(t + 1) * B] for t in range(T)]
     cfg = SrgdConfig(T=T, beta=2.0 * problem.smoothness * T,
                      ball=ConstraintBall(problem.dim, 1.0), clip=clip)
     rec = run_accelerated_dp_srgd(problem, iter(batches), tree_rows(0.5, problem.dim, 31, T),
-                                  cfg, record_iterates=True)
-    for t, batch in enumerate(batches):
-        assert rec.train_loss[t] == problem.per_example_values(
-            rec.iterates[t], batch).mean()
+                                  cfg)
+    assert len(problem.points) == T
+    for t, ((x_t, _), batch) in enumerate(zip(problem.points, batches)):
+        assert rec.train_loss[t] == problem.per_example_values(x_t, batch).mean()
 
 
 def _reference_independent(problem, batches, cfg, rows):
     """The independent variant's loop on the given noise rows; returns the
     final point and the query point of every step."""
-    eta, tau = cfg.eta_values, cfg.tau
+    eta, _, tau = _schedule(cfg.T)
     x = np.zeros(problem.dim)
     y, z = x, x
     xs = []
@@ -316,6 +334,7 @@ def test_one_example_moves_only_its_own_clipped_increment_by_at_most_the_clip():
     # unclipped bound.
     T, B, clip = 25, 8, 0.5
     problem = _quadratic(dim=10, target_norm=0.5, seed=301)
+    eta, _, _ = _schedule(T)
     worst = 0.0
     for pair in range(10):
         rng = np.random.default_rng(1000 + pair)
@@ -326,11 +345,10 @@ def test_one_example_moves_only_its_own_clipped_increment_by_at_most_the_clip():
         cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0),
                          clip=clip)
         noise = tree_rows(_noise_sigma(0.5, clip, B, tree_sens(T)), problem.dim, pair, T)
-        rec = run_accelerated_dp_srgd(problem, iter(batches), noise, cfg,
-                                      record_iterates=True)
+        recorder = _quadratic(dim=10, target_norm=0.5, seed=301, cls=_RecordingQuadratic)
+        run_accelerated_dp_srgd(recorder, iter(batches), noise, cfg)
         for t, (batch, other) in enumerate(zip(batches, neighbour)):
-            point = (rec.iterates[t], rec.iterates[max(t - 1, 0)], cfg.eta_values[t],
-                     cfg.eta_values[t - 1] if t > 0 else 0.0)
+            point = (*recorder.points[t], eta[t], eta[t - 1] if t > 0 else 0.0)
             change = (B * problem.srg_mean(*point, batch, clip)[0]
                       - len(other) * problem.srg_mean(*point, other, clip)[0])
             if t != t_j:
@@ -360,41 +378,42 @@ def test_recursive_estimate_telescopes_to_population_gradient():
     # degenerate data (every example equals the target) makes the exact
     # prefix sum of the increments equal eta_t * population gradient
     problem = _quadratic(noise_scale=0.0, seed=7)
+    recorder = _quadratic(noise_scale=0.0, seed=7, cls=_RecordingQuadratic)
     T, B = 16, 4
     batch = problem.draw_batch(np.random.default_rng(8), B)
     cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
-    rec = run_accelerated_dp_srgd(problem, (batch for _ in range(T)),
-                                  tree_rows(0.0, problem.dim, 0, T), cfg,
-                                  record_iterates=True)
-    eta, total, worst = cfg.eta_values, np.zeros(problem.dim), 0.0
-    for t, x in enumerate(rec.iterates):
-        prev_x, w_prev = (rec.iterates[t - 1], eta[t - 1]) if t > 0 else (x, 0.0)
+    run_accelerated_dp_srgd(recorder, (batch for _ in range(T)),
+                            tree_rows(0.0, problem.dim, 0, T), cfg)
+    (eta, _, _), total, worst = _schedule(T), np.zeros(problem.dim), 0.0
+    assert len(recorder.points) == T
+    for t, (x, prev_x) in enumerate(recorder.points):
+        w_prev = eta[t - 1] if t > 0 else 0.0
         total += problem.srg_mean(x, prev_x, eta[t], w_prev, batch)[0]
         pop_grad = problem.curvature * (x - problem.target)
         worst = max(worst, float(np.linalg.norm(total / eta[t] - pop_grad)))
     assert worst < 1e-10
 
 
-def test_q_norm_is_recorded_only_with_the_iterates():
+def test_a_run_records_the_potential_and_no_iterates():
+    # the query points are the task's to record (see _QueryPoints)
     problem = _quadratic(noise_scale=0.0, seed=7)
     batch = problem.draw_batch(np.random.default_rng(8), 4)
     cfg = SrgdConfig(T=4, beta=8.0, ball=ConstraintBall(problem.dim, 1.0))
     rec = run_accelerated_dp_srgd(problem, (batch for _ in range(4)),
                                   tree_rows(0.0, problem.dim, 0, 4), cfg)
-    assert rec.iterates is None
+    assert "iterates" not in {f.name for f in dataclasses.fields(rec)}
     assert rec.potential is not None
 
 
 def test_runner_records_iterates_and_potential():
-    problem = _quadratic(noise_scale=0.0, target_norm=1.0, seed=9)
+    problem = _quadratic(noise_scale=0.0, target_norm=1.0, seed=9, cls=_RecordingQuadratic)
     T, B = 16, 4
     batch = problem.draw_batch(np.random.default_rng(10), B)
     cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
     rec = run_accelerated_dp_srgd(problem, (batch for _ in range(T)),
-                                  tree_rows(0.0, problem.dim, 0, T), cfg,
-                                  record_iterates=True)
-    assert rec.iterates.shape == (T, problem.dim)
-    np.testing.assert_array_equal(rec.iterates[0], np.zeros(problem.dim))
+                                  tree_rows(0.0, problem.dim, 0, T), cfg)
+    assert len(problem.points) == T
+    np.testing.assert_array_equal(problem.points[0], np.zeros((2, problem.dim)))
     assert rec.potential.shape == (T + 1,)
     # starting potential: only the distance term, from the origin
     x_star = problem.exact_optimum()
@@ -439,24 +458,29 @@ def test_accelerated_runner_costs_two_evals_per_example():
     assert problem.grad_rows == 2 * T * B
 
 
-def _run_mf(problem, batches, cfg, sigma=0.0, seed=0):
-    """run_dp_srg_memf on its strategy's noise rows of std sigma from
+def _run_mf(problem, batches, strategy, cfg, sigma=0.0, seed=0):
+    """run_dp_srg_memf on the strategy's noise rows of std sigma from
     seed, the stream the harness hands it."""
     return run_dp_srg_memf(problem, batches,
-                           mf_noise_stream(cfg.strategy, sigma, problem.dim, seed), cfg)
+                           mf_noise_stream(strategy, sigma, problem.dim, seed), cfg)
 
 
 def _memf_runner(problem, batches, T, decay=0.0):
     # dp_memf is dp_srg_memf at decay 0: one runner, labelled dp_memf
-    cfg = _memf_cfg(identity_strategy(2, T // 2), decay=decay)
-    return _run_mf(problem, batches[:T // 2] * 2, cfg, seed=5)
+    return _run_memf(problem, batches[:T // 2] * 2, identity_strategy(2, T // 2), seed=5,
+                     decay=decay)
 
 
 def _sgd_cfg(strategy, ball, **kw):
     # dp_sgd and dp_ftrl: the MF runner's projected steps without momentum
-    base = dict(strategy=strategy, c_clip=1.0, lr=0.1, momentum=0.0, ball=ball)
+    base = dict(steps=strategy.steps, c_clip=1.0, lr=0.1, momentum=0.0, ball=ball)
     base.update(kw)
     return MemfConfig(**base)
+
+
+def _run_sgd(problem, batches, strategy, ball, sigma=0.0, seed=0, **kw):
+    """_run_mf on _sgd_cfg(strategy, ball, **kw)."""
+    return _run_mf(problem, batches, strategy, _sgd_cfg(strategy, ball, **kw), sigma, seed)
 
 
 # Every runner at T steps, batch size 4, no noise. The stream runners take
@@ -469,10 +493,10 @@ _RUNNERS = {
     "independent_variant": lambda p, batches, T: run_independent_variant(
         p, iter(batches), gaussian_rows(0.0, p.dim, 0, T),
         SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(p.dim, 1.0))),
-    "dp_sgd": lambda p, batches, T: _run_mf(
-        p, iter(batches), _sgd_cfg(identity_strategy(1, T), ConstraintBall(p.dim, 1.0))),
-    "dp_ftrl": lambda p, batches, T: _run_mf(
-        p, iter(batches), _sgd_cfg(build_strategy("ones", 1, T), ConstraintBall(p.dim, 1.0))),
+    "dp_sgd": lambda p, batches, T: _run_sgd(
+        p, iter(batches), identity_strategy(1, T), ConstraintBall(p.dim, 1.0)),
+    "dp_ftrl": lambda p, batches, T: _run_sgd(
+        p, iter(batches), build_strategy("ones", 1, T), ConstraintBall(p.dim, 1.0)),
     "dp_memf": _memf_runner,
     "dp_srg_memf": _memf_runner,
     "dp_srg_memf_decay_0.5": lambda p, batches, T: _memf_runner(p, batches, T, 0.5),
@@ -747,8 +771,8 @@ def test_dp_sgd_noiseless_matches_hand_loop():
     T, B = 9, 4
     batches = _batches(problem, T, B, seed=19)
     ball = ConstraintBall(problem.dim, 1.0)
-    rec = _run_mf(problem, iter(batches), _sgd_cfg(
-        identity_strategy(1, T), ball, c_clip=np.inf, lr=0.2))
+    rec = _run_sgd(problem, iter(batches), identity_strategy(1, T), ball,
+                   c_clip=np.inf, lr=0.2)
     x = np.zeros(problem.dim)
     for batch in batches:
         grad = problem.per_example_grads(x, batch).mean(axis=0)
@@ -759,8 +783,8 @@ def test_dp_sgd_noiseless_matches_hand_loop():
 def test_dp_sgd_respects_clip():
     problem = _quadratic(target_norm=0.9, seed=20)
     batches = _batches(problem, 6, 4, seed=21)
-    rec = _run_mf(problem, iter(batches), _sgd_cfg(
-        identity_strategy(1, 6), ConstraintBall(problem.dim, 1.0), c_clip=0.05))
+    rec = _run_sgd(problem, iter(batches), identity_strategy(1, 6),
+                   ConstraintBall(problem.dim, 1.0), c_clip=0.05)
     assert float(rec.grad_norm.max()) <= 0.05 + 1e-12
 
 
@@ -774,9 +798,9 @@ def test_identity_strategy_ftrl_equals_dp_sgd():
     ball = ConstraintBall(problem.dim, 1.0)
     rho = 0.5
     sigma = math.sqrt(1.0 / (2.0 * rho)) * 1.0 / B  # clip / B sensitivity
-    cfg = _sgd_cfg(identity_strategy(1, T), ball)
-    rec_sgd = _run_mf(problem, iter(batches), cfg, sigma, 3)
-    rec_ftrl = _run_mf(problem, batches, cfg, sigma, 3)
+    strategy = identity_strategy(1, T)
+    rec_sgd = _run_sgd(problem, iter(batches), strategy, ball, sigma, 3)
+    rec_ftrl = _run_sgd(problem, batches, strategy, ball, sigma, 3)
     np.testing.assert_array_equal(rec_sgd.final_x, rec_ftrl.final_x)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
 
@@ -808,8 +832,8 @@ def test_dp_ftrl_noise_scales_with_clipped_mean_sensitivity(B, clip):
     sigma = _noise_sigma(rho, clip, B, 1.0)
     assert sigma == pytest.approx(math.sqrt(1.0 / (2.0 * rho)) * clip / B, rel=1e-15)
     assert _noise_sigma(rho, clip, B, strategy.sens) == sigma
-    run = lambda sigma, clip: _run_mf(problem, iter(batches), _sgd_cfg(
-        strategy, ball, c_clip=clip), sigma, 4)
+    run = lambda sigma, clip: _run_sgd(problem, iter(batches), strategy, ball, sigma, 4,
+                                       c_clip=clip)
     rec_sgd = run(sigma, clip)
     rec_ftrl = run(_noise_sigma(rho, clip, B, strategy.sens), clip)
     np.testing.assert_array_equal(rec_sgd.noise_norm, rec_ftrl.noise_norm)
@@ -830,8 +854,7 @@ def test_dp_ftrl_matches_reference_loop():
     strategy = factorize(build_workload("momentum", 1, T, momentum=0.9)[:, 0], 1, T,
                          kind="momentum")
     ball = ConstraintBall(problem.dim, 0.5)
-    rec = _run_mf(problem, iter(batches), _sgd_cfg(
-        strategy, ball, c_clip=clip, lr=lr), sigma, 6)
+    rec = _run_sgd(problem, iter(batches), strategy, ball, sigma, 6, c_clip=clip, lr=lr)
 
     rows = mf_noise_stream(strategy, sigma, problem.dim, 6)
     x = np.zeros(problem.dim)
@@ -858,8 +881,8 @@ def test_dp_ftrl_rejects_bad_sigma_before_any_step(name, sigma):
     T = 5
     strategy = identity_strategy(1, T) if name == "dp_sgd" else build_strategy("ones", 1, T)
     with pytest.raises(ValueError, match="sigma"):
-        _run_mf(problem, iter(_batches(problem, T, 4, seed=43)),
-                _sgd_cfg(strategy, ConstraintBall(problem.dim, 1.0)), sigma)
+        _run_sgd(problem, iter(_batches(problem, T, 4, seed=43)), strategy,
+                 ConstraintBall(problem.dim, 1.0), sigma)
     assert problem.grad_rows == 0
 
 
@@ -877,7 +900,7 @@ def test_dp_ftrl_rejects_a_horizon_other_than_the_strategys():
     problem = _counting_quadratic()
     batches = _DrawSpy(_batches(problem, 6, 4, seed=44))
     with pytest.raises(ValueError, match="strategy's 5 steps"):
-        _run_mf(problem, batches, _sgd_cfg(identity_strategy(1, 5), None), 0.5)
+        _run_sgd(problem, batches, identity_strategy(1, 5), None, 0.5)
     assert problem.grad_rows == 0
     assert batches.drawn == 0
 
@@ -890,8 +913,8 @@ def test_dp_sgd_holds_no_horizon_squared_array():
     batches = _batches(problem, T, 1, seed=45)
     tracemalloc.start()
     try:
-        rec = _run_mf(problem, iter(batches), _sgd_cfg(
-            identity_strategy(1, T), ConstraintBall(problem.dim, 1.0)), 0.1, 7)
+        rec = _run_sgd(problem, iter(batches), identity_strategy(1, T),
+                       ConstraintBall(problem.dim, 1.0), 0.1, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -904,19 +927,26 @@ def test_dp_sgd_holds_no_horizon_squared_array():
 
 
 def _memf_cfg(strategy, **kw):
-    base = dict(strategy=strategy, c_clip=math.inf, lr=0.05, decay=0.0, momentum=0.9)
+    base = dict(steps=strategy.steps, c_clip=math.inf, lr=0.05, decay=0.0, momentum=0.9)
     base.update(kw)
     return MemfConfig(**base)
 
 
-def _memf_rows(problem, cfg, sigma=0.0, seed=5):
-    return mf_noise_stream(cfg.strategy, sigma, problem.dim, seed)
+def _run_memf(problem, batches, strategy, sigma=0.0, seed=0, **kw):
+    """_run_mf on _memf_cfg(strategy, **kw)."""
+    return _run_mf(problem, batches, strategy, _memf_cfg(strategy, **kw), sigma, seed)
+
+
+def _memf_rows(problem, strategy, sigma=0.0, seed=5):
+    return mf_noise_stream(strategy, sigma, problem.dim, seed)
 
 
 def test_memf_config_validation():
     strat = identity_strategy(2, 5)
     with pytest.raises(ValueError):
         _memf_cfg(identity_strategy(0, 10))
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        MemfConfig(steps=0, c_clip=1.0, lr=0.1)
     with pytest.raises(ValueError):
         _memf_cfg(strat, decay=1.5)
     with pytest.raises(ValueError):
@@ -925,8 +955,7 @@ def test_memf_config_validation():
         mf_noise_stream(strat, -1.0, 3, 5)
     problem = _quadratic(seed=24)
     with pytest.raises(ValueError):  # strategy covers wrong step count
-        _run_mf(problem, _batches(problem, 5, 4) * 2, _memf_cfg(identity_strategy(2, 4)),
-                seed=5)
+        _run_memf(problem, _batches(problem, 5, 4) * 2, identity_strategy(2, 4), seed=5)
     with pytest.raises(ValueError):
         mf_noise_stream(strat, math.inf, 3, 5)  # the noise of a finite budget, no clip
 
@@ -946,13 +975,13 @@ def test_memf_config_rejects_bad_scalars(field, value):
 
 def test_memf_batch_mismatch_errors():
     problem = _quadratic(seed=24)
-    cfg = _memf_cfg(identity_strategy(2, 5))
+    strat = identity_strategy(2, 5)
     with pytest.raises(ValueError, match="strategy's 10 steps"):
-        _run_mf(problem, _batches(problem, 4, 4) * 2, cfg, seed=5)  # wrong count
+        _run_memf(problem, _batches(problem, 4, 4) * 2, strat, seed=5)  # wrong count
     batches = _batches(problem, 5, 4)
     batches[2] = batches[2][:3]
     with pytest.raises(ValueError, match="batches differ in size"):
-        _run_mf(problem, batches * 2, cfg, seed=5)  # wrong size
+        _run_memf(problem, batches * 2, strat, seed=5)  # wrong size
 
 
 def test_a_stream_whose_batches_change_size_is_rejected():
@@ -967,10 +996,10 @@ def test_a_stream_whose_batches_change_size_is_rejected():
 def test_zero_decay_recursion_equals_plain_memf():
     problem = _quadratic(seed=26)
     batches = _batches(problem, 5, 4, seed=27)
-    cfg = _memf_cfg(identity_strategy(2, 5))
-    x, _, _, losses = _reference_memf(problem, batches, cfg, False,
-                                      _memf_rows(problem, cfg))
-    rec_srg = _run_mf(problem, batches * 2, cfg, seed=5)
+    strat = identity_strategy(2, 5)
+    x, _, _, losses = _reference_memf(problem, batches, _memf_cfg(strat), False,
+                                      _memf_rows(problem, strat))
+    rec_srg = _run_memf(problem, batches * 2, strat, seed=5)
     np.testing.assert_array_equal(x, rec_srg.final_x)
     np.testing.assert_array_equal(losses, rec_srg.train_loss)
 
@@ -983,8 +1012,8 @@ def test_zero_decay_recursion_equals_plain_memf_under_noise():
     batches = _batches(problem, 5, 4, seed=33)
     cfg, sigma = _memf_cfg(strat, c_clip=1.0), 1.0 / 4 / math.sqrt(2.0 * 0.5)
     x, noise_norm, _, losses = _reference_memf(problem, batches, cfg, False,
-                                               _memf_rows(problem, cfg, sigma))
-    rec_srg = _run_mf(problem, batches * 2, cfg, sigma, 5)
+                                               _memf_rows(problem, strat, sigma))
+    rec_srg = _run_mf(problem, batches * 2, strat, cfg, sigma, 5)
     assert min(noise_norm) > 0
     np.testing.assert_array_equal(x, rec_srg.final_x)
     np.testing.assert_array_equal(losses, rec_srg.train_loss)
@@ -998,12 +1027,12 @@ def test_zero_decay_run_is_dp_memf_and_reports_the_clipped_gradient():
     problem = _quadratic(target_norm=0.9, seed=43)
     batches = _batches(problem, 5, 4, seed=44)
     cfg = _memf_cfg(strat, c_clip=0.5)
-    rec = _run_mf(problem, batches * 2, cfg, 5.0, 5)
+    rec = _run_mf(problem, batches * 2, strat, cfg, 5.0, 5)
     assert rec.grad_norm.max() <= 0.5 * (1 + 1e-12) < rec.noise_norm.min()
     _, _, grad_norm, _ = _reference_memf(problem, batches, cfg, False,
-                                         _memf_rows(problem, cfg, 5.0))
+                                         _memf_rows(problem, strat, 5.0))
     np.testing.assert_array_equal(rec.grad_norm, grad_norm)
-    rec_srg = _run_mf(problem, batches * 2, _memf_cfg(strat, c_clip=0.5, decay=0.5), 5.0, 5)
+    rec_srg = _run_memf(problem, batches * 2, strat, 5.0, 5, c_clip=0.5, decay=0.5)
     assert rec_srg.grad_norm[0] > 0.5  # the recursion holds the noise row
 
 
@@ -1014,7 +1043,7 @@ def test_dp_srg_memf_evaluates_one_point_at_zero_weight(decay, steps_evaluated):
     problem = _CountingQuadratic(dim=3, target=np.zeros(3), curvature=1.0,
                                  noise_scale=0.5, radius=1.0)
     batches = _batches(problem, 5, 4, seed=27)
-    _run_mf(problem, batches * 2, _memf_cfg(identity_strategy(2, 5), decay=decay), seed=5)
+    _run_memf(problem, batches * 2, identity_strategy(2, 5), seed=5, decay=decay)
     assert problem.grad_rows == 4 * steps_evaluated
 
 
@@ -1024,8 +1053,8 @@ def test_memf_noise_scales_with_clip_norm():
     batches = _batches(problem, 5, 4, seed=29)
     strat = identity_strategy(2, 5)
     sigma = lambda clip: _noise_sigma(1.0, clip, 4, strat.sens)
-    rec1 = _run_mf(problem, batches * 2, _memf_cfg(strat, c_clip=1.0), sigma(1.0), 5)
-    rec2 = _run_mf(problem, batches * 2, _memf_cfg(strat, c_clip=2.0), sigma(2.0), 5)
+    rec1 = _run_memf(problem, batches * 2, strat, sigma(1.0), 5, c_clip=1.0)
+    rec2 = _run_memf(problem, batches * 2, strat, sigma(2.0), 5, c_clip=2.0)
     ratio = rec2.noise_norm / rec1.noise_norm
     np.testing.assert_allclose(ratio, 2.0, rtol=1e-12)
 
@@ -1033,7 +1062,7 @@ def test_memf_noise_scales_with_clip_norm():
 def test_infinite_budget_means_zero_noise():
     problem = _quadratic(seed=30)
     batches = _batches(problem, 5, 4, seed=31)
-    rec = _run_mf(problem, batches * 2, _memf_cfg(identity_strategy(2, 5)), seed=5)
+    rec = _run_memf(problem, batches * 2, identity_strategy(2, 5), seed=5)
     np.testing.assert_array_equal(rec.noise_norm, np.zeros(10))
 
 
@@ -1046,9 +1075,8 @@ def _reference_memf(problem, batches, cfg, recursive, rows):
     x = np.zeros(problem.dim)
     prev, velocity, rec = x, x, x
     noise, grads, losses = [], [], []
-    k, b = cfg.strategy.k, cfg.strategy.b
-    for s in range(k * b):
-        batch = batches[s % b]
+    for s in range(cfg.steps):
+        batch = batches[s % len(batches)]
         w = next(rows)
         losses.append(problem.per_example_values(x, batch).mean())
         if recursive:
@@ -1075,9 +1103,9 @@ def _check_memf_reference(runner, recursive, **kw):
     problem = _quadratic(target_norm=0.9, seed=41)
     batches = _batches(problem, 5, 4, seed=42)
     cfg, sigma = _memf_cfg(strat, c_clip=0.5, **kw), 0.5 / 4 / math.sqrt(2.0 * 0.5)
-    rec = runner(problem, batches * strat.k, _memf_rows(problem, cfg, sigma), cfg)
+    rec = runner(problem, batches * strat.k, _memf_rows(problem, strat, sigma), cfg)
     x, noise_norm, grad_norm, losses = _reference_memf(problem, batches, cfg, recursive,
-                                                       _memf_rows(problem, cfg, sigma))
+                                                       _memf_rows(problem, strat, sigma))
     np.testing.assert_array_equal(rec.final_x, x)
     np.testing.assert_array_equal(rec.noise_norm, noise_norm)
     np.testing.assert_array_equal(rec.grad_norm, grad_norm)
@@ -1157,10 +1185,12 @@ def _huge_gradient_quadratic():
 
 
 _OVERFLOWING_RUNNERS = {
-    "dp_sgd": lambda p, batches, ball: _run_mf(p, iter(batches), _sgd_cfg(
-        identity_strategy(1, len(batches)), ball, c_clip=math.inf, lr=100.0)),
-    "dp_ftrl": lambda p, batches, ball: _run_mf(p, iter(batches), _sgd_cfg(
-        build_strategy("ones", 1, len(batches)), ball, c_clip=math.inf, lr=100.0)),
+    "dp_sgd": lambda p, batches, ball: _run_sgd(
+        p, iter(batches), identity_strategy(1, len(batches)), ball, c_clip=math.inf,
+        lr=100.0),
+    "dp_ftrl": lambda p, batches, ball: _run_sgd(
+        p, iter(batches), build_strategy("ones", 1, len(batches)), ball, c_clip=math.inf,
+        lr=100.0),
     "independent_variant": lambda p, batches, ball: run_independent_variant(
         p, iter(batches), gaussian_rows(0.0, p.dim, 0, len(batches)),
         SrgdConfig(T=len(batches), beta=1e-3, ball=ball)),

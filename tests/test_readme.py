@@ -1,5 +1,7 @@
-"""The README's library example and CLI examples run as written."""
+"""The README's library example and CLI examples run as written, and its
+algorithm table and sample `verify` lines agree with the code."""
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dpsrgd import counting, harness, optim
+from dpsrgd import counting, harness, optim, verify
 from dpsrgd.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,6 +52,24 @@ def test_readme_factorize_example_runs(capsys):
                if args[0] == "factorize"]
     assert main(args) == 0
     assert "sens=" in capsys.readouterr().out
+
+
+def _criterion_names() -> dict[int, str]:
+    """Each criterion's index -> the name `verify` prints for it, read from
+    its `_run(index, name, body)` call without running it."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    return {node.args[0].value: node.args[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_run"
+            and all(isinstance(a, ast.Constant) for a in node.args[:2])}
+
+
+def test_readme_sample_verify_lines_name_their_criteria():
+    names = _criterion_names()
+    assert sorted(names) == list(range(1, 11))
+    sample = re.findall(r"^\[ ?(\d+)\] (?:PASS|FAIL|SKIP) (.*?)  ",
+                        README.read_text(encoding="utf-8"), flags=re.M)
+    assert sample
+    assert [name for _, name in sample] == [names[int(i)] for i, _ in sample]
 
 
 def _algorithm_table() -> dict[str, dict[str, str]]:
@@ -127,3 +147,8 @@ def test_readme_algorithm_table_row_matches_the_harness(monkeypatch, algorithm):
     c_on_decay = with_(workload="momentum_decay", c_grid=(0.5, 1.0))
     assert row["c"] == ("yes" if c_read else "on `momentum_decay`" if c_on_decay
                         else "no")
+    momentum_read = with_(momentum=0.5)
+    momentum_on_workloads = (with_(workload="momentum", momentum=0.5) and with_(
+        workload="momentum_decay", c_grid=(0.5,), momentum=0.5))
+    assert row["momentum"] == ("yes" if momentum_read else "on `momentum`, `momentum_decay`"
+                               if momentum_on_workloads else "no")
