@@ -86,9 +86,9 @@ def _cmd_run(args) -> int:
         raise ValueError(f"cannot write output {spec.output!r}: directory "
                          f"{out_dir!r} does not exist or is not writable")
     # each trajectory file is written as its run finishes, the summary last
-    table, records = harness.run_experiment(
+    table, _ = harness.run_experiment(
         spec, on_run=functools.partial(harness.write_trajectory, spec.output))
-    harness.emit_csv(table, records, spec.output)
+    harness.emit_csv(table, spec.output)
     aborted = sum(row.n_aborted for row in table.rows)
     for row in table.rows:
         marker = "*" if row is table.best else " "

@@ -3,8 +3,8 @@
 The harness resolves the privacy budget before it touches any data, derives
 per-grid-point RNG streams by keyed splitting on the grid-point values (so
 adding a grid point never perturbs existing ones), runs seeded repeats,
-aggregates accuracy/excess-risk with normal-approximation confidence
-intervals, and writes summary plus per-run trajectory CSVs. It hands
+evaluates each finished run once, aggregates accuracy/excess-risk with
+normal-approximation confidence intervals, and writes CSVs. It hands
 each runner its batches and its noise stream, of its mechanism, σ and seed.
 """
 
@@ -209,6 +209,9 @@ class ExperimentSpec:
                 and self.workload not in ("momentum", "momentum_decay")):
             raise ValueError(f"{self.algorithm} on the {self.workload} workload reads no "
                              f"momentum, so momentum={self.momentum} would not be run")
+        if self.steps != ExperimentSpec.steps and algo.multi_epoch:
+            raise ValueError(f"{self.algorithm} runs epochs x (n // batch_size) steps and "
+                             f"reads no steps, so steps={self.steps} would not be run")
         return self
 
     def to_text(self) -> str:
@@ -572,21 +575,18 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
                optim.SrgdConfig(T=T, beta=beta, ball=ball, clip=clip))
 
 
-def _selection_metrics(spec, problem, record):
-    """(selection metric, reported accuracy, excess). With honest
+def _selection_metrics(spec, problem, x):
+    """(selection metric, reported accuracy, excess) of a finished run's
+    final iterate x, one `excess_and_accuracy` pass. With honest
     selection on a logistic task, selection uses the even-index half of
     the held-out set and the reported accuracy uses the odd half;
-    otherwise both use the full held-out set, the common benchmark
-    convention."""
-    if record.accuracy is None:
-        metric = -record.excess if record.excess is not None else -math.inf
-        return metric, None, record.excess
+    otherwise both use the full held-out set (or the negated excess)."""
+    excess, accuracy = problem.excess_and_accuracy(x)
+    if accuracy is None:
+        return -excess, None, excess
     if spec.honest_selection:
-        x = record.final_x
-        val = problem.accuracy(x, half="even")
-        test = problem.accuracy(x, half="odd")
-        return val, test, record.excess
-    return record.accuracy, record.accuracy, record.excess
+        return problem.accuracy(x, half="even"), problem.accuracy(x, half="odd"), excess
+    return accuracy, accuracy, excess
 
 
 def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=None):
@@ -595,12 +595,13 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     `repeats` seeded runs per grid point. Returns (MetricTable, records)
     where records maps (lr, clip, c, repeat) -> RunRecord or RunAborted.
 
-    Each run is summarised as it finishes, in job order. With `on_run`,
-    `on_run(index, key, outcome)` gets each finished run in job order in
-    place of `records`, which then comes back empty, so the sweep holds one
-    run's series plus three floats per finished run. `index` is the run's
-    place among the sorted keys of every job, aborted ones included (the
-    numbering of `emit_csv`'s trajectory files).
+    Each finished run's final iterate is evaluated once, by the worker that
+    ran it, after the runner has freed its noise state. With `on_run`,
+    `on_run(index, key, outcome)` gets each run in job order in place of
+    `records`, which then comes back empty, so the sweep holds one run's
+    series plus three floats per finished run. `index` is the run's place
+    among the sorted keys of every job, aborted ones included; with
+    `functools.partial(write_trajectory, path)` it numbers the files.
     """
     spec.validate()
     algo = _ALGORITHMS[spec.algorithm]
@@ -644,9 +645,10 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     def work(job):
         lr, clip, c, rep, seed = job
         try:
-            return job, _single_run(spec, problem, n, rho, lr, clip, c, seed, strategies.get(c))
+            record = _single_run(spec, problem, n, rho, lr, clip, c, seed, strategies.get(c))
         except optim.RunAborted as exc:
-            return job, exc
+            return job, exc, None
+        return job, record, _selection_metrics(spec, problem, record.final_x)
 
     # Results are taken in job order: with several workers a finished run
     # waits only for the jobs before it.
@@ -654,11 +656,9 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     # (selection metric, accuracy, excess) per finished run, None if aborted
     by_point: dict = {}
     try:
-        for job, outcome in (pool.map if pool else map)(work, jobs):
+        for job, outcome, metrics in (pool.map if pool else map)(work, jobs):
             key = job[:4]
-            by_point.setdefault(key[:3], []).append(
-                _selection_metrics(spec, problem, outcome)
-                if isinstance(outcome, optim.RunRecord) else None)
+            by_point.setdefault(key[:3], []).append(metrics)
             on_run(index[key], key, outcome)
             outcome = None  # free this run's series before the next one runs
     finally:
@@ -720,6 +720,10 @@ def _ci95(values: np.ndarray) -> float:
 # CSV emission
 
 
+_SUMMARY_COLUMNS = ("algorithm", "workload", "lr", "clip", "c",
+                    "acc_mean", "acc_ci95", "excess_mean")
+
+
 def _cell(v) -> str:
     if v is None:
         return ""
@@ -734,41 +738,38 @@ def write_trajectory(summary_path: str, index: int, key, outcome) -> str | None:
         return None
     stem, _ = os.path.splitext(summary_path)
     path = f"{stem}_traj_{index}.csv"
-    # the rows csv.writer would write: numeric cells need no quoting
+    # the rows csv.writer would write: numeric cells need no quoting, %.17g
+    # of a float64 (a float) is _cell's text, and no potential leaves phi empty
+    series = (outcome.train_loss, outcome.potential, outcome.noise_norm, outcome.grad_norm)
+    phi = "%.17g" if outcome.potential is not None else ""
+    row = f"%d,%.17g,{phi},%.17g,%.17g\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# run={key}\nstep,loss,phi,noise_norm,grad_norm\r\n")
-        phis = outcome.potential if outcome.potential is not None else [None] * outcome.steps
-        for t in range(outcome.steps):
-            fh.write(f"{t},{_cell(outcome.train_loss[t])},{_cell(phis[t])},"
-                     f"{_cell(outcome.noise_norm[t])},{_cell(outcome.grad_norm[t])}\r\n")
+        fh.writelines(row % cells for cells in zip(
+            range(outcome.steps), *(s for s in series if s is not None)))
     return path
 
 
-def emit_csv(table: MetricTable, records, path: str):
+def emit_csv(table: MetricTable, path: str):
     """Write the summary CSV at `path` (header comments carry the budget
-    and regime report) and one trajectory CSV per completed run in
-    `records` next to it (`write_trajectory`). Absent metrics are empty
-    cells, never zeros. Returns the paths written, the summary first."""
+    and regime report); absent metrics are empty cells, never zeros.
+    Returns the paths written, [path]. A run's trajectory file is written
+    as it finishes, by run_experiment(spec, on_run=functools.partial(
+    write_trajectory, path))."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, val in table.header.items():
             fh.write(f"# {key}={val}\n")
         writer = csv.writer(fh)
-        writer.writerow(["algorithm", "workload", "lr", "clip", "c",
-                         "acc_mean", "acc_ci95", "excess_mean"])
+        writer.writerow(_SUMMARY_COLUMNS)
         for r in table.rows:
             writer.writerow([r.algorithm, r.workload, _cell(r.lr), _cell(r.clip),
                              _cell(r.c), _cell(r.acc_mean), _cell(r.acc_ci95),
                              _cell(r.excess_mean)])
-    written = [path]
-    for i, key in enumerate(sorted(records)):
-        traj = write_trajectory(path, i, key, records[key])
-        if traj is not None:
-            written.append(traj)
-    return written
+    return [path]
 
 
 def parse_summary_csv(path: str) -> MetricTable:
-    """Inverse of the summary half of emit_csv."""
+    """Inverse of emit_csv."""
     table = MetricTable()
     with open(path, newline="", encoding="utf-8") as fh:
         rows, line_nums = [], []
@@ -785,16 +786,14 @@ def parse_summary_csv(path: str) -> MetricTable:
     header = next(reader, None)
     if header is None:
         raise ValueError(f"{path}: no table header row")
-    expected = ["algorithm", "workload", "lr", "clip", "c", "acc_mean",
-                "acc_ci95", "excess_mean"]
-    if header != expected:
+    if tuple(header) != _SUMMARY_COLUMNS:
         raise ValueError(f"{path}, line {line_nums[0]}: unexpected summary header "
                          f"{header}")
     opt = lambda s: None if s == "" else float(s)
     for row in reader:
         where = f"{path}, line {line_nums[reader.line_num - 1]}"
-        if len(row) != len(expected):
-            raise ValueError(f"{where}: {len(row)} fields, the header has {len(expected)}")
+        if len(row) != len(header):
+            raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
         try:
             table.rows.append(MetricRow(
                 algorithm=row[0], workload=row[1], lr=float(row[2]),

@@ -105,11 +105,11 @@ class MemfConfig:
 
 @dataclass
 class RunRecord:
-    """Per-step trajectory plus final metrics for one optimizer run.
+    """Per-step trajectory and final iterate of one optimizer run; its
+    caller evaluates the iterate.
 
-    Absent diagnostics (potential on empirical tasks, accuracy on synthetic
-    ones) are None, never zero-filled. No field names the runner: its
-    caller does.
+    The potential, absent on empirical tasks, is None, never zero-filled.
+    No field names the runner: its caller does.
     """
 
     final_x: np.ndarray
@@ -117,8 +117,6 @@ class RunRecord:
     noise_norm: np.ndarray
     grad_norm: np.ndarray
     potential: np.ndarray | None = None
-    excess: float | None = None
-    accuracy: float | None = None
 
     @property
     def steps(self) -> int:
@@ -166,7 +164,8 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     through geometry's cores, which take the checked vectors as they are.
     A step's estimate, noise row and batch are released before the next
     batch is drawn, so that a run holds one of each. finish() returns the
-    runner's own RunRecord fields; no field names the runner."""
+    runner's own RunRecord fields; no field names the runner, and the
+    caller evaluates final_x, the last reported point."""
     train_loss, noise_norm, grad_norm = np.empty(T), np.empty(T), np.empty(T)
     iterates = (np.zeros(problem.dim),)
     x = prev_x = iterates[0]
@@ -187,15 +186,8 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
         grad_norm[t], iterates = update(t, x, g, w)
         prev_x, x = x, iterates[0]
         del g, w, batch
-    # free the stream's state (the tree's stack, an MF ring) before the
-    # held-out pass, though the caller still references the stream
-    if hasattr(rows, "close"):
-        rows.close()
-    out = iterates[-1]
-    excess, accuracy = problem.excess_and_accuracy(out)
-    return RunRecord(
-        final_x=out, train_loss=train_loss, noise_norm=noise_norm,
-        grad_norm=grad_norm, excess=excess, accuracy=accuracy, **finish())
+    return RunRecord(final_x=iterates[-1], train_loss=train_loss,
+                     noise_norm=noise_norm, grad_norm=grad_norm, **finish())
 
 
 def _accelerated(problem: LossProblem, cfg: SrgdConfig):

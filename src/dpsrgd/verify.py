@@ -133,7 +133,8 @@ def criterion_1() -> CriterionResult:
     beta * diameter^2 / eta_{0:T}, fails. The largest fraction of that
     bound a final error reaches is reported, not gated."""
     def body():
-        errs = {T: _accel_record(T).excess for T in _ACCEL_TS}
+        problem = _accel_problem()
+        errs = {T: problem.population_excess(_accel_record(T).final_x) for T in _ACCEL_TS}
         ratios = [errs[T] / errs[2 * T] for T in _ACCEL_TS[:-1]]
         ok = all(2.5 <= r <= 6.0 for r in ratios)
         # Informative margin: error(T) against beta * (2R)^2 / eta_{0:T}.

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand wiring, exit codes, and the run
 verb's streamed output."""
 
+import functools
 import gc
 import math
 import os
@@ -18,6 +19,7 @@ from dpsrgd.harness import (
     emit_csv,
     parse_summary_csv,
     run_experiment,
+    write_trajectory,
 )
 
 from dataset_files import save_csv
@@ -243,16 +245,20 @@ def test_run_rejects_an_empty_output_before_any_work(tmp_path, monkeypatch, caps
 
 
 def _cli_and_library_outputs(tmp_path, spec) -> list[str]:
-    """Run `spec` through `dpsrgd run` and through
-    `emit_csv(*run_experiment(spec))` into two directories; assert that they
-    hold the same files with the same bytes, and return the file names."""
+    """Run `spec` through `dpsrgd run` and through the library, whose
+    `run_experiment` writes each trajectory file through `write_trajectory`
+    and whose `emit_csv` then writes the summary, into two directories;
+    assert that they hold the same files with the same bytes, and return
+    the file names."""
     config = tmp_path / "exp.cfg"
     config.write_text(spec.to_text())
     cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
     cli_dir.mkdir()
     lib_dir.mkdir()
     main(["run", str(config), "--output", str(cli_dir / "summary.csv")])
-    emit_csv(*run_experiment(spec), str(lib_dir / "summary.csv"))
+    summary = str(lib_dir / "summary.csv")
+    table, _ = run_experiment(spec, on_run=functools.partial(write_trajectory, summary))
+    emit_csv(table, summary)
     names = sorted(os.listdir(lib_dir))
     assert sorted(os.listdir(cli_dir)) == names
     for name in names:
@@ -261,9 +267,12 @@ def _cli_and_library_outputs(tmp_path, spec) -> list[str]:
 
 
 def _synthetic_spec(**kw) -> ExperimentSpec:
-    base = dict(task="synthetic", algorithm="dp_sgd", epsilon=2.0, steps=12, dim=5,
+    # steps=12 only for the single-pass algorithms, which read it
+    base = dict(task="synthetic", algorithm="dp_sgd", epsilon=2.0, dim=5,
                 train_size=256, batch_size=32, seed_base=4)
     base.update(kw)
+    if not harness._ALGORITHMS[base["algorithm"]].multi_epoch:
+        base.setdefault("steps", 12)
     return ExperimentSpec(**base)
 
 

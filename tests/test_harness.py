@@ -8,6 +8,7 @@ import io
 import math
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from dpsrgd.harness import (
     load_dataset,
     parse_summary_csv,
     run_experiment,
+    write_trajectory,
 )
 from dpsrgd.objectives import LogisticTask, LossProblem, SyntheticQuadratic
 from dpsrgd.optim import RunAborted, RunRecord
@@ -250,7 +252,7 @@ def test_spec_rejects_epochs_for_a_single_pass_algorithm(algorithm):
         run_experiment(spec, event_log=log)
     assert log == []
     dataclasses.replace(spec, epochs=1).validate()
-    dataclasses.replace(spec, algorithm="dp_memf").validate()
+    _tiny_spec(algorithm="dp_memf", epochs=3).validate()
 
 
 def test_spec_rejects_a_negative_seed_base_before_any_work():
@@ -290,6 +292,26 @@ def test_spec_rejects_momentum_an_algorithm_does_not_read_before_any_work(
         run_experiment(spec, event_log=log)
     assert log == []
     dataclasses.replace(spec, momentum=0.9).validate()
+
+
+@pytest.mark.parametrize("algorithm", ["dp_memf", "dp_srg_memf"])
+@pytest.mark.parametrize("steps", [1, 12, 65])
+def test_spec_rejects_steps_a_multi_epoch_algorithm_does_not_read_before_any_work(
+        algorithm, steps):
+    # their length is epochs x (n // B): these two-epoch runs took 16 steps
+    # whatever steps said
+    spec = _tiny_spec(algorithm=algorithm, epochs=2, steps=steps)
+    log = []
+    with pytest.raises(ValueError, match=rf"{algorithm} runs epochs x \(n // batch_size\) "
+                                         f"steps and reads no steps, so steps={steps} "
+                                         "would not be run"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    # checked last: a spec that breaks another rule too gets that rule's message
+    with pytest.raises(ValueError, match="batch_size=300 exceeds train_size=256"):
+        dataclasses.replace(spec, batch_size=300).validate()
+    _, records = run_experiment(dataclasses.replace(spec, steps=ExperimentSpec.steps))
+    assert [rec.steps for rec in records.values()] == [2 * 256 // 32] * 2
 
 
 @pytest.mark.parametrize("algorithm", ["dp_memf", "dp_srg_memf"])
@@ -457,11 +479,11 @@ def test_accelerated_tree_is_calibrated_to_the_clipped_increment(monkeypatch):
     ("accelerated_dp_srgd", (math.inf,), "lipschitz_bound"),
     ("accelerated_dp_srgd", (0.5, math.inf), "clip+lipschitz_bound")])
 def test_header_names_the_noise_calibration(tmp_path, algorithm, clip_grid, calibration):
-    table, records = run_experiment(_tiny_spec(algorithm=algorithm, clip_grid=clip_grid,
-                                               repeats=1))
+    table, _ = run_experiment(_tiny_spec(algorithm=algorithm, clip_grid=clip_grid,
+                                         repeats=1))
     assert table.header["noise_calibration"] == calibration
     path = str(tmp_path / "summary.csv")
-    emit_csv(table, records, path)
+    emit_csv(table, path)
     assert parse_summary_csv(path).header["noise_calibration"] == calibration
 
 
@@ -714,12 +736,28 @@ def test_csv_test_file_of_another_width_is_rejected_by_name(tmp_path):
 
 
 def _tiny_spec(**kw):
+    """A small synthetic spec; `steps` is set only for the single-pass
+    algorithms, since a multi-epoch run's length is epochs x (n // B)."""
     base = dict(task="synthetic", algorithm="dp_sgd", epsilon=2.0,
                 lr_grid=(0.1,), clip_grid=(1.0,), c_grid=(0.0,), repeats=2,
-                steps=12, dim=5, train_size=256, batch_size=32,
-                output="unused.csv")
+                dim=5, train_size=256, batch_size=32, output="unused.csv")
     base.update(kw)
+    if not _ALGORITHMS[base["algorithm"]].multi_epoch:
+        base.setdefault("steps", 12)
     return ExperimentSpec(**base)
+
+
+def _emit_sweep(spec, path, **kw):
+    """(table, paths) of `spec`'s sweep written as `dpsrgd run` writes it:
+    each trajectory file as its run finishes, then the summary at `path`.
+    The paths are the summary first, then the trajectory files in job
+    order."""
+    trajectories = []
+
+    def on_run(index, key, outcome):
+        trajectories.append(write_trajectory(path, index, key, outcome))
+    table, _ = run_experiment(spec, on_run=on_run, **kw)
+    return table, emit_csv(table, path) + [p for p in trajectories if p is not None]
 
 
 def _max_abs_cosine(a, b) -> float:
@@ -811,8 +849,8 @@ def test_a_negative_zero_grid_entry_runs_as_the_grid_point_zero(tmp_path, grid):
     written = []
     for name, zero in (("plus", 0.0), ("minus", -0.0)):
         (tmp_path / name).mkdir()
-        table, records = run_experiment(dataclasses.replace(spec, **{grid: (zero,)}))
-        paths = emit_csv(table, records, str(tmp_path / name / "summary.csv"))
+        _, paths = _emit_sweep(dataclasses.replace(spec, **{grid: (zero,)}),
+                               str(tmp_path / name / "summary.csv"))
         written.append([Path(path).read_bytes() for path in paths])
     assert len(written[0]) == 3
     assert written[0] == written[1]
@@ -866,18 +904,100 @@ def _toy_logistic_dataset(tmp_path, n=64, p=3, seed=2):
     return load_dataset(str(train), "csv")
 
 
+class _EvaluationSpy:
+    """Task mixin: records every held-out evaluation as (method, half, the
+    module that called it, the evaluated point's bytes)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.evaluated = []
+
+    def _record(self, method, half, x):
+        caller = sys._getframe(2).f_globals["__name__"]
+        self.evaluated.append((method, half, caller, x.tobytes()))
+
+    def excess_and_accuracy(self, x):
+        self._record("excess_and_accuracy", None, x)
+        return super().excess_and_accuracy(x)
+
+
+class _QuadraticEvaluationSpy(_EvaluationSpy, SyntheticQuadratic):
+    pass
+
+
+class _LogisticEvaluationSpy(_EvaluationSpy, LogisticTask):
+    def accuracy(self, x, half=None):
+        self._record("accuracy", half, x)
+        return super().accuracy(x, half=half)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_evaluates_each_finished_run_once_in_the_harness(workers):
+    # the divergent dp_memf grid of the aborted-run tests: the unclipped
+    # lr of 1e151 or 1e150 aborts, the clipped ones finish
+    spec = _tiny_spec(algorithm="dp_memf", epsilon=math.inf, lr_grid=(1e151, 1e150),
+                      clip_grid=(math.inf, 0.5), batch_size=64, workers=workers)
+    plain = _build_problem(spec, None, None)
+    spy = _QuadraticEvaluationSpy(dim=plain.dim, target=plain.target,
+                                  curvature=plain.curvature,
+                                  noise_scale=plain.noise_scale, radius=plain.radius)
+    table, records = run_experiment(spec, dataset=spy)
+    finished = [r for r in records.values() if isinstance(r, RunRecord)]
+    assert len(finished) == 4 and len(records) == 8
+    assert sorted(spy.evaluated) == sorted(
+        ("excess_and_accuracy", None, "dpsrgd.harness", r.final_x.tobytes())
+        for r in finished)
+    assert table == run_experiment(spec)[0]
+
+
+def test_a_run_frees_its_noise_stream_before_its_evaluation(monkeypatch):
+    # the stream's state (the tree's stack, an MF ring) is gone by the time
+    # the held-out pass runs, though nothing closes the stream
+    events = []
+    tree_rows = counting.tree_rows
+
+    def watched(*args):
+        try:
+            yield from tree_rows(*args)
+        finally:
+            events.append("freed")
+
+    class Watch(SyntheticQuadratic):
+        def excess_and_accuracy(self, x):
+            events.append("evaluated")
+            return super().excess_and_accuracy(x)
+
+    spec = _tiny_spec(algorithm="accelerated_dp_srgd")
+    plain = _build_problem(spec, None, None)
+    monkeypatch.setattr(counting, "tree_rows", watched)
+    run_experiment(spec, dataset=Watch(dim=plain.dim, target=plain.target))
+    assert events == ["freed", "evaluated"] * spec.repeats
+
+
 def test_honest_selection_reports_held_out_half(tmp_path):
     dataset = _toy_logistic_dataset(tmp_path)
+    spy = _LogisticEvaluationSpy(features=dataset.features, labels=dataset.labels,
+                                 num_classes=dataset.num_classes,
+                                 eval_features=dataset.eval_features,
+                                 eval_labels=dataset.eval_labels)
     spec = _tiny_spec(task="csv-dataset", algorithm="dp_sgd",
                       epsilon=math.inf, repeats=1, batch_size=16,
                       honest_selection=True)
-    table, recs = run_experiment(spec, dataset=dataset)
+    table, recs = run_experiment(spec, dataset=spy)
     rec = next(iter(recs.values()))
     row = table.rows[0]
     assert row.acc_mean == pytest.approx(
         dataset.accuracy(rec.final_x, half="odd"))
     assert row.selection_metric == pytest.approx(
         dataset.accuracy(rec.final_x, half="even"))
+    # the harness makes one full held-out pass, then takes each half
+    # from accuracy(x, half)
+    x = rec.final_x.tobytes()
+    assert spy.evaluated == [("excess_and_accuracy", None, "dpsrgd.harness", x),
+                             ("accuracy", "even", "dpsrgd.harness", x),
+                             ("accuracy", "odd", "dpsrgd.harness", x)]
 
 
 def test_honest_selection_on_the_synthetic_task_is_rejected_before_any_work():
@@ -926,7 +1046,7 @@ def _participation(tmp_path, **kw):
     table, records = run_experiment(spec, dataset=spy)
     assert all(isinstance(r, RunRecord) for r in records.values())
     path = tmp_path / "summary.csv"
-    emit_csv(table, records, str(path))
+    emit_csv(table, str(path))
     header = parse_summary_csv(str(path)).header
     counts = np.bincount(np.concatenate(spy.delivered), minlength=spy.n_train)
     return int(header["max_participation"]), int(counts.max())
@@ -939,9 +1059,11 @@ def _participation(tmp_path, **kw):
 ])
 def test_header_max_participation_matches_delivered_indices(
         tmp_path, algorithm, steps, epochs, expected):
-    # 64 rows in batches of 16: a single pass is T*B <= n
-    assert _participation(tmp_path, algorithm=algorithm, steps=steps,
-                          epochs=epochs) == (expected, expected)
+    # 64 rows in batches of 16: a single pass is T*B <= n. dp_memf reads
+    # no steps: its 4 is the 64 // 16 steps of each of its epochs
+    length = {} if _ALGORITHMS[algorithm].multi_epoch else {"steps": steps}
+    assert _participation(tmp_path, algorithm=algorithm, epochs=epochs,
+                          **length) == (expected, expected)
 
 
 def test_stream_longer_than_one_pass_is_flagged_not_rejected(tmp_path):
@@ -1038,9 +1160,9 @@ def test_synthetic_max_participation():
 
 def test_header_reports_strategy_convergence_and_sensitivity(tmp_path):
     spec = _tiny_spec(algorithm="dp_memf", epochs=2, batch_size=32, repeats=1)
-    table, records = run_experiment(spec)
+    table, _ = run_experiment(spec)
     path = tmp_path / "summary.csv"
-    emit_csv(table, records, str(path))
+    emit_csv(table, str(path))
     header = parse_summary_csv(str(path)).header
     k, b = 2, spec.train_size // spec.batch_size
     strat = factorize(build_workload("ones", k, b)[:, 0], k, b)
@@ -1053,7 +1175,7 @@ def test_dp_sgd_header_states_the_identity_strategys_sens(tmp_path):
     # dp_sgd adds the identity strategy's noise, whose sensitivity is 1
     table, records = run_experiment(_tiny_spec(repeats=1))
     path = tmp_path / "summary.csv"
-    emit_csv(table, records, str(path))
+    emit_csv(table, str(path))
     assert "# strategy_sens=1\n" in path.read_text()
     assert len(records) == 1 and table.header["algorithm"] == "dp_sgd"
 
@@ -1152,12 +1274,11 @@ def test_identity_memf_strategy_is_sound_over_epochs(monkeypatch):
 
 def test_emit_and_parse_summary_round_trip(tmp_path):
     spec = _tiny_spec(lr_grid=(0.1, 1.0 / 3.0))
-    table, records = run_experiment(spec)
     path = tmp_path / "metrics.csv"
-    written = emit_csv(table, records, str(path))
-    assert str(path) in written
+    table, written = _emit_sweep(spec, str(path))
+    assert written[0] == str(path)
     # one trajectory file per completed run
-    assert len(written) == 1 + len(records)
+    assert len(written) == 1 + len(spec.lr_grid) * spec.repeats
 
     parsed = parse_summary_csv(str(path))
     assert parsed.header["algorithm"] == table.header["algorithm"]
@@ -1172,9 +1293,8 @@ def test_emit_and_parse_summary_round_trip(tmp_path):
 
 def test_trajectory_files_have_expected_columns(tmp_path):
     spec = _tiny_spec(repeats=1)
-    table, records = run_experiment(spec)
     path = tmp_path / "metrics.csv"
-    written = emit_csv(table, records, str(path))
+    _, written = _emit_sweep(spec, str(path))
     traj = [p for p in written if "_traj_" in p]
     assert len(traj) == 1
     lines = Path(traj[0]).read_text().splitlines()
@@ -1194,7 +1314,7 @@ def test_parse_summary_rejects_wrong_header(tmp_path):
 
 def _csv_writer_trajectory(key, rec) -> bytes:
     """A trajectory file as csv.writer writes it: the reference for the
-    rows emit_csv formats itself."""
+    rows write_trajectory formats itself."""
     cell = lambda v: "" if v is None else f"{v:.17g}"
     buf = io.StringIO(newline="")
     buf.write(f"# run={key}\n")
@@ -1221,11 +1341,12 @@ def test_trajectory_csvs_are_the_csv_writer_bytes(tmp_path):
     records = {("a", 0.5, 1): record(np.append(rng.standard_normal(odd.size), 2.0)),
                ("b", 0.5, 1): RunAborted(3, "non-finite iterate"),
                ("c", 2.0, 1): record(None)}
-    paths = emit_csv(MetricTable(header={"epsilon": 2.0}), records,
-                     str(tmp_path / "summary.csv"))
-    assert [os.path.basename(p) for p in paths[1:]] == ["summary_traj_0.csv",
-                                                       "summary_traj_2.csv"]
-    for path, key in zip(paths[1:], (("a", 0.5, 1), ("c", 2.0, 1))):
+    paths = [write_trajectory(str(tmp_path / "summary.csv"), i, key, records[key])
+             for i, key in enumerate(sorted(records))]
+    assert paths[1] is None
+    assert [os.path.basename(p) for p in paths[::2]] == ["summary_traj_0.csv",
+                                                        "summary_traj_2.csv"]
+    for path, key in zip(paths[::2], (("a", 0.5, 1), ("c", 2.0, 1))):
         with open(path, "rb") as fh:
             assert fh.read() == _csv_writer_trajectory(key, records[key])
 

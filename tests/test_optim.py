@@ -649,29 +649,24 @@ def test_runner_rejects_a_noise_row_of_another_shape(name):
         _NOISY_RUNNERS[name](problem, _batches(problem, 5, 4), rows, 5)
 
 
-def test_drive_closes_the_noise_stream_before_the_held_out_pass():
-    # the caller still holds the stream, so only closing it frees its state
-    # (the tree's stack, an MF ring) before excess_and_accuracy runs
-    events = []
+class _NoHeldOut(LogisticTask):
+    """A task whose held-out evaluation raises."""
 
-    class Watch(SyntheticQuadratic):
-        def excess_and_accuracy(self, x):
-            events.append("held-out")
-            return super().excess_and_accuracy(x)
+    def excess_and_accuracy(self, x):
+        raise AssertionError("the runner evaluated the held-out set")
 
-    def rows():
-        try:
-            for _ in range(4):
-                yield np.zeros(3)
-        finally:
-            events.append("closed")
 
-    problem = Watch(dim=3, target=np.zeros(3))
-    noise = rows()
-    rec = run_accelerated_dp_srgd(problem, iter(_batches(problem, 4, 2)), noise,
-                                  SrgdConfig(T=4, beta=8.0, ball=ConstraintBall(3, 1.0)))
-    assert rec.steps == 4
-    assert events == ["closed", "held-out"]
+@pytest.mark.parametrize("name", ["accelerated_dp_srgd", "dp_srg_memf"])
+def test_a_runner_makes_no_held_out_pass(name):
+    # a finished run is evaluated by its caller: the runner returns its
+    # series and final iterate on a task whose held-out pass raises
+    rng = np.random.default_rng(8)
+    problem = _NoHeldOut(features=rng.standard_normal((40, 4)),
+                         labels=rng.integers(0, 3, size=40), num_classes=3)
+    T = 4
+    batches = [np.arange(t * 10, (t + 1) * 10) for t in range(T)]
+    rec = _NOISY_RUNNERS[name](problem, batches, _hand_rows(T, problem.dim), T)
+    assert rec.steps == T and all_finite(rec.final_x)
 
 
 # ---------------------------------------------------------------------------

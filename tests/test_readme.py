@@ -127,10 +127,10 @@ def test_readme_algorithm_table_row_matches_the_harness(monkeypatch, algorithm):
     mechanism, workload, stream = re.fullmatch(
         r"(\w+)(?:, `(\w+)`)? \(`([\w.]+)`\)", row["Mechanism (noise stream)"]).groups()
     assert (mechanism, workload) == (record.mechanism, record.workload)
+    length = {"epochs": 2} if record.multi_epoch else {"steps": 4}
     spec = harness.ExperimentSpec(
-        task="synthetic", algorithm=algorithm, epsilon=2.0, steps=4, dim=3,
-        train_size=64, batch_size=8, epochs=2 if record.multi_epoch else 1,
-        output="unused.csv")
+        task="synthetic", algorithm=algorithm, epsilon=2.0, dim=3, train_size=64,
+        batch_size=8, output="unused.csv", **length)
     assert _called(monkeypatch, spec) == sorted([row["Runner"].strip("`"), stream])
 
     sigma = row["σ rule"]
@@ -143,6 +143,7 @@ def test_readme_algorithm_table_row_matches_the_harness(monkeypatch, algorithm):
     assert row["lr"] == yes_no(with_(lr_grid=(0.5, 1.0)))
     assert row["workload"] == yes_no(with_(workload="momentum"))
     assert row["epochs"] == yes_no(with_(epochs=3))
+    assert row["steps"] == yes_no(with_(steps=5))
     c_read = with_(c_grid=(0.0, 0.5))
     c_on_decay = with_(workload="momentum_decay", c_grid=(0.5, 1.0))
     assert row["c"] == ("yes" if c_read else "on `momentum_decay`" if c_on_decay
