@@ -25,7 +25,7 @@ import numpy as np
 
 from . import accounting, counting, optim
 from .geometry import ConstraintBall
-from .objectives import LogisticTask, SyntheticQuadratic
+from .objectives import LogisticTask, SyntheticQuadratic, _hit_percent
 
 __all__ = [
     "ExperimentSpec",
@@ -305,6 +305,8 @@ def _read_idx(path: str) -> np.ndarray:
         raise ValueError(f"{path}: truncated idx header, {ndim} dimensions need "
                          f"{4 + 4 * ndim} bytes, the file has {len(data)}")
     dims = struct.unpack_from(f">{ndim}i", data, 4)
+    if dims[0] == 0:
+        raise ValueError(f"{path}: holds no {'images' if ndim == 3 else 'labels'}")
     payload = np.frombuffer(data, dtype=np.uint8, offset=4 + 4 * ndim)
     expected = int(np.prod(dims))
     if payload.size != expected:
@@ -328,23 +330,18 @@ def _read_idx_pair(root: str, names: tuple[str, str]) -> tuple[np.ndarray, np.nd
     return images, labels
 
 
-def _finish_task(train_x: np.ndarray, train_y: np.ndarray,
-                 test_x: np.ndarray, test_y: np.ndarray) -> LogisticTask:
-    """Min-max normalize per column on train statistics (constant columns
-    map to zero) and append the bias column; LogisticTask checks the
-    labels."""
-    lo = train_x.min(axis=0)
-    hi = train_x.max(axis=0)
-    span = hi - lo
-    span[span == 0] = 1.0
-
-    def norm(x):
-        scaled = (x - lo) / span
-        return np.hstack([scaled, np.ones((x.shape[0], 1))])
-
-    return LogisticTask(features=norm(train_x), labels=train_y,
-                        num_classes=int(train_y.max()) + 1,
-                        eval_features=norm(test_x), eval_labels=test_y)
+def _features(raw: np.ndarray, lo, span) -> np.ndarray:
+    """The (n, p+1) float64 features of n raw rows (an image stack is
+    flattened): (raw - lo) / span per column, then a bias column of ones,
+    written in place into the one C-ordered array kept, so no float64 copy
+    of the rows is made on the way."""
+    flat = raw.reshape(raw.shape[0], -1)
+    out = np.empty((flat.shape[0], flat.shape[1] + 1))
+    scaled = out[:, :-1]
+    np.subtract(flat, lo, out=scaled)
+    scaled /= span
+    out[:, -1] = 1.0
+    return out
 
 
 def load_dataset(path: str, format: str) -> LogisticTask:
@@ -354,19 +351,16 @@ def load_dataset(path: str, format: str) -> LogisticTask:
     image/label files (optionally gzipped); pixels are scaled to [0,1].
     format="csv": `path` is the train file (header row, then
     label,feature,... rows); a sibling `<stem>.test.csv` supplies the
-    held-out split when present. Features are min-max normalized on train
-    statistics and a constant bias column is appended.
+    held-out split when present, else the train split is held out too.
+    Features are min-max normalized per column on train statistics
+    (a constant column maps to zero). Both formats append a constant bias
+    column; LogisticTask checks the labels.
     """
     if format == "idx":
         train_x, train_y = _read_idx_pair(path, _IDX_TRAIN)
         test_x, test_y = _read_idx_pair(path, _IDX_TEST)
-        flat = train_x.reshape(train_x.shape[0], -1).astype(np.float64) / 255.0
-        flat_t = test_x.reshape(test_x.shape[0], -1).astype(np.float64) / 255.0
-        bias = lambda x: np.hstack([x, np.ones((x.shape[0], 1))])
-        return LogisticTask(features=bias(flat), labels=train_y,
-                            num_classes=int(train_y.max()) + 1, eval_features=bias(flat_t),
-                            eval_labels=test_y)
-    if format == "csv":
+        lo, span = 0.0, 255.0
+    elif format == "csv":
         train_x, train_y = _read_label_csv(path)
         stem, ext = os.path.splitext(path)
         test_path = stem + ".test" + ext
@@ -377,8 +371,16 @@ def load_dataset(path: str, format: str) -> LogisticTask:
                                  f"{path} has {train_x.shape[1]}")
         else:
             test_x, test_y = train_x, train_y
-        return _finish_task(train_x, train_y, test_x, test_y)
-    raise ValueError(f"unknown dataset format {format!r}")
+        lo = train_x.min(axis=0)
+        span = train_x.max(axis=0) - lo
+        span[span == 0] = 1.0
+    else:
+        raise ValueError(f"unknown dataset format {format!r}")
+    features = _features(train_x, lo, span)
+    return LogisticTask(features=features, labels=train_y,
+                        num_classes=int(train_y.max()) + 1,
+                        eval_features=features if test_x is train_x
+                        else _features(test_x, lo, span), eval_labels=test_y)
 
 
 def _read_label_csv(path: str):
@@ -577,16 +579,15 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
 
 def _selection_metrics(spec, problem, x):
     """(selection metric, reported accuracy, excess) of a finished run's
-    final iterate x, one `excess_and_accuracy` pass. With honest
+    final iterate x, from one pass over the held-out set. With honest
     selection on a logistic task, selection uses the even-index half of
-    the held-out set and the reported accuracy uses the odd half;
-    otherwise both use the full held-out set (or the negated excess)."""
-    excess, accuracy = problem.excess_and_accuracy(x)
-    if accuracy is None:
-        return -excess, None, excess
+    that pass's hit mask and the reported accuracy the odd half; otherwise
+    both use the full held-out set (or the negated excess)."""
     if spec.honest_selection:
-        return problem.accuracy(x, half="even"), problem.accuracy(x, half="odd"), excess
-    return accuracy, accuracy, excess
+        excess, hits = problem.heldout_pass(x)
+        return _hit_percent(hits[0::2]), _hit_percent(hits[1::2]), excess
+    excess, accuracy = problem.excess_and_accuracy(x)
+    return (-excess if accuracy is None else accuracy), accuracy, excess
 
 
 def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=None):
@@ -609,6 +610,9 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     if event_log is not None:
         event_log.append(("budget", dict(budget)))
     problem = _build_problem(spec, event_log, dataset)
+    if spec.honest_selection and not isinstance(problem, LogisticTask):
+        raise ValueError(f"honest_selection splits a held-out set, and a "
+                         f"{type(problem).__name__} has none")
     rho = budget["rho"]
     n = problem.n_train if spec.task != "synthetic" else spec.train_size
     if n < spec.batch_size:

@@ -479,38 +479,31 @@ class LogisticTask(LossProblem):
 
     def excess_and_accuracy(self, x) -> tuple[float, float]:
         """(Held-out average loss, held-out accuracy in percent) from one
-        pass over the held-out rows; both fall back to the training split."""
-        return self._heldout_pass(x, *self._heldout(), with_loss=True)
+        `heldout_pass`; both fall back to the training split."""
+        loss, hits = self.heldout_pass(x)
+        return loss, _hit_percent(hits)
 
-    def accuracy(self, x, half: str | None = None) -> float:
-        """Held-out classification accuracy in percent. half="even"/"odd"
-        restricts to alternating indices of the held-out set, giving two
-        disjoint subsets for selection versus reporting."""
+    def heldout_pass(self, x) -> tuple[float, np.ndarray]:
+        """(Mean cross-entropy, per-row hit mask: whether the row's largest
+        logit is at its label) over the held-out rows, or the training rows
+        without a held-out split, one logits matmul per near-equal block of
+        at most `_HELDOUT_ROWS` of them. The per-example losses fill one
+        array, so the mean has the bits of a single pass."""
         feats, labels = self._heldout()
-        if half == "even":
-            feats, labels = feats[0::2], labels[0::2]
-        elif half == "odd":
-            feats, labels = feats[1::2], labels[1::2]
-        elif half is not None:
-            raise ValueError(f"half must be 'even', 'odd', or None, got {half!r}")
-        return self._heldout_pass(x, feats, labels, with_loss=False)[1]
-
-    def _heldout_pass(self, x, feats, labels, with_loss: bool) -> tuple[float | None, float]:
-        """(Mean cross-entropy, or None without with_loss; accuracy in
-        percent) over the rows feats, one logits matmul per near-equal
-        block of at most `_HELDOUT_ROWS` of them. The per-example losses
-        fill one array, so the mean has the bits of a single pass."""
-        n = len(labels)
-        losses = np.empty(n) if with_loss else None
-        correct = 0
-        for lo, hi in _near_equal_blocks(n, _HELDOUT_ROWS):
+        losses = np.empty(len(labels))
+        hits = np.empty(len(labels), dtype=bool)
+        for lo, hi in _near_equal_blocks(len(labels), _HELDOUT_ROWS):
             z = self._logits(feats[lo:hi], x)
-            correct += int(np.count_nonzero(z.argmax(axis=1) == labels[lo:hi]))
-            if with_loss:  # after the argmax: this shifts and exponentiates z
-                losses[lo:hi] = self._exp_shifted(z[:, None, :], labels[lo:hi])[0][:, 0]
+            np.equal(z.argmax(axis=1), labels[lo:hi], out=hits[lo:hi])
+            # after the argmax: this shifts and exponentiates z
+            losses[lo:hi] = self._exp_shifted(z[:, None, :], labels[lo:hi])[0][:, 0]
             del z  # freed before the next block's logits
-        loss = float(losses.mean()) if with_loss else None
-        return loss, 100.0 * (correct / n)
+        return float(losses.mean()), hits
+
+
+def _hit_percent(hits: np.ndarray) -> float:
+    """Accuracy in percent of a hit mask: 100 * (hits / rows)."""
+    return 100.0 * (np.count_nonzero(hits) / len(hits))
 
 
 class GradientNoiseWrapper(LossProblem):

@@ -9,6 +9,7 @@ import math
 import os
 import struct
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -625,6 +626,68 @@ def test_idx_corruption_errors(tmp_path):
         load_dataset(str(tmp_path), "idx")
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_idx_split_with_no_entries_is_rejected_naming_it(tmp_path, split):
+    # numpy failed first, "cannot reshape array of size 0 into shape
+    # (0,newaxis)", naming no file; the image file is read first
+    images, labels = IDX_NAMES[:2] if split == "train" else IDX_NAMES[2:]
+    train_x, train_y, test_x, test_y = _make_idx_dir(str(tmp_path))
+    x, y = (train_x, train_y) if split == "train" else (test_x, test_y)
+    _write_idx_images(str(tmp_path / images), x[:0])
+    _write_idx_labels(str(tmp_path / labels), y[:0])
+    with pytest.raises(ValueError, match=rf"{images}: holds no images"):
+        load_dataset(str(tmp_path), "idx")
+    _write_idx_images(str(tmp_path / images), x)
+    with pytest.raises(ValueError, match=rf"{labels}: holds no labels"):
+        load_dataset(str(tmp_path), "idx")
+
+
+def _kept_bytes(task):
+    return sum(a.nbytes for a in (task.features, task.eval_features, task.labels,
+                                  task.eval_labels, task.feature_norms))
+
+
+def test_idx_features_are_the_scaled_pixels_and_bias_built_in_place(tmp_path):
+    # bit for bit the pixels astype(float64) / 255 and a stacked bias
+    # column, C-ordered; the load holds the kept arrays, the file bytes
+    # and one 4096-row block of the row norms' squares, where the
+    # astype, / 255 and hstack chain held about 2.2 times the kept arrays
+    train_x, _, test_x, _ = _make_idx_dir(str(tmp_path), n_train=20000, n_test=5000,
+                                          side=8, classes=10, seed=3)
+    raw = sum(os.path.getsize(tmp_path / name) for name in IDX_NAMES)
+    tracemalloc.start()
+    try:
+        task = load_dataset(str(tmp_path), "idx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for got, x in ((task.features, train_x), (task.eval_features, test_x)):
+        flat = x.astype(np.uint8).reshape(x.shape[0], -1).astype(np.float64) / 255.0
+        np.testing.assert_array_equal(got, np.hstack([flat, np.ones((x.shape[0], 1))]),
+                                      strict=True)
+        assert got.flags.c_contiguous
+    assert peak <= _kept_bytes(task) + raw + 4096 * task.n_features * 8 + 256 * 1024
+
+
+def test_csv_features_are_min_max_scaled_and_bias_built_in_place(tmp_path):
+    # bit for bit (x - lo) / span on train statistics and a stacked bias
+    # column, a constant column at zero, C-ordered
+    rng = np.random.default_rng(4)
+    feats, test_feats = rng.standard_normal((30, 4)), rng.standard_normal((9, 4))
+    feats[:, 2] = test_feats[:, 2] = 7.5
+    save_csv(rng.integers(0, 3, size=30), feats, str(tmp_path / "data.csv"))
+    save_csv(rng.integers(0, 3, size=9), test_feats, str(tmp_path / "data.test.csv"))
+    task = load_dataset(str(tmp_path / "data.csv"), "csv")
+    lo = feats.min(axis=0)
+    span = feats.max(axis=0) - lo
+    span[span == 0] = 1.0
+    for got, x in ((task.features, feats), (task.eval_features, test_feats)):
+        want = np.hstack([(x - lo) / span, np.ones((x.shape[0], 1))])
+        np.testing.assert_array_equal(got, want, strict=True)
+        np.testing.assert_array_equal(got[:, 2], np.zeros(x.shape[0]))
+        assert got.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # csv dataset files
 
@@ -905,19 +968,19 @@ def _toy_logistic_dataset(tmp_path, n=64, p=3, seed=2):
 
 
 class _EvaluationSpy:
-    """Task mixin: records every held-out evaluation as (method, half, the
-    module that called it, the evaluated point's bytes)."""
+    """Task mixin: records every held-out evaluation as (method, the module
+    that called it, the evaluated point's bytes)."""
 
     def __post_init__(self):
         super().__post_init__()
         self.evaluated = []
 
-    def _record(self, method, half, x):
+    def _record(self, method, x):
         caller = sys._getframe(2).f_globals["__name__"]
-        self.evaluated.append((method, half, caller, x.tobytes()))
+        self.evaluated.append((method, caller, x.tobytes()))
 
     def excess_and_accuracy(self, x):
-        self._record("excess_and_accuracy", None, x)
+        self._record("excess_and_accuracy", x)
         return super().excess_and_accuracy(x)
 
 
@@ -926,9 +989,9 @@ class _QuadraticEvaluationSpy(_EvaluationSpy, SyntheticQuadratic):
 
 
 class _LogisticEvaluationSpy(_EvaluationSpy, LogisticTask):
-    def accuracy(self, x, half=None):
-        self._record("accuracy", half, x)
-        return super().accuracy(x, half=half)
+    def heldout_pass(self, x):
+        self._record("heldout_pass", x)
+        return super().heldout_pass(x)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -947,7 +1010,7 @@ def test_a_sweep_evaluates_each_finished_run_once_in_the_harness(workers):
     finished = [r for r in records.values() if isinstance(r, RunRecord)]
     assert len(finished) == 4 and len(records) == 8
     assert sorted(spy.evaluated) == sorted(
-        ("excess_and_accuracy", None, "dpsrgd.harness", r.final_x.tobytes())
+        ("excess_and_accuracy", "dpsrgd.harness", r.final_x.tobytes())
         for r in finished)
     assert table == run_experiment(spec)[0]
 
@@ -976,7 +1039,18 @@ def test_a_run_frees_its_noise_stream_before_its_evaluation(monkeypatch):
     assert events == ["freed", "evaluated"] * spec.repeats
 
 
-def test_honest_selection_reports_held_out_half(tmp_path):
+def _heldout_halves_reference(problem, x):
+    """(Accuracy in percent on the even-index half of the held-out split,
+    on the odd half), from one feats @ W.T over the whole split."""
+    pred = (problem.eval_features @ problem._weights(x).T).argmax(axis=1)
+    hits = pred == problem.eval_labels
+    return tuple(100.0 * float(hits[rows].mean()) for rows in (slice(0, None, 2),
+                                                                slice(1, None, 2)))
+
+
+def _spied_logistic_run(tmp_path, honest_selection):
+    """(The toy dataset, the sweep's one row, the run's final iterate, the
+    evaluations a spy copy of the dataset saw) of a one-run dp_sgd sweep."""
     dataset = _toy_logistic_dataset(tmp_path)
     spy = _LogisticEvaluationSpy(features=dataset.features, labels=dataset.labels,
                                  num_classes=dataset.num_classes,
@@ -984,20 +1058,28 @@ def test_honest_selection_reports_held_out_half(tmp_path):
                                  eval_labels=dataset.eval_labels)
     spec = _tiny_spec(task="csv-dataset", algorithm="dp_sgd",
                       epsilon=math.inf, repeats=1, batch_size=16,
-                      honest_selection=True)
+                      honest_selection=honest_selection)
     table, recs = run_experiment(spec, dataset=spy)
-    rec = next(iter(recs.values()))
-    row = table.rows[0]
-    assert row.acc_mean == pytest.approx(
-        dataset.accuracy(rec.final_x, half="odd"))
-    assert row.selection_metric == pytest.approx(
-        dataset.accuracy(rec.final_x, half="even"))
-    # the harness makes one full held-out pass, then takes each half
-    # from accuracy(x, half)
-    x = rec.final_x.tobytes()
-    assert spy.evaluated == [("excess_and_accuracy", None, "dpsrgd.harness", x),
-                             ("accuracy", "even", "dpsrgd.harness", x),
-                             ("accuracy", "odd", "dpsrgd.harness", x)]
+    return dataset, table.rows[0], next(iter(recs.values())).final_x, spy.evaluated
+
+
+def test_honest_selection_reports_held_out_half(tmp_path):
+    # the halves come from the hit mask of the run's one held-out pass,
+    # where the harness made three passes: a full one, then one per half
+    dataset, row, x, evaluated = _spied_logistic_run(tmp_path, honest_selection=True)
+    even, odd = _heldout_halves_reference(dataset, x)
+    assert (row.selection_metric, row.acc_mean) == (even, odd)
+    assert evaluated == [("heldout_pass", "dpsrgd.harness", x.tobytes())]
+
+
+def test_honest_selection_on_a_task_without_held_out_set_is_rejected():
+    # the harness took the halves from a method only LogisticTask has;
+    # a quadratic handed in as a dataset task ran one run, then failed
+    spec = _tiny_spec(task="csv-dataset", honest_selection=True)
+    quadratic = _build_problem(_tiny_spec(), None, None)
+    with pytest.raises(ValueError, match="honest_selection splits a held-out set, "
+                                         "and a SyntheticQuadratic has none"):
+        run_experiment(spec, dataset=quadratic)
 
 
 def test_honest_selection_on_the_synthetic_task_is_rejected_before_any_work():
@@ -1010,12 +1092,13 @@ def test_honest_selection_on_the_synthetic_task_is_rejected_before_any_work():
 
 
 def test_default_selection_uses_full_held_out_metric(tmp_path):
-    dataset = _toy_logistic_dataset(tmp_path)
-    spec = _tiny_spec(task="csv-dataset", algorithm="dp_sgd",
-                      epsilon=math.inf, repeats=1, batch_size=16)
-    table, recs = run_experiment(spec, dataset=dataset)
-    rec = next(iter(recs.values()))
-    assert table.rows[0].acc_mean == pytest.approx(dataset.accuracy(rec.final_x))
+    dataset, row, x, evaluated = _spied_logistic_run(tmp_path, honest_selection=False)
+    accuracy = dataset.excess_and_accuracy(x)[1]
+    assert row.acc_mean == pytest.approx(accuracy)
+    assert row.selection_metric == row.acc_mean == accuracy
+    # one held-out pass, made by excess_and_accuracy
+    assert evaluated == [("excess_and_accuracy", "dpsrgd.harness", x.tobytes()),
+                         ("heldout_pass", "dpsrgd.objectives", x.tobytes())]
 
 
 class _IndexSpy(LogisticTask):

@@ -718,7 +718,9 @@ def test_excess_and_accuracy_is_one_heldout_pass(with_eval):
     x = np.random.default_rng(22).standard_normal(problem.dim)
     got = problem.excess_and_accuracy(x)
     assert got == _heldout_reference(problem, x)
-    assert got == (problem.population_excess(x), problem.accuracy(x))
+    loss, hits = problem.heldout_pass(x)
+    assert got == (problem.population_excess(x), 100.0 * (np.count_nonzero(hits) / hits.size))
+    assert loss == got[0]
 
 
 def _mnist_shaped_with_heldout(n_eval=10000):
@@ -738,17 +740,19 @@ def _mnist_shaped_with_heldout(n_eval=10000):
     ids=["small", "mnist_10000", "mnist_4097"])
 def test_heldout_figures_equal_the_feats_at_weights_reference(make):
     # the held-out pass takes its logits with the class rows on the left,
-    # in near-equal blocks (4097 rows make three, and their halves two and
-    # one); loss and accuracy keep the bits of one feats @ W.T over the
-    # whole split, halves included
+    # in near-equal blocks (4097 rows make three); loss, accuracy and every
+    # row's hit keep the bits of one feats @ W.T over the whole split, so
+    # the even and odd halves of the hit mask do too
     problem = make()
     x = np.random.default_rng(31).standard_normal(problem.dim) * 0.05
     assert problem.excess_and_accuracy(x) == _heldout_reference(problem, x)
     feats, labels = problem.eval_features, problem.eval_labels
-    for half, rows in ((None, slice(None)), ("even", slice(0, None, 2)),
-                       ("odd", slice(1, None, 2))):
-        pred = (feats[rows] @ problem._weights(x).T).argmax(axis=1)
-        assert problem.accuracy(x, half=half) == 100.0 * float((pred == labels[rows]).mean())
+    pred = (feats @ problem._weights(x).T).argmax(axis=1)
+    hits = problem.heldout_pass(x)[1]
+    np.testing.assert_array_equal(hits, pred == labels, strict=True)
+    for rows in (slice(None), slice(0, None, 2), slice(1, None, 2)):
+        assert (100.0 * (np.count_nonzero(hits[rows]) / hits[rows].size)
+                == 100.0 * float((pred[rows] == labels[rows]).mean()))
 
 
 def test_heldout_pass_holds_no_logits_of_the_whole_set():
@@ -756,7 +760,8 @@ def test_heldout_pass_holds_no_logits_of_the_whole_set():
     problem = _mnist_shaped_with_heldout()
     x = np.random.default_rng(35).standard_normal(problem.dim) * 0.05
     assert _traced_peak(lambda: problem.excess_and_accuracy(x)) < 10000 * 10 * 8
-    assert _traced_peak(lambda: problem.accuracy(x, half="even")) < 5000 * 10 * 8
+    # the pass that also returns the 90 KB of losses and hit mask
+    assert _traced_peak(lambda: problem.heldout_pass(x)) < 10000 * 10 * 8
 
 
 def test_excess_and_accuracy_default_has_no_accuracy():
@@ -811,23 +816,24 @@ def test_srg_mean_always_evaluates_both_points():
 def test_logistic_accuracy_halves_partition_eval_set():
     problem = _logistic(n=40, seed=9)
     x = np.random.default_rng(10).standard_normal(problem.dim)
-    full = problem.accuracy(x)
-    even = problem.accuracy(x, half="even")
-    odd = problem.accuracy(x, half="odd")
+    full = problem.excess_and_accuracy(x)[1]
+    hits = problem.heldout_pass(x)[1]
+    even = 100.0 * float(hits[0::2].mean())
+    odd = 100.0 * float(hits[1::2].mean())
     n_eval = problem.eval_labels.shape[0]
     n_even = (n_eval + 1) // 2
     n_odd = n_eval // 2
+    assert hits.shape == (n_eval,)
     recombined = (even * n_even + odd * n_odd) / n_eval
     assert recombined == pytest.approx(full, abs=1e-9)
-    with pytest.raises(ValueError):
-        problem.accuracy(x, half="upper")
 
 
 def test_logistic_accuracy_falls_back_to_train_split():
     problem = _logistic(with_eval=False)
     x = np.zeros(problem.dim)
-    acc = problem.accuracy(x)
+    acc = problem.excess_and_accuracy(x)[1]
     assert 0.0 <= acc <= 100.0
+    assert problem.heldout_pass(x)[1].shape == (problem.n_train,)
 
 
 def test_logistic_validation_errors():
