@@ -31,7 +31,6 @@ from .counting import (
     StrategyMatrix,
     TreeState,
     build_strategy,
-    build_workload,
     factorize,
     identity_strategy,
     mf_noise_stream,
@@ -80,8 +79,8 @@ __all__ = [
     "RegimeReport", "batch_and_beta", "build_regime_report",
     "clip_norm", "gdp_to_dp", "mu_for_dp", "rho_for_dp",
     "sensitivity_bound", "srgd_sigma", "zcdp_to_dp",
-    "StrategyMatrix", "TreeState", "build_strategy", "build_workload",
-    "factorize", "identity_strategy", "mf_noise_stream", "prefix_nodes",
+    "StrategyMatrix", "TreeState", "build_strategy", "factorize",
+    "identity_strategy", "mf_noise_stream", "prefix_nodes",
     "tree_baseline_objective", "tree_error_bound", "tree_ingest", "tree_prefix",
     "tree_rows", "tree_sens",
     "ConstraintBall", "project_ball",

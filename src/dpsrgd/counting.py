@@ -14,8 +14,8 @@ runner adds to its own exact sums (sensitivity in brackets):
   held as the first columns of C and of its workload W; its sensitivity
   and error objective are computed from them in O(kb) memory.
 
-The tree is also exposed as an explicit (B, C) matrix factorization so both
-correlated mechanisms can be compared on a single error axis.
+`tree_baseline_objective` scores the tree on the same error axis as a
+strategy, node by node from the workload's columns, with no node matrix.
 """
 
 from __future__ import annotations
@@ -34,15 +34,12 @@ __all__ = [
     "tree_rows",
     "tree_sens",
     "tree_error_bound",
-    "build_workload",
     "build_strategy",
     "factorize",
     "gaussian_rows",
     "identity_strategy",
     "mf_noise_stream",
-    "tree_matrix_factorization",
     "tree_baseline_objective",
-    "column_group_sens",
 ]
 
 
@@ -183,8 +180,17 @@ WORKLOADS = ("ones", "momentum", "momentum_decay", "identity")
 
 def _workload_column(kind: str, k: int, b: int, momentum: float = 0.0,
                      decay: float = 1.0) -> np.ndarray:
-    """First column w of `build_workload`'s W: the truncated convolution of
-    the first columns of M, A and L, in O(kb) memory."""
+    """First column w of the workload W for kb steps, in O(kb) memory:
+
+    ones, identity:  A (prefix sums; plain SGD iterates)
+    momentum:        M A, M the Toeplitz momentum matrix with entries
+                     momentum^(i-j), so (M A)_{i,j} = sum of the first
+                     i-j+1 momentum powers
+    momentum_decay:  M A L with L_{i,j} = decay^(i-j): the rows of A L
+                     reconstruct the decayed recursion
+                     grad_t = decay * grad_{t-1} + delta_t
+
+    w is the truncated convolution of the first columns of M, A and L."""
     if k < 1 or b < 1:
         raise ValueError(f"k and b must be >= 1, got k={k}, b={b}")
     if kind not in WORKLOADS:
@@ -211,41 +217,15 @@ def _lower_toeplitz(col: np.ndarray, n: int) -> np.ndarray:
     return np.tril(first[np.subtract.outer(np.arange(n), np.arange(n))])
 
 
-def build_workload(kind: str, k: int, b: int, momentum: float = 0.0,
-                   decay: float = 1.0) -> np.ndarray:
-    """Dense lower-triangular workload for kb steps (a reference; strategies
-    read only its first column).
-
-    ones, identity:  A (prefix sums; plain SGD iterates)
-    momentum:        M @ A, where M is the Toeplitz momentum matrix with
-                     entries momentum^(i-j), so (M A)_{i,j} = sum of the
-                     first i-j+1 momentum powers
-    momentum_decay:  M @ A @ L with L_{i,j} = decay^(i-j): the rows of
-                     A @ L reconstruct the decayed recursion
-                     grad_t = decay * grad_{t-1} + delta_t
-    """
-    return _lower_toeplitz(_workload_column(kind, k, b, momentum, decay), k * b)
-
-
-def column_group_sens(c_mat: np.ndarray, k: int, b: int) -> float:
-    """Multi-epoch sensitivity of C: max over batch positions j of
+def _toeplitz_sens(r: np.ndarray, k: int, b: int) -> float:
+    """Multi-epoch sensitivity of the C with first column r, in O(kb)
+    memory: max over batch positions j of
     sqrt(sum_{i, i'} |<C[:, i*b + j], C[:, i'*b + j]>|).
 
     An example sits at position j of every epoch i and may contribute a
     different vector g_i (||g_i|| <= 1) each time; ||sum_i C[:, i*b+j] g_i^T||_F
     is bounded by the square root above. It equals ||sum_i C[:, i*b + j]||
     when every inner product within a group is >= 0, and always when k = 1.
-    """
-    n = k * b
-    if c_mat.shape != (n, n):
-        raise ValueError(f"C shape {c_mat.shape} != ({n}, {n})")
-    groups = c_mat.reshape(n, k, b)
-    gram = np.einsum("rib,rjb->bij", groups, groups)
-    return float(np.sqrt(np.max(np.abs(gram).sum(axis=(1, 2)))))
-
-
-def _toeplitz_sens(r: np.ndarray, k: int, b: int) -> float:
-    """`column_group_sens` of the C with first column r, in O(kb) memory.
 
     For columns s <= s', <C[:, s], C[:, s']> = sum_{m < n - s'} r_m r_{m+s'-s},
     a prefix sum of r's lag-(s' - s) products. An example's columns sit
@@ -286,11 +266,12 @@ class StrategyMatrix:
     length kb (W's momentum and decay are in w alone), and r is C's through
     its last nonzero band. sens and objective are computed from them at
     construction, in O(kb) memory. sens is the multi-epoch column-group
-    sensitivity of `column_group_sens`, max_j sqrt(sum_{i,i'} |<C[:, i*b+j],
+    sensitivity of `_toeplitz_sens`, max_j sqrt(sum_{i,i'} |<C[:, i*b+j],
     C[:, i'*b+j]>|), which holds whatever vector an example contributes in
     each epoch; the noise calibration multiplies by it, and `check` wants it
-    <= 1. objective is ||W C^{-1}||_F. `C` and `workload` build the dense
-    matrices on demand.
+    <= 1. objective is ||W C^{-1}||_F. Only `workload` builds a dense
+    matrix, W, for the callers that score the tree against it (perfbench
+    reads it).
     """
 
     w: np.ndarray
@@ -322,10 +303,6 @@ class StrategyMatrix:
         return self.k * self.b
 
     @property
-    def C(self) -> np.ndarray:
-        return _lower_toeplitz(self.r, self.steps)
-
-    @property
     def workload(self) -> np.ndarray:
         return _lower_toeplitz(self.w, self.steps)
 
@@ -336,43 +313,39 @@ class StrategyMatrix:
             raise ValueError("strategy diagonal must be strictly positive")
 
 
-def tree_matrix_factorization(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The binary tree mechanism as prefix = B_dec @ C_node factorization.
-
-    C_node rows are node membership indicators over steps 1..n (one row per
-    odd node, ordered by level k and then index j); B_dec rows select each
-    prefix's dyadic decomposition. B_dec @ C_node equals the
-    lower-triangular all-ones A.
-    """
-    nodes = [(j, k) for k in range(ceil_log2(n) + 1)
-             for j in range(1, (n - 1) // (1 << k) + 2, 2)]
-    index = {jk: r for r, jk in enumerate(nodes)}
-    c_node = np.zeros((len(nodes), n))
-    for r, (j, k) in enumerate(nodes):
-        c_node[r, (j - 1) << k:min(j << k, n)] = 1.0
-    b_dec = np.zeros((n, len(nodes)))
-    for i in range(1, n + 1):
-        for jk in prefix_nodes(i):
-            b_dec[i - 1, index[jk]] = 1.0
-    return b_dec, c_node
-
-
 def tree_baseline_objective(workload: np.ndarray, k: int, b: int) -> float:
-    """Error objective of the binary tree factorization scaled to unit
-    sensitivity, for an arbitrary lower-triangular workload W.
+    """Error objective of the binary tree mechanism scaled to unit
+    sensitivity, for any lower-triangular workload W of k epochs of b
+    steps, passed dense: ||W A^{-1} B_dec||_F times the tree's sensitivity.
 
-    The tree releases noisy prefixes, so a consumer of W re-weights them by
-    W A^{-1}; the error matrix is then (W A^{-1}) B_dec and the sensitivity
-    is the column-group norm of the node-membership matrix.
+    The tree releases noisy prefixes, which a consumer of W re-weights by
+    W A^{-1}, A the prefix-sum matrix: column s is W[:, s] - W[:, s+1], with
+    W[:, n] = 0. Node (j, l), j odd, covers steps [(j-1) 2^l, j 2^l) and
+    sits in the prefixes j 2^l .. (j+1) 2^l - 1, so its error column
+    telescopes to W[:, j 2^l - 1] - W[:, (j+1) 2^l - 1]; a node cut off at
+    n sits in no prefix. The sensitivity is the max over batch positions p
+    of sqrt(sum over nodes of c^2), c the count of steps i b + p (i < k) in
+    the node. One node at a time, in O(n) memory besides W.
     """
     n = k * b
-    b_dec, c_node = tree_matrix_factorization(n)
-    # A^{-1} is bidiagonal: 1 on the diagonal, -1 below it
-    a_inv = np.eye(n) - np.eye(n, k=-1)
-    error_part = float(np.linalg.norm(workload @ a_inv @ b_dec))
-    groups = c_node.reshape(c_node.shape[0], k, b).sum(axis=1)
-    sens = float(np.max(np.linalg.norm(groups, axis=0)))
-    return error_part * sens
+    if workload.shape != (n, n):
+        raise ValueError(f"workload shape {workload.shape} != ({n}, {n}) for k={k}, b={b}")
+    positions = np.arange(b)
+    sq_error, sq_counts = 0.0, np.zeros(b)
+    for level in range(ceil_log2(n) + 1):
+        size = 1 << level
+        for lo in range(0, n, 2 * size):
+            hi = lo + size
+            # (x - p + b - 1) // b counts the steps i b + p below x
+            counts = (min(hi, n) - positions + b - 1) // b - (lo - positions + b - 1) // b
+            sq_counts += counts * counts
+            if hi > n:
+                continue
+            col = workload[:, hi - 1]
+            if hi + size <= n:
+                col = col - workload[:, hi + size - 1]
+            sq_error += col @ col
+    return math.sqrt(sq_error) * math.sqrt(sq_counts.max())
 
 
 def _sqrt_coefficients(w: np.ndarray) -> np.ndarray:

@@ -314,9 +314,10 @@ def _read_idx(path: str) -> np.ndarray:
     return payload.reshape(dims)
 
 
-def _read_idx_pair(root: str, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+def _read_idx_pair(root: str, names: tuple[str, str],
+                   classes: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """(images, labels) from the idx files `names` under root: a 3-d image
-    stack and 1-d labels, equal in count."""
+    stack and 1-d labels, equal in count, each label below classes."""
     paths = [os.path.join(root, name) for name in names]
     images, labels = map(_read_idx, paths)
     if images.ndim != 3:
@@ -327,6 +328,10 @@ def _read_idx_pair(root: str, names: tuple[str, str]) -> tuple[np.ndarray, np.nd
     if images.shape[0] != labels.shape[0]:
         raise ValueError(f"{paths[0]} holds {images.shape[0]} images but {paths[1]} "
                          f"holds {labels.shape[0]} labels")
+    if labels.max() >= classes:
+        i = int(np.argmax(labels >= classes))
+        raise ValueError(f"{paths[1]}: label {labels[i]} at entry {i} is not a class "
+                         f"of the train split, 0 .. {classes - 1}")
     return images, labels
 
 
@@ -354,18 +359,19 @@ def load_dataset(path: str, format: str) -> LogisticTask:
     held-out split when present, else the train split is held out too.
     Features are min-max normalized per column on train statistics
     (a constant column maps to zero). Both formats append a constant bias
-    column; LogisticTask checks the labels.
+    column. A held-out label outside the train split's classes, or a
+    negative csv label, is rejected naming its file.
     """
     if format == "idx":
         train_x, train_y = _read_idx_pair(path, _IDX_TRAIN)
-        test_x, test_y = _read_idx_pair(path, _IDX_TEST)
+        test_x, test_y = _read_idx_pair(path, _IDX_TEST, int(train_y.max()) + 1)
         lo, span = 0.0, 255.0
     elif format == "csv":
         train_x, train_y = _read_label_csv(path)
         stem, ext = os.path.splitext(path)
         test_path = stem + ".test" + ext
         if os.path.exists(test_path):
-            test_x, test_y = _read_label_csv(test_path)
+            test_x, test_y = _read_label_csv(test_path, int(train_y.max()) + 1)
             if test_x.shape[1] != train_x.shape[1]:
                 raise ValueError(f"{test_path}: {test_x.shape[1]} feature columns, "
                                  f"{path} has {train_x.shape[1]}")
@@ -383,32 +389,42 @@ def load_dataset(path: str, format: str) -> LogisticTask:
                         else _features(test_x, lo, span), eval_labels=test_y)
 
 
-def _read_label_csv(path: str):
+def _read_label_csv(path: str, classes: float = math.inf):
     """(features, labels) of a label,feature,... file, shapes (n, p) and
-    (n,). A file with no data rows, a row whose width is not the
-    header's, or a cell that is not a finite number (an integer in the
-    label column) is rejected here, naming the file (and the line)."""
+    (n,), parsed into float64 and int64 buffers sized by the file's line
+    count. A file with no data rows, a row whose width is not the
+    header's, a cell that is not a finite number (an integer in the label
+    column) or a label outside 0 .. classes - 1 is rejected here, naming
+    the file and the line."""
     with open(path, newline="", encoding="utf-8") as fh:
+        lines = sum(1 for _ in fh)
+        fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "label":
             raise ValueError(f"{path}: first column must be 'label'")
-        labels, rows = [], []
-        for row in reader:
+        features = np.empty((lines - 1, len(header) - 1))
+        labels = np.empty(lines - 1, dtype=np.int64)
+        n = 0
+        for n, row in enumerate(reader, 1):
+            where = f"{path}, line {reader.line_num}"
             if len(row) != len(header):
-                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} "
-                                 f"fields, the header has {len(header)}")
+                raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
             try:
-                labels.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
+                label, values = int(row[0]), [float(v) for v in row[1:]]
             except ValueError as err:
-                raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
-            if not all(map(math.isfinite, rows[-1])):
-                raise ValueError(f"{path}, line {reader.line_num}: a feature cell is "
-                                 f"not finite: {row[1:]}")
-    if not rows:
+                raise ValueError(f"{where}: {err}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{where}: a feature cell is not finite: {row[1:]}")
+            if not 0 <= label < classes:
+                raise ValueError(f"{where}: label {label} is " + (
+                    "negative" if label < 0 else
+                    f"not a class of the train split, 0 .. {classes - 1}"))
+            features[n - 1], labels[n - 1] = values, label
+    if not n:
         raise ValueError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+    # a quoted cell spanning lines leaves the buffers' tails unused
+    return features[:n], labels[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ from .accounting import (
     zcdp_to_dp,
 )
 from .counting import (
-    build_workload,
-    factorize,
+    build_strategy,
     identity_strategy,
     mf_noise_stream,
     prefix_nodes,
@@ -315,9 +314,8 @@ def criterion_7() -> CriterionResult:
         parts = []
         ok = True
         for b in (8, 16, 32):
-            workload = build_workload("ones", 1, b)
-            strat = factorize(workload[:, 0], 1, b)
-            baseline = tree_baseline_objective(workload, 1, b)
+            strat = build_strategy("ones", 1, b)
+            baseline = tree_baseline_objective(strat.workload, 1, b)
             ok = ok and strat.objective <= baseline and strat.sens <= 1.0 + 1e-9
             parts.append(f"b={b}: {strat.objective:.4f} vs tree "
                          f"{baseline:.4f}, sens={strat.sens:.6f}")
@@ -361,9 +359,8 @@ def criterion_8() -> CriterionResult:
         d1 = max(float(np.abs(a - b).max()) for a, b in (
             (rec_sgd.final_x, x), (rec_sgd.train_loss, losses)))
 
-        w_momentum = build_workload("momentum", 2, 8, momentum=0.0)
-        w_ones = build_workload("ones", 2, 8)
-        d2 = float(np.abs(w_momentum - w_ones).max())
+        w_momentum = build_strategy("momentum", 2, 8, momentum=0.0).w
+        d2 = float(np.abs(w_momentum - build_strategy("ones", 2, 8).w).max())
 
         cfg = MemfConfig(steps=10, c_clip=math.inf, lr=0.05, decay=0.0, momentum=0.9)
         rec_srg = run_dp_srg_memf(problem, batches[:5] * 2,

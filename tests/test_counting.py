@@ -13,9 +13,7 @@ from dpsrgd.counting import (
     StrategyMatrix,
     TreeState,
     build_strategy,
-    build_workload,
     ceil_log2,
-    column_group_sens,
     factorize,
     forward_substitution_rows,
     identity_strategy,
@@ -24,12 +22,19 @@ from dpsrgd.counting import (
     tree_baseline_objective,
     tree_error_bound,
     tree_ingest,
-    tree_matrix_factorization,
     tree_prefix,
     tree_rows,
     tree_sens,
 )
 from dpsrgd.harness import _noise_sigma
+
+from dense_reference import (
+    build_workload,
+    column_group_sens,
+    dense_c,
+    dense_tree_baseline_objective,
+    tree_matrix_factorization,
+)
 
 
 def _interval(j, k):
@@ -284,7 +289,7 @@ def test_column_group_sens_bounds_any_per_epoch_contribution():
     assert column_group_sens(c_mat, 2, 1) == pytest.approx(sound, rel=1e-12)
     assert np.linalg.norm(c_mat @ [1.0, -1.0]) == pytest.approx(sound, rel=1e-12)
     strat = StrategyMatrix(np.ones(2), [1.0, -0.9], "custom", 2, 1)
-    np.testing.assert_array_equal(strat.C, c_mat)
+    np.testing.assert_array_equal(dense_c(strat), c_mat)
     assert strat.sens == pytest.approx(sound, rel=1e-12)
     with pytest.raises(ValueError, match="sensitivity"):
         strat.check()
@@ -314,6 +319,53 @@ def test_tree_baseline_objective_closed_form():
             == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("workload,k,b", [
+    (build_strategy("ones", 1, 8).workload, 1, 8),
+    (build_strategy("ones", 1, 16).workload, 1, 16),
+    (build_strategy("ones", 1, 32).workload, 1, 32),
+    # the benchmark's pair, built as the harness builds them
+    (build_strategy("momentum_decay", 2, 40, momentum=0.9, decay=math.exp(-2.5)).workload,
+     2, 40),
+    (build_strategy("ones", 2, 40, momentum=0.9, decay=0.0).workload, 2, 40),
+], ids=["ones_1x8", "ones_1x16", "ones_1x32", "momentum_decay_2x40", "ones_2x40"])
+def test_tree_baseline_objective_is_the_dense_factorization_bit_for_bit(workload, k, b):
+    # criterion 7's shapes and the benchmark's mf_error_ratio denominator
+    assert tree_baseline_objective(workload, k, b) \
+        == dense_tree_baseline_objective(workload, k, b)
+
+
+@pytest.mark.parametrize("k,b", [(1, 13), (1, 16), (2, 9), (3, 5), (3, 7)])
+def test_tree_baseline_objective_matches_the_dense_factorization_on_any_workload(k, b):
+    # n = 13, 18, 15 and 21 cut the last node at every level above the leaves
+    n = k * b
+    workload = np.tril(np.random.default_rng(n).standard_normal((n, n)))
+    assert tree_baseline_objective(workload, k, b) \
+        == pytest.approx(dense_tree_baseline_objective(workload, k, b), rel=1e-12)
+
+
+def test_tree_baseline_objective_builds_no_n_by_n_array():
+    # one n x n float64 array is 2 MB at n = 512; the dense form built A^{-1},
+    # B_dec, C_node and two products
+    k, b = 2, 256
+    workload = build_strategy("momentum", k, b, momentum=0.9).workload
+    tracemalloc.start()
+    try:
+        got = tree_baseline_objective(workload, k, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * k * b * 8
+    assert got == pytest.approx(dense_tree_baseline_objective(workload, k, b), rel=1e-12)
+
+
+def test_tree_baseline_objective_rejects_a_workload_of_another_shape():
+    # column indexing would otherwise read a corner of W
+    with pytest.raises(ValueError, match=r"workload shape \(12, 12\) != \(10, 10\)"):
+        tree_baseline_objective(np.tril(np.ones((12, 12))), 2, 5)
+    with pytest.raises(ValueError, match=r"workload shape \(10,\) != \(10, 10\)"):
+        tree_baseline_objective(np.ones(10), 2, 5)
+
+
 # ---------------------------------------------------------------------------
 # square-root strategies
 
@@ -325,9 +377,9 @@ def _objective_oracle(workload, c_mat):
 def test_factorize_reports_its_own_objective_and_sens():
     wl = build_workload("ones", 1, 8)
     strat = factorize(wl[:, 0], 1, 8)
-    assert strat.objective == pytest.approx(_objective_oracle(wl, strat.C),
+    assert strat.objective == pytest.approx(_objective_oracle(wl, dense_c(strat)),
                                             rel=1e-9)
-    assert strat.sens == pytest.approx(column_group_sens(strat.C, 1, 8),
+    assert strat.sens == pytest.approx(column_group_sens(dense_c(strat), 1, 8),
                                        rel=1e-12)
     assert strat.sens <= 1.0 + 1e-9
     assert strat.steps == 8
@@ -338,7 +390,7 @@ def test_factorize_is_deterministic():
     wl = build_workload("momentum", 2, 4, momentum=0.6)
     s1 = factorize(wl[:, 0], 2, 4)
     s2 = factorize(wl[:, 0], 2, 4)
-    np.testing.assert_array_equal(s1.C, s2.C)
+    np.testing.assert_array_equal(dense_c(s1), dense_c(s2))
     assert s1.objective == s2.objective
 
 
@@ -359,7 +411,8 @@ def test_factorize_unbanded_root_squares_to_the_workload(kind, momentum, decay):
     wl = build_workload(kind, 1, n, momentum=momentum, decay=decay)
     strat = factorize(wl[:, 0], 1, n, kind=kind)
     # C is the root R over its sensitivity; R's diagonal is sqrt(w_0)
-    root = strat.C * (math.sqrt(wl[0, 0]) / strat.C[0, 0])
+    c_mat = dense_c(strat)
+    root = c_mat * (math.sqrt(wl[0, 0]) / c_mat[0, 0])
     assert np.linalg.norm(root @ root - wl) <= 1e-12 * np.linalg.norm(wl)
     assert strat.sens == pytest.approx(1.0, abs=1e-12)
 
@@ -369,11 +422,12 @@ def test_factorize_bands_put_an_examples_columns_on_disjoint_rows(kind):
     k, b = 2, 40
     wl = build_workload(kind, k, b, momentum=0.9, decay=math.exp(-2.5))
     strat = factorize(wl[:, 0], k, b)
+    c_mat = dense_c(strat)
     for j in range(b):
-        assert strat.C[:, j] @ strat.C[:, j + b] == 0.0
-    assert np.count_nonzero(strat.C[:, 0]) == b
+        assert c_mat[:, j] @ c_mat[:, j + b] == 0.0
+    assert np.count_nonzero(c_mat[:, 0]) == b
     assert strat.sens == pytest.approx(1.0, abs=1e-12)
-    assert column_group_sens(strat.C, k, b) == strat.sens
+    assert column_group_sens(c_mat, k, b) == strat.sens
 
 
 def test_factorize_input_validation():
@@ -402,7 +456,7 @@ def test_strategy_check_rejects_violations():
 
 
 def _dense_objective(strategy):
-    c_inv = solve_triangular(strategy.C, np.eye(strategy.steps), lower=True)
+    c_inv = solve_triangular(dense_c(strategy), np.eye(strategy.steps), lower=True)
     return float(np.linalg.norm(strategy.workload @ c_inv))
 
 
@@ -410,7 +464,7 @@ def _dense_objective(strategy):
 @pytest.mark.parametrize("kind", ["ones", "momentum", "momentum_decay"])
 def test_coefficient_sens_and_objective_match_the_dense_formulas(kind, k, b):
     strat = build_strategy(kind, k, b, momentum=0.9, decay=math.exp(-2.5))
-    assert strat.sens == pytest.approx(column_group_sens(strat.C, k, b), rel=1e-12)
+    assert strat.sens == pytest.approx(column_group_sens(dense_c(strat), k, b), rel=1e-12)
     assert strat.objective == pytest.approx(_dense_objective(strat), rel=1e-12)
 
 
@@ -430,7 +484,7 @@ def test_coefficient_formulas_hold_for_roots_longer_than_b(k, b, r):
     # len(r) > b at k > 1 (but for 4x3): the columns of one example share rows
     strat = StrategyMatrix(build_workload("momentum", k, b, momentum=0.5)[:, 0],
                            r, "custom", k, b)
-    assert strat.sens == pytest.approx(column_group_sens(strat.C, k, b), rel=1e-12)
+    assert strat.sens == pytest.approx(column_group_sens(dense_c(strat), k, b), rel=1e-12)
     assert strat.objective == pytest.approx(_dense_objective(strat), rel=1e-12)
 
 
@@ -452,7 +506,7 @@ def test_a_large_strategy_holds_and_builds_only_coefficient_vectors():
 
 def test_identity_strategy():
     strat = identity_strategy(1, 5)
-    np.testing.assert_array_equal(strat.C, np.eye(5))
+    np.testing.assert_array_equal(dense_c(strat), np.eye(5))
     assert strat.sens == 1.0
     assert strat.steps == 5
     assert strat.objective == pytest.approx(
@@ -460,7 +514,7 @@ def test_identity_strategy():
     for k in (2, 3):  # I / sqrt(k): the k rows of one example have sensitivity 1
         strat = identity_strategy(k, 5)
         assert (strat.k, strat.b) == (k, 5)
-        assert column_group_sens(strat.C, k, 5) == pytest.approx(1.0, abs=1e-12)
+        assert column_group_sens(dense_c(strat), k, 5) == pytest.approx(1.0, abs=1e-12)
         assert strat.sens == pytest.approx(1.0, abs=1e-12)
         strat.check()
 
@@ -469,7 +523,7 @@ def test_build_strategy_reads_momentum_and_decay_only_where_the_workload_does():
     k, b = 2, 3
     ones = build_strategy("ones", k, b, momentum=0.9, decay=0.5)
     ref = factorize(build_workload("ones", k, b)[:, 0], k, b, kind="ones")
-    np.testing.assert_array_equal(ones.C, ref.C)
+    np.testing.assert_array_equal(dense_c(ones), dense_c(ref))
     assert ones.kind == "ones"
     np.testing.assert_array_equal(ones.w, build_strategy("ones", k, b).w)
     mom = build_strategy("momentum", k, b, momentum=0.9, decay=0.5)
@@ -481,7 +535,7 @@ def test_build_strategy_reads_momentum_and_decay_only_where_the_workload_does():
     assert not np.array_equal(md.w, build_strategy(
         "momentum_decay", k, b, momentum=0.9, decay=0.25).w)
     ident = build_strategy("identity", k, b, momentum=0.9, decay=0.5)
-    np.testing.assert_array_equal(ident.C, identity_strategy(k, b).C)
+    np.testing.assert_array_equal(dense_c(ident), dense_c(identity_strategy(k, b)))
     with pytest.raises(ValueError):
         build_strategy("mystery", k, b)
 
@@ -558,7 +612,7 @@ def test_full_band_stream_is_the_full_prefix_solve(strategy):
     # full solve's summation order, so they reproduce its bits
     z = np.random.default_rng(11).standard_normal((strategy.steps, 37))
     rows = np.stack(list(forward_substitution_rows(strategy.r, iter(z))))
-    np.testing.assert_array_equal(rows, _full_prefix_rows(strategy.C, z))
+    np.testing.assert_array_equal(rows, _full_prefix_rows(dense_c(strategy), z))
 
 
 def test_stream_rows_are_fresh_arrays():
@@ -627,7 +681,7 @@ def test_mf_noise_stream_reconstructs_z():
     rows = np.stack(list(mf_noise_stream(strat, sigma, d, seed)))
     rng = np.random.default_rng(seed)
     z = np.stack([rng.standard_normal(d) * sigma for _ in range(6)])
-    np.testing.assert_allclose(strat.C @ rows, z, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dense_c(strat) @ rows, z, rtol=0, atol=1e-10)
 
 
 def test_mf_noise_stream_edge_cases():

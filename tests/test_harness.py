@@ -7,6 +7,7 @@ import gzip
 import io
 import math
 import os
+import re
 import struct
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from dpsrgd import accounting, counting, optim
-from dpsrgd.counting import build_workload, factorize
+from dpsrgd.counting import factorize
 from dpsrgd.harness import (
     ExperimentSpec,
     MetricRow,
@@ -26,6 +27,7 @@ from dpsrgd.harness import (
     _ci95,
     _data_rng,
     _pass_stream,
+    _read_label_csv,
     data_dir,
     emit_csv,
     load_dataset,
@@ -37,6 +39,7 @@ from dpsrgd.objectives import LogisticTask, LossProblem, SyntheticQuadratic
 from dpsrgd.optim import RunAborted, RunRecord
 
 from dataset_files import save_csv
+from dense_reference import build_workload, column_group_sens, dense_c
 
 IDX_NAMES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
              "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
@@ -794,6 +797,56 @@ def test_csv_test_file_of_another_width_is_rejected_by_name(tmp_path):
         load_dataset(str(train), "csv")
 
 
+def test_csv_test_label_outside_the_train_classes_is_rejected_with_its_file_and_line(tmp_path):
+    # LogisticTask raised "eval labels out of range", naming neither file
+    train = tmp_path / "data.csv"
+    save_csv(np.array([0, 1, 0]), np.eye(3), str(train))
+    (tmp_path / "data.test.csv").write_text("label,f0,f1,f2\n1,0,0,1\n2,1,0,0\n")
+    with pytest.raises(ValueError, match=r"data\.test\.csv, line 3: label 2 is not a class "
+                                         r"of the train split, 0 \.\. 1"):
+        load_dataset(str(train), "csv")
+
+
+@pytest.mark.parametrize("name", ["data.csv", "data.test.csv"])
+def test_csv_negative_label_is_rejected_with_its_file_and_line(tmp_path, name):
+    # LogisticTask raised "labels out of range", with no file and no line
+    train = tmp_path / "data.csv"
+    save_csv(np.array([0, 1]), np.eye(2), str(train))
+    (tmp_path / name).write_text("label,f0,f1\n0,1.0,2.0\n-1,3.0,4.0\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(name)}, line 3: label -1 is negative"):
+        load_dataset(str(train), "csv")
+
+
+def test_idx_test_label_outside_the_train_classes_is_rejected_by_name(tmp_path):
+    _, train_y, _, test_y = _make_idx_dir(str(tmp_path), classes=3, seed=5)
+    assert train_y.max() == 2
+    test_y[4] = 7
+    _write_idx_labels(str(tmp_path / IDX_NAMES[3]), test_y)
+    with pytest.raises(ValueError, match=rf"{IDX_NAMES[3]}: label 7 at entry 4 is not a "
+                                         r"class of the train split, 0 \.\. 2"):
+        load_dataset(str(tmp_path), "idx")
+
+
+def test_csv_loader_parses_into_the_kept_buffers(tmp_path):
+    # the rows went through a list of float lists and then np.array, which
+    # peaked at about 5.2 times the arrays kept
+    rng = np.random.default_rng(6)
+    path = str(tmp_path / "data.csv")
+    save_csv(rng.integers(0, 10, 2000), rng.standard_normal((2000, 50)), path)
+    tracemalloc.start()
+    try:
+        features, labels = _read_label_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= features.nbytes + labels.nbytes + 128 * 1024
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    np.testing.assert_array_equal(features, np.array([[float(v) for v in r[1:]] for r in rows]),
+                                  strict=True)
+    np.testing.assert_array_equal(labels, np.array([int(r[0]) for r in rows]), strict=True)
+
+
 # ---------------------------------------------------------------------------
 # sweep execution
 
@@ -1339,7 +1392,7 @@ def test_identity_memf_strategy_is_sound_over_epochs(monkeypatch):
     assert sigma == (cfg.c_clip / spec.batch_size * strategy.sens
                      / math.sqrt(2.0 * rho)) > 0
     assert (strategy.k, strategy.b) == (2, b) and cfg.steps == 2 * b
-    assert counting.column_group_sens(strategy.C, 2, b) <= 1.0 + 1e-9
+    assert column_group_sens(dense_c(strategy), 2, b) <= 1.0 + 1e-9
     assert float(table.header["strategy_sens"]) <= 1.0 + 1e-9
     rows = lambda strategy: np.stack(list(mf_noise_stream(
         strategy, sigma, spec.dim, seed)))

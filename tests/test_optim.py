@@ -13,7 +13,6 @@ import pytest
 from dpsrgd.counting import (
     TreeState,
     build_strategy,
-    build_workload,
     factorize,
     gaussian_rows,
     identity_strategy,
@@ -45,6 +44,8 @@ from dpsrgd.optim import (
     run_independent_variant,
     variance_probe,
 )
+
+from dense_reference import build_workload
 
 
 def _quadratic(dim=6, noise_scale=0.4, target_norm=0.6, seed=0, cls=SyntheticQuadratic):
