@@ -55,9 +55,9 @@ class _Algorithm:
     recursive: bool = False
 
     def lipschitz_bound(self, clip: float) -> bool:
-        """Whether srgd_sigma's (L, M) bound sizes the noise: iterate-scale
-        i.i.d. rows, or an unclipped tree."""
-        return self.mechanism == "iid" or (self.mechanism == "tree" and math.isinf(clip))
+        """Whether srgd_sigma's (L, M) bound sizes the noise: only for the
+        tree at an infinite clip, where no clip bounds the release."""
+        return self.mechanism == "tree" and math.isinf(clip)
 
 
 _ALGORITHMS = {
@@ -86,7 +86,7 @@ def data_dir(spec_path: str = "") -> str:
 class ExperimentSpec:
     """One experiment: a task, an algorithm, a privacy target, sweep grids,
     and replication settings. Serializes to a flat key=value text config
-    ('#' starts a comment) and round-trips losslessly."""
+    ('#' starts a comment); to_text raises for a value that would not round-trip."""
 
     task: str = "synthetic"
     algorithm: str = "dp_memf"
@@ -217,7 +217,12 @@ class ExperimentSpec:
     def to_text(self) -> str:
         lines = ["# experiment configuration"]
         for f in dataclasses.fields(self):
-            lines.append(f"{f.name}={_format_value(getattr(self, f.name))}")
+            text = _format_value(value := getattr(self, f.name))
+            if "#" in text or text != text.strip() or len(text.splitlines()) > 1 or (
+                    isinstance(value, str) and text == "none"):
+                raise ValueError(f"config key {f.name!r}: from_text would not read "
+                                 f"{text!r} back as written")
+            lines.append(f"{f.name}={text}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -541,8 +546,8 @@ def _noise_sigma(rho: float, clip: float, B: int, sens: float) -> float:
     """Noise std of every clip-calibrated run at rho-zCDP, 0 at rho = inf:
     (clip / B) * sens / sqrt(2 rho). One example moves the released mean of
     clipped vectors by at most clip / B per step it is in; sens is the
-    mechanism's: the strategy's for the matrix-factorization runs (exactly
-    1 for dp_sgd's identity) and `counting.tree_sens(T)` for the tree."""
+    mechanism's: the strategy's for the matrix-factorization runs, 1 for
+    i.i.d. rows (dp_sgd, independent_variant), `tree_sens(T)` for the tree."""
     if math.isinf(rho):
         return 0.0
     return clip / B * sens / math.sqrt(2.0 * rho)
@@ -554,15 +559,13 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
     T = spec.steps
     ball = ConstraintBall(problem.dim, spec.radius)
     beta = 2.0 * problem.smoothness * T
-    if algo.lipschitz_bound(clip):
-        sigma = 0.0 if math.isinf(spec.epsilon) else accounting.srgd_sigma(
+    if algo.lipschitz_bound(clip):  # tree rows add to raw increments, beta times its scale
+        sigma = 0.0 if math.isinf(spec.epsilon) else beta * accounting.srgd_sigma(
             problem.lipschitz, problem.smoothness, ball.diameter, spec.epsilon,
             spec.delta, B, beta, T)
-        if algo.mechanism == "tree":
-            sigma *= beta  # tree rows add to raw increments, beta times its scale
     else:
-        sens = strategy.sens if strategy is not None else counting.tree_sens(T)
-        sigma = _noise_sigma(rho, clip, B, sens)
+        sigma = _noise_sigma(rho, clip, B, strategy.sens if strategy is not None else
+                             counting.tree_sens(T) if algo.mechanism == "tree" else 1.0)
 
     if algo.multi_epoch:
         # b fixed batches, the same in the same order every epoch; on the

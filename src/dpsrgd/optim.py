@@ -7,14 +7,14 @@ binary-tree prefix noise, divided by eta_t, serves as the gradient estimate.
 Each example is visited in exactly one batch and contributes exactly two
 gradient evaluations there.
 
-Also provided: an independent-gradient variant of the same accelerated
-scheme, matrix-factorization training (run_dp_srg_memf): projected DP-SGD
-(the identity strategy) and DP-FTRL, and multi-epoch training over
-recursive gradients or, at decay 0, plain ones; and a frozen-point probe
-of the plain recursive estimate, whose variance grows with t. Every
-runner is private: it takes its noise rows from the caller, as it takes
-its batches, and the configs hold optimizer settings, not the mechanism,
-its calibration or its seed: MemfConfig takes the run's length alone.
+Also provided: the same accelerated scheme on fresh clipped gradients
+plus i.i.d. rows (DP-SGD's estimate), matrix-factorization training
+(run_dp_srg_memf): projected DP-SGD (the identity strategy) and DP-FTRL,
+and multi-epoch training over recursive gradients or, at decay 0, plain
+ones; and a frozen-point probe of the plain recursive estimate, whose
+variance grows with t. Every runner is private: it takes its noise rows
+from the caller, as it takes its batches, and the configs hold optimizer
+settings, not the mechanism, its calibration or its seed.
 """
 
 from __future__ import annotations
@@ -192,10 +192,10 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
 
 def _accelerated(problem: LossProblem, cfg: SrgdConfig):
     """Update: the aggressive (z) and conservative (y) projected steps on
-    the estimate, then interpolation to the next query point x; a noise
-    row b moves z by b and y by b / eta_t. Returns (update, finish); the
-    potential is recorded before every step and after the last when the
-    problem knows its optimum."""
+    the gradient estimate g, noise included, then interpolation to the next
+    query point x. Returns (update, finish); the potential is recorded
+    before every step and after the last when the problem knows its
+    optimum."""
     if cfg.ball.dim != problem.dim:
         raise ValueError(f"ball dim {cfg.ball.dim} != problem dim {problem.dim}")
     y = z = np.zeros(problem.dim)
@@ -206,13 +206,10 @@ def _accelerated(problem: LossProblem, cfg: SrgdConfig):
         if pot is not None:
             pot[t] = potential(problem, y, z, x_star, cfg.beta, t * (t + 1) / 2)
 
-    def update(t, x, g, b):
+    def update(t, x, g):
         nonlocal y, z
-        eta_t = t + 1.0
         record_potential(t)
-        z_step, y_step = z - (eta_t / cfg.beta) * g, x - g / cfg.beta
-        if b is not None:
-            z_step, y_step = z_step + b, y_step + b / eta_t
+        z_step, y_step = z - ((t + 1.0) / cfg.beta) * g, x - g / cfg.beta
         _check_finite(t, "non-finite iterate", z_step, y_step)
         z, y = _project(z_step, cfg.ball.radius), _project(y_step, cfg.ball.radius)
         return _norm(g), (_interpolate(y, z, 2.0 / (t + 3)), z, y)
@@ -245,7 +242,7 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, noise,
     def update(t, x, delta, xi):
         nonlocal total
         total += delta
-        return accelerate(t, x, (total + xi) / (t + 1.0), None)
+        return accelerate(t, x, (total + xi) / (t + 1.0))
 
     rec = _drive(problem, stream, cfg.T, estimate, noise, update, finish)
     rec.noise_norm /= cfg.beta
@@ -254,14 +251,14 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, noise,
 
 def run_independent_variant(problem: LossProblem, stream, noise,
                             cfg: SrgdConfig) -> RunRecord:
-    """Same accelerated updates but with a fresh minibatch gradient each
-    step (one evaluation per example) and, in place of the tree's prefix
-    rows, independent per-step rows from `noise` (`counting.gaussian_rows`
-    for a private run)."""
-    update, finish = _accelerated(problem, cfg)
+    """Same accelerated updates on a fresh clipped minibatch gradient g_t
+    each step (one evaluation per example) plus the step's row w_t from
+    `noise` (`counting.gaussian_rows` for a private run): DP-SGD's estimate
+    g_t + w_t, whose norm grad_norm holds, in place of the tree's prefix."""
+    accelerate, finish = _accelerated(problem, cfg)
     return _drive(problem, stream, cfg.T,
                   lambda t, x, prev_x, batch: problem.clipped_mean_grad(x, batch, cfg.clip),
-                  noise, update, finish)
+                  noise, lambda t, x, g, w: accelerate(t, x, g + w), finish)
 
 
 def frozen_srg_estimates(problem: LossProblem, batches, steps) -> np.ndarray:

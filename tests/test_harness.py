@@ -60,6 +60,20 @@ def test_spec_text_round_trip():
     assert ExperimentSpec.from_text(text) == spec
 
 
+@pytest.mark.parametrize("key, value", [
+    ("output", "runs#1/out.csv"), ("data_path", "data\nmore"), ("data_path", "data\r"),
+    ("data_path", " data"), ("output", "out.csv\t"), ("data_path", "a\x85b"),
+    ("output", "none")])
+def test_spec_to_text_refuses_a_value_that_would_not_read_back(key, value):
+    # output="runs#1/out.csv" was written as is and read back as "runs", and
+    # a line break in data_path made from_text raise "malformed config line"
+    with pytest.raises(ValueError, match=f"config key '{key}': from_text would not read"):
+        ExperimentSpec(**{key: value}).to_text()
+    for kept in ("my data/dir", "a=b", ""):
+        spec = ExperimentSpec(**{key: kept})
+        assert getattr(ExperimentSpec.from_text(spec.to_text()), key) == kept
+
+
 def test_spec_parses_comments_and_blank_lines():
     text = "\n# leading comment\nalgorithm=dp_ftrl  # trailing comment\n\n"
     spec = ExperimentSpec.from_text(text)
@@ -178,8 +192,14 @@ def test_spec_rejects_infinite_clip_with_finite_budget(algorithm):
 
 @pytest.mark.parametrize("algorithm", ["accelerated_dp_srgd", "independent_variant"])
 def test_infinite_clip_runs_where_noise_comes_from_lipschitz_bounds(algorithm):
-    table, _ = run_experiment(_tiny_spec(algorithm=algorithm, clip_grid=(math.inf,),
-                                         repeats=1))
+    spec = _tiny_spec(algorithm=algorithm, clip_grid=(math.inf,), repeats=1)
+    if algorithm == "independent_variant":
+        # its rows are sized by the clip, as DP-SGD's are: with no clip a
+        # finite budget is rejected, and only epsilon = inf runs
+        with pytest.raises(ValueError, match="needs a finite clip: its noise scales"):
+            spec.validate()
+        spec = dataclasses.replace(spec, epsilon=math.inf)
+    table, _ = run_experiment(spec)
     assert (table.rows[0].n_runs, table.rows[0].n_aborted) == (1, 0)
 
 
@@ -384,10 +404,6 @@ def test_a_budget_given_as_rho_runs_with_the_noise_of_its_epsilon(algorithm):
                                rho=accounting.rho_for_dp(2.0, spec.delta))
     (rec,) = run_experiment(spec)[1].values()
     assert rec.noise_norm.min() > 0
-    if algorithm == "independent_variant":
-        with pytest.raises(ValueError, match="srgd_sigma, which needs epsilon"):
-            twin.validate()
-        return
     (twin_rec,) = run_experiment(twin)[1].values()
     np.testing.assert_array_equal(twin_rec.noise_norm, rec.noise_norm)
     np.testing.assert_array_equal(twin_rec.final_x, rec.final_x)
@@ -410,6 +426,12 @@ def test_a_budget_given_as_both_epsilon_and_rho_is_rejected(rho):
 def test_lipschitz_bound_runs_reject_a_budget_given_only_as_rho(algorithm, clip_grid):
     spec = _tiny_spec(algorithm=algorithm, epsilon=math.inf, rho=0.5,
                       clip_grid=clip_grid)
+    if algorithm == "independent_variant":
+        # clip-calibrated at a finite clip: rho sizes its rows, and no
+        # srgd_sigma needs epsilon
+        (rec,) = run_experiment(dataclasses.replace(spec, repeats=1))[1].values()
+        assert rec.noise_norm.min() > 0
+        return
     with pytest.raises(ValueError, match="needs epsilon"):
         spec.validate()
     log = []
@@ -426,6 +448,11 @@ def test_lipschitz_bound_runs_reject_a_single_step(algorithm, clip_grid):
     # srgd_sigma needs T >= 2: steps=1 used to pass validation and fail in
     # the first run, after the budget and data events, naming no config key
     spec = _tiny_spec(algorithm=algorithm, steps=1, clip_grid=clip_grid)
+    if algorithm == "independent_variant":
+        # clip-calibrated at a finite clip: no srgd_sigma needs T >= 2
+        (rec,) = run_experiment(dataclasses.replace(spec, repeats=1))[1].values()
+        assert rec.steps == 1 and rec.noise_norm.min() > 0
+        return
     log = []
     with pytest.raises(ValueError, match="steps"):
         run_experiment(spec, event_log=log)
@@ -475,11 +502,93 @@ def test_accelerated_tree_is_calibrated_to_the_clipped_increment(monkeypatch):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _cli_shape(**kw):
+    """The synthetic CLI sweep's shape: d = 20, T = B = 256, delta = 1e-6."""
+    base = dict(task="synthetic", algorithm="accelerated_dp_srgd", epsilon=2.0, delta=1e-6,
+                dim=20, steps=256, batch_size=256, clip_grid=(2.0,), repeats=1,
+                output="unused.csv")
+    return ExperimentSpec(**{**base, **kw})
+
+
+def test_independent_variant_holds_its_budget_on_a_coupled_replay(monkeypatch):
+    # Replays the harness's own run of the variant (its batches, its rows
+    # and their sigma) on two batch streams that differ in one example of
+    # the last step: one zeroes it out, d' = x_{T-1}, whose gradient there is
+    # 0, as _noise_sigma's clip / B assumes. With the rows fixed, the
+    # pre-projection z step is the last release: it may move by at most
+    # sqrt(2 rho) times the std its row puts on it. The release is affine in
+    # the row, so a run with the last row doubled reads that std. Earlier
+    # versions added srgd_sigma rows to the iterates: about 1.56 against the
+    # 0.368 of sqrt(2 rho) here.
+    spec = _cli_shape(algorithm="independent_variant")
+    real_rows, real_run, real_project = (counting.gaussian_rows,
+                                         optim.run_independent_variant, optim._project)
+    handed = {}
+
+    def rows_spy(sigma, d, seed, n):
+        handed.update(sigma=sigma, rows=list(real_rows(sigma, d, seed, n)))
+        return iter(handed["rows"])
+
+    def run_spy(problem, stream, noise, cfg):
+        handed.update(problem=problem, batches=list(stream), cfg=cfg)
+        return real_run(problem, iter(handed["batches"]), noise, cfg)
+
+    monkeypatch.setattr(counting, "gaussian_rows", rows_spy)
+    monkeypatch.setattr(optim, "run_independent_variant", run_spy)
+    run_experiment(spec)
+    problem, batches, rows, cfg = (handed[k] for k in ("problem", "batches", "rows", "cfg"))
+
+    def replay(batches, rows):
+        """(pre-projection z step, query point) of every step."""
+        z_steps, points = [], []
+        grad = problem.clipped_mean_grad
+        with monkeypatch.context() as patch:
+            patch.setattr(optim, "_project", lambda v, r: (
+                z_steps.append(v.copy()), real_project(v, r))[1])
+            patch.setattr(problem, "clipped_mean_grad", lambda x, batch, c: (
+                points.append(x.copy()), grad(x, batch, c))[1])
+            real_run(problem, iter(batches), iter(rows), cfg)
+        return z_steps[0::2], points  # _project takes z's step, then y's
+
+    z_steps, points = replay(batches, rows)
+    doubled_steps, _ = replay(batches, rows[:-1] + [2.0 * rows[-1]])
+    std = (np.linalg.norm(doubled_steps[-1] - z_steps[-1]) / np.linalg.norm(rows[-1])
+           * handed["sigma"])
+    # the last batch with its first example moved to where its gradient at
+    # x_{T-1} is twice the clip, and with it zeroed out
+    x, last = points[-1], batches[-1].copy()
+    away = x - last[0]
+    last[0] = x - 2.0 * cfg.clip * away / np.linalg.norm(away)
+    far_steps, _ = replay(batches[:-1] + [last], rows)
+    last[0] = x
+    zero_steps, _ = replay(batches[:-1] + [last], rows)
+    np.testing.assert_array_equal(far_steps[:-1], z_steps[:-1])
+    np.testing.assert_array_equal(zero_steps[:-1], z_steps[:-1])
+    mu = np.linalg.norm(far_steps[-1] - zero_steps[-1]) / std
+    bound = math.sqrt(2.0 * accounting.rho_for_dp(spec.epsilon, spec.delta))
+    # the clip binds, so the replay reaches the bound: sigma is not oversized
+    assert bound * (1 - 1e-6) <= mu <= bound * (1 + 1e-9), (mu, bound)
+
+
+@pytest.mark.parametrize("epsilon", [2.0, 0.2])
+def test_recursive_increments_beat_fresh_gradients_at_equal_calibration(epsilon):
+    # The paper's claim that only the gradient difference pays for privacy:
+    # at one clip calibration, the recursive method's mean excess is at
+    # least 5x below the fresh-gradient variant's at clip 2.
+    excess = {}
+    for algorithm in ("accelerated_dp_srgd", "independent_variant"):
+        table, _ = run_experiment(_cli_shape(algorithm=algorithm, epsilon=epsilon,
+                                             repeats=4, seed_base=0))
+        assert table.header["noise_calibration"] == "clip"
+        excess[algorithm] = table.rows[0].excess_mean
+    assert excess["independent_variant"] >= 5.0 * excess["accelerated_dp_srgd"], excess
+
+
 @pytest.mark.parametrize("algorithm, clip_grid, calibration", [
     ("accelerated_dp_srgd", (0.5,), "clip"),
     ("dp_sgd", (0.5,), "clip"),
     ("dp_memf", (0.5, 1.0), "clip"),
-    ("independent_variant", (0.5,), "lipschitz_bound"),
+    ("independent_variant", (0.5,), "clip"),
     ("accelerated_dp_srgd", (math.inf,), "lipschitz_bound"),
     ("accelerated_dp_srgd", (0.5, math.inf), "clip+lipschitz_bound")])
 def test_header_names_the_noise_calibration(tmp_path, algorithm, clip_grid, calibration):
@@ -1220,8 +1329,6 @@ def test_finite_budget_stream_longer_than_one_pass_is_rejected(tmp_path, algorit
     spec = _tiny_spec(task="csv-dataset", algorithm=algorithm, repeats=1,
                       batch_size=16, **budget)
     match = "12 steps of batch size 16 over 64 examples use some examples in up to 3 steps"
-    if algorithm == "independent_variant" and "rho" in budget:
-        match = "needs epsilon, not rho alone"  # srgd_sigma sizes its noise
     with pytest.raises(ValueError, match=match):
         run_experiment(spec, dataset=spy)
     assert spy.delivered == []

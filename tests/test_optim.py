@@ -284,34 +284,38 @@ def test_accelerated_train_loss_is_loss_at_each_iterate(clip):
 
 
 def _reference_independent(problem, batches, cfg, rows):
-    """The independent variant's loop on the given noise rows; returns the
-    final point and the query point of every step."""
+    """The independent variant's loop on the given noise rows: each row is
+    added to the step's clipped mean gradient, and both steps take the
+    sum. Returns the final point and the norm of every step's noisy
+    gradient."""
     eta, _, tau = _schedule(cfg.T)
     x = np.zeros(problem.dim)
     y, z = x, x
-    xs = []
-    for t, (batch, b_t) in enumerate(zip(batches, rows)):
-        xs.append(x)
-        grad_est = problem.per_example_grads(x, batch).mean(axis=0)
-        z = project_ball(z - (eta[t] / cfg.beta) * grad_est + b_t, cfg.ball)
-        y = project_ball(x - grad_est / cfg.beta + b_t / eta[t], cfg.ball)
+    norms = []
+    for t, (batch, w_t) in enumerate(zip(batches, rows)):
+        grad_est = clip_rows(problem.per_example_grads(x, batch), cfg.clip).mean(axis=0) + w_t
+        norms.append(np.linalg.norm(grad_est))
+        z = project_ball(z - (eta[t] / cfg.beta) * grad_est, cfg.ball)
+        y = project_ball(x - grad_est / cfg.beta, cfg.ball)
         x = interpolate(y, z, tau[t + 1])
-    return y, xs
+    return y, norms
 
 
 def test_independent_variant_matches_reference_loop():
+    # rows of the clip calibration, sens 1: the harness's sigma for the variant
     problem = _quadratic(seed=3)
-    T, B = 10, 6
+    T, B, clip = 10, 6, 0.5
     batches = _batches(problem, T, B, seed=4)
-    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
-    sigma, seed = 0.3, 23
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0), clip=clip)
+    sigma, seed = _noise_sigma(0.5, clip, B, 1.0), 23
     rec = run_independent_variant(problem, iter(batches),
                                   gaussian_rows(sigma, problem.dim, seed, T), cfg)
 
     rng = np.random.default_rng(seed)
-    y, _ = _reference_independent(problem, batches, cfg,
-                                  (rng.standard_normal(problem.dim) * sigma for _ in batches))
+    y, norms = _reference_independent(
+        problem, batches, cfg, (rng.standard_normal(problem.dim) * sigma for _ in batches))
     np.testing.assert_array_equal(rec.final_x, y)
+    np.testing.assert_array_equal(rec.grad_norm, norms)
 
 
 def test_independent_variant_adds_the_rows_it_is_handed():
@@ -321,9 +325,10 @@ def test_independent_variant_adds_the_rows_it_is_handed():
     cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
     rows = _hand_rows(T, problem.dim)
     rec = run_independent_variant(problem, iter(batches), rows, cfg)
-    y, _ = _reference_independent(problem, batches, cfg, rows)
+    y, norms = _reference_independent(problem, batches, cfg, rows)
     np.testing.assert_array_equal(rec.final_x, y)
     np.testing.assert_array_equal(rec.noise_norm, [np.linalg.norm(r) for r in rows])
+    np.testing.assert_array_equal(rec.grad_norm, norms)
 
 
 def test_one_example_moves_only_its_own_clipped_increment_by_at_most_the_clip():
