@@ -16,7 +16,6 @@ Layer map (each imports only from layers above it):
 """
 
 from .accounting import (
-    RegimeReport,
     batch_and_beta,
     build_regime_report,
     clip_norm,
@@ -76,9 +75,8 @@ from .verify import CriterionResult, run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "RegimeReport", "batch_and_beta", "build_regime_report",
-    "clip_norm", "gdp_to_dp", "mu_for_dp", "rho_for_dp",
-    "sensitivity_bound", "srgd_sigma", "zcdp_to_dp",
+    "batch_and_beta", "build_regime_report", "clip_norm", "gdp_to_dp",
+    "mu_for_dp", "rho_for_dp", "sensitivity_bound", "srgd_sigma", "zcdp_to_dp",
     "StrategyMatrix", "TreeState", "build_strategy", "factorize",
     "identity_strategy", "mf_noise_stream", "prefix_nodes",
     "tree_baseline_objective", "tree_error_bound", "tree_ingest", "tree_prefix",

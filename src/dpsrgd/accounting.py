@@ -1,5 +1,7 @@
 """Privacy calculus: sensitivity bounds, noise calibration, budget
-conversions, and parameter-regime validity checks.
+conversions, and parameter-regime validity checks. The regime checks come
+back from build_regime_report as a plain dict of values and flags, which
+the harness writes as the summary's regime_* header keys.
 
 Convention: natural logarithms everywhere except the dyadic tree depth
 ceil(log2 T), which is base 2 (see counting). All functions are pure.
@@ -8,11 +10,9 @@ ceil(log2 T), which is base 2 (see counting). All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 __all__ = [
-    "RegimeReport",
     "sensitivity_bound",
     "clip_norm",
     "srgd_sigma",
@@ -122,51 +122,21 @@ def rho_for_dp(eps: float, delta: float) -> float:
     return root * root
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    """Derived run parameters with validity flags for every regime
-    inequality the utility theory assumes. Flags mirror the inequalities
-    exactly; no slack is folded in."""
-
-    beta: float
-    clip_bound: float
-    d_max: float
-    b_max_batch: float
-    valid: dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def dp_valid(self) -> bool:
-        return all(self.valid.values())
-
-    def lines(self) -> list[str]:
-        """key=value rendering used for CSV header comments."""
-        out = [
-            f"beta={self.beta:.17g}",
-            f"clip_bound={self.clip_bound:.17g}",
-            f"d_max={self.d_max:.17g}",
-            f"b_max_batch={self.b_max_batch:.17g}",
-        ]
-        out.extend(f"valid_{name}={str(flag).lower()}" for name, flag in self.valid.items())
-        out.append(f"dp_valid={str(self.dp_valid).lower()}")
-        return out
-
-
 def build_regime_report(n: int, d: int, L: float, M: float, R_diam: float,
-                        eps: float, delta: float) -> tuple[RegimeReport, int, int]:
+                        eps: float, delta: float) -> tuple[dict, int, int]:
     """Resolve the single-pass regime for a dataset of size n in dimension
-    d and report every validity check. Returns (report, B, T)."""
+    d. Returns (report, B, T): report holds beta, clip_bound, d_max and
+    b_max_batch, a valid_<name> flag per regime inequality the utility
+    theory assumes (exactly the inequality, no slack folded in) and
+    dp_valid, whether all of them hold."""
     B, T, beta = batch_and_beta(n, L, M, R_diam, eps, delta, d)
     d_cap = dim_max(B, beta, eps, delta, M, T)
-    report = RegimeReport(
-        beta=beta,
-        clip_bound=clip_norm(L, M, R_diam),
-        d_max=d_cap,
-        b_max_batch=math.sqrt(n),
-        valid={
-            "beta_ge_2MT": beta >= 2.0 * M * T,
-            "dim_ok": d <= d_cap,
-            "batch_le_sqrt_n": B <= math.sqrt(n),
-            "single_epoch": B * T >= n,
-        },
-    )
+    valid = {
+        "valid_beta_ge_2MT": beta >= 2.0 * M * T,
+        "valid_dim_ok": d <= d_cap,
+        "valid_batch_le_sqrt_n": B <= math.sqrt(n),
+        "valid_single_epoch": B * T >= n,
+    }
+    report = {"beta": beta, "clip_bound": clip_norm(L, M, R_diam), "d_max": d_cap,
+              "b_max_batch": math.sqrt(n), **valid, "dp_valid": all(valid.values())}
     return report, B, T

@@ -203,6 +203,11 @@ class ExperimentSpec:
                 raise ValueError(f"{self.algorithm} at clip {clip} sizes its noise by "
                                  "srgd_sigma, which needs epsilon, not rho alone, and "
                                  f"steps >= 2: got epsilon={self.epsilon}, steps={self.steps}")
+            if (algo.lipschitz_bound(clip) and self.task == "synthetic"
+                    and self.train_size < 4):
+                raise ValueError(f"{self.algorithm} at clip {clip} states srgd_sigma's "
+                                 "theory regime in its summary, which needs "
+                                 f"train_size >= 4, got train_size={self.train_size}")
         # momentum drives the multi-epoch steps and shapes the momentum
         # workloads' strategies; nothing else reads it
         if (self.momentum != ExperimentSpec.momentum and not algo.multi_epoch
@@ -611,9 +616,10 @@ def _selection_metrics(spec, problem, x):
 
 def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=None):
     """Execute the sweep: budget accounting first, then data, then one
-    strategy per c for the algorithms that add a strategy's noise, then
-    `repeats` seeded runs per grid point. Returns (MetricTable, records)
-    where records maps (lr, clip, c, repeat) -> RunRecord or RunAborted.
+    strategy per c for the algorithms that add a strategy's noise and the
+    summary header, then `repeats` seeded runs per grid point. Returns
+    (MetricTable, records) where records maps (lr, clip, c, repeat) ->
+    RunRecord or RunAborted.
 
     Each finished run's final iterate is evaluated once, by the worker that
     ran it, after the runner has freed its noise state. With `on_run`,
@@ -632,6 +638,9 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     if spec.honest_selection and not isinstance(problem, LogisticTask):
         raise ValueError(f"honest_selection splits a held-out set, and a "
                          f"{type(problem).__name__} has none")
+    if spec.honest_selection and (rows := len(problem._heldout()[1])) < 2:
+        raise ValueError("honest_selection splits the held-out set into two halves, "
+                         f"which needs at least 2 rows, got {rows}")
     rho = budget["rho"]
     n = problem.n_train if spec.task != "synthetic" else spec.train_size
     if n < spec.batch_size:
@@ -654,6 +663,22 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
         strategies = {c: counting.build_strategy(algo.workload or spec.workload, k, b,
                                                  momentum=spec.momentum, decay=c)
                       for c in cs}
+    table = MetricTable(header={**{k: _format_value(v) for k, v in budget.items()},
+                                "task": spec.task, "algorithm": spec.algorithm,
+                                "workload": spec.workload,
+                                "max_participation": str(participation)})
+    calibration = "none" if math.isinf(rho) else "+".join(sorted({
+        "lipschitz_bound" if algo.lipschitz_bound(clip) else "clip" for clip in clips}))
+    table.header["noise_calibration"] = calibration
+    if strategies:  # the matrix-factorization runs: the strategies they used
+        table.header["strategy_sens"] = _format_value(
+            max(s.sens for s in strategies.values()))
+    if spec.task == "synthetic" and "lipschitz_bound" in calibration:
+        # the theory regime of srgd_sigma, which sized some of the runs
+        report, _, _ = accounting.build_regime_report(
+            spec.train_size, problem.dim, problem.lipschitz, problem.smoothness,
+            2.0 * spec.radius, spec.epsilon, spec.delta)
+        table.header.update((f"regime_{k}", _format_value(v)) for k, v in report.items())
 
     jobs = []
     for lr, clip, c in grid:
@@ -687,25 +712,6 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-
-    table = MetricTable(header={**{k: _format_value(v) for k, v in budget.items()},
-                                "task": spec.task, "algorithm": spec.algorithm,
-                                "workload": spec.workload,
-                                "max_participation": str(participation)})
-    table.header["noise_calibration"] = "+".join(sorted({
-        "lipschitz_bound" if algo.lipschitz_bound(clip) else "clip"
-        for clip in spec.clip_grid}))
-    if strategies:  # the matrix-factorization runs: the strategies they used
-        table.header["strategy_sens"] = _format_value(
-            max(s.sens for s in strategies.values()))
-    if (spec.task == "synthetic" and algo.mechanism != "strategy"
-            and math.isfinite(spec.epsilon)):
-        report, B, T = accounting.build_regime_report(
-            spec.train_size, problem.dim, problem.lipschitz, problem.smoothness,
-            2.0 * spec.radius, spec.epsilon, spec.delta)
-        for line in report.lines():
-            k, v = line.split("=", 1)
-            table.header[f"regime_{k}"] = v
 
     for (lr, clip, c) in grid:
         outcomes = by_point[(lr, clip, c)]

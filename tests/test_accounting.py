@@ -138,18 +138,20 @@ def test_dim_max_is_unbounded_without_smoothness():
 def test_regime_report_flags_mirror_inequalities():
     report, B, T = build_regime_report(10**4, 1, 1.0, 1.0, 1.0, 1e6, 1e-6)
     assert (B, T) == (100, 100)
-    assert report.beta == 2401.0
-    assert report.valid["beta_ge_2MT"] == (report.beta >= 2.0 * T)
-    assert report.valid["dim_ok"] == (1 <= report.d_max)
-    assert report.valid["batch_le_sqrt_n"] and report.valid["single_epoch"]
-    assert report.dp_valid == all(report.valid.values())
-    lines = report.lines()
-    assert any(line.startswith("beta=") for line in lines)
-    assert any(line == f"dp_valid={str(report.dp_valid).lower()}" for line in lines)
+    assert report["beta"] == 2401.0
+    assert report["valid_beta_ge_2MT"] == (report["beta"] >= 2.0 * T)
+    assert report["valid_dim_ok"] == (1 <= report["d_max"])
+    assert report["valid_batch_le_sqrt_n"] and report["valid_single_epoch"]
+    flags = [v for k, v in report.items() if k.startswith("valid_")]
+    assert len(flags) == 4
+    assert report["dp_valid"] == all(flags)
+    assert list(report) == ["beta", "clip_bound", "d_max", "b_max_batch",
+                            "valid_beta_ge_2MT", "valid_dim_ok",
+                            "valid_batch_le_sqrt_n", "valid_single_epoch", "dp_valid"]
 
 
 def test_regime_report_flags_can_fail():
     # tiny budget in high dimension: the dimension gate must trip
     report, _, _ = build_regime_report(100, 10**7, 1.0, 1.0, 1.0, 0.01, 1e-6)
-    assert not report.valid["dim_ok"]
-    assert not report.dp_valid
+    assert not report["valid_dim_ok"]
+    assert not report["dp_valid"]

@@ -123,6 +123,19 @@ def test_run_rejects_a_finite_budget_run_over_more_than_one_pass(tmp_path, capsy
     assert parse_summary_csv(str(tmp_path / "r.csv")).header["max_participation"] == "3"
 
 
+def test_run_refuses_a_regime_too_small_for_its_header_before_any_file(tmp_path, capsys):
+    # both trajectory files were written, then the summary header's theory
+    # regime failed with "n must be >= 4, got 3" and no summary was written
+    config = tmp_path / "exp.cfg"
+    config.write_text("task=synthetic\nalgorithm=accelerated_dp_srgd\nepsilon=2\n"
+                      "clip_grid=inf\ntrain_size=3\nbatch_size=2\nsteps=4\nrepeats=2\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(config), "--output", str(out / "s.csv")]) == 2
+    assert "train_size" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_verify_subcommand_runs_selected_criteria(capsys):
     rc = main(["verify", "--criteria", "9"])
     assert rc == 0

@@ -1102,22 +1102,87 @@ def test_aborted_runs_are_recorded_not_raised():
     assert all(isinstance(r, RunAborted) for r in recs.values())
 
 
-def test_finite_budget_synthetic_reports_regime():
-    table, _ = run_experiment(_tiny_spec(algorithm="accelerated_dp_srgd",
-                                         epsilon=1.0, repeats=1))
+def test_finite_budget_synthetic_reports_regime(tmp_path):
+    spec = _tiny_spec(algorithm="accelerated_dp_srgd", clip_grid=(math.inf,),
+                      epsilon=1.0, repeats=1)
+    table, _ = run_experiment(spec)
     assert any(key.startswith("regime_") for key in table.header)
     assert "regime_dp_valid" in table.header
+    # the summary's regime lines render build_regime_report's own values
+    problem = _build_problem(spec, None, None)
+    report, _, _ = accounting.build_regime_report(
+        spec.train_size, spec.dim, problem.lipschitz, problem.smoothness,
+        2.0 * spec.radius, spec.epsilon, spec.delta)
+    path = tmp_path / "summary.csv"
+    emit_csv(table, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert f"# regime_beta={report['beta']:.17g}" in lines
+    assert f"# regime_dp_valid={str(report['dp_valid']).lower()}" in lines
+    assert [line for line in lines if line.startswith("# regime_")] == [
+        f"# regime_{k}={str(v).lower() if isinstance(v, bool) else format(v, '.17g')}"
+        for k, v in report.items()]
 
 
 @pytest.mark.parametrize("algorithm", ["accelerated_dp_srgd", "independent_variant"])
 def test_regime_header_names_no_sigma_the_runs_did_not_use(algorithm):
     # regime_sigma was srgd_sigma at the theory regime's own B, T and beta
     # (0.0027 at the CLI spec, where the tree ran at 0.0159); the other
-    # regime keys stay
-    table, _ = run_experiment(_tiny_spec(algorithm=algorithm, epsilon=1.0, repeats=1))
+    # regime keys stay where srgd_sigma sized the runs, and the
+    # clip-calibrated variant carries none
+    if algorithm == "independent_variant":
+        table, _ = run_experiment(_tiny_spec(algorithm=algorithm, epsilon=1.0, repeats=1))
+        assert not [key for key in table.header if key.startswith("regime_")]
+        return
+    table, _ = run_experiment(_tiny_spec(algorithm=algorithm, clip_grid=(math.inf,),
+                                         epsilon=1.0, repeats=1))
     assert "regime_sigma" not in table.header
     for key in ("beta", "clip_bound", "d_max", "b_max_batch", "dp_valid"):
         assert f"regime_{key}" in table.header, key
+
+
+@pytest.mark.parametrize("clip_grid, regime", [((1.0,), None), ((1.0, math.inf), "false")])
+def test_regime_keys_appear_only_where_srgd_sigma_sized_a_run(clip_grid, regime):
+    # at clip 1 the runs are clip-calibrated and hold epsilon whatever the
+    # theory regime says; the header wrote regime_dp_valid=false beside
+    # noise_calibration=clip
+    table, _ = run_experiment(_tiny_spec(
+        algorithm="accelerated_dp_srgd", clip_grid=clip_grid, epsilon=0.01, dim=2000,
+        train_size=4096, steps=4, batch_size=64, repeats=1))
+    assert table.header["noise_calibration"] == (
+        "clip" if regime is None else "clip+lipschitz_bound")
+    assert table.header.get("regime_dp_valid") == regime
+    assert bool(regime) == any(key.startswith("regime_") for key in table.header)
+
+
+@pytest.mark.parametrize("algorithm, clip_grid", [
+    ("dp_sgd", (0.5,)), ("independent_variant", (0.5,)),
+    ("accelerated_dp_srgd", (math.inf,)), ("accelerated_dp_srgd", (0.5, math.inf))])
+def test_an_infinite_budget_names_no_noise_calibration(tmp_path, algorithm, clip_grid):
+    # no run adds noise at epsilon = inf; the header named clip or
+    # lipschitz_bound there
+    table, records = run_experiment(_tiny_spec(algorithm=algorithm, clip_grid=clip_grid,
+                                               epsilon=math.inf, repeats=1))
+    assert all(rec.noise_norm.max() == 0 for rec in records.values())
+    assert table.header["noise_calibration"] == "none"
+    assert not [key for key in table.header if key.startswith("regime_")]
+    path = str(tmp_path / "summary.csv")
+    emit_csv(table, path)
+    assert parse_summary_csv(path).header["noise_calibration"] == "none"
+
+
+def test_a_regime_too_small_for_its_header_is_refused_before_any_run():
+    # the summary header, with srgd_sigma's theory regime (n >= 4), was
+    # built after every run: both trajectory files were written, then the
+    # sweep failed with "n must be >= 4, got 3" and wrote no summary
+    spec = _tiny_spec(algorithm="accelerated_dp_srgd", clip_grid=(math.inf,),
+                      train_size=3, batch_size=2, steps=4, repeats=2)
+    runs = []
+    with pytest.raises(ValueError, match="train_size >= 4, got train_size=3"):
+        run_experiment(spec, on_run=lambda *run: runs.append(run))
+    assert runs == []
+    run_experiment(dataclasses.replace(spec, epsilon=math.inf),  # no regime stated
+                   on_run=lambda *run: runs.append(run))
+    assert len(runs) == 2
 
 
 def _toy_logistic_dataset(tmp_path, n=64, p=3, seed=2):
@@ -1251,6 +1316,25 @@ def test_honest_selection_on_the_synthetic_task_is_rejected_before_any_work():
     with pytest.raises(ValueError, match="synthetic task has no held-out set"):
         run_experiment(_tiny_spec(honest_selection=True), event_log=log)
     assert log == []
+
+
+def test_honest_selection_on_a_one_row_held_out_split_is_rejected(tmp_path):
+    # the odd half of one row is empty: its accuracy was 0 / 0, a nan
+    # acc_mean after a RuntimeWarning, and exit code 0
+    rng = np.random.default_rng(5)
+    feats = rng.standard_normal((41, 3))
+    labels = (feats[:, 0] > 0).astype(np.int64)
+    save_csv(labels[:40], feats[:40], str(tmp_path / "dataset.csv"))
+    save_csv(labels[40:], feats[40:], str(tmp_path / "dataset.test.csv"))
+    spec = _tiny_spec(task="csv-dataset", algorithm="dp_sgd", epsilon=math.inf,
+                      batch_size=8, steps=4, honest_selection=True,
+                      data_path=str(tmp_path))
+    runs = []
+    with pytest.raises(ValueError, match="needs at least 2 rows, got 1"):
+        run_experiment(spec, on_run=lambda *run: runs.append(run))
+    assert runs == []
+    table, _ = run_experiment(dataclasses.replace(spec, honest_selection=False))
+    assert table.rows[0].acc_mean in (0.0, 100.0)
 
 
 def test_default_selection_uses_full_held_out_metric(tmp_path):
