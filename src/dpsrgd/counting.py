@@ -5,8 +5,8 @@ runner adds to its own exact sums (sensitivity in brackets):
 
 * i.i.d. rows, the identity mechanism (`gaussian_rows`; 1),
 * a dyadic-interval (binary tree) mechanism with per-node Gaussian noise,
-  whose prefix-noise rows stream in O(dim * log T) memory (`tree_rows`;
-  `tree_sens(T)`), and
+  whose prefix-noise rows stream in at most ceil(bit_length(T) / 2) rows
+  of dim floats (`tree_rows`; `tree_sens(T)`), and
 * matrix-factorization correlated noise, where a lower-triangular Toeplitz
   strategy matrix C (with bounded column-group sensitivity across epochs)
   shapes white noise Z into C^{-1} Z rows, streamed in O(dim * bandwidth
@@ -73,12 +73,14 @@ class TreeState:
     `dim`-dimensional vectors, with i.i.d. N(0, sigma^2) noise per node
     coordinate (Dwork et al., STOC 2010; Chan, Shi, Song, 2011).
 
-    The state, noise only, is a stack with one entry per node of
-    `prefix_nodes(ingested)`, at most ceil(log2 T) + 1 rows. The entry
-    (k, running) of a level-k node holds the running noise sum through
-    that node: the noises of the stack's nodes up to it, added left to
-    right onto zero, so the top entry is the prefix noise, read in O(1).
-    Each entry is built once, when its node opens, and is read-only.
+    The state, noise only, is a stack of entries (k, running): the
+    running noise sum through the level-k node of `prefix_nodes(ingested)`,
+    the noises of the prefix's nodes up to it added left to right onto
+    zero, so the top entry is the prefix noise, read in O(1). Only the
+    lowest node of each run of ones in the binary form of `ingested` keeps
+    an entry, since no later node adds onto the others (see `tree_ingest`):
+    at most ceil(bit_length(T) / 2) rows. Each entry is built once, when
+    its node opens, and is read-only.
     Step i draws the noise of node (j, k) with j * 2^k = i as the i-th row
     of the seed's generator, so a node's noise is a function of
     (seed, j, k) alone and depends on neither the horizon nor the data.
@@ -103,7 +105,9 @@ class TreeState:
 def tree_ingest(state: TreeState, i: int) -> TreeState:
     """Open step i's node (j, k) with j * 2^k = i, which replaces the
     prefix's nodes below level k: its entry is its noise added onto the
-    running sum of the node left of it.
+    running sum of the node left of it. That sum is then dropped if its
+    node sits at level k + 1: the next carry out of level k also carries
+    out of level k + 1, so no later node adds onto it.
 
     Steps must arrive in order 1, 2, ..., horizon.
     """
@@ -122,6 +126,8 @@ def tree_ingest(state: TreeState, i: int) -> TreeState:
     # a first node still adds onto zero, as the sum from zero did: -0.0 -> 0.0
     running += state.stack[-1][1] if state.stack else 0.0
     running.setflags(write=False)
+    if state.stack and state.stack[-1][0] == k + 1:
+        state.stack.pop()
     state.stack.append((k, running))
     state.ingested = i
     return state
@@ -307,7 +313,7 @@ class StrategyMatrix:
         return _lower_toeplitz(self.w, self.steps)
 
     def check(self, tol: float = 1e-9):
-        if self.sens > 1.0 + tol:
+        if not self.sens <= 1.0 + tol:  # a NaN sensitivity fails too
             raise ValueError(f"strategy sensitivity {self.sens} exceeds 1")
         if not self.r[0] > 0:
             raise ValueError("strategy diagonal must be strictly positive")

@@ -393,11 +393,12 @@ class LogisticTask(LossProblem):
         array as intp otherwise, cast once for the three reads that gather
         with it. Signed and unsigned batches of any width are accepted;
         the ends are compared as Python ints, so an unsigned batch never
-        wraps. An index below 0 raises IndexError here, where numpy would
-        wrap it to a row from the end, and one at or beyond n_train raises
-        it in the gather. Any non-integer batch raises ValueError: a
-        boolean mask's length, which the noise scale divides by, is not
-        the number of rows it reads."""
+        wraps. An index below 0, or an unsigned one past intp's range,
+        raises IndexError here, where numpy would wrap it to a row from
+        the end (the check reads only batches as wide as intp), and one
+        at or beyond n_train raises it in the gather. Any non-integer
+        batch raises ValueError: a boolean mask's length, which the noise
+        scale divides by, is not the number of rows it reads."""
         idx = np.asarray(batch)
         if idx.dtype.kind not in "iu":
             raise ValueError(f"batch must be an integer index array, got dtype {idx.dtype}")
@@ -405,6 +406,9 @@ class LogisticTask(LossProblem):
             return idx
         if idx.dtype.kind == "i" and idx.min() < 0:
             raise IndexError(f"negative example index {int(idx.min())} in batch")
+        if (idx.dtype.kind == "u" and idx.dtype.itemsize >= np.dtype(np.intp).itemsize
+                and idx.max() > np.iinfo(np.intp).max):
+            raise IndexError(f"example index {int(idx.max())} in batch is out of range")
         if idx.ndim == 1:
             # a difference of 1 modulo the width at every step, summing to
             # last - first = size - 1, is a difference of exactly 1

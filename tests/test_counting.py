@@ -112,7 +112,7 @@ def test_prefix_is_the_left_to_right_node_sum_bit_for_bit(sigma):
     # the stack keeps running sums; each prefix must carry exactly the bits
     # of adding its nodes' noises onto zero from left to right
     d, seed = 3, 9
-    for horizon in range(1, 71):
+    for horizon in range(1, 131):  # T = 120 and its widest steps 85 and 119
         node_noise = _node_noise_oracle(sigma, seed, horizon, d)
         rows = list(tree_rows(sigma, d, seed, horizon))
         assert len(rows) == horizon
@@ -134,14 +134,35 @@ def test_mutating_a_prefix_cannot_alter_later_prefixes():
 
 
 def test_tree_state_holds_only_the_prefix_nodes():
-    T, d = 13, 3
-    state = TreeState(T, d, sigma=1.0, seed=3)
+    # only the lowest node of each run of ones: a level-(k + 1) node under a
+    # level-k one carries out with it, so no later node adds onto its sum
+    T = 120
+    state = TreeState(T, 3, sigma=1.0, seed=3)
     for i in range(1, T + 1):
         tree_ingest(state, i)
-        assert len(state.stack) == bin(i).count("1") <= ceil_log2(T) + 1
-        assert [k for k, _ in state.stack] == [k for _, k in prefix_nodes(i)]
+        levels = {k for _, k in prefix_nodes(i)}
+        want = [k for _, k in prefix_nodes(i) if k - 1 not in levels]
+        runs = bin(i).replace("0", " ").split()
+        assert [k for k, _ in state.stack] == want
+        assert len(want) == len(runs) <= -(-T.bit_length() // 2)
         with pytest.raises(ValueError):
             tree_prefix(state, i - 1)
+
+
+def test_a_tree_pass_holds_at_most_five_rows_at_mnist_shape():
+    # T = 120: the stack holds one running sum per run of ones, at most 4
+    # (step 85 = 0b1010101), and the loop's last row stays alive while the
+    # next one is drawn, 5 rows at step 86; one sum per node of the prefix
+    # peaked at 6 rows, around steps 63, 95, 111 and 119
+    d, T = 7850, 120
+    tracemalloc.start()
+    try:
+        for row in tree_rows(1.0, d, 0, T):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * d * 8 + d * 4
 
 
 def test_tree_ingest_order_errors():
@@ -453,6 +474,15 @@ def test_strategy_check_rejects_violations():
         StrategyMatrix(np.ones(3), [1.0, 0.5], "custom", 1, 2)  # w too long
     with pytest.raises(ValueError):
         StrategyMatrix(np.ones(2), [1.0, 0.5, 0.1], "custom", 1, 2)  # r too long
+
+
+def test_a_nan_sensitivity_fails_the_check_before_any_noise_row():
+    nan_sens = StrategyMatrix(np.ones(2), [1.0, math.nan], "custom", 1, 2)
+    assert math.isnan(nan_sens.sens)
+    with pytest.raises(ValueError, match="sensitivity"):
+        nan_sens.check()
+    with pytest.raises(ValueError, match="sensitivity"):
+        mf_noise_stream(nan_sens, 1.0, 3, 0)
 
 
 def _dense_objective(strategy):

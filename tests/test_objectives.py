@@ -600,6 +600,20 @@ def test_index_batch_below_zero_raises(idx):
         problem.per_example_values(x, idx)
 
 
+@pytest.mark.parametrize("batch", [[2**64 - 1, 3], [2**63], [3, 2**63 + 5]])
+def test_uint64_index_past_intp_raises(batch):
+    # cast to intp it would wrap negative, and numpy read a row from the end
+    problem = _logistic(n=6)
+    idx = np.array(batch, dtype=np.uint64)
+    x = np.zeros(problem.dim)
+    with pytest.raises(IndexError, match="out of range"):
+        problem.srg_mean(x, x, 1.0, 0.0, idx, 1.0)
+    with pytest.raises(IndexError, match="out of range"):
+        problem.clipped_mean_grad(x, idx, 1.0)
+    with pytest.raises(IndexError, match="out of range"):
+        problem.per_example_values(x, idx)
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
 def test_unsigned_consecutive_batch_is_read_as_a_slice(dtype):
     problem = _logistic(n=40)
