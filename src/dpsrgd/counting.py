@@ -419,51 +419,64 @@ def forward_substitution_rows(r: np.ndarray, z_rows):
     Row t is emitted after consuming Z rows 1..t only, so the stream is
     causal: later Z rows cannot affect earlier outputs. Row t reads only
     the w - 1 rows before it, w = len(r) the bandwidth of C, so the state
-    is a ring of w - 1 solved rows, O(w * d) memory and work per row (w = 1
-    for a diagonal C). Every yielded row is a fresh array that the stream
-    never reads again, so a caller may scale it in place; no z row is ever
-    written to.
+    is a ring of w - 1 solved rows, O(w * d) memory and work per row. Each
+    row is solved straight into its ring slot and yielded as a fresh copy;
+    a diagonal C (w = 1) keeps no ring and yields z / r[0] through `map`.
+    Between rows the stream holds the ring alone, not the last z row or
+    the last yielded row, and every yielded row is a fresh array that the
+    stream never reads again, so a caller may scale it in place; no z row
+    is ever written to.
     """
     r = np.asarray(r, dtype=np.float64)
     width = r.shape[0] - 1  # rows in the ring; row s sits in slot s % width
+    if width == 0:
+        yield from map(lambda z: np.asarray(z, dtype=np.float64) / r[0], z_rows)
+        return
     back = r[:0:-1].copy()  # C[t, t - width:t] = r_width, ..., r_1
     ring = None
-    for t, z in enumerate(z_rows):
+    t = 0  # counted by hand: enumerate would keep the last z row in its result tuple
+    for z in z_rows:
         z = np.asarray(z, dtype=np.float64)
-        if t == 0 or width == 0:
-            row = z / r[0]
+        if ring is None:
+            ring = np.empty((width, z.shape[0]))
+        slot = ring[t % width]
+        if t == 0:
+            np.divide(z, r[0], out=slot)
         else:
             if t < width:
-                row = back[width - t:] @ ring[:t]
+                acc = back[width - t:] @ ring[:t]
             else:
                 # slot j holds row t - width + ((j - t) % width)
-                row = np.roll(back, t % width) @ ring
-            np.subtract(z, row, out=row)  # z - (C row) @ ring, into the GEMV's output
-            row /= r[0]
-        if width:
-            if ring is None:
-                ring = np.empty((width, z.shape[0]))
-            ring[t % width] = row
-        yield row
+                acc = np.roll(back, t % width) @ ring
+            # the GEMV has read row t - width before row t overwrites its slot
+            np.subtract(z, acc, out=slot)  # z - (C row) @ ring
+            slot /= r[0]
+            del acc
+        del z
+        yield slot.copy()
+        t += 1
 
 
 def gaussian_rows(sigma: float, d: int, seed: int, n: int):
     """Stream n rows of d entries i.i.d. N(0, sigma^2) from
     `default_rng(seed)`, each scaled in place (the bits of
     standard_normal(d) * sigma): the identity mechanism, which holds no
-    matrix. sigma is checked at the call, before the first row."""
+    matrix. Each row is handed over through `map`, with no generator local
+    binding it, so between rows the stream holds none. sigma is checked at
+    the call, before the first row."""
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     rng = np.random.default_rng(seed)
-    rows = (rng.standard_normal(d) for _ in range(n))
-    return (np.multiply(z, sigma, out=z) for z in rows)
+    return map(lambda z: np.multiply(z, sigma, out=z),
+               (rng.standard_normal(d) for _ in range(n)))
 
 
 def mf_noise_stream(strategy: StrategyMatrix, sigma: float, d: int, seed: int):
     """Stream the kb rows of C^{-1} Z, Z the `gaussian_rows` of std sigma
-    (checked at the call). sigma = 0 yields the all-zero stream. The stream
-    holds (len(r) - 1) x d solved rows, len(r) <= b for the banded
-    strategies of `factorize` and 1 for the identity. A rho-zCDP release of
+    (checked at the call). sigma = 0 yields the all-zero stream. Between
+    rows the stream holds (len(r) - 1) x d solved rows and no other row,
+    len(r) <= b for the banded strategies of `factorize` and 1 for the
+    identity. A rho-zCDP release of
     a stream of per-example sensitivity s takes sigma = s * sens / sqrt(2 rho).
     A singular C raises LinAlgError, then a strategy failing `check` ValueError.
     """

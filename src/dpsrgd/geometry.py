@@ -114,12 +114,12 @@ def _clip_rows_in_place(mat: np.ndarray, c_clip: float) -> np.ndarray:
     """`clip_rows` on a float64 (k, dim) array that the caller owns,
     overwriting it and returning it. Nothing changes when no row is over
     c_clip (c_clip = inf included); otherwise every row is multiplied by
-    its `_clip_factors` entry."""
+    its `_clip_factors` entry. A batch of no rows is returned as it is."""
     check_clip(c_clip)
     if not np.isfinite(c_clip):
         return mat
     norms = row_norms(mat)
-    peak = norms.max()
+    peak = norms.max(initial=0.0)  # norms are >= 0 or NaN, so 0 changes no maximum
     if peak <= c_clip:
         return mat
     scale = _clip_factors(norms, c_clip)

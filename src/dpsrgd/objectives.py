@@ -67,7 +67,9 @@ class LossProblem:
 
     per_example_grads must return a fresh array that the caller owns: the
     hooks scale, subtract and clip the arrays it returns in place, so that
-    one step allocates no (m, dim) temporaries beyond them.
+    one step allocates no (m, dim) temporaries beyond them. In the same
+    way, the mean a gradient hook returns is a fresh array that the runner
+    owns and may overwrite: `run_dp_srg_memf` adds its noise row into it.
     """
 
     dim: int

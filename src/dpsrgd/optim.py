@@ -163,9 +163,11 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     checks before projecting it: the updates project and interpolate
     through geometry's cores, which take the checked vectors as they are.
     A step's estimate, noise row and batch are released before the next
-    batch is drawn, so that a run holds one of each. finish() returns the
-    runner's own RunRecord fields; no field names the runner, and the
-    caller evaluates final_x, the last reported point."""
+    batch is drawn, so that a run holds one of each, and so is the step's
+    iterates tuple, all but the last step's: between steps the loop holds
+    x and prev_x alone, and the update what a later step reads. finish()
+    returns the runner's own RunRecord fields; no field names the runner,
+    and the caller evaluates final_x, the last reported point."""
     train_loss, noise_norm, grad_norm = np.empty(T), np.empty(T), np.empty(T)
     iterates = (np.zeros(problem.dim),)
     x = prev_x = iterates[0]
@@ -186,6 +188,8 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
         grad_norm[t], iterates = update(t, x, g, w)
         prev_x, x = x, iterates[0]
         del g, w, batch
+        if t + 1 < T:
+            del iterates  # the reported point is read after the last step only
     return RunRecord(final_x=iterates[-1], train_loss=train_loss,
                      noise_norm=noise_norm, grad_norm=grad_norm, **finish())
 
@@ -195,12 +199,15 @@ def _accelerated(problem: LossProblem, cfg: SrgdConfig):
     the gradient estimate g, noise included, then interpolation to the next
     query point x. Returns (update, finish); the potential is recorded
     before every step and after the last when the problem knows its
-    optimum."""
+    optimum. The next step reads z but not y, so y is kept between steps
+    only for the potential."""
     if cfg.ball.dim != problem.dim:
         raise ValueError(f"ball dim {cfg.ball.dim} != problem dim {problem.dim}")
-    y = z = np.zeros(problem.dim)
+    z = np.zeros(problem.dim)
     x_star = problem.exact_optimum()
-    pot = np.empty(cfg.T + 1) if x_star is not None else None
+    pot = y = None
+    if x_star is not None:
+        pot, y = np.empty(cfg.T + 1), z
 
     def record_potential(t):
         if pot is not None:
@@ -211,8 +218,10 @@ def _accelerated(problem: LossProblem, cfg: SrgdConfig):
         record_potential(t)
         z_step, y_step = z - ((t + 1.0) / cfg.beta) * g, x - g / cfg.beta
         _check_finite(t, "non-finite iterate", z_step, y_step)
-        z, y = _project(z_step, cfg.ball.radius), _project(y_step, cfg.ball.radius)
-        return _norm(g), (_interpolate(y, z, 2.0 / (t + 3)), z, y)
+        z, y_next = _project(z_step, cfg.ball.radius), _project(y_step, cfg.ball.radius)
+        if pot is not None:
+            y = y_next
+        return _norm(g), (_interpolate(y_next, z, 2.0 / (t + 3)), z, y_next)
 
     def finish():
         record_potential(cfg.T)
@@ -317,6 +326,11 @@ def run_dp_srg_memf(problem: LossProblem, batches, noise,
     clipped_mean_grad. With a ball every checked step is projected onto
     it: at c = 0 that is dp_sgd for the identity strategy and dp_ftrl for
     any other, and without one dp_memf.
+
+    The update adds w_t into the estimate, which the runner owns (see
+    `LossProblem`), and updates the recursion and the velocity in place;
+    the step x_t - lr * velocity is the one fresh array a step makes. The
+    operations and their order are those of the out-of-place form.
     """
     steps, ball = cfg.steps, cfg.ball
     if hasattr(batches, "__len__") and len(batches) != steps:
@@ -337,15 +351,19 @@ def run_dp_srg_memf(problem: LossProblem, batches, noise,
             return problem.clipped_mean_grad(x, batch, cfg.c_clip)
         return problem.srg_mean(x, prev_x, 1.0, c_t, batch, cfg.c_clip)
 
-    def update(t, x, delta, w_t):
-        nonlocal velocity, grad_rec
-        g, reported = delta + w_t, delta
+    def update(t, x, g, w_t):
+        nonlocal velocity, grad_rec  # rebound by the in-place operators to themselves
+        reported = _norm(g) if grad_rec is None else None  # before w_t lands in g
+        g += w_t
         if grad_rec is not None:
-            g = reported = grad_rec = (cfg.decay if t > 0 else 0.0) * grad_rec + g
-        velocity = cfg.momentum * velocity + g
-        step = x - cfg.lr * velocity
+            grad_rec *= cfg.decay if t > 0 else 0.0
+            grad_rec += g
+            g, reported = grad_rec, _norm(grad_rec)
+        velocity *= cfg.momentum
+        velocity += g
+        step = np.multiply(velocity, cfg.lr)
+        np.subtract(x, step, out=step)
         _check_finite(t, "non-finite iterate", step)
-        return _norm(reported), (
-            _project(step, ball.radius) if ball is not None else step,)
+        return reported, (_project(step, ball.radius) if ball is not None else step,)
 
     return _drive(problem, batches, steps, estimate, noise, update)

@@ -16,6 +16,7 @@ from dpsrgd.counting import (
     ceil_log2,
     factorize,
     forward_substitution_rows,
+    gaussian_rows,
     identity_strategy,
     mf_noise_stream,
     prefix_nodes,
@@ -693,6 +694,40 @@ def test_banded_stream_state_is_the_window_not_the_prefix():
     finally:
         tracemalloc.stop()
     assert live <= window_bytes + 64_000
+
+
+def _rows_held_between_rows(stream, d):
+    """The most traced memory, in rows of d floats, held between the rows
+    of a pass of stream() whose caller drops each row at once: what the
+    stream itself keeps. A first, untraced pass pays for lazy imports."""
+    for _ in stream():
+        pass
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows, held = stream(), 0
+        while next(rows, None) is not None:
+            held = max(held, tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    return held / (8 * d)
+
+
+def test_a_banded_mf_stream_holds_its_ring_alone_between_rows():
+    # memf's 2 x 40 momentum_decay strategy at MNIST's d: the ring of
+    # len(r) - 1 = 39 solved rows, and no room in the bound for the last z
+    # row or the last yielded row
+    strategy = build_strategy("momentum_decay", 2, 40, momentum=0.9, decay=math.exp(-2.5))
+    d, width = 7850, len(strategy.r) - 1
+    assert width == 39
+    held = _rows_held_between_rows(lambda: mf_noise_stream(strategy, 1.0, d, 0), d)
+    assert width <= held <= width + 0.5
+
+
+def test_a_gaussian_stream_holds_no_row_between_rows():
+    # a generator local binding the last scaled row would hold one row
+    d = 7850
+    assert _rows_held_between_rows(lambda: gaussian_rows(1.0, d, 0, 20), d) <= 0.5
 
 
 def test_mf_noise_stream_identity_matches_iid_gaussian():

@@ -97,6 +97,14 @@ def test_clip_rows_with_no_row_over_returns_a_fresh_equal_array(c_clip):
     np.testing.assert_array_equal(out, mat)
 
 
+@pytest.mark.parametrize("c_clip", [0.0, 1.0, np.inf])
+def test_clip_rows_of_no_rows_is_an_empty_float64_copy(c_clip):
+    # the largest of no norms is taken as 0, not a reduction error
+    mat = np.ones((0, 3), dtype=np.int64)
+    out = clip_rows(mat, c_clip)
+    assert out.shape == (0, 3) and out.dtype == np.float64 and out is not mat
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_clip_rows_shrinks_an_overflowed_row_beside_a_nan_row():
     # the NaN row makes the largest norm NaN, not inf; the overflowed row

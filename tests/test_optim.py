@@ -575,27 +575,83 @@ def test_step_estimate_is_freed_before_the_next_is_asked_for(name):
     assert problem.alive == [False] * 7
 
 
-def test_drive_frees_a_steps_state_before_it_draws_the_next_batch():
-    # the estimate, noise row and batch of step t are all dead when the
-    # stream is asked for batch t + 1
-    dim, refs, alive = 3, [], []
+def _alive_at_each_batch_draw(noise, dim=3, T=4):
+    """Run _drive on T batches and the rows of noise(dim, T), and record,
+    each time the stream is asked for a batch, which of the previous step's
+    estimate, noise row and batch are still alive."""
+    refs, alive = [], []
 
     def fresh(v):
         refs.append(weakref.ref(v))
         return v
 
     def stream():
-        for t in range(4):
+        for t in range(T):
             alive.append([r() is not None for r in refs])
             refs.clear()
             yield fresh(np.full(2, t))
 
-    rec = _drive(SyntheticQuadratic(dim=dim, target=np.zeros(dim)), stream(), 4,
+    rec = _drive(SyntheticQuadratic(dim=dim, target=np.zeros(dim)), stream(), T,
                  lambda t, x, prev_x, batch: (fresh(np.ones(dim)), 0.0),
-                 (fresh(np.full(dim, 0.5)) for _ in range(4)),
+                 map(fresh, noise(dim, T)),
                  lambda t, x, g, w: (0.0, (x - g - w,)))
-    assert rec.steps == 4
+    assert rec.steps == T
+    return alive
+
+
+def test_drive_frees_a_steps_state_before_it_draws_the_next_batch():
+    # the estimate, noise row and batch of step t are all dead when the
+    # stream is asked for batch t + 1
+    alive = _alive_at_each_batch_draw(lambda d, T: (np.full(d, 0.5) for _ in range(T)))
     assert alive == [[]] + [[False, False, False]] * 3
+
+
+@pytest.mark.parametrize("noise", [
+    lambda d, T: gaussian_rows(1.0, d, 0, T),
+    lambda d, T: mf_noise_stream(
+        build_strategy("momentum_decay", 2, T // 2, momentum=0.9, decay=0.5), 1.0, d, 0),
+    lambda d, T: mf_noise_stream(identity_strategy(1, T), 1.0, d, 0),
+], ids=["gaussian_rows", "mf_banded_k2", "mf_identity"])
+def test_drive_frees_a_counting_streams_row_before_it_draws_the_next_batch(noise):
+    # the counting streams keep no reference to the row they last yielded
+    assert _alive_at_each_batch_draw(noise) == [[]] + [[False, False, False]] * 3
+
+
+class _NoOptimum(SyntheticQuadratic):
+    """A quadratic that does not tell its optimum, as an empirical task."""
+
+    def exact_optimum(self):
+        return None
+
+
+def test_an_accelerated_run_without_a_potential_holds_no_y_between_steps():
+    # at each batch draw after the first the run holds x, prev_x, z and the
+    # running sum of increments, 4 rows of d floats; y, which only the
+    # potential reads, would make 5
+    d, T = 7850, 6
+    problem = _quadratic(dim=d, cls=_NoOptimum)
+    batches = _batches(problem, T, 2)
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(d, 1.0))
+    held = []
+
+    def stream():
+        for batch in batches:
+            held.append(tracemalloc.get_traced_memory()[0])
+            yield batch
+
+    def run():
+        run_accelerated_dp_srgd(problem, stream(), (np.zeros(d) for _ in range(T)), cfg)
+
+    run()  # the first pass pays for lazy imports
+    tracemalloc.start()
+    try:
+        held.clear()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+    finally:
+        tracemalloc.stop()
+    rows = [(h - base) / (8 * d) for h in held[1:T]]
+    assert all(3.5 <= r <= 4.5 for r in rows), rows
 
 
 @pytest.mark.parametrize("name", _STREAM_RUNNERS)
