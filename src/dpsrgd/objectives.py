@@ -6,8 +6,10 @@ convergence and sensitivity checks. LogisticTask is multiclass softmax
 regression over fixed feature/label arrays with a held-out split; it runs
 one logits matmul per block of a batch's rows, for both evaluation points
 of `srg_mean`, and one per block of held-out rows for a finished run's loss
-and accuracy. Every logits product but `srg_mean`'s stacked one puts the K
-class rows on the left (see LogisticTask).
+and accuracy. `srg_mean` takes its two points as one (2, dim) array, the
+step loop's own, whose rows its logits matmul reads in place as stacked
+weights. Every other logits product puts the K class rows on the left
+(see LogisticTask).
 
 A "batch" is whatever the problem's per-example methods accept:
 an (m, dim) array of example vectors for the synthetic task, which draws
@@ -70,6 +72,13 @@ class LossProblem:
     one step allocates no (m, dim) temporaries beyond them. In the same
     way, the mean a gradient hook returns is a fresh array that the runner
     owns and may overwrite: `run_dp_srg_memf` adds its noise row into it.
+
+    The points a hook is handed, srg_mean's (2, dim) array and the x of
+    clipped_mean_grad (a row of it), belong to the step loop, which
+    overwrites them after the step (see `optim._drive`). A hook reads them
+    and never writes them; one that keeps a point copies it, as criterion
+    3's `_QueryPoints` does. Both hooks raise ValueError on a point of
+    another shape.
     """
 
     dim: int
@@ -109,19 +118,22 @@ class LossProblem:
     def clipped_mean_grad(self, x: np.ndarray, batch,
                           c_clip: float) -> tuple[np.ndarray, float]:
         """(Mean over the batch of clip(g(x,d)), batch-mean loss at x)."""
+        _check_shape("x", x, (self.dim,))
         grads, loss = self._grads_and_loss(x, batch)
         return _batch_mean(_clip_rows_in_place(grads, c_clip)), loss
 
-    def srg_mean(self, x_t, x_prev, w_t: float, w_prev: float, batch,
+    def srg_mean(self, points: np.ndarray, w_t: float, w_prev: float, batch,
                  c_clip: float = np.inf) -> tuple[np.ndarray, float]:
         """(Mean over the batch of clip(w_t*g(x_t,d) - w_prev*g(x_prev,d)),
-        batch-mean loss at x_t).
+        batch-mean loss at x_t), where points is a (2, dim) array holding
+        x_t in row 0 and x_prev in row 1.
 
         Both evaluation points are always visited, so every example in the
         batch costs exactly two gradient evaluations regardless of w_prev.
         """
-        g_t, loss = self._grads_and_loss(x_t, batch)
-        g_p = self.per_example_grads(x_prev, batch)  # even at w_prev = 0
+        _check_shape("points", points, (2, self.dim))
+        g_t, loss = self._grads_and_loss(points[0], batch)
+        g_p = self.per_example_grads(points[1], batch)  # even at w_prev = 0
         # w_t * g_t - w_prev * g_p in the two fresh arrays; the runner aborts
         with np.errstate(invalid="ignore"):  # on the NaN of infinite ones
             g_t *= w_t
@@ -129,6 +141,14 @@ class LossProblem:
             g_t -= g_p
         del g_p  # freed before the clip squares g_t
         return _batch_mean(_clip_rows_in_place(g_t, c_clip)), loss
+
+
+def _check_shape(name: str, a, shape: tuple[int, ...]) -> None:
+    """Raise ValueError unless `a` has this shape: a hook would broadcast
+    a point of another shape against the batch, and return the gradients
+    at some other point."""
+    if np.shape(a) != shape:
+        raise ValueError(f"{name} has shape {np.shape(a)}, want {shape}")
 
 
 def _blocked_row_norms(mat: np.ndarray) -> np.ndarray:
@@ -272,10 +292,14 @@ class LogisticTask(LossProblem):
     weighted matmul to the first block's, so a step holds one block of
     rows, never a copy of the whole batch. The clip scale divides by the
     full batch size, and the per-example losses of every block fill one
-    array, whose mean is the train loss. `srg_mean` stacks the weights of
-    its two evaluation points, so a single GEMM per block yields both
-    softmax errors and the train loss. The held-out pass reads near-equal
-    blocks of at most `_HELDOUT_ROWS` rows.
+    array, whose mean is the train loss. `srg_mean` reads the weights of
+    its two evaluation points in place, its (2, dim) points array viewed as
+    stacked (2K, p) weights, so a single GEMM per block yields both softmax
+    errors and the train loss with no copy of either point. The softmax
+    errors are combined and clip-scaled in place, on copies of the two
+    halves of the logits: numpy's ufunc loop would take a hidden buffer of
+    up to 8192 doubles for a strided operand, and a copy takes none. The
+    held-out pass reads near-equal blocks of at most `_HELDOUT_ROWS` rows.
 
     Every other logits product (the single-point hooks and per-example
     methods, the held-out loss and accuracy) is `_logits`: the (K, p)
@@ -286,7 +310,7 @@ class LogisticTask(LossProblem):
     it changes the last bit of some logits at width 20 for a gain under 4%.
 
     Features must be finite; labels must be integer-valued and in range;
-    neither split may be empty. A batch must be an integer index array.
+    neither split may be empty. A batch must be a 1-d integer index array.
     """
 
     features: np.ndarray
@@ -372,17 +396,17 @@ class LogisticTask(LossProblem):
         with the class rows on the left (see the class docstring)."""
         return np.ascontiguousarray((self._weights(x) @ feats.T).T)
 
-    def _forward(self, phi, labels, *xs) -> tuple[np.ndarray, np.ndarray]:
+    def _forward(self, phi, labels, points) -> tuple[np.ndarray, np.ndarray]:
         """softmax(W phi) - onehot(y), shape (m, P, K), and the per-example
-        cross-entropy, shape (m, P), at each of the P points xs, from one
-        logits matmul against their stacked (P*K, p) weights."""
-        if len(xs) == 1:
-            z = self._logits(phi, xs[0])
+        cross-entropy, shape (m, P), at P = 1 point of shape (dim,) or at
+        the P rows of a (P, dim) points array, from one logits matmul whose
+        stacked (P*K, p) weights are the rows themselves."""
+        points = np.asarray(points)
+        if points.ndim == 1:
+            z = self._logits(phi, points)
         else:
-            w = np.concatenate([self._weights(x) for x in xs])
-            z = phi @ w.T
-            del w
-        z = z.reshape(len(labels), len(xs), self.num_classes)
+            z = phi @ points.reshape(-1, self.n_features).T
+        z = z.reshape(len(labels), z.shape[1] // self.num_classes, self.num_classes)
         loss, total = self._exp_shifted(z, labels)
         z /= total
         z[np.arange(len(labels)), :, labels] -= 1.0
@@ -400,10 +424,14 @@ class LogisticTask(LossProblem):
         the end (the check reads only batches as wide as intp), and one
         at or beyond n_train raises it in the gather. Any non-integer
         batch raises ValueError: a boolean mask's length, which the noise
-        scale divides by, is not the number of rows it reads."""
+        scale divides by, is not the number of rows it reads. So does a
+        batch that is not 1-d, whose rows the hooks cannot line up with
+        their per-example losses."""
         idx = np.asarray(batch)
         if idx.dtype.kind not in "iu":
             raise ValueError(f"batch must be an integer index array, got dtype {idx.dtype}")
+        if idx.ndim != 1:
+            raise ValueError(f"batch must be a 1-d index array, got shape {idx.shape}")
         if not idx.size:
             return idx
         if idx.dtype.kind == "i" and idx.min() < 0:
@@ -411,50 +439,62 @@ class LogisticTask(LossProblem):
         if (idx.dtype.kind == "u" and idx.dtype.itemsize >= np.dtype(np.intp).itemsize
                 and idx.max() > np.iinfo(np.intp).max):
             raise IndexError(f"example index {int(idx.max())} in batch is out of range")
-        if idx.ndim == 1:
-            # a difference of 1 modulo the width at every step, summing to
-            # last - first = size - 1, is a difference of exactly 1
-            first, last = int(idx[0]), int(idx[-1])
-            if (last - first == idx.size - 1 and last < self.n_train
-                    and np.all(np.diff(idx) == 1)):
-                return slice(first, last + 1)
+        # a difference of 1 modulo the width at every step, summing to
+        # last - first = size - 1, is a difference of exactly 1
+        first, last = int(idx[0]), int(idx[-1])
+        if (last - first == idx.size - 1 and last < self.n_train
+                and np.all(np.diff(idx) == 1)):
+            return slice(first, last + 1)
         return idx.astype(np.intp, copy=False)
 
+    # The per-example methods check x as the hooks do: _forward would read
+    # a (2, dim) x as a pair of points.
     def per_example_values(self, x, batch) -> np.ndarray:
+        _check_shape("x", x, (self.dim,))
         sel = self._select(batch)
         return self._forward(self.features[sel], self.labels[sel], x)[1][:, 0]
 
     def per_example_grads(self, x, batch) -> np.ndarray:
+        _check_shape("x", x, (self.dim,))
         sel = self._select(batch)
         phi = self.features[sel]
         err = self._forward(phi, self.labels[sel], x)[0][:, 0]
         return np.einsum("mk,mp->mkp", err, phi).reshape(phi.shape[0], self.dim)
 
     def clipped_mean_grad(self, x, batch, c_clip) -> tuple[np.ndarray, float]:
+        _check_shape("x", x, (self.dim,))
         return self._blocked_mean(batch, c_clip, lambda z: z[:, 0], x)
 
-    def srg_mean(self, x_t, x_prev, w_t, w_prev, batch,
+    def srg_mean(self, points, w_t, w_prev, batch,
                  c_clip=np.inf) -> tuple[np.ndarray, float]:
-        def recursion(z):
-            with np.errstate(invalid="ignore"):  # as the generic hook forms it
-                return w_t * z[:, 0] - w_prev * z[:, 1]
-        return self._blocked_mean(batch, c_clip, recursion, x_t, x_prev)
+        _check_shape("points", points, (2, self.dim))
 
-    def _blocked_mean(self, batch, c_clip, err_of, *xs) -> tuple[np.ndarray, float]:
+        def recursion(z):
+            # w_t * z[:, 0] - w_prev * z[:, 1] on copies of the two halves
+            err, err_prev = z[:, 0].copy(), z[:, 1].copy()
+            with np.errstate(invalid="ignore"):  # as the generic hook forms it
+                err *= w_t
+                err_prev *= w_prev
+                err -= err_prev
+            return err
+        return self._blocked_mean(batch, c_clip, recursion, points)
+
+    def _blocked_mean(self, batch, c_clip, err_of, points) -> tuple[np.ndarray, float]:
         """(Batch mean of the rank-one gradients outer(err, phi), each
-        clipped to c_clip, batch-mean loss at xs[0]), where err_of maps the
-        softmax errors at the points xs, shape (m, P, K), to err. A gathered
-        batch runs in blocks (see the class docstring); the first block's
-        matmul is the accumulator."""
+        clipped to c_clip, batch-mean loss at the first point), where err_of
+        maps the softmax errors at the points (see `_forward`), shape
+        (m, P, K), to a fresh or scratch err that the clip scales in place.
+        A gathered batch runs in blocks (see the class docstring); the first
+        block's matmul is the accumulator."""
         sel = self._select(batch)
         if isinstance(sel, slice):  # a view costs no copy: one block
-            grad, loss = self._block_sum(sel, sel.stop - sel.start, c_clip, err_of, xs)
+            grad, loss = self._block_sum(sel, sel.stop - sel.start, c_clip, err_of, points)
             return grad.reshape(self.dim), float(loss.mean())
         m = len(sel)
         losses = np.empty(m)
         blocks = _near_equal_blocks(m, max(1, _GATHER_BYTES // (8 * self.n_features)))
         for i, (lo, hi) in enumerate(blocks):
-            part, losses[lo:hi] = self._block_sum(sel[lo:hi], m, c_clip, err_of, xs)
+            part, losses[lo:hi] = self._block_sum(sel[lo:hi], m, c_clip, err_of, points)
             if i == 0:
                 grad = part
             else:
@@ -462,15 +502,16 @@ class LogisticTask(LossProblem):
             del part  # freed before the next block is gathered
         return grad.reshape(self.dim), float(losses.mean())
 
-    def _block_sum(self, rows, m, c_clip, err_of, xs) -> tuple[np.ndarray, np.ndarray]:
+    def _block_sum(self, rows, m, c_clip, err_of, points) -> tuple[np.ndarray, np.ndarray]:
         """(Sum over the rows of outer(err, phi), each clipped to c_clip and
-        divided by m, as one (K, p) matmul; the rows' losses at xs[0])."""
+        divided by m, as one (K, p) matmul; the rows' losses at the first
+        point)."""
         phi = self.features[rows]
-        z, loss = self._forward(phi, self.labels[rows], *xs)
+        z, loss = self._forward(phi, self.labels[rows], points)
         err = err_of(z)
         del z  # freed before the backward matmul, which holds phi and its output
-        scale = self._clip_scale(err, self.feature_norms[rows], c_clip) / m
-        return (err * scale[:, None]).T @ phi, loss[:, 0]
+        err *= (self._clip_scale(err, self.feature_norms[rows], c_clip) / m)[:, None]
+        return err.T @ phi, loss[:, 0]
 
     @staticmethod
     def _clip_scale(err, phi_norms, c_clip) -> np.ndarray:

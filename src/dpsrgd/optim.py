@@ -150,13 +150,17 @@ def _norm(v: np.ndarray) -> float:
 
 def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
            finish=dict) -> RunRecord:
-    """The step loop of every runner. It takes exactly T batches and
-    exactly T noise rows of shape (dim,). Per step t,
-    estimate(t, x, prev_x, batch) -> (g, train loss) evaluates the batch
-    at the query point x and its predecessor, w = next(noise) is the step's
-    noise row, whose norm the record's noise_norm holds, and
-    update(t, x, g, w) returns (gradient norm, iterates): the next query
-    point first, the reported point last. A
+    """The step loop of every runner. It takes exactly T >= 1 batches and
+    exactly T noise rows of shape (dim,). The loop owns one C-contiguous
+    (2, dim) array `points`: row 0 is the query point x_t, row 1 its
+    predecessor x_{t-1} (both 0 at the first step). Per step t,
+    estimate(t, points, batch) -> (g, train loss) evaluates the batch at
+    the points, w = next(noise) is the step's noise row, whose norm the
+    record's noise_norm holds, and update(t, points[0], g, w) returns
+    (gradient norm, iterates): the next query point first, the reported
+    point last. Then row 0 is copied into row 1 and the next query point
+    into row 0, so the points belong to the loop: a hook or update reads
+    them during the step, and one that keeps a point copies it. A
     batch or noise stream that ends early aborts the run, and a row of
     another shape is refused. A non-finite estimate
     or row aborts the run, and so does a non-finite step, which the update
@@ -165,12 +169,12 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     A step's estimate, noise row and batch are released before the next
     batch is drawn, so that a run holds one of each, and so is the step's
     iterates tuple, all but the last step's: between steps the loop holds
-    x and prev_x alone, and the update what a later step reads. finish()
+    points alone, and the update what a later step reads. finish()
     returns the runner's own RunRecord fields; no field names the runner,
     and the caller evaluates final_x, the last reported point."""
     train_loss, noise_norm, grad_norm = np.empty(T), np.empty(T), np.empty(T)
-    iterates = (np.zeros(problem.dim),)
-    x = prev_x = iterates[0]
+    points = np.zeros((2, problem.dim))
+    x, prev_x = points  # views of its rows
     # next() on a bare iterator: zip would keep the last batch in its
     # reused result tuple while it draws the next one
     stream = iter(batches)
@@ -178,7 +182,7 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
     for t in range(T):
         if (batch := next(stream, None)) is None:
             raise RunAborted(t, f"stream exhausted after {t} of {T} batches")
-        g, train_loss[t] = estimate(t, x, prev_x, batch)
+        g, train_loss[t] = estimate(t, points, batch)
         if (w := next(rows, None)) is None:
             raise RunAborted(t, f"noise stream exhausted after {t} of {T} rows")
         elif w.shape != x.shape:
@@ -186,7 +190,8 @@ def _drive(problem: LossProblem, batches, T: int, estimate, noise, update,
         _check_finite(t, "non-finite gradient estimate or noise", g, w)
         noise_norm[t] = _norm(w)
         grad_norm[t], iterates = update(t, x, g, w)
-        prev_x, x = x, iterates[0]
+        prev_x[:] = x
+        x[:] = iterates[0]
         del g, w, batch
         if t + 1 < T:
             del iterates  # the reported point is read after the last step only
@@ -244,9 +249,9 @@ def run_accelerated_dp_srgd(problem: LossProblem, stream, noise,
     accelerate, finish = _accelerated(problem, cfg)
     total = np.zeros(problem.dim)
 
-    def estimate(t, x, prev_x, batch):
+    def estimate(t, points, batch):
         # weights eta_t = t + 1 and eta_{t-1} = t (0 at the first step)
-        return problem.srg_mean(x, prev_x, t + 1.0, float(t), batch, cfg.clip)
+        return problem.srg_mean(points, t + 1.0, float(t), batch, cfg.clip)
 
     def update(t, x, delta, xi):
         nonlocal total
@@ -266,21 +271,22 @@ def run_independent_variant(problem: LossProblem, stream, noise,
     g_t + w_t, whose norm grad_norm holds, in place of the tree's prefix."""
     accelerate, finish = _accelerated(problem, cfg)
     return _drive(problem, stream, cfg.T,
-                  lambda t, x, prev_x, batch: problem.clipped_mean_grad(x, batch, cfg.clip),
+                  lambda t, points, batch: problem.clipped_mean_grad(points[0], batch,
+                                                                     cfg.clip),
                   noise, lambda t, x, g, w: accelerate(t, x, g + w), finish)
 
 
 def frozen_srg_estimates(problem: LossProblem, batches, steps) -> np.ndarray:
     """The recursive estimate at the frozen point 0 with unit weights, the
-    running sum of srg_mean(0, 0, 1, w_prev, batch) with w_prev = 0 at the
-    first batch and 1 after, at each of `steps` (in 1..len(batches)):
-    shape (len(steps), dim). A batch costs a runner's step's two
-    evaluations per example, in its order."""
+    running sum of srg_mean at x_t = x_prev = 0 with w_t = 1 and w_prev = 0
+    at the first batch and 1 after, at each of `steps` (in
+    1..len(batches)): shape (len(steps), dim). A batch costs a runner's
+    step's two evaluations per example, in its order."""
     steps = list(steps)
     if not steps or not all(1 <= s <= len(batches) for s in steps):
         raise ValueError(f"steps must lie in 1..{len(batches)}, got {steps}")
-    x0 = np.zeros(problem.dim)
-    increments = [problem.srg_mean(x0, x0, 1.0, 0.0 if t == 0 else 1.0, batch)[0]
+    origin = np.zeros((2, problem.dim))
+    increments = [problem.srg_mean(origin, 1.0, 0.0 if t == 0 else 1.0, batch)[0]
                   for t, batch in enumerate(batches[:max(steps)])]
     return np.cumsum(increments, axis=0)[np.subtract(steps, 1)]
 
@@ -341,15 +347,15 @@ def run_dp_srg_memf(problem: LossProblem, batches, noise,
     grad_rec = np.zeros(problem.dim) if cfg.decay > 0.0 else None
     size = None
 
-    def estimate(t, x, prev_x, batch):
+    def estimate(t, points, batch):
         nonlocal size
         m = len(batch)
         if m != (size := size or m):
             raise ValueError(f"batches differ in size: {m} at step {t}, {size} before")
         c_t = cfg.decay if t > 0 else 0.0
         if c_t == 0.0:
-            return problem.clipped_mean_grad(x, batch, cfg.c_clip)
-        return problem.srg_mean(x, prev_x, 1.0, c_t, batch, cfg.c_clip)
+            return problem.clipped_mean_grad(points[0], batch, cfg.c_clip)
+        return problem.srg_mean(points, 1.0, c_t, batch, cfg.c_clip)
 
     def update(t, x, g, w_t):
         nonlocal velocity, grad_rec  # rebound by the in-place operators to themselves

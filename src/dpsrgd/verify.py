@@ -168,15 +168,17 @@ def criterion_2() -> CriterionResult:
 
 
 class _QueryPoints(SyntheticQuadratic):
-    """A quadratic whose srg_mean keeps the (x_t, x_prev) of every call."""
+    """A quadratic whose srg_mean keeps a copy of the (2, dim) points, rows
+    x_t and x_prev, of every call: the runner overwrites its points array
+    after each step."""
 
     def __post_init__(self):
         super().__post_init__()
         self.points = []
 
-    def srg_mean(self, x_t, x_prev, *args, **kwargs):
-        self.points.append((x_t.copy(), x_prev.copy()))
-        return super().srg_mean(x_t, x_prev, *args, **kwargs)
+    def srg_mean(self, points, *args, **kwargs):
+        self.points.append(points.copy())
+        return super().srg_mean(points, *args, **kwargs)
 
 
 def criterion_3() -> CriterionResult:
@@ -213,11 +215,11 @@ def criterion_3() -> CriterionResult:
             zeroed = batches[t_j].copy()
             zeroed[r_j] = 0.0
             measured = 0.0
-            for t, (x_t, x_prev) in enumerate(run_problem.points):
+            for t, points in enumerate(run_problem.points):
                 w_t, w_prev = t + 1.0, float(t)  # eta_t and eta_{t-1}, 0 at t = 0
                 other = zeroed if t == t_j else batches[t]
-                d1 = problem.srg_mean(x_t, x_prev, w_t, w_prev, batches[t])[0]
-                d2 = problem.srg_mean(x_t, x_prev, w_t, w_prev, other)[0]
+                d1 = problem.srg_mean(points, w_t, w_prev, batches[t])[0]
+                d2 = problem.srg_mean(points, w_t, w_prev, other)[0]
                 measured = max(measured,
                                float(np.linalg.norm(d1 - d2)) * B)
             worst = max(worst, measured / bound)

@@ -1358,9 +1358,9 @@ class _IndexSpy(LogisticTask):
         self.delivered.append(np.array(batch))
         return super().clipped_mean_grad(x, batch, c_clip)
 
-    def srg_mean(self, x_t, x_prev, w_t, w_prev, batch, c_clip=np.inf):
+    def srg_mean(self, points, w_t, w_prev, batch, c_clip=np.inf):
         self.delivered.append(np.array(batch))
-        return super().srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip)
+        return super().srg_mean(points, w_t, w_prev, batch, c_clip)
 
 
 def _participation(tmp_path, **kw):

@@ -1,6 +1,7 @@
 """Loss problems: gradient correctness against finite differences and
 explicit per-example loops, clipping hooks, and the noise wrapper."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -179,7 +180,7 @@ def test_srg_mean_matches_row_loop(make, c_clip, w_prev):
     rows = (w_t * problem.per_example_grads(x_t, batch)
             - w_prev * problem.per_example_grads(x_prev, batch))
     expected = clip_rows(rows, c_clip).mean(axis=0)
-    got = problem.srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip)[0]
+    got = problem.srg_mean(np.stack([x_t, x_prev]), w_t, w_prev, batch, c_clip)[0]
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -198,9 +199,11 @@ def test_hooks_leave_the_batch_and_both_points_unchanged(make, c_clip, hook):
     batch = _draw(problem, rng, 9)
     x_t = rng.standard_normal(problem.dim) * 0.4
     x_prev = rng.standard_normal(problem.dim) * 0.4
+    points = np.stack([x_t, x_prev])
+    x_t, x_prev = points  # views: the rows the hook reads
     saved = [a.copy() for a in (batch, x_t, x_prev)]
     if hook == "srg_mean":
-        problem.srg_mean(x_t, x_prev, 3.0, 2.0, batch, c_clip)
+        problem.srg_mean(points, 3.0, 2.0, batch, c_clip)
     else:
         problem.clipped_mean_grad(x_t, batch, c_clip)
     for got, want in zip((batch, x_t, x_prev), saved):
@@ -222,7 +225,7 @@ def test_default_hooks_equal_the_temporaries_reference_bit_for_bit(make, c_clip,
     rows = (w_t * twin.per_example_grads(x_t, batch)
             - w_prev * twin.per_example_grads(x_prev, batch))
     want = clip_rows(rows, c_clip).mean(axis=0)
-    got, loss = problem.srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip)
+    got, loss = problem.srg_mean(np.stack([x_t, x_prev]), w_t, w_prev, batch, c_clip)
     np.testing.assert_array_equal(got, want)
     assert loss == float(twin.per_example_values(x_t, batch).mean())
     want = clip_rows(twin.per_example_grads(x_t, batch), c_clip).mean(axis=0)
@@ -239,7 +242,7 @@ def test_srg_mean_evaluates_a_nan_previous_point_at_zero_weight(make, c_clip):
     batch = problem.draw_batch(rng, 8)
     x_t = rng.standard_normal(problem.dim) * 0.4
     x_prev = np.full(problem.dim, np.nan)
-    got, loss = problem.srg_mean(x_t, x_prev, 1.0, 0.0, batch, c_clip)
+    got, loss = problem.srg_mean(np.stack([x_t, x_prev]), 1.0, 0.0, batch, c_clip)
     rows = (1.0 * problem.curvature * (x_t - batch)
             - 0.0 * problem.curvature * (x_prev - batch))
     reference = clip_rows(rows, c_clip).mean(axis=0)
@@ -248,6 +251,34 @@ def test_srg_mean_evaluates_a_nan_previous_point_at_zero_weight(make, c_clip):
     assert np.isnan(got).all() and np.isnan(reference).all()
     assert loss == pytest.approx(reference_loss, rel=1e-12)
     assert loss == float(problem.per_example_values(x_t, batch).mean())
+
+
+@pytest.mark.parametrize("make", [lambda: SyntheticQuadratic(dim=3, target=np.zeros(3)),
+                                  _noisy_quadratic, _logistic],
+                         ids=["quadratic_dim3", "noisy_quadratic", "logistic"])
+def test_hooks_reject_points_of_another_shape(make):
+    # a quadratic would broadcast a (1,) point to (1, 1, 1), and a (4, d)
+    # one against a 4-example batch, and return gradients at other points
+    problem = make()
+    d = problem.dim
+    batch = _draw(problem, np.random.default_rng(36), 4)
+    for x in (np.ones(1), np.ones((4, d)), np.ones(d + 1), np.ones((2, d))):
+        with pytest.raises(ValueError, match=re.escape(f"x has shape {x.shape}, want ({d},)")):
+            problem.clipped_mean_grad(x, batch, 1.0)
+    for points in (np.ones(d), np.ones((1, d)), np.ones((4, d)), np.ones((2, 1)),
+                   np.ones((2, d, 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"points has shape {points.shape}, want (2, {d})")):
+            problem.srg_mean(points, 1.0, 0.5, batch, 1.0)
+
+
+def test_logistic_per_example_methods_reject_a_pair_of_points():
+    # the logistic forward pass reads a (2, dim) array as srg_mean's pair
+    problem = _logistic()
+    points = np.zeros((2, problem.dim))
+    for method in (problem.per_example_values, problem.per_example_grads):
+        with pytest.raises(ValueError, match=re.escape(f"x has shape {points.shape}")):
+            method(points, np.arange(5))
 
 
 def _cli_shaped_quadratic_step():
@@ -284,7 +315,7 @@ def test_srg_mean_leaves_the_nan_of_infinite_gradients_to_the_runner(wrap):
     # wrapper) and the quadratic's fused one
     problem = wrap(SyntheticQuadratic(dim=3, target=np.zeros(3)))
     x = np.full(3, np.inf)
-    g, _ = problem.srg_mean(x, x, 1.0, 0.5, np.zeros((4, 3)))
+    g, _ = problem.srg_mean(np.stack([x, x]), 1.0, 0.5, np.zeros((4, 3)))
     assert np.isnan(g).all()
 
 
@@ -295,7 +326,8 @@ def test_quadratic_srg_mean_holds_two_residual_arrays(c_clip):
     # the generic hook's three live (B, d) arrays, or a broadcast
     # residual's hidden buffer, exceed this bound at this shape
     problem, batch, x_t, x_prev = _cli_shaped_quadratic_step()
-    peak = _traced_peak(lambda: problem.srg_mean(x_t, x_prev, 3.0, 2.0, batch, c_clip))
+    points = np.stack([x_t, x_prev])
+    peak = _traced_peak(lambda: problem.srg_mean(points, 3.0, 2.0, batch, c_clip))
     assert peak < 2.5 * batch.nbytes
 
 
@@ -340,7 +372,7 @@ def test_hooks_return_train_loss_at_current_point(make, c_clip):
     want = float(problem.per_example_values(x_t, batch).mean())
     _, loss = problem.clipped_mean_grad(x_t, batch, c_clip)
     assert loss == want
-    _, loss = problem.srg_mean(x_t, x_prev, 3.0, 2.0, batch, c_clip)
+    _, loss = problem.srg_mean(np.stack([x_t, x_prev]), 3.0, 2.0, batch, c_clip)
     assert loss == want
 
 
@@ -415,7 +447,7 @@ def test_srg_mean_equals_two_point_reference(rows, c_clip, w_prev):
     k = problem.num_classes
     want_g, want_loss = _two_point_srg_reference(
         problem, x_t, x_prev, 3.0, w_prev, idx, c_clip, logits[:, :k], logits[:, k:])
-    got_g, got_loss = problem.srg_mean(x_t, x_prev, 3.0, w_prev, idx, c_clip)
+    got_g, got_loss = problem.srg_mean(np.stack([x_t, x_prev]), 3.0, w_prev, idx, c_clip)
     np.testing.assert_array_equal(got_g, want_g)
     assert got_loss == want_loss
 
@@ -445,7 +477,7 @@ def test_srg_mean_equals_two_separate_forwards_at_batch_shape(c_clip, w_prev):
     want_g, want_loss = _two_point_srg_reference(
         problem, x_t, x_prev, 3.0, w_prev, idx, c_clip, *logits,
         blocks=_gathered_blocks(problem, 500))
-    got_g, got_loss = problem.srg_mean(x_t, x_prev, 3.0, w_prev, idx, c_clip)
+    got_g, got_loss = problem.srg_mean(np.stack([x_t, x_prev]), 3.0, w_prev, idx, c_clip)
     np.testing.assert_array_equal(got_g, want_g)
     assert got_loss == want_loss
     _assert_close_to_one_gemm(got_g, _two_point_srg_reference(
@@ -469,17 +501,44 @@ def test_srg_mean_peak_memory_is_the_gathered_batch_plus_slack():
     idx = rng.integers(0, problem.n_train, 500)
     x_t = rng.standard_normal(problem.dim) * 0.05
     x_prev = rng.standard_normal(problem.dim) * 0.05
-    problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)  # warm any lazy set-up
+    points = np.stack([x_t, x_prev])
+    problem.srg_mean(points, 3.0, 2.0, idx, 1.0)  # warm any lazy set-up
     batch_bytes = -(-500 // _gathered_blocks(problem, 500)) * problem.n_features * 8
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)
+        problem.srg_mean(points, 3.0, 2.0, idx, 1.0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak <= batch_bytes + 300_000
+
+
+def test_srg_mean_reads_both_points_in_place_at_mnist_shape():
+    # the (2, d) points are read where they lie, as the stacked (2K, p)
+    # weights of each block's logits GEMM, and the recursion and clip scale
+    # take no hidden ufunc buffer: beside one gathered block a step holds
+    # the block's (K, p) product and the accumulator, where a copy of the
+    # stacked weights alone would add two rows of d floats
+    problem = _mnist_shaped()
+    rng = np.random.default_rng(20)
+    idx = rng.integers(0, problem.n_train, 500)
+    points = rng.standard_normal((2, problem.dim)) * 0.05
+    batch_bytes = -(-500 // _gathered_blocks(problem, 500)) * problem.n_features * 8
+    peak = _traced_peak(lambda: problem.srg_mean(points, 3.0, 2.0, idx, 1.0))
+    assert peak <= batch_bytes + 2.75 * 8 * problem.dim
+
+
+def test_consecutive_srg_mean_at_memf_shape_holds_no_stacked_weights():
+    # a multi-epoch run's fixed 500-row batch is one in-place block: the
+    # (500, 2K) logits, the two halves' copies the recursion combines and
+    # the (K, p) product, with no stacked weights or ufunc buffer beside them
+    problem = _mnist_shaped()
+    rng = np.random.default_rng(26)
+    points = rng.standard_normal((2, problem.dim)) * 0.05
+    idx = np.arange(0, 500)
+    assert _traced_peak(lambda: problem.srg_mean(points, 1.0, 0.5, idx, 1.0)) <= 185_000
 
 
 def test_gathered_step_peak_memory_does_not_grow_with_the_batch():
@@ -488,10 +547,11 @@ def test_gathered_step_peak_memory_does_not_grow_with_the_batch():
     rng = np.random.default_rng(32)
     x_t = rng.standard_normal(problem.dim) * 0.05
     x_prev = rng.standard_normal(problem.dim) * 0.05
+    points = np.stack([x_t, x_prev])
     peaks = []
     for size in (500, 2000):
         idx = rng.integers(0, problem.n_train, size)
-        peaks.append(_traced_peak(lambda: problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)))
+        peaks.append(_traced_peak(lambda: problem.srg_mean(points, 3.0, 2.0, idx, 1.0)))
         peaks.append(_traced_peak(lambda: problem.clipped_mean_grad(x_t, idx, 1.0)))
     assert peaks[2] <= peaks[0] + 50_000
     assert peaks[3] <= peaks[1] + 50_000
@@ -515,7 +575,7 @@ def test_blocked_hooks_equal_the_one_gemm_reference(rows, c_clip):
     want_g, want_loss = _two_point_srg_reference(
         problem, x_t, x_prev, 3.0, 2.0, idx, c_clip,
         logits_t, phi @ problem._weights(x_prev).T)
-    got_g, got_loss = problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, c_clip)
+    got_g, got_loss = problem.srg_mean(np.stack([x_t, x_prev]), 3.0, 2.0, idx, c_clip)
     _assert_close_to_one_gemm(got_g, want_g)
     assert got_loss == want_loss
     want_g, want_loss = _two_point_srg_reference(
@@ -539,7 +599,7 @@ def test_consecutive_batch_reads_in_place_with_the_gathered_figures(c_clip):
     want_g, want_loss = _two_point_srg_reference(
         problem, x_t, x_prev, 3.0, 2.0, idx, c_clip,
         logits_t, phi @ problem._weights(x_prev).T)
-    got_g, got_loss = problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, c_clip)
+    got_g, got_loss = problem.srg_mean(np.stack([x_t, x_prev]), 3.0, 2.0, idx, c_clip)
     np.testing.assert_array_equal(got_g, want_g)
     assert got_loss == want_loss
     want_g, want_loss = _two_point_srg_reference(
@@ -581,7 +641,7 @@ def test_consecutive_batch_out_of_range_still_raises():
     x = np.zeros(problem.dim)
     for idx in (np.arange(36, 44), np.arange(-45, -37)):
         with pytest.raises(IndexError):
-            problem.srg_mean(x, x, 1.0, 1.0, idx, 1.0)
+            problem.srg_mean(np.stack([x, x]), 1.0, 1.0, idx, 1.0)
         with pytest.raises(IndexError):
             problem.clipped_mean_grad(x, idx, 1.0)
 
@@ -593,7 +653,7 @@ def test_index_batch_below_zero_raises(idx):
     problem = _logistic(n=40)
     x = np.zeros(problem.dim)
     with pytest.raises(IndexError, match="negative"):
-        problem.srg_mean(x, x, 1.0, 0.0, idx, 1.0)
+        problem.srg_mean(np.stack([x, x]), 1.0, 0.0, idx, 1.0)
     with pytest.raises(IndexError, match="negative"):
         problem.clipped_mean_grad(x, idx, 1.0)
     with pytest.raises(IndexError, match="negative"):
@@ -607,7 +667,7 @@ def test_uint64_index_past_intp_raises(batch):
     idx = np.array(batch, dtype=np.uint64)
     x = np.zeros(problem.dim)
     with pytest.raises(IndexError, match="out of range"):
-        problem.srg_mean(x, x, 1.0, 0.0, idx, 1.0)
+        problem.srg_mean(np.stack([x, x]), 1.0, 0.0, idx, 1.0)
     with pytest.raises(IndexError, match="out of range"):
         problem.clipped_mean_grad(x, idx, 1.0)
     with pytest.raises(IndexError, match="out of range"):
@@ -640,8 +700,8 @@ def test_gathered_narrow_batch_gives_the_int64_figures(dtype, c_clip):
     for want, got in (
             (problem.clipped_mean_grad(x_t, idx, c_clip),
              problem.clipped_mean_grad(x_t, narrow, c_clip)),
-            (problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, c_clip),
-             problem.srg_mean(x_t, x_prev, 3.0, 2.0, narrow, c_clip))):
+            (problem.srg_mean(np.stack([x_t, x_prev]), 3.0, 2.0, idx, c_clip),
+             problem.srg_mean(np.stack([x_t, x_prev]), 3.0, 2.0, narrow, c_clip))):
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
 
@@ -703,12 +763,13 @@ def test_consecutive_batch_peak_memory_holds_no_batch_copy():
     idx = np.arange(0, 500)
     x_t = rng.standard_normal(problem.dim) * 0.05
     x_prev = rng.standard_normal(problem.dim) * 0.05
-    problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)  # warm any lazy set-up
+    points = np.stack([x_t, x_prev])
+    problem.srg_mean(points, 3.0, 2.0, idx, 1.0)  # warm any lazy set-up
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        problem.srg_mean(x_t, x_prev, 3.0, 2.0, idx, 1.0)
+        problem.srg_mean(points, 3.0, 2.0, idx, 1.0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -795,7 +856,7 @@ def test_logistic_hooks_reject_negative_or_nan_clip(bad):
     with pytest.raises(ValueError, match="nonnegative"):
         problem.clipped_mean_grad(x, batch, bad)
     with pytest.raises(ValueError, match="nonnegative"):
-        problem.srg_mean(x, x, 1.0, 1.0, batch, bad)
+        problem.srg_mean(np.stack([x, x]), 1.0, 1.0, batch, bad)
 
 
 class _CountingQuadratic(SyntheticQuadratic):
@@ -819,7 +880,7 @@ def test_srg_mean_always_evaluates_both_points():
                                  noise_scale=0.2, radius=1.0)
     batch = problem.draw_batch(np.random.default_rng(8), 6)
     x = np.zeros(4)
-    problem.srg_mean(x, x, 1.0, 0.0, batch)
+    problem.srg_mean(np.stack([x, x]), 1.0, 0.0, batch)
     assert problem.grad_rows == 12
 
 
@@ -883,9 +944,24 @@ def test_batch_that_is_not_an_integer_index_array_raises(batch):
     with pytest.raises(ValueError, match="integer index array"):
         problem.clipped_mean_grad(x, batch, 1.0)
     with pytest.raises(ValueError, match="integer index array"):
-        problem.srg_mean(x, x, 1.0, 1.0, batch, 1.0)
+        problem.srg_mean(np.stack([x, x]), 1.0, 1.0, batch, 1.0)
     with pytest.raises(ValueError, match="integer index array"):
         problem.per_example_values(x, batch)
+
+
+@pytest.mark.parametrize("hook", ["clipped_mean_grad", "srg_mean", "per_example_values"])
+@pytest.mark.parametrize("batch", [np.array(3), np.arange(6).reshape(2, 3)],
+                         ids=["0-d", "2-d"])
+def test_index_batch_that_is_not_1d_raises(hook, batch):
+    # the hooks line a batch's rows up with its per-example losses; a 0-d
+    # or 2-d index array would fail later, in len() or a reshape or matmul
+    problem = _logistic(n=40)
+    x = np.zeros(problem.dim)
+    calls = {"clipped_mean_grad": lambda: problem.clipped_mean_grad(x, batch, 1.0),
+             "srg_mean": lambda: problem.srg_mean(np.stack([x, x]), 1.0, 0.0, batch, 1.0),
+             "per_example_values": lambda: problem.per_example_values(x, batch)}
+    with pytest.raises(ValueError, match=re.escape(f"1-d index array, got shape {batch.shape}")):
+        calls[hook]()
 
 
 @pytest.mark.parametrize("split", ["train", "eval"])

@@ -61,16 +61,18 @@ def _batches(problem, T, B, seed=1):
 
 
 class _QueryPoints:
-    """Task mixin: srg_mean keeps a copy of the (x_t, x_prev) of every call
-    in `points`, the query points of an accelerated run on the task."""
+    """Task mixin: srg_mean keeps a copy of the (2, dim) points, rows x_t
+    and x_prev, of every call in `points`, the query points of an
+    accelerated run on the task: the runner overwrites its points array
+    after each step."""
 
     def __post_init__(self):
         super().__post_init__()
         self.points = []
 
-    def srg_mean(self, x_t, x_prev, *args, **kwargs):
-        self.points.append((x_t.copy(), x_prev.copy()))
-        return super().srg_mean(x_t, x_prev, *args, **kwargs)
+    def srg_mean(self, points, *args, **kwargs):
+        self.points.append(points.copy())
+        return super().srg_mean(points, *args, **kwargs)
 
 
 class _RecordingQuadratic(_QueryPoints, SyntheticQuadratic):
@@ -138,7 +140,7 @@ def _reference_accelerated(problem, batches, cfg, rows):
     for t, (batch, row) in enumerate(zip(batches, rows)):
         xs.append(x)
         w_prev = eta[t - 1] if t > 0 else 0.0
-        total += problem.srg_mean(x, prev, eta[t], w_prev, batch)[0]
+        total += problem.srg_mean(np.stack([x, prev]), eta[t], w_prev, batch)[0]
         estimate = total + row
         grad_est = estimate / eta[t]
         z = project_ball(z - (eta[t] / cfg.beta) * grad_est, cfg.ball)
@@ -177,6 +179,37 @@ def test_accelerated_runner_adds_the_rows_it_is_handed():
     np.testing.assert_allclose([x for x, _ in recorder.points], xs, rtol=0, atol=1e-12)
     np.testing.assert_allclose(rec.noise_norm,
                                [np.linalg.norm(r) / cfg.beta for r in rows], rtol=1e-12)
+
+
+class _PointsSpy(_QueryPoints, SyntheticQuadratic):
+    """_QueryPoints that also keeps the points array of every call."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.received = []
+
+    def srg_mean(self, points, *args, **kwargs):
+        self.received.append(points)
+        return super().srg_mean(points, *args, **kwargs)
+
+
+def test_srg_hook_reads_both_points_from_the_step_loops_one_array():
+    # every step hands the hook the loop's own C-contiguous (2, dim) array,
+    # row 0 the step's x_t and row 1 its x_{t-1} (0 at the first step)
+    problem, spy = _quadratic(), _quadratic(cls=_PointsSpy)
+    T, B = 10, 5
+    batches = _batches(problem, T, B, seed=49)
+    cfg = SrgdConfig(T=T, beta=2.0 * T, ball=ConstraintBall(problem.dim, 1.0))
+    rows = _hand_rows(T, problem.dim)
+    run_accelerated_dp_srgd(spy, iter(batches), rows, cfg)
+    _, xs = _reference_accelerated(problem, batches, cfg, rows)
+    points = spy.received[0]
+    assert len(spy.received) == T and all(p is points for p in spy.received)
+    assert type(points) is np.ndarray and points.dtype == np.float64
+    assert points.shape == (2, problem.dim) and points.flags.c_contiguous
+    for t, (x_t, x_prev) in enumerate(spy.points):
+        np.testing.assert_allclose(x_t, xs[t], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x_prev, xs[t - 1] if t > 0 else 0.0, rtol=0, atol=1e-12)
 
 
 def _reference_accelerated_trajectory(problem, batches, cfg, sigma, seed):
@@ -255,7 +288,7 @@ def test_tree_noise_equals_iterate_noise_substitution():
     clean_sum = np.zeros(problem.dim)
     for t, batch in enumerate(batches):
         w_prev = eta[t - 1] if t > 0 else 0.0
-        clean_sum = clean_sum + problem.srg_mean(x, prev, eta[t], w_prev, batch)[0]
+        clean_sum = clean_sum + problem.srg_mean(np.stack([x, prev]), eta[t], w_prev, batch)[0]
         xi = tree_prefix(tree_ingest(mirror, t + 1), t + 1)
         b_t = -xi / cfg.beta
         grad_clean = clean_sum / eta[t]
@@ -354,7 +387,7 @@ def test_one_example_moves_only_its_own_clipped_increment_by_at_most_the_clip():
         recorder = _quadratic(dim=10, target_norm=0.5, seed=301, cls=_RecordingQuadratic)
         run_accelerated_dp_srgd(recorder, iter(batches), noise, cfg)
         for t, (batch, other) in enumerate(zip(batches, neighbour)):
-            point = (*recorder.points[t], eta[t], eta[t - 1] if t > 0 else 0.0)
+            point = (recorder.points[t], eta[t], eta[t - 1] if t > 0 else 0.0)
             change = (B * problem.srg_mean(*point, batch, clip)[0]
                       - len(other) * problem.srg_mean(*point, other, clip)[0])
             if t != t_j:
@@ -394,7 +427,7 @@ def test_recursive_estimate_telescopes_to_population_gradient():
     assert len(recorder.points) == T
     for t, (x, prev_x) in enumerate(recorder.points):
         w_prev = eta[t - 1] if t > 0 else 0.0
-        total += problem.srg_mean(x, prev_x, eta[t], w_prev, batch)[0]
+        total += problem.srg_mean(np.stack([x, prev_x]), eta[t], w_prev, batch)[0]
         pop_grad = problem.curvature * (x - problem.target)
         worst = max(worst, float(np.linalg.norm(total / eta[t] - pop_grad)))
     assert worst < 1e-10
@@ -562,8 +595,8 @@ class _EstimateWatch(SyntheticQuadratic):
     def clipped_mean_grad(self, x, batch, c_clip):
         return self._watch(super().clipped_mean_grad(x, batch, c_clip))
 
-    def srg_mean(self, x_t, x_prev, w_t, w_prev, batch, c_clip=np.inf):
-        return self._watch(super().srg_mean(x_t, x_prev, w_t, w_prev, batch, c_clip))
+    def srg_mean(self, points, w_t, w_prev, batch, c_clip=np.inf):
+        return self._watch(super().srg_mean(points, w_t, w_prev, batch, c_clip))
 
 
 @pytest.mark.parametrize("name", sorted(_RUNNERS))
@@ -592,7 +625,7 @@ def _alive_at_each_batch_draw(noise, dim=3, T=4):
             yield fresh(np.full(2, t))
 
     rec = _drive(SyntheticQuadratic(dim=dim, target=np.zeros(dim)), stream(), T,
-                 lambda t, x, prev_x, batch: (fresh(np.ones(dim)), 0.0),
+                 lambda t, points, batch: (fresh(np.ones(dim)), 0.0),
                  map(fresh, noise(dim, T)),
                  lambda t, x, g, w: (0.0, (x - g - w,)))
     assert rec.steps == T
