@@ -5,13 +5,14 @@ Layer map (each imports only from layers above it):
 
   geometry     projections and the L2 constraint ball
   objectives   convex per-example losses with exact population metrics
-  optim        the optimizer runners (accelerated recursive-gradient,
-               baselines, multi-epoch variants) and diagnostics; they take
-               noise rows from the caller and know no mechanism
+  optim        the optimizer runners only (accelerated recursive-gradient,
+               baselines, multi-epoch variants) and their potential; they
+               take noise rows from the caller and know no mechanism
   counting     noise-row streams: identity, binary tree, matrix factorization
   accounting   sensitivity/noise calibration and budget conversions
   harness      experiment specs, dataset IO, sweeps, CSV emission
-  verify       the ten end-to-end acceptance criteria
+  verify       the ten end-to-end acceptance criteria, with the probes
+               that only they run
   cli          the dpsrgd command-line entry point
 """
 
@@ -33,9 +34,7 @@ from .counting import (
     factorize,
     identity_strategy,
     mf_noise_stream,
-    prefix_nodes,
     tree_baseline_objective,
-    tree_error_bound,
     tree_ingest,
     tree_prefix,
     tree_rows,
@@ -52,7 +51,6 @@ from .harness import (
     run_experiment,
 )
 from .objectives import (
-    GradientNoiseWrapper,
     LogisticTask,
     LossProblem,
     SyntheticQuadratic,
@@ -62,13 +60,10 @@ from .optim import (
     RunAborted,
     RunRecord,
     SrgdConfig,
-    frozen_srg_estimates,
-    linear_fit,
     potential,
     run_accelerated_dp_srgd,
     run_dp_srg_memf,
     run_independent_variant,
-    variance_probe,
 )
 from .verify import CriterionResult, run_all
 
@@ -78,17 +73,14 @@ __all__ = [
     "batch_and_beta", "build_regime_report", "clip_norm", "gdp_to_dp",
     "mu_for_dp", "rho_for_dp", "sensitivity_bound", "srgd_sigma", "zcdp_to_dp",
     "StrategyMatrix", "TreeState", "build_strategy", "factorize",
-    "identity_strategy", "mf_noise_stream", "prefix_nodes",
-    "tree_baseline_objective", "tree_error_bound", "tree_ingest", "tree_prefix",
-    "tree_rows", "tree_sens",
+    "identity_strategy", "mf_noise_stream", "tree_baseline_objective",
+    "tree_ingest", "tree_prefix", "tree_rows", "tree_sens",
     "ConstraintBall", "project_ball",
     "ExperimentSpec", "MetricRow", "MetricTable", "emit_csv", "load_dataset",
     "parse_summary_csv", "run_experiment",
-    "GradientNoiseWrapper", "LogisticTask", "LossProblem",
-    "SyntheticQuadratic",
-    "MemfConfig", "RunAborted", "RunRecord", "SrgdConfig", "linear_fit",
-    "potential", "run_accelerated_dp_srgd", "run_dp_srg_memf",
-    "run_independent_variant", "frozen_srg_estimates", "variance_probe",
+    "LogisticTask", "LossProblem", "SyntheticQuadratic",
+    "MemfConfig", "RunAborted", "RunRecord", "SrgdConfig", "potential",
+    "run_accelerated_dp_srgd", "run_dp_srg_memf", "run_independent_variant",
     "CriterionResult", "run_all",
     "__version__",
 ]

@@ -28,12 +28,10 @@ import numpy as np
 __all__ = [
     "TreeState",
     "StrategyMatrix",
-    "prefix_nodes",
     "tree_ingest",
     "tree_prefix",
     "tree_rows",
     "tree_sens",
-    "tree_error_bound",
     "build_strategy",
     "factorize",
     "gaussian_rows",
@@ -49,38 +47,22 @@ def ceil_log2(t: int) -> int:
     return (t - 1).bit_length()
 
 
-def prefix_nodes(i: int) -> list[tuple[int, int]]:
-    """Greedy left-to-right dyadic decomposition of the prefix [1, i].
-
-    Node (j, k) covers steps ((j-1)*2^k, j*2^k]. The number of intervals
-    equals popcount(i); every interval index j is odd. Example: i=7
-    decomposes into (1,2), (3,1), (7,0).
-    """
-    nodes = []
-    start, remaining = 0, i
-    while remaining > 0:
-        k = remaining.bit_length() - 1
-        block = 1 << k
-        nodes.append((start // block + 1, k))
-        start += block
-        remaining -= block
-    return nodes
-
-
 @dataclass
 class TreeState:
     """Streaming binary tree over a horizon of `horizon` steps of
     `dim`-dimensional vectors, with i.i.d. N(0, sigma^2) noise per node
     coordinate (Dwork et al., STOC 2010; Chan, Shi, Song, 2011).
 
-    The state, noise only, is a stack of entries (k, running): the
-    running noise sum through the level-k node of `prefix_nodes(ingested)`,
-    the noises of the prefix's nodes up to it added left to right onto
-    zero, so the top entry is the prefix noise, read in O(1). Only the
-    lowest node of each run of ones in the binary form of `ingested` keeps
-    an entry, since no later node adds onto the others (see `tree_ingest`):
-    at most ceil(bit_length(T) / 2) rows. Each entry is built once, when
-    its node opens, and is read-only.
+    Node (j, k) covers steps ((j-1)*2^k, j*2^k]. The prefix [1, i] is the
+    left-to-right union of popcount(i) nodes, one per set bit of i, from
+    the highest. The state, noise only, is a stack of entries
+    (k, running): the running noise sum through the level-k node of the
+    prefix [1, ingested], the noises of the prefix's nodes up to it added
+    left to right onto zero, so the top entry is the prefix noise, read in
+    O(1). Only the lowest node of each run of ones in the binary form of
+    `ingested` keeps an entry, since no later node adds onto the others
+    (see `tree_ingest`): at most ceil(bit_length(T) / 2) rows. Each entry
+    is built once, when its node opens, and is read-only.
     Step i draws the noise of node (j, k) with j * 2^k = i as the i-th row
     of the seed's generator, so a node's noise is a function of
     (seed, j, k) alone and depends on neither the horizon nor the data.
@@ -154,24 +136,6 @@ def tree_sens(horizon: int) -> float:
     """Sensitivity of the tree over T steps: a step sits in at most
     1 + ceil(log2 T) nodes, each of unit weight."""
     return math.sqrt(1 + ceil_log2(horizon))
-
-
-def tree_error_bound(c_clip: float, mu: float, horizon: int, d: int, delta: float) -> float:
-    """High-probability bound on the max prefix L2 noise norm:
-    4 * c_clip * log2(T)^1.5 * sqrt(d * ln(2T/delta)) / mu.
-
-    Holds with probability at least 1 - delta over the tree noise.
-    """
-    if not c_clip >= 0:
-        raise ValueError(f"c_clip must be nonnegative, got {c_clip}")
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if horizon < 2:
-        raise ValueError(f"horizon must be >= 2, got {horizon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
-    log_t = math.log2(horizon)
-    return 4.0 * c_clip * log_t**1.5 * math.sqrt(d * math.log(2 * horizon / delta)) / mu
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,12 @@ class ExperimentSpec:
         if self.steps != ExperimentSpec.steps and algo.multi_epoch:
             raise ValueError(f"{self.algorithm} runs epochs x (n // batch_size) steps and "
                              f"reads no steps, so steps={self.steps} would not be run")
+        # the synthetic quadratic's shape; a dataset task reads its own
+        for name in ("dim", "train_size", "curvature", "noise_scale"):
+            if (self.task != "synthetic"
+                    and (value := getattr(self, name)) != getattr(ExperimentSpec, name)):
+                raise ValueError(f"the {self.task} task reads no {name}, so "
+                                 f"{name}={value} would not be run")
         return self
 
     def to_text(self) -> str:

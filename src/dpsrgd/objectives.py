@@ -45,7 +45,6 @@ __all__ = [
     "LossProblem",
     "SyntheticQuadratic",
     "LogisticTask",
-    "GradientNoiseWrapper",
 ]
 
 
@@ -192,7 +191,10 @@ class SyntheticQuadratic(LossProblem):
     it, with the per-example methods' own steps, so every figure is the
     default pass's. The curvature multiply is skipped at curvature 1.0,
     where it changes no bit. A subclass that intercepts per-example methods
-    must take the default pass back (see LossProblem).
+    must take the default pass back (see LossProblem). The per-example
+    methods and population_excess raise ValueError on a point whose shape
+    is not (dim,), as the hooks do; `_residuals` and the fused pass leave
+    that check to their callers.
     """
 
     dim: int
@@ -232,6 +234,7 @@ class SyntheticQuadratic(LossProblem):
         return resid
 
     def per_example_values(self, x, batch) -> np.ndarray:
+        _check_shape("x", x, (self.dim,))
         return self._values(self._residuals(x, batch))
 
     def _values(self, resid: np.ndarray) -> np.ndarray:
@@ -239,6 +242,7 @@ class SyntheticQuadratic(LossProblem):
         return 0.5 * self.curvature * np.add.reduce(resid * resid, axis=1)
 
     def per_example_grads(self, x, batch) -> np.ndarray:
+        _check_shape("x", x, (self.dim,))
         return self._scaled(self._residuals(x, batch))
 
     def _scaled(self, resid: np.ndarray) -> np.ndarray:
@@ -269,6 +273,7 @@ class SyntheticQuadratic(LossProblem):
         return raw
 
     def population_excess(self, x) -> float:
+        _check_shape("x", x, (self.dim,))
         d = x - self.target
         return 0.5 * self.curvature * float(d @ d)
 
@@ -551,31 +556,3 @@ class LogisticTask(LossProblem):
 def _hit_percent(hits: np.ndarray) -> float:
     """Accuracy in percent of a hit mask: 100 * (hits / rows)."""
     return 100.0 * (np.count_nonzero(hits) / len(hits))
-
-
-class GradientNoiseWrapper(LossProblem):
-    """Adds a fresh i.i.d. Gaussian perturbation to every per-example
-    gradient evaluation. Two evaluations of the same example at the same
-    point disagree, which is exactly what the recursive-gradient variance
-    probes need."""
-
-    def __init__(self, base: LossProblem, noise_std: float, seed: int):
-        self.base = base
-        self.noise_std = float(noise_std)
-        self.rng = np.random.default_rng(seed)
-        self.dim = base.dim
-        self.lipschitz = base.lipschitz
-        self.smoothness = base.smoothness
-
-    def per_example_values(self, x, batch):
-        return self.base.per_example_values(x, batch)
-
-    def per_example_grads(self, x, batch):
-        clean = self.base.per_example_grads(x, batch)
-        return clean + self.noise_std * self.rng.standard_normal(clean.shape)
-
-    def population_excess(self, x):
-        return self.base.population_excess(x)
-
-    def exact_optimum(self):
-        return self.base.exact_optimum()

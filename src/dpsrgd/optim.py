@@ -11,10 +11,11 @@ Also provided: the same accelerated scheme on fresh clipped gradients
 plus i.i.d. rows (DP-SGD's estimate), matrix-factorization training
 (run_dp_srg_memf): projected DP-SGD (the identity strategy) and DP-FTRL,
 and multi-epoch training over recursive gradients or, at decay 0, plain
-ones; and a frozen-point probe of the plain recursive estimate, whose
-variance grows with t. Every runner is private: it takes its noise rows
-from the caller, as it takes its batches, and the configs hold optimizer
-settings, not the mechanism, its calibration or its seed.
+ones. The module holds only what a run executes: the runners, their
+configs, their step loop and the potential diagnostic. Every runner is
+private: it takes its noise rows from the caller, as it takes its
+batches, and the configs hold optimizer settings, not the mechanism, its
+calibration or its seed.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ __all__ = [
     "run_independent_variant",
     "run_dp_srg_memf",
     "potential",
-    "frozen_srg_estimates",
-    "variance_probe",
-    "linear_fit",
 ]
 
 
@@ -274,42 +272,6 @@ def run_independent_variant(problem: LossProblem, stream, noise,
                   lambda t, points, batch: problem.clipped_mean_grad(points[0], batch,
                                                                      cfg.clip),
                   noise, lambda t, x, g, w: accelerate(t, x, g + w), finish)
-
-
-def frozen_srg_estimates(problem: LossProblem, batches, steps) -> np.ndarray:
-    """The recursive estimate at the frozen point 0 with unit weights, the
-    running sum of srg_mean at x_t = x_prev = 0 with w_t = 1 and w_prev = 0
-    at the first batch and 1 after, at each of `steps` (in
-    1..len(batches)): shape (len(steps), dim). A batch costs a runner's
-    step's two evaluations per example, in its order."""
-    steps = list(steps)
-    if not steps or not all(1 <= s <= len(batches) for s in steps):
-        raise ValueError(f"steps must lie in 1..{len(batches)}, got {steps}")
-    origin = np.zeros((2, problem.dim))
-    increments = [problem.srg_mean(origin, 1.0, 0.0 if t == 0 else 1.0, batch)[0]
-                  for t, batch in enumerate(batches[:max(steps)])]
-    return np.cumsum(increments, axis=0)[np.subtract(steps, 1)]
-
-
-def variance_probe(estimates) -> np.ndarray:
-    """Var(grad_t) = E||grad_t - mean grad_t||^2 at each step over seeds,
-    from one frozen_srg_estimates array per seed."""
-    grads = np.stack(estimates)  # (S, steps, dim)
-    if (S := grads.shape[0]) < 2:
-        raise ValueError(f"a variance needs at least two seeds, got {S}")
-    centered = grads - grads.mean(axis=0, keepdims=True)
-    return (centered**2).sum(axis=2).sum(axis=0) / (S - 1)
-
-
-def linear_fit(xs, ys) -> tuple[float, float, float]:
-    """Least-squares line fit returning (slope, intercept, r_squared)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    total = np.sum((ys - ys.mean())**2)
-    r2 = 1.0 - np.sum(resid**2) / total if total > 0 else 1.0
-    return float(slope), float(intercept), float(r2)
 
 
 def run_dp_srg_memf(problem: LossProblem, batches, noise,

@@ -30,24 +30,14 @@ from .counting import (
     build_strategy,
     identity_strategy,
     mf_noise_stream,
-    prefix_nodes,
     tree_baseline_objective,
-    tree_error_bound,
     tree_rows,
     tree_sens,
 )
 from .geometry import ConstraintBall, clip_rows, project_ball
 from .harness import ExperimentSpec, data_dir, load_dataset, run_experiment
-from .objectives import GradientNoiseWrapper, SyntheticQuadratic
-from .optim import (
-    MemfConfig,
-    SrgdConfig,
-    frozen_srg_estimates,
-    linear_fit,
-    run_accelerated_dp_srgd,
-    run_dp_srg_memf,
-    variance_probe,
-)
+from .objectives import LossProblem, SyntheticQuadratic
+from .optim import MemfConfig, SrgdConfig, run_accelerated_dp_srgd, run_dp_srg_memf
 
 __all__ = ["CriterionResult", "run_all"] + [f"criterion_{i}" for i in range(1, 11)]
 
@@ -236,6 +226,24 @@ def criterion_3() -> CriterionResult:
 # criteria 4 and 5: tree mechanism noise tail and unbiasedness
 
 
+def _tree_error_bound(c_clip: float, mu: float, horizon: int, d: int, delta: float) -> float:
+    """High-probability bound on the max prefix L2 noise norm:
+    4 * c_clip * log2(T)^1.5 * sqrt(d * ln(2T/delta)) / mu.
+
+    Holds with probability at least 1 - delta over the tree noise.
+    """
+    if not c_clip >= 0:
+        raise ValueError(f"c_clip must be nonnegative, got {c_clip}")
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    if horizon < 2:
+        raise ValueError(f"horizon must be >= 2, got {horizon}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0,1), got {delta}")
+    log_t = math.log2(horizon)
+    return 4.0 * c_clip * log_t**1.5 * math.sqrt(d * math.log(2 * horizon / delta)) / mu
+
+
 def criterion_4() -> CriterionResult:
     """With noise calibrated for 1-GDP at unit clip over 16 steps, at
     most a 0.05 fraction of 1000 trials may see a max-prefix noise norm
@@ -243,7 +251,7 @@ def criterion_4() -> CriterionResult:
     def body():
         trials, T, d, delta = 1000, 16, 4, 0.05
         sigma = tree_sens(T)  # 1-GDP at unit clip: sens / mu
-        bound = tree_error_bound(1.0, 1.0, T, d, delta)
+        bound = _tree_error_bound(1.0, 1.0, T, d, delta)
         max_err = np.zeros(trials)
         for noise in tree_rows(sigma, d * trials, 20240, T):
             norms = np.linalg.norm(noise.reshape(trials, d), axis=1)
@@ -259,13 +267,14 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Tree prefix estimates are unbiased: over 1e5 trials (T = 16,
     d = 2), every per-prefix per-coordinate mean noise is within 4
-    standard errors of zero."""
+    standard errors of zero. Prefix i sums the noise of popcount(i)
+    nodes."""
     def body():
         trials, T, d, sigma = 10**5, 16, 2, 1.0
         worst = 0.0
         for i, noise in enumerate(tree_rows(sigma, d * trials, 515, T), 1):
             means = noise.reshape(trials, d).mean(axis=0)
-            se = sigma * math.sqrt(len(prefix_nodes(i))) / math.sqrt(trials)
+            se = sigma * math.sqrt(i.bit_count()) / math.sqrt(trials)
             worst = max(worst, float(np.abs(means).max()) / (4.0 * se))
         ok = worst <= 1.0
         return ok, f"max |mean| / (4 SE) = {worst:.3f} over 16 prefixes (want <= 1)"
@@ -274,6 +283,70 @@ def criterion_5() -> CriterionResult:
 
 # ---------------------------------------------------------------------------
 # criterion 6: variance growth of the plain recursive-gradient estimator
+
+
+class _GradientNoiseWrapper(LossProblem):
+    """Adds a fresh i.i.d. Gaussian perturbation to every per-example
+    gradient evaluation. Two evaluations of the same example at the same
+    point disagree, which is exactly what the recursive-gradient variance
+    probe needs."""
+
+    def __init__(self, base: LossProblem, noise_std: float, seed: int):
+        self.base = base
+        self.noise_std = float(noise_std)
+        self.rng = np.random.default_rng(seed)
+        self.dim = base.dim
+        self.lipschitz = base.lipschitz
+        self.smoothness = base.smoothness
+
+    def per_example_values(self, x, batch):
+        return self.base.per_example_values(x, batch)
+
+    def per_example_grads(self, x, batch):
+        clean = self.base.per_example_grads(x, batch)
+        return clean + self.noise_std * self.rng.standard_normal(clean.shape)
+
+    def population_excess(self, x):
+        return self.base.population_excess(x)
+
+    def exact_optimum(self):
+        return self.base.exact_optimum()
+
+
+def _frozen_srg_estimates(problem: LossProblem, batches, steps) -> np.ndarray:
+    """The recursive estimate at the frozen point 0 with unit weights, the
+    running sum of srg_mean at x_t = x_prev = 0 with w_t = 1 and w_prev = 0
+    at the first batch and 1 after, at each of `steps` (in
+    1..len(batches)): shape (len(steps), dim). A batch costs a runner's
+    step's two evaluations per example, in its order."""
+    steps = list(steps)
+    if not steps or not all(1 <= s <= len(batches) for s in steps):
+        raise ValueError(f"steps must lie in 1..{len(batches)}, got {steps}")
+    origin = np.zeros((2, problem.dim))
+    increments = [problem.srg_mean(origin, 1.0, 0.0 if t == 0 else 1.0, batch)[0]
+                  for t, batch in enumerate(batches[:max(steps)])]
+    return np.cumsum(increments, axis=0)[np.subtract(steps, 1)]
+
+
+def _variance_probe(estimates) -> np.ndarray:
+    """Var(grad_t) = E||grad_t - mean grad_t||^2 at each step over seeds,
+    from one _frozen_srg_estimates array per seed."""
+    grads = np.stack(estimates)  # (S, steps, dim)
+    if (S := grads.shape[0]) < 2:
+        raise ValueError(f"a variance needs at least two seeds, got {S}")
+    centered = grads - grads.mean(axis=0, keepdims=True)
+    return (centered**2).sum(axis=2).sum(axis=0) / (S - 1)
+
+
+def _linear_fit(xs, ys) -> tuple[float, float, float]:
+    """Least-squares line fit returning (slope, intercept, r_squared)."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = ys - (slope * xs + intercept)
+    total = np.sum((ys - ys.mean())**2)
+    r2 = 1.0 - np.sum(resid**2) / total if total > 0 else 1.0
+    return float(slope), float(intercept), float(r2)
 
 
 def criterion_6() -> CriterionResult:
@@ -290,12 +363,12 @@ def criterion_6() -> CriterionResult:
         steps = [T // 4, T // 2, 3 * T // 4, T]
 
         def estimates(seed):
-            noisy = GradientNoiseWrapper(base, noise_std, seed)
+            noisy = _GradientNoiseWrapper(base, noise_std, seed)
             data = base.draw_batch(np.random.default_rng(10**6 + seed), T * B)
-            return frozen_srg_estimates(noisy, data.reshape(T, B, dim), steps)
+            return _frozen_srg_estimates(noisy, data.reshape(T, B, dim), steps)
 
-        variances = variance_probe([estimates(seed) for seed in range(100)])
-        slope, _, r2 = linear_fit(steps, variances)
+        variances = _variance_probe([estimates(seed) for seed in range(100)])
+        slope, _, r2 = _linear_fit(steps, variances)
         predicted = 2.0 * noise_std**2 * dim / B
         ok = r2 >= 0.9 and slope > 0
         detail = (f"Var(grad_t) fit over t = {steps}: slope = {slope:.3f} "

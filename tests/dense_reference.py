@@ -1,11 +1,30 @@
 """Dense n x n references for the tests of `dpsrgd.counting`, which holds
 workloads and strategies as first columns and scores the binary tree node
 by node: the workload and strategy matrices, the multi-epoch column-group
-sensitivity, and the tree as an explicit (B_dec, C_node) factorization."""
+sensitivity, the dyadic decomposition of a prefix, and the tree as an
+explicit (B_dec, C_node) factorization."""
 
 import numpy as np
 
-from dpsrgd.counting import _lower_toeplitz, _workload_column, ceil_log2, prefix_nodes
+from dpsrgd.counting import _lower_toeplitz, _workload_column, ceil_log2
+
+
+def prefix_nodes(i: int) -> list[tuple[int, int]]:
+    """Greedy left-to-right dyadic decomposition of the prefix [1, i].
+
+    Node (j, k) covers steps ((j-1)*2^k, j*2^k]. The number of intervals
+    equals popcount(i); every interval index j is odd. Example: i=7
+    decomposes into (1,2), (3,1), (7,0).
+    """
+    nodes = []
+    start, remaining = 0, i
+    while remaining > 0:
+        k = remaining.bit_length() - 1
+        block = 1 << k
+        nodes.append((start // block + 1, k))
+        start += block
+        remaining -= block
+    return nodes
 
 
 def build_workload(kind: str, k: int, b: int, momentum: float = 0.0,

@@ -29,3 +29,19 @@ def test_criterion(index):
         assert index == 10, "only the dataset-dependent criterion may skip"
         pytest.skip(result.detail)
     assert result.passed, line
+
+
+# The details of the criteria that run `verify`'s private helpers, at the
+# figures they printed when the helpers lived in `counting`, `objectives`
+# and `optim`: a helper change that moves a figure fails here.
+_PINNED_DETAILS = {
+    4: "exceed fraction = 0.0000 (want <= 0.05); observed max = 19.73 vs bound 162.68",
+    5: "max |mean| / (4 SE) = 0.477 over 16 prefixes (want <= 1)",
+    6: ("Var(grad_t) fit over t = [12, 24, 36, 48]: slope = 0.778 (closed form 0.735), "
+        "R^2 = 0.9968 (want >= 0.9)"),
+}
+
+
+@pytest.mark.parametrize("index", sorted(_PINNED_DETAILS))
+def test_criterion_detail_is_pinned(index):
+    assert _get(index).detail == _PINNED_DETAILS[index]

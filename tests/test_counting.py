@@ -19,9 +19,7 @@ from dpsrgd.counting import (
     gaussian_rows,
     identity_strategy,
     mf_noise_stream,
-    prefix_nodes,
     tree_baseline_objective,
-    tree_error_bound,
     tree_ingest,
     tree_prefix,
     tree_rows,
@@ -29,11 +27,14 @@ from dpsrgd.counting import (
 )
 from dpsrgd.harness import _noise_sigma
 
+from dpsrgd.verify import _tree_error_bound
+
 from dense_reference import (
     build_workload,
     column_group_sens,
     dense_c,
     dense_tree_baseline_objective,
+    prefix_nodes,
     tree_matrix_factorization,
 )
 
@@ -210,13 +211,13 @@ def test_tree_calibration_values():
     assert _noise_sigma(0.5, 1.0, 1, tree_sens(16)) == pytest.approx(math.sqrt(5.0))
     assert _noise_sigma(0.125, 2.0, 1, tree_sens(16)) == pytest.approx(4 * math.sqrt(5.0))
     expected = 4.0 * 8.0 * math.sqrt(4.0 * math.log(2 * 16 / 0.05))
-    assert tree_error_bound(1.0, 1.0, 16, 4, 0.05) == pytest.approx(expected)
+    assert _tree_error_bound(1.0, 1.0, 16, 4, 0.05) == pytest.approx(expected)
     with pytest.raises(ValueError):
-        tree_error_bound(1.0, 0.0, 16, 4, 0.05)
+        _tree_error_bound(1.0, 0.0, 16, 4, 0.05)
     with pytest.raises(ValueError):
-        tree_error_bound(1.0, 1.0, 1, 4, 0.05)
+        _tree_error_bound(1.0, 1.0, 1, 4, 0.05)
     with pytest.raises(ValueError):
-        tree_error_bound(1.0, 1.0, 16, 4, 1.5)
+        _tree_error_bound(1.0, 1.0, 16, 4, 1.5)
 
 
 @pytest.mark.parametrize("c_clip, mu", [
@@ -225,7 +226,7 @@ def test_tree_error_bound_rejects_a_bad_mu_or_clip(c_clip, mu):
     # mu = -1 or clip = -1 used to give a negative bound (-162.68), mu = NaN
     # a NaN one, and mu = 0 a ZeroDivisionError
     with pytest.raises(ValueError, match="mu|c_clip"):
-        tree_error_bound(c_clip, mu, 16, 4, 0.05)
+        _tree_error_bound(c_clip, mu, 16, 4, 0.05)
 
 
 @pytest.mark.parametrize("n", range(1, 71))

@@ -338,6 +338,23 @@ def test_spec_rejects_steps_a_multi_epoch_algorithm_does_not_read_before_any_wor
     assert [rec.steps for rec in records.values()] == [2 * 256 // 32] * 2
 
 
+@pytest.mark.parametrize("task", ["mnist", "csv-dataset"])
+@pytest.mark.parametrize("field,value", [
+    ("dim", 7), ("train_size", 100), ("curvature", 2.0), ("noise_scale", 0.0)])
+def test_spec_rejects_a_synthetic_key_a_dataset_task_does_not_read_before_any_work(
+        task, field, value):
+    # a dataset task builds its problem from its files: a csv run wrote the
+    # same summary rows whatever these keys said
+    spec = _tiny_spec(task=task, **{field: value})
+    log = []
+    with pytest.raises(ValueError, match=f"the {task} task reads no {field}, so "
+                                         f"{field}={value} would not be run"):
+        run_experiment(spec, event_log=log)
+    assert log == []
+    dataclasses.replace(spec, **{field: getattr(ExperimentSpec, field)}).validate()
+    dataclasses.replace(spec, task="synthetic").validate()
+
+
 @pytest.mark.parametrize("algorithm", ["dp_memf", "dp_srg_memf"])
 def test_spec_rejects_a_multi_epoch_batch_larger_than_the_synthetic_dataset(algorithm):
     # the synthetic task's n is train_size, so validate knows it; the run
@@ -962,11 +979,16 @@ def test_csv_loader_parses_into_the_kept_buffers(tmp_path):
 
 def _tiny_spec(**kw):
     """A small synthetic spec; `steps` is set only for the single-pass
-    algorithms, since a multi-epoch run's length is epochs x (n // B)."""
+    algorithms, since a multi-epoch run's length is epochs x (n // B), and
+    `dim` and `train_size` only for the synthetic task, the one that reads
+    them."""
     base = dict(task="synthetic", algorithm="dp_sgd", epsilon=2.0,
                 lr_grid=(0.1,), clip_grid=(1.0,), c_grid=(0.0,), repeats=2,
-                dim=5, train_size=256, batch_size=32, output="unused.csv")
+                batch_size=32, output="unused.csv")
     base.update(kw)
+    if base["task"] == "synthetic":
+        base.setdefault("dim", 5)
+        base.setdefault("train_size", 256)
     if not _ALGORITHMS[base["algorithm"]].multi_epoch:
         base.setdefault("steps", 12)
     return ExperimentSpec(**base)

@@ -10,12 +10,8 @@ import pytest
 
 from dpsrgd import objectives
 from dpsrgd.geometry import clip_rows
-from dpsrgd.objectives import (
-    GradientNoiseWrapper,
-    LogisticTask,
-    LossProblem,
-    SyntheticQuadratic,
-)
+from dpsrgd.objectives import LogisticTask, LossProblem, SyntheticQuadratic
+from dpsrgd.verify import _GradientNoiseWrapper
 
 
 def _quadratic(dim=5, noise_scale=0.4, seed=0, curvature=1.3):
@@ -45,7 +41,7 @@ def _draw(problem, rng, size):
     """A batch of `size`: the quadratic's drawn examples (the wrapped one's
     under the noise wrapper), or indices into a logistic task's training
     rows drawn with replacement."""
-    if isinstance(problem, GradientNoiseWrapper):
+    if isinstance(problem, _GradientNoiseWrapper):
         problem = problem.base
     if isinstance(problem, LogisticTask):
         return rng.integers(0, problem.n_train, size)
@@ -185,7 +181,7 @@ def test_srg_mean_matches_row_loop(make, c_clip, w_prev):
 
 
 def _noisy_quadratic():
-    return GradientNoiseWrapper(_quadratic(), 0.3, seed=21)
+    return _GradientNoiseWrapper(_quadratic(), 0.3, seed=21)
 
 
 @pytest.mark.parametrize("make", [_quadratic, _noisy_quadratic, _logistic])
@@ -281,6 +277,23 @@ def test_logistic_per_example_methods_reject_a_pair_of_points():
             method(points, np.arange(5))
 
 
+@pytest.mark.parametrize("make", [lambda: SyntheticQuadratic(dim=3, target=np.zeros(3)),
+                                  _noisy_quadratic], ids=["quadratic_dim3", "noisy_quadratic"])
+def test_quadratic_public_methods_reject_points_of_another_shape(make):
+    # a (1,) point was broadcast to (1, 1, 1): per_example_grads returned
+    # the (4, 3) gradients there and population_excess 1.5, and a (4, 3)
+    # point gave one loss per row at that row's own point; the noise
+    # wrapper delegates to these methods, so it rejects them too
+    problem = make()
+    d = problem.dim
+    batch = _draw(problem, np.random.default_rng(37), 4)
+    for x in (np.ones(1), np.ones((4, d)), np.ones(d + 1), np.ones((2, d))):
+        for method, args in (("per_example_grads", (batch,)),
+                             ("per_example_values", (batch,)), ("population_excess", ())):
+            with pytest.raises(ValueError, match=re.escape(f"x has shape {x.shape}, want ({d},)")):
+                getattr(problem, method)(x, *args)
+
+
 def _cli_shaped_quadratic_step():
     """A quadratic at the synthetic benchmark's shape, B = 256 and d = 20:
     (problem, batch, x_t, x_prev)."""
@@ -306,7 +319,7 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("wrap", [lambda p: GradientNoiseWrapper(p, 0.3, seed=22),
+@pytest.mark.parametrize("wrap", [lambda p: _GradientNoiseWrapper(p, 0.3, seed=22),
                                   lambda p: p], ids=["generic", "quadratic"])
 def test_srg_mean_leaves_the_nan_of_infinite_gradients_to_the_runner(wrap):
     # both points infinite: inf - 0.5 * inf is NaN, returned without a
@@ -843,7 +856,7 @@ def test_excess_and_accuracy_default_has_no_accuracy():
     problem = _quadratic()
     x = np.full(problem.dim, 0.2)
     assert problem.excess_and_accuracy(x) == (problem.population_excess(x), None)
-    wrapper = GradientNoiseWrapper(_logistic(), 0.1, seed=23)
+    wrapper = _GradientNoiseWrapper(_logistic(), 0.1, seed=23)
     x = np.zeros(wrapper.dim)
     assert wrapper.excess_and_accuracy(x) == (wrapper.population_excess(x), None)
 
@@ -1021,7 +1034,7 @@ def test_logistic_loss_is_cross_entropy():
 
 def test_noise_wrapper_adds_fresh_per_call_noise():
     base = _quadratic(noise_scale=0.0)
-    wrapper = GradientNoiseWrapper(base, 0.5, seed=11)
+    wrapper = _GradientNoiseWrapper(base, 0.5, seed=11)
     batch = base.draw_batch(np.random.default_rng(12), 6)
     x = np.zeros(base.dim)
     g1 = wrapper.per_example_grads(x, batch)
@@ -1034,7 +1047,7 @@ def test_noise_wrapper_adds_fresh_per_call_noise():
 
 def test_noise_wrapper_noise_is_centered():
     base = _quadratic(noise_scale=0.0)
-    wrapper = GradientNoiseWrapper(base, 0.7, seed=13)
+    wrapper = _GradientNoiseWrapper(base, 0.7, seed=13)
     batch = base.draw_batch(np.random.default_rng(14), 4)
     x = np.zeros(base.dim)
     clean = base.per_example_grads(x, batch)
@@ -1046,7 +1059,7 @@ def test_noise_wrapper_noise_is_centered():
 
 def test_noise_wrapper_delegates_metrics():
     base = _quadratic(noise_scale=0.0)
-    wrapper = GradientNoiseWrapper(base, 0.5, seed=15)
+    wrapper = _GradientNoiseWrapper(base, 0.5, seed=15)
     x = np.full(base.dim, 0.1)
     assert wrapper.population_excess(x) == base.population_excess(x)
     np.testing.assert_array_equal(wrapper.exact_optimum(), base.exact_optimum())

@@ -24,25 +24,23 @@ from dpsrgd.counting import (
 )
 from dpsrgd.geometry import ConstraintBall, all_finite, clip_rows, interpolate, project_ball
 from dpsrgd.harness import _noise_sigma
-from dpsrgd.objectives import (
-    GradientNoiseWrapper,
-    LogisticTask,
-    LossProblem,
-    SyntheticQuadratic,
-)
+from dpsrgd.objectives import LogisticTask, LossProblem, SyntheticQuadratic
 from dpsrgd.optim import (
     MemfConfig,
     RunAborted,
     SrgdConfig,
     _check_finite,
     _drive,
-    frozen_srg_estimates,
-    linear_fit,
     potential,
     run_accelerated_dp_srgd,
     run_dp_srg_memf,
     run_independent_variant,
-    variance_probe,
+)
+from dpsrgd.verify import (
+    _frozen_srg_estimates,
+    _GradientNoiseWrapper,
+    _linear_fit,
+    _variance_probe,
 )
 
 from dense_reference import build_workload
@@ -774,7 +772,7 @@ def test_unaccelerated_frozen_point_telescopes():
     problem = _quadratic(seed=13)
     T, B = 12, 4
     batches = _batches(problem, T, B, seed=14)
-    estimates = frozen_srg_estimates(problem, batches, [3, 6, 9, 12])
+    estimates = _frozen_srg_estimates(problem, batches, [3, 6, 9, 12])
     first_mean = problem.per_example_grads(np.zeros(problem.dim),
                                            batches[0]).mean(axis=0)
     assert estimates.shape == (4, problem.dim)
@@ -785,13 +783,13 @@ def test_unaccelerated_frozen_point_telescopes():
 def test_unaccelerated_custom_checkpoints_and_validation():
     problem = _quadratic(seed=15)
     batches = _batches(problem, 8, 4, seed=16)
-    estimates = frozen_srg_estimates(problem, batches, [8, 2])
+    estimates = _frozen_srg_estimates(problem, batches, [8, 2])
     assert estimates.shape == (2, problem.dim)
     # rows follow the listed steps: step 2 comes second
     np.testing.assert_array_equal(
-        estimates[::-1], frozen_srg_estimates(problem, batches, [2, 8]))
+        estimates[::-1], _frozen_srg_estimates(problem, batches, [2, 8]))
     with pytest.raises(ValueError, match="at least two seeds"):
-        variance_probe([estimates])  # one seed: S - 1 = 0
+        _variance_probe([estimates])  # one seed: S - 1 = 0
 
 
 @pytest.mark.parametrize("checkpoints", [[0, 99], [0], [9], [2, 9], []])
@@ -802,7 +800,7 @@ def test_unaccelerated_rejects_checkpoints_outside_the_run_before_any_step(check
                                  noise_scale=0.3, radius=1.0)
     batches = _batches(problem, 8, 4, seed=16)
     with pytest.raises(ValueError, match=r"steps must lie in 1\.\.8, got"):
-        frozen_srg_estimates(problem, batches, checkpoints)
+        _frozen_srg_estimates(problem, batches, checkpoints)
     assert problem.grad_rows == 0
 
 
@@ -813,9 +811,9 @@ def test_frozen_point_probe_matches_a_hand_written_noisy_loop():
     base = _quadratic(dim=5, noise_scale=0.3, seed=21)
     batches = _batches(base, 10, 6, seed=22)
     steps = [1, 4, 10]
-    got = frozen_srg_estimates(GradientNoiseWrapper(base, 0.7, 23), batches, steps)
+    got = _frozen_srg_estimates(_GradientNoiseWrapper(base, 0.7, 23), batches, steps)
 
-    noisy = GradientNoiseWrapper(base, 0.7, 23)
+    noisy = _GradientNoiseWrapper(base, 0.7, 23)
     x, total, want = np.zeros(base.dim), np.zeros(base.dim), []
     for t, batch in enumerate(batches):
         g_t = noisy.per_example_grads(x, batch)
@@ -834,19 +832,19 @@ def test_variance_probe_matches_closed_form_growth():
     steps = np.array([12, 24, 36, 48])
 
     def estimates(seed):
-        noisy = GradientNoiseWrapper(base, s, seed)
-        return frozen_srg_estimates(noisy, _batches(base, T, B, seed=10**6 + seed), steps)
+        noisy = _GradientNoiseWrapper(base, s, seed)
+        return _frozen_srg_estimates(noisy, _batches(base, T, B, seed=10**6 + seed), steps)
 
-    variances = variance_probe([estimates(seed) for seed in range(150)])
+    variances = _variance_probe([estimates(seed) for seed in range(150)])
     assert steps.shape == variances.shape == (4,)
-    slope, _, r2 = linear_fit(steps, variances)
+    slope, _, r2 = _linear_fit(steps, variances)
     assert slope == pytest.approx(2.0 * s**2 * dim / B, rel=0.15)
     assert r2 >= 0.95
 
 
 def test_linear_fit_recovers_exact_line():
     xs = np.array([1.0, 2.0, 3.0, 4.0])
-    slope, intercept, r2 = linear_fit(xs, 2.5 * xs - 1.0)
+    slope, intercept, r2 = _linear_fit(xs, 2.5 * xs - 1.0)
     assert slope == pytest.approx(2.5, rel=1e-12)
     assert intercept == pytest.approx(-1.0, abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
