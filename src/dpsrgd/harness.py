@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import gzip
 import hashlib
 import io
@@ -69,6 +70,32 @@ _ALGORITHMS = {
     "dp_srg_memf": _Algorithm("strategy", multi_epoch=True, recursive=True),
 }
 
+
+@functools.cache
+def _unread_keys(algorithm: str, task: str, workload: str) -> tuple:
+    """(key, default, who ignores it) of each spec key that no run of
+    `algorithm` on `task` and `workload` reads, for `validate` to reject
+    when set: a scalar off its default, a grid (default None) of 2 entries."""
+    algo, on = _ALGORITHMS[algorithm], f"{algorithm} on the {workload} workload"
+    strategy, dataset = algo.mechanism == "strategy", task != "synthetic"
+    rows = [("workload", not strategy or algo.workload, algorithm),
+            ("honest_selection", not dataset, "the synthetic task has no held-out set and"),
+            ("epochs", not algo.multi_epoch, f"{algorithm} makes one pass of `steps` and"),
+            ("lr_grid", not strategy, algorithm),
+            # c is the momentum_decay strategy's decay, a recursive strategy's weight
+            ("c_grid", workload != "momentum_decay" and not (strategy and algo.recursive), on),
+            # momentum drives the multi-epoch steps and shapes the momentum strategies
+            ("momentum", not (algo.multi_epoch or workload.startswith("momentum")), on),
+            ("steps", algo.multi_epoch,
+             f"{algorithm} runs epochs x (n // batch_size) steps and"),
+            ("radius", algo.multi_epoch and dataset, f"{algorithm} on the {task} task"),
+            # the synthetic quadratic's shape; a dataset task reads its own
+            *((key, dataset, f"the {task} task")
+              for key in ("dim", "train_size", "curvature", "noise_scale"))]
+    return tuple((key, None if key.endswith("_grid") else getattr(ExperimentSpec, key), who)
+                 for key, unread, who in rows if unread)
+
+
 DATA_DIR_ENV = "DPSRGD_DATA_DIR"
 
 
@@ -121,15 +148,12 @@ class ExperimentSpec:
         algo = _ALGORITHMS[self.algorithm]
         if self.workload not in counting.WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
-        if (algo.mechanism != "strategy" or algo.workload) and self.workload != "ones":
-            raise ValueError(f"{self.algorithm} reads no workload, so the summary would "
-                             f"state workload={self.workload} for runs that never used it")
-        if self.honest_selection and self.task == "synthetic":
-            raise ValueError("the synthetic task has no held-out set for honest_selection")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for name in ("lr_grid", "clip_grid", "c_grid"):
             grid = getattr(self, name)
+            if type(grid) is not tuple:
+                raise ValueError(f"{name} must be a tuple, got {grid!r}")
             if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(grid)) != len(grid):
@@ -153,9 +177,6 @@ class ExperimentSpec:
                              f"rho={self.rho}: give one of them")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.epochs != 1 and not algo.multi_epoch:
-            raise ValueError(f"{self.algorithm} makes one pass of `steps` and reads no "
-                             f"epochs, so epochs={self.epochs} would not be run")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.seed_base < 0:
@@ -175,19 +196,9 @@ class ExperimentSpec:
         if not 0 <= self.noise_scale < math.inf:
             raise ValueError("noise_scale must be nonnegative and finite, "
                              f"got {self.noise_scale}")
-        if algo.mechanism != "strategy" and len(self.lr_grid) > 1:
-            raise ValueError(f"{self.algorithm} takes no learning rate, so an lr_grid "
-                             f"of {len(self.lr_grid)} entries would rerun one "
-                             "configuration under different seeds")
-        # c is the decay of the momentum_decay strategy and a recursive
-        # strategy's recursion weight; nothing else reads it
-        decays = self.workload == "momentum_decay"
-        recursion = algo.mechanism == "strategy" and algo.recursive
-        if len(self.c_grid) > 1 and not (decays or recursion):
-            raise ValueError(f"{self.algorithm} on the {self.workload} workload takes no "
-                             f"c, so a c_grid of {len(self.c_grid)} entries would rerun "
-                             "one configuration under different seeds")
-        if decays and 0.0 in self.c_grid:
+        # only where the workload is read; the unread-key loop names it otherwise
+        if self.workload == "momentum_decay" and 0.0 in self.c_grid and (
+                algo.mechanism == "strategy" and not algo.workload):
             raise ValueError("the momentum_decay workload needs a decay in (0, 1], "
                              f"but c_grid holds 0: {self.c_grid}")
         if self.algorithm == "dp_ftrl" and self.workload == "identity":
@@ -208,21 +219,12 @@ class ExperimentSpec:
                 raise ValueError(f"{self.algorithm} at clip {clip} states srgd_sigma's "
                                  "theory regime in its summary, which needs "
                                  f"train_size >= 4, got train_size={self.train_size}")
-        # momentum drives the multi-epoch steps and shapes the momentum
-        # workloads' strategies; nothing else reads it
-        if (self.momentum != ExperimentSpec.momentum and not algo.multi_epoch
-                and self.workload not in ("momentum", "momentum_decay")):
-            raise ValueError(f"{self.algorithm} on the {self.workload} workload reads no "
-                             f"momentum, so momentum={self.momentum} would not be run")
-        if self.steps != ExperimentSpec.steps and algo.multi_epoch:
-            raise ValueError(f"{self.algorithm} runs epochs x (n // batch_size) steps and "
-                             f"reads no steps, so steps={self.steps} would not be run")
-        # the synthetic quadratic's shape; a dataset task reads its own
-        for name in ("dim", "train_size", "curvature", "noise_scale"):
-            if (self.task != "synthetic"
-                    and (value := getattr(self, name)) != getattr(ExperimentSpec, name)):
-                raise ValueError(f"the {self.task} task reads no {name}, so "
-                                 f"{name}={value} would not be run")
+        for key, default, who in _unread_keys(self.algorithm, self.task, self.workload):
+            value = getattr(self, key)
+            if len(value) > 1 if default is None else value != default:
+                raise ValueError(f"{who} reads no {key}, so {key}={value} would " + (
+                    "not be run" if default is not None else
+                    "rerun one configuration under different seeds"))
         return self
 
     def to_text(self) -> str:
@@ -408,10 +410,10 @@ def load_dataset(path: str, format: str) -> LogisticTask:
 def _read_label_csv(path: str, classes: float = math.inf):
     """(features, labels) of a label,feature,... file, shapes (n, p) and
     (n,), parsed into float64 and int64 buffers sized by the file's line
-    count. A file with no data rows, a row whose width is not the
-    header's, a cell that is not a finite number (an integer in the label
-    column) or a label outside 0 .. classes - 1 is rejected here, naming
-    the file and the line."""
+    count. Blank lines hold no row. A file with no data rows, a row whose
+    width is not the header's, a cell that is not a finite number (an
+    integer in the label column) or a label outside 0 .. classes - 1 is
+    rejected here, naming the file and the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         lines = sum(1 for _ in fh)
         fh.seek(0)
@@ -422,7 +424,7 @@ def _read_label_csv(path: str, classes: float = math.inf):
         features = np.empty((lines - 1, len(header) - 1))
         labels = np.empty(lines - 1, dtype=np.int64)
         n = 0
-        for n, row in enumerate(reader, 1):
+        for row in filter(None, reader):
             where = f"{path}, line {reader.line_num}"
             if len(row) != len(header):
                 raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
@@ -436,10 +438,11 @@ def _read_label_csv(path: str, classes: float = math.inf):
                 raise ValueError(f"{where}: label {label} is " + (
                     "negative" if label < 0 else
                     f"not a class of the train split, 0 .. {classes - 1}"))
-            features[n - 1], labels[n - 1] = values, label
+            features[n], labels[n] = values, label
+            n += 1
     if not n:
         raise ValueError(f"{path}: no data rows")
-    # a quoted cell spanning lines leaves the buffers' tails unused
+    # a blank line or a quoted cell spanning lines leaves the buffers' tails unused
     return features[:n], labels[:n]
 
 

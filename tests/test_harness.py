@@ -217,6 +217,19 @@ def test_spec_rejects_a_repeated_grid_entry(grid):
     _tiny_spec(algorithm="dp_srg_memf", **{grid: (0.5, 0.25)}).validate()
 
 
+@pytest.mark.parametrize("grid, value", [
+    ("lr_grid", [0.1, 0.2]), ("clip_grid", 0.5), ("c_grid", np.array([0.0]))],
+    ids=["list", "float", "array"])
+def test_spec_rejects_a_grid_that_is_not_a_tuple(grid, value):
+    # a list validated and ran, but to_text wrote "[0.1, 0.2]", which
+    # from_text could not read back; a float raised a TypeError from len()
+    spec = _tiny_spec(algorithm="dp_srg_memf", **{grid: value})
+    with pytest.raises(ValueError, match=f"{grid} must be a tuple"):
+        spec.validate()
+    spec = dataclasses.replace(spec, **{grid: tuple(np.ravel(value).tolist())}).validate()
+    assert ExperimentSpec.from_text(spec.to_text()) == spec
+
+
 @pytest.mark.parametrize("algorithm, workload", [
     ("dp_sgd", "ones"), ("dp_memf", "momentum"), ("accelerated_dp_srgd", "ones"),
     ("independent_variant", "ones"), ("dp_ftrl", "ones"),
@@ -263,6 +276,16 @@ def test_spec_rejects_a_workload_the_algorithm_never_reads(algorithm, workload):
         run_experiment(spec, event_log=log)
     assert log == []
     dataclasses.replace(spec, workload="ones").validate()
+
+
+@pytest.mark.parametrize("algorithm", ["dp_sgd", "accelerated_dp_srgd",
+                                       "independent_variant"])
+def test_spec_names_an_unread_workload_before_a_decay_it_would_need(algorithm):
+    # the decay is the workload's: an algorithm that reads no workload is
+    # told so, not asked for a decay that no run would read either
+    spec = _tiny_spec(algorithm=algorithm, workload="momentum_decay", c_grid=(0.0,))
+    with pytest.raises(ValueError, match=f"{algorithm} reads no workload"):
+        spec.validate()
 
 
 @pytest.mark.parametrize("algorithm", ["accelerated_dp_srgd", "independent_variant",
@@ -353,6 +376,46 @@ def test_spec_rejects_a_synthetic_key_a_dataset_task_does_not_read_before_any_wo
     assert log == []
     dataclasses.replace(spec, **{field: getattr(ExperimentSpec, field)}).validate()
     dataclasses.replace(spec, task="synthetic").validate()
+
+
+_MULTI_EPOCH = {"dp_memf", "dp_srg_memf"}
+_STRATEGY = {"dp_sgd", "dp_ftrl"} | _MULTI_EPOCH
+# key -> (a value off its default, or a second grid entry; whether a run of
+# the algorithm on the task reads the key), on the default ones workload
+_KEY_READ = {
+    "workload": ("momentum", lambda algorithm, task: algorithm in _STRATEGY - {"dp_sgd"}),
+    "honest_selection": (True, lambda algorithm, task: task != "synthetic"),
+    "epochs": (2, lambda algorithm, task: algorithm in _MULTI_EPOCH),
+    "lr_grid": ((0.1, 0.2), lambda algorithm, task: algorithm in _STRATEGY),
+    "c_grid": ((0.25, 0.5), lambda algorithm, task: algorithm == "dp_srg_memf"),
+    "momentum": (0.5, lambda algorithm, task: algorithm in _MULTI_EPOCH),
+    "steps": (12, lambda algorithm, task: algorithm not in _MULTI_EPOCH),
+    # the multi-epoch runs project no step on a dataset task
+    "radius": (2.0, lambda algorithm, task: algorithm not in _MULTI_EPOCH
+               or task == "synthetic"),
+    "dim": (7, lambda algorithm, task: task == "synthetic"),
+    "train_size": (1000, lambda algorithm, task: task == "synthetic"),
+    "curvature": (2.0, lambda algorithm, task: task == "synthetic"),
+    "noise_scale": (0.0, lambda algorithm, task: task == "synthetic"),
+}
+
+
+@pytest.mark.parametrize("key", list(_KEY_READ))
+@pytest.mark.parametrize("task", ["synthetic", "mnist", "csv-dataset"])
+@pytest.mark.parametrize("algorithm", list(_ALGORITHMS))
+def test_spec_rejects_exactly_the_keys_no_run_reads_before_any_work(algorithm, task, key):
+    # a csv-dataset dp_memf run wrote the same bytes, header included, at
+    # radius 1 and 5
+    spec = ExperimentSpec(task=task, algorithm=algorithm, epsilon=2.0).validate()
+    value, read = _KEY_READ[key]
+    spec = dataclasses.replace(spec, **{key: value})
+    if read(algorithm, task):
+        spec.validate()
+        return
+    log = []
+    with pytest.raises(ValueError, match=key):
+        run_experiment(spec, event_log=log)
+    assert log == []
 
 
 @pytest.mark.parametrize("algorithm", ["dp_memf", "dp_srg_memf"])
@@ -892,6 +955,25 @@ def test_csv_ragged_row_is_rejected_with_its_line(tmp_path):
     train.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0\n0,4.0,5.0\n")
     with pytest.raises(ValueError, match=r"data\.csv, line 3: 2 fields, the header has 3"):
         load_dataset(str(train), "csv")
+
+
+def test_csv_blank_lines_hold_no_row(tmp_path):
+    # a trailing blank line failed the whole file with "0 fields, the
+    # header has 3"
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n0,5.0,7.0\n")
+    blank.write_text("label,f0,f1\n0,1.0,2.0\n\n1,3.0,4.0\n0,5.0,7.0\n\n")
+    for want, got in zip(_read_label_csv(str(plain)), _read_label_csv(str(blank))):
+        np.testing.assert_array_equal(got, want, strict=True)
+    want, got = load_dataset(str(plain), "csv"), load_dataset(str(blank), "csv")
+    np.testing.assert_array_equal(got.features, want.features, strict=True)
+    np.testing.assert_array_equal(got.labels, want.labels, strict=True)
+    blank.write_text("label,f0,f1\n0,1.0,2.0\n\n1,3.0\n")
+    with pytest.raises(ValueError, match=r"blank\.csv, line 4: 2 fields, the header has 3"):
+        load_dataset(str(blank), "csv")
+    blank.write_text("label,f0,f1\n\n\n")
+    with pytest.raises(ValueError, match=r"blank\.csv: no data rows"):
+        load_dataset(str(blank), "csv")
 
 
 @pytest.mark.parametrize("row, message", [
