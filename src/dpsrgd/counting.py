@@ -1,18 +1,19 @@
 """Private continual counting.
 
-Three linear Gaussian mechanisms, each a stream of noise rows that a
+Two linear Gaussian mechanisms, each a stream of noise rows that a
 runner adds to its own exact sums (sensitivity in brackets):
 
-* i.i.d. rows, the identity mechanism (`gaussian_rows`; 1),
 * a dyadic-interval (binary tree) mechanism with per-node Gaussian noise,
   whose prefix-noise rows stream in at most ceil(bit_length(T) / 2) rows
   of dim floats (`tree_rows`; `tree_sens(T)`), and
 * matrix-factorization correlated noise, where a lower-triangular Toeplitz
   strategy matrix C (with bounded column-group sensitivity across epochs)
-  shapes white noise Z into C^{-1} Z rows, streamed in O(dim * bandwidth
-  of C) memory (`mf_noise_stream`; the strategy's sens). A strategy is
-  held as the first columns of C and of its workload W; its sensitivity
-  and error objective are computed from them in O(kb) memory.
+  shapes white noise Z, the i.i.d. rows of `gaussian_rows`, into C^{-1} Z
+  rows, streamed in O(dim * bandwidth of C) memory (`mf_noise_stream`; the
+  strategy's sens). A strategy is held as the first columns of C and of
+  its workload W; its sensitivity and error objective are computed from
+  them in O(kb) memory. The identity strategy C = I (`identity_strategy`)
+  streams Z itself: i.i.d. rows, of sensitivity 1.
 
 `tree_baseline_objective` scores the tree on the same error axis as a
 strategy, node by node from the workload's columns, with no node matrix.
@@ -249,10 +250,10 @@ class StrategyMatrix:
     kind: str
     k: int
     b: int
-    # always None: `factorize` is closed-form; perfbench/spans.py reads it
-    converged: bool | None = None
     sens: float = field(init=False)
     objective: float = field(init=False)
+    # always None, and no init field: `factorize` is closed-form; perfbench reads it
+    converged = None
 
     def __post_init__(self):
         if self.k < 1 or self.b < 1:

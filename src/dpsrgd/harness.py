@@ -17,6 +17,7 @@ import gzip
 import hashlib
 import io
 import math
+import operator
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import accounting, counting, optim
 from .geometry import ConstraintBall
-from .objectives import LogisticTask, SyntheticQuadratic, _hit_percent
+from .objectives import LogisticTask, SyntheticQuadratic
 
 __all__ = [
     "ExperimentSpec",
@@ -45,29 +46,30 @@ _TASKS = ("synthetic", "mnist", "csv-dataset")
 
 @dataclass(frozen=True)
 class _Algorithm:
-    """What the harness reads of an algorithm: its noise `mechanism` ("tree",
-    "iid" or "strategy"; only a strategy's runner reads lr), the `workload`
-    it fixes (None: the spec's), whether it makes `epochs` passes, and
-    whether it steps on recursive-gradient increments, not fresh gradients."""
+    """What the harness reads of an algorithm: its `noise` ("tree", the
+    workload whose strategy it fixes, or None: the strategy of the spec's
+    workload), whether it takes the `accelerated` y/z/x updates, which read
+    no lr, or SGD steps, whether it makes `epochs` passes, and whether it
+    steps on recursive-gradient increments, not fresh gradients."""
 
-    mechanism: str
-    workload: str | None = None
+    noise: str | None
+    accelerated: bool = False
     multi_epoch: bool = False
     recursive: bool = False
 
     def lipschitz_bound(self, clip: float) -> bool:
         """Whether srgd_sigma's (L, M) bound sizes the noise: only for the
         tree at an infinite clip, where no clip bounds the release."""
-        return self.mechanism == "tree" and math.isinf(clip)
+        return self.noise == "tree" and math.isinf(clip)
 
 
 _ALGORITHMS = {
-    "accelerated_dp_srgd": _Algorithm("tree", recursive=True),
-    "independent_variant": _Algorithm("iid"),
-    "dp_sgd": _Algorithm("strategy", workload="identity"),
-    "dp_ftrl": _Algorithm("strategy"),
-    "dp_memf": _Algorithm("strategy", multi_epoch=True),
-    "dp_srg_memf": _Algorithm("strategy", multi_epoch=True, recursive=True),
+    "accelerated_dp_srgd": _Algorithm("tree", accelerated=True, recursive=True),
+    "independent_variant": _Algorithm("identity", accelerated=True),
+    "dp_sgd": _Algorithm("identity"),
+    "dp_ftrl": _Algorithm(None),
+    "dp_memf": _Algorithm(None, multi_epoch=True),
+    "dp_srg_memf": _Algorithm(None, multi_epoch=True, recursive=True),
 }
 
 
@@ -77,13 +79,14 @@ def _unread_keys(algorithm: str, task: str, workload: str) -> tuple:
     `algorithm` on `task` and `workload` reads, for `validate` to reject
     when set: a scalar off its default, a grid (default None) of 2 entries."""
     algo, on = _ALGORITHMS[algorithm], f"{algorithm} on the {workload} workload"
-    strategy, dataset = algo.mechanism == "strategy", task != "synthetic"
-    rows = [("workload", not strategy or algo.workload, algorithm),
+    dataset = task != "synthetic"
+    rows = [("workload", algo.noise is not None, algorithm),
             ("honest_selection", not dataset, "the synthetic task has no held-out set and"),
             ("epochs", not algo.multi_epoch, f"{algorithm} makes one pass of `steps` and"),
-            ("lr_grid", not strategy, algorithm),
-            # c is the momentum_decay strategy's decay, a recursive strategy's weight
-            ("c_grid", workload != "momentum_decay" and not (strategy and algo.recursive), on),
+            ("lr_grid", algo.accelerated, algorithm),
+            # c is the momentum_decay strategy's decay, an SGD recursion's weight
+            ("c_grid", workload != "momentum_decay"
+             and (algo.accelerated or not algo.recursive), on),
             # momentum drives the multi-epoch steps and shapes the momentum strategies
             ("momentum", not (algo.multi_epoch or workload.startswith("momentum")), on),
             ("steps", algo.multi_epoch,
@@ -148,6 +151,12 @@ class ExperimentSpec:
         algo = _ALGORITHMS[self.algorithm]
         if self.workload not in counting.WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
+        for key in _INT_KEYS:
+            try:  # a numpy integer passes; a float, even 12.0, does not
+                operator.index(getattr(self, key))
+            except TypeError:
+                raise ValueError(f"{key} must be an integer, "
+                                 f"got {getattr(self, key)!r}") from None
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for name in ("lr_grid", "clip_grid", "c_grid"):
@@ -197,8 +206,7 @@ class ExperimentSpec:
             raise ValueError("noise_scale must be nonnegative and finite, "
                              f"got {self.noise_scale}")
         # only where the workload is read; the unread-key loop names it otherwise
-        if self.workload == "momentum_decay" and 0.0 in self.c_grid and (
-                algo.mechanism == "strategy" and not algo.workload):
+        if self.workload == "momentum_decay" and 0.0 in self.c_grid and algo.noise is None:
             raise ValueError("the momentum_decay workload needs a decay in (0, 1], "
                              f"but c_grid holds 0: {self.c_grid}")
         if self.algorithm == "dp_ftrl" and self.workload == "identity":
@@ -232,7 +240,8 @@ class ExperimentSpec:
         for f in dataclasses.fields(self):
             text = _format_value(value := getattr(self, f.name))
             if "#" in text or text != text.strip() or len(text.splitlines()) > 1 or (
-                    isinstance(value, str) and text == "none"):
+                    isinstance(value, str) and text == "none") or (
+                    f.type == "tuple" and type(value) is not tuple):
                 raise ValueError(f"config key {f.name!r}: from_text would not read "
                                  f"{text!r} back as written")
             lines.append(f"{f.name}={text}")
@@ -262,6 +271,9 @@ class ExperimentSpec:
             except ValueError as err:
                 raise ValueError(f"config key {name!r}: {err}") from None
         return cls(**kwargs)
+
+
+_INT_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentSpec) if f.type == "int")
 
 
 def _format_value(v) -> str:
@@ -560,8 +572,8 @@ def _noise_sigma(rho: float, clip: float, B: int, sens: float) -> float:
     """Noise std of every clip-calibrated run at rho-zCDP, 0 at rho = inf:
     (clip / B) * sens / sqrt(2 rho). One example moves the released mean of
     clipped vectors by at most clip / B per step it is in; sens is the
-    mechanism's: the strategy's for the matrix-factorization runs, 1 for
-    i.i.d. rows (dp_sgd, independent_variant), `tree_sens(T)` for the tree."""
+    mechanism's: the strategy's (1 for the identity strategy's i.i.d. rows
+    of dp_sgd and independent_variant), or `tree_sens(T)` for the tree."""
     if math.isinf(rho):
         return 0.0
     return clip / B * sens / math.sqrt(2.0 * rho)
@@ -578,8 +590,8 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
             problem.lipschitz, problem.smoothness, ball.diameter, spec.epsilon,
             spec.delta, B, beta, T)
     else:
-        sigma = _noise_sigma(rho, clip, B, strategy.sens if strategy is not None else
-                             counting.tree_sens(T) if algo.mechanism == "tree" else 1.0)
+        sigma = _noise_sigma(rho, clip, B, counting.tree_sens(T) if strategy is None
+                             else strategy.sens)
 
     if algo.multi_epoch:
         # b fixed batches, the same in the same order every epoch; on the
@@ -595,32 +607,36 @@ def _single_run(spec, problem, n, rho, lr, clip, c, seed, strategy):
     else:
         batches = _pass_stream(_data_rng(seed), n, B, T)
 
-    if strategy is not None:
+    noise = (counting.tree_rows(sigma, problem.dim, seed, T) if strategy is None
+             else counting.mf_noise_stream(strategy, sigma, problem.dim, seed))
+    if not algo.accelerated:
         # c may shape a non-recursive strategy, whose recursion is at decay
         # 0; the single-pass ones take projected steps, no momentum
         cfg = optim.MemfConfig(steps=strategy.steps, c_clip=clip, lr=lr,
                                decay=c if algo.recursive else 0.0,
                                momentum=spec.momentum if algo.multi_epoch else 0.0,
                                ball=None if algo.multi_epoch else ball)
-        return optim.run_dp_srg_memf(problem, batches, counting.mf_noise_stream(
-            strategy, sigma, problem.dim, seed), cfg)
+        return optim.run_dp_srg_memf(problem, batches, noise, cfg)
     run = optim.run_accelerated_dp_srgd if algo.recursive else optim.run_independent_variant
-    rows = counting.tree_rows if algo.mechanism == "tree" else counting.gaussian_rows
-    return run(problem, batches, rows(sigma, problem.dim, seed, T),
-               optim.SrgdConfig(T=T, beta=beta, ball=ball, clip=clip))
+    return run(problem, batches, noise, optim.SrgdConfig(T=T, beta=beta, ball=ball, clip=clip))
+
+
+def _hit_percent(hits: np.ndarray) -> float:
+    """Accuracy in percent of a hit mask: 100 * (hits / rows)."""
+    return 100.0 * (np.count_nonzero(hits) / len(hits))
 
 
 def _selection_metrics(spec, problem, x):
     """(selection metric, reported accuracy, excess) of a finished run's
-    final iterate x, from one pass over the held-out set. With honest
-    selection on a logistic task, selection uses the even-index half of
-    that pass's hit mask and the reported accuracy the odd half; otherwise
-    both use the full held-out set (or the negated excess)."""
-    if spec.honest_selection:
-        excess, hits = problem.heldout_pass(x)
-        return _hit_percent(hits[0::2]), _hit_percent(hits[1::2]), excess
-    excess, accuracy = problem.excess_and_accuracy(x)
-    return (-excess if accuracy is None else accuracy), accuracy, excess
+    final iterate x, from its one `heldout_pass`. With honest selection,
+    selection uses the even-index half of that pass's hit mask and the
+    reported accuracy the odd half; otherwise both use the whole mask, or
+    the negated excess and no accuracy for a task without one."""
+    excess, hits = problem.heldout_pass(x)
+    if hits is None:
+        return -excess, None, excess
+    select, report = (hits[0::2], hits[1::2]) if spec.honest_selection else (hits, hits)
+    return _hit_percent(select), _hit_percent(report), excess
 
 
 def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=None):
@@ -667,9 +683,9 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     lrs, clips, cs = ([v + 0 for v in g] for g in (spec.lr_grid, spec.clip_grid, spec.c_grid))
     grid = [(lr, clip, c) for lr in lrs for clip in clips for c in cs]
     strategies = {}
-    if algo.mechanism == "strategy":
+    if algo.noise != "tree":
         k, b = (spec.epochs, n // spec.batch_size) if algo.multi_epoch else (1, spec.steps)
-        strategies = {c: counting.build_strategy(algo.workload or spec.workload, k, b,
+        strategies = {c: counting.build_strategy(algo.noise or spec.workload, k, b,
                                                  momentum=spec.momentum, decay=c)
                       for c in cs}
     table = MetricTable(header={**{k: _format_value(v) for k, v in budget.items()},
@@ -679,7 +695,7 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     calibration = "none" if math.isinf(rho) else "+".join(sorted({
         "lipschitz_bound" if algo.lipschitz_bound(clip) else "clip" for clip in clips}))
     table.header["noise_calibration"] = calibration
-    if strategies:  # the matrix-factorization runs: the strategies they used
+    if not algo.accelerated:  # the matrix-factorization runs: the strategies they used
         table.header["strategy_sens"] = _format_value(
             max(s.sens for s in strategies.values()))
     if spec.task == "synthetic" and "lipschitz_bound" in calibration:

@@ -50,7 +50,8 @@ __all__ = [
 
 class LossProblem:
     """Base class. Subclasses set dim, lipschitz, smoothness and implement
-    the per-example methods.
+    the per-example methods. A finished run is scored by one call,
+    `heldout_pass(x)`, whose hit mask gives the harness its accuracy.
 
     The gradient hooks `clipped_mean_grad` and `srg_mean` return
     `(mean, train_loss)`, where train_loss is
@@ -93,14 +94,13 @@ class LossProblem:
         raise NotImplementedError
 
     def population_excess(self, x: np.ndarray) -> float:
-        """Excess population risk when the optimum is known, otherwise the
-        held-out average loss."""
+        """Excess population risk, for a task whose optimum is known."""
         raise NotImplementedError
 
-    def excess_and_accuracy(self, x: np.ndarray) -> tuple[float, float | None]:
-        """(population_excess(x), held-out accuracy in percent): the figures
-        a finished run reports. Accuracy is None for a task without one; a
-        task with both may compute them in one pass over the held-out set."""
+    def heldout_pass(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """(Excess, per-row hit mask of the held-out set, or None for a task
+        without held-out accuracy): the one evaluation of a finished run.
+        The default is (population_excess(x), None)."""
         return self.population_excess(x), None
 
     # The potential diagnostic's optimum; None when not analytically available.
@@ -525,16 +525,6 @@ class LogisticTask(LossProblem):
             return np.ones(err.shape[0])
         return _clip_factors(row_norms(err) * phi_norms, c_clip)
 
-    def population_excess(self, x) -> float:
-        """Held-out average loss (falls back to the training split)."""
-        return self.excess_and_accuracy(x)[0]
-
-    def excess_and_accuracy(self, x) -> tuple[float, float]:
-        """(Held-out average loss, held-out accuracy in percent) from one
-        `heldout_pass`; both fall back to the training split."""
-        loss, hits = self.heldout_pass(x)
-        return loss, _hit_percent(hits)
-
     def heldout_pass(self, x) -> tuple[float, np.ndarray]:
         """(Mean cross-entropy, per-row hit mask: whether the row's largest
         logit is at its label) over the held-out rows, or the training rows
@@ -551,8 +541,3 @@ class LogisticTask(LossProblem):
             losses[lo:hi] = self._exp_shifted(z[:, None, :], labels[lo:hi])[0][:, 0]
             del z  # freed before the next block's logits
         return float(losses.mean()), hits
-
-
-def _hit_percent(hits: np.ndarray) -> float:
-    """Accuracy in percent of a hit mask: 100 * (hits / rows)."""
-    return 100.0 * (np.count_nonzero(hits) / len(hits))

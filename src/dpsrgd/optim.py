@@ -265,8 +265,9 @@ def run_independent_variant(problem: LossProblem, stream, noise,
                             cfg: SrgdConfig) -> RunRecord:
     """Same accelerated updates on a fresh clipped minibatch gradient g_t
     each step (one evaluation per example) plus the step's row w_t from
-    `noise` (`counting.gaussian_rows` for a private run): DP-SGD's estimate
-    g_t + w_t, whose norm grad_norm holds, in place of the tree's prefix."""
+    `noise` (for a private run, the i.i.d. rows of the identity strategy's
+    `counting.mf_noise_stream`): DP-SGD's estimate g_t + w_t, whose norm
+    grad_norm holds, in place of the tree's prefix."""
     accelerate, finish = _accelerated(problem, cfg)
     return _drive(problem, stream, cfg.T,
                   lambda t, points, batch: problem.clipped_mean_grad(points[0], batch,

@@ -2,6 +2,7 @@
 bookkeeping against brute-force oracles, noise covariance, square-root
 strategy quality and the coefficient formulas, and streams."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -462,6 +463,14 @@ def test_factorize_input_validation():
         factorize(np.array([0.0, 1.0, 1.0]), 1, 3)
     with pytest.raises(ValueError):
         factorize(np.ones(0), 0, 3)
+
+
+def test_converged_is_a_class_attribute_not_an_init_field():
+    # no caller passed it: `factorize` is closed-form, so it is always None
+    init = [f.name for f in dataclasses.fields(StrategyMatrix) if f.init]
+    assert init == ["w", "r", "kind", "k", "b"]
+    assert factorize(np.ones(4), 1, 4).converged is None
+    assert identity_strategy(2, 3).converged is None
 
 
 def test_strategy_check_rejects_violations():

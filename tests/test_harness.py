@@ -26,8 +26,11 @@ from dpsrgd.harness import (
     _build_problem,
     _ci95,
     _data_rng,
+    _noise_sigma,
     _pass_stream,
     _read_label_csv,
+    _run_seed,
+    _stable_key,
     data_dir,
     emit_csv,
     load_dataset,
@@ -230,6 +233,15 @@ def test_spec_rejects_a_grid_that_is_not_a_tuple(grid, value):
     assert ExperimentSpec.from_text(spec.to_text()) == spec
 
 
+@pytest.mark.parametrize("grid, value", [
+    ("lr_grid", [0.1, 0.2]), ("clip_grid", 0.5), ("c_grid", np.array([0.0]))],
+    ids=["list", "float", "array"])
+def test_spec_to_text_refuses_a_grid_that_is_not_a_tuple(grid, value):
+    # to_text wrote lr_grid=[0.1, 0.2], which from_text could not read back
+    with pytest.raises(ValueError, match=f"config key '{grid}': from_text would not read"):
+        ExperimentSpec(**{grid: value}).to_text()
+
+
 @pytest.mark.parametrize("algorithm, workload", [
     ("dp_sgd", "ones"), ("dp_memf", "momentum"), ("accelerated_dp_srgd", "ones"),
     ("independent_variant", "ones"), ("dp_ftrl", "ones"),
@@ -309,6 +321,22 @@ def test_spec_rejects_a_negative_seed_base_before_any_work():
         run_experiment(_tiny_spec(seed_base=-1), event_log=log)
     assert log == []
     _tiny_spec(seed_base=0).validate()
+
+
+@pytest.mark.parametrize("key", ["epochs", "batch_size", "repeats", "seed_base", "workers",
+                                 "dim", "steps", "train_size"])
+def test_spec_rejects_a_float_for_an_integer_key_before_any_work(key):
+    # steps=12.5 validated, and the run failed with "'float' object has no
+    # attribute 'bit_length'" after the budget and data events were logged
+    spec = ExperimentSpec(algorithm="accelerated_dp_srgd", epsilon=2.0, steps=12, dim=5,
+                          train_size=256, batch_size=32)
+    for value in (getattr(spec, key) + 0.5, float(getattr(spec, key))):
+        log = []
+        with pytest.raises(ValueError, match=re.escape(
+                f"{key} must be an integer, got {value!r}")):
+            run_experiment(dataclasses.replace(spec, **{key: value}), event_log=log)
+        assert log == []
+    dataclasses.replace(spec, **{key: np.int64(getattr(spec, key))}).validate()
 
 
 @pytest.mark.parametrize("algorithm, workload", [
@@ -1089,6 +1117,32 @@ def _emit_sweep(spec, path, **kw):
     return table, emit_csv(table, path) + [p for p in trajectories if p is not None]
 
 
+@pytest.mark.parametrize("algorithm, runner", [
+    ("independent_variant", "run_independent_variant"), ("dp_sgd", "run_dp_srg_memf")])
+def test_the_identity_strategys_rows_reach_the_runner_unscaled(monkeypatch, algorithm,
+                                                               runner):
+    # both take DP-SGD's i.i.d. rows from the identity strategy's stream,
+    # z / 1.0: gaussian_rows' bits at the clip-calibrated sigma of sens 1
+    spec = _tiny_spec(algorithm=algorithm, repeats=1, clip_grid=(0.5,))
+    real, handed = getattr(optim, runner), []
+
+    def spy(problem, batches, noise, cfg):
+        rows = list(noise)
+        handed.append([row.copy() for row in rows])
+        return real(problem, batches, iter(rows), cfg)
+
+    monkeypatch.setattr(optim, runner, spy)
+    run_experiment(spec)
+    (lr,), (clip,), (c,) = spec.lr_grid, spec.clip_grid, spec.c_grid
+    seed = _run_seed(spec.seed_base, _stable_key(algorithm, spec.workload, lr, clip, c), 0)
+    sigma = _noise_sigma(accounting.rho_for_dp(spec.epsilon, spec.delta), clip,
+                         spec.batch_size, 1)
+    (rows,) = handed
+    assert sigma > 0 and len(rows) == spec.steps
+    assert np.array_equal(np.stack(rows), np.stack(list(
+        counting.gaussian_rows(sigma, spec.dim, seed, spec.steps))))
+
+
 def _max_abs_cosine(a, b) -> float:
     return float(np.max(np.abs(np.sum(a * b, axis=1))
                         / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))))
@@ -1310,9 +1364,9 @@ class _EvaluationSpy:
         caller = sys._getframe(2).f_globals["__name__"]
         self.evaluated.append((method, caller, x.tobytes()))
 
-    def excess_and_accuracy(self, x):
-        self._record("excess_and_accuracy", x)
-        return super().excess_and_accuracy(x)
+    def heldout_pass(self, x):
+        self._record("heldout_pass", x)
+        return super().heldout_pass(x)
 
 
 class _QuadraticEvaluationSpy(_EvaluationSpy, SyntheticQuadratic):
@@ -1320,9 +1374,7 @@ class _QuadraticEvaluationSpy(_EvaluationSpy, SyntheticQuadratic):
 
 
 class _LogisticEvaluationSpy(_EvaluationSpy, LogisticTask):
-    def heldout_pass(self, x):
-        self._record("heldout_pass", x)
-        return super().heldout_pass(x)
+    pass
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -1341,7 +1393,7 @@ def test_a_sweep_evaluates_each_finished_run_once_in_the_harness(workers):
     finished = [r for r in records.values() if isinstance(r, RunRecord)]
     assert len(finished) == 4 and len(records) == 8
     assert sorted(spy.evaluated) == sorted(
-        ("excess_and_accuracy", "dpsrgd.harness", r.final_x.tobytes())
+        ("heldout_pass", "dpsrgd.harness", r.final_x.tobytes())
         for r in finished)
     assert table == run_experiment(spec)[0]
 
@@ -1359,9 +1411,9 @@ def test_a_run_frees_its_noise_stream_before_its_evaluation(monkeypatch):
             events.append("freed")
 
     class Watch(SyntheticQuadratic):
-        def excess_and_accuracy(self, x):
+        def heldout_pass(self, x):
             events.append("evaluated")
-            return super().excess_and_accuracy(x)
+            return super().heldout_pass(x)
 
     spec = _tiny_spec(algorithm="accelerated_dp_srgd")
     plain = _build_problem(spec, None, None)
@@ -1443,12 +1495,12 @@ def test_honest_selection_on_a_one_row_held_out_split_is_rejected(tmp_path):
 
 def test_default_selection_uses_full_held_out_metric(tmp_path):
     dataset, row, x, evaluated = _spied_logistic_run(tmp_path, honest_selection=False)
-    accuracy = dataset.excess_and_accuracy(x)[1]
+    pred = (dataset.eval_features @ dataset._weights(x).T).argmax(axis=1)
+    accuracy = 100.0 * float((pred == dataset.eval_labels).mean())
     assert row.acc_mean == pytest.approx(accuracy)
     assert row.selection_metric == row.acc_mean == accuracy
-    # one held-out pass, made by excess_and_accuracy
-    assert evaluated == [("excess_and_accuracy", "dpsrgd.harness", x.tobytes()),
-                         ("heldout_pass", "dpsrgd.objectives", x.tobytes())]
+    # one held-out pass, made by the harness
+    assert evaluated == [("heldout_pass", "dpsrgd.harness", x.tobytes())]
 
 
 class _IndexSpy(LogisticTask):
@@ -1598,8 +1650,11 @@ def test_header_reports_strategy_convergence_and_sensitivity(tmp_path):
     k, b = 2, spec.train_size // spec.batch_size
     strat = factorize(build_workload("ones", k, b)[:, 0], k, b)
     assert float(header["strategy_sens"]) == strat.sens
-    table, _ = run_experiment(_tiny_spec(algorithm="accelerated_dp_srgd", repeats=1))
-    assert "strategy_sens" not in table.header
+    # independent_variant draws the identity strategy's rows, but its
+    # accelerated runs state no strategy_sens, as the tree's do not
+    for algorithm in ("accelerated_dp_srgd", "independent_variant"):
+        table, _ = run_experiment(_tiny_spec(algorithm=algorithm, repeats=1))
+        assert "strategy_sens" not in table.header
 
 
 def test_dp_sgd_header_states_the_identity_strategys_sens(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 from dpsrgd import objectives
 from dpsrgd.geometry import clip_rows
+from dpsrgd.harness import ExperimentSpec, _hit_percent, _selection_metrics
 from dpsrgd.objectives import LogisticTask, LossProblem, SyntheticQuadratic
 from dpsrgd.verify import _GradientNoiseWrapper
 
@@ -789,6 +790,10 @@ def test_consecutive_batch_peak_memory_holds_no_batch_copy():
     assert peak <= 300_000
 
 
+# the harness's scoring of a finished run without honest selection
+_SCORE = ExperimentSpec(task="csv-dataset")
+
+
 def _heldout_reference(problem, x):
     """(Mean cross-entropy, accuracy in percent) over the held-out split,
     or the training split when there is none, from the unfused formulas."""
@@ -801,14 +806,12 @@ def _heldout_reference(problem, x):
 
 
 @pytest.mark.parametrize("with_eval", [True, False])
-def test_excess_and_accuracy_is_one_heldout_pass(with_eval):
+def test_heldout_pass_scores_a_run_as_the_reference_does(with_eval):
     problem = _logistic(n=60, with_eval=with_eval, seed=21)
     x = np.random.default_rng(22).standard_normal(problem.dim)
-    got = problem.excess_and_accuracy(x)
-    assert got == _heldout_reference(problem, x)
     loss, hits = problem.heldout_pass(x)
-    assert got == (problem.population_excess(x), 100.0 * (np.count_nonzero(hits) / hits.size))
-    assert loss == got[0]
+    assert (loss, _hit_percent(hits)) == _heldout_reference(problem, x)
+    assert _selection_metrics(_SCORE, problem, x) == (_hit_percent(hits),) * 2 + (loss,)
 
 
 def _mnist_shaped_with_heldout(n_eval=10000):
@@ -833,10 +836,10 @@ def test_heldout_figures_equal_the_feats_at_weights_reference(make):
     # the even and odd halves of the hit mask do too
     problem = make()
     x = np.random.default_rng(31).standard_normal(problem.dim) * 0.05
-    assert problem.excess_and_accuracy(x) == _heldout_reference(problem, x)
+    loss, hits = problem.heldout_pass(x)
+    assert (loss, _hit_percent(hits)) == _heldout_reference(problem, x)
     feats, labels = problem.eval_features, problem.eval_labels
     pred = (feats @ problem._weights(x).T).argmax(axis=1)
-    hits = problem.heldout_pass(x)[1]
     np.testing.assert_array_equal(hits, pred == labels, strict=True)
     for rows in (slice(None), slice(0, None, 2), slice(1, None, 2)):
         assert (100.0 * (np.count_nonzero(hits[rows]) / hits[rows].size)
@@ -847,18 +850,18 @@ def test_heldout_pass_holds_no_logits_of_the_whole_set():
     # one (10000, 10) logits array alone would take 800 KB
     problem = _mnist_shaped_with_heldout()
     x = np.random.default_rng(35).standard_normal(problem.dim) * 0.05
-    assert _traced_peak(lambda: problem.excess_and_accuracy(x)) < 10000 * 10 * 8
+    assert _traced_peak(lambda: _selection_metrics(_SCORE, problem, x)) < 10000 * 10 * 8
     # the pass that also returns the 90 KB of losses and hit mask
     assert _traced_peak(lambda: problem.heldout_pass(x)) < 10000 * 10 * 8
 
 
-def test_excess_and_accuracy_default_has_no_accuracy():
+def test_heldout_pass_default_has_no_hit_mask():
     problem = _quadratic()
     x = np.full(problem.dim, 0.2)
-    assert problem.excess_and_accuracy(x) == (problem.population_excess(x), None)
-    wrapper = _GradientNoiseWrapper(_logistic(), 0.1, seed=23)
+    assert problem.heldout_pass(x) == (problem.population_excess(x), None)
+    wrapper = _GradientNoiseWrapper(_quadratic(), 0.1, seed=23)
     x = np.zeros(wrapper.dim)
-    assert wrapper.excess_and_accuracy(x) == (wrapper.population_excess(x), None)
+    assert wrapper.heldout_pass(x) == (wrapper.population_excess(x), None)
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan])
@@ -904,7 +907,7 @@ def test_srg_mean_always_evaluates_both_points():
 def test_logistic_accuracy_halves_partition_eval_set():
     problem = _logistic(n=40, seed=9)
     x = np.random.default_rng(10).standard_normal(problem.dim)
-    full = problem.excess_and_accuracy(x)[1]
+    full = _selection_metrics(_SCORE, problem, x)[1]
     hits = problem.heldout_pass(x)[1]
     even = 100.0 * float(hits[0::2].mean())
     odd = 100.0 * float(hits[1::2].mean())
@@ -919,7 +922,7 @@ def test_logistic_accuracy_halves_partition_eval_set():
 def test_logistic_accuracy_falls_back_to_train_split():
     problem = _logistic(with_eval=False)
     x = np.zeros(problem.dim)
-    acc = problem.excess_and_accuracy(x)[1]
+    acc = _selection_metrics(_SCORE, problem, x)[1]
     assert 0.0 <= acc <= 100.0
     assert problem.heldout_pass(x)[1].shape == (problem.n_train,)
 

@@ -745,7 +745,7 @@ def test_runner_rejects_a_noise_row_of_another_shape(name):
 class _NoHeldOut(LogisticTask):
     """A task whose held-out evaluation raises."""
 
-    def excess_and_accuracy(self, x):
+    def heldout_pass(self, x):
         raise AssertionError("the runner evaluated the held-out set")
 
 

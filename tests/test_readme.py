@@ -126,7 +126,7 @@ def test_readme_algorithm_table_row_matches_the_harness(monkeypatch, algorithm):
     record = harness._ALGORITHMS[algorithm]
     mechanism, workload, stream = re.fullmatch(
         r"(\w+)(?:, `(\w+)`)? \(`([\w.]+)`\)", row["Mechanism (noise stream)"]).groups()
-    assert (mechanism, workload) == (record.mechanism, record.workload)
+    assert {"tree": "tree", "strategy": workload}[mechanism] == record.noise
     length = {"epochs": 2} if record.multi_epoch else {"steps": 4}
     spec = harness.ExperimentSpec(
         task="synthetic", algorithm=algorithm, epsilon=2.0, dim=3, train_size=64,
@@ -136,7 +136,7 @@ def test_readme_algorithm_table_row_matches_the_harness(monkeypatch, algorithm):
     sigma = row["σ rule"]
     assert ("`srgd_sigma`" in sigma) == record.lipschitz_bound(math.inf)
     assert sigma.startswith("`srgd_sigma`") == record.lipschitz_bound(1.0)
-    assert ("`tree_sens(T)`" in sigma) == (record.mechanism == "tree")
+    assert ("`tree_sens(T)`" in sigma) == (record.noise == "tree")
 
     with_ = lambda **kw: _accepts(dataclasses.replace(spec, **kw))
     yes_no = lambda accepted: "yes" if accepted else "no"
