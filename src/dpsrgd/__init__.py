@@ -3,7 +3,7 @@ noise.
 
 Layer map (each imports only from layers above it):
 
-  geometry     projections and the L2 constraint ball
+  geometry     projections, the L2 constraint ball and the one bound check
   objectives   convex per-example losses with exact population metrics
   optim        the optimizer runners only (accelerated recursive-gradient,
                baselines, multi-epoch variants) and their potential; they

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .geometry import check_in
 
 __all__ = [
     "sensitivity_bound",
@@ -47,8 +48,7 @@ def srgd_sigma(L: float, M: float, R_diam: float, eps: float, delta: float,
     Measured in iterate-update units (the b_t scale); a tree ingesting raw
     unscaled increments needs this multiplied by beta.
     """
-    if T < 2:
-        raise ValueError(f"T must be >= 2, got {T}")
+    check_in("T", T, "[2, inf)")
     num = (8.0 * math.sqrt(2.0) * L + 16.0 * math.sqrt(2.0) * M * R_diam)
     return num * math.sqrt(math.log(T) * math.log(2.5 / delta)) / (eps * B * beta)
 
@@ -73,8 +73,7 @@ def batch_and_beta(n: int, L: float, M: float, R_diam: float, eps: float,
     The privacy cap depends on T, so it is resolved by a two-pass fixed
     point: evaluate at T0 = sqrt(n), then re-evaluate once at T = n / B.
     """
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
+    check_in("n", n, "[4, inf)")
 
     def cap(T: float) -> float:
         if d == 0:
@@ -95,16 +94,14 @@ def batch_and_beta(n: int, L: float, M: float, R_diam: float, eps: float,
 def gdp_to_dp(mu: float, delta: float) -> float:
     """epsilon such that mu-GDP implies (epsilon, delta)-DP at the
     fidelity used throughout: epsilon = mu * sqrt(2 ln(2.5/delta))."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    check_in("mu", mu, "(0, inf]")
     return mu * math.sqrt(2.0 * math.log(2.5 / delta))
 
 
 def zcdp_to_dp(rho: float, delta: float) -> float:
     """epsilon such that rho-zCDP implies (epsilon, delta)-DP:
     epsilon = rho + 2 sqrt(rho ln(1/delta))."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    check_in("rho", rho, "(0, inf]")
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import check_in
+
 __all__ = [
     "TreeState",
     "StrategyMatrix",
@@ -43,8 +45,7 @@ __all__ = [
 
 
 def ceil_log2(t: int) -> int:
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    check_in("t", t, "[1, inf)")
     return (t - 1).bit_length()
 
 
@@ -77,10 +78,8 @@ class TreeState:
     stack: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        check_in("horizon", self.horizon, "[1, inf)")
+        check_in("sigma", self.sigma, "[0, inf)")
         self.stack = []
         self._rng = np.random.default_rng(self.seed)
 
@@ -162,20 +161,18 @@ def _workload_column(kind: str, k: int, b: int, momentum: float = 0.0,
                      grad_t = decay * grad_{t-1} + delta_t
 
     w is the truncated convolution of the first columns of M, A and L."""
-    if k < 1 or b < 1:
-        raise ValueError(f"k and b must be >= 1, got k={k}, b={b}")
+    check_in("k", k, "[1, inf)")
+    check_in("b", b, "[1, inf)")
     if kind not in WORKLOADS:
         raise ValueError(f"unknown workload kind {kind!r}")
     n = k * b
     if kind not in ("momentum", "momentum_decay"):
         return np.ones(n)
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must be in [0,1), got {momentum}")
+    check_in("momentum", momentum, "[0, 1)")
     w = np.cumsum(momentum ** np.arange(n))  # M's first column times A
     if kind == "momentum":
         return w
-    if not 0.0 < decay <= 1.0:
-        raise ValueError(f"decay must be in (0,1], got {decay}")
+    check_in("decay", decay, "(0, 1]")
     return np.convolve(w, decay ** np.arange(n))[:n]
 
 
@@ -256,8 +253,8 @@ class StrategyMatrix:
     converged = None
 
     def __post_init__(self):
-        if self.k < 1 or self.b < 1:
-            raise ValueError(f"k and b must be >= 1, got k={self.k}, b={self.b}")
+        check_in("k", self.k, "[1, inf)")
+        check_in("b", self.b, "[1, inf)")
         self.w = np.asarray(self.w, dtype=np.float64)
         self.r = np.trim_zeros(np.asarray(self.r, dtype=np.float64), "b")
         n = self.steps
@@ -342,13 +339,12 @@ def factorize(w: np.ndarray, k: int, b: int, kind: str = "custom") -> StrategyMa
     Factorization", NeurIPS 2024). Deterministic. kind labels the workload;
     "custom" marks one outside `WORKLOADS`.
     """
-    if k < 1 or b < 1:
-        raise ValueError(f"k and b must be >= 1, got k={k}, b={b}")
+    check_in("k", k, "[1, inf)")
+    check_in("b", b, "[1, inf)")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (k * b,):
         raise ValueError(f"workload column shape {w.shape} != ({k * b},)")
-    if not w[0] > 0:
-        raise ValueError(f"workload diagonal must be positive, got {w[0]}")
+    check_in("workload diagonal", float(w[0]), "(0, inf)")
     r = _sqrt_coefficients(w[:b])  # r_i reads w_0 .. w_i alone
     r /= _toeplitz_sens(r, k, b)
     return StrategyMatrix(w, r, kind, k, b)
@@ -429,8 +425,7 @@ def gaussian_rows(sigma: float, d: int, seed: int, n: int):
     matrix. Each row is handed over through `map`, with no generator local
     binding it, so between rows the stream holds none. sigma is checked at
     the call, before the first row."""
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
+    check_in("sigma", sigma, "[0, inf)")
     rng = np.random.default_rng(seed)
     return map(lambda z: np.multiply(z, sigma, out=z),
                (rng.standard_normal(d) for _ in range(n)))

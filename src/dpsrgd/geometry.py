@@ -2,18 +2,39 @@
 
 Parameter vectors are plain float64 numpy arrays. All optimizers in this
 package constrain iterates to a centered L2 ball; its diameter is the
-quantity that enters sensitivity and step-size formulas.
+quantity that enters sensitivity and step-size formulas. `check_in`, the
+package's one bound check, sits in this lowest layer so every module can
+call it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConstraintBall", "project_ball", "check_clip", "clip_rows", "row_norms",
-           "all_finite", "interpolate"]
+__all__ = ["ConstraintBall", "project_ball", "check_in", "check_clip", "clip_rows",
+           "row_norms", "all_finite", "interpolate"]
+
+
+@functools.cache
+def _closed(interval: str) -> tuple[float, float]:
+    """The float pair (low, high) of an interval's text, "[a, b]", "(a, b]"
+    and so on, with each open end moved one float inward, so that one
+    chained comparison tests every kind of end."""
+    low, high = map(float, interval[1:-1].split(","))
+    return (math.nextafter(low, math.inf) if interval[0] == "(" else low,
+            math.nextafter(high, -math.inf) if interval[-1] == ")" else high)
+
+
+def check_in(name: str, value, interval: str) -> None:
+    """Raise ValueError naming `name` and `value` unless value lies in
+    `interval`, written as `_closed` reads it. NaN lies in no interval."""
+    low, high = _closed(interval)
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -24,10 +45,8 @@ class ConstraintBall:
     radius: float
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if not np.isfinite(self.radius) or self.radius <= 0:
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        check_in("dim", self.dim, "[1, inf)")
+        check_in("radius", self.radius, "(0, inf)")
 
     @property
     def diameter(self) -> float:
@@ -89,8 +108,7 @@ def _project(v: np.ndarray, radius: float) -> np.ndarray:
 def check_clip(c_clip: float) -> None:
     """Raise ValueError unless c_clip is a threshold in [0, inf]. A negative
     one would flip every clipped vector; NaN would silently skip clipping."""
-    if not c_clip >= 0:
-        raise ValueError(f"clip threshold must be nonnegative, got {c_clip}")
+    check_in("clip", c_clip, "[0, inf]")
 
 
 def row_norms(mat: np.ndarray) -> np.ndarray:
@@ -151,8 +169,7 @@ def interpolate(y: np.ndarray, z: np.ndarray, tau: float) -> np.ndarray:
     z = _as_vector(z, "z")
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {z.shape}")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    check_in("tau", tau, "[0, 1]")
     return _interpolate(y, z, tau)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import accounting, counting, optim
-from .geometry import ConstraintBall
+from .geometry import ConstraintBall, check_in
 from .objectives import LogisticTask, SyntheticQuadratic
 
 __all__ = [
@@ -151,15 +151,14 @@ class ExperimentSpec:
         algo = _ALGORITHMS[self.algorithm]
         if self.workload not in counting.WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
-        for key in _INT_KEYS:
+        for key, interval in _INT_BOUNDS:
+            value = getattr(self, key)
             try:  # a numpy integer passes; a float, even 12.0, does not
-                operator.index(getattr(self, key))
+                operator.index(value)
             except TypeError:
-                raise ValueError(f"{key} must be an integer, "
-                                 f"got {getattr(self, key)!r}") from None
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        for name in ("lr_grid", "clip_grid", "c_grid"):
+                raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            check_in(key, value, interval)
+        for name, interval in _GRID_BOUNDS:
             grid = getattr(self, name)
             if type(grid) is not tuple:
                 raise ValueError(f"{name} must be a tuple, got {grid!r}")
@@ -167,44 +166,17 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(grid)) != len(grid):
                 raise ValueError(f"{name} repeats an entry: {grid} reruns its seeds")
-        if not all(0 < lr < math.inf for lr in self.lr_grid):
-            raise ValueError("lr_grid entries must be positive and finite, "
-                             f"got {self.lr_grid}")
-        if not all(clip >= 0 for clip in self.clip_grid):
-            raise ValueError("clip_grid entries must be nonnegative (inf disables "
-                             f"clipping), got {self.clip_grid}")
-        if not all(0 <= c <= 1 for c in self.c_grid):
-            raise ValueError(f"c_grid entries must lie in [0, 1], got {self.c_grid}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0,1)")
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError("rho must be positive when given")
+            for v in grid:
+                check_in(f"{name} entry", v, interval)
+        for key, interval in _BOUNDS:
+            if (value := getattr(self, key)) is not None:  # None: no rho given
+                check_in(key, value, interval)
         if self.rho is not None and math.isfinite(self.epsilon):
             raise ValueError(f"the budget is given twice, as epsilon={self.epsilon} and "
                              f"rho={self.rho}: give one of them")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.seed_base < 0:
-            raise ValueError(f"seed_base must be >= 0, got {self.seed_base}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if min(self.dim, self.steps, self.train_size) < 1:
-            raise ValueError("dim, steps and train_size must be >= 1, got "
-                             f"{self.dim}, {self.steps}, {self.train_size}")
         if self.task == "synthetic" and self.batch_size > self.train_size:
             raise ValueError(f"batch_size={self.batch_size} exceeds train_size="
                              f"{self.train_size}, the synthetic dataset's size")
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if not 0 < self.curvature < math.inf:
-            raise ValueError(f"curvature must be positive and finite, got {self.curvature}")
-        if not 0 <= self.noise_scale < math.inf:
-            raise ValueError("noise_scale must be nonnegative and finite, "
-                             f"got {self.noise_scale}")
         # only where the workload is read; the unread-key loop names it otherwise
         if self.workload == "momentum_decay" and 0.0 in self.c_grid and algo.noise is None:
             raise ValueError("the momentum_decay workload needs a decay in (0, 1], "
@@ -260,20 +232,37 @@ class ExperimentSpec:
             if key in values:
                 raise ValueError(f"config key {key!r} is given more than once")
             values[key] = val
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(values) - set(fields)
+        unknown = values.keys() - _FIELD_TYPES
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
         for name, val in values.items():
             try:
-                kwargs[name] = _parse_value(val, fields[name].type)
+                kwargs[name] = _parse_value(val, _FIELD_TYPES[name])
             except ValueError as err:
                 raise ValueError(f"config key {name!r}: {err}") from None
         return cls(**kwargs)
 
 
-_INT_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentSpec) if f.type == "int")
+# each key's annotation, as from_text reads it, built once: dataclasses.fields
+# rebuilds its tuple on every call
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentSpec)}
+
+
+def _bounds(*rows) -> tuple:
+    """(key, interval) of each key in rows (interval, keys)."""
+    return tuple((key, interval) for interval, keys in rows for key in keys.split())
+
+
+# The spec's bounds, by kind: every int field, each type-checked too; every
+# other number bounded alone (rho when given; an infinite epsilon or rho adds
+# no noise); and each grid entry (an infinite clip disables clipping).
+_INT_BOUNDS = _bounds(("[1, inf)", "repeats epochs batch_size workers dim steps train_size"),
+                      ("[0, inf)", "seed_base"))
+_BOUNDS = _bounds(("[0, inf)", "noise_scale"), ("(0, inf)", "radius curvature"),
+                  ("(0, inf]", "epsilon rho"), ("(0, 1)", "delta"), ("[0, 1)", "momentum"))
+_GRID_BOUNDS = _bounds(("(0, inf)", "lr_grid"), ("[0, inf]", "clip_grid"),
+                       ("[0, 1]", "c_grid"))
 
 
 def _format_value(v) -> str:
@@ -505,13 +494,32 @@ def _data_rng(seed: int) -> np.random.Generator:
 
 
 def _resolve_budget(spec: ExperimentSpec) -> dict:
-    """Privacy accounting up front, before any data is touched."""
+    """Privacy accounting up front, before any data is touched. A budget
+    whose rho comes out 0 or NaN is rejected: rho_for_dp cancels to 0 below
+    epsilon = 8.9e-16 at delta = 1e-6, and ln(1/delta) overflows at a
+    subnormal delta."""
     out = {"epsilon": spec.epsilon, "delta": spec.delta,  # rho_for_dp(inf, .) = inf
            "rho": accounting.rho_for_dp(spec.epsilon, spec.delta)
            if spec.rho is None else spec.rho}
+    if not out["rho"] > 0:
+        raise ValueError(f"epsilon={spec.epsilon}, delta={spec.delta} resolves to "
+                         f"rho={out['rho']}, which no finite noise meets")
     if not math.isinf(spec.epsilon):
         out["mu"] = accounting.mu_for_dp(spec.epsilon, spec.delta)
     return out
+
+
+def _check_dataset(spec: ExperimentSpec, dataset) -> None:
+    """Raise ValueError unless a problem handed to `run_experiment` is of
+    the spec's task, and a quadratic's radius, which sizes the Lipschitz
+    constant srgd_sigma reads, is the radius of the spec's ball."""
+    kind = SyntheticQuadratic if spec.task == "synthetic" else LogisticTask
+    if not isinstance(dataset, kind):
+        raise ValueError(f"the {spec.task} task runs a {kind.__name__}, "
+                         f"got a {type(dataset).__name__}")
+    if kind is SyntheticQuadratic and dataset.radius != spec.radius:
+        raise ValueError(f"the dataset's radius {dataset.radius} is not the "
+                         f"spec's radius {spec.radius}")
 
 
 def _build_problem(spec: ExperimentSpec, event_log, dataset):
@@ -644,7 +652,8 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     strategy per c for the algorithms that add a strategy's noise and the
     summary header, then `repeats` seeded runs per grid point. Returns
     (MetricTable, records) where records maps (lr, clip, c, repeat) ->
-    RunRecord or RunAborted.
+    RunRecord or RunAborted. A `dataset`, the problem to run in place of
+    the spec's data, is checked against the spec first (`_check_dataset`).
 
     Each finished run's final iterate is evaluated once, by the worker that
     ran it, after the runner has freed its noise state. With `on_run`,
@@ -655,14 +664,13 @@ def run_experiment(spec: ExperimentSpec, dataset=None, event_log=None, on_run=No
     `functools.partial(write_trajectory, path)` it numbers the files.
     """
     spec.validate()
+    if dataset is not None:
+        _check_dataset(spec, dataset)
     algo = _ALGORITHMS[spec.algorithm]
     budget = _resolve_budget(spec)
     if event_log is not None:
         event_log.append(("budget", dict(budget)))
     problem = _build_problem(spec, event_log, dataset)
-    if spec.honest_selection and not isinstance(problem, LogisticTask):
-        raise ValueError(f"honest_selection splits a held-out set, and a "
-                         f"{type(problem).__name__} has none")
     if spec.honest_selection and (rows := len(problem._heldout()[1])) < 2:
         raise ValueError("honest_selection splits the held-out set into two halves, "
                          f"which needs at least 2 rows, got {rows}")

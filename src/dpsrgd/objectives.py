@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _clip_factors, _clip_rows_in_place, check_clip, row_norms
+from .geometry import _clip_factors, _clip_rows_in_place, check_clip, check_in, row_norms
 
 # The most feature-row bytes a gathered batch's step holds at once: a
 # LogisticTask gradient hook reads a gathered batch in near-equal blocks of
@@ -209,11 +209,9 @@ class SyntheticQuadratic(LossProblem):
         self.target = np.asarray(self.target, dtype=np.float64)
         if self.target.shape != (self.dim,):
             raise ValueError("target shape must match dim")
-        if not 0 < self.curvature < math.inf:
-            raise ValueError(f"curvature must be positive and finite, got {self.curvature}")
-        if not 0 <= self.noise_scale < math.inf:
-            raise ValueError("noise_scale must be nonnegative and finite, "
-                             f"got {self.noise_scale}")
+        check_in("curvature", self.curvature, "(0, inf)")
+        check_in("noise_scale", self.noise_scale, "[0, inf)")
+        check_in("radius", self.radius, "(0, inf)")
         self.smoothness = self.curvature
         self.lipschitz = self.curvature * (
             self.radius + float(np.linalg.norm(self.target)) + self.noise_scale

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConstraintBall, _interpolate, _project, all_finite, check_clip
+from .geometry import ConstraintBall, _interpolate, _project, all_finite, check_clip, check_in
 from .objectives import LossProblem
 
 __all__ = [
@@ -64,10 +64,8 @@ class SrgdConfig:
     clip: float = math.inf
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        check_in("T", self.T, "[1, inf)")
+        check_in("beta", self.beta, "(0, inf)")
         check_clip(self.clip)
 
 
@@ -90,14 +88,10 @@ class MemfConfig:
     ball: ConstraintBall | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not 0.0 <= self.decay <= 1.0:
-            raise ValueError(f"decay must be in [0,1], got {self.decay}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        check_in("steps", self.steps, "[1, inf)")
+        check_in("decay", self.decay, "[0, 1]")
+        check_in("momentum", self.momentum, "[0, 1)")
+        check_in("lr", self.lr, "(0, inf)")
         check_clip(self.c_clip)
 
 

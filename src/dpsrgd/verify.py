@@ -34,7 +34,7 @@ from .counting import (
     tree_rows,
     tree_sens,
 )
-from .geometry import ConstraintBall, clip_rows, project_ball
+from .geometry import ConstraintBall, check_in, clip_rows, project_ball
 from .harness import ExperimentSpec, data_dir, load_dataset, run_experiment
 from .objectives import LossProblem, SyntheticQuadratic
 from .optim import MemfConfig, SrgdConfig, run_accelerated_dp_srgd, run_dp_srg_memf
@@ -232,14 +232,10 @@ def _tree_error_bound(c_clip: float, mu: float, horizon: int, d: int, delta: flo
 
     Holds with probability at least 1 - delta over the tree noise.
     """
-    if not c_clip >= 0:
-        raise ValueError(f"c_clip must be nonnegative, got {c_clip}")
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if horizon < 2:
-        raise ValueError(f"horizon must be >= 2, got {horizon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    check_in("c_clip", c_clip, "[0, inf]")
+    check_in("mu", mu, "(0, inf]")
+    check_in("horizon", horizon, "[2, inf)")
+    check_in("delta", delta, "(0, 1)")
     log_t = math.log2(horizon)
     return 4.0 * c_clip * log_t**1.5 * math.sqrt(d * math.log(2 * horizon / delta)) / mu
 

@@ -19,6 +19,8 @@ from dpsrgd.accounting import (
     zcdp_to_dp,
 )
 
+from bound_cases import check_case, params
+
 
 # ---------------------------------------------------------------------------
 # frozen spot values
@@ -155,3 +157,16 @@ def test_regime_report_flags_can_fail():
     report, _, _ = build_regime_report(100, 10**7, 1.0, 1.0, 1.0, 0.01, 1e-6)
     assert not report["valid_dim_ok"]
     assert not report["dp_valid"]
+
+
+@pytest.mark.parametrize("call, name, interval, value, ok", params([
+    ("srgd_sigma", lambda v: srgd_sigma(1.0, 1.0, 2.0, 1.0, 1e-6, 8, 16.0, v), "T",
+     "[2, inf)", True),
+    ("batch_and_beta", lambda v: batch_and_beta(v, 1.0, 1.0, 2.0, 1.0, 1e-6, 5), "n",
+     "[4, inf)", True),
+    ("gdp_to_dp", lambda v: gdp_to_dp(v, 1e-6), "mu", "(0, inf]"),
+    ("zcdp_to_dp", lambda v: zcdp_to_dp(v, 1e-6), "rho", "(0, inf]"),
+]))
+def test_every_accounting_bound_rejects_nan_and_values_outside_in_one_form(
+        call, name, interval, value, ok):
+    check_case(call, name, interval, value, ok)

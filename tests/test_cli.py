@@ -388,3 +388,16 @@ def test_run_memory_does_not_grow_with_the_number_of_runs(tmp_path, capsys):
     few, many = _cli_sweep_peak(tmp_path, 4), _cli_sweep_peak(tmp_path, 32)
     # 56 more runs; each run's five series of 256 floats would be 10 KB
     assert many - few <= 48 * 1024, (few, many)
+
+
+def test_run_on_a_budget_that_sizes_no_noise_exits_2_before_any_file(tmp_path, capsys):
+    # rho_for_dp(1e-300, 1e-6) cancels to 0: the run died in _noise_sigma
+    # with a ZeroDivisionError traceback, exit 1
+    config = tmp_path / "exp.cfg"
+    config.write_text("task=synthetic\nalgorithm=dp_sgd\nepsilon=1e-300\ndim=5\n"
+                      "steps=8\nbatch_size=8\ntrain_size=64\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(config), "--output", str(out / "s.csv")]) == 2
+    assert "resolves to rho=0.0" in capsys.readouterr().err
+    assert os.listdir(out) == []

@@ -13,6 +13,7 @@ from scipy.linalg import solve_triangular, toeplitz
 from dpsrgd.counting import (
     StrategyMatrix,
     TreeState,
+    _workload_column,
     build_strategy,
     ceil_log2,
     factorize,
@@ -30,6 +31,7 @@ from dpsrgd.harness import _noise_sigma
 
 from dpsrgd.verify import _tree_error_bound
 
+from bound_cases import check_case, params
 from dense_reference import (
     build_workload,
     column_group_sens,
@@ -784,3 +786,42 @@ def test_mf_noise_stream_refuses_a_strategy_that_fails_its_check():
         mf_noise_stream(flipped, 1.0, 3, 0)
     rows = list(mf_noise_stream(StrategyMatrix(np.ones(3), [1.0], "custom", 1, 3), 1.0, 3, 0))
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("call, name, interval, value, ok", params([
+    ("ceil_log2", ceil_log2, "t", "[1, inf)", True),
+    ("TreeState", lambda v: TreeState(v, 2), "horizon", "[1, inf)", True),
+    ("TreeState", lambda v: TreeState(4, 2, sigma=v), "sigma", "[0, inf)"),
+    ("_workload_column", lambda v: _workload_column("ones", v, 2), "k", "[1, inf)", True),
+    ("_workload_column", lambda v: _workload_column("ones", 2, v), "b", "[1, inf)", True),
+    ("_workload_column", lambda v: _workload_column("momentum", 2, 3, momentum=v),
+     "momentum", "[0, 1)"),
+    ("_workload_column", lambda v: _workload_column("momentum_decay", 2, 3, 0.5, decay=v),
+     "decay", "(0, 1]"),
+    ("StrategyMatrix", lambda v: StrategyMatrix(np.ones(2), [1.0], "ones", v, 2),
+     "k", "[1, inf)", True),
+    ("StrategyMatrix", lambda v: StrategyMatrix(np.ones(2), [1.0], "ones", 2, v),
+     "b", "[1, inf)", True),
+    ("factorize", lambda v: factorize(np.ones(2), v, 2), "k", "[1, inf)", True),
+    ("factorize", lambda v: factorize(np.ones(2), 2, v), "b", "[1, inf)", True),
+    ("factorize", lambda v: factorize(np.array([v, 1.0]), 1, 2), "workload diagonal",
+     "(0, inf)"),
+    ("gaussian_rows", lambda v: gaussian_rows(v, 2, 0, 3), "sigma", "[0, inf)"),
+]))
+def test_every_counting_bound_rejects_nan_and_values_outside_in_one_form(
+        call, name, interval, value, ok):
+    # TreeState(horizon=nan) used to be accepted
+    check_case(call, name, interval, value, ok)
+
+
+@pytest.mark.parametrize("call, name, interval, value, ok", params([
+    ("_tree_error_bound", lambda v: _tree_error_bound(v, 1.0, 16, 4, 0.05), "c_clip",
+     "[0, inf]"),
+    ("_tree_error_bound", lambda v: _tree_error_bound(1.0, v, 16, 4, 0.05), "mu", "(0, inf]"),
+    ("_tree_error_bound", lambda v: _tree_error_bound(1.0, 1.0, v, 4, 0.05), "horizon",
+     "[2, inf)", True),
+    ("_tree_error_bound", lambda v: _tree_error_bound(1.0, 1.0, 16, 4, v), "delta", "(0, 1)"),
+]))
+def test_every_verify_bound_rejects_nan_and_values_outside_in_one_form(
+        call, name, interval, value, ok):
+    check_case(call, name, interval, value, ok)

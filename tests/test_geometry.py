@@ -1,15 +1,20 @@
 """Projection, clipping, and interpolation properties."""
 
+import re
+
 import numpy as np
 import pytest
 
 from dpsrgd.geometry import (
     ConstraintBall,
     _shrink_overflowed,
+    check_clip,
     clip_rows,
     interpolate,
     project_ball,
 )
+
+from bound_cases import check_case, params
 
 
 def test_ball_validation():
@@ -70,7 +75,7 @@ def test_project_rejects_bad_input():
 def test_clip_rows_rejects_negative_or_nan_threshold(bad):
     # a negative threshold would scale every row by a negative factor,
     # flipping each gradient; NaN would silently leave rows unclipped
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=re.escape(f"clip must lie in [0, inf], got {bad!r}")):
         clip_rows(np.array([[3.0, 4.0], [0.0, 1.0]]), bad)
 
 
@@ -177,3 +182,15 @@ def test_interpolate():
         interpolate(y, z, 1.5)
     with pytest.raises(ValueError):
         interpolate(y, np.zeros(3), 0.5)
+
+
+@pytest.mark.parametrize("call, name, interval, value, ok", params([
+    ("ConstraintBall", lambda v: ConstraintBall(v, 1.0), "dim", "[1, inf)", True),
+    ("ConstraintBall", lambda v: ConstraintBall(2, v), "radius", "(0, inf)"),
+    ("check_clip", check_clip, "clip", "[0, inf]"),
+    ("interpolate", lambda v: interpolate(np.zeros(2), np.ones(2), v), "tau", "[0, 1]"),
+]))
+def test_every_geometry_bound_rejects_nan_and_values_outside_in_one_form(
+        call, name, interval, value, ok):
+    # ConstraintBall(dim=nan) used to be accepted
+    check_case(call, name, interval, value, ok)

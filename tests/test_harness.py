@@ -23,6 +23,7 @@ from dpsrgd.harness import (
     MetricRow,
     MetricTable,
     _ALGORITHMS,
+    _INT_BOUNDS,
     _build_problem,
     _ci95,
     _data_rng,
@@ -41,6 +42,7 @@ from dpsrgd.harness import (
 from dpsrgd.objectives import LogisticTask, LossProblem, SyntheticQuadratic
 from dpsrgd.optim import RunAborted, RunRecord
 
+from bound_cases import check_case, params
 from dataset_files import save_csv
 from dense_reference import build_workload, column_group_sens, dense_c
 
@@ -317,7 +319,7 @@ def test_spec_rejects_epochs_for_a_single_pass_algorithm(algorithm):
 def test_spec_rejects_a_negative_seed_base_before_any_work():
     # numpy refused it only after the budget event was logged
     log = []
-    with pytest.raises(ValueError, match="seed_base must be >= 0, got -1"):
+    with pytest.raises(ValueError, match=re.escape("seed_base must lie in [0, inf), got -1")):
         run_experiment(_tiny_spec(seed_base=-1), event_log=log)
     assert log == []
     _tiny_spec(seed_base=0).validate()
@@ -348,7 +350,8 @@ def test_spec_rejects_momentum_outside_the_unit_interval_before_any_work(
     # budget and data events were logged
     spec = _tiny_spec(algorithm=algorithm, workload=workload, momentum=momentum)
     log = []
-    with pytest.raises(ValueError, match=r"momentum must lie in \[0, 1\)"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"momentum must lie in [0, 1), got {momentum!r}")):
         run_experiment(spec, event_log=log)
     assert log == []
     dataclasses.replace(spec, momentum=0.0).validate()
@@ -1455,16 +1458,6 @@ def test_honest_selection_reports_held_out_half(tmp_path):
     assert evaluated == [("heldout_pass", "dpsrgd.harness", x.tobytes())]
 
 
-def test_honest_selection_on_a_task_without_held_out_set_is_rejected():
-    # the harness took the halves from a method only LogisticTask has;
-    # a quadratic handed in as a dataset task ran one run, then failed
-    spec = _tiny_spec(task="csv-dataset", honest_selection=True)
-    quadratic = _build_problem(_tiny_spec(), None, None)
-    with pytest.raises(ValueError, match="honest_selection splits a held-out set, "
-                                         "and a SyntheticQuadratic has none"):
-        run_experiment(spec, dataset=quadratic)
-
-
 def test_honest_selection_on_the_synthetic_task_is_rejected_before_any_work():
     # the synthetic task has no held-out accuracy, so the setting used to
     # leave rows and header as they were without it
@@ -1882,3 +1875,96 @@ def test_spec_rejects_c_outside_unit_interval(c_grid):
 
 def test_spec_accepts_c_at_the_unit_interval_ends():
     _tiny_spec(algorithm="dp_srg_memf", c_grid=(0.0, 1.0)).validate()
+
+
+_INT_NAMES = [f.name for f in dataclasses.fields(ExperimentSpec) if f.type == "int"]
+
+
+def test_every_int_field_is_type_checked_and_bounded():
+    # validate's integer check runs over the rows of this table alone
+    assert sorted(key for key, *_ in _INT_BOUNDS) == sorted(_INT_NAMES)
+
+
+def _validate_with(key, **base):
+    """validate() of a spec of base that reads key, with key set to the
+    value (a grid to the one entry)."""
+    return lambda v: ExperimentSpec(
+        **base, **{key: (v,) if key.endswith("_grid") else v}).validate()
+
+
+@pytest.mark.parametrize("call, name, interval, value, ok", params([
+    *(("validate", _validate_with(key, **base), key, "[1, inf)", True) for key, base in (
+        ("repeats", {}), ("epochs", {}), ("batch_size", {}), ("workers", {}),
+        ("dim", {}), ("steps", {"algorithm": "dp_sgd"}),
+        ("train_size", {"batch_size": 1}))),
+    ("validate", _validate_with("seed_base"), "seed_base", "[0, inf)", True),
+    ("validate", _validate_with("epsilon"), "epsilon", "(0, inf]"),
+    ("validate", _validate_with("delta"), "delta", "(0, 1)"),
+    ("validate", _validate_with("rho"), "rho", "(0, inf]"),
+    ("validate", _validate_with("momentum"), "momentum", "[0, 1)"),
+    ("validate", _validate_with("radius"), "radius", "(0, inf)"),
+    ("validate", _validate_with("curvature"), "curvature", "(0, inf)"),
+    ("validate", _validate_with("noise_scale"), "noise_scale", "[0, inf)"),
+    ("validate", _validate_with("lr_grid"), "lr_grid entry", "(0, inf)"),
+    ("validate", _validate_with("clip_grid"), "clip_grid entry", "[0, inf]"),
+    ("validate", _validate_with("c_grid", algorithm="dp_srg_memf"), "c_grid entry",
+     "[0, 1]"),
+]))
+def test_every_spec_bound_rejects_nan_and_values_outside_in_one_form(
+        call, name, interval, value, ok):
+    if name in _INT_NAMES and isinstance(value, float):  # NaN and inf are no integers
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            call(value)
+        return
+    check_case(call, name, interval, value, ok)
+
+
+@pytest.mark.parametrize("epsilon, delta, rho", [(1e-300, 1e-6, 0.0), (1e-17, 1e-6, 0.0),
+                                                 (2.0, 1e-320, math.nan)])
+def test_a_budget_that_resolves_to_no_positive_rho_is_rejected_before_any_work(
+        epsilon, delta, rho):
+    # rho_for_dp cancels to 0 at a tiny epsilon, and ln(1/delta) overflows at
+    # a subnormal delta: epsilon=1e-300 ended in a ZeroDivisionError in
+    # _noise_sigma, and delta=1e-320 failed on a NaN sigma after the data
+    # event was logged
+    assert accounting.rho_for_dp(epsilon, delta) == rho or math.isnan(rho)
+    log = []
+    with pytest.raises(ValueError, match=re.escape(
+            f"epsilon={epsilon}, delta={delta} resolves to rho={rho}")):
+        run_experiment(_tiny_spec(epsilon=epsilon, delta=delta), event_log=log)
+    assert log == []
+
+
+@pytest.mark.parametrize("task, honest_selection", [
+    ("synthetic", False), ("mnist", False), ("csv-dataset", False), ("csv-dataset", True)],
+    ids=["synthetic", "mnist", "csv-dataset", "csv-dataset-honest_selection"])
+def test_a_dataset_of_the_other_kind_is_rejected_before_any_work(
+        tmp_path, task, honest_selection):
+    # a LogisticTask on the synthetic task failed on 'draw_batch', and a
+    # quadratic on a dataset task on 'n_train', after both events were logged;
+    # with honest_selection, the quadratic ran one run and then failed on the
+    # held-out halves, which only LogisticTask has
+    spec = _tiny_spec(task=task, honest_selection=honest_selection)
+    dataset = (_toy_logistic_dataset(tmp_path) if task == "synthetic"
+               else _build_problem(_tiny_spec(), None, None))
+    want, got = ("SyntheticQuadratic", "LogisticTask") if task == "synthetic" else (
+        "LogisticTask", "SyntheticQuadratic")
+    log = []
+    with pytest.raises(ValueError, match=f"the {task} task runs a {want}, got a {got}"):
+        run_experiment(spec, dataset=dataset, event_log=log)
+    assert log == []
+
+
+def test_a_quadratic_of_another_radius_is_rejected_before_any_work():
+    # sigma was sized from the problem's L = 1.52 while the radius-5 ball let
+    # the iterate reach a norm where L is 5.52, under regime_dp_valid=true
+    spec = _tiny_spec(algorithm="accelerated_dp_srgd", clip_grid=(math.inf,), radius=5.0,
+                      steps=8)
+    quadratic = _build_problem(dataclasses.replace(spec, radius=1.0), None, None)
+    log = []
+    with pytest.raises(ValueError, match=re.escape(
+            "the dataset's radius 1.0 is not the spec's radius 5.0")):
+        run_experiment(spec, dataset=quadratic, event_log=log)
+    assert log == []
+    table, _ = run_experiment(spec, dataset=_build_problem(spec, None, None))
+    assert table.rows[0].n_runs == 2

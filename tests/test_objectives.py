@@ -14,6 +14,8 @@ from dpsrgd.harness import ExperimentSpec, _hit_percent, _selection_metrics
 from dpsrgd.objectives import LogisticTask, LossProblem, SyntheticQuadratic
 from dpsrgd.verify import _GradientNoiseWrapper
 
+from bound_cases import check_case, params
+
 
 def _quadratic(dim=5, noise_scale=0.4, seed=0, curvature=1.3):
     rng = np.random.default_rng(seed)
@@ -869,9 +871,10 @@ def test_logistic_hooks_reject_negative_or_nan_clip(bad):
     problem = _logistic()
     batch = np.random.default_rng(24).integers(0, problem.n_train, 5)
     x = np.zeros(problem.dim)
-    with pytest.raises(ValueError, match="nonnegative"):
+    message = re.escape(f"clip must lie in [0, inf], got {bad!r}")
+    with pytest.raises(ValueError, match=message):
         problem.clipped_mean_grad(x, batch, bad)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=message):
         problem.srg_mean(np.stack([x, x]), 1.0, 1.0, batch, bad)
 
 
@@ -1075,3 +1078,27 @@ def test_loss_problem_base_raises():
         base.per_example_values(np.zeros(2), [])
     with pytest.raises(NotImplementedError):
         base.per_example_grads(np.zeros(2), [])
+
+
+def _quadratic_with(**kwargs):
+    return SyntheticQuadratic(dim=2, target=np.zeros(2), **kwargs)
+
+
+@pytest.mark.parametrize("call, name, interval, value, ok", params([
+    ("SyntheticQuadratic", lambda v: _quadratic_with(curvature=v), "curvature", "(0, inf)"),
+    ("SyntheticQuadratic", lambda v: _quadratic_with(noise_scale=v), "noise_scale",
+     "[0, inf)"),
+    ("SyntheticQuadratic", lambda v: _quadratic_with(radius=v), "radius", "(0, inf)"),
+]))
+def test_every_objectives_bound_rejects_nan_and_values_outside_in_one_form(
+        call, name, interval, value, ok):
+    check_case(call, name, interval, value, ok)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan])
+def test_synthetic_quadratic_rejects_a_radius_that_bounds_no_ball(radius):
+    # radius=-1 gave a Lipschitz constant of -0.5 and NaN a NaN one, and at
+    # an infinite clip that constant sizes srgd_sigma
+    with pytest.raises(ValueError, match=re.escape(
+            f"radius must lie in (0, inf), got {radius!r}")):
+        _quadratic_with(curvature=0.5, radius=radius)

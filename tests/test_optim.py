@@ -4,6 +4,7 @@ algorithms, variance growth, and abort behavior."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -43,6 +44,7 @@ from dpsrgd.verify import (
     _variance_probe,
 )
 
+from bound_cases import check_case, params
 from dense_reference import build_workload
 
 
@@ -1033,7 +1035,7 @@ def test_memf_config_validation():
     strat = identity_strategy(2, 5)
     with pytest.raises(ValueError):
         _memf_cfg(identity_strategy(0, 10))
-    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+    with pytest.raises(ValueError, match=re.escape("steps must lie in [1, inf), got 0")):
         MemfConfig(steps=0, c_clip=1.0, lr=0.1)
     with pytest.raises(ValueError):
         _memf_cfg(strat, decay=1.5)
@@ -1311,3 +1313,23 @@ def test_overflowing_projected_step_aborts_the_run(name):
     with pytest.raises(RunAborted) as info:
         _OVERFLOWING_RUNNERS[name](problem, batches, ConstraintBall(problem.dim, 1.0))
     assert info.value.step == 0
+
+
+_BALL = ConstraintBall(2, 1.0)
+
+
+@pytest.mark.parametrize("call, name, interval, value, ok", params([
+    ("SrgdConfig", lambda v: SrgdConfig(T=v, beta=1.0, ball=_BALL), "T", "[1, inf)", True),
+    ("SrgdConfig", lambda v: SrgdConfig(T=4, beta=v, ball=_BALL), "beta", "(0, inf)"),
+    ("MemfConfig", lambda v: MemfConfig(steps=v, c_clip=1.0, lr=0.1), "steps", "[1, inf)",
+     True),
+    ("MemfConfig", lambda v: MemfConfig(steps=4, c_clip=1.0, lr=0.1, decay=v), "decay",
+     "[0, 1]"),
+    ("MemfConfig", lambda v: MemfConfig(steps=4, c_clip=1.0, lr=0.1, momentum=v),
+     "momentum", "[0, 1)"),
+    ("MemfConfig", lambda v: MemfConfig(steps=4, c_clip=1.0, lr=v), "lr", "(0, inf)"),
+]))
+def test_every_optim_bound_rejects_nan_and_values_outside_in_one_form(
+        call, name, interval, value, ok):
+    # SrgdConfig(T=nan) and MemfConfig(steps=nan) used to be accepted
+    check_case(call, name, interval, value, ok)
