@@ -5,6 +5,8 @@ the harness writes as the summary's regime_* header keys.
 
 Convention: natural logarithms everywhere except the dyadic tree depth
 ceil(log2 T), which is base 2 (see counting). All functions are pure.
+Every delta is a failure probability in (0, 1), which each public
+function that takes one checks first.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ def srgd_sigma(L: float, M: float, R_diam: float, eps: float, delta: float,
     (8 sqrt2 L + 16 sqrt2 M R_diam) sqrt(ln T * ln(2.5/delta)) / (eps B beta).
 
     Measured in iterate-update units (the b_t scale); a tree ingesting raw
-    unscaled increments needs this multiplied by beta.
+    unscaled increments needs this multiplied by beta. delta lies in (0, 1).
     """
-    check_in("T", T, "[2, inf)")
+    check_in("delta", delta, "(0, 1)")
+    check_in("T", T, "{2, 3, ...}")
     num = (8.0 * math.sqrt(2.0) * L + 16.0 * math.sqrt(2.0) * M * R_diam)
     return num * math.sqrt(math.log(T) * math.log(2.5 / delta)) / (eps * B * beta)
 
@@ -72,8 +75,10 @@ def batch_and_beta(n: int, L: float, M: float, R_diam: float, eps: float,
 
     The privacy cap depends on T, so it is resolved by a two-pass fixed
     point: evaluate at T0 = sqrt(n), then re-evaluate once at T = n / B.
+    delta lies in (0, 1).
     """
-    check_in("n", n, "[4, inf)")
+    check_in("delta", delta, "(0, 1)")
+    check_in("n", n, "{4, 5, ...}")
 
     def cap(T: float) -> float:
         if d == 0:
@@ -93,27 +98,32 @@ def batch_and_beta(n: int, L: float, M: float, R_diam: float, eps: float,
 
 def gdp_to_dp(mu: float, delta: float) -> float:
     """epsilon such that mu-GDP implies (epsilon, delta)-DP at the
-    fidelity used throughout: epsilon = mu * sqrt(2 ln(2.5/delta))."""
+    fidelity used throughout: epsilon = mu * sqrt(2 ln(2.5/delta)), delta
+    in (0, 1)."""
+    check_in("delta", delta, "(0, 1)")
     check_in("mu", mu, "(0, inf]")
     return mu * math.sqrt(2.0 * math.log(2.5 / delta))
 
 
 def zcdp_to_dp(rho: float, delta: float) -> float:
     """epsilon such that rho-zCDP implies (epsilon, delta)-DP:
-    epsilon = rho + 2 sqrt(rho ln(1/delta))."""
+    epsilon = rho + 2 sqrt(rho ln(1/delta)), delta in (0, 1)."""
+    check_in("delta", delta, "(0, 1)")
     check_in("rho", rho, "(0, inf]")
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
 def mu_for_dp(eps: float, delta: float) -> float:
     """Inverse of gdp_to_dp: the GDP parameter whose conversion meets
-    (eps, delta)."""
+    (eps, delta), delta in (0, 1)."""
+    check_in("delta", delta, "(0, 1)")
     return eps / math.sqrt(2.0 * math.log(2.5 / delta))
 
 
 def rho_for_dp(eps: float, delta: float) -> float:
     """Inverse of zcdp_to_dp: solve rho + 2 sqrt(rho ln(1/delta)) = eps
-    for rho (quadratic in sqrt(rho))."""
+    for rho (quadratic in sqrt(rho)), delta in (0, 1)."""
+    check_in("delta", delta, "(0, 1)")
     log_term = math.log(1.0 / delta)
     root = math.sqrt(log_term + eps) - math.sqrt(log_term)
     return root * root
@@ -125,7 +135,8 @@ def build_regime_report(n: int, d: int, L: float, M: float, R_diam: float,
     d. Returns (report, B, T): report holds beta, clip_bound, d_max and
     b_max_batch, a valid_<name> flag per regime inequality the utility
     theory assumes (exactly the inequality, no slack folded in) and
-    dp_valid, whether all of them hold."""
+    dp_valid, whether all of them hold. delta lies in (0, 1), as
+    batch_and_beta checks."""
     B, T, beta = batch_and_beta(n, L, M, R_diam, eps, delta, d)
     d_cap = dim_max(B, beta, eps, delta, M, T)
     valid = {

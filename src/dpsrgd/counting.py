@@ -45,8 +45,8 @@ __all__ = [
 
 
 def ceil_log2(t: int) -> int:
-    check_in("t", t, "[1, inf)")
-    return (t - 1).bit_length()
+    check_in("t", t, "{1, 2, ...}")
+    return (int(t) - 1).bit_length()  # a numpy integer has no bit_length
 
 
 @dataclass
@@ -78,7 +78,7 @@ class TreeState:
     stack: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_in("horizon", self.horizon, "[1, inf)")
+        check_in("horizon", self.horizon, "{1, 2, ...}")
         check_in("sigma", self.sigma, "[0, inf)")
         self.stack = []
         self._rng = np.random.default_rng(self.seed)
@@ -161,8 +161,8 @@ def _workload_column(kind: str, k: int, b: int, momentum: float = 0.0,
                      grad_t = decay * grad_{t-1} + delta_t
 
     w is the truncated convolution of the first columns of M, A and L."""
-    check_in("k", k, "[1, inf)")
-    check_in("b", b, "[1, inf)")
+    check_in("k", k, "{1, 2, ...}")
+    check_in("b", b, "{1, 2, ...}")
     if kind not in WORKLOADS:
         raise ValueError(f"unknown workload kind {kind!r}")
     n = k * b
@@ -253,8 +253,8 @@ class StrategyMatrix:
     converged = None
 
     def __post_init__(self):
-        check_in("k", self.k, "[1, inf)")
-        check_in("b", self.b, "[1, inf)")
+        check_in("k", self.k, "{1, 2, ...}")
+        check_in("b", self.b, "{1, 2, ...}")
         self.w = np.asarray(self.w, dtype=np.float64)
         self.r = np.trim_zeros(np.asarray(self.r, dtype=np.float64), "b")
         n = self.steps
@@ -339,8 +339,8 @@ def factorize(w: np.ndarray, k: int, b: int, kind: str = "custom") -> StrategyMa
     Factorization", NeurIPS 2024). Deterministic. kind labels the workload;
     "custom" marks one outside `WORKLOADS`.
     """
-    check_in("k", k, "[1, inf)")
-    check_in("b", b, "[1, inf)")
+    check_in("k", k, "{1, 2, ...}")
+    check_in("b", b, "{1, 2, ...}")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (k * b,):
         raise ValueError(f"workload column shape {w.shape} != ({k * b},)")

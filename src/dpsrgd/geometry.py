@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -20,10 +21,12 @@ __all__ = ["ConstraintBall", "project_ball", "check_in", "check_clip", "clip_row
 
 
 @functools.cache
-def _closed(interval: str) -> tuple[float, float]:
-    """The float pair (low, high) of an interval's text, "[a, b]", "(a, b]"
-    and so on, with each open end moved one float inward, so that one
-    chained comparison tests every kind of end."""
+def _closed(interval: str) -> tuple:
+    """(low, high) of an interval's text: floats for "[a, b]", "(a, b]" and
+    so on, each open end moved one float inward so that one chained
+    comparison tests every kind of end; (a, None) for "{a, a+1, ...}"."""
+    if interval[0] == "{":
+        return int(interval[1:interval.index(",")]), None
     low, high = map(float, interval[1:-1].split(","))
     return (math.nextafter(low, math.inf) if interval[0] == "(" else low,
             math.nextafter(high, -math.inf) if interval[-1] == ")" else high)
@@ -31,9 +34,11 @@ def _closed(interval: str) -> tuple[float, float]:
 
 def check_in(name: str, value, interval: str) -> None:
     """Raise ValueError naming `name` and `value` unless value lies in
-    `interval`, written as `_closed` reads it. NaN lies in no interval."""
+    `interval`, written as `_closed` reads it. NaN lies in no interval, and
+    no float, even 12.0, in a set of integers: only an Integral does."""
     low, high = _closed(interval)
-    if not low <= value <= high:
+    if not (low <= value <= high if high is not None
+            else isinstance(value, Integral) and low <= value):
         raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
@@ -45,7 +50,7 @@ class ConstraintBall:
     radius: float
 
     def __post_init__(self):
-        check_in("dim", self.dim, "[1, inf)")
+        check_in("dim", self.dim, "{1, 2, ...}")
         check_in("radius", self.radius, "(0, inf)")
 
     @property

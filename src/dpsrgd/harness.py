@@ -17,7 +17,6 @@ import gzip
 import hashlib
 import io
 import math
-import operator
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -152,12 +151,7 @@ class ExperimentSpec:
         if self.workload not in counting.WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
         for key, interval in _INT_BOUNDS:
-            value = getattr(self, key)
-            try:  # a numpy integer passes; a float, even 12.0, does not
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{key} must be an integer, got {value!r}") from None
-            check_in(key, value, interval)
+            check_in(key, getattr(self, key), interval)
         for name, interval in _GRID_BOUNDS:
             grid = getattr(self, name)
             if type(grid) is not tuple:
@@ -254,11 +248,11 @@ def _bounds(*rows) -> tuple:
     return tuple((key, interval) for interval, keys in rows for key in keys.split())
 
 
-# The spec's bounds, by kind: every int field, each type-checked too; every
-# other number bounded alone (rho when given; an infinite epsilon or rho adds
-# no noise); and each grid entry (an infinite clip disables clipping).
-_INT_BOUNDS = _bounds(("[1, inf)", "repeats epochs batch_size workers dim steps train_size"),
-                      ("[0, inf)", "seed_base"))
+# The spec's bounds, by kind: every int field, in an integer set; every
+# other number (rho when given; an infinite epsilon or rho adds no noise);
+# and each grid entry (an infinite clip disables clipping).
+_INT_BOUNDS = _bounds(("{1, 2, ...}", "repeats epochs batch_size workers dim steps train_size"),
+                      ("{0, 1, ...}", "seed_base"))
 _BOUNDS = _bounds(("[0, inf)", "noise_scale"), ("(0, inf)", "radius curvature"),
                   ("(0, inf]", "epsilon rho"), ("(0, 1)", "delta"), ("[0, 1)", "momentum"))
 _GRID_BOUNDS = _bounds(("(0, inf)", "lr_grid"), ("[0, inf]", "clip_grid"),

@@ -323,6 +323,7 @@ class LogisticTask(LossProblem):
     eval_labels: np.ndarray | None = None
 
     def __post_init__(self):
+        check_in("num_classes", self.num_classes, "{1, 2, ...}")
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = self._checked_labels(self.features, self.labels, "")
         self.n_features = self.features.shape[1]

@@ -64,7 +64,7 @@ class SrgdConfig:
     clip: float = math.inf
 
     def __post_init__(self):
-        check_in("T", self.T, "[1, inf)")
+        check_in("T", self.T, "{1, 2, ...}")
         check_in("beta", self.beta, "(0, inf)")
         check_clip(self.clip)
 
@@ -88,7 +88,7 @@ class MemfConfig:
     ball: ConstraintBall | None = None
 
     def __post_init__(self):
-        check_in("steps", self.steps, "[1, inf)")
+        check_in("steps", self.steps, "{1, 2, ...}")
         check_in("decay", self.decay, "[0, 1]")
         check_in("momentum", self.momentum, "[0, 1)")
         check_in("lr", self.lr, "(0, inf)")

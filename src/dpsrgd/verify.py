@@ -234,7 +234,7 @@ def _tree_error_bound(c_clip: float, mu: float, horizon: int, d: int, delta: flo
     """
     check_in("c_clip", c_clip, "[0, inf]")
     check_in("mu", mu, "(0, inf]")
-    check_in("horizon", horizon, "[2, inf)")
+    check_in("horizon", horizon, "{2, 3, ...}")
     check_in("delta", delta, "(0, 1)")
     log_t = math.log2(horizon)
     return 4.0 * c_clip * log_t**1.5 * math.sqrt(d * math.log(2 * horizon / delta)) / mu

@@ -161,11 +161,24 @@ def test_regime_report_flags_can_fail():
 
 @pytest.mark.parametrize("call, name, interval, value, ok", params([
     ("srgd_sigma", lambda v: srgd_sigma(1.0, 1.0, 2.0, 1.0, 1e-6, 8, 16.0, v), "T",
-     "[2, inf)", True),
+     "{2, 3, ...}"),
     ("batch_and_beta", lambda v: batch_and_beta(v, 1.0, 1.0, 2.0, 1.0, 1e-6, 5), "n",
-     "[4, inf)", True),
+     "{4, 5, ...}"),
     ("gdp_to_dp", lambda v: gdp_to_dp(v, 1e-6), "mu", "(0, inf]"),
     ("zcdp_to_dp", lambda v: zcdp_to_dp(v, 1e-6), "rho", "(0, inf]"),
+    # a delta outside (0, 1) was accepted: gdp_to_dp(1.0, 2.0) returned 0.668,
+    # mu_for_dp(1.0, 2.0) 1.497, and zcdp_to_dp and rho_for_dp failed with
+    # "math domain error"
+    ("gdp_to_dp", lambda v: gdp_to_dp(1.0, v), "delta", "(0, 1)"),
+    ("zcdp_to_dp", lambda v: zcdp_to_dp(1.0, v), "delta", "(0, 1)"),
+    ("mu_for_dp", lambda v: mu_for_dp(1.0, v), "delta", "(0, 1)"),
+    ("rho_for_dp", lambda v: rho_for_dp(1.0, v), "delta", "(0, 1)"),
+    ("srgd_sigma", lambda v: srgd_sigma(1.0, 1.0, 2.0, 1.0, v, 8, 16.0, 16), "delta",
+     "(0, 1)"),
+    ("batch_and_beta", lambda v: batch_and_beta(100, 1.0, 1.0, 2.0, 1.0, v, 5), "delta",
+     "(0, 1)"),
+    ("build_regime_report", lambda v: build_regime_report(100, 5, 1.0, 1.0, 2.0, 1.0, v),
+     "delta", "(0, 1)"),
 ]))
 def test_every_accounting_bound_rejects_nan_and_values_outside_in_one_form(
         call, name, interval, value, ok):

@@ -185,7 +185,7 @@ def test_interpolate():
 
 
 @pytest.mark.parametrize("call, name, interval, value, ok", params([
-    ("ConstraintBall", lambda v: ConstraintBall(v, 1.0), "dim", "[1, inf)", True),
+    ("ConstraintBall", lambda v: ConstraintBall(v, 1.0), "dim", "{1, 2, ...}"),
     ("ConstraintBall", lambda v: ConstraintBall(2, v), "radius", "(0, inf)"),
     ("check_clip", check_clip, "clip", "[0, inf]"),
     ("interpolate", lambda v: interpolate(np.zeros(2), np.ones(2), v), "tau", "[0, 1]"),

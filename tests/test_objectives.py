@@ -1089,6 +1089,9 @@ def _quadratic_with(**kwargs):
     ("SyntheticQuadratic", lambda v: _quadratic_with(noise_scale=v), "noise_scale",
      "[0, inf)"),
     ("SyntheticQuadratic", lambda v: _quadratic_with(radius=v), "radius", "(0, inf)"),
+    # num_classes=2.5 was accepted, and gave dim 7.5
+    ("LogisticTask", lambda v: LogisticTask(features=np.ones((2, 3)), labels=[0, 0],
+                                            num_classes=v), "num_classes", "{1, 2, ...}"),
 ]))
 def test_every_objectives_bound_rejects_nan_and_values_outside_in_one_form(
         call, name, interval, value, ok):

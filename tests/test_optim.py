@@ -1035,7 +1035,7 @@ def test_memf_config_validation():
     strat = identity_strategy(2, 5)
     with pytest.raises(ValueError):
         _memf_cfg(identity_strategy(0, 10))
-    with pytest.raises(ValueError, match=re.escape("steps must lie in [1, inf), got 0")):
+    with pytest.raises(ValueError, match=re.escape("steps must lie in {1, 2, ...}, got 0")):
         MemfConfig(steps=0, c_clip=1.0, lr=0.1)
     with pytest.raises(ValueError):
         _memf_cfg(strat, decay=1.5)
@@ -1319,10 +1319,10 @@ _BALL = ConstraintBall(2, 1.0)
 
 
 @pytest.mark.parametrize("call, name, interval, value, ok", params([
-    ("SrgdConfig", lambda v: SrgdConfig(T=v, beta=1.0, ball=_BALL), "T", "[1, inf)", True),
+    ("SrgdConfig", lambda v: SrgdConfig(T=v, beta=1.0, ball=_BALL), "T", "{1, 2, ...}"),
     ("SrgdConfig", lambda v: SrgdConfig(T=4, beta=v, ball=_BALL), "beta", "(0, inf)"),
-    ("MemfConfig", lambda v: MemfConfig(steps=v, c_clip=1.0, lr=0.1), "steps", "[1, inf)",
-     True),
+    ("MemfConfig", lambda v: MemfConfig(steps=v, c_clip=1.0, lr=0.1), "steps",
+     "{1, 2, ...}"),
     ("MemfConfig", lambda v: MemfConfig(steps=4, c_clip=1.0, lr=0.1, decay=v), "decay",
      "[0, 1]"),
     ("MemfConfig", lambda v: MemfConfig(steps=4, c_clip=1.0, lr=0.1, momentum=v),
