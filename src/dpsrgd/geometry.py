@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -35,10 +34,11 @@ def _closed(interval: str) -> tuple:
 def check_in(name: str, value, interval: str) -> None:
     """Raise ValueError naming `name` and `value` unless value lies in
     `interval`, written as `_closed` reads it. NaN lies in no interval, and
-    no float, even 12.0, in a set of integers: only an Integral does."""
+    no float, even 12.0, in a set of integers: only an int or a numpy
+    integer does."""
     low, high = _closed(interval)
     if not (low <= value <= high if high is not None
-            else isinstance(value, Integral) and low <= value):
+            else isinstance(value, (int, np.integer)) and low <= value):
         raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
