@@ -5,8 +5,6 @@ the harness writes as the summary's regime_* header keys.
 
 Convention: natural logarithms everywhere except the dyadic tree depth
 ceil(log2 T), which is base 2 (see counting). All functions are pure.
-Every delta is a failure probability in (0, 1), which each public
-function that takes one checks first.
 """
 
 from __future__ import annotations

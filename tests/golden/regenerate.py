@@ -37,14 +37,13 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 from dpsrgd import harness, verify  # noqa: E402
 
 GOLDEN = HERE / "outputs.json"
-ALGORITHMS = tuple(harness._ALGORITHMS)
 SYNTHETIC = dict(task="synthetic", dim=20, batch_size=64, steps=64, train_size=512, repeats=2)
 
 
-def _write_dataset(root: str, seed: int = 0) -> None:
+def _write_dataset(root: str) -> None:
     """A 3-class, 4-feature csv dataset: 64 train rows in dataset.csv and
     32 test rows in dataset.test.csv, each class a shifted Gaussian."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     centers = 3.0 * rng.standard_normal((3, 4))
     for name, rows in (("dataset.csv", 64), ("dataset.test.csv", 32)):
         labels = rng.integers(0, 3, rows)
@@ -58,17 +57,16 @@ def _specs(data_path: str):
     """(entry name, spec) of every run of the matrix."""
     csv = dict(task="csv-dataset", data_path=data_path, batch_size=8, steps=8, repeats=2)
     for task, base in (("synthetic", SYNTHETIC), ("csv", csv)):
-        for algorithm in ALGORITHMS:
+        for algorithm, algo in harness._ALGORITHMS.items():
             keys = dict(base, algorithm=algorithm, clip_grid=(0.5, 2.0))
-            if harness._ALGORITHMS[algorithm].multi_epoch:
+            if algo.multi_epoch:
                 del keys["steps"]
                 keys["epochs"] = 2
             for eps in (math.inf, 2.0):
                 yield f"{task}/{algorithm}/eps={eps:g}", harness.ExperimentSpec(
                     **keys, epsilon=eps)
     yield "synthetic/accelerated_dp_srgd/eps=2/clip=inf", harness.ExperimentSpec(
-        **dict(SYNTHETIC, algorithm="accelerated_dp_srgd", epsilon=2.0,
-               clip_grid=(math.inf,)))
+        **SYNTHETIC, algorithm="accelerated_dp_srgd", epsilon=2.0, clip_grid=(math.inf,))
 
 
 def _run_entries(name: str, spec, out_dir: str) -> dict:
